@@ -2,9 +2,10 @@
 
 ``np.unique(..., axis=0)`` sorts through a void-dtype view, which is
 several times slower than a key-wise ``lexsort`` for the narrow int64
-arrays relations are made of.  These helpers provide the two row
-operations the columnar backend needs -- canonical deduplication and
-dictionary encoding -- built on ``lexsort``, with a fast 1-column path.
+arrays relations are made of.  These helpers provide the row
+operations the columnar backend needs -- canonical deduplication,
+dictionary encoding and the frequency scan :func:`column_counts` --
+built on ``lexsort``, with a fast 1-column path.
 
 All functions order rows lexicographically (first column primary),
 matching ``np.unique(axis=0)`` and :meth:`Relation.to_array`'s canonical
@@ -12,6 +13,8 @@ layout.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -64,17 +67,52 @@ def unique_rows(rows: np.ndarray) -> np.ndarray:
     return sorted_rows[_row_changed(sorted_rows)]
 
 
-def unique_rows_with_counts(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows plus multiplicities, in lexicographic order."""
+def unique_rows_with_counts(
+    rows: np.ndarray, weights: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows plus multiplicities, in lexicographic order.
+
+    With ``weights`` (one int per row) a row counts ``weights[i]`` times
+    instead of once, which merges partial ``(rows, counts)`` scans.
+    """
     rows = np.asarray(rows)
     if rows.ndim != 2:
         raise ValueError(f"need a 2-D (n, arity) array, got shape {rows.shape}")
     if len(rows) == 0:
         return rows.copy(), np.empty(0, dtype=np.int64)
-    sorted_rows = rows[_row_order(rows)]
+    order = _row_order(rows)
+    sorted_rows = rows[order]
     starts = np.flatnonzero(_row_changed(sorted_rows))
-    counts = np.diff(np.append(starts, len(sorted_rows)))
+    if weights is None:
+        counts = np.diff(np.append(starts, len(sorted_rows)))
+    else:
+        counts = np.add.reduceat(np.asarray(weights)[order], starts)
     return sorted_rows[starts], counts
+
+
+def column_counts(
+    rows: np.ndarray,
+    positions: Sequence[int],
+    weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The frequency scan: distinct keys over ``positions`` and their counts.
+
+    Returns ``(keys, counts)``: the distinct ``(k, len(positions))`` key
+    rows in lexicographic order and, per key ``J``, the number of rows
+    agreeing with it -- the paper's degree ``d_J(R)``.  ``weights`` is as
+    in :func:`unique_rows_with_counts`.  Every degree, heavy-hitter and
+    matching check in the package reads from this one scan.
+    """
+    rows = np.asarray(rows)
+    keys = rows[:, list(positions)]
+    if keys.shape[1] == 1 and weights is None:
+        values, counts = np.unique(keys[:, 0], return_counts=True)
+        return values[:, None], counts
+    if keys.shape[1] == 0 and len(keys):
+        # The empty key matches every row: d_()(R) = |R|.
+        total = len(keys) if weights is None else int(np.sum(weights))
+        return keys[:1], np.array([total], dtype=np.int64)
+    return unique_rows_with_counts(keys, weights)
 
 
 def encode_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.data.arrays import unique_rows
+from repro.data.arrays import column_counts, unique_rows
 
 
 class Relation:
@@ -168,29 +168,52 @@ class Relation:
         """All values appearing anywhere in the relation."""
         return {v for t in self._tuples for v in t}
 
-    def degree(self, positions: Sequence[int], values: Sequence[int]) -> int:
-        """``d_J(R)``: tuples agreeing with ``values`` on ``positions``."""
+    def key_counts(
+        self, positions: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct keys over ``positions`` with their degrees, as arrays.
+
+        ``(keys, counts)`` of :func:`repro.data.arrays.column_counts`
+        over the canonical array: the one frequency scan every method
+        below reads from, so only the results a caller asks for ever
+        become Python objects.
+        """
         positions = tuple(positions)
-        values = tuple(values)
         for p in positions:
             self._check_position(p)
-        return sum(
-            1
-            for t in self._tuples
-            if all(t[p] == v for p, v in zip(positions, values))
-        )
+        return column_counts(self.to_array(), positions)
+
+    def degree(self, positions: Sequence[int], values: Sequence[int]) -> int:
+        """``d_J(R)``: tuples agreeing with ``values`` on ``positions``."""
+        keys, counts = self.key_counts(positions)
+        wanted = np.asarray(tuple(values), dtype=np.int64)
+        if wanted.shape != keys.shape[1:]:
+            raise ValueError("need exactly one value per position")
+        return int(counts[(keys == wanted).all(axis=1)].sum())
 
     def degrees(self, positions: Sequence[int]) -> Counter:
         """Histogram of ``d_J`` for every ``J`` over ``positions``."""
-        positions = tuple(positions)
-        for p in positions:
-            self._check_position(p)
-        return Counter(tuple(t[p] for p in positions) for t in self._tuples)
+        keys, counts = self.key_counts(positions)
+        return Counter(dict(zip(map(tuple, keys.tolist()), counts.tolist())))
+
+    def degrees_of(self, position: int, values: Sequence[int]) -> list[int]:
+        """``d_h(R)`` at ``position`` for each ``h`` in ``values``.
+
+        One scan answers every lookup (0 for absent values) -- the
+        per-hitter sizes ``m_j(h)`` the skew-aware executors need.
+        """
+        keys, counts = self.key_counts((position,))
+        wanted = np.asarray(tuple(values), dtype=np.int64)
+        if len(keys) == 0:
+            return [0] * len(wanted)
+        column = keys[:, 0]
+        slot = np.minimum(np.searchsorted(column, wanted), len(column) - 1)
+        return np.where(column[slot] == wanted, counts[slot], 0).tolist()
 
     def max_degree(self, positions: Sequence[int]) -> int:
         """The largest degree over ``positions`` (0 for empty relations)."""
-        hist = self.degrees(positions)
-        return max(hist.values(), default=0)
+        _, counts = self.key_counts(positions)
+        return int(counts.max()) if len(counts) else 0
 
     def heavy_hitters(
         self, position: int, threshold: float
@@ -200,11 +223,9 @@ class Relation:
         Section 4: a value is a heavy hitter when its frequency exceeds
         a threshold such as ``m_j / p``.  Returns ``value -> frequency``.
         """
-        return {
-            key[0]: count
-            for key, count in self.degrees((position,)).items()
-            if count >= threshold
-        }
+        keys, counts = self.key_counts((position,))
+        heavy = counts >= threshold
+        return dict(zip(keys[heavy, 0].tolist(), counts[heavy].tolist()))
 
     # ------------------------------------------------------------- operators
 

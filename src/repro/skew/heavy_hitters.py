@@ -14,7 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.query import ConjunctiveQuery
+from repro.data.arrays import column_counts
 from repro.data.database import Database
 from repro.data.relation import Relation
 
@@ -52,15 +55,14 @@ def sample_heavy_hitters(
     if m == 0:
         return {}
     rng = random.Random(seed)
-    universe = relation.sorted_tuples()
-    sample = [universe[rng.randrange(m)] for _ in range(sample_size)]
-    counts: dict[int, int] = {}
-    for t in sample:
-        counts[t[position]] = counts.get(t[position], 0) + 1
+    # Rows of the canonical array are the sorted tuples, so indexing it
+    # draws the same sample as indexing a sorted tuple list would.
+    index = [rng.randrange(m) for _ in range(sample_size)]
+    keys, counts = column_counts(relation.to_array()[index], (position,))
     scale = m / sample_size
     return {
         value: count * scale
-        for value, count in counts.items()
+        for value, count in zip(keys[:, 0].tolist(), counts.tolist())
         if count * scale >= safety * threshold
     }
 
@@ -74,16 +76,21 @@ def variable_frequencies(
     "in at least one of the two relations they belong to"; this helper
     computes that max-frequency view for any variable.
     """
-    out: dict[int, int] = {}
-    for atom in query.atoms:
-        if variable not in atom.variable_set:
-            continue
-        position = atom.variables.index(variable)
-        for key, count in database[atom.relation].degrees((position,)).items():
-            value = key[0]
-            if count > out.get(value, 0):
-                out[value] = count
-    return out
+    scans = [
+        database[atom.relation].key_counts((atom.variables.index(variable),))
+        for atom in query.atoms
+        if variable in atom.variable_set
+    ]
+    if not scans:
+        return {}
+    values = np.concatenate([keys[:, 0] for keys, _ in scans])
+    counts = np.concatenate([scan_counts for _, scan_counts in scans])
+    # Sort by (value, count): the last row of each value run holds its max.
+    order = np.lexsort((counts, values))
+    values, counts = values[order], counts[order]
+    last = np.ones(len(values), dtype=bool)
+    last[:-1] = values[1:] != values[:-1]
+    return dict(zip(values[last].tolist(), counts[last].tolist()))
 
 
 @dataclass

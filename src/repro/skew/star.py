@@ -262,6 +262,9 @@ def _star_impl(
         database.validate_for(query)
         center = _star_center(query)
         stats = database.statistics(query)
+        # Hitters detected here are exact, so the closing load bound can
+        # reuse them; caller-supplied ones may be sampled estimates.
+        detected = hitters is None
         if hitters is None:
             hitters = HitterStatistics.from_database(
                 query, database, center, 1.0, p
@@ -271,7 +274,8 @@ def _star_impl(
                 f"hitter statistics describe {hitters.variable!r}, "
                 f"not the star center {center!r}"
             )
-        heavy_values = set(hitters.hitters)
+        heavy_sorted = tuple(int(h) for h in hitters.hitters)
+        heavy_values = set(heavy_sorted)
 
         leg_of = {
             atom.relation: next(v for v in atom.variables if v != center)
@@ -282,15 +286,19 @@ def _star_impl(
             for atom in query.atoms
         }
 
-        # Residual bit sizes M_j(h) (arity-1 projections of h's tuples).
+        # Residual bit sizes M_j(h) (arity-1 projections of h's tuples),
+        # from one exact frequency scan per relation -- also when the
+        # hitters themselves were only sampled.
+        frequency = {
+            relation: database[relation].degrees_of(zpos, heavy_sorted)
+            for relation, zpos in center_pos.items()
+        }
         bits_per_hitter: dict[int, dict[str, float]] = {}
-        for h in heavy_values:
-            per_rel = {}
-            for atom in query.atoms:
-                freq = database[atom.relation].degree(
-                    (center_pos[atom.relation],), (h,)
-                )
-                per_rel[atom.relation] = freq * stats.value_bits
+        for slot, h in enumerate(heavy_sorted):
+            per_rel = {
+                relation: counts[slot] * stats.value_bits
+                for relation, counts in frequency.items()
+            }
             if all(v > 0 for v in per_rel.values()):
                 bits_per_hitter[h] = per_rel
         allocation = _heavy_allocation(
@@ -319,7 +327,6 @@ def _star_impl(
     # no per-block speed structure to exploit.
     light_weights = grid_dimension_weights(light_shares, settings.machines)
     light_grid = GridPartitioner(light_shares, family, weights=light_weights)
-    heavy_sorted = tuple(int(h) for h in sorted(heavy_values))
     if backend == "numpy":
         # Filter-then-route per chunk (one task per chunk, fanned out
         # over the pool): filtering commutes with chunking, and results
@@ -374,19 +381,23 @@ def _star_impl(
     blocks: list[tuple[int, int, GridPartitioner]] = []  # (hitter, base, grid)
     base = p
     with timer.phase("route"):
+        # One two-column scan per relation lists its distinct (z, leg)
+        # pairs in sorted order; a hitter's residual fragment is its run.
+        pairs = {}
+        if bits_per_hitter:
+            pairs = {
+                relation: database[relation].key_counts((zpos, 1 - zpos))[0]
+                for relation, zpos in center_pos.items()
+            }
         for h in sorted(bits_per_hitter):
             p_h = allocation[h]
             residual_fragments = {}
             residual_sizes = {}
-            for atom in query.atoms:
-                zpos = center_pos[atom.relation]
-                values = {
-                    (t[1 - zpos],)
-                    for t in database[atom.relation]
-                    if t[zpos] == h
-                }
-                residual_fragments[atom.relation] = values
-                residual_sizes[atom.relation] = len(values)
+            for relation, keys in pairs.items():
+                lo, hi = np.searchsorted(keys[:, 0], (h, h + 1))
+                legs = [(leg,) for leg in keys[lo:hi, 1].tolist()]
+                residual_fragments[relation] = legs
+                residual_sizes[relation] = len(legs)
             if p_h >= 2:
                 residual_stats = Statistics(
                     residual_query, residual_sizes, database.domain_size
@@ -403,13 +414,13 @@ def _star_impl(
             )
             for atom in residual_atoms:
                 batches = {}
-                # Sorted for deterministic capacity truncation (set
-                # iteration order must not decide which tuples drop).
+                # Fragments are sorted, for deterministic capacity
+                # truncation (which tuples drop must not vary by run).
                 for server, t in route_relation(
                     grid,
                     residual_query.variables,
                     atom.variables,
-                    sorted(residual_fragments[atom.relation]),
+                    residual_fragments[atom.relation],
                 ):
                     batches.setdefault(server, []).append(t)
                 for server, batch in batches.items():
@@ -459,14 +470,17 @@ def _star_impl(
                 sim.output(block_base + offset, outputs)
 
     timer.attach(sim.report)
-    predicted = star_skew_load_bound(query, database, p)
+    if detected:
+        predicted = star_skew_load_bound_from_stats(query, stats, hitters, p)
+    else:
+        predicted = star_skew_load_bound(query, database, p)
     return StarSkewResult(
         query=query,
         answers=sim.outputs(),
         report=sim.report,
         simulation=sim,
         servers_used=total_servers,
-        heavy_hitters=tuple(sorted(heavy_values)),
+        heavy_hitters=heavy_sorted,
         predicted_load_bits=predicted,
     )
 

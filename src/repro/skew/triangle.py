@@ -544,13 +544,13 @@ def triangle_skew_load_bound(database: Database, p: int) -> float:
         pred_atom = triangle_query().atom(pred_rel)
         succ_pos = succ_atom.variables.index(variable)
         pred_pos = pred_atom.variables.index(variable)
+        heavy = [v for v, count in freqs.items() if count >= threshold2]
         total = 0.0
-        for value, count in freqs.items():
-            if count < threshold2:
-                continue
-            mr = database[succ_rel].degree((succ_pos,), (value,)) * tuple_bits
-            mt = database[pred_rel].degree((pred_pos,), (value,)) * tuple_bits
-            total += mr * mt
+        for succ_count, pred_count in zip(
+            database[succ_rel].degrees_of(succ_pos, heavy),
+            database[pred_rel].degrees_of(pred_pos, heavy),
+        ):
+            total += (succ_count * tuple_bits) * (pred_count * tuple_bits)
         if total > 0:
             bound = max(bound, math.sqrt(total / p))
     return bound

@@ -25,12 +25,11 @@ array-born relation.
 from __future__ import annotations
 
 import pathlib
-from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.data.arrays import unique_rows, unique_rows_with_counts
+from repro.data.arrays import column_counts, unique_rows
 from repro.data.relation import Relation, validate_array_domain
 from repro.storage.manager import DEFAULT_CHUNK_ROWS, StorageManager
 
@@ -290,23 +289,31 @@ class ChunkedRelation(Relation):
         for chunk in self.chunks():
             validate_array_domain(np.asarray(chunk), self.name, domain_size)
 
-    def degrees(self, positions: Sequence[int]) -> Counter:
-        """Chunk-wise, vectorized ``d_J`` histogram over ``positions``."""
+    def key_counts(
+        self, positions: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The frequency scan, one chunk at a time (never materializes).
+
+        Per-chunk ``(keys, counts)`` scans are merged by one weighted
+        scan over their concatenation, so memory is bounded by the
+        distinct keys per chunk rather than by the row count.
+        """
         positions = tuple(positions)
         for p in positions:
             self._check_position(p)
-        out: Counter = Counter()
-        for chunk in self.chunks():
-            arr = np.asarray(chunk)[:, positions]
-            if len(positions) == 1:
-                values, counts = np.unique(arr[:, 0], return_counts=True)
-                keys: Iterable = ((int(v),) for v in values)
-            else:
-                values, counts = unique_rows_with_counts(arr)
-                keys = map(tuple, values.tolist())
-            for key, count in zip(keys, counts):
-                out[key] += int(count)
-        return out
+        parts = [
+            column_counts(np.asarray(chunk), positions)
+            for chunk in self.chunks()
+        ]
+        if not parts:
+            return column_counts(self.to_array(), positions)
+        if len(parts) == 1:
+            return parts[0]
+        return column_counts(
+            np.concatenate([keys for keys, _ in parts]),
+            range(len(positions)),
+            weights=np.concatenate([counts for _, counts in parts]),
+        )
 
     def __repr__(self) -> str:
         return (

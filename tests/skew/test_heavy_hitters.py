@@ -60,6 +60,36 @@ class TestSampledDetection:
         r = Relation("R", 2, [])
         assert sample_heavy_hitters(r, 0, 5, sample_size=10) == {}
 
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_same_estimates_as_sampling_the_sorted_tuple_list(self, seed):
+        # The sampler used to sort the whole relation into a Python
+        # list (cached on it forever) and index that; rows of the
+        # canonical array are the same sequence, so the same index
+        # stream must give the same estimates.
+        import random
+
+        r = zipf_relation("R", 2, 3000, 400, skew=1.2, seed=5, backend="numpy")
+        position, threshold, sample_size, safety = 0, 40.0, 300, 0.5
+        universe = sorted(map(tuple, r.to_array().tolist()))
+        rng = random.Random(seed)
+        counts: dict[int, int] = {}
+        for _ in range(sample_size):
+            value = universe[rng.randrange(len(universe))][position]
+            counts[value] = counts.get(value, 0) + 1
+        scale = len(universe) / sample_size
+        expected = {
+            value: count * scale
+            for value, count in counts.items()
+            if count * scale >= safety * threshold
+        }
+        assert expected  # the pin is vacuous without hitters
+        got = sample_heavy_hitters(
+            r, position, threshold, sample_size, seed=seed, safety=safety
+        )
+        assert got == expected
+        assert all(type(v) is int for v in got)
+        assert r._sorted_cache is None and r._tuples_cache is None
+
 
 class TestVariableFrequencies:
     def test_max_over_atoms(self):

@@ -12,6 +12,7 @@ from repro.data.generators import (
 )
 from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
+from repro.skew.heavy_hitters import HitterStatistics
 from repro.skew.star import run_star_skew, star_skew_load_bound, _star_center
 
 
@@ -120,3 +121,42 @@ class TestLoads:
         assert star_skew_load_bound(q, db, 8) == pytest.approx(
             stats.bits("S1") / 8
         )
+
+
+class TestSuppliedHitters:
+    @staticmethod
+    def _skewed():
+        q = star_query(2)
+        freqs = {
+            "S1": {0: 200, 1: 80, 2: 40, **{i: 1 for i in range(3, 103)}},
+            "S2": {0: 150, 1: 90, 5: 30, **{i: 1 for i in range(6, 106)}},
+        }
+        return q, degree_sequence_database(q, "z", freqs, 3000, seed=10)
+
+    def test_detected_prediction_is_the_database_bound(self):
+        q, db = self._skewed()
+        result = run_star_skew(q, db, 16, seed=10)
+        assert result.heavy_hitters
+        assert result.predicted_load_bits == star_skew_load_bound(q, db, 16)
+
+    def test_block_sizes_use_exact_counts_under_estimated_hitters(self):
+        # Sampled statistics name the hitters but only estimate their
+        # frequencies; block allocation and the prediction must still
+        # come from exact counts, so the run matches in-place detection.
+        q, db = self._skewed()
+        exact = HitterStatistics.from_database(q, db, "z", 1.0, 16)
+        estimated = HitterStatistics(
+            q,
+            "z",
+            {
+                rel: {h: int(1.4 * count) + 3 for h, count in freqs.items()}
+                for rel, freqs in exact.frequencies.items()
+            },
+        )
+        baseline = run_star_skew(q, db, 16, seed=10)
+        result = run_star_skew(q, db, 16, seed=10, hitters=estimated)
+        assert result.heavy_hitters == baseline.heavy_hitters
+        assert result.servers_used == baseline.servers_used
+        assert result.answers == baseline.answers
+        assert result.report.rounds[0].bits == baseline.report.rounds[0].bits
+        assert result.predicted_load_bits == baseline.predicted_load_bits
