@@ -554,7 +554,7 @@ def main(argv: list[str] | None = None) -> None:
     run_parser.add_argument("--strategy", default=None,
                             help="pin a strategy by name instead of the "
                                  "planner's winner (e.g. hypercube, "
-                                 "skew-star, multiround-tuples)")
+                                 "skew-star, multiround)")
     run_parser.add_argument("--repeat", type=int, default=1,
                             help="number of seed-derived jobs (default 1)")
     run_parser.add_argument("--max-workers", type=int, default=None,

@@ -17,7 +17,6 @@ one variable), and broadcast joins.
 
 from repro.hypercube.algorithm import (
     HyperCubeResult,
-    local_join_arrays,
     route_relation,
     route_relation_arrays,
     run_hypercube,
@@ -36,7 +35,6 @@ from repro.hypercube.baselines import (
 
 __all__ = [
     "HyperCubeResult",
-    "local_join_arrays",
     "route_relation",
     "route_relation_arrays",
     "run_hypercube",

@@ -10,7 +10,8 @@ tuple ``(a_1, ..., a_k)`` the server ``(h_1(a_1), ..., h_k(a_k))``
 receives every base tuple consistent with it, so the union of local
 join results is exactly ``q(I)``.
 
-Two execution backends share this driver:
+The run is a single block on ``[0, p)`` handed to the round kernel of
+:mod:`repro.hypercube.blocks`, which executes it on either backend:
 
 * ``backend="tuples"`` routes and joins one Python tuple at a time --
   the original, obviously-correct reference path.
@@ -45,7 +46,6 @@ from repro.data.arrays import repeated_binding_filter
 from repro.data.database import Database
 from repro.hashing.family import (
     GridPartitioner,
-    HashFamily,
     HashMethod,
     grid_dimension_weights,
 )
@@ -54,13 +54,7 @@ from repro.join.vectorized import UnsupportedVectorizedQuery, evaluate_arrays
 from repro.mpc.report import LoadReport
 from repro.mpc.simulator import MPCSimulation
 from repro.mpc.timing import PhaseTimer
-from repro.parallel.pool import PoolKind, WorkerPool, get_pool
-from repro.parallel.tasks import (
-    RouteTask,
-    iter_array_sources,
-    join_over_pool,
-    route_over_pool,
-)
+from repro.parallel.pool import PoolKind
 from repro.storage.manager import StorageManager
 
 
@@ -343,146 +337,43 @@ def _hypercube_impl(
     exponents: Mapping[str, float] | None = None,
     skip_local_join: bool = False,
 ) -> HyperCubeResult:
-    """The HyperCube core; ``settings`` arrives already resolved."""
-    backend = settings.backend
-    chunk_rows = settings.chunk_rows
+    """The HyperCube core: one block on ``[0, p)``.
+
+    ``settings`` arrives already resolved.
+    """
+    # Imported here: the kernel's tuple reference routes through
+    # route_relation above.
+    from repro.hypercube.blocks import Block, BlockInput, round_kernel
+
     timer = PhaseTimer()
-    pool = get_pool(settings.pool, settings.max_workers)
     with timer.phase("generate"):
         database.validate_for(query)
         stats = database.statistics(query)
         resolved = resolve_shares(query, stats, p, shares, exponents)
-        dimension_variables = query.variables
-        # Heterogeneous clusters weight each dimension's hash ranges by
-        # the marginal speed mass of its slices, so fast servers own
-        # proportionally larger ranges; None (the uniform cluster)
-        # keeps the exact unweighted modulo routing.
-        grid_weights = grid_dimension_weights(
-            [resolved[v] for v in dimension_variables], settings.machines
-        )
-        partitioner = GridPartitioner(
-            [resolved[v] for v in dimension_variables],
-            HashFamily(seed, method=settings.hash_method),
-            weights=grid_weights,
-        )
-
-    sim = MPCSimulation(
-        p,
-        value_bits=stats.value_bits,
-        capacity_bits=settings.capacity_bits,
-        on_overflow=settings.on_overflow,
-        storage=storage,
-        timer=timer,
-        machines=settings.machines,
-    )
-    if backend == "numpy":
-        _communicate_arrays(
-            query,
-            database,
-            dimension_variables,
-            tuple(resolved[v] for v in dimension_variables),
-            seed,
-            settings.hash_method,
-            sim,
-            chunk_rows,
-            pool,
-            timer,
-            weights=grid_weights,
-        )
-    else:
-        with timer.phase("route"):
-            _communicate_tuples(
-                query, database, partitioner, dimension_variables, sim
-            )
-
-    if not skip_local_join:
-        if backend == "numpy":
-            _local_joins_arrays(query, partitioner, sim, pool, timer)
-        else:
-            with timer.phase("join"):
-                for server in range(partitioner.num_bins):
-                    local = evaluate_on_fragments(query, sim.state(server))
-                    if local:
-                        sim.output(server, local)
-    timer.attach(sim.report)
-    return HyperCubeResult(query, None, resolved, sim.report, sim)
-
-
-def _communicate_tuples(
-    query: ConjunctiveQuery,
-    database: Database,
-    partitioner: GridPartitioner,
-    dimension_variables: Sequence[str],
-    sim: MPCSimulation,
-) -> None:
-    """The communication phase, one tuple at a time.
-
-    Tuples are routed in canonical (lexicographic) order -- the same
-    order the columnar backend's sorted arrays use -- so that even a
-    binding ``capacity_bits`` cap with ``on_overflow="drop"`` truncates
-    the identical per-server prefix on both backends.
-    """
-    sim.begin_round()
-    for atom in query.atoms:
-        relation = database[atom.relation]
-        batches: dict[int, list[tuple[int, ...]]] = {}
-        for server, t in route_relation(
-            partitioner, dimension_variables, atom.variables,
-            relation.sorted_tuples(),
-        ):
-            batches.setdefault(server, []).append(t)
-        for server, batch in batches.items():
-            sim.send(server, atom.relation, batch)
-    sim.end_round()
-
-
-def _communicate_arrays(
-    query: ConjunctiveQuery,
-    database: Database,
-    dimension_variables: Sequence[str],
-    shares: tuple[int, ...],
-    seed: int,
-    hash_method: str,
-    sim: MPCSimulation,
-    chunk_rows: int | None,
-    pool: WorkerPool,
-    timer: PhaseTimer,
-    weights: tuple[tuple[float, ...] | None, ...] | None = None,
-) -> None:
-    """The communication phase, relations as arrays (chunk-streamed).
-
-    One :class:`RouteTask` per ``(atom, chunk)`` fans out over the
-    pool; results come back in task order and are delivered in that
-    order, so every server receives the identical row sequence as the
-    serial loop (hence identical loads and capacity truncation) at any
-    pool kind and worker count.  With ``chunk_rows=None`` and in-memory
-    relations this is the one-chunk-per-relation monolith route;
-    chunked relations ship spilled chunks to process workers by path.
-    ``weights`` carries the heterogeneous grid's per-dimension bucket
-    weights into each task, so workers rebuild the identical weighted
-    partitioner.
-    """
-
-    def tasks():
-        for atom in query.atoms:
-            for source in iter_array_sources(
-                database[atom.relation], chunk_rows
-            ):
-                yield RouteTask(
-                    tag=atom.relation,
-                    source=source,
-                    dimension_variables=tuple(dimension_variables),
-                    atom_variables=tuple(atom.variables),
-                    shares=shares,
-                    family_seed=seed,
-                    hash_method=hash_method,
-                    weights=weights,
+        share_list = tuple(resolved[v] for v in query.variables)
+        block = Block(
+            query=query,
+            inputs=tuple(
+                BlockInput(
+                    atom.relation, atom.variables, (database[atom.relation],)
                 )
+                for atom in query.atoms
+            ),
+            shares=share_list,
+            family_seed=seed,
+            # Heterogeneous clusters weight each dimension's hash ranges
+            # by the marginal speed mass of its slices, so fast servers
+            # own proportionally larger ranges; None (the uniform
+            # cluster) keeps the exact unweighted modulo routing.
+            weights=grid_dimension_weights(share_list, settings.machines),
+        )
 
-    sim.begin_round()
-    with timer.phase("route"):
-        route_over_pool(pool, sim, tasks(), timer)
-    sim.end_round()
+    kernel = round_kernel(p, stats.value_bits, settings, storage, timer)
+    kernel.communicate([block])
+    if not skip_local_join:
+        kernel.compute([block])
+    timer.attach(kernel.sim.report)
+    return HyperCubeResult(query, None, resolved, kernel.sim.report, kernel.sim)
 
 
 def local_join_fragments(
@@ -493,9 +384,8 @@ def local_join_fragments(
     Returns the distinct local answers as a ``(n, k)`` int64 array in
     the query's head order.  Queries the vectorized evaluator cannot
     handle fall back to the backtracking tuple join and are converted
-    back to array form.  Shared by every columnar computation phase
-    (HyperCube, the skew-aware algorithms' light parts, and the
-    multi-round executor's per-operator joins).
+    back to array form.  The array kernel's per-server join body
+    (every block of every engine).
     """
     try:
         return evaluate_arrays(query, fragments)
@@ -510,42 +400,4 @@ def local_join_fragments(
             return np.empty((0, width), dtype=np.int64)
         return np.array(sorted(fallback), dtype=np.int64).reshape(
             len(fallback), width
-        )
-
-
-def local_join_arrays(
-    query: ConjunctiveQuery, sim: MPCSimulation, server: int
-) -> None:
-    """Join one server's array fragments, recording outputs (if any)."""
-    fragments = sim.array_state(server)
-    if not fragments:
-        return
-    local = local_join_fragments(query, fragments)
-    if len(local):
-        sim.output_array(server, local)
-
-
-def _local_joins_arrays(
-    query: ConjunctiveQuery,
-    partitioner: GridPartitioner,
-    sim: MPCSimulation,
-    pool: WorkerPool,
-    timer: PhaseTimer,
-) -> None:
-    """The computation phase on array fragments, with tuple fallback.
-
-    Per-server joins fan out over the pool; outputs are recorded in
-    server order regardless of completion order.  In out-of-core mode
-    each server's spooled fragments are freed the moment its result is
-    merged, so at most one server's data is resident on the parent at a
-    time (workers hold at most one fragment each).
-    """
-    with timer.phase("join"):
-        join_over_pool(
-            pool,
-            sim,
-            query,
-            range(partitioner.num_bins),
-            timer=timer,
-            clear=sim.storage is not None,
         )

@@ -17,7 +17,11 @@ operator, never to the bare relation, so two same-round operators
 reading the same base relation or view keep their differently-routed
 fragments apart on every server.
 
-Two execution backends share the driver (``backend=None`` follows
+Each round is a block list -- one block per operator at ``base=0``
+with ``prefix="<node name>/"`` -- executed by the round kernel of
+:mod:`repro.hypercube.blocks`; view spooling, dropping views past their
+last consumer and adopting the root's spools stay here.  The kernel
+runs either backend (``backend=None`` follows
 :func:`repro.config.default_backend`):
 
 * ``backend="tuples"`` routes and joins one Python tuple at a time --
@@ -62,26 +66,14 @@ from repro.data.arrays import unique_rows
 from repro.core.shares import integerize_shares, share_exponents
 from repro.core.stats import Statistics
 from repro.data.database import Database
-from repro.hashing.family import (
-    GridPartitioner,
-    HashFamily,
-    derive_seed,
-    grid_dimension_weights,
-)
-from repro.hypercube.algorithm import route_relation
+from repro.hashing.family import derive_seed, grid_dimension_weights
+from repro.hypercube.blocks import Block, BlockInput, round_kernel
 from repro.join.binary import reorder
-from repro.join.multiway import evaluate_on_fragments
 from repro.mpc.report import LoadReport
 from repro.mpc.simulator import MPCSimulation
 from repro.mpc.timing import PhaseTimer
 from repro.multiround.plans import Plan
-from repro.parallel.pool import PoolKind, get_pool
-from repro.parallel.tasks import (
-    RouteTask,
-    iter_array_sources,
-    join_over_pool,
-    route_over_pool,
-)
+from repro.parallel.pool import PoolKind
 from repro.storage.chunked import ChunkedRelation
 from repro.storage.manager import StorageManager
 
@@ -248,11 +240,11 @@ def _multiround_impl(
     plan: Plan,
     keep_view_fragments: bool = False,
 ) -> MultiRoundResult:
-    """The plan-execution core; ``settings`` arrives already resolved."""
-    backend = settings.backend
-    chunk_rows = settings.chunk_rows
+    """The plan core: per round, one block per plan node on ``[0, p)``.
+
+    ``settings`` arrives already resolved.
+    """
     timer = PhaseTimer()
-    pool = get_pool(settings.pool, settings.max_workers)
     if p < 2:
         raise ValueError("plan execution needs p >= 2")
     if query != plan.query:
@@ -263,15 +255,8 @@ def _multiround_impl(
     with timer.phase("generate"):
         database.validate_for(plan.query)
         stats = database.statistics(plan.query)
-    sim = MPCSimulation(
-        p,
-        value_bits=stats.value_bits,
-        capacity_bits=settings.capacity_bits,
-        on_overflow=settings.on_overflow,
-        storage=storage,
-        timer=timer,
-        machines=settings.machines,
-    )
+    kernel = round_kernel(p, stats.value_bits, settings, storage, timer)
+    sim = kernel.sim
 
     by_depth = plan.root.nodes_by_depth()
     # Fragments are tagged "<node>/<input>"; a "/" inside a node name
@@ -300,165 +285,69 @@ def _multiround_impl(
 
     for depth in sorted(by_depth):
         nodes = by_depth[depth]
-        grids: dict[str, GridPartitioner] = {}
+        blocks: list[Block] = []
         with timer.phase("generate"):
-            # Grids first (no simulator effects), so the routing below
-            # can fan out over the pool in one stream per round.
+            # Tags are namespaced by the consuming node: two same-round
+            # operators reading the same input route it under different
+            # grids and must not share server state.
             for node in nodes:
                 operator = node.operator
-                sizes = {}
+                inputs = []
                 for child in node.children:
                     if isinstance(child, Atom):
-                        sizes[child.relation] = len(database[child.relation])
+                        inputs.append(BlockInput(
+                            child.relation,
+                            child.variables,
+                            (database[child.relation],),
+                        ))
                     else:
-                        sizes[child.name] = sum(
-                            len(chunk) for chunk in produced[child.name]
-                        )
+                        inputs.append(BlockInput(
+                            child.name,
+                            schema_of[child.name],
+                            tuple(produced[child.name]),
+                        ))
+                sizes = {
+                    item.tag: sum(len(source) for source in item.sources)
+                    for item in inputs
+                }
                 op_stats = Statistics(operator, sizes, database.domain_size)
                 exponents = share_exponents(operator, op_stats, p).exponents
                 shares = integerize_shares(exponents, p)
-                share_list = [shares[v] for v in operator.variables]
-                grids[node.name] = GridPartitioner(
-                    share_list,
-                    HashFamily(derive_seed(seed, _stable_salt(node.name)),
-                               method=settings.hash_method),
+                share_list = tuple(shares[v] for v in operator.variables)
+                blocks.append(Block(
+                    query=operator,
+                    inputs=tuple(inputs),
+                    shares=share_list,
+                    family_seed=derive_seed(seed, _stable_salt(node.name)),
                     weights=grid_dimension_weights(
                         share_list, settings.machines
                     ),
-                )
-        sim.begin_round()
-        if backend == "numpy":
-            # One task per (node, child, fragment, chunk), in the exact
-            # nested order of the serial loop; results merge in task
-            # order, so every send replays the serial sequence.  Tags
-            # are namespaced by the consuming node: two same-round
-            # operators reading the same input route it under different
-            # grids and must not share server state.
-            def round_tasks(nodes=nodes):
-                for node in nodes:
-                    operator = node.operator
-                    grid = grids[node.name]
-                    for child in node.children:
-                        if isinstance(child, Atom):
-                            name = child.relation
-                            child_schema = child.variables
-                            sources = [database[child.relation]]
-                        else:
-                            name = child.name
-                            child_schema = schema_of[child.name]
-                            sources = produced[child.name]
-                        for fragment in sources:
-                            for source in iter_array_sources(
-                                fragment, chunk_rows
-                            ):
-                                yield RouteTask(
-                                    tag=f"{node.name}/{name}",
-                                    source=source,
-                                    dimension_variables=tuple(
-                                        operator.variables
-                                    ),
-                                    atom_variables=tuple(child_schema),
-                                    shares=tuple(grid.shares),
-                                    family_seed=derive_seed(
-                                        seed, _stable_salt(node.name)
-                                    ),
-                                    hash_method=settings.hash_method,
-                                    weights=grid.weights,
-                                )
-
-            with timer.phase("route"):
-                route_over_pool(pool, sim, round_tasks(), timer)
-        else:
-            with timer.phase("route"):
-                for node in nodes:
-                    operator = node.operator
-                    grid = grids[node.name]
-                    for child in node.children:
-                        if isinstance(child, Atom):
-                            name = child.relation
-                            child_schema = child.variables
-                            # Canonical order, so a binding capacity
-                            # cap truncates the same per-server prefix
-                            # as the columnar (sorted-array) path.
-                            sources = [
-                                database[child.relation].sorted_tuples()
-                            ]
-                        else:
-                            name = child.name
-                            child_schema = schema_of[child.name]
-                            sources = [
-                                sorted(chunk)
-                                for chunk in produced[child.name]
-                            ]
-                        tag = f"{node.name}/{name}"
-                        batches: dict[int, list[tuple[int, ...]]] = {}
-                        for source in sources:
-                            for server, t in route_relation(
-                                grid, operator.variables, child_schema, source
-                            ):
-                                batches.setdefault(server, []).append(t)
-                        for server, batch in batches.items():
-                            sim.send(server, tag, batch)
-        sim.end_round()
+                    prefix=f"{node.name}/",
+                ))
+        kernel.communicate(blocks)
 
         # Computation phase: evaluate each operator on every server of
-        # its grid (servers beyond ``num_bins`` receive nothing and
-        # produce nothing -- they are padded with empty fragments).
-        for node in nodes:
-            operator = node.operator
-            width = len(operator.variables)
-            prefix = f"{node.name}/"
+        # its grid (servers beyond the grid receive nothing and produce
+        # nothing -- they are padded with empty fragments).  Same-round
+        # operators share servers, so delivered fragments are freed only
+        # after every node's joins (sim.clear_all below).
+        for node, block in zip(nodes, blocks):
+            width = len(block.query.variables)
             fragments: list = []
-            if backend == "numpy":
-                # Per-server joins fan out over the pool; fragments are
-                # collected (and spooled) in server order on the parent.
-                # No per-server clear: same-round operators share
-                # servers, so delivered fragments are freed only after
-                # every node's joins (sim.clear_all below).
-                def collect(server: int, local, node=node, width=width,
-                            fragments=fragments):
-                    if local is None:
-                        local = np.empty((0, width), dtype=np.int64)
-                    if storage is not None:
-                        # Inter-round views spill too: an intermediate
-                        # blow-up lands on disk, not in RAM.
-                        spool = storage.spool(
-                            f"{node.name}-s{server}", width
-                        )
-                        spool.append(local)
-                        fragments.append(spool)
-                    else:
-                        fragments.append(local)
 
-                with timer.phase("join"):
-                    join_over_pool(
-                        pool,
-                        sim,
-                        operator,
-                        range(grids[node.name].num_bins),
-                        prefix=prefix,
-                        timer=timer,
-                        on_result=collect,
-                    )
-            else:
-                with timer.phase("join"):
-                    for server in range(grids[node.name].num_bins):
-                        state = sim.state(server)
-                        local_inputs = {
-                            tag[len(prefix):]: tuples
-                            for tag, tuples in state.items()
-                            if tag.startswith(prefix)
-                        }
-                        fragments.append(
-                            evaluate_on_fragments(operator, local_inputs)
-                        )
-            if backend == "numpy":
-                empty = np.empty((0, width), dtype=np.int64)
-                fragments += [empty] * (p - len(fragments))
-            else:
-                fragments += [set()] * (p - len(fragments))
+            def collect(server: int, local):
+                if storage is not None:
+                    # Inter-round views spill too: an intermediate
+                    # blow-up lands on disk, not in RAM.
+                    spool = storage.spool(f"{node.name}-s{server}", width)
+                    spool.append(local)
+                    local = spool
+                fragments.append(local)
+
+            kernel.compute([block], on_result=collect)
+            fragments += [kernel.empty(width)] * (p - len(fragments))
             produced[node.name] = fragments
-            schema_of[node.name] = operator.variables
+            schema_of[node.name] = block.query.variables
         # Free delivered fragments: the next round re-routes views anyway.
         sim.clear_all()
         # Free views past their last consumer, so a deep columnar run
@@ -480,10 +369,8 @@ def _multiround_impl(
             # The root view already lives in manager-owned spools;
             # adopting them avoids re-spilling the whole result.
             sim.adopt_output_spool(server, chunk)
-        elif backend == "numpy":
-            sim.output_array(server, chunk)
         else:
-            sim.output(server, chunk)
+            kernel.record(server, chunk)
     retained = (
         produced if keep_view_fragments else {root.name: produced[root.name]}
     )

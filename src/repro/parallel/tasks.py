@@ -1,8 +1,7 @@
 """Picklable per-server task bodies and their deterministic drivers.
 
-The engine layer's per-server loops (HyperCube routing and local
-joins, the skew algorithms' light parts, the multi-round executor's
-per-operator work) fan out over a
+The array round kernel (:mod:`repro.hypercube.blocks`) fans every
+block's routing and per-server joins out over a
 :class:`~repro.parallel.pool.WorkerPool` through the task functions
 here.  The split is strict:
 
@@ -37,7 +36,7 @@ import pathlib
 import pickle
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -294,27 +293,21 @@ def server_join_task(
 def join_over_pool(
     pool: WorkerPool,
     sim: "MPCSimulation",
-    query: "ConjunctiveQuery",
-    servers: Iterable[int],
-    prefix: str | None = None,
-    timer: PhaseTimer | None = None,
-    on_result: "Callable[[int, np.ndarray | None], None] | None" = None,
-    clear: bool = False,
-) -> None:
-    """Fan local joins out, merging results in server order.
+    jobs: "Iterable[tuple[ConjunctiveQuery, int, str | None]]",
+) -> Iterator[np.ndarray | None]:
+    """Fan local joins out; yield each job's answers in job order.
 
-    By default a non-empty local result is recorded via
-    ``sim.output_array`` (the one-round executors); ``on_result``
-    overrides that for executors that spool or retain view fragments
-    (multi-round).  With ``clear`` each server's delivered fragments
-    are freed as soon as its result lands -- the out-of-core executors'
-    one-server-resident property, preserved because a server's spill
-    files are only dropped after its own task has completed.
+    A job is ``(query, server, prefix)``: join ``server``'s delivered
+    fragments (those tagged ``prefix``, stripped, when given) under
+    ``query``.  Tasks snapshot a server only as the pool pulls them and
+    results come back in job order, so the caller may record outputs
+    and free a server's fragments as soon as its result arrives -- the
+    out-of-core executors' one-server-resident property.  ``None``
+    stands for "no answers".
     """
-    timer = timer or PhaseTimer()
 
     def tasks() -> Iterator[JoinTask]:
-        for server in servers:
+        for query, server, prefix in jobs:
             yield server_join_task(query, sim.server(server), server, prefix)
 
     trace = sim.trace
@@ -330,13 +323,7 @@ def join_over_pool(
         if metrics is not None:
             tasks_total.inc()
             task_seconds.observe(seconds)
-        with timer.phase("merge"):
-            if on_result is not None:
-                on_result(server, local)
-            elif local is not None and len(local):
-                sim.output_array(server, local)
-            if clear:
-                sim.server(server).clear()
+        yield local
 
 
 # ---------------------------------------------------------- session jobs

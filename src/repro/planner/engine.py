@@ -154,7 +154,7 @@ def execute(
     blow the budget at out-of-core scales (pass ``stats`` explicitly
     to override).  A winner that cannot stream (its
     :meth:`~repro.planner.strategies.Strategy.streams` is false, e.g.
-    a pinned ``-tuples`` twin or an in-memory baseline) runs without
+    ``settings.backend="tuples"`` or an in-memory baseline) runs without
     the manager, which is closed and *not* attached -- callers can
     tell from ``.storage is None`` that the budget was not enforced.
     The attached manager cleans up on garbage collection or an

@@ -20,10 +20,11 @@ import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.config import ExecutionSettings, resolve_backend, resolve_machines
+from repro.config import ExecutionSettings, resolve_machines
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
 from repro.hypercube.algorithm import run_hypercube
+from repro.hypercube.blocks import streams as kernel_streams
 from repro.hypercube.baselines import (
     run_broadcast_join,
     run_parallel_hash_join,
@@ -57,12 +58,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 OVERRIDE_KEYS = ("shares", "exponents", "hitters", "plan")
 
 
-# One plan() pass prices the bare "hypercube"/"multiround" strategies
-# and their pinned -tuples/-numpy twins; the twins share one cost model
-# (the backends are bit-identical), so the expensive estimation work --
-# plan enumeration + per-round costing, share-LP solves -- is shared
-# through a per-DataStatistics memo instead of repeated per twin.  The
-# cache evicts itself when the statistics object is garbage-collected.
+# Planning and running against the same DataStatistics (EXPLAIN, then
+# execute; a batch sharing ``stats``) price "hypercube"/"multiround"
+# once: the expensive estimation work -- plan enumeration + per-round
+# costing, share-LP solves -- sits in a per-DataStatistics memo that
+# evicts itself when the statistics object is garbage-collected.
 _ESTIMATE_CACHE: dict[int, dict] = {}
 
 
@@ -79,21 +79,6 @@ def _memoized(dstats, key, compute):
     return bucket[key]
 
 
-def _effective_backend(
-    pinned: str | None, settings: ExecutionSettings | None
-) -> str | None:
-    """A strategy's engine: its pinned backend, else the settings' one.
-
-    ``None`` falls through to the system-wide default at resolution
-    time, so bare strategies keep following
-    :func:`repro.config.set_default_backend` unless a session
-    configuration says otherwise.
-    """
-    if pinned is not None:
-        return pinned
-    return settings.backend if settings is not None else None
-
-
 def _settings_kwargs(settings: ExecutionSettings) -> dict:
     """The shared-knob kwargs for executors that accept the full set.
 
@@ -102,6 +87,7 @@ def _settings_kwargs(settings: ExecutionSettings) -> dict:
     baselines' executors accept only a subset and spell it out.)
     """
     return {
+        "backend": settings.backend,
         "capacity_bits": settings.capacity_bits,
         "on_overflow": settings.on_overflow,
         "hash_method": settings.hash_method,
@@ -252,36 +238,36 @@ class Strategy:
     def streams(self, settings: ExecutionSettings | None = None) -> bool:
         """Whether :meth:`run` would honor a storage manager right now.
 
-        Depends on the resolved backend for the backend-switchable
-        strategies (the tuple path cannot stream chunks); a pinned
-        per-strategy backend wins, then ``settings.backend``, then the
-        system-wide default.  The planner engine consults this to avoid
-        opening a spill directory no one will use -- and to report
-        honestly that a memory budget could not be enforced."""
+        False for the in-memory baselines; the block-list engines
+        (:class:`_KernelStrategy`) stream whenever the round kernel
+        that ``settings.backend`` (else the system-wide default)
+        selects does -- the tuple reference cannot spool chunks.  The
+        planner engine consults this to avoid opening a spill directory
+        no one will use -- and to report honestly that a memory budget
+        could not be enforced."""
         return False
 
     def __repr__(self) -> str:
         return f"<Strategy {self.name}>"
 
 
-class OneRoundHyperCube(Strategy):
-    """Vanilla HyperCube with LP (10) shares (Section 3.1).
+class _KernelStrategy(Strategy):
+    """A block-list engine: it streams iff its round kernel does."""
 
-    ``backend=None`` (the bare ``"hypercube"`` strategy) follows the
-    system-wide default backend; the explicit ``hypercube-tuples`` /
-    ``hypercube-numpy`` twins pin one engine for ablations.  All three
-    are bit-identical in answers and loads.
-    """
+    def streams(self, settings=None) -> bool:
+        return kernel_streams(settings)
 
+    def _storage(self, storage, settings):
+        """``storage`` when this run will honor it, else None."""
+        return storage if self.streams(settings) else None
+
+
+class OneRoundHyperCube(_KernelStrategy):
+    """Vanilla HyperCube with LP (10) shares (Section 3.1)."""
+
+    name = "hypercube"
+    summary = "one-round HyperCube, LP(10) shares"
     supported_overrides = frozenset({"shares", "exponents"})
-
-    def __init__(self, backend: str | None = None):
-        self.backend = backend
-        self.name = "hypercube" if backend is None else f"hypercube-{backend}"
-        self.summary = (
-            "one-round HyperCube, LP(10) shares"
-            + (", default backend" if backend is None else f", {backend} backend")
-        )
 
     def estimate(self, query, dstats, p, machines=None):
         return _memoized(
@@ -294,19 +280,15 @@ class OneRoundHyperCube(Strategy):
              shares=None, exponents=None):
         result = run_hypercube(
             query, database, p, shares=shares, exponents=exponents,
-            seed=seed, backend=_effective_backend(self.backend, settings),
-            storage=storage if self.streams(settings) else None,
+            seed=seed, storage=self._storage(storage, settings),
             **_settings_kwargs(settings),
         )
         return StrategyOutcome(
             self.name, lambda: result.answers, result.report, p, result
         )
 
-    def streams(self, settings=None) -> bool:
-        return resolve_backend(_effective_backend(self.backend, settings)) == "numpy"
 
-
-class SkewObliviousHyperCube(Strategy):
+class SkewObliviousHyperCube(_KernelStrategy):
     """HyperCube with the LP (18) skew-resistant shares (Section 4.1)."""
 
     name = "skew-oblivious"
@@ -317,13 +299,10 @@ class SkewObliviousHyperCube(Strategy):
             query, dstats, p, skew_oblivious=True, machines=machines
         )
 
-    def streams(self, settings=None) -> bool:
-        return resolve_backend(_effective_backend(None, settings)) == "numpy"
-
     def _run(self, query, database, p, seed, dstats, storage, settings):
         result = run_skew_oblivious_hypercube(
-            query, database, p, seed=seed, backend=settings.backend,
-            storage=storage if self.streams(settings) else None,
+            query, database, p, seed=seed,
+            storage=self._storage(storage, settings),
             **_settings_kwargs(settings),
         )
         return StrategyOutcome(
@@ -331,7 +310,7 @@ class SkewObliviousHyperCube(Strategy):
         )
 
 
-class SkewAwareStar(Strategy):
+class SkewAwareStar(_KernelStrategy):
     """The Section 4.2.1 star-query algorithm (per-hitter blocks)."""
 
     name = "skew-star"
@@ -351,25 +330,22 @@ class SkewAwareStar(Strategy):
     def estimate(self, query, dstats, p, machines=None):
         return star_cost(query, dstats, p, machines=machines)
 
-    def streams(self, settings=None) -> bool:
-        return resolve_backend(_effective_backend(None, settings)) == "numpy"
-
     def _run(self, query, database, p, seed, dstats, storage, settings,
              hitters=None):
         if hitters is None and dstats is not None:
             hitters = dstats.hitters.get(star_center(query))
         result = run_star_skew(
             query, database, p, seed=seed, hitters=hitters,
-            backend=settings.backend,
-            storage=storage if self.streams(settings) else None,
+            storage=self._storage(storage, settings),
             **_settings_kwargs(settings),
         )
         return StrategyOutcome(
-            self.name, result.answers, result.report, result.servers_used, result
+            self.name, lambda: result.answers, result.report,
+            result.servers_used, result,
         )
 
 
-class SkewAwareTriangle(Strategy):
+class SkewAwareTriangle(_KernelStrategy):
     """The Section 4.2.2 triangle algorithm (light/case-1/case-2)."""
 
     name = "skew-triangle"
@@ -387,9 +363,6 @@ class SkewAwareTriangle(Strategy):
     def estimate(self, query, dstats, p, machines=None):
         return triangle_cost(query, dstats, p, machines=machines)
 
-    def streams(self, settings=None) -> bool:
-        return resolve_backend(_effective_backend(None, settings)) == "numpy"
-
     def _run(self, query, database, p, seed, dstats, storage, settings,
              hitters=None):
         if (
@@ -404,34 +377,21 @@ class SkewAwareTriangle(Strategy):
             hitters = dstats.hitters
         result = run_triangle_skew(
             database, p, seed=seed, hitters=hitters,
-            backend=settings.backend,
-            storage=storage if self.streams(settings) else None,
+            storage=self._storage(storage, settings),
             **_settings_kwargs(settings),
         )
         return StrategyOutcome(
-            self.name, result.answers, result.report, result.servers_used, result
+            self.name, lambda: result.answers, result.report,
+            result.servers_used, result,
         )
 
 
-class MultiRoundPlan(Strategy):
-    """The cheapest enumerated query plan, run round by round (Section 5).
+class MultiRoundPlan(_KernelStrategy):
+    """The cheapest enumerated query plan, run round by round (Section 5)."""
 
-    ``backend=None`` (the bare ``"multiround"`` strategy) follows the
-    system-wide default backend of
-    :func:`~repro.multiround.executor.run_plan`; ``multiround-tuples``
-    / ``multiround-numpy`` pin one engine.  Cost estimates are shared:
-    the model prices bits, and the backends are bit-identical.
-    """
-
+    name = "multiround"
+    summary = "multi-round query plan (Proposition 5.1)"
     supported_overrides = frozenset({"plan"})
-
-    def __init__(self, backend: str | None = None):
-        self.backend = backend
-        self.name = "multiround" if backend is None else f"multiround-{backend}"
-        self.summary = (
-            "multi-round query plan (Proposition 5.1)"
-            + ("" if backend is None else f", {backend} backend")
-        )
 
     def applicable(self, query, dstats, p):
         base = super().applicable(query, dstats, p)
@@ -440,9 +400,6 @@ class MultiRoundPlan(Strategy):
         if not candidate_plans(query):
             return "no candidate plan (disconnected query)"
         return None
-
-    def streams(self, settings=None) -> bool:
-        return resolve_backend(_effective_backend(self.backend, settings)) == "numpy"
 
     def best_plan(
         self,
@@ -499,8 +456,7 @@ class MultiRoundPlan(Strategy):
             )
         result = run_plan(
             plan, database, p, seed=seed,
-            backend=_effective_backend(self.backend, settings),
-            storage=storage if self.streams(settings) else None,
+            storage=self._storage(storage, settings),
             **_settings_kwargs(settings),
         )
         return StrategyOutcome(
@@ -591,23 +547,16 @@ class SingleServer(Strategy):
 
 
 # Registration order doubles as the cost tie-break (see optimizer.plan).
-# The bare "hypercube" / "multiround" strategies run whatever backend
-# :func:`repro.config.default_backend` selects (numpy as shipped, so
-# the planner is fast by default); the explicit "-tuples" / "-numpy"
-# twins pin one engine for ablations and ground-truth runs, e.g.
-# ``execute(..., strategy="hypercube-tuples")``.  All twins share one
-# cost estimate -- the model prices bits, not wall-clock -- so the
-# default-backend strategy wins ties by preceding its twins.
+# Every strategy runs on the backend its ``ExecutionSettings`` name
+# (``Session(backend=...)``; else :func:`repro.config.default_backend`,
+# numpy as shipped) -- that is the one way to pin the tuple reference
+# path for ablations and ground-truth runs.
 _REGISTRY: list[Strategy] = [
     OneRoundHyperCube(),
-    OneRoundHyperCube("tuples"),
-    OneRoundHyperCube("numpy"),
     SkewObliviousHyperCube(),
     SkewAwareStar(),
     SkewAwareTriangle(),
     MultiRoundPlan(),
-    MultiRoundPlan("tuples"),
-    MultiRoundPlan("numpy"),
     ParallelHashJoin(),
     BroadcastJoin(),
     SingleServer(),

@@ -543,7 +543,7 @@ class Session:
         With ``strategy=None`` the cost-based planner ranks every
         registered strategy and runs the predicted winner; a name pins
         any applicable strategy (``"hypercube"``, ``"skew-star"``,
-        ``"multiround-tuples"``, ...).  ``shares``/``exponents`` (share
+        ``"multiround"``, ...).  ``shares``/``exponents`` (share
         based strategies), ``hitters`` (skew-aware ones) and ``plan``
         (multi-round) override per run; strategies that cannot honor
         an override reject it.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -34,23 +34,12 @@ from repro.core.query import Atom, ConjunctiveQuery
 from repro.core.shares import integerize_shares, share_exponents
 from repro.core.stats import Statistics
 from repro.data.database import Database
-from repro.hashing.family import (
-    GridPartitioner,
-    HashFamily,
-    grid_dimension_weights,
-)
-from repro.hypercube.algorithm import route_relation
-from repro.join.multiway import evaluate_on_fragments
+from repro.hashing.family import grid_dimension_weights
+from repro.hypercube.blocks import Block, BlockInput, round_kernel
 from repro.mpc.report import LoadReport
 from repro.mpc.simulator import MPCSimulation
 from repro.mpc.timing import PhaseTimer
-from repro.parallel.pool import PoolKind, get_pool
-from repro.parallel.tasks import (
-    RouteTask,
-    iter_array_sources,
-    join_over_pool,
-    route_over_pool,
-)
+from repro.parallel.pool import PoolKind
 from repro.skew.heavy_hitters import HitterStatistics
 from repro.storage.manager import StorageManager
 
@@ -59,18 +48,28 @@ from repro.storage.manager import StorageManager
 class StarSkewResult:
     """Output of one skew-aware star-query run.
 
+    ``answers`` materializes the Python answer set lazily from the
+    simulation's outputs, like :class:`HyperCubeResult`;
+    ``answers_array`` exposes the columnar form directly.
+
     Satisfies the :class:`repro.session.RunResult` protocol, so star
     runs interchange with every other executor's result.
     """
 
     query: ConjunctiveQuery
-    answers: set[tuple[int, ...]]
     report: LoadReport
     simulation: MPCSimulation
     servers_used: int
     heavy_hitters: tuple[int, ...]
     predicted_load_bits: float
     strategy: str = "skew-star"
+    _answers: set[tuple[int, ...]] | None = field(default=None, repr=False)
+
+    @property
+    def answers(self) -> set[tuple[int, ...]]:
+        if self._answers is None:
+            self._answers = self.simulation.outputs()
+        return self._answers
 
     @property
     def max_load_bits(self) -> float:
@@ -182,36 +181,35 @@ def run_star_skew(
     does), skipping the detection scan here; the result is identical to
     detecting in-place.
 
-    ``backend="numpy"`` routes the *light* part columnar (whole
-    relations as arrays through
-    :func:`~repro.hypercube.algorithm.route_relation_arrays`, vectorized
-    local joins on the light servers) -- bit-identical loads and
-    answers; the per-hitter residual blocks are small by construction
-    and stay on the tuple path.  ``backend=None`` follows the
-    system-wide default (:func:`repro.config.set_default_backend`).
+    The run is a block list for the round kernel of
+    :mod:`repro.hypercube.blocks`: the light block (the whole query on
+    ``[0, p)``, heavy ``z`` values excluded) plus one residual-query
+    block per hitter on its own ``p_h`` servers.  ``backend`` picks the
+    kernel for *every* block -- ``"numpy"`` routes arrays and joins
+    vectorized, ``"tuples"`` is the tuple-at-a-time reference -- with
+    bit-identical loads and answers; ``None`` follows the system-wide
+    default (:func:`repro.config.set_default_backend`).
 
     ``capacity_bits`` imposes the same hard per-server per-round cap
     ``L`` that :func:`~repro.hypercube.algorithm.run_hypercube`
     supports, across the light grid *and* every per-hitter block.
-    Because both backends route every part in canonical (sorted) order,
-    a binding cap with ``on_overflow="drop"`` truncates the identical
-    per-server prefix on either engine.
+    Because both backends route every block in canonical (sorted)
+    order, a binding cap with ``on_overflow="drop"`` truncates the
+    identical per-server prefix on either engine.
 
-    ``storage`` (numpy backend only) streams the light part
-    chunk-by-chunk and spills the light servers' fragments and outputs
-    to the manager's chunked spools -- bit-identical loads and answers;
-    the per-hitter heavy blocks are ``O(p)``-sized by construction and
-    stay in memory.  ``chunk_rows`` sets the routing granularity alone.
+    ``storage`` (numpy backend only) streams the light block
+    chunk-by-chunk and spills every block's fragments and outputs to
+    the manager's chunked spools -- bit-identical loads and answers.
+    ``chunk_rows`` sets the routing granularity alone.
 
-    ``pool``/``max_workers`` fan the light part's columnar routing and
-    per-server joins out over a worker pool (the heavy blocks are small
-    by construction and stay serial); results merge deterministically,
-    so answers and loads are bit-identical at any worker count.
+    ``pool``/``max_workers`` fan every block's routing and per-server
+    joins out over a worker pool; results merge deterministically, so
+    answers and loads are bit-identical at any worker count.
 
     ``machines`` (a heterogeneous :class:`~repro.config.MachineSpec`)
     weights the light grid's center axis speed-proportionally -- the
-    light part is one-dimensional on ``z``, so the weighting is exact --
-    and applies per-server capacities across light and heavy servers
+    light block is one-dimensional on ``z``, so the weighting is exact
+    -- and applies per-server capacities across light and heavy servers
     (block servers take the spec's modular extension).  A uniform spec
     is bit-identical to ``machines=None``.
 
@@ -251,11 +249,11 @@ def _star_impl(
     storage: StorageManager | None,
     hitters: HitterStatistics | None = None,
 ) -> StarSkewResult:
-    """The star-algorithm core; ``settings`` arrives already resolved."""
-    backend = settings.backend
-    chunk_rows = settings.chunk_rows
+    """The star core: the light block plus one residual block per hitter.
+
+    ``settings`` arrives already resolved.
+    """
     timer = PhaseTimer()
-    pool = get_pool(settings.pool, settings.max_workers)
     if p < 2:
         raise ValueError("star algorithm needs p >= 2")
     with timer.phase("generate"):
@@ -275,7 +273,6 @@ def _star_impl(
                 f"not the star center {center!r}"
             )
         heavy_sorted = tuple(int(h) for h in hitters.hitters)
-        heavy_values = set(heavy_sorted)
 
         leg_of = {
             atom.relation: next(v for v in atom.variables if v != center)
@@ -305,82 +302,40 @@ def _star_impl(
             query.relation_names, bits_per_hitter, p
         )
 
-    total_servers = p + sum(allocation.values())
-    sim = MPCSimulation(
-        total_servers,
-        value_bits=stats.value_bits,
-        capacity_bits=settings.capacity_bits,
-        on_overflow=settings.on_overflow,
-        storage=storage,
-        timer=timer,
-        machines=settings.machines,
-    )
-    family = HashFamily(seed, method=settings.hash_method)
-    sim.begin_round()
-
-    # ---- Light part: vanilla HyperCube with all shares on z. ----------
-    dims = query.variables  # (z, x_1, ..., x_l) in head order
-    light_shares = [p if v == center else 1 for v in dims]
-    # The light grid is 1-D on the center axis, so speed-proportional
-    # weighting is exact there.  The per-hitter heavy blocks below stay
-    # unweighted: their servers are the modular extension past p, with
-    # no per-block speed structure to exploit.
-    light_weights = grid_dimension_weights(light_shares, settings.machines)
-    light_grid = GridPartitioner(light_shares, family, weights=light_weights)
-    if backend == "numpy":
-        # Filter-then-route per chunk (one task per chunk, fanned out
-        # over the pool): filtering commutes with chunking, and results
-        # merge in task order, so the light rows reach every server in
-        # the same order as the monolithic serial route.
-        def light_tasks():
-            for atom in query.atoms:
-                zpos = center_pos[atom.relation]
-                for source in iter_array_sources(
-                    database[atom.relation], chunk_rows
-                ):
-                    yield RouteTask(
-                        tag=atom.relation,
-                        source=source,
-                        dimension_variables=tuple(dims),
-                        atom_variables=tuple(atom.variables),
-                        shares=tuple(light_shares),
-                        family_seed=seed,
-                        hash_method=settings.hash_method,
-                        exclude=((zpos, heavy_sorted),),
-                        weights=light_weights,
+        # ---- Light block: vanilla HyperCube with all shares on z. ------
+        dims = query.variables  # (z, x_1, ..., x_l) in head order
+        light_shares = tuple(p if v == center else 1 for v in dims)
+        blocks = [
+            Block(
+                query=query,
+                inputs=tuple(
+                    BlockInput(
+                        atom.relation,
+                        atom.variables,
+                        (database[atom.relation],),
+                        exclude=((center_pos[atom.relation], heavy_sorted),),
                     )
+                    for atom in query.atoms
+                ),
+                shares=light_shares,
+                family_seed=seed,
+                # The light grid is 1-D on the center axis, so
+                # speed-proportional weighting is exact there.  The
+                # per-hitter blocks below stay unweighted: their servers
+                # are the modular extension past p, with no per-block
+                # speed structure to exploit.
+                weights=grid_dimension_weights(light_shares, settings.machines),
+            )
+        ]
 
-        with timer.phase("route"):
-            route_over_pool(pool, sim, light_tasks(), timer)
-    else:
-        with timer.phase("route"):
-            for atom in query.atoms:
-                relation = database[atom.relation]
-                zpos = center_pos[atom.relation]
-                # Sorted order, matching the columnar (sorted-array)
-                # route, so a binding capacity cap truncates the same
-                # per-server prefix on both backends.
-                light = [
-                    t
-                    for t in relation.sorted_tuples()
-                    if t[zpos] not in heavy_values
-                ]
-                batches: dict[int, list[tuple[int, ...]]] = {}
-                for server, t in route_relation(
-                    light_grid, dims, atom.variables, light
-                ):
-                    batches.setdefault(server, []).append(t)
-                for server, batch in batches.items():
-                    sim.send(server, atom.relation, batch)
-
-    # ---- Heavy part: one block and one residual query per hitter. -----
-    residual_atoms = tuple(
-        Atom(atom.relation, (leg_of[atom.relation],)) for atom in query.atoms
-    )
-    residual_query = ConjunctiveQuery(residual_atoms, name="residual")
-    blocks: list[tuple[int, int, GridPartitioner]] = []  # (hitter, base, grid)
-    base = p
-    with timer.phase("route"):
+        # ---- Heavy part: one residual-query block per hitter. ----------
+        residual_query = ConjunctiveQuery(
+            tuple(
+                Atom(atom.relation, (leg_of[atom.relation],))
+                for atom in query.atoms
+            ),
+            name="residual",
+        )
         # One two-column scan per relation lists its distinct (z, leg)
         # pairs in sorted order; a hitter's residual fragment is its run.
         pairs = {}
@@ -389,18 +344,18 @@ def _star_impl(
                 relation: database[relation].key_counts((zpos, 1 - zpos))[0]
                 for relation, zpos in center_pos.items()
             }
+        base = p
         for h in sorted(bits_per_hitter):
             p_h = allocation[h]
-            residual_fragments = {}
-            residual_sizes = {}
+            legs = {}
             for relation, keys in pairs.items():
                 lo, hi = np.searchsorted(keys[:, 0], (h, h + 1))
-                legs = [(leg,) for leg in keys[lo:hi, 1].tolist()]
-                residual_fragments[relation] = legs
-                residual_sizes[relation] = len(legs)
+                legs[relation] = keys[lo:hi, 1:2]
             if p_h >= 2:
                 residual_stats = Statistics(
-                    residual_query, residual_sizes, database.domain_size
+                    residual_query,
+                    {relation: len(rows) for relation, rows in legs.items()},
+                    database.domain_size,
                 )
                 exponents = share_exponents(
                     residual_query, residual_stats, p_h
@@ -408,67 +363,33 @@ def _star_impl(
                 shares = integerize_shares(exponents, p_h)
             else:
                 shares = {v: 1 for v in residual_query.variables}
-            grid = GridPartitioner(
-                [shares[v] for v in residual_query.variables],
-                HashFamily(seed * 7919 + h + 1, method=settings.hash_method),
+            blocks.append(
+                Block(
+                    query=residual_query,
+                    inputs=tuple(
+                        BlockInput(
+                            atom.relation, atom.variables, (legs[atom.relation],)
+                        )
+                        for atom in residual_query.atoms
+                    ),
+                    shares=tuple(shares[v] for v in residual_query.variables),
+                    family_seed=seed * 7919 + h + 1,
+                    base=base,
+                    # Residual answers bind the legs; the hitter is the
+                    # center's constant.
+                    head=tuple(h if v == center else v for v in dims),
+                )
             )
-            for atom in residual_atoms:
-                batches = {}
-                # Fragments are sorted, for deterministic capacity
-                # truncation (which tuples drop must not vary by run).
-                for server, t in route_relation(
-                    grid,
-                    residual_query.variables,
-                    atom.variables,
-                    residual_fragments[atom.relation],
-                ):
-                    batches.setdefault(server, []).append(t)
-                for server, batch in batches.items():
-                    sim.send(base + server, atom.relation, batch)
-            blocks.append((h, base, grid))
             base += p_h
 
-    sim.end_round()
+    total_servers = p + sum(allocation.values())
+    kernel = round_kernel(
+        total_servers, stats.value_bits, settings, storage, timer
+    )
+    kernel.communicate(blocks)
+    kernel.compute(blocks)
 
-    # ---- Computation phase. -------------------------------------------
-    head = query.variables
-    leg_order = [leg_of[a.relation] for a in query.atoms]
-    if backend == "numpy":
-        # Light servers fan out over the pool; outputs merge in server
-        # order, matching the serial loop.
-        with timer.phase("join"):
-            join_over_pool(
-                pool,
-                sim,
-                query,
-                range(p),
-                timer=timer,
-                clear=storage is not None,
-            )
-    else:
-        with timer.phase("join"):
-            for server in range(p):
-                local = evaluate_on_fragments(query, sim.state(server))
-                if local:
-                    sim.output(server, local)
-    with timer.phase("join"):
-        for h, block_base, grid in blocks:
-            for offset in range(grid.num_bins):
-                local = evaluate_on_fragments(
-                    residual_query, sim.state(block_base + offset)
-                )
-                if not local:
-                    continue
-                # Residual head order is (x_1, ..., x_l); rebuild the
-                # star head.
-                value_of = dict(zip(leg_order, [None] * len(leg_order)))
-                outputs = []
-                for t in local:
-                    value_of = dict(zip(residual_query.variables, t))
-                    value_of[center] = h
-                    outputs.append(tuple(value_of[v] for v in head))
-                sim.output(block_base + offset, outputs)
-
+    sim = kernel.sim
     timer.attach(sim.report)
     if detected:
         predicted = star_skew_load_bound_from_stats(query, stats, hitters, p)
@@ -476,7 +397,6 @@ def _star_impl(
         predicted = star_skew_load_bound(query, database, p)
     return StarSkewResult(
         query=query,
-        answers=sim.outputs(),
         report=sim.report,
         simulation=sim,
         servers_used=total_servers,

@@ -28,34 +28,23 @@ The combined load is the paper's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Mapping
 
 import numpy as np
 
 from repro.config import ExecutionSettings, MachineSpec
 from repro.core.families import triangle_query
-from repro.core.query import ConjunctiveQuery
+from repro.core.query import Atom, ConjunctiveQuery
 from repro.core.shares import integerize_shares
 from repro.core.stats import Statistics
 from repro.data.database import Database
-from repro.hashing.family import (
-    GridPartitioner,
-    HashFamily,
-    grid_dimension_weights,
-)
-from repro.hypercube.algorithm import route_relation
-from repro.join.multiway import evaluate_on_fragments
+from repro.hashing.family import grid_dimension_weights
+from repro.hypercube.blocks import Block, BlockInput, round_kernel
 from repro.mpc.report import LoadReport
 from repro.mpc.simulator import MPCSimulation
 from repro.mpc.timing import PhaseTimer
-from repro.parallel.pool import PoolKind, get_pool
-from repro.parallel.tasks import (
-    RouteTask,
-    iter_array_sources,
-    join_over_pool,
-    route_over_pool,
-)
+from repro.parallel.pool import PoolKind
 from repro.skew.heavy_hitters import HitterStatistics, variable_frequencies
 from repro.storage.manager import StorageManager
 
@@ -64,11 +53,14 @@ from repro.storage.manager import StorageManager
 class TriangleSkewResult:
     """Output of one skew-aware triangle run.
 
+    ``answers`` materializes the Python answer set lazily from the
+    simulation's outputs, like :class:`HyperCubeResult`;
+    ``answers_array`` exposes the columnar form directly.
+
     Satisfies the :class:`repro.session.RunResult` protocol, so
     triangle runs interchange with every other executor's result.
     """
 
-    answers: set[tuple[int, ...]]
     report: LoadReport
     simulation: MPCSimulation
     servers_used: int
@@ -76,6 +68,13 @@ class TriangleSkewResult:
     heavy2: dict[str, set[int]]
     predicted_load_bits: float
     strategy: str = "skew-triangle"
+    _answers: set[tuple[int, ...]] | None = field(default=None, repr=False)
+
+    @property
+    def answers(self) -> set[tuple[int, ...]]:
+        if self._answers is None:
+            self._answers = self.simulation.outputs()
+        return self._answers
 
     @property
     def max_load_bits(self) -> float:
@@ -131,13 +130,16 @@ def run_triangle_skew(
 ) -> TriangleSkewResult:
     """Run the Section 4.2.2 algorithm in one MPC round.
 
-    ``backend="numpy"`` routes the *light* block columnar (array
-    routing through
-    :func:`~repro.hypercube.algorithm.route_relation_arrays`, vectorized
-    local joins on the light servers) -- bit-identical loads and
-    answers.  The case-1/case-2 blocks handle the few heavy values and
-    stay on the tuple path.  ``backend=None`` follows the system-wide
-    default (:func:`repro.config.set_default_backend`).
+    The run is a block list for the round kernel of
+    :mod:`repro.hypercube.blocks`: the light block on ``[0, p)``, three
+    case-1 blocks (the whole triangle hashed on the third variable, so
+    the doubly-heavy tuples of the direct relation are replicated to
+    all ``p`` servers) and one ``R'(y), S(y,z), T'(z)`` block per case-2
+    hitter.  ``backend`` picks the kernel for *every* block --
+    ``"numpy"`` routes arrays and joins vectorized, ``"tuples"`` is the
+    tuple-at-a-time reference -- with bit-identical loads and answers;
+    ``None`` follows the system-wide default
+    (:func:`repro.config.set_default_backend`).
 
     ``hitters`` accepts per-variable :class:`HitterStatistics` a caller
     has already collected at the exact ``m_j / p`` threshold (the
@@ -157,15 +159,13 @@ def run_triangle_skew(
     identical per-server prefix on both backends.
 
     ``storage`` (numpy backend only) streams the light block
-    chunk-by-chunk and spills the light servers' fragments and outputs
-    to the manager's chunked spools; the case-1/case-2 blocks are
-    bounded by the heavy-hitter structure and stay in memory.
-    ``chunk_rows`` sets the routing granularity alone.
+    chunk-by-chunk and spills every block's fragments and outputs to
+    the manager's chunked spools.  ``chunk_rows`` sets the routing
+    granularity alone.
 
-    ``pool``/``max_workers`` fan the light block's columnar routing and
-    per-server joins out over a worker pool (the case-1/case-2 blocks
-    stay serial); results merge deterministically, so answers and loads
-    are bit-identical at any worker count.
+    ``pool``/``max_workers`` fan every block's routing and per-server
+    joins out over a worker pool; results merge deterministically, so
+    answers and loads are bit-identical at any worker count.
 
     ``machines`` (a heterogeneous :class:`~repro.config.MachineSpec`)
     weights the light grid's axes speed-proportionally (a rank-1
@@ -241,11 +241,11 @@ def _triangle_impl(
     storage: StorageManager | None,
     hitters: Mapping[str, HitterStatistics] | None = None,
 ) -> TriangleSkewResult:
-    """The triangle core; ``settings`` arrives already resolved."""
-    backend = settings.backend
-    chunk_rows = settings.chunk_rows
+    """The triangle core: light, three case-1 and per-hitter case-2 blocks.
+
+    ``settings`` arrives already resolved.
+    """
     timer = PhaseTimer()
-    pool = get_pool(settings.pool, settings.max_workers)
     if p < 2:
         raise ValueError("triangle algorithm needs p >= 2")
     if not is_triangle_query(query):
@@ -257,6 +257,9 @@ def _triangle_impl(
         threshold1 = max(1.0, m / p)  # Case-1 heaviness
         threshold2 = max(1.0, m / p ** (1.0 / 3.0))  # Case-2 / light edge
 
+        # Frequencies scanned here are exact, so the closing load bound
+        # can reuse them; caller-supplied ones are thresholded views.
+        detected = hitters is None
         if hitters is None:
             freq = {
                 v: variable_frequencies(query, database, v)
@@ -264,9 +267,6 @@ def _triangle_impl(
             }
         else:
             freq = _frequencies_from_hitters(query, hitters)
-
-        def f(variable: str, value: int) -> float:
-            return freq[variable].get(value, 0)
 
         heavy1 = {
             v: {val for val, c in freq[v].items() if c >= threshold1}
@@ -276,259 +276,192 @@ def _triangle_impl(
             v: {val for val, c in freq[v].items() if c >= threshold2}
             for v in query.variables
         }
-
-        # ------------- Case-2 block planning. --------------------------
-        case2_plan: list[tuple[str, int, list[int], list[int], int]] = []
-        weights: dict[tuple[str, int], float] = {}
-        for variable in query.variables:
-            succ_rel, pred_rel, _mid = _STRUCTURE[variable]
-            for h in sorted(heavy2[variable]):
-                succ_var = _other_variable(query, succ_rel, variable)
-                pred_var = _other_variable(query, pred_rel, variable)
-                r_side = sorted(
-                    {
-                        t[1]
-                        for t in database[succ_rel]
-                        if t[0] == h and f(succ_var, t[1]) < threshold1
-                    }
-                )
-                t_side = sorted(
-                    {
-                        t[0]
-                        for t in database[pred_rel]
-                        if t[1] == h and f(pred_var, t[0]) < threshold1
-                    }
-                )
-                if not r_side or not t_side:
-                    continue
-                weights[(variable, h)] = len(r_side) * len(t_side)
-                case2_plan.append((variable, h, r_side, t_side, 0))
-        total_weight = sum(weights.values())
-        base_block = math.ceil(p ** (2.0 / 3.0))
-        planned = []
-        for variable, h, r_side, t_side, _ in case2_plan:
-            boost = 0
-            if total_weight > 0:
-                boost = math.ceil(p * weights[(variable, h)] / total_weight)
-            planned.append(
-                (variable, h, r_side, t_side, max(base_block, boost))
-            )
-        case2_plan = planned
-
-    total_servers = p + 3 * p + sum(size for *_, size in case2_plan)
-    sim = MPCSimulation(
-        total_servers,
-        value_bits=stats.value_bits,
-        capacity_bits=settings.capacity_bits,
-        on_overflow=settings.on_overflow,
-        storage=storage,
-        timer=timer,
-        machines=settings.machines,
-    )
-    family = HashFamily(seed, method=settings.hash_method)
-    sim.begin_round()
-
-    # ---------------- Light block: vanilla HC on [0, p). ----------------
-    dims = query.variables
-    light_shares = integerize_shares({v: 1.0 / 3.0 for v in dims}, p)
-    # Speed-proportional marginals over the share cube; the
-    # case-1/case-2 blocks below stay unweighted (their servers are the
-    # modular extension past p, chosen by heavy-hitter structure).
-    light_weights = grid_dimension_weights(
-        [light_shares[v] for v in dims], settings.machines
-    )
-    light_grid = GridPartitioner(
-        [light_shares[v] for v in dims], family, weights=light_weights
-    )
-    if backend == "numpy":
-        # Filter-then-route per chunk (one task per chunk, fanned out
-        # over the pool): filtering commutes with chunking, and results
-        # merge in task order, so light rows reach every server in the
-        # same order as the monolithic serial route.
-        def light_tasks():
-            for atom in query.atoms:
-                a, b = atom.variables
-                exclude = tuple(
-                    (position, tuple(int(v) for v in sorted(heavy2[var])))
-                    for position, var in ((0, a), (1, b))
-                )
-                for source in iter_array_sources(
-                    database[atom.relation], chunk_rows
-                ):
-                    yield RouteTask(
-                        tag=atom.relation,
-                        source=source,
-                        dimension_variables=tuple(dims),
-                        atom_variables=tuple(atom.variables),
-                        shares=tuple(light_shares[v] for v in dims),
-                        family_seed=seed,
-                        hash_method=settings.hash_method,
-                        exclude=exclude,
-                        weights=light_weights,
+        # ------------- Light block: vanilla HC on [0, p). ---------------
+        dims = query.variables
+        light_shares = integerize_shares({v: 1.0 / 3.0 for v in dims}, p)
+        light_share_list = tuple(light_shares[v] for v in dims)
+        blocks = [
+            Block(
+                query=query,
+                inputs=tuple(
+                    BlockInput(
+                        atom.relation,
+                        atom.variables,
+                        (database[atom.relation],),
+                        exclude=tuple(
+                            (position, tuple(sorted(heavy2[variable])))
+                            for position, variable in enumerate(atom.variables)
+                        ),
                     )
-
-        with timer.phase("route"):
-            route_over_pool(pool, sim, light_tasks(), timer)
-    else:
-        with timer.phase("route"):
-            for atom in query.atoms:
-                a, b = atom.variables
-                # Sorted order, matching the columnar (sorted-array)
-                # route, so a binding capacity cap truncates the same
-                # per-server prefix on both backends.
-                light = [
-                    t
-                    for t in database[atom.relation].sorted_tuples()
-                    if f(a, t[0]) < threshold2 and f(b, t[1]) < threshold2
-                ]
-                _route_block(sim, 0, light_grid, dims, atom, light)
-
-    # ---------------- Case-1 blocks: one per variable pair. -------------
-    case1_bases = {}
-    with timer.phase("route"):
-        for index, (va, vb, rel_ab, rel_bc, rel_ca) in enumerate(_PAIRS):
-            block_base = p * (1 + index)
-            case1_bases[(va, vb)] = block_base
-            vc = next(v for v in dims if v not in (va, vb))
-            grid = GridPartitioner(
-                [p if v == vc else 1 for v in dims],
-                HashFamily(seed * 31 + index + 1, method=settings.hash_method),
+                    for atom in query.atoms
+                ),
+                shares=light_share_list,
+                family_seed=seed,
+                # Speed-proportional marginals over the share cube; the
+                # case-1/case-2 blocks stay unweighted (their servers
+                # are the modular extension past p, chosen by
+                # heavy-hitter structure).
+                weights=grid_dimension_weights(
+                    light_share_list, settings.machines
+                ),
             )
-            # Doubly-heavy tuples of the direct relation: broadcast.
-            # (Sorted, like every block, for deterministic truncation.)
-            doubly = [
-                t
-                for t in database[rel_ab].sorted_tuples()
-                if f(va, t[0]) >= threshold1 and f(vb, t[1]) >= threshold1
-            ]
-            for offset in range(p):
-                sim.send(block_base + offset, rel_ab, doubly)
-            # The other two relations, heavy-restricted, hashed on vc.
-            bc_atom = query.atom(rel_bc)
-            bc_heavy = [
-                t
-                for t in database[rel_bc].sorted_tuples()
-                if f(vb, t[bc_atom.variables.index(vb)]) >= threshold1
-            ]
-            _route_block(sim, block_base, grid, dims, bc_atom, bc_heavy)
-            ca_atom = query.atom(rel_ca)
-            ca_heavy = [
-                t
-                for t in database[rel_ca].sorted_tuples()
-                if f(va, t[ca_atom.variables.index(va)]) >= threshold1
-            ]
-            _route_block(sim, block_base, grid, dims, ca_atom, ca_heavy)
-
-    # ---------------- Case-2 blocks: one grid per hitter. ---------------
-    case2_blocks = []
-    base = 4 * p
-    with timer.phase("route"):
-        for block_index, (variable, h, r_side, t_side, size) in enumerate(
-            case2_plan
-        ):
-            succ_rel, pred_rel, mid_rel = _STRUCTURE[variable]
-            gy = int(
-                round(math.sqrt(size * len(r_side) / max(1, len(t_side))))
+        ]
+        # The three case-1 ranges are reserved even when nothing is heavy.
+        total_servers = 4 * p
+        if any(heavy1.values()):
+            heavy_blocks, total_servers = _heavy_blocks(
+                query, database, p, seed, heavy1, heavy2
             )
-            gy = min(max(1, gy), size)
-            gz = max(1, size // gy)
-            grid = GridPartitioner(
-                [gy, gz],
-                HashFamily(seed * 101 + block_index + 1,
-                           method=settings.hash_method),
-            )
-            # Rows hold R'(y), columns hold T'(z), cells hold light
-            # S(y, z).
-            for y in r_side:
-                row = grid.functions[0](y)
-                for col in range(gz):
-                    sim.send(
-                        base + grid.linear_index((row, col)), succ_rel, [(y,)]
-                    )
-            for z in t_side:
-                col = grid.functions[1](z)
-                for row in range(gy):
-                    sim.send(
-                        base + grid.linear_index((row, col)), pred_rel, [(z,)]
-                    )
-            mid_atom = query.atom(mid_rel)
-            va, vb = mid_atom.variables
-            light_mid = [
-                t
-                for t in database[mid_rel].sorted_tuples()
-                if f(va, t[0]) < threshold1 and f(vb, t[1]) < threshold1
-            ]
-            for t in light_mid:
-                cell = (grid.functions[0](t[0]), grid.functions[1](t[1]))
-                sim.send(base + grid.linear_index(cell), mid_rel, [t])
-            case2_blocks.append(
-                (variable, h, base, grid, succ_rel, pred_rel, mid_rel)
-            )
-            base += size
+            blocks += heavy_blocks
 
-    sim.end_round()
+    kernel = round_kernel(
+        total_servers, stats.value_bits, settings, storage, timer
+    )
+    kernel.communicate(blocks)
+    kernel.compute(blocks)
 
-    # ---------------- Computation phase. --------------------------------
-    if backend == "numpy":
-        # Light-block servers hold array fragments in this mode; their
-        # joins fan out over the pool, outputs merging in server order.
-        with timer.phase("join"):
-            join_over_pool(
-                pool,
-                sim,
-                query,
-                range(p),
-                timer=timer,
-                clear=storage is not None,
-            )
-        remaining = range(p, 4 * p)
-    else:
-        remaining = range(4 * p)
-    with timer.phase("join"):
-        for server in remaining:
-            local = evaluate_on_fragments(query, sim.state(server))
-            if local:
-                sim.output(server, local)
-        for (
-            variable, h, block_base, grid, succ_rel, pred_rel, mid_rel
-        ) in case2_blocks:
-            succ_var = _other_variable(query, succ_rel, variable)
-            pred_var = _other_variable(query, pred_rel, variable)
-            mid_atom = query.atom(mid_rel)
-            for offset in range(grid.num_bins):
-                state = sim.state(block_base + offset)
-                r_local = {t[0] for t in state.get(succ_rel, ())}
-                t_local = {t[0] for t in state.get(pred_rel, ())}
-                outputs = []
-                for tup in state.get(mid_rel, ()):
-                    values = dict(zip(mid_atom.variables, tup))
-                    y = values[succ_var]
-                    z = values[pred_var]
-                    if y in r_local and z in t_local:
-                        triangle = {variable: h, succ_var: y, pred_var: z}
-                        outputs.append(tuple(triangle[v] for v in dims))
-                if outputs:
-                    sim.output(block_base + offset, outputs)
-
+    sim = kernel.sim
     timer.attach(sim.report)
-    predicted = triangle_skew_load_bound(database, p)
     return TriangleSkewResult(
-        answers=sim.outputs(),
         report=sim.report,
         simulation=sim,
         servers_used=total_servers,
         heavy1=heavy1,
         heavy2=heavy2,
-        predicted_load_bits=predicted,
+        predicted_load_bits=triangle_skew_load_bound(
+            database, p, freq if detected else None
+        ),
     )
 
 
-def triangle_skew_load_bound(database: Database, p: int) -> float:
+def _heavy_blocks(
+    query: ConjunctiveQuery,
+    database: Database,
+    p: int,
+    seed: int,
+    heavy1: Mapping[str, set[int]],
+    heavy2: Mapping[str, set[int]],
+) -> tuple[list[Block], int]:
+    """The case-1 and case-2 blocks, and the servers the run spans.
+
+    Case-1 block ``i`` owns ``[p(1+i), p(2+i))``; case-2 blocks follow
+    from ``4p``, each on the range its allocation sizes (the ``[gy, gz]``
+    grid may leave the tail of it idle).
+    """
+    dims = query.variables
+    heavy1_sorted = {v: tuple(sorted(heavy1[v])) for v in dims}
+    # Every relation's distinct rows in sorted order (chunk-wise for
+    # spilled relations); the blocks' inputs are masks of them.
+    rows = {r: database[r].key_counts((0, 1))[0] for r in query.relation_names}
+
+    def is_heavy(relation: str, variable: str) -> np.ndarray:
+        """Rows of ``relation`` whose ``variable`` is case-1 heavy."""
+        position = query.atom(relation).variables.index(variable)
+        return np.isin(rows[relation][:, position], heavy1_sorted[variable])
+
+    # ------------- Case-1 blocks: one per variable pair. ----------------
+    # All p servers of a block hash on the third variable; the direct
+    # relation does not mention it, so its doubly-heavy tuples are
+    # replicated along it -- the paper's broadcast.
+    blocks = []
+    for index, (va, vb, rel_ab, rel_bc, rel_ca) in enumerate(_PAIRS):
+        cuts = (
+            (rel_ab, is_heavy(rel_ab, va) & is_heavy(rel_ab, vb)),
+            (rel_bc, is_heavy(rel_bc, vb)),
+            (rel_ca, is_heavy(rel_ca, va)),
+        )
+        blocks.append(
+            Block(
+                query=query,
+                inputs=tuple(
+                    BlockInput(
+                        relation,
+                        query.atom(relation).variables,
+                        (rows[relation][mask],),
+                    )
+                    for relation, mask in cuts
+                ),
+                shares=tuple(1 if v in (va, vb) else p for v in dims),
+                family_seed=seed * 31 + index + 1,
+                base=p * (1 + index),
+            )
+        )
+
+    # ------------- Case-2 blocks: one [gy, gz] grid per hitter. ---------
+    # Hitter h of x: R'(y) and T'(z) are h's case-1-light neighbours,
+    # S(y, z) the case-1-light middle relation.
+    case2 = []
+    for variable in dims:
+        succ_rel, pred_rel, mid_rel = _STRUCTURE[variable]
+        succ_var, pred_var = query.atom(mid_rel).variables
+        for h in sorted(heavy2[variable]):
+            r_side = rows[succ_rel][
+                (rows[succ_rel][:, 0] == h) & ~is_heavy(succ_rel, succ_var)
+            ][:, 1:2]
+            t_side = rows[pred_rel][
+                (rows[pred_rel][:, 1] == h) & ~is_heavy(pred_rel, pred_var)
+            ][:, 0:1]
+            if len(r_side) and len(t_side):
+                case2.append((variable, h, r_side, t_side))
+    total_weight = sum(len(r) * len(t) for _, _, r, t in case2)
+    base_block = math.ceil(p ** (2.0 / 3.0))
+    base = 4 * p
+    for block_index, (variable, h, r_side, t_side) in enumerate(case2):
+        size = max(
+            base_block,
+            math.ceil(p * len(r_side) * len(t_side) / total_weight),
+        )
+        succ_rel, pred_rel, mid_rel = _STRUCTURE[variable]
+        mid_atom = query.atom(mid_rel)
+        succ_var, pred_var = mid_atom.variables
+        gy = int(round(math.sqrt(size * len(r_side) / len(t_side))))
+        gy = min(max(1, gy), size)
+        blocks.append(
+            Block(
+                query=ConjunctiveQuery(
+                    (
+                        Atom(succ_rel, (succ_var,)),
+                        Atom(pred_rel, (pred_var,)),
+                        mid_atom,
+                    ),
+                    name="residual",
+                ),
+                inputs=(
+                    BlockInput(succ_rel, (succ_var,), (r_side,)),
+                    BlockInput(pred_rel, (pred_var,), (t_side,)),
+                    BlockInput(
+                        mid_rel,
+                        mid_atom.variables,
+                        (database[mid_rel],),
+                        exclude=(
+                            (0, heavy1_sorted[succ_var]),
+                            (1, heavy1_sorted[pred_var]),
+                        ),
+                    ),
+                ),
+                shares=(gy, max(1, size // gy)),
+                family_seed=seed * 101 + block_index + 1,
+                base=base,
+                head=tuple(h if v == variable else v for v in dims),
+            )
+        )
+        base += size
+    return blocks, base
+
+
+def triangle_skew_load_bound(
+    database: Database,
+    p: int,
+    frequencies: Mapping[str, Mapping[int, float]] | None = None,
+) -> float:
     """The Section 4.2.2 load formula, in bits.
 
     ``O~(max(M/p^{2/3}, sqrt(sum_h M_R(h) M_T(h) / p)))`` where the sum
     ranges over the heavy hitters (threshold ``m/p^{1/3}``) of each
     variable and ``R``/``T`` are its two adjacent relations.
+    ``frequencies`` accepts the per-variable
+    :func:`~repro.skew.heavy_hitters.variable_frequencies` a caller
+    already holds (the executor does), skipping the three scans here.
     """
     query = triangle_query()
     database.validate_for(query)
@@ -538,7 +471,11 @@ def triangle_skew_load_bound(database: Database, p: int) -> float:
     bound = max(stats.bits(r) for r in query.relation_names) / p ** (2.0 / 3.0)
     tuple_bits = 2 * stats.value_bits
     for variable in query.variables:
-        freqs = variable_frequencies(query, database, variable)
+        freqs = (
+            frequencies[variable]
+            if frequencies is not None
+            else variable_frequencies(query, database, variable)
+        )
         succ_rel, pred_rel, _mid = _STRUCTURE[variable]
         succ_atom = triangle_query().atom(succ_rel)
         pred_atom = triangle_query().atom(pred_rel)
@@ -605,18 +542,3 @@ def is_triangle_query(query: ConjunctiveQuery) -> bool:
     offers it exactly for that query.
     """
     return set(query.atoms) == set(triangle_query().atoms)
-
-
-def _other_variable(
-    query: ConjunctiveQuery, relation: str, variable: str
-) -> str:
-    atom = query.atom(relation)
-    return next(v for v in atom.variables if v != variable)
-
-
-def _route_block(sim, base, grid, dims, atom, tuples) -> None:
-    batches: dict[int, list[tuple[int, ...]]] = {}
-    for server, t in route_relation(grid, dims, atom.variables, tuples):
-        batches.setdefault(server, []).append(t)
-    for server, batch in batches.items():
-        sim.send(base + server, atom.relation, batch)

@@ -78,6 +78,13 @@ def test_hand_rolled_defaults_detected():
     assert len(found) == 2
 
 
+def test_backend_branch_outside_kernel_detected():
+    # The fixture sits under a repro/skew/ path: the rule scopes backend
+    # comparisons to the engine packages, minus the kernel module.
+    found = findings_for("repro/skew/backend_branch.py")
+    assert found == [("settings-resolution", 5)]
+
+
 def test_file_and_path_anchoring():
     result = check_paths([FIXTURES / "parent_accounting.py"])
     (finding,) = result.findings

@@ -46,7 +46,6 @@ def _measure(name, query, db, p, seed=0):
 # forms.
 MATCHING_BANDS = {
     "hypercube": (0.3, 2.0),
-    "hypercube-numpy": (0.3, 2.0),
     "skew-oblivious": (0.3, 2.0),
     "skew-triangle": (0.2, 2.0),
     "multiround": (0.2, 3.0),

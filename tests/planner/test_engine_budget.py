@@ -2,8 +2,8 @@
 
 The engine's budget contract: a binding budget opens a storage manager
 and runs streaming winners chunked (attaching the manager to the
-result); winners that cannot stream -- pinned tuple twins, in-memory
-baselines, or any strategy under the tuple default backend -- run
+result); winners that cannot stream -- in-memory baselines, or any
+strategy under the tuple backend (pinned or default) -- run
 in-memory with ``.storage is None`` so callers can tell the budget was
 not enforced, and never crash.  Budgeted runs also plan from *sampled*
 statistics so the exact frequency scan cannot blow the budget first.
@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import use_backend
+from repro.config import ExecutionSettings, use_backend
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import matching_database, zipf_database
 from repro.join.multiway import evaluate
 from repro.planner import execute
 from repro.planner.engine import IN_MEMORY_FOOTPRINT_FACTOR
 from repro.planner.strategies import default_strategies
+
+NUMPY = ExecutionSettings(backend="numpy")
+TUPLES = ExecutionSettings(backend="tuples")
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +36,8 @@ class TestBudgetSelection:
         query, db = triangle_db
         assert db.total_bytes() * IN_MEMORY_FOOTPRINT_FACTOR > 1
         planned = execute(
-            query, db, 8, strategy="hypercube-numpy", memory_budget_bytes=1
+            query, db, 8, strategy="hypercube", settings=NUMPY,
+            memory_budget_bytes=1,
         )
         try:
             assert planned.storage is not None
@@ -53,9 +57,9 @@ class TestBudgetSelection:
 
     def test_chunked_results_match_in_memory(self, triangle_db):
         query, db = triangle_db
-        reference = execute(query, db, 8, strategy="hypercube-numpy")
+        reference = execute(query, db, 8, strategy="hypercube", settings=NUMPY)
         budgeted = execute(
-            query, db, 8, strategy="hypercube-numpy",
+            query, db, 8, strategy="hypercube", settings=NUMPY,
             stats=reference.plan.statistics,  # same (exact) statistics
             memory_budget_bytes=1,
         )
@@ -70,7 +74,8 @@ class TestNonStreamingWinners:
     def test_tuples_twin_declines_budget_honestly(self, triangle_db):
         query, db = triangle_db
         planned = execute(
-            query, db, 8, strategy="hypercube-tuples", memory_budget_bytes=1
+            query, db, 8, strategy="hypercube", settings=TUPLES,
+            memory_budget_bytes=1,
         )
         assert planned.storage is None  # budget NOT enforced, and said so
         assert "out-of-core" not in planned.summary()
@@ -84,7 +89,7 @@ class TestNonStreamingWinners:
         with StorageManager() as manager:
             with pytest.raises(ValueError, match="cannot stream"):
                 execute(
-                    query, db, 8, strategy="hypercube-tuples",
+                    query, db, 8, strategy="hypercube", settings=TUPLES,
                     storage=manager,
                 )
 
@@ -103,8 +108,8 @@ class TestNonStreamingWinners:
 
     def test_streams_capability_tracks_backend(self):
         by_name = {s.name: s for s in default_strategies()}
-        assert by_name["hypercube-numpy"].streams()
-        assert not by_name["hypercube-tuples"].streams()
+        assert by_name["hypercube"].streams(NUMPY)
+        assert not by_name["hypercube"].streams(TUPLES)
         assert not by_name["single-server"].streams()
         assert by_name["hypercube"].streams()  # numpy default
         assert by_name["skew-star"].streams()
@@ -112,7 +117,7 @@ class TestNonStreamingWinners:
             assert not by_name["hypercube"].streams()
             assert not by_name["skew-star"].streams()
             assert not by_name["multiround"].streams()
-            assert by_name["multiround-numpy"].streams()
+            assert by_name["multiround"].streams(NUMPY)
 
 
 class TestSampledStatsUnderBudget:
@@ -142,7 +147,8 @@ class TestSampledStatsUnderBudget:
             classmethod(spy_sampled),
         )
         planned = execute(
-            query, db, 8, strategy="hypercube-numpy", memory_budget_bytes=1
+            query, db, 8, strategy="hypercube", settings=NUMPY,
+            memory_budget_bytes=1,
         )
         try:
             assert calls["sampled"] == 1 and calls["exact"] == 0

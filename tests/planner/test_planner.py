@@ -170,8 +170,8 @@ class TestExecute:
     def test_forced_strategy(self):
         q = triangle_query()
         db = matching_database(q, m=300, n=2048, seed=0)
-        result = execute(q, db, 16, strategy="hypercube-numpy")
-        assert result.strategy == "hypercube-numpy"
+        result = execute(q, db, 16, strategy="skew-oblivious")
+        assert result.strategy == "skew-oblivious"
         assert result.answers == evaluate(q, db)
 
     def test_forcing_inapplicable_strategy_raises(self):
@@ -237,7 +237,7 @@ class TestRegistry:
 
     def test_register_rejects_duplicates(self):
         with pytest.raises(ValueError, match="already registered"):
-            register(OneRoundHyperCube("tuples"))
+            register(OneRoundHyperCube())
 
     def test_register_and_use_custom_strategy(self):
         class Never(Strategy):

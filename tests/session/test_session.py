@@ -355,9 +355,11 @@ class TestSessionSemantics:
 
     def test_pinned_twin_strategies(self):
         q, db = matching_triangle_case(seed=3)
-        with Session(p=16, seed=1) as session:
-            tuples_run = session.run(q, db, strategy="hypercube-tuples")
-            numpy_run = session.run(q, db, strategy="hypercube-numpy")
+        # Session(backend=...) is the one way to pin an engine.
+        with Session(p=16, seed=1, backend="tuples") as session:
+            tuples_run = session.run(q, db, strategy="hypercube")
+        with Session(p=16, seed=1, backend="numpy") as session:
+            numpy_run = session.run(q, db, strategy="hypercube")
         assert_identical(tuples_run, numpy_run)
 
     def test_history_and_explain(self):
