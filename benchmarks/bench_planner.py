@@ -79,11 +79,11 @@ def test_planner_pick_quality(report_table):
             f"{label}: planner picked {picked.strategy} at "
             f"{picked.max_load_bits:.0f} bits, best measured {best:.0f}"
         )
-        ratio = picked.max_load_bits / picked.predicted_load_bits
+        ratio = picked.max_load_bits / picked.predicted_bits
         assert 0.2 <= ratio <= 3.0
         lines.append(
             f"{label:<20} {picked.strategy:<14} "
-            f"{picked.predicted_load_bits:>10.0f} "
+            f"{picked.predicted_bits:>10.0f} "
             f"{picked.max_load_bits:>10.0f} {ratio:>9.2f} {best:>10.0f}"
         )
     report_table("P1a: planner pick quality (predicted vs measured)", lines)

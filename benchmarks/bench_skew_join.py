@@ -60,13 +60,13 @@ def test_corollary_4_3_prediction(report_table):
     db = planted_heavy_hitter_database(query, m, 2**14, "z", 1.0, 7, seed=41)
     stats = db.statistics(query)
     result = run_skew_oblivious_hypercube(query, db, p, seed=41)
-    predicted = predicted_load_bits_skewed(query, stats, result.shares)
+    predicted = predicted_load_bits_skewed(query, stats, result.details["shares"])
     ratio = result.max_load_bits / predicted
     assert 0.3 <= ratio <= 3.0
     report_table(
         "Corollary 4.3: oblivious-HC load prediction (full skew)",
         [
-            f"shares: {result.shares}",
+            f"shares: {result.details['shares']}",
             f"measured L = {result.max_load_bits:.0f} bits",
             f"predicted max_j M_j/min-share = {predicted:.0f} bits",
             f"ratio = {ratio:.2f}",

@@ -50,12 +50,12 @@ def test_star_zipf_sweep(report_table):
         # Upper bound formula tracks the algorithm and the lower bound.
         # The light-part analysis carries a polylog factor (the paper's
         # O~), visible at low skew where sub-threshold hot keys collide.
-        assert star.max_load_bits <= 6.0 * star.predicted_load_bits
-        assert star.predicted_load_bits <= 4.0 * max(lb, 1.0)
+        assert star.max_load_bits <= 6.0 * star.predicted_bits
+        assert star.predicted_bits <= 4.0 * max(lb, 1.0)
         wins.append(vanilla.max_load_bits / star.max_load_bits)
         lines.append(
             f"{skew:>6.1f} {vanilla.max_load_bits:>10.0f} "
-            f"{star.max_load_bits:>11.0f} {star.predicted_load_bits:>9.0f} "
+            f"{star.max_load_bits:>11.0f} {star.predicted_bits:>9.0f} "
             f"{lb:>11.0f}"
         )
     assert wins[-1] > wins[0]  # more skew, bigger win

@@ -45,14 +45,14 @@ def test_hub_degree_sweep(report_table):
         stats = db.statistics(query)
         m = max(stats.tuples(r) for r in query.relation_names)
         threshold_bits = (m / p ** (1.0 / 3.0)) * 2 * stats.value_bits
-        slack = max(aware.predicted_load_bits, threshold_bits)
+        slack = max(aware.predicted_bits, threshold_bits)
         assert aware.max_load_bits <= 6.0 * slack
         win = vanilla.max_load_bits / aware.max_load_bits
         wins.append(win)
         lines.append(
             f"{hub_degree:>8} {vanilla.max_load_bits:>10.0f} "
             f"{aware.max_load_bits:>13.0f} "
-            f"{aware.predicted_load_bits:>9.0f} {win:>5.1f}"
+            f"{aware.predicted_bits:>9.0f} {win:>5.1f}"
         )
     assert wins[-1] >= max(2.5, wins[0])
     report_table(

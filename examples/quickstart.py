@@ -38,7 +38,7 @@ def main() -> None:
     print(f"predicted load p^lambda = {shares.load_bits:.0f} bits")
 
     result = run_hypercube(query, db, p, seed=7)
-    print(f"\nHyperCube on p={p} servers, shares {result.shares}")
+    print(f"\nHyperCube on p={p} servers, shares {result.details['shares']}")
     print(f"  answers found:  {len(result.answers)}")
     print(f"  max load:       {result.max_load_bits:.0f} bits")
     print(f"  replication:    {result.replication_rate(stats):.2f}x")

@@ -67,8 +67,8 @@ def main() -> None:
     print(f"\nskew-aware star algorithm (Section 4.2.1), "
           f"{star.servers_used} servers:")
     print(f"  max load {star.max_load_bits:.0f} bits")
-    print(f"  Eq. (20) bound: {star.predicted_load_bits:.0f} bits")
-    print(f"  heavy hitters handled: {len(star.heavy_hitters)}")
+    print(f"  Eq. (20) bound: {star.predicted_bits:.0f} bits")
+    print(f"  heavy hitters handled: {len(star.details['heavy_hitters'])}")
 
     hitter_stats = {
         rel: {h: c for h, c in f.items() if c >= m / p}

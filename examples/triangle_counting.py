@@ -56,7 +56,7 @@ def main() -> None:
 
     vanilla = run_hypercube(query, db, p, seed=1)
     assert vanilla.answers == truth
-    print(f"\nvanilla HyperCube, p={p}, shares {vanilla.shares}:")
+    print(f"\nvanilla HyperCube, p={p}, shares {vanilla.details['shares']}:")
     print(f"  max load {vanilla.max_load_bits:.0f} bits")
     print(f"  (skew-free prediction would be ~ M/p^(2/3) = "
           f"{stats.bits('S1') / p ** (2 / 3):.0f} bits)")
@@ -65,8 +65,8 @@ def main() -> None:
     assert skew_aware.answers == truth
     print(f"\nskew-aware algorithm (Section 4.2.2), {skew_aware.servers_used} servers:")
     print(f"  max load {skew_aware.max_load_bits:.0f} bits")
-    print(f"  paper formula bound: {skew_aware.predicted_load_bits:.0f} bits")
-    hitters = {v: len(s) for v, s in skew_aware.heavy2.items()}
+    print(f"  paper formula bound: {skew_aware.predicted_bits:.0f} bits")
+    hitters = {v: len(s) for v, s in skew_aware.details["heavy2"].items()}
     print(f"  heavy hitters per variable (threshold m/p^(1/3)): {hitters}")
 
     ratio = vanilla.max_load_bits / skew_aware.max_load_bits

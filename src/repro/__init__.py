@@ -28,10 +28,12 @@ planner, ``session.run(query, db, strategy="skew-star")`` pins a named
 algorithm, ``session.run_many([...])`` executes a batch of independent
 jobs concurrently over shared storage, and ``session.history``
 accumulates per-run load records for workload-level reporting.  Every
-result -- whichever executor produced it -- satisfies the
-:class:`~repro.session.RunResult` protocol (``answers``,
-``answers_array()``, ``load_report``, ``rounds``, ``strategy``,
-``predicted_bits``).
+result -- whichever executor produced it, whichever pool carried it --
+is one :class:`~repro.run.RunResult` (``answers``, ``answers_array()``,
+``report`` / ``load_report``, ``rounds``, ``strategy``,
+``predicted_bits``, ``servers_used``, engine-specific ``details``, and
+the planner's ``explained`` / ``estimate`` / ``summary()``), and it
+pickles.
 
 Package map (see DESIGN.md for the paper-section correspondence):
 
@@ -46,8 +48,10 @@ Package map (see DESIGN.md for the paper-section correspondence):
 * :mod:`repro.bounds` -- one-round lower bounds, replication, entropy
 * :mod:`repro.planner` -- cost-based strategy selection (`plan`/`execute`)
 * :mod:`repro.storage` -- out-of-core chunked relations + spill files
+* :mod:`repro.run` -- `RunResult` and `dispatch_run`: the one result
+  type and the one run path behind every executor
 * :mod:`repro.session` -- `Session`/`ClusterConfig`, the unified front
-  door and the shared run path behind every executor
+  door
 * :mod:`repro.trace` -- per-event communication traces (JSONL
   artifacts, `TraceQuery` analysis, `python -m repro trace`)
 * :mod:`repro.metrics` -- live workload telemetry (counters / gauges /
@@ -57,8 +61,8 @@ Package map (see DESIGN.md for the paper-section correspondence):
 The low-level layer stays available: the free functions
 ``run_hypercube`` / ``run_star_skew`` / ``run_triangle_skew`` /
 ``run_plan`` and ``planner.execute`` take the same knobs per call and
-are thin wrappers over the session's shared run path (bit-identical
-results either way).
+are thin wrappers over the same shared run path (bit-identical results
+either way).
 
 Every executor and generator runs the columnar (``"numpy"``) engine by
 default; the tuple-at-a-time reference path is one switch away::
@@ -152,16 +156,11 @@ from repro.metrics import (
 )
 from repro.mpc import MPCSimulation
 from repro.bounds import lower_bound, upper_bound
-from repro.planner import DataStatistics, ExplainedPlan, PlannedExecution
+from repro.planner import DataStatistics, ExplainedPlan
 from repro.planner import execute as execute_query
 from repro.planner import plan as plan_query
-from repro.session import (
-    ClusterConfig,
-    Job,
-    RunRecord,
-    RunResult,
-    Session,
-)
+from repro.run import RunResult
+from repro.session import ClusterConfig, Job, RunRecord, Session
 from repro.storage import ChunkedRelation, StorageManager
 from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 
@@ -173,7 +172,7 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # ``logging.basicConfig()``.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "1.9.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Atom",
@@ -224,7 +223,6 @@ __all__ = [
     "upper_bound",
     "DataStatistics",
     "ExplainedPlan",
-    "PlannedExecution",
     "execute_query",
     "plan_query",
     "__version__",

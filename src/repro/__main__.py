@@ -163,7 +163,7 @@ def run_tour(trace_dir: str | None = None) -> None:
     result = run_hypercube(q, db, p, seed=0)
     _check(result.answers == expected,
            "HyperCube answers equal the sequential join")
-    print(f"  HyperCube shares {result.shares}: measured "
+    print(f"  HyperCube shares {result.details['shares']}: measured "
           f"L = {result.max_load_bits:.0f} bits, "
           f"{len(result.answers)} answers (= sequential join)")
     pct = result.report.load_percentiles()
@@ -180,11 +180,11 @@ def run_tour(trace_dir: str | None = None) -> None:
     ratio = planned.report.prediction_ratio()
     print(f"  executed {planned.strategy}: measured "
           f"L = {planned.max_load_bits:.0f} bits "
-          f"(predicted {planned.predicted_load_bits:.0f}, "
+          f"(predicted {planned.predicted_bits:.0f}, "
           f"measured/predicted = {ratio:.2f})")
     _check(planned.answers == expected,
            "planner-chosen execution equals the sequential join")
-    _check(planned.predicted_load_bits <= hi * len(q.atoms) + 1e-6,
+    _check(planned.predicted_bits <= hi * len(q.atoms) + 1e-6,
            "planner winner predicted within the one-round envelope")
 
     zq = star_query(2)

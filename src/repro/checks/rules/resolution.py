@@ -33,7 +33,7 @@ _EXEMPT_SUFFIX = "repro/config.py"
 #: Where a backend branch is a finding: the engines and their callers,
 #: minus the kernel module that owns the decision.
 _ENGINE_PATH = re.compile(
-    r"repro/(?:(?:hypercube|skew|multiround|planner)/|session\.py$)"
+    r"repro/(?:(?:hypercube|skew|multiround|planner)/|(?:run|session)\.py$)"
 )
 _KERNEL_SUFFIX = "repro/hypercube/blocks.py"
 

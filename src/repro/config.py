@@ -520,6 +520,10 @@ class ExecutionSettings:
         )
 
 
+#: Every knob at its default: what a run given no settings uses.
+DEFAULT_SETTINGS = ExecutionSettings()
+
+
 def resolve_generator_backend(backend: str | None) -> GeneratorBackend:
     """An explicit generator stream, or :data:`DEFAULT_GENERATOR_BACKEND`.
 

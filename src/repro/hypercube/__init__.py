@@ -16,7 +16,6 @@ one variable), and broadcast joins.
 """
 
 from repro.hypercube.algorithm import (
-    HyperCubeResult,
     route_relation,
     route_relation_arrays,
     run_hypercube,
@@ -34,7 +33,6 @@ from repro.hypercube.baselines import (
 )
 
 __all__ = [
-    "HyperCubeResult",
     "route_relation",
     "route_relation_arrays",
     "run_hypercube",

@@ -51,83 +51,10 @@ from repro.hashing.family import (
 )
 from repro.join.multiway import evaluate_on_fragments
 from repro.join.vectorized import UnsupportedVectorizedQuery, evaluate_arrays
-from repro.mpc.report import LoadReport
-from repro.mpc.simulator import MPCSimulation
 from repro.mpc.timing import PhaseTimer
 from repro.parallel.pool import PoolKind
+from repro.run import RunResult, dispatch_run, implements
 from repro.storage.manager import StorageManager
-
-
-class HyperCubeResult:
-    """Everything produced by one HyperCube run.
-
-    ``answers`` materializes the Python answer set lazily from the
-    simulation's outputs (converting millions of array-backed answers
-    into tuples is the single most expensive step of a columnar run, so
-    it only happens when somebody asks).  ``answers_array`` exposes the
-    columnar form directly.
-
-    Satisfies the :class:`repro.session.RunResult` protocol (as do the
-    skew, multi-round and planner results), so callers can treat any
-    execution outcome uniformly.
-    """
-
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        answers: set[tuple[int, ...]] | None,
-        shares: dict[str, int],
-        report: LoadReport,
-        simulation: MPCSimulation,
-        strategy: str = "hypercube",
-    ):
-        self.query = query
-        self.shares = shares
-        self.report = report
-        self.simulation = simulation
-        self.strategy = strategy
-        self._answers = answers
-
-    @property
-    def answers(self) -> set[tuple[int, ...]]:
-        if self._answers is None:
-            self._answers = self.simulation.outputs()
-        return self._answers
-
-    def answers_array(self) -> np.ndarray:
-        """The distinct answers as a canonical ``(n, k)`` int64 array."""
-        return self.simulation.outputs_array(self.query.num_variables)
-
-    @property
-    def load_report(self) -> LoadReport:
-        """The :class:`RunResult` name for :attr:`report`."""
-        return self.report
-
-    @property
-    def rounds(self) -> int:
-        return self.report.num_rounds
-
-    @property
-    def predicted_bits(self) -> float | None:
-        """The cost model's load prediction (None unless attached)."""
-        return self.report.predicted_load_bits
-
-    @property
-    def max_load_bits(self) -> float:
-        return self.report.max_load_bits
-
-    @property
-    def max_load_tuples(self) -> int:
-        return self.report.max_load_tuples
-
-    def replication_rate(self, stats: Statistics) -> float:
-        return self.report.replication_rate(stats.total_bits)
-
-    def __repr__(self) -> str:
-        return (
-            f"HyperCubeResult(query={self.query.name or 'q'!r}, "
-            f"shares={self.shares}, L={self.report.max_load_bits:.0f} bits)"
-        )
 
 
 def resolve_shares(
@@ -253,7 +180,7 @@ def run_hypercube(
     pool: PoolKind | None = None,
     max_workers: int | None = None,
     machines: "MachineSpec | None" = None,
-) -> HyperCubeResult:
+) -> RunResult:
     """Run the one-round HyperCube algorithm on ``p`` servers.
 
     Parameters mirror the paper's knobs: ``shares``/``exponents``
@@ -297,11 +224,11 @@ def run_hypercube(
     cluster unless ``REPRO_DEFAULT_MACHINES`` is set).
 
     This is a thin delegating wrapper: the actual execution flows
-    through the shared run path of :mod:`repro.session`, which resolves
-    the backend/storage/chunk-size interaction once for every executor.
+    through the shared run path (:func:`repro.run.dispatch_run`), which
+    resolves the backend/storage/chunk-size interaction once for every
+    executor.  The result's ``details["shares"]`` holds the integer
+    shares used.
     """
-    from repro.session import dispatch_run
-
     return dispatch_run(
         "hypercube",
         query,
@@ -325,6 +252,7 @@ def run_hypercube(
     )
 
 
+@implements("hypercube")
 def _hypercube_impl(
     query: ConjunctiveQuery,
     database: Database,
@@ -336,10 +264,13 @@ def _hypercube_impl(
     shares: Mapping[str, int] | None = None,
     exponents: Mapping[str, float] | None = None,
     skip_local_join: bool = False,
-) -> HyperCubeResult:
+    strategy: str = "hypercube",
+) -> RunResult:
     """The HyperCube core: one block on ``[0, p)``.
 
-    ``settings`` arrives already resolved.
+    ``settings`` arrives already resolved.  ``strategy`` labels the
+    result for the cores that are HyperCube under another share choice
+    (``hash-join``, ``skew-oblivious``).
     """
     # Imported here: the kernel's tuple reference routes through
     # route_relation above.
@@ -373,7 +304,10 @@ def _hypercube_impl(
     if not skip_local_join:
         kernel.compute([block])
     timer.attach(kernel.sim.report)
-    return HyperCubeResult(query, None, resolved, kernel.sim.report, kernel.sim)
+    return RunResult(
+        query, strategy, kernel.sim.report, kernel.sim, p,
+        details={"shares": resolved},
+    )
 
 
 def local_join_fragments(

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from typing import Literal, Sequence
 
+from repro.config import ExecutionSettings
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
-from repro.hypercube.algorithm import HyperCubeResult, run_hypercube
+from repro.hypercube.algorithm import _hypercube_impl
 from repro.join.multiway import evaluate_on_fragments
 from repro.mpc.simulator import MPCSimulation
+from repro.run import RunResult, dispatch_run, implements
+from repro.storage.manager import StorageManager
 
 
 def run_single_server(
@@ -29,15 +32,33 @@ def run_single_server(
     p: int,
     capacity_bits: float | None = None,
     on_overflow: Literal["fail", "drop"] = "fail",
-) -> HyperCubeResult:
+) -> RunResult:
     """Ship the entire input to server 0 and join there (load = |I|)."""
+    return dispatch_run(
+        "single-server", query, database, p, seed=0,
+        settings=ExecutionSettings(
+            capacity_bits=capacity_bits, on_overflow=on_overflow
+        ),
+    )
+
+
+@implements("single-server")
+def _single_server_impl(
+    query: ConjunctiveQuery,
+    database: Database,
+    p: int,
+    *,
+    seed: int,
+    settings: ExecutionSettings,
+    storage: StorageManager | None,
+) -> RunResult:
     database.validate_for(query)
     stats = database.statistics(query)
     sim = MPCSimulation(
         p,
         value_bits=stats.value_bits,
-        capacity_bits=capacity_bits,
-        on_overflow=on_overflow,
+        capacity_bits=settings.capacity_bits,
+        on_overflow=settings.on_overflow,
     )
     sim.begin_round()
     for atom in query.atoms:
@@ -45,12 +66,10 @@ def run_single_server(
         # prefix rather than whatever the set iteration order yields.
         sim.send(0, atom.relation, database[atom.relation].sorted_tuples())
     sim.end_round()
-    answers = evaluate_on_fragments(query, sim.state(0))
-    sim.output(0, answers)
-    shares = {v: 1 for v in query.variables}
-    return HyperCubeResult(
-        query, sim.outputs(), shares, sim.report, sim,
-        strategy="single-server",
+    sim.output(0, evaluate_on_fragments(query, sim.state(0)))
+    return RunResult(
+        query, "single-server", sim.report, sim, p,
+        details={"shares": {v: 1 for v in query.variables}},
     )
 
 
@@ -64,7 +83,7 @@ def run_parallel_hash_join(
     on_overflow: Literal["fail", "drop"] = "fail",
     backend: Literal["tuples", "numpy"] | None = None,
     hash_method: str = "splitmix64",
-) -> HyperCubeResult:
+) -> RunResult:
     """Hash-partition every relation on shared join variable(s).
 
     Defaults to the variables occurring in *all* atoms (the natural
@@ -72,12 +91,39 @@ def run_parallel_hash_join(
     and the algorithm is the textbook parallel hash join with
     ``p_z = p``.
     """
+    return dispatch_run(
+        "hash-join", query, database, p, seed=seed,
+        settings=ExecutionSettings(
+            backend=backend, capacity_bits=capacity_bits,
+            on_overflow=on_overflow, hash_method=hash_method,
+        ),
+        join_variables=join_variables,
+    )
+
+
+def common_variables(query: ConjunctiveQuery) -> tuple[str, ...]:
+    """The variables occurring in every atom: the natural join key."""
+    return tuple(
+        v
+        for v in query.variables
+        if all(v in a.variable_set for a in query.atoms)
+    )
+
+
+@implements("hash-join")
+def _hash_join_impl(
+    query: ConjunctiveQuery,
+    database: Database,
+    p: int,
+    *,
+    seed: int,
+    settings: ExecutionSettings,
+    storage: StorageManager | None,
+    join_variables: Sequence[str] | None = None,
+) -> RunResult:
+    """HyperCube with all of ``p`` spread over the join variable(s)."""
     if join_variables is None:
-        join_variables = [
-            v
-            for v in query.variables
-            if all(v in a.variable_set for a in query.atoms)
-        ]
+        join_variables = common_variables(query)
     join_variables = list(join_variables)
     if not join_variables:
         raise ValueError(
@@ -86,13 +132,10 @@ def run_parallel_hash_join(
         )
     # Spread p as evenly as possible over the join variables.
     exponents = {v: 1.0 / len(join_variables) for v in join_variables}
-    result = run_hypercube(
-        query, database, p, exponents=exponents, seed=seed,
-        capacity_bits=capacity_bits, on_overflow=on_overflow,
-        backend=backend, hash_method=hash_method,
+    return _hypercube_impl(
+        query, database, p, seed=seed, settings=settings, storage=storage,
+        exponents=exponents, strategy="hash-join",
     )
-    result.strategy = "hash-join"
-    return result
 
 
 def run_broadcast_join(
@@ -103,13 +146,33 @@ def run_broadcast_join(
     seed: int = 0,
     capacity_bits: float | None = None,
     on_overflow: Literal["fail", "drop"] = "fail",
-) -> HyperCubeResult:
+) -> RunResult:
     """Partition one relation evenly; broadcast all the others.
 
     ``partition_relation`` defaults to the largest relation.  Correct
     for any query because each server sees the full content of every
     non-partitioned relation.
     """
+    return dispatch_run(
+        "broadcast", query, database, p, seed=seed,
+        settings=ExecutionSettings(
+            capacity_bits=capacity_bits, on_overflow=on_overflow
+        ),
+        partition_relation=partition_relation,
+    )
+
+
+@implements("broadcast")
+def _broadcast_impl(
+    query: ConjunctiveQuery,
+    database: Database,
+    p: int,
+    *,
+    seed: int,
+    settings: ExecutionSettings,
+    storage: StorageManager | None,
+    partition_relation: str | None = None,
+) -> RunResult:
     database.validate_for(query)
     stats = database.statistics(query)
     if partition_relation is None:
@@ -121,8 +184,8 @@ def run_broadcast_join(
     sim = MPCSimulation(
         p,
         value_bits=stats.value_bits,
-        capacity_bits=capacity_bits,
-        on_overflow=on_overflow,
+        capacity_bits=settings.capacity_bits,
+        on_overflow=settings.on_overflow,
     )
     sim.begin_round()
     for atom in query.atoms:
@@ -138,7 +201,7 @@ def run_broadcast_join(
         local = evaluate_on_fragments(query, sim.state(server))
         if local:
             sim.output(server, local)
-    shares = {v: 1 for v in query.variables}
-    return HyperCubeResult(
-        query, sim.outputs(), shares, sim.report, sim, strategy="broadcast"
+    return RunResult(
+        query, "broadcast", sim.report, sim, p,
+        details={"shares": {v: 1 for v in query.variables}},
     )

@@ -34,7 +34,7 @@ from repro.multiround.plans import (
     spk_plan,
     star_plan,
 )
-from repro.multiround.executor import MultiRoundResult, run_plan
+from repro.multiround.executor import run_plan
 from repro.multiround.good_sets import (
     EpsilonRPlan,
     chain_epsilon_r_plan,
@@ -72,7 +72,6 @@ __all__ = [
     "generic_plan",
     "spk_plan",
     "star_plan",
-    "MultiRoundResult",
     "run_plan",
     "EpsilonRPlan",
     "chain_epsilon_r_plan",

@@ -58,99 +58,19 @@ from __future__ import annotations
 import hashlib
 from typing import Literal
 
-import numpy as np
-
 from repro.config import ExecutionSettings, MachineSpec
 from repro.core.query import Atom, ConjunctiveQuery
-from repro.data.arrays import unique_rows
 from repro.core.shares import integerize_shares, share_exponents
 from repro.core.stats import Statistics
 from repro.data.database import Database
 from repro.hashing.family import derive_seed, grid_dimension_weights
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
-from repro.join.binary import reorder
-from repro.mpc.report import LoadReport
-from repro.mpc.simulator import MPCSimulation
 from repro.mpc.timing import PhaseTimer
 from repro.multiround.plans import Plan
 from repro.parallel.pool import PoolKind
+from repro.run import RunResult, dispatch_run, implements
 from repro.storage.chunked import ChunkedRelation
 from repro.storage.manager import StorageManager
-
-
-class MultiRoundResult:
-    """Answers plus per-round load accounting for a plan execution.
-
-    ``answers`` materializes the Python answer set lazily from the
-    simulation's outputs (converting millions of array-backed answers
-    into tuples dominates a columnar run, so it only happens when asked);
-    ``answers_array`` exposes the columnar form directly.
-
-    ``view_fragments`` maps plan-node names to their per-server result
-    fragments in node-schema order (tuple sets on the tuple backend,
-    ``(n, arity)`` arrays on the columnar one).  By default only the
-    root's fragments are retained -- holding every intermediate view of
-    a large columnar run alive would pin all of its memory to the
-    result object; ``run_plan(..., keep_view_fragments=True)`` keeps
-    them all (tests use this to pin down per-operator routing).
-
-    Satisfies the :class:`repro.session.RunResult` protocol, so plan
-    executions interchange with every other executor's result.
-    """
-
-    def __init__(
-        self,
-        plan: Plan,
-        schema: tuple[str, ...],
-        report: LoadReport,
-        simulation: MPCSimulation,
-        rounds: int,
-        view_fragments: dict[str, list],
-        strategy: str = "multiround",
-    ):
-        self.plan = plan
-        self.schema = schema
-        self.report = report
-        self.simulation = simulation
-        self.rounds = rounds
-        self.view_fragments = view_fragments
-        self.strategy = strategy
-        self._answers: set[tuple[int, ...]] | None = None
-
-    @property
-    def answers(self) -> set[tuple[int, ...]]:
-        """The distinct answers, reordered to the plan query's head."""
-        if self._answers is None:
-            self._answers = reorder(
-                self.simulation.outputs(), self.schema, self.plan.query.variables
-            )
-        return self._answers
-
-    def answers_array(self) -> np.ndarray:
-        """The distinct answers as a canonical ``(n, k)`` int64 array."""
-        rows = self.simulation.outputs_array(len(self.schema))
-        head = self.plan.query.variables
-        permuted = rows[:, [self.schema.index(v) for v in head]]
-        return unique_rows(permuted)
-
-    @property
-    def max_load_bits(self) -> float:
-        return self.report.max_load_bits
-
-    @property
-    def load_report(self) -> LoadReport:
-        return self.report
-
-    @property
-    def predicted_bits(self) -> float | None:
-        """The cost model's load prediction (None unless attached)."""
-        return self.report.predicted_load_bits
-
-    def __repr__(self) -> str:
-        return (
-            f"MultiRoundResult(query={self.plan.query.name or 'q'!r}, "
-            f"rounds={self.rounds}, L={self.report.max_load_bits:.0f} bits)"
-        )
 
 
 def run_plan(
@@ -169,7 +89,7 @@ def run_plan(
     pool: PoolKind | None = None,
     max_workers: int | None = None,
     machines: MachineSpec | None = None,
-) -> MultiRoundResult:
+) -> RunResult:
     """Execute ``plan`` in ``plan.depth`` rounds on ``p`` servers.
 
     The final answers are reordered to the plan query's head order, so
@@ -177,8 +97,13 @@ def run_plan(
     ``backend`` selects the execution engine (``None``: the system
     default, see :func:`repro.config.set_default_backend`); both
     backends produce bit-identical answers and loads.
-    ``keep_view_fragments`` retains every intermediate view's
-    per-server fragments on the result (default: root only).
+    ``details["view_fragments"]`` maps plan-node names to their
+    per-server result fragments in node-schema order (tuple sets on the
+    tuple backend, ``(n, arity)`` arrays on the columnar one).  By
+    default only the root's are retained -- holding every intermediate
+    view of a large columnar run alive would pin all of its memory to
+    the result; ``keep_view_fragments`` keeps them all (tests use this
+    to pin down per-operator routing).  ``details["plan"]`` is the plan.
 
     ``capacity_bits`` applies :class:`MPCSimulation`'s per-server
     per-round cap ``L`` to every round of the plan --
@@ -202,11 +127,9 @@ def run_plan(
     capacities to every round's cap enforcement.  A uniform spec is
     bit-identical to ``machines=None``.
 
-    A thin delegating wrapper over the shared run path of
-    :mod:`repro.session`.
+    A thin delegating wrapper over the shared run path
+    (:func:`repro.run.dispatch_run`).
     """
-    from repro.session import dispatch_run
-
     return dispatch_run(
         "multiround",
         plan.query,
@@ -229,6 +152,7 @@ def run_plan(
     )
 
 
+@implements("multiround")
 def _multiround_impl(
     query: ConjunctiveQuery,
     database: Database,
@@ -239,7 +163,7 @@ def _multiround_impl(
     storage: StorageManager | None,
     plan: Plan,
     keep_view_fragments: bool = False,
-) -> MultiRoundResult:
+) -> RunResult:
     """The plan core: per round, one block per plan node on ``[0, p)``.
 
     ``settings`` arrives already resolved.
@@ -375,13 +299,10 @@ def _multiround_impl(
         produced if keep_view_fragments else {root.name: produced[root.name]}
     )
     timer.attach(sim.report)
-    return MultiRoundResult(
-        plan=plan,
+    return RunResult(
+        query, "multiround", sim.report, sim, p,
+        details={"plan": plan, "view_fragments": retained},
         schema=schema_of[root.name],
-        report=sim.report,
-        simulation=sim,
-        rounds=sim.rounds_executed,
-        view_fragments=retained,
     )
 
 

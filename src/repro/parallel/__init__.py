@@ -21,7 +21,6 @@ from repro.parallel.pool import (
 from repro.parallel.tasks import (
     ArraySource,
     JoinTask,
-    MaterializedRunResult,
     RouteTask,
     RunJobTask,
     iter_array_sources,
@@ -46,7 +45,6 @@ __all__ = [
     "shutdown_pools",
     "ArraySource",
     "JoinTask",
-    "MaterializedRunResult",
     "RouteTask",
     "RunJobTask",
     "iter_array_sources",

@@ -24,10 +24,10 @@ here.  The split is strict:
   out-of-core fragments cross the pickle boundary as a few bytes.
 
 :func:`run_job_task` is the session-layer counterpart: one whole
-:meth:`Session.run_many` job executed in a worker process, returning a
-:class:`MaterializedRunResult` that satisfies the ``RunResult``
-protocol after the worker's session (and any worker-side spill
-directory) is gone.
+:meth:`Session.run_many` job executed in a worker process, returning
+its :class:`~repro.run.RunResult` detached from the worker's session
+(and any worker-side spill directory), which are gone by the time the
+result is pickled back.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.storage.chunked import ChunkedRelation
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.query import ConjunctiveQuery
     from repro.mpc.simulator import MPCSimulation, ServerState
+    from repro.run import RunResult
 
 
 # --------------------------------------------------------------- sources
@@ -329,57 +330,6 @@ def join_over_pool(
 # ---------------------------------------------------------- session jobs
 
 
-class MaterializedRunResult:
-    """A ``RunResult`` that survived a pickle round-trip.
-
-    Process-pool ``run_many`` jobs execute in a worker whose session,
-    simulator and spill directory die with the process; this snapshot
-    carries the answers (as the canonical array), the full
-    :class:`~repro.mpc.report.LoadReport`, and the scalar metadata, and
-    satisfies the :class:`repro.session.RunResult` protocol.
-    """
-
-    def __init__(
-        self,
-        strategy: str,
-        rounds: int,
-        predicted_bits: float | None,
-        load_report,
-        answers: np.ndarray,
-    ):
-        self.strategy = strategy
-        self.rounds = rounds
-        self.predicted_bits = predicted_bits
-        self.load_report = load_report
-        self._answers_array = answers
-        self._answers: set[tuple[int, ...]] | None = None
-
-    @classmethod
-    def from_result(cls, result) -> "MaterializedRunResult":
-        return cls(
-            strategy=result.strategy,
-            rounds=result.rounds,
-            predicted_bits=result.predicted_bits,
-            load_report=result.load_report,
-            answers=result.answers_array(),
-        )
-
-    @property
-    def answers(self) -> set[tuple[int, ...]]:
-        if self._answers is None:
-            self._answers = set(map(tuple, self._answers_array.tolist()))
-        return self._answers
-
-    def answers_array(self) -> np.ndarray:
-        return self._answers_array
-
-    def __repr__(self) -> str:
-        return (
-            f"MaterializedRunResult(strategy={self.strategy!r}, "
-            f"answers={len(self._answers_array)})"
-        )
-
-
 @dataclass(frozen=True)
 class RunJobTask:
     """One ``Session.run_many`` job, shipped whole to a worker process.
@@ -408,7 +358,7 @@ def _portable_error(exc: Exception) -> Exception:
 def run_job_task(
     task: RunJobTask,
 ) -> tuple[
-    "MaterializedRunResult | None", object, Exception | None, dict | None
+    "RunResult | None", object, Exception | None, dict | None
 ]:
     """Worker body: run one batch job inside a private session.
 
@@ -427,7 +377,7 @@ def run_job_task(
             result, record = session._run_job(task.job, task.index)
             # Materialize before the session (and any worker-side
             # spill directory) closes.
-            snapshot = MaterializedRunResult.from_result(result)
+            snapshot = result.detached()
             metrics = (
                 session.metrics.snapshot()
                 if session.metrics is not None

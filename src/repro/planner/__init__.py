@@ -18,8 +18,9 @@ optimizer:
   inapplicable strategies, ranks the rest and returns an
   :class:`ExplainedPlan` with the EXPLAIN cost table;
 * :mod:`repro.planner.engine` -- :func:`execute`, which runs the
-  winner and attaches predicted-vs-measured load to the
-  :class:`~repro.mpc.report.LoadReport`.
+  winner and returns its :class:`~repro.run.RunResult` with the EXPLAIN
+  ranking and the estimate attached (predicted-vs-measured load also
+  lands on the :class:`~repro.mpc.report.LoadReport`).
 
 Quickstart::
 
@@ -34,7 +35,7 @@ Quickstart::
 """
 
 from repro.planner.cost import CostEstimate
-from repro.planner.engine import PlannedExecution, execute
+from repro.planner.engine import execute
 from repro.planner.optimizer import Candidate, ExplainedPlan, plan
 from repro.planner.statistics import DataStatistics
 from repro.planner.strategies import (
@@ -47,7 +48,6 @@ from repro.planner.strategies import (
     SkewAwareTriangle,
     SkewObliviousHyperCube,
     Strategy,
-    StrategyOutcome,
     default_strategies,
     register,
 )
@@ -57,9 +57,7 @@ __all__ = [
     "CostEstimate",
     "DataStatistics",
     "ExplainedPlan",
-    "PlannedExecution",
     "Strategy",
-    "StrategyOutcome",
     "BroadcastJoin",
     "MultiRoundPlan",
     "OneRoundHyperCube",

@@ -10,20 +10,16 @@ the model came (``report.prediction_ratio()``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from repro.config import ExecutionSettings, resolve_machines
+from repro.config import DEFAULT_SETTINGS, ExecutionSettings, resolve_machines
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
-from repro.mpc.report import LoadReport
-from repro.planner.cost import CostEstimate
-from repro.planner.optimizer import ExplainedPlan
 from repro.planner.optimizer import plan as rank_strategies
 from repro.planner.statistics import DataStatistics
-from repro.planner.strategies import Strategy, StrategyOutcome
+from repro.planner.strategies import Strategy
+from repro.run import RunResult
 from repro.storage.manager import StorageManager
 
 #: How many times the input's bytes an in-memory columnar execution is
@@ -31,88 +27,6 @@ from repro.storage.manager import StorageManager
 #: join intermediates).  A memory budget below this footprint selects
 #: chunked execution.
 IN_MEMORY_FOOTPRINT_FACTOR = 4
-
-
-@dataclass
-class PlannedExecution:
-    """A planner-chosen execution: the explanation plus the outcome."""
-
-    plan: ExplainedPlan
-    outcome: StrategyOutcome
-    estimate: CostEstimate
-    #: The storage manager the engine opened for an over-budget run
-    #: (None for in-memory executions).  Owned by this object: spill
-    #: files live until it is closed or garbage-collected, so lazily
-    #: materialized answers stay readable.
-    storage: StorageManager | None = None
-    #: Why the memory budget was or was not enforced -- ``None`` (no
-    #: budget given), ``"chunked"`` (over budget, ran out-of-core),
-    #: ``"fits"`` (footprint within budget), or ``"not-enforced"``
-    #: (over budget but the winner cannot stream).  The CLI prints
-    #: this instead of re-deriving the engine's decision.
-    budget_outcome: str | None = None
-
-    @property
-    def strategy(self) -> str:
-        return self.outcome.strategy
-
-    @property
-    def answers(self) -> set[tuple[int, ...]]:
-        return self.outcome.answers
-
-    def answers_array(self) -> np.ndarray:
-        """The distinct answers as a canonical ``(n, k)`` int64 array."""
-        raw = self.outcome.raw
-        if hasattr(raw, "answers_array"):
-            return raw.answers_array()
-        answers = sorted(self.answers)
-        if not answers:
-            return np.empty((0, 0), dtype=np.int64)
-        return np.array(answers, dtype=np.int64)
-
-    @property
-    def report(self) -> LoadReport:
-        return self.outcome.report
-
-    @property
-    def load_report(self) -> LoadReport:
-        return self.outcome.report
-
-    @property
-    def rounds(self) -> int:
-        return self.report.num_rounds
-
-    @property
-    def max_load_bits(self) -> float:
-        return self.report.max_load_bits
-
-    @property
-    def predicted_load_bits(self) -> float:
-        return self.estimate.load_bits
-
-    @property
-    def predicted_bits(self) -> float:
-        """The :class:`repro.session.RunResult` name for the prediction."""
-        return self.estimate.load_bits
-
-    def summary(self) -> str:
-        """The EXPLAIN table plus the measured outcome."""
-        ratio = self.report.prediction_ratio()
-        lines = [
-            self.plan.table(),
-            f"  executed {self.strategy}: measured L = "
-            f"{self.max_load_bits:.4g} bits"
-            + (f" (measured/predicted = {ratio:.2f})" if ratio else ""),
-            f"  {self.report.percentile_line()}",
-        ]
-        if self.storage is not None:
-            lines.append(
-                "  out-of-core: spilled "
-                f"{self.storage.bytes_spilled / 2**20:.1f} MiB in "
-                f"{self.storage.chunks_spilled} chunks "
-                f"(chunk_rows={self.storage.chunk_rows})"
-            )
-        return "\n".join(lines)
 
 
 def execute(
@@ -131,8 +45,14 @@ def execute(
     hitters: object | None = None,
     plan: object | None = None,
     storage_optional: bool = False,
-) -> PlannedExecution:
+) -> RunResult:
     """Plan ``query`` against ``database`` and run the chosen strategy.
+
+    The result carries the planner's context (see
+    :class:`~repro.run.RunResult`): ``explained`` (the EXPLAIN ranking),
+    ``estimate`` (the chosen candidate's; ``predicted_bits`` is its
+    load), ``storage`` (an engine-opened manager, see below) and
+    ``budget_outcome``.
 
     ``strategy`` forces a specific (applicable) strategy by name instead
     of the ranked winner -- useful for ablations and for comparing the
@@ -177,6 +97,7 @@ def execute(
     them (pinning e.g. ``strategy="hypercube", shares={...}``) and
     rejected loudly by the rest.
     """
+    settings = settings or DEFAULT_SETTINGS
     owned: StorageManager | None = None
     budget_outcome: str | None = None
     if storage is None and memory_budget_bytes is not None:
@@ -195,9 +116,7 @@ def execute(
             dstats = DataStatistics.from_database(query, database, p)
         # Rank under the cluster's machine spec (config/default), so a
         # heterogeneous session's winner minimizes predicted makespan.
-        machines = resolve_machines(
-            settings.machines if settings is not None else None, p
-        )
+        machines = resolve_machines(settings.machines, p)
         explained = rank_strategies(
             query, dstats, p, strategies=strategies, machines=machines
         )
@@ -227,7 +146,7 @@ def execute(
                 owned = None
             storage = None
             budget_outcome = "not-enforced"
-        outcome = candidate.strategy.run(
+        result = candidate.strategy.run(
             query, database, p, seed=seed, dstats=dstats, storage=storage,
             settings=settings, shares=shares, exponents=exponents,
             hitters=hitters, plan=plan,
@@ -236,15 +155,16 @@ def execute(
         if owned is not None:
             owned.close()
         raise
-    outcome.report.attach_prediction(
+    result.report.attach_prediction(
         candidate.name,
         candidate.estimate.load_bits,
         candidate.estimate.rounds,
     )
-    return PlannedExecution(
-        explained,
-        outcome,
-        candidate.estimate,
+    return replace(
+        result,
+        predicted_bits=candidate.estimate.load_bits,
+        explained=explained,
+        estimate=candidate.estimate,
         storage=owned,
         budget_outcome=budget_outcome,
     )

@@ -6,8 +6,8 @@ A :class:`Strategy` knows three things about one algorithm family:
   star queries, the triangle algorithm only the paper's ``C3``, ...),
 * what the paper predicts it would *cost* (closed forms from
   :mod:`repro.planner.cost`; nothing is executed), and
-* how to *run* it on a concrete database, normalizing every executor's
-  result into a :class:`StrategyOutcome`.
+* how to *run* it on a concrete database, through the shared run path
+  (:func:`repro.run.dispatch_run`) under its registered name.
 
 :func:`default_strategies` lists the built-in registry in priority
 order (ties in predicted cost resolve to the earlier entry);
@@ -17,21 +17,14 @@ order (ties in predicted cost resolve to the earlier entry);
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro.config import ExecutionSettings, resolve_machines
+from repro.config import DEFAULT_SETTINGS, ExecutionSettings, resolve_machines
+from repro.core.families import triangle_query
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
-from repro.hypercube.algorithm import run_hypercube
+from repro.hypercube.baselines import common_variables
 from repro.hypercube.blocks import streams as kernel_streams
-from repro.hypercube.baselines import (
-    run_broadcast_join,
-    run_parallel_hash_join,
-    run_single_server,
-)
-from repro.mpc.report import LoadReport
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import Plan, candidate_plans
 from repro.planner.cost import (
     CostEstimate,
@@ -44,9 +37,9 @@ from repro.planner.cost import (
     triangle_cost,
 )
 from repro.planner.statistics import DataStatistics
-from repro.skew.oblivious import run_skew_oblivious_hypercube
-from repro.skew.star import run_star_skew, star_center
-from repro.skew.triangle import is_triangle_query, run_triangle_skew
+from repro.run import RunResult, dispatch_run
+from repro.skew.star import star_center
+from repro.skew.triangle import is_triangle_query
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.storage.manager import StorageManager
@@ -77,53 +70,6 @@ def _memoized(dstats, key, compute):
     if key not in bucket:
         bucket[key] = compute()
     return bucket[key]
-
-
-def _settings_kwargs(settings: ExecutionSettings) -> dict:
-    """The shared-knob kwargs for executors that accept the full set.
-
-    One place to extend when :class:`ExecutionSettings` grows a knob,
-    instead of per-strategy kwarg blocks drifting apart.  (The
-    baselines' executors accept only a subset and spell it out.)
-    """
-    return {
-        "backend": settings.backend,
-        "capacity_bits": settings.capacity_bits,
-        "on_overflow": settings.on_overflow,
-        "hash_method": settings.hash_method,
-        "chunk_rows": settings.chunk_rows,
-        "pool": settings.pool,
-        "max_workers": settings.max_workers,
-        "machines": settings.machines,
-    }
-
-
-@dataclass
-class StrategyOutcome:
-    """A finished strategy execution in normalized form.
-
-    ``answers`` accepts either the materialized set or a zero-argument
-    supplier: the columnar executors materialize Python answer tuples
-    lazily (the conversion dominates a large run), and the outcome
-    preserves that laziness until somebody actually reads
-    :attr:`answers`.
-    """
-
-    strategy: str
-    answers_source: "set[tuple[int, ...]] | Callable[[], set[tuple[int, ...]]]"
-    report: LoadReport
-    servers_used: int
-    raw: object
-
-    @property
-    def answers(self) -> set[tuple[int, ...]]:
-        if callable(self.answers_source):
-            self.answers_source = self.answers_source()
-        return self.answers_source
-
-    @property
-    def max_load_bits(self) -> float:
-        return self.report.max_load_bits
 
 
 class Strategy:
@@ -169,7 +115,7 @@ class Strategy:
         storage: "StorageManager | None" = None,
         settings: ExecutionSettings | None = None,
         **overrides,
-    ) -> StrategyOutcome:
+    ) -> RunResult:
         """Execute on ``database``.
 
         ``dstats`` lets a caller that has already collected
@@ -218,7 +164,7 @@ class Strategy:
             seed,
             dstats,
             storage,
-            settings or ExecutionSettings(),
+            settings or DEFAULT_SETTINGS,
             **supported,
         )
 
@@ -232,8 +178,18 @@ class Strategy:
         storage: "StorageManager | None",
         settings: ExecutionSettings,
         **overrides,
-    ) -> StrategyOutcome:
-        raise NotImplementedError
+    ) -> RunResult:
+        """Run under ``self.name`` on the shared run path.
+
+        Subclasses override this to derive ``overrides`` from ``dstats``
+        (hitter statistics, the cheapest plan) and then delegate here.
+        """
+        return dispatch_run(
+            self.name, query, database, p, seed=seed, settings=settings,
+            # Only when this run will honor it (see streams()).
+            storage=storage if self.streams(settings) else None,
+            **overrides,
+        )
 
     def streams(self, settings: ExecutionSettings | None = None) -> bool:
         """Whether :meth:`run` would honor a storage manager right now.
@@ -257,10 +213,6 @@ class _KernelStrategy(Strategy):
     def streams(self, settings=None) -> bool:
         return kernel_streams(settings)
 
-    def _storage(self, storage, settings):
-        """``storage`` when this run will honor it, else None."""
-        return storage if self.streams(settings) else None
-
 
 class OneRoundHyperCube(_KernelStrategy):
     """Vanilla HyperCube with LP (10) shares (Section 3.1)."""
@@ -276,17 +228,6 @@ class OneRoundHyperCube(_KernelStrategy):
             lambda: hypercube_cost(query, dstats, p, machines=machines),
         )
 
-    def _run(self, query, database, p, seed, dstats, storage, settings,
-             shares=None, exponents=None):
-        result = run_hypercube(
-            query, database, p, shares=shares, exponents=exponents,
-            seed=seed, storage=self._storage(storage, settings),
-            **_settings_kwargs(settings),
-        )
-        return StrategyOutcome(
-            self.name, lambda: result.answers, result.report, p, result
-        )
-
 
 class SkewObliviousHyperCube(_KernelStrategy):
     """HyperCube with the LP (18) skew-resistant shares (Section 4.1)."""
@@ -297,16 +238,6 @@ class SkewObliviousHyperCube(_KernelStrategy):
     def estimate(self, query, dstats, p, machines=None):
         return hypercube_cost(
             query, dstats, p, skew_oblivious=True, machines=machines
-        )
-
-    def _run(self, query, database, p, seed, dstats, storage, settings):
-        result = run_skew_oblivious_hypercube(
-            query, database, p, seed=seed,
-            storage=self._storage(storage, settings),
-            **_settings_kwargs(settings),
-        )
-        return StrategyOutcome(
-            self.name, lambda: result.answers, result.report, p, result
         )
 
 
@@ -334,14 +265,9 @@ class SkewAwareStar(_KernelStrategy):
              hitters=None):
         if hitters is None and dstats is not None:
             hitters = dstats.hitters.get(star_center(query))
-        result = run_star_skew(
-            query, database, p, seed=seed, hitters=hitters,
-            storage=self._storage(storage, settings),
-            **_settings_kwargs(settings),
-        )
-        return StrategyOutcome(
-            self.name, lambda: result.answers, result.report,
-            result.servers_used, result,
+        return super()._run(
+            query, database, p, seed, dstats, storage, settings,
+            hitters=hitters,
         )
 
 
@@ -375,14 +301,10 @@ class SkewAwareTriangle(_KernelStrategy):
             # executor's thresholds compare against; sampled ones are
             # estimates, so the executor re-scans exactly instead.
             hitters = dstats.hitters
-        result = run_triangle_skew(
-            database, p, seed=seed, hitters=hitters,
-            storage=self._storage(storage, settings),
-            **_settings_kwargs(settings),
-        )
-        return StrategyOutcome(
-            self.name, lambda: result.answers, result.report,
-            result.servers_used, result,
+        # The executor is hard-wired to the canonical atom order.
+        return super()._run(
+            triangle_query(), database, p, seed, dstats, storage, settings,
+            hitters=hitters,
         )
 
 
@@ -446,21 +368,8 @@ class MultiRoundPlan(_KernelStrategy):
             _, plan, _ = self.best_plan(
                 query, dstats, p, resolve_machines(settings.machines, p)
             )
-        elif plan.query != query:
-            # run_plan executes whatever the plan answers; catching the
-            # mismatch here keeps a pinned override from silently
-            # computing a different query than the one recorded.
-            raise ValueError(
-                f"plan answers {plan.query.name or plan.query!r}, "
-                f"not {query.name or query!r}"
-            )
-        result = run_plan(
-            plan, database, p, seed=seed,
-            storage=self._storage(storage, settings),
-            **_settings_kwargs(settings),
-        )
-        return StrategyOutcome(
-            self.name, lambda: result.answers, result.report, p, result
+        return super()._run(
+            query, database, p, seed, dstats, storage, settings, plan=plan
         )
 
 
@@ -470,38 +379,17 @@ class ParallelHashJoin(Strategy):
     name = "hash-join"
     summary = "parallel hash join on the shared variable(s)"
 
-    @staticmethod
-    def _join_variables(query: ConjunctiveQuery) -> tuple[str, ...]:
-        return tuple(
-            v
-            for v in query.variables
-            if all(v in a.variable_set for a in query.atoms)
-        )
-
     def applicable(self, query, dstats, p):
         base = super().applicable(query, dstats, p)
         if base:
             return base
-        if not self._join_variables(query):
+        if not common_variables(query):
             return "no variable common to all atoms"
         return None
 
     def estimate(self, query, dstats, p, machines=None):
         return hash_join_cost(
-            query, dstats, p, self._join_variables(query), machines=machines
-        )
-
-    def _run(self, query, database, p, seed, dstats, storage, settings):
-        result = run_parallel_hash_join(
-            query, database, p,
-            join_variables=self._join_variables(query), seed=seed,
-            capacity_bits=settings.capacity_bits,
-            on_overflow=settings.on_overflow,
-            backend=settings.backend,
-            hash_method=settings.hash_method,
-        )
-        return StrategyOutcome(
-            self.name, lambda: result.answers, result.report, p, result
+            query, dstats, p, common_variables(query), machines=machines
         )
 
 
@@ -513,14 +401,6 @@ class BroadcastJoin(Strategy):
 
     def estimate(self, query, dstats, p, machines=None):
         return broadcast_cost(query, dstats, p, machines=machines)
-
-    def _run(self, query, database, p, seed, dstats, storage, settings):
-        result = run_broadcast_join(
-            query, database, p, seed=seed,
-            capacity_bits=settings.capacity_bits,
-            on_overflow=settings.on_overflow,
-        )
-        return StrategyOutcome(self.name, result.answers, result.report, p, result)
 
 
 class SingleServer(Strategy):
@@ -536,14 +416,6 @@ class SingleServer(Strategy):
 
     def estimate(self, query, dstats, p, machines=None):
         return single_server_cost(query, dstats, p, machines=machines)
-
-    def _run(self, query, database, p, seed, dstats, storage, settings):
-        result = run_single_server(
-            query, database, p,
-            capacity_bits=settings.capacity_bits,
-            on_overflow=settings.on_overflow,
-        )
-        return StrategyOutcome(self.name, result.answers, result.report, p, result)
 
 
 # Registration order doubles as the cost tie-break (see optimizer.plan).

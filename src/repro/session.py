@@ -13,16 +13,11 @@ module gives the Python API the same shape:
   :meth:`Session.run_many` (concurrent batch execution over shared
   storage) and :attr:`Session.history` (per-run load records for
   workload-level reporting);
-* :class:`RunResult` is the structural protocol every executor result
-  satisfies (``HyperCubeResult``, ``StarSkewResult``,
-  ``TriangleSkewResult``, ``MultiRoundResult``, ``PlannedExecution``),
-  so callers stop special-casing result types;
-* :func:`dispatch_run` is the shared internal run path.  The legacy
-  free functions (``run_hypercube``, ``run_star_skew``,
-  ``run_triangle_skew``, ``run_plan``) are thin wrappers over it, and
-  the planner's strategies call those wrappers, so *every* execution
-  in the system funnels through one resolution of the
-  backend/storage/capacity knobs
+* :class:`~repro.run.RunResult` (re-exported here) is what every run
+  returns, whichever engine produced it and whichever pool carried it;
+  :func:`repro.run.dispatch_run` is the run path every strategy and
+  free function shares, so *every* execution in the system funnels
+  through one resolution of the backend/storage/capacity knobs
   (:meth:`repro.config.ExecutionSettings.resolve`).
 
 Quickstart::
@@ -59,14 +54,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import (
-    Iterable,
-    Literal,
-    Mapping,
-    Protocol,
-    Sequence,
-    runtime_checkable,
-)
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -81,29 +69,23 @@ from repro.config import (
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
 from repro.hashing.family import derive_seed
-from repro.hypercube.algorithm import _hypercube_impl
 from repro.metrics.registry import (
     MetricsRegistry,
-    active_metrics,
     collecting,
     global_metrics,
 )
-from repro.mpc.report import LoadReport
 from repro.mpc.timing import format_phases
 from repro.parallel.pool import get_pool
 from repro.parallel.tasks import RunJobTask, run_job_task
-from repro.multiround.executor import _multiround_impl
 from repro.multiround.plans import Plan
 from repro.planner.engine import (
     IN_MEMORY_FOOTPRINT_FACTOR,
-    PlannedExecution,
     execute as _planner_execute,
 )
 from repro.planner.optimizer import ExplainedPlan, plan as _planner_plan
 from repro.planner.statistics import DataStatistics
+from repro.run import RunResult
 from repro.skew.heavy_hitters import HitterStatistics
-from repro.skew.star import _star_impl
-from repro.skew.triangle import _triangle_impl
 from repro.storage.manager import StorageManager
 from repro.trace.recorder import TraceRecorder, tracing
 
@@ -115,41 +97,6 @@ def _repro_version() -> str:
     from repro import __version__
 
     return __version__
-
-
-@runtime_checkable
-class RunResult(Protocol):
-    """What every execution result answers, regardless of executor.
-
-    ``HyperCubeResult``, ``StarSkewResult``, ``TriangleSkewResult``,
-    ``MultiRoundResult`` and ``PlannedExecution`` all satisfy this
-    protocol structurally -- no inheritance involved -- so code that
-    consumes "the outcome of running a query" needs exactly these six
-    members and never an ``isinstance`` ladder.
-    """
-
-    @property
-    def answers(self) -> set[tuple[int, ...]]:
-        """The distinct answers as Python tuples (may materialize lazily)."""
-
-    def answers_array(self) -> np.ndarray:
-        """The distinct answers as a canonical ``(n, k)`` int64 array."""
-
-    @property
-    def load_report(self) -> LoadReport:
-        """Per-round, per-server load accounting for the execution."""
-
-    @property
-    def rounds(self) -> int:
-        """Communication rounds executed."""
-
-    @property
-    def strategy(self) -> str:
-        """The strategy name that produced this result."""
-
-    @property
-    def predicted_bits(self) -> float | None:
-        """The cost model's load prediction (None when never estimated)."""
 
 
 @dataclass(frozen=True)
@@ -234,88 +181,6 @@ class ClusterConfig:
             max_workers=self.max_workers,
             machines=self.machines,
         )
-
-
-#: The executor cores behind the shared run path, by strategy name.
-#: Each takes ``(query, database, p, *, seed, settings, storage, ...)``
-#: with an already-resolved :class:`ExecutionSettings`.
-_IMPLEMENTATIONS = {
-    "hypercube": _hypercube_impl,
-    "skew-star": _star_impl,
-    "skew-triangle": _triangle_impl,
-    "multiround": _multiround_impl,
-}
-
-
-def dispatch_run(
-    strategy: str,
-    query: ConjunctiveQuery,
-    database: Database,
-    p: int,
-    *,
-    seed: int,
-    settings: ExecutionSettings,
-    storage: StorageManager | None = None,
-    **overrides: object,
-) -> RunResult:
-    """The shared internal run path behind every executor entry point.
-
-    Resolves ``settings`` against ``storage`` and ``p`` exactly once
-    (:meth:`ExecutionSettings.resolve` -- the backend default, the
-    storage/backend compatibility check, the chunk-size default, the
-    machine-spec default and its ``p``-match validation) and
-    invokes the named executor core.  ``run_hypercube`` /
-    ``run_star_skew`` / ``run_triangle_skew`` / ``run_plan`` are thin
-    wrappers over this function, and the planner's strategies run
-    through those wrappers, so a :class:`Session`, a legacy free
-    function and an EXPLAIN-then-execute all share one code path.
-    """
-    impl = _IMPLEMENTATIONS.get(strategy)
-    if impl is None:
-        raise ValueError(
-            f"unknown executor strategy {strategy!r} "
-            f"(expected one of {sorted(_IMPLEMENTATIONS)})"
-        )
-    resolved = settings.resolve(storage, p)
-    before = storage.io_counters() if storage is not None else None
-    metrics = active_metrics()
-    # The wall clock is read only when metrics are on, and only around
-    # the whole run -- never on an identity-sensitive path.
-    run_started = time.perf_counter() if metrics is not None else 0.0  # repro: allow(wall-clock) -- metrics-gated, whole-run only
-    result = impl(
-        query, database, p,
-        seed=seed, settings=resolved, storage=storage, **overrides,
-    )
-    if storage is not None:
-        # Managers outlive runs (a session shares one across a whole
-        # batch), so the run's own spill traffic is the counter delta.
-        # peak_live_bytes is manager-lifetime: concurrent runs share
-        # the disk, so a per-run peak would be fiction.
-        after = storage.io_counters()
-        result.load_report.attach_spill({
-            "bytes_written": after["bytes_written"] - before["bytes_written"],
-            "files_created": after["files_created"] - before["files_created"],
-            "bytes_read": after["bytes_read"] - before["bytes_read"],
-            "reads": after["reads"] - before["reads"],
-            "peak_live_bytes": after["peak_live_bytes"],
-        })
-    if metrics is not None:
-        elapsed = time.perf_counter() - run_started  # repro: allow(wall-clock) -- metrics-gated, whole-run only
-        report = result.load_report
-        name = result.strategy
-        metrics.counter("repro_runs_total", strategy=name).inc()
-        metrics.histogram("repro_run_seconds", strategy=name).observe(elapsed)
-        metrics.histogram("repro_run_rounds", strategy=name).observe(
-            report.num_rounds
-        )
-        metrics.histogram("repro_run_load_bits", strategy=name).observe(
-            report.max_load_bits
-        )
-        if report.machines is not None and not report.machines.is_uniform:
-            metrics.gauge("repro_run_makespan_bits", strategy=name).set(
-                report.makespan_bits
-            )
-    return result
 
 
 @dataclass(frozen=True)
@@ -537,7 +402,7 @@ class Session:
         stats: DataStatistics | None = None,
         seed: int | None = None,
         label: str | None = None,
-    ) -> PlannedExecution:
+    ) -> RunResult:
         """Run one query on the configured cluster.
 
         With ``strategy=None`` the cost-based planner ranks every
@@ -556,8 +421,8 @@ class Session:
         for scan cost on genuinely out-of-core inputs.
 
         ``seed`` overrides the session seed for this run only.  The
-        result satisfies :class:`RunResult` and is recorded in
-        :attr:`history` (as ``label``, default ``run-<index>``).
+        run is recorded in :attr:`history` (as ``label``, default
+        ``run-<index>``).
         """
         result, record = self._execute(
             query, database, strategy,
@@ -595,7 +460,7 @@ class Session:
         max_workers: int | None = None,
         pool: PoolKind | None = None,
         metrics_every: int | None = None,
-    ) -> list[PlannedExecution]:
+    ) -> list[RunResult]:
         """Run independent jobs concurrently over shared storage.
 
         ``jobs`` are :class:`Job` values (bare ``(query, database)``
@@ -611,8 +476,9 @@ class Session:
         (shared session and storage, the numpy-releases-the-GIL
         sweet spot), ``"process"`` (one worker process per job slot --
         each job runs in a throwaway session rebuilt from this
-        session's config and returns a materialized result, sidestepping
-        the GIL entirely), or ``"serial"``.  ``None`` follows
+        session's config and returns its result
+        :meth:`~repro.run.RunResult.detached`, sidestepping the GIL
+        entirely), or ``"serial"``.  ``None`` follows
         ``config.pool`` / :func:`repro.config.default_pool`, except
         that the historical batch default -- threads -- applies when
         those resolve to serial.  Process mode requires picklable
@@ -778,7 +644,7 @@ class Session:
 
     def _try_run_job(
         self, job: Job, index: int
-    ) -> tuple[tuple[PlannedExecution, RunRecord] | None, Exception | None]:
+    ) -> tuple[tuple[RunResult, RunRecord] | None, Exception | None]:
         """Run one batch job, capturing (not raising) its failure.
 
         ``run_many`` inspects the whole batch afterwards: successful
@@ -791,7 +657,7 @@ class Session:
 
     def _run_job(
         self, job: Job, index: int
-    ) -> tuple[PlannedExecution, RunRecord]:
+    ) -> tuple[RunResult, RunRecord]:
         seed = (
             derive_seed(self.config.seed, index)
             if job.seed is None
@@ -816,7 +682,7 @@ class Session:
         stats: DataStatistics | None,
         seed: int | None,
         label: str | None,
-    ) -> tuple[PlannedExecution, RunRecord]:
+    ) -> tuple[RunResult, RunRecord]:
         if self._closed:
             raise RuntimeError("session is closed")
         settings = self.config.settings()
@@ -924,7 +790,7 @@ class Session:
         exponents: Mapping[str, float] | None,
         hitters: object | None,
         plan: Plan | None,
-    ) -> PlannedExecution:
+    ) -> RunResult:
         return _planner_execute(
             query,
             database,

@@ -23,9 +23,8 @@ from repro.skew.heavy_hitters import (
     variable_frequencies,
 )
 from repro.skew.oblivious import run_skew_oblivious_hypercube
-from repro.skew.star import StarSkewResult, run_star_skew, star_skew_load_bound
+from repro.skew.star import run_star_skew, star_skew_load_bound
 from repro.skew.triangle import (
-    TriangleSkewResult,
     run_triangle_skew,
     triangle_skew_load_bound,
 )
@@ -40,10 +39,8 @@ __all__ = [
     "sample_heavy_hitters",
     "variable_frequencies",
     "run_skew_oblivious_hypercube",
-    "StarSkewResult",
     "run_star_skew",
     "star_skew_load_bound",
-    "TriangleSkewResult",
     "run_triangle_skew",
     "triangle_skew_load_bound",
     "skewed_lower_bound",

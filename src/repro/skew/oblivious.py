@@ -9,16 +9,15 @@ wiring those shares into the standard HyperCube execution.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Literal
+from typing import Literal
 
+from repro.config import ExecutionSettings, MachineSpec, PoolKind
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import skew_oblivious_share_exponents
 from repro.data.database import Database
-from repro.hypercube.algorithm import HyperCubeResult, run_hypercube
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.config import MachineSpec, PoolKind
-    from repro.storage.manager import StorageManager
+from repro.hypercube.algorithm import _hypercube_impl
+from repro.run import RunResult, dispatch_run, implements
+from repro.storage.manager import StorageManager
 
 
 def run_skew_oblivious_hypercube(
@@ -30,37 +29,54 @@ def run_skew_oblivious_hypercube(
     on_overflow: Literal["fail", "drop"] = "fail",
     backend: Literal["tuples", "numpy"] | None = None,
     hash_method: str = "splitmix64",
-    storage: "StorageManager | None" = None,
+    storage: StorageManager | None = None,
     chunk_rows: int | None = None,
-    pool: "PoolKind | None" = None,
+    pool: PoolKind | None = None,
     max_workers: int | None = None,
-    machines: "MachineSpec | None" = None,
-) -> HyperCubeResult:
+    machines: MachineSpec | None = None,
+) -> RunResult:
     """HyperCube with the LP (18) skew-resistant shares.
 
     For the simple join this balances all three variables at share
     ``p^{1/3}`` (worst-case load ``M/p^{1/3}`` instead of the vanilla
-    hash join's ``Theta(M)`` under a single heavy hitter).  All
+    hash join's ``Theta(M)`` under a single heavy hitter).  The
     execution knobs (``backend``, ``capacity_bits``, ``storage``, ...)
-    forward unchanged to :func:`run_hypercube`.
+    mean what they mean for
+    :func:`~repro.hypercube.algorithm.run_hypercube`.
     """
-    stats = database.statistics(query)
-    solution = skew_oblivious_share_exponents(query, stats, p)
-    result = run_hypercube(
+    return dispatch_run(
+        "skew-oblivious",
         query,
         database,
         p,
-        exponents=solution.exponents,
         seed=seed,
-        capacity_bits=capacity_bits,
-        on_overflow=on_overflow,
-        backend=backend,
-        hash_method=hash_method,
         storage=storage,
-        chunk_rows=chunk_rows,
-        pool=pool,
-        max_workers=max_workers,
-        machines=machines,
+        settings=ExecutionSettings(
+            backend=backend,
+            capacity_bits=capacity_bits,
+            on_overflow=on_overflow,
+            hash_method=hash_method,
+            chunk_rows=chunk_rows,
+            pool=pool,
+            max_workers=max_workers,
+            machines=machines,
+        ),
     )
-    result.strategy = "skew-oblivious"
-    return result
+
+
+@implements("skew-oblivious")
+def _skew_oblivious_impl(
+    query: ConjunctiveQuery,
+    database: Database,
+    p: int,
+    *,
+    seed: int,
+    settings: ExecutionSettings,
+    storage: StorageManager | None,
+) -> RunResult:
+    stats = database.statistics(query)
+    solution = skew_oblivious_share_exponents(query, stats, p)
+    return _hypercube_impl(
+        query, database, p, seed=seed, settings=settings, storage=storage,
+        exponents=solution.exponents, strategy="skew-oblivious",
+    )

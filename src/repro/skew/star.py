@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -36,60 +35,11 @@ from repro.core.stats import Statistics
 from repro.data.database import Database
 from repro.hashing.family import grid_dimension_weights
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
-from repro.mpc.report import LoadReport
-from repro.mpc.simulator import MPCSimulation
 from repro.mpc.timing import PhaseTimer
 from repro.parallel.pool import PoolKind
+from repro.run import RunResult, dispatch_run, implements
 from repro.skew.heavy_hitters import HitterStatistics
 from repro.storage.manager import StorageManager
-
-
-@dataclass
-class StarSkewResult:
-    """Output of one skew-aware star-query run.
-
-    ``answers`` materializes the Python answer set lazily from the
-    simulation's outputs, like :class:`HyperCubeResult`;
-    ``answers_array`` exposes the columnar form directly.
-
-    Satisfies the :class:`repro.session.RunResult` protocol, so star
-    runs interchange with every other executor's result.
-    """
-
-    query: ConjunctiveQuery
-    report: LoadReport
-    simulation: MPCSimulation
-    servers_used: int
-    heavy_hitters: tuple[int, ...]
-    predicted_load_bits: float
-    strategy: str = "skew-star"
-    _answers: set[tuple[int, ...]] | None = field(default=None, repr=False)
-
-    @property
-    def answers(self) -> set[tuple[int, ...]]:
-        if self._answers is None:
-            self._answers = self.simulation.outputs()
-        return self._answers
-
-    @property
-    def max_load_bits(self) -> float:
-        return self.report.max_load_bits
-
-    def answers_array(self) -> np.ndarray:
-        """The distinct answers as a canonical ``(n, k)`` int64 array."""
-        return self.simulation.outputs_array(self.query.num_variables)
-
-    @property
-    def load_report(self) -> LoadReport:
-        return self.report
-
-    @property
-    def rounds(self) -> int:
-        return self.report.num_rounds
-
-    @property
-    def predicted_bits(self) -> float | None:
-        return self.predicted_load_bits
 
 
 def _star_center(query: ConjunctiveQuery) -> str:
@@ -168,7 +118,7 @@ def run_star_skew(
     pool: PoolKind | None = None,
     max_workers: int | None = None,
     machines: MachineSpec | None = None,
-) -> StarSkewResult:
+) -> RunResult:
     """Run the Section 4.2.1 algorithm in one MPC round.
 
     Heavy hitters are detected exactly with the per-relation threshold
@@ -213,11 +163,11 @@ def run_star_skew(
     (block servers take the spec's modular extension).  A uniform spec
     is bit-identical to ``machines=None``.
 
-    A thin delegating wrapper over the shared run path of
-    :mod:`repro.session`.
+    A thin delegating wrapper over the shared run path
+    (:func:`repro.run.dispatch_run`).  The result's
+    ``details["heavy_hitters"]`` lists the hitters handled and
+    ``predicted_bits`` is the Eq. (20) bound.
     """
-    from repro.session import dispatch_run
-
     return dispatch_run(
         "skew-star",
         query,
@@ -239,6 +189,7 @@ def run_star_skew(
     )
 
 
+@implements("skew-star")
 def _star_impl(
     query: ConjunctiveQuery,
     database: Database,
@@ -248,7 +199,7 @@ def _star_impl(
     settings: ExecutionSettings,
     storage: StorageManager | None,
     hitters: HitterStatistics | None = None,
-) -> StarSkewResult:
+) -> RunResult:
     """The star core: the light block plus one residual block per hitter.
 
     ``settings`` arrives already resolved.
@@ -395,13 +346,10 @@ def _star_impl(
         predicted = star_skew_load_bound_from_stats(query, stats, hitters, p)
     else:
         predicted = star_skew_load_bound(query, database, p)
-    return StarSkewResult(
-        query=query,
-        report=sim.report,
-        simulation=sim,
-        servers_used=total_servers,
-        heavy_hitters=heavy_sorted,
-        predicted_load_bits=predicted,
+    return RunResult(
+        query, "skew-star", sim.report, sim, total_servers,
+        predicted_bits=predicted,
+        details={"heavy_hitters": heavy_sorted},
     )
 
 

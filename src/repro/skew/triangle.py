@@ -28,7 +28,6 @@ The combined load is the paper's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Literal, Mapping
 
 import numpy as np
@@ -41,60 +40,11 @@ from repro.core.stats import Statistics
 from repro.data.database import Database
 from repro.hashing.family import grid_dimension_weights
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
-from repro.mpc.report import LoadReport
-from repro.mpc.simulator import MPCSimulation
 from repro.mpc.timing import PhaseTimer
 from repro.parallel.pool import PoolKind
+from repro.run import RunResult, dispatch_run, implements
 from repro.skew.heavy_hitters import HitterStatistics, variable_frequencies
 from repro.storage.manager import StorageManager
-
-
-@dataclass
-class TriangleSkewResult:
-    """Output of one skew-aware triangle run.
-
-    ``answers`` materializes the Python answer set lazily from the
-    simulation's outputs, like :class:`HyperCubeResult`;
-    ``answers_array`` exposes the columnar form directly.
-
-    Satisfies the :class:`repro.session.RunResult` protocol, so
-    triangle runs interchange with every other executor's result.
-    """
-
-    report: LoadReport
-    simulation: MPCSimulation
-    servers_used: int
-    heavy1: dict[str, set[int]]
-    heavy2: dict[str, set[int]]
-    predicted_load_bits: float
-    strategy: str = "skew-triangle"
-    _answers: set[tuple[int, ...]] | None = field(default=None, repr=False)
-
-    @property
-    def answers(self) -> set[tuple[int, ...]]:
-        if self._answers is None:
-            self._answers = self.simulation.outputs()
-        return self._answers
-
-    @property
-    def max_load_bits(self) -> float:
-        return self.report.max_load_bits
-
-    def answers_array(self) -> np.ndarray:
-        """The distinct answers as a canonical ``(n, 3)`` int64 array."""
-        return self.simulation.outputs_array(3)
-
-    @property
-    def load_report(self) -> LoadReport:
-        return self.report
-
-    @property
-    def rounds(self) -> int:
-        return self.report.num_rounds
-
-    @property
-    def predicted_bits(self) -> float | None:
-        return self.predicted_load_bits
 
 
 #: The triangle's structure: variable -> (successor relation providing
@@ -127,7 +77,7 @@ def run_triangle_skew(
     pool: PoolKind | None = None,
     max_workers: int | None = None,
     machines: MachineSpec | None = None,
-) -> TriangleSkewResult:
+) -> RunResult:
     """Run the Section 4.2.2 algorithm in one MPC round.
 
     The run is a block list for the round kernel of
@@ -174,11 +124,12 @@ def run_triangle_skew(
     modular extension).  A uniform spec is bit-identical to
     ``machines=None``.
 
-    A thin delegating wrapper over the shared run path of
-    :mod:`repro.session`.
+    A thin delegating wrapper over the shared run path
+    (:func:`repro.run.dispatch_run`).  The result's
+    ``details["heavy1"]`` / ``details["heavy2"]`` hold the per-variable
+    hitter sets at the two thresholds and ``predicted_bits`` is the
+    Section 4.2.2 bound.
     """
-    from repro.session import dispatch_run
-
     return dispatch_run(
         "skew-triangle",
         triangle_query(),
@@ -231,6 +182,7 @@ def _frequencies_from_hitters(
     return freq
 
 
+@implements("skew-triangle")
 def _triangle_impl(
     query: ConjunctiveQuery,
     database: Database,
@@ -240,7 +192,7 @@ def _triangle_impl(
     settings: ExecutionSettings,
     storage: StorageManager | None,
     hitters: Mapping[str, HitterStatistics] | None = None,
-) -> TriangleSkewResult:
+) -> RunResult:
     """The triangle core: light, three case-1 and per-hitter case-2 blocks.
 
     ``settings`` arrives already resolved.
@@ -322,15 +274,12 @@ def _triangle_impl(
 
     sim = kernel.sim
     timer.attach(sim.report)
-    return TriangleSkewResult(
-        report=sim.report,
-        simulation=sim,
-        servers_used=total_servers,
-        heavy1=heavy1,
-        heavy2=heavy2,
-        predicted_load_bits=triangle_skew_load_bound(
+    return RunResult(
+        query, "skew-triangle", sim.report, sim, total_servers,
+        predicted_bits=triangle_skew_load_bound(
             database, p, freq if detected else None
         ),
+        details={"heavy1": heavy1, "heavy2": heavy2},
     )
 
 

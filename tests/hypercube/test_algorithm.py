@@ -90,7 +90,7 @@ class TestCorrectness:
         db = matching_database(q, m=30, n=100, seed=4)
         result = run_hypercube(q, db, p=10, seed=2)
         assert result.answers == evaluate(q, db)
-        assert math.prod(result.shares.values()) <= 10
+        assert math.prod(result.details["shares"].values()) <= 10
 
 
 class TestInconsistentRepeatedVariables:
@@ -157,13 +157,13 @@ class TestShares:
         q = triangle_query()
         db = matching_database(q, m=64, n=256, seed=0)
         result = run_hypercube(q, db, p=64)
-        assert result.shares == {"x1": 4, "x2": 4, "x3": 4}
+        assert result.details["shares"] == {"x1": 4, "x2": 4, "x3": 4}
 
     def test_star_shares_go_to_z(self):
         q = star_query(2)
         db = matching_database(q, m=64, n=256, seed=0)
         result = run_hypercube(q, db, p=16)
-        assert result.shares["z"] == 16
+        assert result.details["shares"]["z"] == 16
 
     def test_resolve_shares_validation(self):
         q = triangle_query()
@@ -178,7 +178,7 @@ class TestShares:
         q = simple_join_query()
         db = matching_database(q, m=16, n=64, seed=0)
         result = run_hypercube(q, db, p=16, exponents={"z": 1.0})
-        assert result.shares["z"] == 16
+        assert result.details["shares"]["z"] == 16
 
 
 class TestLoads:
@@ -189,7 +189,7 @@ class TestLoads:
         db = matching_database(q, m=m, n=2**14, seed=9)
         stats = db.statistics(q)
         result = run_hypercube(q, db, p, seed=9)
-        predicted = predicted_load_bits(q, stats, result.shares)
+        predicted = predicted_load_bits(q, stats, result.details["shares"])
         # Load counts all three relations; allow constant ~ 3x plus
         # hashing fluctuation.
         assert result.max_load_bits <= 5 * predicted
@@ -202,7 +202,7 @@ class TestLoads:
         db = planted_heavy_hitter_database(q, m, 4000, "z", 1.0, 5, seed=10)
         stats = db.statistics(q)
         result = run_hypercube(q, db, p, exponents={"z": 1.0}, seed=3)
-        skew_prediction = predicted_load_bits_skewed(q, stats, result.shares)
+        skew_prediction = predicted_load_bits_skewed(q, stats, result.details["shares"])
         # Everything lands on one server: the load reaches Theta(M).
         assert result.max_load_bits >= stats.bits("S1")
         assert result.max_load_bits <= 2 * skew_prediction

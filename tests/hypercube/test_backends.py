@@ -38,7 +38,7 @@ def assert_backends_identical(query, db, p, seed=0, hash_method="splitmix64"):
         query, db, p, seed=seed, backend="numpy", hash_method=hash_method
     )
     assert arrays.answers == tuples.answers
-    assert arrays.shares == tuples.shares
+    assert arrays.details["shares"] == tuples.details["shares"]
     assert arrays.report.num_rounds == tuples.report.num_rounds
     for round_a, round_t in zip(arrays.report.rounds, tuples.report.rounds):
         assert round_a.bits == round_t.bits

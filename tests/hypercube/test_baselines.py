@@ -46,7 +46,7 @@ class TestParallelHashJoin:
         db = uniform_database(q, m=50, n=30, seed=3)
         result = run_parallel_hash_join(q, db, p=8)
         assert result.answers == evaluate(q, db)
-        assert result.shares["z"] == 8
+        assert result.details["shares"]["z"] == 8
 
     def test_good_load_without_skew(self):
         q = simple_join_query()

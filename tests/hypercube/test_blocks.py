@@ -215,9 +215,9 @@ def test_numpy_run_never_enters_the_tuple_path(engine, monkeypatch):
     assert all(not sim.server(s).fragments for s in range(sim.p))
     assert len(result.answers_array()) > 0
     if engine == "skew-star":
-        assert len(result.heavy_hitters) >= 3 and result.servers_used > 16
+        assert len(result.details["heavy_hitters"]) >= 3 and result.servers_used > 16
     if engine == "skew-triangle":
-        assert any(result.heavy2.values()) and result.servers_used > 4 * 27
+        assert any(result.details["heavy2"].values()) and result.servers_used > 4 * 27
 
 
 # ------------------------- (c) heavy blocks cross the pool and storage seams
@@ -248,8 +248,8 @@ def test_heavy_blocks_identical_across_pool_and_storage(
         knobs["machines"] = MachineSpec.parse(machines).cycle_to(p)
     serial = run(pool="serial", **knobs)
     hitters = (
-        serial.heavy_hitters if engine == "skew-star"
-        else [h for values in serial.heavy2.values() for h in values]
+        serial.details["heavy_hitters"] if engine == "skew-star"
+        else [h for values in serial.details["heavy2"].values() for h in values]
     )
     assert len(hitters) >= 3
     assert serial.answers == truth

@@ -7,6 +7,7 @@ import pytest
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import matching_database, zipf_database
 from repro.metrics import global_metrics
+from repro.planner import default_strategies
 from repro.session import Job, Session
 
 
@@ -68,6 +69,32 @@ class TestSingleRun:
             (strategy, row), = stats.items()
             assert row["count"] == 2
             assert row["mean"] > 0.0
+
+
+class TestRunLabels:
+    """Every registered strategy is counted once, under its own name."""
+
+    @pytest.mark.parametrize(
+        "strategy", [s.name for s in default_strategies()]
+    )
+    def test_pinned_run_is_labelled_with_its_registered_name(self, strategy):
+        if strategy in ("skew-triangle", "multiround"):
+            q = triangle_query()
+        else:
+            q = star_query(2)
+        db = zipf_database(q, m=150, n=60, skew=1.0, seed=1)
+        with Session(p=8, seed=0, metrics=True) as session:
+            result = session.run(q, db, strategy=strategy)
+            registry = session.metrics
+            assert registry.value("repro_runs_total", strategy=strategy) == 1.0
+            assert registry.total("repro_runs_total") == 1.0
+            for name in (
+                "repro_run_seconds", "repro_run_rounds", "repro_run_load_bits"
+            ):
+                assert registry.histogram(name, strategy=strategy).count == 1
+            assert registry.histogram(
+                "repro_run_load_bits", strategy=strategy
+            ).sum == result.max_load_bits
 
 
 class TestRunMany:

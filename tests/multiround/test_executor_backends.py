@@ -70,9 +70,9 @@ def assert_plan_backends_identical(plan, db, p, seed=0):
         assert round_a.tuples == round_t.tuples
     assert arrays.report.total_bits == tuples.report.total_bits
     assert arrays.report.max_load_bits == tuples.report.max_load_bits
-    assert set(arrays.view_fragments) == set(tuples.view_fragments)
-    for name, tuple_chunks in tuples.view_fragments.items():
-        array_chunks = arrays.view_fragments[name]
+    assert set(arrays.details["view_fragments"]) == set(tuples.details["view_fragments"])
+    for name, tuple_chunks in tuples.details["view_fragments"].items():
+        array_chunks = arrays.details["view_fragments"][name]
         assert len(array_chunks) == len(tuple_chunks)
         for tuple_chunk, array_chunk in zip(tuple_chunks, array_chunks):
             assert as_tuple_set(array_chunk) == tuple_chunk
@@ -186,8 +186,8 @@ class TestSameRoundFragmentIsolation:
             solo = run_plan(
                 Plan(node.operator, node), db, p=8, seed=0, backend=backend
             )
-            bushy_chunks = bushy.view_fragments[node.name]
-            solo_chunks = solo.view_fragments[node.name]
+            bushy_chunks = bushy.details["view_fragments"][node.name]
+            solo_chunks = solo.details["view_fragments"][node.name]
             assert len(bushy_chunks) == len(solo_chunks)
             for server, (got, want) in enumerate(
                 zip(bushy_chunks, solo_chunks)
@@ -292,7 +292,7 @@ class TestOutputServerAccounting:
         for backend in ("tuples", "numpy"):
             result = run_plan(plan, db, p=10, seed=0, backend=backend)
             num_bins = len(
-                [c for c in result.view_fragments["V1"] if len(c)]
+                [c for c in result.details["view_fragments"]["V1"] if len(c)]
             )
             assert num_bins <= 8
             assert result.answers == evaluate(query, db)
@@ -313,6 +313,6 @@ class TestOutputServerAccounting:
         db = uniform_database(query, m=40, n=20, seed=5)
         for backend in ("tuples", "numpy"):
             result = run_plan(plan, db, p=10, seed=0, backend=backend)
-            chunks = result.view_fragments["V1"]
+            chunks = result.details["view_fragments"]["V1"]
             assert len(chunks) == 10
             assert all(len(c) == 0 for c in chunks[8:])

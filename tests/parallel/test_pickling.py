@@ -20,7 +20,6 @@ from repro.multiround.plans import chain_plan
 from repro.parallel.tasks import (
     ArraySource,
     JoinTask,
-    MaterializedRunResult,
     RouteTask,
     RunJobTask,
     iter_array_sources,
@@ -29,6 +28,7 @@ from repro.parallel.tasks import (
     run_job_task,
 )
 from repro.planner import DataStatistics
+from repro.run import RunResult
 from repro.storage.manager import StorageManager
 
 
@@ -184,10 +184,11 @@ def test_run_job_task_roundtrips_and_executes():
     result, record, error, metrics = run_job_task(task)
     assert error is None
     assert metrics is None  # config did not enable metrics
-    assert isinstance(result, MaterializedRunResult)
+    assert type(result) is RunResult
+    assert result.simulation is None and result.storage is None
     assert record.label == "probe"
-    # The materialized result survives another pickle hop (the trip
-    # back from the worker) with answers intact.
+    # The detached result survives the pickle hop back from the worker
+    # with answers intact.
     copy = roundtrip(result)
     assert copy.answers == result.answers
     assert copy.load_report.max_load_bits == result.load_report.max_load_bits

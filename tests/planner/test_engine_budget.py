@@ -60,7 +60,7 @@ class TestBudgetSelection:
         reference = execute(query, db, 8, strategy="hypercube", settings=NUMPY)
         budgeted = execute(
             query, db, 8, strategy="hypercube", settings=NUMPY,
-            stats=reference.plan.statistics,  # same (exact) statistics
+            stats=reference.explained.statistics,  # same (exact) statistics
             memory_budget_bytes=1,
         )
         try:

@@ -154,7 +154,7 @@ class TestExecute:
         db = matching_database(q, m=300, n=2048, seed=0)
         explained = plan(q, db, 16)
         result = execute(q, db, 16, stats=explained.statistics)
-        assert result.plan.statistics is explained.statistics
+        assert result.explained.statistics is explained.statistics
         assert result.answers == evaluate(q, db)
 
     def test_prediction_attached_to_report(self):
@@ -163,7 +163,7 @@ class TestExecute:
         result = execute(q, db, 16)
         report = result.report
         assert report.strategy == result.strategy
-        assert report.predicted_load_bits == result.predicted_load_bits
+        assert report.predicted_load_bits == result.predicted_bits
         assert report.prediction_ratio() is not None
         assert "planner" in report.summary()
 

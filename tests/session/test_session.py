@@ -3,8 +3,8 @@
 The acceptance property: ``Session.run`` pinned to a strategy is
 bit-identical -- answers, per-server per-round loads, capacity
 truncation -- to the corresponding legacy free function with the same
-knobs, across strategies x backends x storage modes; and every result
-class satisfies the :class:`RunResult` protocol.
+knobs, across strategies x backends x storage modes; and every entry
+point returns the one :class:`RunResult`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ TINY_BUDGET = 1
 
 
 def assert_identical(a: RunResult, b: RunResult) -> None:
-    """Bit-identity over the RunResult protocol surface."""
+    """Bit-identity over the RunResult surface."""
     assert a.answers == b.answers
     report_a, report_b = a.load_report, b.load_report
     assert report_a.num_rounds == report_b.num_rounds
@@ -214,7 +214,7 @@ class TestCapacityThreading:
 
 
 class TestRunResultProtocol:
-    """All five result classes satisfy RunResult structurally."""
+    """Every entry point returns a RunResult (see tests/test_run_result.py)."""
 
     def test_all_result_types_conform(self):
         q, db = matching_triangle_case(seed=0)

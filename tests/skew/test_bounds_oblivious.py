@@ -129,7 +129,7 @@ class TestSkewObliviousHC:
         q = simple_join_query()
         db = matching_database(q, m=64, n=512, seed=2)
         result = run_skew_oblivious_hypercube(q, db, p=27, seed=2)
-        assert result.shares == {"x": 3, "y": 3, "z": 3}
+        assert result.details["shares"] == {"x": 3, "y": 3, "z": 3}
 
     def test_beats_vanilla_hash_join_under_skew(self):
         # Example 4.1 versus the LP (18) shares: M/p^{1/3} beats M.

@@ -45,7 +45,7 @@ class TestStarBackends:
         assert_bit_identical(tuples.report, arrays.report)
         assert tuples.answers == arrays.answers == evaluate(q, db)
         assert tuples.servers_used == arrays.servers_used
-        assert tuples.heavy_hitters == arrays.heavy_hitters
+        assert tuples.details["heavy_hitters"] == arrays.details["heavy_hitters"]
 
     def test_matching_bit_identical(self):
         q = star_query(2)

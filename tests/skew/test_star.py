@@ -56,7 +56,7 @@ class TestCorrectness:
         db = matching_database(q, m=50, n=400, seed=7)
         result = run_star_skew(q, db, p=8, seed=7)
         assert result.answers == evaluate(q, db)
-        assert result.heavy_hitters == ()
+        assert result.details["heavy_hitters"] == ()
         assert result.servers_used == 8
 
     def test_single_mega_hitter(self):
@@ -98,7 +98,7 @@ class TestLoads:
         result = run_star_skew(q, db, p, seed=10)
         # Eq. (20) is stated in original-relation bits (factor-2 per
         # residual tuple); allow a small constant + hashing noise.
-        assert result.max_load_bits <= 3.0 * result.predicted_load_bits
+        assert result.max_load_bits <= 3.0 * result.predicted_bits
 
     def test_servers_used_is_theta_p(self):
         q = star_query(2)
@@ -136,8 +136,8 @@ class TestSuppliedHitters:
     def test_detected_prediction_is_the_database_bound(self):
         q, db = self._skewed()
         result = run_star_skew(q, db, 16, seed=10)
-        assert result.heavy_hitters
-        assert result.predicted_load_bits == star_skew_load_bound(q, db, 16)
+        assert result.details["heavy_hitters"]
+        assert result.predicted_bits == star_skew_load_bound(q, db, 16)
 
     def test_block_sizes_use_exact_counts_under_estimated_hitters(self):
         # Sampled statistics name the hitters but only estimate their
@@ -155,8 +155,8 @@ class TestSuppliedHitters:
         )
         baseline = run_star_skew(q, db, 16, seed=10)
         result = run_star_skew(q, db, 16, seed=10, hitters=estimated)
-        assert result.heavy_hitters == baseline.heavy_hitters
+        assert result.details["heavy_hitters"] == baseline.details["heavy_hitters"]
         assert result.servers_used == baseline.servers_used
         assert result.answers == baseline.answers
         assert result.report.rounds[0].bits == baseline.report.rounds[0].bits
-        assert result.predicted_load_bits == baseline.predicted_load_bits
+        assert result.predicted_bits == baseline.predicted_bits

@@ -51,7 +51,7 @@ class TestCorrectness:
         db = matching_database(q, m=60, n=300, seed=3)
         result = run_triangle_skew(db, p=8, seed=3)
         assert result.answers == evaluate(q, db)
-        assert all(not s for s in result.heavy2.values())
+        assert all(not s for s in result.details["heavy2"].values())
 
     def test_two_heavy_variables_case1(self):
         # Complete bipartite-ish core: many values heavy in two vars.
@@ -87,7 +87,7 @@ class TestLoads:
         db = hub_graph_db()
         p = 27
         result = run_triangle_skew(db, p=p, seed=1)
-        assert result.max_load_bits <= 4.0 * result.predicted_load_bits
+        assert result.max_load_bits <= 4.0 * result.predicted_bits
 
     def test_servers_used_is_theta_p(self):
         db = hub_graph_db()
@@ -128,8 +128,8 @@ class TestPrecomputedHitters:
             db, p=p, seed=seed, hitters=self._hitters(db, p)
         )
         assert precomputed.answers == scanned.answers
-        assert precomputed.heavy1 == scanned.heavy1
-        assert precomputed.heavy2 == scanned.heavy2
+        assert precomputed.details["heavy1"] == scanned.details["heavy1"]
+        assert precomputed.details["heavy2"] == scanned.details["heavy2"]
         for round_a, round_b in zip(
             precomputed.report.rounds, scanned.report.rounds
         ):

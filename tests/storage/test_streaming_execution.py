@@ -166,7 +166,7 @@ class TestSkewChunked:
             )
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
-            assert chunked.heavy_hitters == reference.heavy_hitters
+            assert chunked.details["heavy_hitters"] == reference.details["heavy_hitters"]
 
     @given(
         seed=st.integers(min_value=0, max_value=2**10),
@@ -238,7 +238,7 @@ class TestMultiRoundChunked:
             # copied: the final result is never re-spilled.
             root = plan.root.name
             sim = chunked.simulation
-            for server, fragment in enumerate(chunked.view_fragments[root]):
+            for server, fragment in enumerate(chunked.details["view_fragments"][root]):
                 if len(fragment):
                     assert sim._output_spools[server] is fragment
 

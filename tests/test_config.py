@@ -141,12 +141,12 @@ class TestSwitchGovernsExecutors:
         import numpy as np
 
         assert all(
-            isinstance(c, np.ndarray) for c in columnar.view_fragments["V1"]
+            isinstance(c, np.ndarray) for c in columnar.details["view_fragments"]["V1"]
         )
         set_default_backend("tuples")
         tuple_run = run_plan(plan, db, p=8, seed=0, keep_view_fragments=True)
         assert all(
-            isinstance(c, set) for c in tuple_run.view_fragments["V1"]
+            isinstance(c, set) for c in tuple_run.details["view_fragments"]["V1"]
         )
         assert tuple_run.answers == columnar.answers
         assert tuple_run.report.total_bits == columnar.report.total_bits

@@ -145,10 +145,10 @@ class TestUserJourney:
         stats = db.statistics(q)
         result = rhc(q, db, p=64)
         assert result.answers == ev(q, db)
-        assert result.shares == {"x1": 4, "x2": 4, "x3": 4}
+        assert result.details["shares"] == {"x1": 4, "x2": 4, "x3": 4}
         assert lb(q, stats, 64) == pytest.approx(ub(q, stats, 64), rel=1e-6)
 
     def test_version_exported(self):
         import repro
 
-        assert repro.__version__ == "1.9.0"
+        assert repro.__version__ == "2.0.0"
