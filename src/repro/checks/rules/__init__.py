@@ -11,6 +11,7 @@ from repro.checks.rules.determinism import (
 from repro.checks.rules.hooks import HookGuardRule
 from repro.checks.rules.parallel import ParentAccountingRule, PoolTaskRule
 from repro.checks.rules.resolution import SettingsResolutionRule
+from repro.checks.rules.row_order import RowOrderRule
 
 __all__ = ["all_rules", "rule_ids"]
 
@@ -25,6 +26,7 @@ def all_rules() -> list[Rule]:
         ParentAccountingRule(),
         HookGuardRule(),
         SettingsResolutionRule(),
+        RowOrderRule(),
     ]
 
 

@@ -1,15 +1,23 @@
 """Fast row-wise primitives for ``(n, arity)`` integer arrays.
 
-``np.unique(..., axis=0)`` sorts through a void-dtype view, which is
-several times slower than a key-wise ``lexsort`` for the narrow int64
-arrays relations are made of.  These helpers provide the row
-operations the columnar backend needs -- canonical deduplication,
-dictionary encoding and the frequency scan :func:`column_counts` --
-built on ``lexsort``, with a fast 1-column path.
+One kernel orders rows: every column is offset by its minimum and the
+columns are packed, first column most significant, into a single
+non-negative int64 per row (:func:`row_keys`).  The packing preserves
+both equality and lexicographic order, so deduplication, counting,
+dictionary encoding and join-key matching all become a sort of a 1-D
+int64 array (numpy's vectorised sort) plus a shift-and-mask unpack --
+an order of magnitude faster than a multi-key ``np.lexsort`` or
+``np.unique(axis=0)``.  Whether rows fit is a property of the data
+(``sum(bit_length(max - min)) <= 62``, spans taken in Python ints so
+nothing wraps); rows that do not fit, and dtypes that do not cast safely
+to int64, take the ``lexsort`` path with identical results.  The same
+trick gives a stable argsort: :func:`stable_order` sorts
+``(key << index_bits) | position``.
 
 All functions order rows lexicographically (first column primary),
 matching ``np.unique(axis=0)`` and :meth:`Relation.to_array`'s canonical
-layout.
+layout.  Inputs are never written to (spill chunks arrive as read-only
+memmaps).
 """
 
 from __future__ import annotations
@@ -41,30 +49,125 @@ def repeated_binding_filter(
     return first_position, mask
 
 
-def _row_order(rows: np.ndarray) -> np.ndarray:
-    """Indices sorting rows lexicographically (first column primary)."""
-    return np.lexsort(rows.T[::-1])
+#: Packed keys stay below ``2**62``: non-negative in int64 with a bit to
+#: spare, so sums and comparisons of keys never wrap.
+_KEY_BITS = 62
+
+_Layout = tuple[list[int], list[int]]
 
 
-def _row_changed(sorted_rows: np.ndarray) -> np.ndarray:
-    """Boolean mask: row i differs from row i-1 (first row counts as new)."""
-    new = np.empty(len(sorted_rows), dtype=bool)
-    new[0] = True
-    np.any(sorted_rows[1:] != sorted_rows[:-1], axis=1, out=new[1:])
-    return new
+def _as_rows(rows: np.ndarray) -> np.ndarray:
+    rows = np.asarray(rows)
+    if rows.ndim != 2:
+        raise ValueError(f"need a 2-D (n, arity) array, got shape {rows.shape}")
+    return rows
+
+
+def _layout(*arrays: np.ndarray) -> _Layout | None:
+    """Per-column ``(minimums, bit widths)`` packing every row of the
+    (non-empty, equal-arity) ``arrays`` into one key, or None if too wide."""
+    if not all(np.can_cast(a.dtype, np.int64) for a in arrays):
+        return None
+    lows: list[int] = []
+    widths: list[int] = []
+    for col in range(arrays[0].shape[1]):
+        low = min(int(a[:, col].min()) for a in arrays)
+        high = max(int(a[:, col].max()) for a in arrays)
+        lows.append(low)
+        widths.append((high - low).bit_length())
+    return (lows, widths) if sum(widths) <= _KEY_BITS else None
+
+
+def _pack(rows: np.ndarray, layout: _Layout) -> np.ndarray:
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for col, (low, width) in enumerate(zip(*layout)):
+        keys <<= width
+        keys |= rows[:, col].astype(np.int64, copy=False) - low
+    return keys
+
+
+def _unpack(keys: np.ndarray, layout: _Layout, dtype: np.dtype) -> np.ndarray:
+    lows, widths = layout
+    rows = np.empty((len(keys), len(widths)), dtype=dtype)
+    shift = sum(widths)
+    for col, (low, width) in enumerate(zip(lows, widths)):
+        shift -= width
+        rows[:, col] = ((keys >> shift) & ((1 << width) - 1)) + low
+    return rows
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Positions in sorted keys/rows where the item differs from the one before."""
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    differs = ordered[1:] != ordered[:-1]
+    new[1:] = differs if differs.ndim == 1 else differs.any(axis=1)
+    return np.flatnonzero(new)
+
+
+def _ordered_runs(
+    rows: np.ndarray, layout: _Layout | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: a permutation sorting ``rows`` and the positions
+    in it where a new distinct row begins."""
+    if layout is not None:
+        return group_order(_pack(rows, layout))
+    order = np.lexsort(rows.T[::-1])
+    return order, _run_starts(rows[order])
+
+
+def row_keys(*arrays: np.ndarray) -> list[np.ndarray]:
+    """One non-negative int64 key per row, in one id space for all ``arrays``.
+
+    Keys compare exactly like the rows they stand for, within and across
+    the (non-empty, equal-arity) arrays: packed keys when the rows fit,
+    dense lexicographic ranks otherwise.
+    """
+    layout = _layout(*arrays)
+    if layout is not None:
+        return [_pack(a, layout) for a in arrays]
+    ids, _ = encode_rows(np.concatenate(arrays, axis=0))
+    return np.split(ids, np.cumsum([len(a) for a in arrays[:-1]]))
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of integer ``keys``: ties keep their input order.
+
+    Sorting ``(key << index_bits) | position`` is stable by construction
+    and runs on the plain 1-D sort; keys that are negative or too wide
+    for the tag fall back to ``argsort(kind="stable")``.
+    """
+    n = len(keys)
+    index_bits = max(n - 1, 0).bit_length()
+    if n == 0 or keys.min() < 0 or (
+        int(keys.max()).bit_length() + index_bits > _KEY_BITS
+    ):
+        return np.argsort(keys, kind="stable")
+    tagged = keys.astype(np.int64)  # a copy: the input is never written to
+    tagged <<= index_bits
+    tagged |= np.arange(n)
+    tagged.sort()
+    tagged &= (1 << index_bits) - 1
+    return tagged
+
+
+def group_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: the stable argsort of 1-D integer ``keys`` and
+    the positions in it where each run of equal keys begins."""
+    order = stable_order(keys)
+    return order, _run_starts(keys[order])
 
 
 def unique_rows(rows: np.ndarray) -> np.ndarray:
     """Distinct rows in lexicographic order (fast ``unique(axis=0)``)."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise ValueError(f"need a 2-D (n, arity) array, got shape {rows.shape}")
-    if len(rows) <= 1:
-        return rows.copy()
-    if rows.shape[1] == 1:
-        return np.unique(rows[:, 0])[:, None]
-    sorted_rows = rows[_row_order(rows)]
-    return sorted_rows[_row_changed(sorted_rows)]
+    return unique_rows_with_counts(rows)[0]
+
+
+def merge_batches(batches: Sequence[np.ndarray]) -> np.ndarray:
+    """The deduplicated union of one or more row batches, canonically
+    ordered -- how every fragment and output merge in the package is done."""
+    rows = batches[0] if len(batches) == 1 else np.concatenate(batches, axis=0)
+    return unique_rows(rows)
 
 
 def unique_rows_with_counts(
@@ -75,19 +178,21 @@ def unique_rows_with_counts(
     With ``weights`` (one int per row) a row counts ``weights[i]`` times
     instead of once, which merges partial ``(rows, counts)`` scans.
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise ValueError(f"need a 2-D (n, arity) array, got shape {rows.shape}")
+    rows = _as_rows(rows)
     if len(rows) == 0:
         return rows.copy(), np.empty(0, dtype=np.int64)
-    order = _row_order(rows)
-    sorted_rows = rows[order]
-    starts = np.flatnonzero(_row_changed(sorted_rows))
+    layout = _layout(rows)
+    if layout is not None and weights is None:
+        keys = np.sort(_pack(rows, layout))
+        starts = _run_starts(keys)
+        distinct = _unpack(keys[starts], layout, rows.dtype)
+        return distinct, np.diff(starts, append=len(keys))
+    order, starts = _ordered_runs(rows, layout)
     if weights is None:
-        counts = np.diff(np.append(starts, len(sorted_rows)))
+        counts = np.diff(starts, append=len(rows))
     else:
         counts = np.add.reduceat(np.asarray(weights)[order], starts)
-    return sorted_rows[starts], counts
+    return rows[order[starts]], counts
 
 
 def column_counts(
@@ -103,15 +208,7 @@ def column_counts(
     in :func:`unique_rows_with_counts`.  Every degree, heavy-hitter and
     matching check in the package reads from this one scan.
     """
-    rows = np.asarray(rows)
-    keys = rows[:, list(positions)]
-    if keys.shape[1] == 1 and weights is None:
-        values, counts = np.unique(keys[:, 0], return_counts=True)
-        return values[:, None], counts
-    if keys.shape[1] == 0 and len(keys):
-        # The empty key matches every row: d_()(R) = |R|.
-        total = len(keys) if weights is None else int(np.sum(weights))
-        return keys[:1], np.array([total], dtype=np.int64)
+    keys = np.asarray(rows)[:, list(positions)]
     return unique_rows_with_counts(keys, weights)
 
 
@@ -122,18 +219,10 @@ def encode_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
     the rows' lexicographic rank.  Equivalent to the ``return_inverse``
     of ``np.unique(axis=0)`` without materializing the distinct rows.
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 2:
-        raise ValueError(f"need a 2-D (n, arity) array, got shape {rows.shape}")
-    n = len(rows)
-    if n == 0:
-        return np.empty(0, dtype=np.int64), 0
-    if rows.shape[1] == 1:
-        uniq, inverse = np.unique(rows[:, 0], return_inverse=True)
-        return inverse.reshape(-1).astype(np.int64, copy=False), len(uniq)
-    order = _row_order(rows)
-    sorted_rows = rows[order]
-    group_of_sorted = np.cumsum(_row_changed(sorted_rows)) - 1
-    ids = np.empty(n, dtype=np.int64)
-    ids[order] = group_of_sorted
-    return ids, int(group_of_sorted[-1]) + 1
+    rows = _as_rows(rows)
+    ids = np.empty(len(rows), dtype=np.int64)
+    if len(rows) == 0:
+        return ids, 0
+    order, starts = _ordered_runs(rows, _layout(rows))
+    ids[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(rows)))
+    return ids, len(starts)

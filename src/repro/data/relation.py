@@ -121,7 +121,7 @@ class Relation:
                 dtype=np.int64,
                 count=len(self._tuples) * self.arity,
             ).reshape(len(self._tuples), self.arity)
-            arr = arr[np.lexsort(arr.T[::-1])]
+            arr = unique_rows(arr)
             arr.flags.writeable = False
             self._array = arr
         return self._array

@@ -42,7 +42,7 @@ from repro.config import ExecutionSettings, MachineSpec
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import integerize_shares, share_exponents
 from repro.core.stats import Statistics
-from repro.data.arrays import repeated_binding_filter
+from repro.data.arrays import group_order, repeated_binding_filter
 from repro.data.database import Database
 from repro.hashing.family import (
     GridPartitioner,
@@ -127,7 +127,8 @@ def route_relation_arrays(
     coordinates are computed per *column* with one vectorized hash per
     bound axis, replication along unbound axes is expanded by
     broadcasting the subcube's linear-offset vector, and rows are
-    grouped by destination server with one ``argsort``.  Row batches
+    grouped by destination server with one stable sort
+    (:func:`repro.data.arrays.group_order`).  Row batches
     preserve the (deterministic) input row order within each server.
     """
     axis_of = {v: i for i, v in enumerate(dimension_variables)}
@@ -154,13 +155,14 @@ def route_relation_arrays(
             offsets = (offsets[:, None] + axis_offsets[None, :]).reshape(-1)
 
     servers = (base[:, None] + offsets[None, :]).reshape(-1)
-    row_ids = np.repeat(np.arange(len(rows)), len(offsets))
-    order = np.argsort(servers, kind="stable")
-    servers = servers[order]
-    row_ids = row_ids[order]
-    boundaries = np.flatnonzero(np.diff(servers)) + 1
-    for group in np.split(np.arange(len(servers)), boundaries):
-        yield int(servers[group[0]]), rows[row_ids[group]]
+    # Entry i of ``servers`` is copy ``i % len(offsets)`` of row
+    # ``i // len(offsets)``; the order is stable, so every server's
+    # batch keeps the input row order.
+    order, starts = group_order(servers)
+    row_ids = order // len(offsets)
+    bounds = [*starts.tolist(), len(order)]
+    for start, end in zip(bounds, bounds[1:]):
+        yield int(servers[order[start]]), rows[row_ids[start:end]]
 
 
 def run_hypercube(

@@ -3,17 +3,20 @@
 The columnar execution backend's local computation phase: evaluate a
 full conjunctive query over ``(n, arity)`` integer arrays keyed by
 relation name, entirely with NumPy primitives.  The plan is a greedy
-left-deep sequence of binary hash joins -- each step joins the running
+left-deep sequence of binary joins -- each step joins the running
 intermediate (an array plus its variable schema) with the next atom
 sharing a variable, falling back to a cross product only when the
 residual query is disconnected from the atoms joined so far.
 
-Equality joins use dictionary encoding: the composite join keys of both
-sides are encoded into one id space with :func:`numpy.unique`, matching
-rows are enumerated with ``bincount``/``cumsum`` offset arithmetic, and
-set semantics are restored with a final row-wise ``unique``.  This is
-the standard sort-based vectorization of a hash join (O(n log n), no
-Python-level per-tuple work).
+Equality joins are sort-merge joins on packed keys: the composite join
+keys of both sides are packed into one int64 id space
+(:func:`repro.data.arrays.row_keys`), both sides are sorted by key, one
+sorted ``searchsorted`` finds each left row's group of matching right
+rows, and the pairs are enumerated with ``cumsum`` offset arithmetic.
+An atom that binds no new variable (the triangle's closing atom) only
+*filters* the running intermediate -- a semijoin, no pairs enumerated.
+Set semantics are restored with a final row-wise ``unique``.
+O(n log n), no Python-level per-tuple work.
 
 Queries the vectorized planner cannot handle raise
 :class:`UnsupportedVectorizedQuery`; callers (the HyperCube columnar
@@ -28,7 +31,13 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.query import Atom, ConjunctiveQuery
-from repro.data.arrays import encode_rows, repeated_binding_filter, unique_rows
+from repro.data.arrays import (
+    group_order,
+    repeated_binding_filter,
+    row_keys,
+    stable_order,
+    unique_rows,
+)
 
 
 class UnsupportedVectorizedQuery(Exception):
@@ -58,15 +67,6 @@ def atom_projection(atom: Atom, rows: np.ndarray) -> tuple[np.ndarray, tuple[str
         # joins assume duplicate-free inputs (natural join of sets).
         projected = unique_rows(projected)
     return np.ascontiguousarray(projected.astype(np.int64, copy=False)), schema
-
-
-def _encode_keys(
-    left_keys: np.ndarray, right_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dictionary-encode both sides' composite keys into one id space."""
-    stacked = np.concatenate([left_keys, right_keys], axis=0)
-    ids, num_keys = encode_rows(stacked)
-    return ids[: len(left_keys)], ids[len(left_keys):], num_keys
 
 
 def join_arrays(
@@ -99,27 +99,35 @@ def join_arrays(
         )
         return rows, out_schema
 
-    left_ids, right_ids, num_keys = _encode_keys(
+    left_keys, right_keys = row_keys(
         left[:, [left_schema.index(v) for v in shared]],
         right[:, [right_schema.index(v) for v in shared]],
     )
-    # Group the right side by key id, then enumerate every (left row,
-    # matching right row) pair with pure offset arithmetic.
-    right_order = np.argsort(right_ids, kind="stable")
-    group_sizes = np.bincount(right_ids, minlength=num_keys)
-    group_starts = np.concatenate([[0], np.cumsum(group_sizes)[:-1]])
+    # Sort both sides by key, then merge: one sorted search finds each
+    # left row's group of matching right rows.
+    right_order, group_starts = group_order(right_keys)
+    group_keys = right_keys[right_order[group_starts]]
+    left_order = stable_order(left_keys)
+    left_keys = left_keys[left_order]
+    group = np.minimum(np.searchsorted(group_keys, left_keys), len(group_keys) - 1)
+    matched = group_keys[group] == left_keys
+    left_order, group = left_order[matched], group[matched]
+    if not right_new:
+        # The right atom binds no new variable (e.g. the triangle's
+        # closing atom): it filters the left rows, no pairs to enumerate.
+        return left[left_order], out_schema
 
-    matches_per_left = group_sizes[left_ids]
+    # Enumerate every (left row, matching right row) pair with pure
+    # offset arithmetic.
+    group_sizes = np.diff(group_starts, append=len(right))
+    matches_per_left = group_sizes[group]
     total = int(matches_per_left.sum())
-    if total == 0:
-        return np.empty((0, width), dtype=np.int64), out_schema
-    left_rows = np.repeat(np.arange(len(left)), matches_per_left)
-    pair_starts = np.concatenate([[0], np.cumsum(matches_per_left)[:-1]])
-    within = np.arange(total) - np.repeat(pair_starts, matches_per_left)
-    right_rows = right_order[
-        np.repeat(group_starts[left_ids], matches_per_left) + within
-    ]
-    rows = np.hstack([left[left_rows], right[right_rows][:, right_new]])
+    pair_ends = np.cumsum(matches_per_left)
+    within = np.arange(total) - np.repeat(pair_ends - matches_per_left, matches_per_left)
+    right_rows = right_order[np.repeat(group_starts[group], matches_per_left) + within]
+    rows = np.hstack(
+        [left[np.repeat(left_order, matches_per_left)], right[right_rows][:, right_new]]
+    )
     return rows, out_schema
 
 

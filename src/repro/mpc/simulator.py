@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Literal
 
 import numpy as np
 
-from repro.data.arrays import unique_rows
+from repro.data.arrays import merge_batches, unique_rows
 from repro.metrics.registry import active_metrics
 from repro.mpc.report import LoadReport, RoundLoad
 from repro.trace.recorder import active_recorder
@@ -140,11 +140,7 @@ class ServerState:
         batches = self.array_fragments.get(tag)
         if not batches:
             return None
-        if len(batches) == 1:
-            merged = batches[0]
-        else:
-            merged = np.concatenate(batches, axis=0)
-        merged = unique_rows(merged)
+        merged = merge_batches(batches)
         self.array_fragments[tag] = [merged]
         return merged
 
@@ -573,7 +569,7 @@ class MPCSimulation:
             )
         if not batches:
             return np.empty((0, width), dtype=np.int64)
-        return unique_rows(np.concatenate(batches, axis=0))
+        return merge_batches(batches)
 
     def output_rows_total(self) -> int:
         """Rows recorded across all servers, duplicates included.

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from repro.data.arrays import unique_rows
+from repro.data.arrays import merge_batches
 from repro.data.relation import Relation
 from repro.hashing.family import GridPartitioner, HashFamily
 from repro.metrics.registry import active_metrics
@@ -213,9 +213,9 @@ class JoinTask:
 
     ``fragments`` maps each tag to the source batches **in storage
     order**; the worker merges them exactly like
-    :meth:`ServerState.array_fragment` (concatenate, then row-wise
-    dedup) before joining, so the local answers match the serial
-    computation phase bit for bit.
+    :meth:`ServerState.array_fragment` (both call
+    :func:`repro.data.arrays.merge_batches`) before joining, so the
+    local answers match the serial computation phase bit for bit.
     """
 
     server: int
@@ -241,11 +241,7 @@ def join_task(task: JoinTask) -> tuple[int, np.ndarray | None, float]:
         batches = [np.asarray(s.load()) for s in sources]
         if not batches:
             continue
-        stacked = (
-            batches[0] if len(batches) == 1
-            else np.concatenate(batches, axis=0)
-        )
-        deduped = unique_rows(stacked)
+        deduped = merge_batches(batches)
         if len(deduped):
             merged[tag] = deduped
     if not merged:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.query import ConjunctiveQuery
-from repro.data.arrays import column_counts
+from repro.data.arrays import column_counts, unique_rows
 from repro.data.database import Database
 from repro.data.relation import Relation
 
@@ -86,8 +86,7 @@ def variable_frequencies(
     values = np.concatenate([keys[:, 0] for keys, _ in scans])
     counts = np.concatenate([scan_counts for _, scan_counts in scans])
     # Sort by (value, count): the last row of each value run holds its max.
-    order = np.lexsort((counts, values))
-    values, counts = values[order], counts[order]
+    values, counts = unique_rows(np.column_stack([values, counts])).T
     last = np.ones(len(values), dtype=bool)
     last[:-1] = values[1:] != values[:-1]
     return dict(zip(values[last].tolist(), counts[last].tolist()))

@@ -85,6 +85,19 @@ def test_backend_branch_outside_kernel_detected():
     assert found == [("settings-resolution", 5)]
 
 
+def test_private_row_orders_detected():
+    found = findings_for("row_order.py")
+    # lexsort, unique(axis=0), np.argsort(kind="stable"), .argsort(kind="stable");
+    # through_the_kernel() is clean.
+    assert found == [("row-order", line) for line in (8, 9, 10, 11)]
+
+
+def test_row_order_kernel_module_is_exempt():
+    # The fixture sits at a repro/data/arrays.py path: the kernel keeps
+    # lexsort / stable argsort as its fallbacks.
+    assert findings_for("repro/data/arrays.py") == []
+
+
 def test_file_and_path_anchoring():
     result = check_paths([FIXTURES / "parent_accounting.py"])
     (finding,) = result.findings
@@ -100,7 +113,7 @@ def test_file_and_path_anchoring():
 
 @pytest.mark.parametrize("rule", [
     "unseeded-random", "wall-clock", "sorted-iteration", "pool-task",
-    "parent-accounting", "hook-guard", "settings-resolution",
+    "parent-accounting", "hook-guard", "settings-resolution", "row-order",
 ])
 def test_every_shipped_rule_is_registered(rule):
     assert rule in rule_ids()
