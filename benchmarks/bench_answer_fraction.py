@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
 from repro.bounds.one_round import answer_fraction_bound, lower_bound
+from repro.config import ExecutionSettings
 from repro.core.families import triangle_query
 from repro.data.generators import uniform_database
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
+from repro.run import dispatch_run
 
 
 def test_recall_vs_load_cap(report_table):
@@ -37,9 +39,9 @@ def test_recall_vs_load_cap(report_table):
     recalls = []
     for factor in (4.0, 2.0, 1.0, 0.5, 0.25):
         cap = factor * base
-        result = run_hypercube(
-            query, db, p, seed=17, capacity_bits=cap, on_overflow="drop"
-        )
+        result = Session(
+            p=p, seed=17, capacity_bits=cap, on_overflow="drop"
+        ).run(query, db, "hypercube")
         recall = len(result.answers & truth) / len(truth)
         recalls.append(recall)
         bound = answer_fraction_bound(query, stats, p, cap, strengthened=True)
@@ -63,9 +65,9 @@ def test_space_exponent_decay_with_p(report_table):
         stats = db.statistics(query)
         truth = evaluate(query, db)
         cap = 3 * stats.bits("S1") / p**0.75
-        result = run_hypercube(
-            query, db, p, seed=19, capacity_bits=cap, on_overflow="drop"
-        )
+        result = Session(
+            p=p, seed=19, capacity_bits=cap, on_overflow="drop"
+        ).run(query, db, "hypercube")
         recall = len(result.answers & truth) / len(truth)
         bound = answer_fraction_bound(query, stats, p, cap, strengthened=True)
         recalls.append(recall)
@@ -81,11 +83,12 @@ def test_benchmark_capped_run(benchmark):
     query = triangle_query()
     db = uniform_database(query, m=800, n=100, seed=23)
     stats = db.statistics(query)
-    cap = lower_bound(query, stats, 27)
+    settings = ExecutionSettings(capacity_bits=lower_bound(query, stats, 27),
+                                 on_overflow="drop")
 
     def run():
-        return run_hypercube(
-            query, db, 27, seed=23, capacity_bits=cap, on_overflow="drop"
+        return dispatch_run(
+            "hypercube", query, db, 27, seed=23, settings=settings
         )
 
     benchmark(run)

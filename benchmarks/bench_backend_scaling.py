@@ -22,10 +22,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.config import ExecutionSettings
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.hypercube.algorithm import run_hypercube
+from repro.run import dispatch_run
 
 P = 64
 SEED = 42
@@ -54,7 +55,10 @@ def skewed_join_database(n: int, seed: int = SEED) -> Database:
 def run_backend(query, db, backend: str) -> tuple[float, int, float]:
     """One timed run: (seconds, answer count, total bits communicated)."""
     start = time.perf_counter()
-    result = run_hypercube(query, db, P, seed=SEED, backend=backend)
+    result = dispatch_run(
+        "hypercube", query, db, P, seed=SEED,
+        settings=ExecutionSettings(backend=backend),
+    )
     if backend == "numpy":
         count = len(result.answers_array())
     else:

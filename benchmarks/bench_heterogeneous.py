@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro import MachineSpec
+from repro import MachineSpec, Session
+from repro.config import ExecutionSettings
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import matching_database
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
 from repro.planner.cost import hypercube_cost, star_cost
 from repro.planner.statistics import DataStatistics
-from repro.skew.star import run_star_skew
+from repro.run import dispatch_run
 
 MACHINES = MachineSpec.parse("4x1,4x4")
 P = 8
@@ -40,8 +40,10 @@ def test_star_weighted_vs_uniform_makespan(report_table):
     dstats = DataStatistics.from_database(query, db, P)
     truth = evaluate(query, db)
 
-    uniform = run_star_skew(query, db, P, seed=7)
-    weighted = run_star_skew(query, db, P, seed=7, machines=MACHINES)
+    uniform = Session(p=P, seed=7).run(query, db, "skew-star")
+    weighted = Session(p=P, seed=7, machines=MACHINES).run(
+        query, db, "skew-star"
+    )
     assert uniform.answers == truth and weighted.answers == truth
 
     # Uniform hashing spreads bits evenly, so the slow (1x) servers set
@@ -85,9 +87,13 @@ def test_heterogeneous_star_latency(benchmark):
     db = matching_database(query, m=4_000, n=16_000, seed=7)
     dstats = DataStatistics.from_database(query, db, P)
 
-    uniform = run_star_skew(query, db, P, seed=7)
+    uniform = Session(p=P, seed=7).run(query, db, "skew-star")
+    # The timed leg is the engine alone, without the session's planning.
+    settings = ExecutionSettings(machines=MACHINES)
     weighted = benchmark(
-        lambda: run_star_skew(query, db, P, seed=7, machines=MACHINES)
+        lambda: dispatch_run(
+            "skew-star", query, db, P, seed=7, settings=settings
+        )
     )
     measured_uniform = measured_makespan(uniform, MACHINES)
     measured_weighted = measured_makespan(weighted, MACHINES)
@@ -113,8 +119,10 @@ def test_triangle_hypercube_weighted_vs_uniform_makespan(report_table):
     dstats = DataStatistics.from_database(query, db, P)
     truth = evaluate(query, db)
 
-    uniform = run_hypercube(query, db, P, seed=11)
-    weighted = run_hypercube(query, db, P, seed=11, machines=MACHINES)
+    uniform = Session(p=P, seed=11).run(query, db, "hypercube")
+    weighted = Session(p=P, seed=11, machines=MACHINES).run(
+        query, db, "hypercube"
+    )
     assert uniform.answers == truth and weighted.answers == truth
 
     predicted_uniform = hypercube_cost(query, dstats, P).load_bits

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
 from repro.bounds.one_round import lower_bound
+from repro.config import ExecutionSettings
 from repro.core.families import chain_query, cycle_query, star_query, triangle_query
 from repro.data.generators import matching_database
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
+from repro.run import dispatch_run
 
 
 CASES = [
@@ -38,7 +40,7 @@ def test_load_tracks_power_law(query, ps, exponent, report_table):
     ]
     measured = []
     for p in ps:
-        result = run_hypercube(query, db, p, seed=13)
+        result = Session(p=p, seed=13).run(query, db, "hypercube")
         assert result.answers == truth
         bound = lower_bound(query, stats, p)
         ratio = result.max_load_bits / bound
@@ -66,7 +68,9 @@ def test_benchmark_hypercube_triangle(benchmark):
     db = matching_database(query, m=600, n=2**14, seed=1)
 
     def run():
-        return run_hypercube(query, db, 27, seed=1)
+        return dispatch_run(
+            "hypercube", query, db, 27, seed=1, settings=ExecutionSettings()
+        )
 
     result = benchmark(run)
     assert result.max_load_bits > 0

@@ -10,12 +10,17 @@
 from __future__ import annotations
 
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import spk_query
 from repro.data.generators import matching_database
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import chain_plan, cycle_plan, spk_plan
+from repro.run import dispatch_run
+
+#: L16 runs its plan core directly: ranking every strategy for it would
+#: first enumerate the whole 16-atom packing polytope.
+ENGINE = ExecutionSettings()
 
 
 def test_example_5_2_rounds_vs_load(report_table):
@@ -28,7 +33,10 @@ def test_example_5_2_rounds_vs_load(report_table):
         plan = chain_plan(16, eps)
         db = matching_database(plan.query, m=m, n=m, seed=61)
         stats = db.statistics(plan.query)
-        result = run_plan(plan, db, p, seed=61)
+        result = dispatch_run(
+            "multiround", plan.query, db, p, seed=61, settings=ENGINE,
+            plan=plan,
+        )
         truth = evaluate(plan.query, db)
         assert result.answers == truth and len(truth) == m
         loads[eps] = result.max_load_bits
@@ -49,10 +57,11 @@ def test_example_5_3_spk(report_table):
     stats = db.statistics(query)
     truth = evaluate(query, db)
 
-    one_round = run_hypercube(query, db, p, seed=67)
+    session = Session(p=p, seed=67)
+    one_round = session.run(query, db, "hypercube")
     assert one_round.answers == truth
     plan = spk_plan(k)
-    two_round = run_plan(plan, db, p, seed=67)
+    two_round = session.run(query, db, "multiround", plan=plan)
     assert two_round.answers == truth
 
     # One round pays ~ M/p^{1/k}; two rounds get ~ M/p per relation.
@@ -71,7 +80,9 @@ def test_example_5_3_spk(report_table):
 def test_cycle_plan_c6(report_table):
     plan = cycle_plan(6, 0.0)
     db = matching_database(plan.query, m=200, n=200, seed=71)
-    result = run_plan(plan, db, 16, seed=71)
+    result = Session(p=16, seed=71).run(
+        plan.query, db, "multiround", plan=plan
+    )
     truth = evaluate(plan.query, db)
     assert result.answers == truth
     assert result.rounds == 3  # Lemma 5.4 / Example 5.19: tight
@@ -88,4 +99,7 @@ def test_cycle_plan_c6(report_table):
 def test_benchmark_l16_two_round_plan(benchmark):
     plan = chain_plan(16, 0.5)
     db = matching_database(plan.query, m=128, n=128, seed=1)
-    benchmark(run_plan, plan, db, 16, 1)
+    benchmark(
+        dispatch_run, "multiround", plan.query, db, 16, seed=1,
+        settings=ENGINE, plan=plan,
+    )

@@ -23,9 +23,10 @@ import time
 
 import pytest
 
+from repro.config import ExecutionSettings
 from repro.data.generators import matching_database
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import chain_plan
+from repro.run import dispatch_run
 
 P = 16
 SEED = 42
@@ -36,10 +37,18 @@ def permutation_database(n: int):
     return matching_database(PLAN.query, m=n, n=n, seed=SEED, backend="numpy")
 
 
+def run_plan_core(db, backend: str):
+    """The plan core alone (no planning), as every timing here wants."""
+    return dispatch_run(
+        "multiround", PLAN.query, db, P, seed=SEED,
+        settings=ExecutionSettings(backend=backend), plan=PLAN,
+    )
+
+
 def run_backend(db, backend: str) -> tuple[float, int, float]:
     """One timed run: (seconds, answer count, total bits communicated)."""
     start = time.perf_counter()
-    result = run_plan(PLAN, db, P, seed=SEED, backend=backend)
+    result = run_plan_core(db, backend)
     if backend == "numpy":
         count = len(result.answers_array())
     else:
@@ -86,16 +95,16 @@ def test_multiround_scaling_small(report_table):
 
 
 def test_multiround_numpy_latency(benchmark):
-    """Columnar run_plan wall-clock -- the number to track over PRs."""
+    """Columnar plan-core wall-clock -- the number to track over PRs."""
     db = permutation_database(20_000)
-    result = benchmark(run_plan, PLAN, db, P, SEED, "numpy")
+    result = benchmark(run_plan_core, db, "numpy")
     assert result.rounds == PLAN.depth
 
 
 def test_multiround_tuples_latency(benchmark):
-    """Tuple-reference run_plan wall-clock (smaller n; it is the slow path)."""
+    """Tuple-reference plan-core wall-clock (smaller n; the slow path)."""
     db = permutation_database(2_000)
-    result = benchmark(run_plan, PLAN, db, P, SEED, "tuples")
+    result = benchmark(run_plan_core, db, "tuples")
     assert result.rounds == PLAN.depth
 
 

@@ -27,10 +27,11 @@ import time
 
 import pytest
 
+from repro.config import ExecutionSettings
 from repro.core.families import simple_join_query, triangle_query
 from repro.data.generators import matching_database
-from repro.hypercube.algorithm import run_hypercube
 from repro.planner.engine import IN_MEMORY_FOOTPRINT_FACTOR
+from repro.run import dispatch_run
 from repro.storage import StorageManager
 
 P = 64
@@ -45,6 +46,11 @@ JOIN = simple_join_query()
 
 #: ru_maxrss is KiB on Linux, bytes on macOS.
 _RSS_UNIT = 1 if sys.platform == "darwin" else 1024
+
+#: Every run here is the HyperCube core alone: the timings compare
+#: execution paths, and a session's exact statistics scan would be the
+#: largest resident cost of a budgeted run.
+NUMPY = ExecutionSettings(backend="numpy")
 
 
 def peak_rss_bytes() -> int:
@@ -72,7 +78,10 @@ def run_outofcore(
             query, m=m, n=4 * m, seed=seed, storage=storage
         )
         generated = time.perf_counter()
-        result = run_hypercube(query, db, p=p, seed=seed, storage=storage)
+        result = dispatch_run(
+            "hypercube", query, db, p, seed=seed,
+            settings=ExecutionSettings(), storage=storage,
+        )
         finished = time.perf_counter()
         return {
             "m": m,
@@ -90,12 +99,13 @@ def test_outofcore_matches_inmemory(report_table):
     m, n = 60_000, 240_000
     db = matching_database(QUERY, m=m, n=n, seed=SEED)
     t0 = time.perf_counter()
-    reference = run_hypercube(QUERY, db, p=P, seed=SEED, backend="numpy")
+    reference = dispatch_run("hypercube", QUERY, db, P, seed=SEED, settings=NUMPY)
     in_memory_s = time.perf_counter() - t0
     with StorageManager(chunk_rows=1024) as storage:
         t0 = time.perf_counter()
-        chunked = run_hypercube(
-            QUERY, db, p=P, seed=SEED, backend="numpy", storage=storage
+        chunked = dispatch_run(
+            "hypercube", QUERY, db, P, seed=SEED, settings=NUMPY,
+            storage=storage,
         )
         chunked_s = time.perf_counter() - t0
         assert storage.bytes_spilled > 0, "run never touched disk"
@@ -152,8 +162,9 @@ def test_outofcore_latency(benchmark):
 
     def chunked_run():
         with StorageManager(chunk_rows=4096) as storage:
-            return run_hypercube(
-                QUERY, db, p=P, seed=SEED, backend="numpy", storage=storage
+            return dispatch_run(
+                "hypercube", QUERY, db, P, seed=SEED, settings=NUMPY,
+                storage=storage,
             )
 
     result = benchmark(chunked_run)

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import time
 
+from repro.config import ExecutionSettings
 from repro.core.families import triangle_query
 from repro.data.generators import matching_database
-from repro.hypercube import run_hypercube
+from repro.run import dispatch_run
 
 P = 64
 SEED = 11
@@ -47,9 +48,12 @@ def fingerprint(result):
 def run_once(pool: str, max_workers: int, m: int = M):
     q, db = _database(m)
     start = time.perf_counter()
-    result = run_hypercube(
-        q, db, P, seed=SEED, pool=pool, max_workers=max_workers,
-        chunk_rows=32_768,
+    # The HyperCube core alone: the timing compares pools, not planning.
+    result = dispatch_run(
+        "hypercube", q, db, P, seed=SEED,
+        settings=ExecutionSettings(
+            pool=pool, max_workers=max_workers, chunk_rows=32_768
+        ),
     )
     elapsed = time.perf_counter() - start
     return elapsed, result

@@ -27,7 +27,8 @@ from repro.core.families import (
 from repro.core.stats import Statistics
 from repro.data.generators import matching_database, zipf_database
 from repro.join.multiway import evaluate
-from repro.planner import DataStatistics, execute, plan
+from repro import Session
+from repro.planner import DataStatistics, plan
 
 
 SCENARIOS = {
@@ -62,7 +63,7 @@ def test_planner_pick_quality(report_table):
         db = make_db(query)
         truth = evaluate(query, db)
         explained = plan(query, db, p)
-        picked = execute(query, db, p, seed=0)
+        picked = Session(p=p, seed=0).run(query, db)
         assert picked.answers == truth
 
         # Run every other applicable one-round-cheap candidate to find

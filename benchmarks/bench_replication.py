@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
 from repro.bounds.replication import (
     replication_rate_equal_sizes,
     replication_rate_lower_bound,
 )
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import matching_database
-from repro.hypercube.algorithm import run_hypercube
 
 
 def test_triangle_replication_curve(report_table):
@@ -29,7 +29,7 @@ def test_triangle_replication_curve(report_table):
         f"{'shape sqrt(M/L)':>16} {'Cor 3.19 bound':>15}"
     ]
     for p in (8, 27, 64, 216):
-        result = run_hypercube(query, db, p, seed=29)
+        result = Session(p=p, seed=29).run(query, db, "hypercube")
         r = result.replication_rate(stats)
         load = result.max_load_bits
         # The measured load sums all three relations; the per-relation
@@ -55,7 +55,7 @@ def test_star_needs_no_replication(report_table):
     query = star_query(3)
     db = matching_database(query, m=800, n=2**14, seed=31)
     stats = db.statistics(query)
-    result = run_hypercube(query, db, 16, seed=31)
+    result = Session(p=16, seed=31).run(query, db, "hypercube")
     r = result.replication_rate(stats)
     assert r == pytest.approx(1.0, abs=0.05)
     report_table(

@@ -11,12 +11,13 @@ prediction.
 from __future__ import annotations
 
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import simple_join_query
 from repro.data.generators import planted_heavy_hitter_database
-from repro.hypercube.algorithm import run_hypercube
 from repro.hypercube.analysis import predicted_load_bits_skewed
 from repro.join.multiway import evaluate
-from repro.skew.oblivious import run_skew_oblivious_hypercube
+from repro.run import dispatch_run
 
 
 def test_skew_sweep(report_table):
@@ -32,8 +33,9 @@ def test_skew_sweep(report_table):
             query, m, 2**14, "z", fraction, 7, seed=37
         )
         truth = evaluate(query, db)
-        vanilla = run_hypercube(query, db, p, exponents={"z": 1.0}, seed=37)
-        oblivious = run_skew_oblivious_hypercube(query, db, p, seed=37)
+        session = Session(p=p, seed=37)
+        vanilla = session.run(query, db, "hypercube", exponents={"z": 1.0})
+        oblivious = session.run(query, db, "skew-oblivious")
         assert vanilla.answers == truth
         assert oblivious.answers == truth
         ratio = vanilla.max_load_bits / oblivious.max_load_bits
@@ -59,7 +61,7 @@ def test_corollary_4_3_prediction(report_table):
     m, p = 540, 27
     db = planted_heavy_hitter_database(query, m, 2**14, "z", 1.0, 7, seed=41)
     stats = db.statistics(query)
-    result = run_skew_oblivious_hypercube(query, db, p, seed=41)
+    result = Session(p=p, seed=41).run(query, db, "skew-oblivious")
     predicted = predicted_load_bits_skewed(query, stats, result.details["shares"])
     ratio = result.max_load_bits / predicted
     assert 0.3 <= ratio <= 3.0
@@ -77,4 +79,7 @@ def test_corollary_4_3_prediction(report_table):
 def test_benchmark_oblivious_join(benchmark):
     query = simple_join_query()
     db = planted_heavy_hitter_database(query, 400, 2**13, "z", 1.0, 3, seed=1)
-    benchmark(run_skew_oblivious_hypercube, query, db, 27, 1)
+    benchmark(
+        dispatch_run, "skew-oblivious", query, db, 27, seed=1,
+        settings=ExecutionSettings(),
+    )

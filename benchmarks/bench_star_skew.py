@@ -11,12 +11,13 @@ hashing once a hitter dominates.
 from __future__ import annotations
 
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import star_query
 from repro.data.generators import degree_sequence_database
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
+from repro.run import dispatch_run
 from repro.skew.bounds import star_skew_lower_bound, zipf_frequencies
-from repro.skew.star import run_star_skew
 
 
 def test_star_zipf_sweep(report_table):
@@ -35,8 +36,14 @@ def test_star_zipf_sweep(report_table):
         db = degree_sequence_database(query, "z", freqs, 2**15, seed=43)
         stats = db.statistics(query)
         truth = evaluate(query, db)
-        vanilla = run_hypercube(query, db, p, exponents={"z": 1.0}, seed=43)
-        star = run_star_skew(query, db, p, seed=43)
+        vanilla = Session(p=p, seed=43).run(
+            query, db, "hypercube", exponents={"z": 1.0}
+        )
+        # The core directly: its predicted_bits is Eq. (20) itself, not
+        # the planner's estimate.
+        star = dispatch_run(
+            "skew-star", query, db, p, seed=43, settings=ExecutionSettings()
+        )
         assert vanilla.answers == truth and star.answers == truth
         hitter_stats = {
             rel: {h: c for h, c in f.items() if c >= stats.tuples(rel) / p}
@@ -73,7 +80,7 @@ def test_star_single_mega_hitter(report_table):
     freqs = {"S1": {0: mh}, "S2": {0: mh}}
     db = degree_sequence_database(query, "z", freqs, 2**13, seed=47)
     stats = db.statistics(query)
-    star = run_star_skew(query, db, p, seed=47)
+    star = Session(p=p, seed=47).run(query, db, "skew-star")
     truth = evaluate(query, db)
     assert star.answers == truth
     assert len(truth) == mh * mh
@@ -100,4 +107,7 @@ def test_benchmark_star_skew(benchmark):
         "S2": zipf_frequencies(800, 40, 1.1),
     }
     db = degree_sequence_database(query, "z", freqs, 2**13, seed=1)
-    benchmark(run_star_skew, query, db, 16, 1)
+    benchmark(
+        dispatch_run, "skew-star", query, db, 16, seed=1,
+        settings=ExecutionSettings(),
+    )

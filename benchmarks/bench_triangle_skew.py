@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import triangle_query
 from repro.data.generators import triangle_database_from_edges
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
-from repro.skew.triangle import run_triangle_skew
+from repro.run import dispatch_run
 
 
 def hub_db(hub_degree: int, fan_edges: int):
@@ -33,8 +34,13 @@ def test_hub_degree_sweep(report_table):
         db = hub_db(hub_degree, 100)
         query = triangle_query()
         truth = evaluate(query, db)
-        vanilla = run_hypercube(query, db, p, seed=53)
-        aware = run_triangle_skew(db, p, seed=53)
+        vanilla = Session(p=p, seed=53).run(query, db, "hypercube")
+        # The core directly: its predicted_bits is the Section 4.2.2
+        # bound itself, not the planner's estimate.
+        aware = dispatch_run(
+            "skew-triangle", query, db, p, seed=53,
+            settings=ExecutionSettings(),
+        )
         assert vanilla.answers == truth and aware.answers == truth
         # The Section 4.2.2 statement is O~: a value just below the
         # case-2 threshold m/p^{1/3} is handled by the light part,
@@ -69,8 +75,9 @@ def test_no_skew_degenerates_to_vanilla(report_table):
     query = triangle_query()
     db = matching_database(query, m=900, n=2**14, seed=59)
     p = 27
-    vanilla = run_hypercube(query, db, p, seed=59)
-    aware = run_triangle_skew(db, p, seed=59)
+    with Session(p=p, seed=59) as session:
+        vanilla = session.run(query, db, "hypercube")
+        aware = session.run(query, db, "skew-triangle")
     assert aware.answers == vanilla.answers
     ratio = aware.max_load_bits / vanilla.max_load_bits
     assert ratio == pytest.approx(1.0, rel=0.35)
@@ -85,4 +92,7 @@ def test_no_skew_degenerates_to_vanilla(report_table):
 
 def test_benchmark_triangle_skew(benchmark):
     db = hub_db(300, 60)
-    benchmark(run_triangle_skew, db, 27, 1)
+    benchmark(
+        dispatch_run, "skew-triangle", triangle_query(), db, 27, seed=1,
+        settings=ExecutionSettings(),
+    )

@@ -16,6 +16,7 @@ Run:  python examples/chain_query_multiround.py
 """
 
 from repro import chain_query
+from repro.config import ExecutionSettings
 from repro.data.generators import layered_path_graph, matching_database
 from repro.join import evaluate
 from repro.multiround import (
@@ -23,9 +24,9 @@ from repro.multiround import (
     chain_plan,
     chain_round_lower_bound,
     connected_components_mpc,
-    run_plan,
     validate_plan,
 )
+from repro.planner import MultiRoundPlan
 
 
 def chain_tradeoff() -> None:
@@ -35,10 +36,16 @@ def chain_tradeoff() -> None:
     stats = db.statistics(query)
     truth = evaluate(query, db)
     print(f"=== {query.name}: rounds vs load on p={p}, m=n={m} ===")
+    # Strategy.run executes a pinned plan without ranking every strategy
+    # first (Session.run would, and L16's packing polytope is large).
+    multiround = MultiRoundPlan()
+    tuples = ExecutionSettings(backend="tuples")
     for eps, label in ((0.0, "binary bushy tree"), (0.5, "4-ary bushy tree")):
         plan = chain_plan(k, eps)
-        result = run_plan(plan, db, p, seed=2)  # columnar by default
-        reference = run_plan(plan, db, p, seed=2, backend="tuples")
+        result = multiround.run(query, db, p, seed=2, plan=plan)  # columnar
+        reference = multiround.run(
+            query, db, p, seed=2, settings=tuples, plan=plan
+        )
         assert result.answers == reference.answers == truth
         assert result.report.total_bits == reference.report.total_bits
         print(

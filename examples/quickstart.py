@@ -12,10 +12,9 @@ Walks through the paper's headline result end to end:
 Run:  python examples/quickstart.py
 """
 
-from repro import triangle_query, uniform_database
+from repro import Session, triangle_query, uniform_database
 from repro.bounds import lower_bound, upper_bound
 from repro.core.shares import share_exponents
-from repro.hypercube import run_hypercube
 from repro.join import evaluate
 
 
@@ -37,7 +36,7 @@ def main() -> None:
     print(f"\nLP (10) share exponents: {shares.exponents}")
     print(f"predicted load p^lambda = {shares.load_bits:.0f} bits")
 
-    result = run_hypercube(query, db, p, seed=7)
+    result = Session(p=p, seed=7).run(query, db, "hypercube")
     print(f"\nHyperCube on p={p} servers, shares {result.details['shares']}")
     print(f"  answers found:  {len(result.answers)}")
     print(f"  max load:       {result.max_load_bits:.0f} bits")

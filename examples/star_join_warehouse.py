@@ -17,15 +17,10 @@ customers dominate.  The example:
 Run:  python examples/star_join_warehouse.py
 """
 
-from repro import star_query
+from repro import Session, star_query
 from repro.data.generators import degree_sequence_database
-from repro.hypercube import run_hypercube
 from repro.join import evaluate
-from repro.skew import (
-    run_skew_oblivious_hypercube,
-    run_star_skew,
-    star_skew_lower_bound,
-)
+from repro.skew import star_skew_load_bound, star_skew_lower_bound
 from repro.skew.bounds import zipf_frequencies
 
 
@@ -53,9 +48,10 @@ def main() -> None:
     truth = evaluate(query, db)
     print(f"join answers: {len(truth)}")
 
-    hash_join = run_hypercube(query, db, p, exponents={"z": 1.0}, seed=5)
-    oblivious = run_skew_oblivious_hypercube(query, db, p, seed=5)
-    star = run_star_skew(query, db, p, seed=5)
+    with Session(p=p, seed=5) as session:
+        hash_join = session.run(query, db, "hypercube", exponents={"z": 1.0})
+        oblivious = session.run(query, db, "skew-oblivious")
+        star = session.run(query, db, "skew-star")
     for result, name in (
         (hash_join, "parallel hash join (shares on z)"),
         (oblivious, "skew-oblivious HC (LP 18)"),
@@ -67,7 +63,7 @@ def main() -> None:
     print(f"\nskew-aware star algorithm (Section 4.2.1), "
           f"{star.servers_used} servers:")
     print(f"  max load {star.max_load_bits:.0f} bits")
-    print(f"  Eq. (20) bound: {star.predicted_bits:.0f} bits")
+    print(f"  Eq. (20) bound: {star_skew_load_bound(query, db, p):.0f} bits")
     print(f"  heavy hitters handled: {len(star.details['heavy_hitters'])}")
 
     hitter_stats = {

@@ -14,11 +14,10 @@ algorithm -- and prints the loads next to the paper's formulas.
 Run:  python examples/triangle_counting.py
 """
 
-from repro import triangle_query
+from repro import Session, triangle_query
 from repro.data.generators import random_graph_edges, triangle_database_from_edges
-from repro.hypercube import run_hypercube
 from repro.join import evaluate
-from repro.skew import run_triangle_skew
+from repro.skew import triangle_skew_load_bound
 
 
 def build_celebrity_graph(hub_degree: int, fan_edges: int, noise: int, seed: int):
@@ -54,18 +53,19 @@ def main() -> None:
     print(f"\ndirected triangles (sequential ground truth): {len(truth)}")
     print(f"undirected triangles: {len(truth) // 6}")
 
-    vanilla = run_hypercube(query, db, p, seed=1)
+    session = Session(p=p, seed=1)
+    vanilla = session.run(query, db, "hypercube")
     assert vanilla.answers == truth
     print(f"\nvanilla HyperCube, p={p}, shares {vanilla.details['shares']}:")
     print(f"  max load {vanilla.max_load_bits:.0f} bits")
     print(f"  (skew-free prediction would be ~ M/p^(2/3) = "
           f"{stats.bits('S1') / p ** (2 / 3):.0f} bits)")
 
-    skew_aware = run_triangle_skew(db, p, seed=1)
+    skew_aware = session.run(query, db, "skew-triangle")
     assert skew_aware.answers == truth
     print(f"\nskew-aware algorithm (Section 4.2.2), {skew_aware.servers_used} servers:")
     print(f"  max load {skew_aware.max_load_bits:.0f} bits")
-    print(f"  paper formula bound: {skew_aware.predicted_bits:.0f} bits")
+    print(f"  paper formula bound: {triangle_skew_load_bound(db, p):.0f} bits")
     hitters = {v: len(s) for v, s in skew_aware.details["heavy2"].items()}
     print(f"  heavy hitters per variable (threshold m/p^(1/3)): {hitters}")
 

@@ -46,10 +46,11 @@ Package map (see DESIGN.md for the paper-section correspondence):
 * :mod:`repro.skew` -- heavy hitters, star/triangle algorithms, Thm 4.4
 * :mod:`repro.multiround` -- plans, (eps, r)-plans, connected components
 * :mod:`repro.bounds` -- one-round lower bounds, replication, entropy
-* :mod:`repro.planner` -- cost-based strategy selection (`plan`/`execute`)
+* :mod:`repro.planner` -- cost-based strategy selection (`plan`, the
+  strategy registry)
 * :mod:`repro.storage` -- out-of-core chunked relations + spill files
 * :mod:`repro.run` -- `RunResult` and `dispatch_run`: the one result
-  type and the one run path behind every executor
+  type and the one internal run path behind every strategy
 * :mod:`repro.session` -- `Session`/`ClusterConfig`, the unified front
   door
 * :mod:`repro.trace` -- per-event communication traces (JSONL
@@ -58,11 +59,12 @@ Package map (see DESIGN.md for the paper-section correspondence):
   histograms, prediction-calibration tracking, `python -m repro
   metrics`)
 
-The low-level layer stays available: the free functions
-``run_hypercube`` / ``run_star_skew`` / ``run_triangle_skew`` /
-``run_plan`` and ``planner.execute`` take the same knobs per call and
-are thin wrappers over the same shared run path (bit-identical results
-either way).
+``Session.run`` / ``Session.run_many`` are the only public run verbs.
+Below them, :meth:`Strategy.run <repro.planner.strategies.Strategy.run>`
+executes one strategy without planning, and
+:func:`repro.run.dispatch_run` reaches an executor core by name with
+engine-only knobs (``keep_view_fragments``, ``join_variables``,
+``partition_relation``) -- bit-identical results on every path.
 
 Every executor and generator runs the columnar (``"numpy"``) engine by
 default; the tuple-at-a-time reference path is one switch away::
@@ -78,13 +80,15 @@ streams through disk-backed chunks with bit-identical results::
     from repro.storage import StorageManager
     with StorageManager.from_budget(2 * 1024**3) as storage:
         db = matching_database(q, m=10**8, n=4 * 10**8, storage=storage)
-        result = run_hypercube(q, db, p=64, storage=storage)
+        result = Session(p=64, storage=storage).run(q, db, "hypercube")
+
+(``Session(p=64, memory_budget_bytes=...)`` opens and closes such a
+manager itself whenever a database outgrows the budget.)
 
 To spread the simulated servers' routing and local joins across real
-cores, pick a worker pool -- per run, per session, or system-wide.
-Every pool kind produces bit-identical answers and loads::
+cores, pick a worker pool -- per session or system-wide.  Every pool
+kind produces bit-identical answers and loads::
 
-    result = run_hypercube(q, db, p=64, pool="process")  # one run
     with Session(p=64, pool="process") as session: ...   # one cluster
     repro.set_default_pool("process")                    # system-wide
     # or: REPRO_DEFAULT_POOL=process python -m repro run triangle
@@ -146,7 +150,6 @@ from repro.data import (
     uniform_database,
     zipf_database,
 )
-from repro.hypercube import run_hypercube
 from repro.metrics import (
     CalibrationTracker,
     MetricsRegistry,
@@ -157,7 +160,6 @@ from repro.metrics import (
 from repro.mpc import MPCSimulation
 from repro.bounds import lower_bound, upper_bound
 from repro.planner import DataStatistics, ExplainedPlan
-from repro.planner import execute as execute_query
 from repro.planner import plan as plan_query
 from repro.run import RunResult
 from repro.session import ClusterConfig, Job, RunRecord, Session
@@ -172,7 +174,7 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # ``logging.basicConfig()``.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Atom",
@@ -191,7 +193,6 @@ __all__ = [
     "matching_database",
     "uniform_database",
     "zipf_database",
-    "run_hypercube",
     "ClusterConfig",
     "Job",
     "RunRecord",
@@ -223,7 +224,6 @@ __all__ = [
     "upper_bound",
     "DataStatistics",
     "ExplainedPlan",
-    "execute_query",
     "plan_query",
     "__version__",
 ]

@@ -55,7 +55,6 @@ from repro import (
     triangle_query,
     zipf_database,
 )
-from repro.config import ExecutionSettings
 from repro.bounds import lower_bound, upper_bound
 from repro.core.families import (
     binom_query,
@@ -69,13 +68,11 @@ from repro.core.families import (
 from repro.core.packing import fractional_vertex_cover_number
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import space_exponent_bound
-from repro.hypercube import run_hypercube
 from repro.join import evaluate
 from repro.metrics import render_text, write_snapshot
 from repro.metrics.cli import render_snapshot_path
 from repro.multiround.gamma import chain_rounds_upper_bound
 from repro.multiround.lowerbounds import chain_round_lower_bound
-from repro.planner import execute as planner_execute
 from repro.planner import plan as planner_plan
 from repro.trace import TraceQuery
 from repro.trace.cli import render_path
@@ -160,7 +157,7 @@ def run_tour(trace_dir: str | None = None) -> None:
     _check(abs(lo - hi) <= 1e-6 * max(lo, 1.0),
            "Theorem 3.15 tightness: L_lower == L_upper")
     expected = evaluate(q, db)
-    result = run_hypercube(q, db, p, seed=0)
+    result = Session(p=p, seed=0).run(q, db, "hypercube")
     _check(result.answers == expected,
            "HyperCube answers equal the sequential join")
     print(f"  HyperCube shares {result.details['shares']}: measured "
@@ -176,7 +173,7 @@ def run_tour(trace_dir: str | None = None) -> None:
     print(explained.table())
     _check(len(explained.ranked) >= 5,
            "planner ranks at least 5 strategies for the triangle")
-    planned = planner_execute(q, db, p, seed=0, stats=explained.statistics)
+    planned = Session(p=p, seed=0).run(q, db, stats=explained.statistics)
     ratio = planned.report.prediction_ratio()
     print(f"  executed {planned.strategy}: measured "
           f"L = {planned.max_load_bits:.0f} bits "
@@ -189,7 +186,7 @@ def run_tour(trace_dir: str | None = None) -> None:
 
     zq = star_query(2)
     zdb = zipf_database(zq, m=2000, n=2000, skew=1.0, seed=2)
-    zplanned = planner_execute(zq, zdb, 16, seed=0)
+    zplanned = Session(p=16, seed=0).run(zq, zdb)
     print("\nZipf-skewed star join T2 (m=2000, skew=1.0, p=16): planner "
           f"picks {zplanned.strategy}, measured "
           f"L = {zplanned.max_load_bits:.0f} bits")
@@ -312,44 +309,43 @@ def run_plan_command(args: argparse.Namespace) -> None:
             if args.memory_budget_mb is not None
             else None
         )
-        planned = planner_execute(
-            query, db, args.p, seed=args.seed, stats=explained.statistics,
+        with Session(
+            p=args.p, seed=args.seed, machines=machines,
             memory_budget_bytes=budget_bytes,
-            settings=(
-                ExecutionSettings(machines=machines)
-                if machines is not None
-                else None
-            ),
+        ) as session:
+            planned = session.run(query, db, stats=explained.statistics)
+            ratio = planned.report.prediction_ratio()
+            print(f"\nexecuted {planned.strategy}: measured "
+                  f"L = {planned.max_load_bits:.0f} bits, "
+                  f"{len(planned.answers)} answers"
+                  + (f" (measured/predicted = {ratio:.2f})" if ratio else ""))
+            print(f"{planned.report.percentile_line()}")
+            if budget_bytes is not None:
+                print(_budget_line(planned, session, args.memory_budget_mb))
+            _check(planned.answers == evaluate(query, db),
+                   "planned execution equals the sequential join")
+
+
+def _budget_line(result, session: Session, budget_mb: float) -> str:
+    """What a ``--memory-budget-mb`` run did with its budget.
+
+    The session opens a manager only for an over-budget database, and a
+    run reports spill traffic only when its strategy streamed through it.
+    """
+    spill = result.report.spill_stats
+    if spill is not None:
+        return (
+            f"out-of-core: budget {budget_mb:g} MiB -> chunked execution, "
+            f"spilled {spill['bytes_written'] / 2**20:.1f} MiB in "
+            f"{spill['files_created']} chunks "
+            f"(chunk_rows={session.storage.chunk_rows})"
         )
-        ratio = planned.report.prediction_ratio()
-        print(f"\nexecuted {planned.strategy}: measured "
-              f"L = {planned.max_load_bits:.0f} bits, "
-              f"{len(planned.answers)} answers"
-              + (f" (measured/predicted = {ratio:.2f})" if ratio else ""))
-        print(f"{planned.report.percentile_line()}")
-        if planned.budget_outcome == "chunked":
-            print(
-                f"out-of-core: budget {args.memory_budget_mb:g} MiB -> "
-                "chunked execution, spilled "
-                f"{planned.storage.bytes_spilled / 2**20:.1f} MiB in "
-                f"{planned.storage.chunks_spilled} chunks "
-                f"(chunk_rows={planned.storage.chunk_rows})"
-            )
-        elif planned.budget_outcome == "fits":
-            print(
-                "in-memory: input fits the "
-                f"{args.memory_budget_mb:g} MiB budget"
-            )
-        elif planned.budget_outcome == "not-enforced":
-            print(
-                f"in-memory: {planned.strategy} cannot stream chunks "
-                f"(the {args.memory_budget_mb:g} MiB budget was not "
-                "enforced)"
-            )
-        _check(planned.answers == evaluate(query, db),
-               "planned execution equals the sequential join")
-        if planned.storage is not None:
-            planned.storage.close()
+    if session.storage is None:
+        return f"in-memory: input fits the {budget_mb:g} MiB budget"
+    return (
+        f"in-memory: {result.strategy} cannot stream chunks (the "
+        f"{budget_mb:g} MiB budget was not enforced)"
+    )
 
 
 def _generate_database(args: argparse.Namespace):

@@ -12,6 +12,7 @@ from repro.checks.rules.hooks import HookGuardRule
 from repro.checks.rules.parallel import ParentAccountingRule, PoolTaskRule
 from repro.checks.rules.resolution import SettingsResolutionRule
 from repro.checks.rules.row_order import RowOrderRule
+from repro.checks.rules.run_path import RunPathRule
 
 __all__ = ["all_rules", "rule_ids"]
 
@@ -27,6 +28,7 @@ def all_rules() -> list[Rule]:
         HookGuardRule(),
         SettingsResolutionRule(),
         RowOrderRule(),
+        RunPathRule(),
     ]
 
 

@@ -87,8 +87,8 @@ def use_backend(backend: str) -> Iterator[Backend]:
     program)::
 
         with repro.config.use_backend("tuples"):
-            reference = run_hypercube(q, db, p)   # tuple path
-        fast = run_hypercube(q, db, p)            # back to the default
+            reference = Session(p=p).run(q, db, "hypercube")  # tuples
+        fast = Session(p=p).run(q, db, "hypercube")  # back to the default
 
     Restores the previous default on exit even when the body raises.
     Yields the backend now in force.
@@ -490,9 +490,8 @@ class ExecutionSettings:
         always resolves to the serial pool.  ``machines=None`` resolves
         to the system-wide pattern cycled to ``p``
         (:func:`resolve_machines`); an explicit spec must match ``p``.
-        This is the one shared resolution step behind
-        ``run_hypercube``/``run_star_skew``/``run_triangle_skew``/
-        ``run_plan`` and :meth:`repro.session.Session.run`.
+        This is the one shared resolution step behind every run
+        (:func:`repro.run.dispatch_run`).
         """
         backend = resolve_backend(self.backend)
         if storage is not None and backend != "numpy":

@@ -12,35 +12,23 @@ under adversarial skew (Corollary 4.3).
 
 :mod:`repro.hypercube.baselines` adds the classical comparison points:
 single-server execution, the standard parallel hash join (all shares on
-one variable), and broadcast joins.
+one variable), and broadcast joins.  Every engine runs through
+``Session.run(q, db, "<strategy name>")``.
 """
 
-from repro.hypercube.algorithm import (
-    route_relation,
-    route_relation_arrays,
-    run_hypercube,
-)
+from repro.hypercube.algorithm import route_relation, route_relation_arrays
 from repro.hypercube.analysis import (
     predicted_load_bits,
     predicted_load_bits_skewed,
     predicted_load_bits_with_frequencies,
     predicted_load_tuples,
 )
-from repro.hypercube.baselines import (
-    run_broadcast_join,
-    run_parallel_hash_join,
-    run_single_server,
-)
 
 __all__ = [
     "route_relation",
     "route_relation_arrays",
-    "run_hypercube",
     "predicted_load_bits",
     "predicted_load_bits_skewed",
     "predicted_load_bits_with_frequencies",
     "predicted_load_tuples",
-    "run_broadcast_join",
-    "run_parallel_hash_join",
-    "run_single_server",
 ]

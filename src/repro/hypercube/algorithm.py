@@ -34,26 +34,21 @@ even capacity truncation stay bit-identical
 
 from __future__ import annotations
 
-from typing import Iterator, Literal, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.config import ExecutionSettings, MachineSpec
+from repro.config import ExecutionSettings
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import integerize_shares, share_exponents
 from repro.core.stats import Statistics
 from repro.data.arrays import group_order, repeated_binding_filter
 from repro.data.database import Database
-from repro.hashing.family import (
-    GridPartitioner,
-    HashMethod,
-    grid_dimension_weights,
-)
+from repro.hashing.family import GridPartitioner, grid_dimension_weights
 from repro.join.multiway import evaluate_on_fragments
 from repro.join.vectorized import UnsupportedVectorizedQuery, evaluate_arrays
 from repro.mpc.timing import PhaseTimer
-from repro.parallel.pool import PoolKind
-from repro.run import RunResult, dispatch_run, implements
+from repro.run import RunResult, implements
 from repro.storage.manager import StorageManager
 
 
@@ -165,95 +160,6 @@ def route_relation_arrays(
         yield int(servers[order[start]]), rows[row_ids[start:end]]
 
 
-def run_hypercube(
-    query: ConjunctiveQuery,
-    database: Database,
-    p: int,
-    shares: Mapping[str, int] | None = None,
-    exponents: Mapping[str, float] | None = None,
-    seed: int = 0,
-    capacity_bits: float | None = None,
-    on_overflow: Literal["fail", "drop"] = "fail",
-    skip_local_join: bool = False,
-    backend: Literal["tuples", "numpy"] | None = None,
-    hash_method: HashMethod = "splitmix64",
-    storage: StorageManager | None = None,
-    chunk_rows: int | None = None,
-    pool: PoolKind | None = None,
-    max_workers: int | None = None,
-    machines: "MachineSpec | None" = None,
-) -> RunResult:
-    """Run the one-round HyperCube algorithm on ``p`` servers.
-
-    Parameters mirror the paper's knobs: ``shares``/``exponents``
-    override the LP-optimal share allocation; ``capacity_bits`` imposes
-    the hard load cap ``L`` (with ``on_overflow="drop"`` implementing
-    the load-limited algorithms of the Theorem 3.5 experiments);
-    ``skip_local_join`` skips the computation phase when only the
-    communication loads are of interest.
-
-    ``backend`` selects the execution engine: ``"tuples"`` (the
-    reference tuple-at-a-time path) or ``"numpy"`` (columnar, ~10-100x
-    faster on large inputs, identical answers and loads); ``None``
-    follows the system-wide default
-    (:func:`repro.config.set_default_backend`).  ``hash_method``
-    selects the routing PRF for either backend.
-
-    ``storage`` switches the columnar backend to out-of-core mode:
-    relations stream through the router chunk-by-chunk, received
-    fragments spill to the manager's chunked spools, answers spill to
-    output spools, and each server's fragment is freed right after its
-    local join -- bit-identical results at a resident set bounded by a
-    few chunks plus one server's fragment.  ``chunk_rows`` controls the
-    routing granularity alone (defaults to the manager's; chunked
-    routing without a manager keeps fragments in memory).  Lazy result
-    accessors (``answers``, ``answers_array()``) read the spooled
-    outputs, so materialize them *before* closing the manager.
-
-    ``pool`` fans the columnar routing and per-server joins out over a
-    worker pool (``"serial"``/``"thread"``/``"process"``; ``None``
-    follows :func:`repro.config.default_pool`), with ``max_workers``
-    workers.  Results are merged deterministically, so answers and
-    per-server per-round loads are bit-identical at any pool kind and
-    worker count.
-
-    ``machines`` describes a heterogeneous cluster
-    (:class:`repro.config.MachineSpec`): non-uniform speeds weight the
-    grid's hash ranges so fast servers receive proportionally more
-    tuples, per-machine capacities tighten the cap server-by-server,
-    and the report gains speed-normalized (makespan) metrics.  ``None``
-    follows :func:`repro.config.default_machines` (the homogeneous
-    cluster unless ``REPRO_DEFAULT_MACHINES`` is set).
-
-    This is a thin delegating wrapper: the actual execution flows
-    through the shared run path (:func:`repro.run.dispatch_run`), which
-    resolves the backend/storage/chunk-size interaction once for every
-    executor.  The result's ``details["shares"]`` holds the integer
-    shares used.
-    """
-    return dispatch_run(
-        "hypercube",
-        query,
-        database,
-        p,
-        seed=seed,
-        storage=storage,
-        settings=ExecutionSettings(
-            backend=backend,
-            capacity_bits=capacity_bits,
-            on_overflow=on_overflow,
-            hash_method=hash_method,
-            chunk_rows=chunk_rows,
-            pool=pool,
-            max_workers=max_workers,
-            machines=machines,
-        ),
-        shares=shares,
-        exponents=exponents,
-        skip_local_join=skip_local_join,
-    )
-
-
 @implements("hypercube")
 def _hypercube_impl(
     query: ConjunctiveQuery,
@@ -265,14 +171,15 @@ def _hypercube_impl(
     storage: StorageManager | None,
     shares: Mapping[str, int] | None = None,
     exponents: Mapping[str, float] | None = None,
-    skip_local_join: bool = False,
     strategy: str = "hypercube",
 ) -> RunResult:
     """The HyperCube core: one block on ``[0, p)``.
 
-    ``settings`` arrives already resolved.  ``strategy`` labels the
-    result for the cores that are HyperCube under another share choice
-    (``hash-join``, ``skew-oblivious``).
+    ``shares``/``exponents`` override the LP (10) allocation
+    (:func:`resolve_shares`); ``details["shares"]`` holds the integer
+    shares used.  ``settings`` arrives already resolved.  ``strategy``
+    labels the result for the cores that are HyperCube under another
+    share choice (``hash-join``, ``skew-oblivious``).
     """
     # Imported here: the kernel's tuple reference routes through
     # route_relation above.
@@ -303,8 +210,7 @@ def _hypercube_impl(
 
     kernel = round_kernel(p, stats.value_bits, settings, storage, timer)
     kernel.communicate([block])
-    if not skip_local_join:
-        kernel.compute([block])
+    kernel.compute([block])
     timer.attach(kernel.sim.report)
     return RunResult(
         query, strategy, kernel.sim.report, kernel.sim, p,

@@ -1,20 +1,22 @@
 """Baseline one-round algorithms the paper compares against.
 
-* :func:`run_single_server` -- the degenerate ``L = M`` algorithm
-  (Section 2.1: "if we allowed a load L = M, any problem can be solved
-  trivially in one round").
-* :func:`run_parallel_hash_join` -- the standard parallel hash join of
-  Example 4.1: all ``p`` shares on the join variable(s).  Optimal
-  without skew, load ``Theta(M)`` when a single heavy hitter carries
-  the relation.
-* :func:`run_broadcast_join` -- partition one relation, broadcast the
-  rest; matches the HC optimum when the broadcast relations are small
-  (Lemma 3.18's regime ``M_j < M/p``).
+Each is an executor core behind :func:`repro.run.dispatch_run`; run
+them with ``Session.run(q, db, "<name>")``.
+
+* ``"single-server"`` -- the degenerate ``L = M`` algorithm (Section
+  2.1: "if we allowed a load L = M, any problem can be solved trivially
+  in one round"): ship the entire input to server 0 and join there.
+* ``"hash-join"`` -- the standard parallel hash join of Example 4.1:
+  all ``p`` shares on the join variable(s).  Optimal without skew, load
+  ``Theta(M)`` when a single heavy hitter carries the relation.
+* ``"broadcast"`` -- partition one relation, broadcast the rest;
+  matches the HC optimum when the broadcast relations are small (Lemma
+  3.18's regime ``M_j < M/p``).
 """
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Sequence
 
 from repro.config import ExecutionSettings
 from repro.core.query import ConjunctiveQuery
@@ -22,24 +24,8 @@ from repro.data.database import Database
 from repro.hypercube.algorithm import _hypercube_impl
 from repro.join.multiway import evaluate_on_fragments
 from repro.mpc.simulator import MPCSimulation
-from repro.run import RunResult, dispatch_run, implements
+from repro.run import RunResult, implements
 from repro.storage.manager import StorageManager
-
-
-def run_single_server(
-    query: ConjunctiveQuery,
-    database: Database,
-    p: int,
-    capacity_bits: float | None = None,
-    on_overflow: Literal["fail", "drop"] = "fail",
-) -> RunResult:
-    """Ship the entire input to server 0 and join there (load = |I|)."""
-    return dispatch_run(
-        "single-server", query, database, p, seed=0,
-        settings=ExecutionSettings(
-            capacity_bits=capacity_bits, on_overflow=on_overflow
-        ),
-    )
 
 
 @implements("single-server")
@@ -73,34 +59,6 @@ def _single_server_impl(
     )
 
 
-def run_parallel_hash_join(
-    query: ConjunctiveQuery,
-    database: Database,
-    p: int,
-    join_variables: Sequence[str] | None = None,
-    seed: int = 0,
-    capacity_bits: float | None = None,
-    on_overflow: Literal["fail", "drop"] = "fail",
-    backend: Literal["tuples", "numpy"] | None = None,
-    hash_method: str = "splitmix64",
-) -> RunResult:
-    """Hash-partition every relation on shared join variable(s).
-
-    Defaults to the variables occurring in *all* atoms (the natural
-    join key); for the simple join ``S1(x,z), S2(y,z)`` that is ``z``
-    and the algorithm is the textbook parallel hash join with
-    ``p_z = p``.
-    """
-    return dispatch_run(
-        "hash-join", query, database, p, seed=seed,
-        settings=ExecutionSettings(
-            backend=backend, capacity_bits=capacity_bits,
-            on_overflow=on_overflow, hash_method=hash_method,
-        ),
-        join_variables=join_variables,
-    )
-
-
 def common_variables(query: ConjunctiveQuery) -> tuple[str, ...]:
     """The variables occurring in every atom: the natural join key."""
     return tuple(
@@ -121,7 +79,13 @@ def _hash_join_impl(
     storage: StorageManager | None,
     join_variables: Sequence[str] | None = None,
 ) -> RunResult:
-    """HyperCube with all of ``p`` spread over the join variable(s)."""
+    """HyperCube with all of ``p`` spread over the join variable(s).
+
+    ``join_variables`` defaults to the variables occurring in *all*
+    atoms (the natural join key); for the simple join ``S1(x,z),
+    S2(y,z)`` that is ``z`` and the algorithm is the textbook parallel
+    hash join with ``p_z = p``.
+    """
     if join_variables is None:
         join_variables = common_variables(query)
     join_variables = list(join_variables)
@@ -138,30 +102,6 @@ def _hash_join_impl(
     )
 
 
-def run_broadcast_join(
-    query: ConjunctiveQuery,
-    database: Database,
-    p: int,
-    partition_relation: str | None = None,
-    seed: int = 0,
-    capacity_bits: float | None = None,
-    on_overflow: Literal["fail", "drop"] = "fail",
-) -> RunResult:
-    """Partition one relation evenly; broadcast all the others.
-
-    ``partition_relation`` defaults to the largest relation.  Correct
-    for any query because each server sees the full content of every
-    non-partitioned relation.
-    """
-    return dispatch_run(
-        "broadcast", query, database, p, seed=seed,
-        settings=ExecutionSettings(
-            capacity_bits=capacity_bits, on_overflow=on_overflow
-        ),
-        partition_relation=partition_relation,
-    )
-
-
 @implements("broadcast")
 def _broadcast_impl(
     query: ConjunctiveQuery,
@@ -173,6 +113,12 @@ def _broadcast_impl(
     storage: StorageManager | None,
     partition_relation: str | None = None,
 ) -> RunResult:
+    """Partition one relation evenly; broadcast all the others.
+
+    ``partition_relation`` defaults to the largest relation.  Correct
+    for any query because each server sees the full content of every
+    non-partitioned relation.
+    """
     database.validate_for(query)
     stats = database.statistics(query)
     if partition_relation is None:

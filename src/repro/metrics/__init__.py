@@ -14,7 +14,7 @@ directly::
     from repro.metrics import collecting
 
     with collecting() as reg:
-        result = run_hypercube(q, db, p=64)
+        result = Session(p=64).run(q, db, "hypercube")
     assert reg.value("repro_sim_bits_total") == \\
         result.load_report.total_bits      # exact, float ==
 

@@ -336,7 +336,7 @@ def collecting(
         from repro.metrics import collecting
 
         with collecting() as reg:
-            result = run_hypercube(q, db, p=64)
+            result = Session(p=64).run(q, db, "hypercube")
         assert reg.value("repro_sim_bits_total") == \\
             result.load_report.total_bits
 

@@ -6,7 +6,7 @@ computable at load ``O(M/p^{1-eps})``; :mod:`repro.multiround.plans`
 builds the paper's plans (bushy ``k_eps``-ary trees for chains, the
 two-round ``SP_k`` plan, radius-based plans for cycles) and
 :mod:`repro.multiround.executor` runs them round by round on the MPC
-simulator.
+simulator (``Session.run(q, db, "multiround", plan=...)``).
 
 The lower-bound side (Section 5.2): ``(eps, r)``-plans built from
 *eps-good* atom sets certify that ``r + 1`` rounds are not enough
@@ -34,7 +34,6 @@ from repro.multiround.plans import (
     spk_plan,
     star_plan,
 )
-from repro.multiround.executor import run_plan
 from repro.multiround.good_sets import (
     EpsilonRPlan,
     chain_epsilon_r_plan,
@@ -72,7 +71,6 @@ __all__ = [
     "generic_plan",
     "spk_plan",
     "star_plan",
-    "run_plan",
     "EpsilonRPlan",
     "chain_epsilon_r_plan",
     "contract_to_survivors",

@@ -37,8 +37,8 @@ runs either backend (``backend=None`` follows
   enforces it.
 
 ``capacity_bits`` imposes the same hard per-server per-round cap ``L``
-that :func:`~repro.hypercube.algorithm.run_hypercube` supports: every
-round of the plan enforces it, and because both backends (and the
+that a one-round HyperCube run honours: every round of the plan
+enforces it, and because both backends (and the
 chunked path) route each relation and view in canonical row order, a
 binding cap with ``on_overflow="drop"`` truncates the identical
 per-server prefix everywhere -- dropped tuples then propagate
@@ -56,9 +56,7 @@ past their last consumer delete their spill files eagerly.
 from __future__ import annotations
 
 import hashlib
-from typing import Literal
-
-from repro.config import ExecutionSettings, MachineSpec
+from repro.config import ExecutionSettings
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.core.shares import integerize_shares, share_exponents
 from repro.core.stats import Statistics
@@ -67,89 +65,9 @@ from repro.hashing.family import derive_seed, grid_dimension_weights
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
 from repro.mpc.timing import PhaseTimer
 from repro.multiround.plans import Plan
-from repro.parallel.pool import PoolKind
-from repro.run import RunResult, dispatch_run, implements
+from repro.run import RunResult, implements
 from repro.storage.chunked import ChunkedRelation
 from repro.storage.manager import StorageManager
-
-
-def run_plan(
-    plan: Plan,
-    database: Database,
-    p: int,
-    seed: int = 0,
-    backend: Literal["tuples", "numpy"] | None = None,
-    keep_view_fragments: bool = False,
-    capacity_bits: float | None = None,
-    on_overflow: Literal["fail", "drop"] = "fail",
-    *,
-    hash_method: str = "splitmix64",
-    storage: StorageManager | None = None,
-    chunk_rows: int | None = None,
-    pool: PoolKind | None = None,
-    max_workers: int | None = None,
-    machines: MachineSpec | None = None,
-) -> RunResult:
-    """Execute ``plan`` in ``plan.depth`` rounds on ``p`` servers.
-
-    The final answers are reordered to the plan query's head order, so
-    results compare directly against the sequential evaluator.
-    ``backend`` selects the execution engine (``None``: the system
-    default, see :func:`repro.config.set_default_backend`); both
-    backends produce bit-identical answers and loads.
-    ``details["view_fragments"]`` maps plan-node names to their
-    per-server result fragments in node-schema order (tuple sets on the
-    tuple backend, ``(n, arity)`` arrays on the columnar one).  By
-    default only the root's are retained -- holding every intermediate
-    view of a large columnar run alive would pin all of its memory to
-    the result; ``keep_view_fragments`` keeps them all (tests use this
-    to pin down per-operator routing).  ``details["plan"]`` is the plan.
-
-    ``capacity_bits`` applies :class:`MPCSimulation`'s per-server
-    per-round cap ``L`` to every round of the plan --
-    ``on_overflow="fail"`` raises
-    :class:`~repro.mpc.simulator.LoadExceededError`, ``"drop"``
-    truncates the same canonical per-server prefix under every backend.
-    ``storage`` (numpy backend only) spools delivered fragments and
-    inter-round views to disk-backed chunks; ``chunk_rows`` sets the
-    routing granularity (defaults to the manager's).  Lazy result
-    accessors (``answers``, ``answers_array()``) read the spooled
-    outputs, so materialize them *before* closing the manager.
-
-    ``pool``/``max_workers`` fan each round's columnar routing and
-    per-server operator joins out over a worker pool; results merge
-    deterministically, so answers and per-round loads are bit-identical
-    at any worker count.
-
-    ``machines`` (a heterogeneous :class:`~repro.config.MachineSpec`)
-    weights every round's per-operator grids speed-proportionally
-    (marginals over each operator's share cube) and applies per-server
-    capacities to every round's cap enforcement.  A uniform spec is
-    bit-identical to ``machines=None``.
-
-    A thin delegating wrapper over the shared run path
-    (:func:`repro.run.dispatch_run`).
-    """
-    return dispatch_run(
-        "multiround",
-        plan.query,
-        database,
-        p,
-        seed=seed,
-        storage=storage,
-        settings=ExecutionSettings(
-            backend=backend,
-            capacity_bits=capacity_bits,
-            on_overflow=on_overflow,
-            hash_method=hash_method,
-            chunk_rows=chunk_rows,
-            pool=pool,
-            max_workers=max_workers,
-            machines=machines,
-        ),
-        plan=plan,
-        keep_view_fragments=keep_view_fragments,
-    )
 
 
 @implements("multiround")
@@ -166,7 +84,16 @@ def _multiround_impl(
 ) -> RunResult:
     """The plan core: per round, one block per plan node on ``[0, p)``.
 
-    ``settings`` arrives already resolved.
+    The final answers are reordered to the plan query's head order, so
+    results compare directly against the sequential evaluator.
+    ``details["plan"]`` is the plan; ``details["view_fragments"]`` maps
+    plan-node names to their per-server result fragments in
+    node-schema order (tuple sets on the tuple backend, ``(n, arity)``
+    arrays on the columnar one).  Only the root's are retained --
+    holding every intermediate view of a large columnar run alive would
+    pin all of its memory to the result -- unless
+    ``keep_view_fragments`` keeps them all (tests use this to pin down
+    per-operator routing).  ``settings`` arrives already resolved.
     """
     timer = PhaseTimer()
     if p < 2:

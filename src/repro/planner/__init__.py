@@ -12,30 +12,30 @@ optimizer:
 * :mod:`repro.planner.cost` -- per-strategy closed-form cost
   estimates (:class:`CostEstimate`), no execution involved;
 * :mod:`repro.planner.strategies` -- the :class:`Strategy` registry
-  wrapping every executor (HyperCube tuple/columnar, skew-oblivious,
-  skew-aware star/triangle, enumerated multi-round plans, baselines);
+  wrapping every executor (HyperCube, skew-oblivious, skew-aware
+  star/triangle, enumerated multi-round plans, baselines);
 * :mod:`repro.planner.optimizer` -- :func:`plan`, which prunes
   inapplicable strategies, ranks the rest and returns an
-  :class:`ExplainedPlan` with the EXPLAIN cost table;
-* :mod:`repro.planner.engine` -- :func:`execute`, which runs the
-  winner and returns its :class:`~repro.run.RunResult` with the EXPLAIN
-  ranking and the estimate attached (predicted-vs-measured load also
-  lands on the :class:`~repro.mpc.report.LoadReport`).
+  :class:`ExplainedPlan` with the EXPLAIN cost table.
+
+:meth:`repro.session.Session.run` runs the winner (or a pinned
+strategy) and returns its :class:`~repro.run.RunResult` with the
+EXPLAIN ranking and the estimate attached (predicted-vs-measured load
+also lands on the :class:`~repro.mpc.report.LoadReport`).
 
 Quickstart::
 
-    from repro import triangle_query, zipf_database
-    from repro.planner import execute, plan
+    from repro import Session, triangle_query, zipf_database
+    from repro.planner import plan
 
     q = triangle_query()
     db = zipf_database(q, m=2000, n=2000, skew=1.0, seed=0)
     print(plan(q, db, p=64).table())     # the EXPLAIN cost table
-    result = execute(q, db, p=64)        # runs the predicted winner
+    result = Session(p=64).run(q, db)    # runs the predicted winner
     print(result.summary())              # table + measured/predicted
 """
 
 from repro.planner.cost import CostEstimate
-from repro.planner.engine import execute
 from repro.planner.optimizer import Candidate, ExplainedPlan, plan
 from repro.planner.statistics import DataStatistics
 from repro.planner.strategies import (
@@ -67,7 +67,6 @@ __all__ = [
     "SkewAwareTriangle",
     "SkewObliviousHyperCube",
     "default_strategies",
-    "execute",
     "plan",
     "register",
 ]

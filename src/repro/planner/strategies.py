@@ -9,6 +9,10 @@ A :class:`Strategy` knows three things about one algorithm family:
 * how to *run* it on a concrete database, through the shared run path
   (:func:`repro.run.dispatch_run`) under its registered name.
 
+This module is the only caller of :func:`~repro.run.dispatch_run` in
+the package (the ``run-path`` check enforces it), and it imports every
+module that registers an executor core, so each name resolves.
+
 :func:`default_strategies` lists the built-in registry in priority
 order (ties in predicted cost resolve to the earlier entry);
 :func:`register` appends project-specific strategies.
@@ -25,6 +29,8 @@ from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
 from repro.hypercube.baselines import common_variables
 from repro.hypercube.blocks import streams as kernel_streams
+# Imported for its @implements("multiround") registration.
+from repro.multiround import executor as _multiround_core  # noqa: F401
 from repro.multiround.plans import Plan, candidate_plans
 from repro.planner.cost import (
     CostEstimate,
@@ -38,6 +44,8 @@ from repro.planner.cost import (
 )
 from repro.planner.statistics import DataStatistics
 from repro.run import RunResult, dispatch_run
+# Imported for its @implements("skew-oblivious") registration.
+from repro.skew import oblivious as _oblivious_core  # noqa: F401
 from repro.skew.star import star_center
 from repro.skew.triangle import is_triangle_query
 
@@ -119,7 +127,7 @@ class Strategy:
         """Execute on ``database``.
 
         ``dstats`` lets a caller that has already collected
-        :class:`DataStatistics` (the engine plans before it runs) pass
+        :class:`DataStatistics` (a session plans before it runs) pass
         them in, so strategies that can reuse them (multiround plan
         choice, star/triangle hitter statistics) skip a second scan.
         ``storage`` requests out-of-core execution; strategies whose
@@ -197,10 +205,9 @@ class Strategy:
         False for the in-memory baselines; the block-list engines
         (:class:`_KernelStrategy`) stream whenever the round kernel
         that ``settings.backend`` (else the system-wide default)
-        selects does -- the tuple reference cannot spool chunks.  The
-        planner engine consults this to avoid opening a spill directory
-        no one will use -- and to report honestly that a memory budget
-        could not be enforced."""
+        selects does -- the tuple reference cannot spool chunks.
+        :meth:`_run` consults this and drops a manager the run would
+        not honor, so such a run reports no spill traffic."""
         return False
 
     def __repr__(self) -> str:

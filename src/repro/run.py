@@ -6,13 +6,12 @@ returns the same value: a :class:`RunResult`.  What differs between
 engines (the shares HyperCube chose, the heavy hitters the skew
 algorithms split on, the plan a multi-round run followed) sits in
 :attr:`RunResult.details`; what the planner adds when it picked the
-strategy (the EXPLAIN table, the estimate, an engine-owned spill
-directory) sits in the optional context fields.
+strategy (the EXPLAIN table and the estimate) sits in the optional
+context fields.
 
-:func:`dispatch_run` is the run path behind every entry point --
-:meth:`repro.session.Session.run`, :func:`repro.planner.execute`, every
-registered :class:`~repro.planner.strategies.Strategy` and the free
-functions (``run_hypercube``, ``run_star_skew``, ...).  The engines
+:func:`dispatch_run` is the one internal run path:
+:meth:`repro.session.Session.run` plans, then reaches it through the
+chosen :class:`~repro.planner.strategies.Strategy`.  The engines
 register their executor cores with :func:`implements`; the settings are
 resolved, the spill traffic attributed and the per-run metrics observed
 here, once, for all of them.
@@ -75,15 +74,6 @@ class RunResult:
     #: ranking and the winning estimate.
     explained: ExplainedPlan | None = None
     estimate: CostEstimate | None = None
-    #: The manager :func:`repro.planner.execute` opened for an
-    #: over-budget run and this result therefore owns: spill files live
-    #: until it is closed or garbage-collected, so lazily materialized
-    #: answers stay readable.
-    storage: StorageManager | None = None
-    #: Why a memory budget was or was not enforced -- ``None`` (no
-    #: budget), ``"chunked"``, ``"fits"`` or ``"not-enforced"`` (over
-    #: budget but the strategy cannot stream).
-    budget_outcome: str | None = None
     _answers: set[tuple[int, ...]] | None = None
 
     @property
@@ -144,22 +134,22 @@ class RunResult:
             + (f" (measured/predicted = {ratio:.2f})" if ratio else ""),
             f"  {self.report.percentile_line()}",
         ]
-        if self.storage is not None:
+        spill = self.report.spill_stats
+        if spill is not None:
             lines.append(
                 "  out-of-core: spilled "
-                f"{self.storage.bytes_spilled / 2**20:.1f} MiB in "
-                f"{self.storage.chunks_spilled} chunks "
-                f"(chunk_rows={self.storage.chunk_rows})"
+                f"{spill['bytes_written'] / 2**20:.1f} MiB in "
+                f"{spill['files_created']} chunks"
             )
         return "\n".join(lines)
 
     def detached(self) -> RunResult:
         """A copy that needs nothing the run left behind.
 
-        Holds the materialized answer array instead of the simulation,
-        no storage manager and no per-server ``view_fragments`` (which
-        may be spools in a spill directory).  Take it *before* the
-        session or manager that ran the query closes.
+        Holds the materialized answer array instead of the simulation
+        and no per-server ``view_fragments`` (which may be spools in a
+        spill directory).  Take it *before* the session or manager that
+        ran the query closes.
         """
         if isinstance(self.source, np.ndarray):
             return self
@@ -169,8 +159,7 @@ class RunResult:
             if key != "view_fragments"
         }
         return replace(
-            self, source=self.answers_array(), storage=None, details=details,
-            _answers=None,
+            self, source=self.answers_array(), details=details, _answers=None,
         )
 
     def __getstate__(self) -> dict[str, Any]:
@@ -213,7 +202,7 @@ def dispatch_run(
     storage: StorageManager | None = None,
     **overrides: object,
 ) -> RunResult:
-    """The shared run path behind every executor entry point.
+    """The one internal run path, reached through ``Strategy.run``.
 
     Resolves ``settings`` against ``storage`` and ``p`` exactly once
     (:meth:`ExecutionSettings.resolve` -- the backend default, the

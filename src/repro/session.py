@@ -14,11 +14,15 @@ module gives the Python API the same shape:
   storage) and :attr:`Session.history` (per-run load records for
   workload-level reporting);
 * :class:`~repro.run.RunResult` (re-exported here) is what every run
-  returns, whichever engine produced it and whichever pool carried it;
-  :func:`repro.run.dispatch_run` is the run path every strategy and
-  free function shares, so *every* execution in the system funnels
-  through one resolution of the backend/storage/capacity knobs
-  (:meth:`repro.config.ExecutionSettings.resolve`).
+  returns, whichever engine produced it and whichever pool carried it.
+
+:meth:`Session.run` and :meth:`Session.run_many` are the only public
+run verbs.  Each run collects statistics, ranks the strategies, and
+reaches the chosen one's executor core through
+:meth:`~repro.planner.strategies.Strategy.run` and
+:func:`repro.run.dispatch_run`, so *every* execution funnels through
+one resolution of the backend/storage/capacity knobs
+(:meth:`repro.config.ExecutionSettings.resolve`).
 
 Quickstart::
 
@@ -78,10 +82,7 @@ from repro.mpc.timing import format_phases
 from repro.parallel.pool import get_pool
 from repro.parallel.tasks import RunJobTask, run_job_task
 from repro.multiround.plans import Plan
-from repro.planner.engine import (
-    IN_MEMORY_FOOTPRINT_FACTOR,
-    execute as _planner_execute,
-)
+from repro.planner.engine import IN_MEMORY_FOOTPRINT_FACTOR
 from repro.planner.optimizer import ExplainedPlan, plan as _planner_plan
 from repro.planner.statistics import DataStatistics
 from repro.run import RunResult
@@ -298,10 +299,10 @@ class Session:
 
     :meth:`run` routes through the cost-based planner by default and
     pins any registered strategy by name; either way the execution
-    flows through the same shared run path as the legacy free
-    functions, so a pinned ``session.run(q, db, "skew-star")`` is
-    bit-identical (answers, per-server loads, capacity truncation) to
-    ``run_star_skew(q, db, p, ...)`` with the same knobs.
+    flows through :func:`repro.run.dispatch_run`, so a pinned
+    ``session.run(q, db, "skew-star")`` is bit-identical (answers,
+    per-server loads, capacity truncation) to
+    ``dispatch_run("skew-star", q, db, p, ...)`` with the same knobs.
 
     Every finished run appends a :class:`RunRecord` to
     :attr:`history`; :meth:`workload_summary` renders the accumulated
@@ -369,10 +370,13 @@ class Session:
     def _storage_for(self, database: Database) -> StorageManager | None:
         """The manager one run over ``database`` should use.
 
-        Mirrors the planner engine's budget rule: an explicit manager
-        always applies; a configured budget applies only when the
-        database's assumed in-memory footprint exceeds it (opening the
-        shared session manager on first use).
+        The one budget rule: an explicit manager always applies; a
+        configured budget applies only when the database's assumed
+        in-memory footprint (:data:`IN_MEMORY_FOOTPRINT_FACTOR` times
+        its bytes) exceeds it, opening the shared session manager on
+        first use.  A strategy that cannot stream runs in memory anyway
+        (:meth:`~repro.planner.strategies.Strategy.run` drops the
+        manager), and its report then carries no ``spill_stats``.
         """
         if self._external_storage is not None:
             return self._external_storage
@@ -414,11 +418,15 @@ class Session:
         an override reject it.
 
         ``stats`` forwards pre-collected :class:`DataStatistics`.
-        When the session's memory budget engages storage and no stats
-        are given, exact statistics are still collected -- identical
-        decisions at any scale; pass
+        Without them the run collects exact statistics -- identical
+        decisions at any scale, with or without a memory budget; pass
         ``stats=DataStatistics.from_sample(...)`` to trade exactness
         for scan cost on genuinely out-of-core inputs.
+
+        The result carries the planner's context: ``explained`` (the
+        EXPLAIN ranking), ``estimate`` (the chosen candidate's) and
+        ``predicted_bits`` (its load); an inapplicable pinned strategy
+        raises ``ValueError`` before anything runs.
 
         ``seed`` overrides the session seed for this run only.  The
         run is recorded in :attr:`history` (as ``label``, default
@@ -686,14 +694,9 @@ class Session:
         if self._closed:
             raise RuntimeError("session is closed")
         settings = self.config.settings()
+        p = self.config.p
+        cluster = resolve_machines(settings.machines, p)
         storage = self._storage_for(database)
-        if stats is None and storage is not None:
-            # The engine defaults to *sampled* statistics under a
-            # manager; a session promises decisions identical to the
-            # in-memory path, so collect exact ones unless told not to.
-            stats = DataStatistics.from_database(
-                query, database, self.config.p
-            )
         run_seed = self.config.seed if seed is None else seed
         recorder = (
             TraceRecorder() if self.config.trace is not None else None
@@ -712,10 +715,33 @@ class Session:
                 scope.enter_context(tracing(recorder))
             if run_metrics is not None:
                 scope.enter_context(collecting(run_metrics))
-            result = self._planner_run(
-                query, database, strategy, run_seed, stats, storage,
-                settings, shares, exponents, hitters, plan,
+            if stats is None:
+                stats = DataStatistics.from_database(query, database, p)
+            # Rank under the cluster's machine spec, so a heterogeneous
+            # session's winner minimizes predicted makespan.
+            explained = _planner_plan(query, stats, p, machines=cluster)
+            if strategy is None:
+                candidate = explained.winner
+            else:
+                candidate = explained.candidate(strategy)
+                if not candidate.applicable:
+                    raise ValueError(
+                        f"strategy {strategy!r} is not applicable here: "
+                        f"{candidate.reason}"
+                    )
+            result = candidate.strategy.run(
+                query, database, p, seed=run_seed, dstats=stats,
+                storage=storage, settings=settings, shares=shares,
+                exponents=exponents, hitters=hitters, plan=plan,
             )
+        estimate = candidate.estimate
+        result.report.attach_prediction(
+            candidate.name, estimate.load_bits, estimate.rounds
+        )
+        result = replace(
+            result, predicted_bits=estimate.load_bits, explained=explained,
+            estimate=estimate,
+        )
         wall = time.perf_counter() - started  # repro: allow(wall-clock) -- RunRecord.wall_seconds telemetry
         report = result.load_report
         if run_metrics is not None:
@@ -730,7 +756,7 @@ class Session:
         # is the fallback for executors that bypass a simulator).
         machines = report.machines
         if machines is None:
-            machines = resolve_machines(settings.machines, self.config.p)
+            machines = cluster
         heterogeneous = machines is not None and not machines.is_uniform
         trace_path: str | None = None
         if recorder is not None:
@@ -756,7 +782,7 @@ class Session:
             label=label,
             query=query.name or "q",
             strategy=result.strategy,
-            p=self.config.p,
+            p=p,
             seed=run_seed,
             rounds=report.num_rounds,
             max_load_bits=report.max_load_bits,
@@ -776,36 +802,6 @@ class Session:
             ),
         )
         return result, record
-
-    def _planner_run(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        strategy: str | None,
-        run_seed: int,
-        stats: DataStatistics | None,
-        storage: StorageManager | None,
-        settings: ExecutionSettings,
-        shares: Mapping[str, int] | None,
-        exponents: Mapping[str, float] | None,
-        hitters: object | None,
-        plan: Plan | None,
-    ) -> RunResult:
-        return _planner_execute(
-            query,
-            database,
-            self.config.p,
-            seed=run_seed,
-            strategy=strategy,
-            stats=stats,
-            storage=storage,
-            settings=settings,
-            shares=shares,
-            exponents=exponents,
-            hitters=hitters,
-            plan=plan,
-            storage_optional=True,
-        )
 
     def _trace_file(self, stem: str) -> pathlib.Path:
         """A fresh artifact path under the configured trace directory.

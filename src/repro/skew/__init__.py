@@ -22,12 +22,8 @@ from repro.skew.heavy_hitters import (
     sample_heavy_hitters,
     variable_frequencies,
 )
-from repro.skew.oblivious import run_skew_oblivious_hypercube
-from repro.skew.star import run_star_skew, star_skew_load_bound
-from repro.skew.triangle import (
-    run_triangle_skew,
-    triangle_skew_load_bound,
-)
+from repro.skew.star import star_skew_load_bound
+from repro.skew.triangle import triangle_skew_load_bound
 from repro.skew.bounds import (
     skewed_lower_bound,
     star_skew_lower_bound,
@@ -38,10 +34,7 @@ __all__ = [
     "detect_heavy_hitters",
     "sample_heavy_hitters",
     "variable_frequencies",
-    "run_skew_oblivious_hypercube",
-    "run_star_skew",
     "star_skew_load_bound",
-    "run_triangle_skew",
     "triangle_skew_load_bound",
     "skewed_lower_bound",
     "star_skew_lower_bound",

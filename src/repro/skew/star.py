@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Literal
-
 import numpy as np
 
-from repro.config import ExecutionSettings, MachineSpec
+from repro.config import ExecutionSettings
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.core.shares import integerize_shares, share_exponents
 from repro.core.stats import Statistics
@@ -36,8 +34,7 @@ from repro.data.database import Database
 from repro.hashing.family import grid_dimension_weights
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
 from repro.mpc.timing import PhaseTimer
-from repro.parallel.pool import PoolKind
-from repro.run import RunResult, dispatch_run, implements
+from repro.run import RunResult, implements
 from repro.skew.heavy_hitters import HitterStatistics
 from repro.storage.manager import StorageManager
 
@@ -102,93 +99,6 @@ def _heavy_allocation(
     return allocation
 
 
-def run_star_skew(
-    query: ConjunctiveQuery,
-    database: Database,
-    p: int,
-    seed: int = 0,
-    backend: Literal["tuples", "numpy"] | None = None,
-    hitters: HitterStatistics | None = None,
-    *,
-    capacity_bits: float | None = None,
-    on_overflow: Literal["fail", "drop"] = "fail",
-    hash_method: str = "splitmix64",
-    storage: StorageManager | None = None,
-    chunk_rows: int | None = None,
-    pool: PoolKind | None = None,
-    max_workers: int | None = None,
-    machines: MachineSpec | None = None,
-) -> RunResult:
-    """Run the Section 4.2.1 algorithm in one MPC round.
-
-    Heavy hitters are detected exactly with the per-relation threshold
-    ``m_j / p`` (the model assumes this information is available to
-    every server).  Correctness is unconditional; the load bound is
-    Eq. (20) plus the light-part ``O(max_j M_j / p)``.
-
-    ``hitters`` accepts center-variable statistics a caller has already
-    collected with the same ``m_j / p`` threshold (the planner's engine
-    does), skipping the detection scan here; the result is identical to
-    detecting in-place.
-
-    The run is a block list for the round kernel of
-    :mod:`repro.hypercube.blocks`: the light block (the whole query on
-    ``[0, p)``, heavy ``z`` values excluded) plus one residual-query
-    block per hitter on its own ``p_h`` servers.  ``backend`` picks the
-    kernel for *every* block -- ``"numpy"`` routes arrays and joins
-    vectorized, ``"tuples"`` is the tuple-at-a-time reference -- with
-    bit-identical loads and answers; ``None`` follows the system-wide
-    default (:func:`repro.config.set_default_backend`).
-
-    ``capacity_bits`` imposes the same hard per-server per-round cap
-    ``L`` that :func:`~repro.hypercube.algorithm.run_hypercube`
-    supports, across the light grid *and* every per-hitter block.
-    Because both backends route every block in canonical (sorted)
-    order, a binding cap with ``on_overflow="drop"`` truncates the
-    identical per-server prefix on either engine.
-
-    ``storage`` (numpy backend only) streams the light block
-    chunk-by-chunk and spills every block's fragments and outputs to
-    the manager's chunked spools -- bit-identical loads and answers.
-    ``chunk_rows`` sets the routing granularity alone.
-
-    ``pool``/``max_workers`` fan every block's routing and per-server
-    joins out over a worker pool; results merge deterministically, so
-    answers and loads are bit-identical at any worker count.
-
-    ``machines`` (a heterogeneous :class:`~repro.config.MachineSpec`)
-    weights the light grid's center axis speed-proportionally -- the
-    light block is one-dimensional on ``z``, so the weighting is exact
-    -- and applies per-server capacities across light and heavy servers
-    (block servers take the spec's modular extension).  A uniform spec
-    is bit-identical to ``machines=None``.
-
-    A thin delegating wrapper over the shared run path
-    (:func:`repro.run.dispatch_run`).  The result's
-    ``details["heavy_hitters"]`` lists the hitters handled and
-    ``predicted_bits`` is the Eq. (20) bound.
-    """
-    return dispatch_run(
-        "skew-star",
-        query,
-        database,
-        p,
-        seed=seed,
-        storage=storage,
-        settings=ExecutionSettings(
-            backend=backend,
-            capacity_bits=capacity_bits,
-            on_overflow=on_overflow,
-            hash_method=hash_method,
-            chunk_rows=chunk_rows,
-            pool=pool,
-            max_workers=max_workers,
-            machines=machines,
-        ),
-        hitters=hitters,
-    )
-
-
 @implements("skew-star")
 def _star_impl(
     query: ConjunctiveQuery,
@@ -202,7 +112,20 @@ def _star_impl(
 ) -> RunResult:
     """The star core: the light block plus one residual block per hitter.
 
-    ``settings`` arrives already resolved.
+    Heavy hitters are detected exactly with the per-relation threshold
+    ``m_j / p`` (the model assumes this information is available to
+    every server), unless ``hitters`` supplies center-variable
+    statistics collected at that threshold (the planner's are); the
+    result is identical either way.  Correctness is unconditional; the
+    load bound is Eq. (20) plus the light-part ``O(max_j M_j / p)``.
+
+    The light block is the whole query on ``[0, p)`` with heavy ``z``
+    values excluded; each hitter gets a residual-query block on its own
+    ``p_h`` servers.  A heterogeneous ``settings.machines`` weights the
+    light grid's center axis speed-proportionally (exact, since it is
+    one-dimensional).  ``details["heavy_hitters"]`` lists the hitters
+    handled and ``predicted_bits`` is the Eq. (20) bound.  ``settings``
+    arrives already resolved.
     """
     timer = PhaseTimer()
     if p < 2:

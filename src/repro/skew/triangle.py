@@ -28,11 +28,11 @@ The combined load is the paper's
 from __future__ import annotations
 
 import math
-from typing import Literal, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from repro.config import ExecutionSettings, MachineSpec
+from repro.config import ExecutionSettings
 from repro.core.families import triangle_query
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.core.shares import integerize_shares
@@ -41,8 +41,7 @@ from repro.data.database import Database
 from repro.hashing.family import grid_dimension_weights
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
 from repro.mpc.timing import PhaseTimer
-from repro.parallel.pool import PoolKind
-from repro.run import RunResult, dispatch_run, implements
+from repro.run import RunResult, implements
 from repro.skew.heavy_hitters import HitterStatistics, variable_frequencies
 from repro.storage.manager import StorageManager
 
@@ -60,95 +59,6 @@ _PAIRS = (
     ("x2", "x3", "S2", "S3", "S1"),
     ("x3", "x1", "S3", "S1", "S2"),
 )
-
-
-def run_triangle_skew(
-    database: Database,
-    p: int,
-    seed: int = 0,
-    backend: Literal["tuples", "numpy"] | None = None,
-    *,
-    hitters: Mapping[str, HitterStatistics] | None = None,
-    capacity_bits: float | None = None,
-    on_overflow: Literal["fail", "drop"] = "fail",
-    hash_method: str = "splitmix64",
-    storage: StorageManager | None = None,
-    chunk_rows: int | None = None,
-    pool: PoolKind | None = None,
-    max_workers: int | None = None,
-    machines: MachineSpec | None = None,
-) -> RunResult:
-    """Run the Section 4.2.2 algorithm in one MPC round.
-
-    The run is a block list for the round kernel of
-    :mod:`repro.hypercube.blocks`: the light block on ``[0, p)``, three
-    case-1 blocks (the whole triangle hashed on the third variable, so
-    the doubly-heavy tuples of the direct relation are replicated to
-    all ``p`` servers) and one ``R'(y), S(y,z), T'(z)`` block per case-2
-    hitter.  ``backend`` picks the kernel for *every* block --
-    ``"numpy"`` routes arrays and joins vectorized, ``"tuples"`` is the
-    tuple-at-a-time reference -- with bit-identical loads and answers;
-    ``None`` follows the system-wide default
-    (:func:`repro.config.set_default_backend`).
-
-    ``hitters`` accepts per-variable :class:`HitterStatistics` a caller
-    has already collected at the exact ``m_j / p`` threshold (the
-    planner's :class:`~repro.planner.statistics.DataStatistics` holds
-    exactly this map), skipping the three full frequency scans here.
-    With exact statistics the run is identical to scanning in-place:
-    every value the scans would classify heavy sits above some
-    relation's ``m_j / p`` threshold and therefore appears in the
-    statistics with its exact max-frequency, and every absent value is
-    light under every comparison the algorithm makes.
-
-    ``capacity_bits``/``on_overflow`` impose the same hard per-server
-    per-round cap ``L`` that
-    :func:`~repro.hypercube.algorithm.run_hypercube` supports, across
-    the light grid and the case-1/case-2 blocks; every part routes in
-    canonical (sorted) order, so a binding ``"drop"`` cap truncates the
-    identical per-server prefix on both backends.
-
-    ``storage`` (numpy backend only) streams the light block
-    chunk-by-chunk and spills every block's fragments and outputs to
-    the manager's chunked spools.  ``chunk_rows`` sets the routing
-    granularity alone.
-
-    ``pool``/``max_workers`` fan every block's routing and per-server
-    joins out over a worker pool; results merge deterministically, so
-    answers and loads are bit-identical at any worker count.
-
-    ``machines`` (a heterogeneous :class:`~repro.config.MachineSpec`)
-    weights the light grid's axes speed-proportionally (a rank-1
-    marginal approximation over the share cube) and applies per-server
-    capacities across all blocks (case-1/case-2 servers take the spec's
-    modular extension).  A uniform spec is bit-identical to
-    ``machines=None``.
-
-    A thin delegating wrapper over the shared run path
-    (:func:`repro.run.dispatch_run`).  The result's
-    ``details["heavy1"]`` / ``details["heavy2"]`` hold the per-variable
-    hitter sets at the two thresholds and ``predicted_bits`` is the
-    Section 4.2.2 bound.
-    """
-    return dispatch_run(
-        "skew-triangle",
-        triangle_query(),
-        database,
-        p,
-        seed=seed,
-        storage=storage,
-        settings=ExecutionSettings(
-            backend=backend,
-            capacity_bits=capacity_bits,
-            on_overflow=on_overflow,
-            hash_method=hash_method,
-            chunk_rows=chunk_rows,
-            pool=pool,
-            max_workers=max_workers,
-            machines=machines,
-        ),
-        hitters=hitters,
-    )
 
 
 def _frequencies_from_hitters(
@@ -195,7 +105,24 @@ def _triangle_impl(
 ) -> RunResult:
     """The triangle core: light, three case-1 and per-hitter case-2 blocks.
 
-    ``settings`` arrives already resolved.
+    The light block runs on ``[0, p)``; the three case-1 blocks hash the
+    whole triangle on the third variable, so the doubly-heavy tuples of
+    the direct relation are replicated to all ``p`` servers; each
+    case-2 hitter gets one ``R'(y), S(y,z), T'(z)`` block.
+
+    ``hitters`` accepts per-variable :class:`HitterStatistics` collected
+    at the exact ``m_j / p`` threshold (the planner's
+    :class:`~repro.planner.statistics.DataStatistics` holds exactly this
+    map), skipping the three frequency scans here.  With exact
+    statistics the run is identical to scanning in place: every value
+    the scans would classify heavy sits above some relation's
+    ``m_j / p`` threshold and therefore appears in the statistics with
+    its exact max-frequency, and every absent value is light under
+    every comparison the algorithm makes.
+
+    ``details["heavy1"]`` / ``details["heavy2"]`` hold the per-variable
+    hitter sets at the two thresholds and ``predicted_bits`` is the
+    Section 4.2.2 bound.  ``settings`` arrives already resolved.
     """
     timer = PhaseTimer()
     if p < 2:

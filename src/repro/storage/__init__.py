@@ -23,7 +23,7 @@ Typical out-of-core run::
     with StorageManager.from_budget(2 * 1024**3) as storage:
         db = matching_database(q, m=10**8, n=4 * 10**8, seed=0,
                                storage=storage)
-        result = run_hypercube(q, db, p=64, storage=storage)
+        result = Session(p=64, storage=storage).run(q, db, "hypercube")
 """
 
 from repro.storage.chunked import ChunkedRelation, iter_array_chunks

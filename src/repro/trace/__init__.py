@@ -7,7 +7,7 @@ by default** and activated per run, either scoped::
     from repro.trace import tracing
 
     with tracing() as rec:
-        result = run_hypercube(q, db, p=64)
+        result = Session(p=64).run(q, db, "hypercube")
     trace = rec.finish(report=result.load_report)
     trace.write_jsonl("run.jsonl")
 

@@ -59,7 +59,7 @@ def tracing(
         from repro.trace import tracing
 
         with tracing() as rec:
-            result = run_hypercube(q, db, p=64)
+            result = Session(p=64).run(q, db, "hypercube")
         trace = rec.finish(report=result.load_report)
         trace.write_jsonl("run.jsonl")
 

@@ -98,6 +98,17 @@ def test_row_order_kernel_module_is_exempt():
     assert findings_for("repro/data/arrays.py") == []
 
 
+def test_free_run_wrappers_detected():
+    # The fixture sits under a repro/ package path: a wrapper calling
+    # dispatch_run by name or through the module is a second entry point.
+    found = findings_for("repro/hypercube/free_wrapper.py")
+    assert found == [("run-path", 9), ("run-path", 16)]
+
+
+def test_strategy_registry_may_dispatch():
+    assert findings_for("repro/planner/strategies.py") == []
+
+
 def test_file_and_path_anchoring():
     result = check_paths([FIXTURES / "parent_accounting.py"])
     (finding,) = result.findings
@@ -114,6 +125,7 @@ def test_file_and_path_anchoring():
 @pytest.mark.parametrize("rule", [
     "unseeded-random", "wall-clock", "sorted-iteration", "pool-task",
     "parent-accounting", "hook-guard", "settings-resolution", "row-order",
+    "run-path",
 ])
 def test_every_shipped_rule_is_registered(rule):
     assert rule in rule_ids()

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import (
     binom_query,
     chain_query,
@@ -28,7 +30,6 @@ from repro.hypercube.algorithm import (
     resolve_shares,
     route_relation,
     route_relation_arrays,
-    run_hypercube,
 )
 from repro.hypercube.analysis import (
     predicted_load_bits,
@@ -37,6 +38,7 @@ from repro.hypercube.analysis import (
 )
 from repro.join.multiway import evaluate
 from repro.mpc.simulator import LoadExceededError
+from repro.run import dispatch_run
 
 
 class TestCorrectness:
@@ -54,14 +56,14 @@ class TestCorrectness:
     @pytest.mark.parametrize("p", [4, 8, 27])
     def test_matches_sequential_on_matchings(self, query, p):
         db = matching_database(query, m=40, n=200, seed=11)
-        result = run_hypercube(query, db, p, seed=5)
+        result = Session(p=p, seed=5).run(query, db, "hypercube")
         assert result.answers == evaluate(query, db)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_sequential_on_uniform(self, seed):
         q = triangle_query()
         db = uniform_database(q, m=60, n=25, seed=seed)
-        result = run_hypercube(q, db, p=8, seed=seed)
+        result = Session(p=8, seed=seed).run(q, db, "hypercube")
         assert result.answers == evaluate(q, db)
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -69,26 +71,30 @@ class TestCorrectness:
     def test_chain_random_seeds(self, seed):
         q = chain_query(2)
         db = uniform_database(q, m=30, n=12, seed=seed)
-        result = run_hypercube(q, db, p=6, seed=seed)
+        result = dispatch_run(
+            "hypercube", q, db, 6, seed=seed, settings=ExecutionSettings()
+        )
         assert result.answers == evaluate(q, db)
 
     def test_correct_even_with_skew(self):
         # Skew hurts the load, never the correctness.
         q = simple_join_query()
         db = planted_heavy_hitter_database(q, 50, 500, "z", 1.0, 3, seed=7)
-        result = run_hypercube(q, db, p=8, seed=1)
+        result = Session(p=8, seed=1).run(q, db, "hypercube")
         assert result.answers == evaluate(q, db)
 
     def test_custom_shares_still_correct(self):
         q = triangle_query()
         db = matching_database(q, m=30, n=100, seed=3)
-        result = run_hypercube(q, db, p=8, shares={"x1": 8, "x2": 1, "x3": 1})
+        result = Session(p=8).run(
+            q, db, "hypercube", shares={"x1": 8, "x2": 1, "x3": 1}
+        )
         assert result.answers == evaluate(q, db)
 
     def test_non_perfect_power_p(self):
         q = triangle_query()
         db = matching_database(q, m=30, n=100, seed=4)
-        result = run_hypercube(q, db, p=10, seed=2)
+        result = Session(p=10, seed=2).run(q, db, "hypercube")
         assert result.answers == evaluate(q, db)
         assert math.prod(result.details["shares"].values()) <= 10
 
@@ -139,8 +145,8 @@ class TestInconsistentRepeatedVariables:
     @pytest.mark.parametrize("backend", ["tuples", "numpy"])
     def test_inconsistent_tuples_contribute_zero_bits(self, backend):
         query, db = self.query(), self.database()
-        result = run_hypercube(
-            query, db, p=6, shares={"x": 3, "y": 2}, seed=0, backend=backend
+        result = Session(p=6, seed=0, backend=backend).run(
+            query, db, "hypercube", shares={"x": 3, "y": 2}
         )
         assert result.answers == evaluate(query, db) == {(1, 5), (3, 7)}
         # Load accounting matches Eq. 9 over *consistent* tuples only:
@@ -156,13 +162,13 @@ class TestShares:
     def test_lp_shares_for_triangle(self):
         q = triangle_query()
         db = matching_database(q, m=64, n=256, seed=0)
-        result = run_hypercube(q, db, p=64)
+        result = Session(p=64).run(q, db, "hypercube")
         assert result.details["shares"] == {"x1": 4, "x2": 4, "x3": 4}
 
     def test_star_shares_go_to_z(self):
         q = star_query(2)
         db = matching_database(q, m=64, n=256, seed=0)
-        result = run_hypercube(q, db, p=16)
+        result = Session(p=16).run(q, db, "hypercube")
         assert result.details["shares"]["z"] == 16
 
     def test_resolve_shares_validation(self):
@@ -177,7 +183,7 @@ class TestShares:
     def test_explicit_exponents(self):
         q = simple_join_query()
         db = matching_database(q, m=16, n=64, seed=0)
-        result = run_hypercube(q, db, p=16, exponents={"z": 1.0})
+        result = Session(p=16).run(q, db, "hypercube", exponents={"z": 1.0})
         assert result.details["shares"]["z"] == 16
 
 
@@ -188,7 +194,7 @@ class TestLoads:
         m, p = 1500, 64
         db = matching_database(q, m=m, n=2**14, seed=9)
         stats = db.statistics(q)
-        result = run_hypercube(q, db, p, seed=9)
+        result = Session(p=p, seed=9).run(q, db, "hypercube")
         predicted = predicted_load_bits(q, stats, result.details["shares"])
         # Load counts all three relations; allow constant ~ 3x plus
         # hashing fluctuation.
@@ -201,7 +207,9 @@ class TestLoads:
         m, p = 400, 16
         db = planted_heavy_hitter_database(q, m, 4000, "z", 1.0, 5, seed=10)
         stats = db.statistics(q)
-        result = run_hypercube(q, db, p, exponents={"z": 1.0}, seed=3)
+        result = Session(p=p, seed=3).run(
+            q, db, "hypercube", exponents={"z": 1.0}
+        )
         skew_prediction = predicted_load_bits_skewed(q, stats, result.details["shares"])
         # Everything lands on one server: the load reaches Theta(M).
         assert result.max_load_bits >= stats.bits("S1")
@@ -219,28 +227,19 @@ class TestLoads:
         q = simple_join_query()
         db = planted_heavy_hitter_database(q, 200, 2000, "z", 1.0, 5, seed=1)
         with pytest.raises(LoadExceededError):
-            run_hypercube(
-                q, db, p=16, exponents={"z": 1.0},
-                capacity_bits=100.0, on_overflow="fail",
+            Session(p=16, capacity_bits=100.0, on_overflow="fail").run(
+                q, db, "hypercube", exponents={"z": 1.0}
             )
 
     def test_capacity_drop_loses_answers(self):
         q = simple_join_query()
         db = planted_heavy_hitter_database(q, 200, 2000, "z", 1.0, 5, seed=1)
         full = evaluate(q, db)
-        result = run_hypercube(
-            q, db, p=16, exponents={"z": 1.0},
-            capacity_bits=500.0, on_overflow="drop",
+        result = Session(p=16, capacity_bits=500.0, on_overflow="drop").run(
+            q, db, "hypercube", exponents={"z": 1.0}
         )
         assert result.report.dropped_bits > 0
         assert result.answers < full  # strict subset
-
-    def test_skip_local_join(self):
-        q = triangle_query()
-        db = matching_database(q, m=50, n=200, seed=2)
-        result = run_hypercube(q, db, p=8, skip_local_join=True)
-        assert result.answers == set()
-        assert result.max_load_bits > 0
 
 
 class TestReplication:
@@ -250,5 +249,5 @@ class TestReplication:
         q = triangle_query()
         db = matching_database(q, m=200, n=2048, seed=5)
         stats = db.statistics(q)
-        result = run_hypercube(q, db, p=64, seed=5)
+        result = Session(p=64, seed=5).run(q, db, "hypercube")
         assert result.replication_rate(stats) == pytest.approx(4.0, rel=1e-6)

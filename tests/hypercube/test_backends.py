@@ -1,7 +1,7 @@
 """Backend equivalence: the columnar engine must be bit-identical.
 
 The property the acceptance criteria demand: for randomized queries and
-databases under a fixed seed, ``run_hypercube(..., backend="numpy")``
+databases under a fixed seed, the HyperCube core on ``backend="numpy"``
 produces exactly the same answers, the same per-server loads (bits and
 tuples), and the same :class:`LoadReport` bit totals as the reference
 tuple-at-a-time backend.
@@ -14,6 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Session
+
+from repro.config import ExecutionSettings
 from repro.core.families import chain_query, star_query, triangle_query
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.data.database import Database
@@ -24,18 +27,19 @@ from repro.data.generators import (
     zipf_database,
 )
 from repro.data.relation import Relation
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
+from repro.run import dispatch_run
 
 from tests.conftest import random_queries
 
 
 def assert_backends_identical(query, db, p, seed=0, hash_method="splitmix64"):
-    tuples = run_hypercube(
-        query, db, p, seed=seed, backend="tuples", hash_method=hash_method
-    )
-    arrays = run_hypercube(
-        query, db, p, seed=seed, backend="numpy", hash_method=hash_method
+    tuples, arrays = (
+        dispatch_run(
+            "hypercube", query, db, p, seed=seed,
+            settings=ExecutionSettings(backend=backend, hash_method=hash_method),
+        )
+        for backend in ("tuples", "numpy")
     )
     assert arrays.answers == tuples.answers
     assert arrays.details["shares"] == tuples.details["shares"]
@@ -95,10 +99,10 @@ class TestKnownWorkloads:
         )
         db = planted_heavy_hitter_database(query, 200, 2000, "z", 1.0, 5, seed=1)
         results = [
-            run_hypercube(
-                query, db, p=16, exponents={"z": 1.0}, seed=3,
-                capacity_bits=333.3, on_overflow="drop", backend=backend,
-            )
+            Session(
+                p=16, seed=3, capacity_bits=333.3, on_overflow="drop",
+                backend=backend,
+            ).run(query, db, "hypercube", exponents={"z": 1.0})
             for backend in ("tuples", "numpy")
         ]
         assert results[0].report.dropped_bits > 0
@@ -120,8 +124,10 @@ class TestKnownWorkloads:
         # Sanity: the two PRFs are genuinely different functions.
         query = triangle_query()
         db = uniform_database(query, m=60, n=30, seed=2)
-        split = run_hypercube(query, db, p=8, seed=2, hash_method="splitmix64")
-        blake = run_hypercube(query, db, p=8, seed=2, hash_method="blake2b")
+        split, blake = (
+            Session(p=8, seed=2, hash_method=method).run(query, db, "hypercube")
+            for method in ("splitmix64", "blake2b")
+        )
         assert split.answers == blake.answers == evaluate(query, db)
         assert split.report.rounds[0].bits != blake.report.rounds[0].bits
 
@@ -163,10 +169,3 @@ class TestColumnarPlumbing:
         rebuilt = Database.from_arrays(arrays, db.domain_size)
         for name in arrays:
             assert rebuilt[name] == db[name]
-
-    def test_skip_local_join_numpy(self):
-        query = triangle_query()
-        db = matching_database(query, m=50, n=200, seed=2)
-        result = run_hypercube(query, db, p=8, skip_local_join=True, backend="numpy")
-        assert result.answers == set()
-        assert result.max_load_bits > 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import (
     chain_query,
     simple_join_query,
@@ -15,12 +17,8 @@ from repro.data.generators import (
     planted_heavy_hitter_database,
     uniform_database,
 )
-from repro.hypercube.baselines import (
-    run_broadcast_join,
-    run_parallel_hash_join,
-    run_single_server,
-)
 from repro.join.multiway import evaluate
+from repro.run import dispatch_run
 
 
 class TestSingleServer:
@@ -28,7 +26,7 @@ class TestSingleServer:
         q = triangle_query()
         db = matching_database(q, m=40, n=160, seed=1)
         stats = db.statistics(q)
-        result = run_single_server(q, db, p=8)
+        result = Session(p=8).run(q, db, "single-server")
         assert result.answers == evaluate(q, db)
         assert result.max_load_bits == pytest.approx(stats.total_bits)
 
@@ -36,7 +34,7 @@ class TestSingleServer:
         # The paper's point: L = M means no parallelism at all.
         q = simple_join_query()
         db = matching_database(q, m=30, n=120, seed=2)
-        result = run_single_server(q, db, p=64)
+        result = Session(p=64).run(q, db, "single-server")
         assert result.report.server_total_bits(1) == 0.0
 
 
@@ -44,7 +42,7 @@ class TestParallelHashJoin:
     def test_simple_join_correct(self):
         q = simple_join_query()
         db = uniform_database(q, m=50, n=30, seed=3)
-        result = run_parallel_hash_join(q, db, p=8)
+        result = Session(p=8).run(q, db, "hash-join")
         assert result.answers == evaluate(q, db)
         assert result.details["shares"]["z"] == 8
 
@@ -53,7 +51,7 @@ class TestParallelHashJoin:
         m, p = 800, 16
         db = matching_database(q, m=m, n=2**13, seed=4)
         stats = db.statistics(q)
-        result = run_parallel_hash_join(q, db, p=p)
+        result = Session(p=p).run(q, db, "hash-join")
         # Without skew the hash join achieves ~ 2M/p bits per server.
         fair_share = 2 * stats.bits("S1") / p
         assert result.max_load_bits <= 3 * fair_share
@@ -63,22 +61,26 @@ class TestParallelHashJoin:
         q = simple_join_query()
         db = planted_heavy_hitter_database(q, 300, 3000, "z", 1.0, 9, seed=5)
         stats = db.statistics(q)
-        result = run_parallel_hash_join(q, db, p=16)
+        result = Session(p=16).run(q, db, "hash-join")
         assert result.answers == evaluate(q, db)
         assert result.max_load_bits >= stats.bits("S1") + stats.bits("S2")
 
     def test_star_query_join_key(self):
         q = star_query(3)
         db = matching_database(q, m=60, n=240, seed=6)
-        result = run_parallel_hash_join(q, db, p=8)
+        result = Session(p=8).run(q, db, "hash-join")
         assert result.answers == evaluate(q, db)
 
     def test_no_common_variable_needs_explicit_key(self):
         q = chain_query(3)
         db = matching_database(q, m=10, n=40, seed=7)
+        settings = ExecutionSettings()
         with pytest.raises(ValueError, match="common"):
-            run_parallel_hash_join(q, db, p=4)
-        result = run_parallel_hash_join(q, db, p=4, join_variables=["x1"])
+            dispatch_run("hash-join", q, db, 4, seed=0, settings=settings)
+        result = dispatch_run(
+            "hash-join", q, db, 4, seed=0, settings=settings,
+            join_variables=["x1"],
+        )
         assert result.answers == evaluate(q, db)
 
 
@@ -86,14 +88,14 @@ class TestBroadcastJoin:
     def test_correct(self):
         q = triangle_query()
         db = uniform_database(q, m=40, n=25, seed=8)
-        result = run_broadcast_join(q, db, p=6)
+        result = Session(p=6).run(q, db, "broadcast")
         assert result.answers == evaluate(q, db)
 
     def test_partitions_largest_by_default(self):
         q = simple_join_query()
         db = matching_database(q, {"S1": 10, "S2": 500}, n=2000, seed=9)
         stats = db.statistics(q)
-        result = run_broadcast_join(q, db, p=10)
+        result = Session(p=10).run(q, db, "broadcast")
         assert result.answers == evaluate(q, db)
         # Load ~ broadcast small + partitioned slice of large.
         upper = stats.bits("S1") + 3 * stats.bits("S2") / 10
@@ -103,12 +105,18 @@ class TestBroadcastJoin:
         q = simple_join_query()
         db = matching_database(q, m=5, n=20, seed=10)
         with pytest.raises(KeyError):
-            run_broadcast_join(q, db, p=2, partition_relation="zzz")
+            dispatch_run(
+                "broadcast", q, db, 2, seed=0, settings=ExecutionSettings(),
+                partition_relation="zzz",
+            )
 
     def test_matches_hc_regime_for_tiny_relation(self):
         # Lemma 3.18: relations with M_j < M/p are broadcast by the HC
         # optimum; the explicit broadcast join then performs comparably.
         q = simple_join_query()
         db = matching_database(q, {"S1": 4, "S2": 400}, n=1600, seed=11)
-        result = run_broadcast_join(q, db, p=8, partition_relation="S2")
+        result = dispatch_run(
+            "broadcast", q, db, 8, seed=0, settings=ExecutionSettings(),
+            partition_relation="S2",
+        )
         assert result.answers == evaluate(q, db)

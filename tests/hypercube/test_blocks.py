@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Session
 from repro.config import ExecutionSettings, MachineSpec
 from repro.core.families import chain_query, star_query, triangle_query
 from repro.data.arrays import unique_rows
@@ -30,15 +31,11 @@ from repro.data.generators import (
 from repro.data.relation import Relation
 from repro.hashing.family import derive_seed
 from repro.hypercube import algorithm, blocks
-from repro.hypercube.algorithm import run_hypercube
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
 from repro.join.multiway import evaluate
 from repro.mpc.timing import PhaseTimer
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import chain_plan
 from repro.skew.bounds import zipf_frequencies
-from repro.skew.star import run_star_skew
-from repro.skew.triangle import run_triangle_skew
 from repro.storage.manager import StorageManager
 
 from tests.conftest import random_queries
@@ -184,32 +181,33 @@ def skewed_star_db():
     )
 
 
-ENGINE_RUNS = {
-    "hypercube": lambda **k: run_hypercube(
-        star_query(2), skewed_star_db(), 16, seed=3, **k
-    ),
-    "skew-star": lambda **k: run_star_skew(
-        star_query(2), skewed_star_db(), 16, seed=3, **k
-    ),
-    "skew-triangle": lambda **k: run_triangle_skew(
-        hub_graph_db(), 27, seed=3, **k
-    ),
-    "multiround": lambda **k: run_plan(
-        chain_plan(3),
+#: engine -> (query, database, p, per-run overrides)
+ENGINE_CASES = {
+    "hypercube": lambda: (star_query(2), skewed_star_db(), 16, {}),
+    "skew-star": lambda: (star_query(2), skewed_star_db(), 16, {}),
+    "skew-triangle": lambda: (triangle_query(), hub_graph_db(), 27, {}),
+    "multiround": lambda: (
+        chain_query(3),
         zipf_database(chain_query(3), m=400, n=60, skew=1.2, seed=5),
-        8, seed=3, **k
+        8,
+        {"plan": chain_plan(3)},
     ),
 }
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINE_RUNS))
+def run_engine(engine, **knobs):
+    query, db, p, overrides = ENGINE_CASES[engine]()
+    return Session(p=p, seed=3, **knobs).run(query, db, engine, **overrides)
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_CASES))
 def test_numpy_run_never_enters_the_tuple_path(engine, monkeypatch):
     def tuple_join(*args, **kwargs):
         raise AssertionError("evaluate_on_fragments entered in a numpy run")
 
     monkeypatch.setattr(blocks, "evaluate_on_fragments", tuple_join)
     monkeypatch.setattr(algorithm, "evaluate_on_fragments", tuple_join)
-    result = ENGINE_RUNS[engine](backend="numpy", pool="serial")
+    result = run_engine(engine, backend="numpy", pool="serial")
     sim = result.simulation
     # Mirror of tests/test_config.py: no server holds tuple-path state.
     assert all(not sim.server(s).fragments for s in range(sim.p))
@@ -238,7 +236,6 @@ def fingerprint(result):
 def test_heavy_blocks_identical_across_pool_and_storage(
     engine, machines, tmp_path
 ):
-    run = ENGINE_RUNS[engine]
     if engine == "skew-star":
         p, truth = 16, evaluate(star_query(2), skewed_star_db())
     else:
@@ -246,7 +243,7 @@ def test_heavy_blocks_identical_across_pool_and_storage(
     knobs = {}
     if machines is not None:
         knobs["machines"] = MachineSpec.parse(machines).cycle_to(p)
-    serial = run(pool="serial", **knobs)
+    serial = run_engine(engine, pool="serial", **knobs)
     hitters = (
         serial.details["heavy_hitters"] if engine == "skew-star"
         else [h for values in serial.details["heavy2"].values() for h in values]
@@ -254,5 +251,7 @@ def test_heavy_blocks_identical_across_pool_and_storage(
     assert len(hitters) >= 3
     assert serial.answers == truth
     with StorageManager(root=tmp_path / "spill", chunk_rows=32) as storage:
-        fanned = run(pool="process", max_workers=2, storage=storage, **knobs)
+        fanned = run_engine(
+            engine, pool="process", max_workers=2, storage=storage, **knobs
+        )
         assert fingerprint(fanned) == fingerprint(serial)

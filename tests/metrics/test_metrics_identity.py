@@ -9,50 +9,60 @@ with the run's :class:`LoadReport`.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import pytest
 
 from repro import (
+    Session,
     matching_database,
-    run_hypercube,
     star_query,
     triangle_query,
     zipf_database,
 )
+from repro.config import ExecutionSettings
 from repro.metrics import MetricsRegistry, collecting
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import chain_plan
-from repro.skew.star import run_star_skew
-from repro.skew.triangle import run_triangle_skew
+from repro.planner import DataStatistics
+from repro.run import dispatch_run
 from repro.storage.manager import StorageManager
 
 ENGINES = ["hypercube", "skew-star", "skew-triangle", "multiround"]
 
 
-def run_engine(name, pool=None, storage=None, **knobs):
-    """One deterministic run of the named engine; returns its result."""
+@functools.cache
+def engine_case(name):
+    """The fixed (query, database, statistics, seed, overrides) per engine.
+
+    Cached, so every run of one engine plans from one shared
+    ``DataStatistics`` and the planner prices it once.
+    """
+    overrides = {}
     if name == "hypercube":
-        q = triangle_query()
+        q, seed = triangle_query(), 3
         db = matching_database(q, m=120, n=480, seed=7)
-        return run_hypercube(q, db, p=8, seed=3, pool=pool,
-                             storage=storage, **knobs)
-    if name == "skew-star":
-        q = star_query(2)
+    elif name == "skew-star":
+        q, seed = star_query(2), 5
         db = zipf_database(q, m=150, n=60, seed=11, skew=1.0)
-        return run_star_skew(q, db, p=8, seed=5, pool=pool,
-                             storage=storage, **knobs)
-    if name == "skew-triangle":
-        q = triangle_query()
+    elif name == "skew-triangle":
+        q, seed = triangle_query(), 9
         db = zipf_database(q, m=120, n=50, seed=13, skew=1.1)
-        return run_triangle_skew(db, p=8, seed=9, pool=pool,
-                                 storage=storage, **knobs)
-    if name == "multiround":
+    elif name == "multiround":
         plan = chain_plan(4)
-        db = matching_database(plan.query, m=120, n=480, seed=17)
-        return run_plan(plan, db, p=8, seed=21, pool=pool,
-                        storage=storage, **knobs)
-    raise AssertionError(name)
+        q, seed, overrides = plan.query, 21, {"plan": plan}
+        db = matching_database(q, m=120, n=480, seed=17)
+    else:
+        raise AssertionError(name)
+    return q, db, DataStatistics.from_database(q, db, 8), seed, overrides
+
+
+def run_engine(name, **knobs):
+    """One deterministic run of the named engine; returns its result."""
+    query, db, stats, seed, overrides = engine_case(name)
+    return Session(p=8, seed=seed, **knobs).run(
+        query, db, name, stats=stats, **overrides
+    )
 
 
 def result_snapshot(result):
@@ -138,6 +148,7 @@ def test_metrics_overhead_stays_small():
     """
     q = triangle_query()
     db = matching_database(q, m=25_000, n=100_000, seed=0)
+    settings = ExecutionSettings()
 
     def best_of(collected, repeats=3):
         samples = []
@@ -145,9 +156,9 @@ def test_metrics_overhead_stays_small():
             start = time.perf_counter()
             if collected:
                 with collecting():
-                    run_hypercube(q, db, p=8, skip_local_join=True)
+                    dispatch_run("hypercube", q, db, 8, seed=0, settings=settings)
             else:
-                run_hypercube(q, db, p=8, skip_local_join=True)
+                dispatch_run("hypercube", q, db, 8, seed=0, settings=settings)
             samples.append(time.perf_counter() - start)
         return min(samples)
 

@@ -2,7 +2,7 @@
 
 Three properties pinned here:
 
-* **Backend equivalence** -- ``run_plan(..., backend="numpy")`` is
+* **Backend equivalence** -- the plan core on ``backend="numpy"`` is
   bit-identical to the tuple reference path: same answers, same
   per-server loads (bits and tuples) in every round, same
   ``LoadReport`` totals, and the same per-server view fragments after
@@ -25,6 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import triangle_query
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.data.generators import (
@@ -34,7 +36,6 @@ from repro.data.generators import (
 )
 from repro.hashing.family import derive_seed
 from repro.join.multiway import evaluate
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import (
     Plan,
     PlanNode,
@@ -44,6 +45,7 @@ from repro.multiround.plans import (
     spk_plan,
     star_plan,
 )
+from repro.run import dispatch_run
 
 from tests.conftest import random_queries
 
@@ -56,11 +58,13 @@ def as_tuple_set(chunk) -> set[tuple[int, ...]]:
 
 
 def assert_plan_backends_identical(plan, db, p, seed=0):
-    tuples = run_plan(
-        plan, db, p, seed=seed, backend="tuples", keep_view_fragments=True
-    )
-    arrays = run_plan(
-        plan, db, p, seed=seed, backend="numpy", keep_view_fragments=True
+    tuples, arrays = (
+        dispatch_run(
+            "multiround", plan.query, db, p, seed=seed,
+            settings=ExecutionSettings(backend=backend), plan=plan,
+            keep_view_fragments=True,
+        )
+        for backend in ("tuples", "numpy")
     )
     assert arrays.answers == tuples.answers
     assert arrays.rounds == tuples.rounds == plan.depth
@@ -139,7 +143,9 @@ class TestPropertyEquivalence:
     def test_answers_array_matches_answers(self):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=30, n=30, seed=10)
-        result = run_plan(plan, db, p=8, seed=9, backend="numpy")
+        result = Session(p=8, seed=9, backend="numpy").run(
+            plan.query, db, "multiround", plan=plan
+        )
         rows = result.answers_array()
         assert set(map(tuple, rows.tolist())) == result.answers
         assert rows.shape[1] == plan.query.num_variables
@@ -175,16 +181,19 @@ class TestSameRoundFragmentIsolation:
     def test_view_fragments_match_isolated_runs(self, backend):
         plan = shared_relation_plan()
         db = uniform_database(plan.query, m=60, n=12, seed=0)
-        bushy = run_plan(
-            plan, db, p=8, seed=0, backend=backend, keep_view_fragments=True
+        settings = ExecutionSettings(backend=backend)
+        bushy = dispatch_run(
+            "multiround", plan.query, db, 8, seed=0, settings=settings,
+            plan=plan, keep_view_fragments=True,
         )
 
         # The regression oracle: each depth-1 node run as its own
         # single-node plan (same name, sizes, p and seed, hence the
         # same grid) must produce the same per-server fragments.
         for node in plan.root.children:
-            solo = run_plan(
-                Plan(node.operator, node), db, p=8, seed=0, backend=backend
+            solo = dispatch_run(
+                "multiround", node.operator, db, 8, seed=0, settings=settings,
+                plan=Plan(node.operator, node),
             )
             bushy_chunks = bushy.details["view_fragments"][node.name]
             solo_chunks = solo.details["view_fragments"][node.name]
@@ -201,17 +210,25 @@ class TestSameRoundFragmentIsolation:
         r = Atom("R", ("x", "y"))
         query = ConjunctiveQuery((r,), name="guard")
         db = uniform_database(query, m=5, n=10, seed=0)
-        with pytest.raises(ValueError, match="must not contain"):
-            run_plan(Plan(query, PlanNode("A/B", (r,))), db, p=2)
-        duplicated = PlanNode("A", (PlanNode("A", (r,)),))
-        with pytest.raises(ValueError, match="duplicate plan node name"):
-            run_plan(Plan(query, duplicated), db, p=2)
+        with Session(p=2) as session:
+            with pytest.raises(ValueError, match="must not contain"):
+                session.run(
+                    query, db, "multiround",
+                    plan=Plan(query, PlanNode("A/B", (r,))),
+                )
+            duplicated = PlanNode("A", (PlanNode("A", (r,)),))
+            with pytest.raises(ValueError, match="duplicate plan node name"):
+                session.run(
+                    query, db, "multiround", plan=Plan(query, duplicated)
+                )
 
     @pytest.mark.parametrize("backend", ["tuples", "numpy"])
     def test_answers_match_sequential_evaluation(self, backend):
         plan = shared_relation_plan()
         db = uniform_database(plan.query, m=60, n=12, seed=0)
-        result = run_plan(plan, db, p=8, seed=0, backend=backend)
+        result = Session(p=8, seed=0, backend=backend).run(
+            plan.query, db, "multiround", plan=plan
+        )
         assert result.answers == evaluate(plan.query, db)
 
     def test_shared_view_consumers_same_round(self):
@@ -227,11 +244,14 @@ class TestSameRoundFragmentIsolation:
         plan = Plan(query, root)
         db = uniform_database(query, m=50, n=10, seed=3)
         assert_plan_backends_identical(plan, db, p=8, seed=1)
-        result = run_plan(plan, db, p=8, seed=1)
-        assert result.answers == evaluate(query, db)
-        # V1 feeds two parents but executes once: round 1 routes its
-        # inputs exactly as often as when V1 is the whole plan.
-        solo = run_plan(Plan(v1.operator, v1), db, p=8, seed=1)
+        with Session(p=8, seed=1) as session:
+            result = session.run(query, db, "multiround", plan=plan)
+            assert result.answers == evaluate(query, db)
+            # V1 feeds two parents but executes once: round 1 routes its
+            # inputs exactly as often as when V1 is the whole plan.
+            solo = session.run(
+                v1.operator, db, "multiround", plan=Plan(v1.operator, v1)
+            )
         assert result.report.rounds[0].bits == solo.report.rounds[0].bits
 
 
@@ -256,8 +276,9 @@ class TestSeedMixing:
     def test_seed_changes_routing_not_answers(self, backend):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=48, n=48, seed=11)
-        base = run_plan(plan, db, p=8, seed=0, backend=backend)
-        moved = run_plan(plan, db, p=8, seed=1, backend=backend)
+        with Session(p=8, backend=backend) as session:
+            base = session.run(plan.query, db, "multiround", plan=plan, seed=0)
+            moved = session.run(plan.query, db, "multiround", plan=plan, seed=1)
         assert base.answers == moved.answers == evaluate(plan.query, db)
         per_server = [r.bits for r in base.report.rounds]
         per_server_moved = [r.bits for r in moved.report.rounds]
@@ -273,8 +294,9 @@ class TestSeedMixing:
         # collision candidate) routes differently.
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=48, n=48, seed=12)
-        a = run_plan(plan, db, p=8, seed=0)
-        b = run_plan(plan, db, p=8, seed=7919)
+        with Session(p=8) as session:
+            a = session.run(plan.query, db, "multiround", plan=plan, seed=0)
+            b = session.run(plan.query, db, "multiround", plan=plan, seed=7919)
         assert a.answers == b.answers
         assert [r.bits for r in a.report.rounds] != [
             r.bits for r in b.report.rounds
@@ -290,7 +312,9 @@ class TestOutputServerAccounting:
         plan = Plan(query, PlanNode("V1", tuple(query.atoms)))
         db = uniform_database(query, m=60, n=20, seed=4)
         for backend in ("tuples", "numpy"):
-            result = run_plan(plan, db, p=10, seed=0, backend=backend)
+            result = Session(p=10, seed=0, backend=backend).run(
+                query, db, "multiround", plan=plan
+            )
             num_bins = len(
                 [c for c in result.details["view_fragments"]["V1"] if len(c)]
             )
@@ -312,7 +336,9 @@ class TestOutputServerAccounting:
         plan = Plan(query, PlanNode("V1", tuple(query.atoms)))
         db = uniform_database(query, m=40, n=20, seed=5)
         for backend in ("tuples", "numpy"):
-            result = run_plan(plan, db, p=10, seed=0, backend=backend)
+            result = Session(p=10, seed=0, backend=backend).run(
+                query, db, "multiround", plan=plan
+            )
             chunks = result.details["view_fragments"]["V1"]
             assert len(chunks) == 10
             assert all(len(c) == 0 for c in chunks[8:])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import (
     chain_query,
     cycle_query,
@@ -13,7 +15,6 @@ from repro.core.families import (
 )
 from repro.data.generators import matching_database, uniform_database
 from repro.join.multiway import evaluate
-from repro.multiround.executor import run_plan
 from repro.multiround.gamma import (
     chain_rounds_upper_bound,
     in_gamma_1,
@@ -29,6 +30,7 @@ from repro.multiround.plans import (
     spk_plan,
     star_plan,
 )
+from repro.run import dispatch_run
 
 
 class TestGammaClasses:
@@ -152,7 +154,12 @@ class TestExecutor:
         # size n, so correctness is tested on non-trivial data.
         plan = chain_plan(k, eps)
         db = matching_database(plan.query, m=48, n=48, seed=k)
-        result = run_plan(plan, db, p=16, seed=1)
+        # The core directly: ranking every strategy for L16 would
+        # enumerate its whole packing polytope first.
+        result = dispatch_run(
+            "multiround", plan.query, db, 16, seed=1,
+            settings=ExecutionSettings(), plan=plan,
+        )
         truth = evaluate(plan.query, db)
         assert len(truth) == 48
         assert result.answers == truth
@@ -161,25 +168,33 @@ class TestExecutor:
     def test_cycle_plan_correct(self):
         plan = cycle_plan(6, 0.0)
         db = matching_database(plan.query, m=40, n=40, seed=3)
-        result = run_plan(plan, db, p=16, seed=2)
+        result = Session(p=16, seed=2).run(
+            plan.query, db, "multiround", plan=plan
+        )
         assert result.answers == evaluate(plan.query, db)
 
     def test_spk_plan_correct(self):
         plan = spk_plan(3)
         db = matching_database(plan.query, m=40, n=300, seed=4)
-        result = run_plan(plan, db, p=16, seed=3)
+        result = Session(p=16, seed=3).run(
+            plan.query, db, "multiround", plan=plan
+        )
         assert result.answers == evaluate(plan.query, db)
 
     def test_generic_triangle_plan_correct(self):
         plan = generic_plan(triangle_query())
         db = uniform_database(plan.query, m=60, n=30, seed=5)
-        result = run_plan(plan, db, p=8, seed=4)
+        result = Session(p=8, seed=4).run(
+            plan.query, db, "multiround", plan=plan
+        )
         assert result.answers == evaluate(plan.query, db)
 
     def test_star_plan_matches_one_round(self):
         plan = star_plan(3)
         db = matching_database(plan.query, m=40, n=200, seed=6)
-        result = run_plan(plan, db, p=8, seed=5)
+        result = Session(p=8, seed=5).run(
+            plan.query, db, "multiround", plan=plan
+        )
         assert result.answers == evaluate(plan.query, db)
         assert result.rounds == 1
 
@@ -187,7 +202,10 @@ class TestExecutor:
         plan = star_plan(2)
         db = matching_database(plan.query, m=5, n=25, seed=7)
         with pytest.raises(ValueError):
-            run_plan(plan, db, p=1)
+            dispatch_run(
+                "multiround", plan.query, db, 1, seed=0,
+                settings=ExecutionSettings(), plan=plan,
+            )
 
     def test_example_5_2_load_shape(self):
         # L16 via two rounds of 4-way joins at load O(M/p^{1/2}).  The
@@ -199,7 +217,10 @@ class TestExecutor:
         m, p = 256, 16
         db = matching_database(plan.query, m=m, n=m, seed=8)
         stats = db.statistics(plan.query)
-        result = run_plan(plan, db, p=p, seed=6)
+        result = dispatch_run(
+            "multiround", plan.query, db, p, seed=6,
+            settings=ExecutionSettings(), plan=plan,
+        )
         truth = evaluate(plan.query, db)
         assert len(truth) == m
         assert result.answers == truth
@@ -211,8 +232,13 @@ class TestExecutor:
         shallow = chain_plan(16, 0.5)  # 2 rounds
         deep = chain_plan(16, 0.0)  # 4 rounds
         db = matching_database(shallow.query, m=m, n=m, seed=9)
-        res_shallow = run_plan(shallow, db, p=p, seed=7)
-        res_deep = run_plan(deep, db, p=p, seed=7)
+        res_shallow, res_deep = (
+            dispatch_run(
+                "multiround", plan.query, db, p, seed=7,
+                settings=ExecutionSettings(), plan=plan,
+            )
+            for plan in (shallow, deep)
+        )
         assert res_shallow.rounds < res_deep.rounds
         assert res_shallow.answers == res_deep.answers
         assert len(res_deep.answers) == m

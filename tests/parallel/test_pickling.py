@@ -185,7 +185,7 @@ def test_run_job_task_roundtrips_and_executes():
     assert error is None
     assert metrics is None  # config did not enable metrics
     assert type(result) is RunResult
-    assert result.simulation is None and result.storage is None
+    assert result.simulation is None
     assert record.label == "probe"
     # The detached result survives the pickle hop back from the worker
     # with answers intact.

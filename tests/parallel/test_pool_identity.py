@@ -20,12 +20,9 @@ from repro import (
     triangle_query,
     zipf_database,
 )
-from repro.hypercube import run_hypercube
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import chain_plan
+from repro.planner import DataStatistics
 from repro.core.families import chain_query
-from repro.skew.star import run_star_skew
-from repro.skew.triangle import run_triangle_skew
 from repro.storage.manager import StorageManager
 
 POOLS = ("serial", "thread", "process")
@@ -46,13 +43,15 @@ def fingerprint(result):
 def triangle_instance():
     q = triangle_query()
     db = matching_database(q, m=400, n=1600, seed=3)
-    return q, db
+    # One shared DataStatistics: every run plans from it, priced once.
+    return q, db, DataStatistics.from_database(q, db, 8)
 
 
 @pytest.fixture(scope="module")
 def hypercube_baseline(triangle_instance):
-    q, db = triangle_instance
-    return fingerprint(run_hypercube(q, db, 8, seed=1, pool="serial"))
+    q, db, stats = triangle_instance
+    session = Session(p=8, seed=1, pool="serial")
+    return fingerprint(session.run(q, db, "hypercube", stats=stats))
 
 
 @pytest.mark.parametrize("pool", POOLS)
@@ -60,8 +59,10 @@ def hypercube_baseline(triangle_instance):
 def test_hypercube_identity_across_pools(
     triangle_instance, hypercube_baseline, pool, workers
 ):
-    q, db = triangle_instance
-    result = run_hypercube(q, db, 8, seed=1, pool=pool, max_workers=workers)
+    q, db, stats = triangle_instance
+    result = Session(p=8, seed=1, pool=pool, max_workers=workers).run(
+        q, db, "hypercube", stats=stats
+    )
     assert fingerprint(result) == hypercube_baseline
 
 
@@ -69,38 +70,46 @@ def test_hypercube_identity_across_pools(
 def test_hypercube_identity_with_storage(
     triangle_instance, hypercube_baseline, pool, tmp_path
 ):
-    q, db = triangle_instance
+    q, db, stats = triangle_instance
     with StorageManager(root=tmp_path / "spill", chunk_rows=64) as storage:
-        result = run_hypercube(
-            q, db, 8, seed=1, pool=pool, max_workers=2, storage=storage
-        )
+        result = Session(
+            p=8, seed=1, pool=pool, max_workers=2, storage=storage
+        ).run(q, db, "hypercube", stats=stats)
         assert fingerprint(result) == hypercube_baseline
 
 
 @pytest.mark.parametrize("pool", ("thread", "process"))
 def test_hypercube_capacity_drop_identity(triangle_instance, pool):
     """Truncation order is part of the contract: same rows dropped."""
-    q, db = triangle_instance
-    kwargs = dict(seed=1, capacity_bits=3000.0, on_overflow="drop")
-    serial = run_hypercube(q, db, 8, pool="serial", **kwargs)
+    q, db, stats = triangle_instance
+    knobs = dict(p=8, seed=1, capacity_bits=3000.0, on_overflow="drop")
+    serial = Session(pool="serial", **knobs).run(
+        q, db, "hypercube", stats=stats
+    )
     assert serial.report.dropped_bits > 0  # the cap actually binds
-    fanned = run_hypercube(q, db, 8, pool=pool, max_workers=3, **kwargs)
+    fanned = Session(pool=pool, max_workers=3, **knobs).run(
+        q, db, "hypercube", stats=stats
+    )
     assert fingerprint(fanned) == fingerprint(serial)
 
 
 def test_star_skew_identity_serial_vs_process():
     q = star_query(2)
     db = zipf_database(q, m=600, n=600, skew=1.0, seed=2)
-    serial = run_star_skew(q, db, 8, seed=1, pool="serial")
-    fanned = run_star_skew(q, db, 8, seed=1, pool="process", max_workers=2)
+    serial = Session(p=8, seed=1, pool="serial").run(q, db, "skew-star")
+    fanned = Session(p=8, seed=1, pool="process", max_workers=2).run(
+        q, db, "skew-star"
+    )
     assert fingerprint(fanned) == fingerprint(serial)
 
 
 def test_triangle_skew_identity_serial_vs_process():
     q = triangle_query()
     db = zipf_database(q, m=500, n=500, skew=1.0, seed=4)
-    serial = run_triangle_skew(db, 4, seed=1, pool="serial")
-    fanned = run_triangle_skew(db, 4, seed=1, pool="process", max_workers=2)
+    serial = Session(p=4, seed=1, pool="serial").run(q, db, "skew-triangle")
+    fanned = Session(p=4, seed=1, pool="process", max_workers=2).run(
+        q, db, "skew-triangle"
+    )
     assert fingerprint(fanned) == fingerprint(serial)
 
 
@@ -109,16 +118,17 @@ def test_multiround_identity_serial_vs_process(tmp_path, use_storage):
     q = chain_query(4)
     db = matching_database(q, m=800, n=3200, seed=5)
     plan = chain_plan(4)
-    serial = run_plan(plan, db, 8, seed=1, pool="serial")
+    serial = Session(p=8, seed=1, pool="serial").run(
+        q, db, "multiround", plan=plan
+    )
     storage = (
         StorageManager(root=tmp_path / "spill", chunk_rows=128)
         if use_storage else None
     )
     try:
-        fanned = run_plan(
-            plan, db, 8, seed=1, pool="process", max_workers=2,
-            storage=storage,
-        )
+        fanned = Session(
+            p=8, seed=1, pool="process", max_workers=2, storage=storage
+        ).run(q, db, "multiround", plan=plan)
         assert fingerprint(fanned) == fingerprint(serial)
     finally:
         if storage is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
 from repro.core.families import (
     chain_query,
     simple_join_query,
@@ -16,14 +17,12 @@ from repro.data.generators import (
     planted_heavy_hitter_database,
     zipf_database,
 )
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
 from repro.planner import (
     DataStatistics,
     OneRoundHyperCube,
     Strategy,
     default_strategies,
-    execute,
     plan,
     register,
 )
@@ -127,6 +126,8 @@ class TestSkewRouting:
 
 
 class TestExecute:
+    """Session.run: plan, run the winner (or a pinned strategy), attach."""
+
     @pytest.mark.parametrize(
         "query,db_seed",
         [
@@ -138,29 +139,29 @@ class TestExecute:
         ids=["triangle", "star", "chain", "join"],
     )
     def test_answers_match_sequential_join(self, query, db_seed):
-        """Acceptance: execute() is bit-identical to join.evaluate."""
+        """Acceptance: Session.run is bit-identical to join.evaluate."""
         db = matching_database(query, m=300, n=2048, seed=db_seed)
-        result = execute(query, db, 16, seed=db_seed)
+        result = Session(p=16, seed=db_seed).run(query, db)
         assert result.answers == evaluate(query, db)
 
     def test_skewed_answers_match_sequential_join(self):
         q = star_query(2)
         db = zipf_database(q, m=1000, n=1000, skew=1.0, seed=5)
-        result = execute(q, db, 16)
+        result = Session(p=16).run(q, db)
         assert result.answers == evaluate(q, db)
 
     def test_execute_reuses_precomputed_statistics(self):
         q = triangle_query()
         db = matching_database(q, m=300, n=2048, seed=0)
         explained = plan(q, db, 16)
-        result = execute(q, db, 16, stats=explained.statistics)
+        result = Session(p=16).run(q, db, stats=explained.statistics)
         assert result.explained.statistics is explained.statistics
         assert result.answers == evaluate(q, db)
 
     def test_prediction_attached_to_report(self):
         q = triangle_query()
         db = matching_database(q, m=300, n=2048, seed=0)
-        result = execute(q, db, 16)
+        result = Session(p=16).run(q, db)
         report = result.report
         assert report.strategy == result.strategy
         assert report.predicted_load_bits == result.predicted_bits
@@ -170,7 +171,7 @@ class TestExecute:
     def test_forced_strategy(self):
         q = triangle_query()
         db = matching_database(q, m=300, n=2048, seed=0)
-        result = execute(q, db, 16, strategy="skew-oblivious")
+        result = Session(p=16).run(q, db, strategy="skew-oblivious")
         assert result.strategy == "skew-oblivious"
         assert result.answers == evaluate(q, db)
 
@@ -178,12 +179,12 @@ class TestExecute:
         q = chain_query(3)
         db = matching_database(q, m=100, n=1024, seed=0)
         with pytest.raises(ValueError, match="not applicable"):
-            execute(q, db, 16, strategy="skew-star")
+            Session(p=16).run(q, db, strategy="skew-star")
 
     def test_summary_renders(self):
         q = triangle_query()
         db = matching_database(q, m=300, n=2048, seed=0)
-        result = execute(q, db, 16)
+        result = Session(p=16).run(q, db)
         summary = result.summary()
         assert "EXPLAIN" in summary
         assert "executed" in summary
@@ -219,8 +220,9 @@ class TestAcceptanceMargin:
         )
         assert predicted_margin > 1.0
 
-        hc = run_hypercube(q, db, p, seed=0)
-        picked = execute(q, db, p, seed=0)
+        with Session(p=p, seed=0) as session:
+            hc = session.run(q, db, "hypercube")
+            picked = session.run(q, db)
         measured_margin = hc.max_load_bits / picked.max_load_bits
         assert measured_margin > 1.0, "planner's pick must actually win"
         agreement = measured_margin / predicted_margin

@@ -2,9 +2,9 @@
 
 The acceptance property: ``Session.run`` pinned to a strategy is
 bit-identical -- answers, per-server per-round loads, capacity
-truncation -- to the corresponding legacy free function with the same
-knobs, across strategies x backends x storage modes; and every entry
-point returns the one :class:`RunResult`.
+truncation -- to the strategy's executor core reached directly through
+``dispatch_run`` with the same knobs, across strategies x backends x
+storage modes; and every run returns the one :class:`RunResult`.
 """
 
 from __future__ import annotations
@@ -13,20 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ExecutionSettings
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import (
     matching_database,
     uniform_database,
     zipf_database,
 )
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import chain_plan
-from repro.planner import execute as planner_execute
+from repro.run import dispatch_run
 from repro.session import ClusterConfig, RunResult, Session
-from repro.skew.star import run_star_skew
-from repro.skew.triangle import run_triangle_skew
 from repro.storage import StorageManager
 
 from tests.conftest import random_queries
@@ -64,7 +61,7 @@ def matching_triangle_case(seed):
 
 
 class TestBitIdentityToLegacy:
-    """session.run(strategy=...) == the legacy free function."""
+    """session.run(strategy=...) == the core through dispatch_run."""
 
     @pytest.mark.parametrize("backend", ["tuples", "numpy"])
     @pytest.mark.parametrize("with_budget", [False, True])
@@ -78,17 +75,18 @@ class TestBitIdentityToLegacy:
                      memory_budget_bytes=budget) as session:
             mine = session.run(q, db, strategy="hypercube")
             if with_budget:
-                legacy_storage = StorageManager.from_budget(TINY_BUDGET)
+                direct_storage = StorageManager.from_budget(TINY_BUDGET)
             else:
-                legacy_storage = None
-            legacy = run_hypercube(
-                q, db, 16, seed=seed, backend=backend,
-                storage=legacy_storage,
+                direct_storage = None
+            direct = dispatch_run(
+                "hypercube", q, db, 16, seed=seed,
+                settings=ExecutionSettings(backend=backend),
+                storage=direct_storage,
             )
-            assert_identical(mine, legacy)
+            assert_identical(mine, direct)
             assert mine.answers == evaluate(q, db)
-            if legacy_storage is not None:
-                legacy_storage.close()
+            if direct_storage is not None:
+                direct_storage.close()
 
     @pytest.mark.parametrize("backend", ["tuples", "numpy"])
     @pytest.mark.parametrize("with_budget", [False, True])
@@ -102,16 +100,17 @@ class TestBitIdentityToLegacy:
                      memory_budget_bytes=budget) as session:
             mine = session.run(q, db, strategy="skew-star")
             if with_budget:
-                legacy_storage = StorageManager.from_budget(TINY_BUDGET)
+                direct_storage = StorageManager.from_budget(TINY_BUDGET)
             else:
-                legacy_storage = None
-            legacy = run_star_skew(
-                q, db, 8, seed=seed, backend=backend,
-                storage=legacy_storage,
+                direct_storage = None
+            direct = dispatch_run(
+                "skew-star", q, db, 8, seed=seed,
+                settings=ExecutionSettings(backend=backend),
+                storage=direct_storage,
             )
-            assert_identical(mine, legacy)
-            if legacy_storage is not None:
-                legacy_storage.close()
+            assert_identical(mine, direct)
+            if direct_storage is not None:
+                direct_storage.close()
 
     @pytest.mark.parametrize("backend", ["tuples", "numpy"])
     @pytest.mark.parametrize("with_budget", [False, True])
@@ -125,15 +124,17 @@ class TestBitIdentityToLegacy:
                      memory_budget_bytes=budget) as session:
             mine = session.run(q, db, strategy="skew-triangle")
             if with_budget:
-                legacy_storage = StorageManager.from_budget(TINY_BUDGET)
+                direct_storage = StorageManager.from_budget(TINY_BUDGET)
             else:
-                legacy_storage = None
-            legacy = run_triangle_skew(
-                db, 8, seed=seed, backend=backend, storage=legacy_storage
+                direct_storage = None
+            direct = dispatch_run(
+                "skew-triangle", q, db, 8, seed=seed,
+                settings=ExecutionSettings(backend=backend),
+                storage=direct_storage,
             )
-            assert_identical(mine, legacy)
-            if legacy_storage is not None:
-                legacy_storage.close()
+            assert_identical(mine, direct)
+            if direct_storage is not None:
+                direct_storage.close()
 
     @pytest.mark.parametrize("backend", ["tuples", "numpy"])
     @pytest.mark.parametrize("with_budget", [False, True])
@@ -149,24 +150,27 @@ class TestBitIdentityToLegacy:
                 plan.query, db, strategy="multiround", plan=plan
             )
             if with_budget:
-                legacy_storage = StorageManager.from_budget(TINY_BUDGET)
+                direct_storage = StorageManager.from_budget(TINY_BUDGET)
             else:
-                legacy_storage = None
-            legacy = run_plan(
-                plan, db, 8, seed=2, backend=backend, storage=legacy_storage
+                direct_storage = None
+            direct = dispatch_run(
+                "multiround", plan.query, db, 8, seed=2,
+                settings=ExecutionSettings(backend=backend),
+                storage=direct_storage, plan=plan,
             )
-            assert_identical(mine, legacy)
-            if legacy_storage is not None:
-                legacy_storage.close()
+            assert_identical(mine, direct)
+            if direct_storage is not None:
+                direct_storage.close()
 
     @pytest.mark.parametrize("seed", range(2))
     def test_planner_default_route(self, seed):
         q, db = triangle_case(seed)
         with Session(p=8, seed=seed) as session:
             mine = session.run(q, db)
-        legacy = planner_execute(q, db, 8, seed=seed)
-        assert mine.strategy == legacy.strategy
-        assert_identical(mine, legacy)
+            winner = session.plan(q, db).winner
+        direct = winner.strategy.run(q, db, 8, seed=seed)
+        assert mine.strategy == direct.strategy
+        assert_identical(mine, direct)
 
     @given(query=random_queries(),
            seed=st.integers(min_value=0, max_value=2**20))
@@ -175,14 +179,16 @@ class TestBitIdentityToLegacy:
         n = 8
         sizes = {a.relation: min(20, n**a.arity) for a in query.atoms}
         db = uniform_database(query, m=sizes, n=n, seed=seed)
-        legacy = run_hypercube(query, db, 8, seed=seed)
+        direct = dispatch_run(
+            "hypercube", query, db, 8, seed=seed, settings=ExecutionSettings()
+        )
         with Session(p=8, seed=seed) as session:
             mine = session.run(query, db, strategy="hypercube")
-        assert_identical(mine, legacy)
+        assert_identical(mine, direct)
 
 
 class TestCapacityThreading:
-    """A session capacity cap truncates exactly like the legacy knob."""
+    """A session capacity cap truncates exactly like the engine knob."""
 
     @pytest.mark.parametrize("backend", ["tuples", "numpy"])
     def test_hypercube_drop(self, backend):
@@ -191,12 +197,15 @@ class TestCapacityThreading:
         with Session(p=8, backend=backend, seed=1, capacity_bits=capacity,
                      on_overflow="drop") as session:
             mine = session.run(q, db, strategy="hypercube")
-            legacy = run_hypercube(
-                q, db, 8, seed=1, backend=backend,
-                capacity_bits=capacity, on_overflow="drop",
+            direct = dispatch_run(
+                "hypercube", q, db, 8, seed=1,
+                settings=ExecutionSettings(
+                    backend=backend, capacity_bits=capacity,
+                    on_overflow="drop",
+                ),
             )
-            assert legacy.load_report.dropped_bits > 0
-            assert_identical(mine, legacy)
+            assert direct.load_report.dropped_bits > 0
+            assert_identical(mine, direct)
 
     @pytest.mark.parametrize("backend", ["tuples", "numpy"])
     def test_star_drop(self, backend):
@@ -205,29 +214,33 @@ class TestCapacityThreading:
         with Session(p=8, backend=backend, seed=1, capacity_bits=capacity,
                      on_overflow="drop") as session:
             mine = session.run(q, db, strategy="skew-star")
-            legacy = run_star_skew(
-                q, db, 8, seed=1, backend=backend,
-                capacity_bits=capacity, on_overflow="drop",
+            direct = dispatch_run(
+                "skew-star", q, db, 8, seed=1,
+                settings=ExecutionSettings(
+                    backend=backend, capacity_bits=capacity,
+                    on_overflow="drop",
+                ),
             )
-            assert legacy.load_report.dropped_bits > 0
-            assert_identical(mine, legacy)
+            assert direct.load_report.dropped_bits > 0
+            assert_identical(mine, direct)
 
 
 class TestRunResultProtocol:
-    """Every entry point returns a RunResult (see tests/test_run_result.py)."""
+    """Every run returns a RunResult (see tests/test_run_result.py)."""
 
     def test_all_result_types_conform(self):
         q, db = matching_triangle_case(seed=0)
         sq, sdb = star_case(seed=0)
         plan = chain_plan(4, 0.0)
         pdb = matching_database(plan.query, m=40, n=40, seed=0)
-        results = [
-            run_hypercube(q, db, 8, seed=0),
-            run_star_skew(sq, sdb, 8, seed=0),
-            run_triangle_skew(db, 8, seed=0),
-            run_plan(plan, pdb, 8, seed=0),
-            planner_execute(q, db, 8, seed=0),
-        ]
+        with Session(p=8, seed=0) as session:
+            results = [
+                session.run(q, db, "hypercube"),
+                session.run(sq, sdb, "skew-star"),
+                session.run(q, db, "skew-triangle"),
+                session.run(plan.query, pdb, "multiround", plan=plan),
+                session.run(q, db),
+            ]
         expected_strategies = [
             "hypercube", "skew-star", "skew-triangle", "multiround",
         ]
@@ -243,20 +256,15 @@ class TestRunResultProtocol:
         assert len(planned.answers_array()) == len(planned.answers)
 
     def test_baselines_conform_and_are_labeled(self):
-        from repro.hypercube.baselines import (
-            run_broadcast_join,
-            run_parallel_hash_join,
-            run_single_server,
-        )
         from repro.core.families import simple_join_query
 
         q = simple_join_query()
         db = matching_database(q, m=60, n=240, seed=1)
-        assert run_single_server(q, db, 4).strategy == "single-server"
-        assert run_parallel_hash_join(q, db, 4).strategy == "hash-join"
-        assert run_broadcast_join(q, db, 4).strategy == "broadcast"
-        for result in (run_single_server(q, db, 4),):
-            assert isinstance(result, RunResult)
+        with Session(p=4) as session:
+            for name in ("single-server", "hash-join", "broadcast"):
+                result = session.run(q, db, name)
+                assert result.strategy == name
+                assert isinstance(result, RunResult)
 
 
 class TestSessionSemantics:
@@ -297,6 +305,16 @@ class TestSessionSemantics:
         assert session.storage is None
         assert not root.exists()
 
+    def test_budgeted_summary_reports_spill(self):
+        # A run that streamed through the session's own manager reports
+        # its spill traffic (the run's counter delta) in summary().
+        q = triangle_query()
+        db = matching_database(q, m=8000, n=32000, seed=0)
+        with Session(p=8, memory_budget_bytes=TINY_BUDGET) as session:
+            result = session.run(q, db, strategy="hypercube")
+            assert result.report.spill_stats["files_created"] > 0
+            assert "out-of-core: spilled" in result.summary()
+
     def test_no_storage_under_generous_budget(self):
         q, db = matching_triangle_case(seed=1)
         with Session(p=8, memory_budget_bytes=2**34) as session:
@@ -310,8 +328,11 @@ class TestSessionSemantics:
         with Session(p=8, backend="tuples",
                      memory_budget_bytes=TINY_BUDGET) as session:
             mine = session.run(q, db, strategy="hypercube")
-            legacy = run_hypercube(q, db, 8, seed=0, backend="tuples")
-            assert_identical(mine, legacy)
+            direct = dispatch_run(
+                "hypercube", q, db, 8, seed=0,
+                settings=ExecutionSettings(backend="tuples"),
+            )
+            assert_identical(mine, direct)
 
     def test_unsupported_override_rejected(self):
         q, db = star_case(seed=0)

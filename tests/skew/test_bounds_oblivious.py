@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
 from repro.core.families import simple_join_query, star_query, triangle_query
 from repro.data.generators import (
     matching_database,
     planted_heavy_hitter_database,
 )
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
 from repro.skew.bounds import (
     bound_is_stronger_than_skew_free,
@@ -19,7 +19,6 @@ from repro.skew.bounds import (
     uniform_frequencies,
     zipf_frequencies,
 )
-from repro.skew.oblivious import run_skew_oblivious_hypercube
 
 
 class TestStarLowerBound:
@@ -122,13 +121,13 @@ class TestSkewObliviousHC:
     def test_correctness(self):
         q = simple_join_query()
         db = planted_heavy_hitter_database(q, 100, 1000, "z", 1.0, 3, seed=1)
-        result = run_skew_oblivious_hypercube(q, db, p=27, seed=1)
+        result = Session(p=27, seed=1).run(q, db, "skew-oblivious")
         assert result.answers == evaluate(q, db)
 
     def test_balanced_shares_for_join(self):
         q = simple_join_query()
         db = matching_database(q, m=64, n=512, seed=2)
-        result = run_skew_oblivious_hypercube(q, db, p=27, seed=2)
+        result = Session(p=27, seed=2).run(q, db, "skew-oblivious")
         assert result.details["shares"] == {"x": 3, "y": 3, "z": 3}
 
     def test_beats_vanilla_hash_join_under_skew(self):
@@ -137,8 +136,9 @@ class TestSkewObliviousHC:
         m, p = 540, 27
         db = planted_heavy_hitter_database(q, m, 5000, "z", 1.0, 3, seed=3)
         stats = db.statistics(q)
-        oblivious = run_skew_oblivious_hypercube(q, db, p, seed=3)
-        vanilla = run_hypercube(q, db, p, exponents={"z": 1.0}, seed=3)
+        with Session(p=p, seed=3) as session:
+            oblivious = session.run(q, db, "skew-oblivious")
+            vanilla = session.run(q, db, "hypercube", exponents={"z": 1.0})
         assert oblivious.answers == vanilla.answers
         assert vanilla.max_load_bits >= stats.bits("S1")
         assert oblivious.max_load_bits <= vanilla.max_load_bits / 2.0
@@ -148,6 +148,6 @@ class TestSkewObliviousHC:
         m, p = 540, 27
         db = planted_heavy_hitter_database(q, m, 5000, "z", 1.0, 3, seed=4)
         stats = db.statistics(q)
-        result = run_skew_oblivious_hypercube(q, db, p, seed=4)
+        result = Session(p=p, seed=4).run(q, db, "skew-oblivious")
         target = stats.bits("S1") / p ** (1 / 3)
         assert result.max_load_bits <= 3.0 * target

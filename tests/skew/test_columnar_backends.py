@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import (
     matching_database,
@@ -17,8 +18,6 @@ from repro.data.generators import (
     zipf_database,
 )
 from repro.join.multiway import evaluate
-from repro.skew.star import run_star_skew
-from repro.skew.triangle import run_triangle_skew
 
 
 def assert_bit_identical(report_a, report_b):
@@ -40,8 +39,8 @@ class TestStarBackends:
     def test_zipf_bit_identical(self, k, m, n, skew, seed):
         q = star_query(k)
         db = zipf_database(q, m=m, n=n, skew=skew, seed=seed)
-        tuples = run_star_skew(q, db, 16, seed=7)
-        arrays = run_star_skew(q, db, 16, seed=7, backend="numpy")
+        tuples = Session(p=16, seed=7).run(q, db, "skew-star")
+        arrays = Session(p=16, seed=7, backend="numpy").run(q, db, "skew-star")
         assert_bit_identical(tuples.report, arrays.report)
         assert tuples.answers == arrays.answers == evaluate(q, db)
         assert tuples.servers_used == arrays.servers_used
@@ -50,8 +49,8 @@ class TestStarBackends:
     def test_matching_bit_identical(self):
         q = star_query(2)
         db = matching_database(q, m=500, n=4096, seed=3)
-        tuples = run_star_skew(q, db, 8, seed=0)
-        arrays = run_star_skew(q, db, 8, seed=0, backend="numpy")
+        tuples = Session(p=8, seed=0).run(q, db, "skew-star")
+        arrays = Session(p=8, seed=0, backend="numpy").run(q, db, "skew-star")
         assert_bit_identical(tuples.report, arrays.report)
         assert tuples.answers == arrays.answers == evaluate(q, db)
 
@@ -60,8 +59,8 @@ class TestStarBackends:
         db = planted_heavy_hitter_database(
             q, m=800, n=4096, variable="z", hitter_fraction=0.4, seed=5
         )
-        tuples = run_star_skew(q, db, 16, seed=1)
-        arrays = run_star_skew(q, db, 16, seed=1, backend="numpy")
+        tuples = Session(p=16, seed=1).run(q, db, "skew-star")
+        arrays = Session(p=16, seed=1, backend="numpy").run(q, db, "skew-star")
         assert_bit_identical(tuples.report, arrays.report)
         assert tuples.answers == arrays.answers == evaluate(q, db)
 
@@ -69,7 +68,7 @@ class TestStarBackends:
         q = star_query(2)
         db = matching_database(q, m=50, n=256, seed=0)
         with pytest.raises(ValueError, match="backend"):
-            run_star_skew(q, db, 4, backend="jax")
+            Session(p=4, backend="jax").run(q, db, "skew-star")
 
 
 class TestTriangleBackends:
@@ -87,8 +86,10 @@ class TestTriangleBackends:
     def test_bit_identical(self, maker):
         q = triangle_query()
         db = maker(q)
-        tuples = run_triangle_skew(db, 8, seed=2)
-        arrays = run_triangle_skew(db, 8, seed=2, backend="numpy")
+        tuples = Session(p=8, seed=2).run(q, db, "skew-triangle")
+        arrays = Session(p=8, seed=2, backend="numpy").run(
+            q, db, "skew-triangle"
+        )
         assert_bit_identical(tuples.report, arrays.report)
         assert tuples.answers == arrays.answers == evaluate(q, db)
         assert tuples.servers_used == arrays.servers_used
@@ -97,4 +98,4 @@ class TestTriangleBackends:
         q = triangle_query()
         db = matching_database(q, m=50, n=256, seed=0)
         with pytest.raises(ValueError, match="backend"):
-            run_triangle_skew(db, 4, backend="jax")
+            Session(p=4, backend="jax").run(q, db, "skew-triangle")

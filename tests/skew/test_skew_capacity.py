@@ -1,7 +1,7 @@
 """``capacity_bits`` threading into the skew-aware executors.
 
 The star and triangle algorithms enforce the same per-server per-round
-cap ``L`` that ``run_hypercube`` and ``run_plan`` already support:
+cap ``L`` that the HyperCube and plan executors already support:
 ``fail`` aborts with :class:`LoadExceededError`, ``drop`` truncates --
 and because every part (light grids, per-hitter blocks, case-1/case-2
 blocks) routes in canonical sorted order, the truncated per-server
@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import matching_database, zipf_database
 from repro.mpc.simulator import LoadExceededError
-from repro.skew.star import run_star_skew
-from repro.skew.triangle import run_triangle_skew
+
+TRIANGLE = triangle_query()
 
 
 def assert_reports_identical(a, b):
@@ -37,8 +38,10 @@ class TestStarCapacity:
 
     def test_uncapped_runs_unchanged(self):
         q, db = self.query_db()
-        free = run_star_skew(q, db, p=8, seed=0)
-        capped = run_star_skew(q, db, p=8, seed=0, capacity_bits=10**9)
+        free = Session(p=8, seed=0).run(q, db, "skew-star")
+        capped = Session(p=8, seed=0, capacity_bits=10**9).run(
+            q, db, "skew-star"
+        )
         assert capped.answers == free.answers
         assert capped.report.total_bits == free.report.total_bits
         assert capped.report.dropped_bits == 0
@@ -47,14 +50,14 @@ class TestStarCapacity:
         q, db = self.query_db(seed=1)
         for backend in ("tuples", "numpy"):
             with pytest.raises(LoadExceededError):
-                run_star_skew(
-                    q, db, p=8, seed=0, backend=backend, capacity_bits=60.0
-                )
+                Session(
+                    p=8, seed=0, backend=backend, capacity_bits=60.0
+                ).run(q, db, "skew-star")
 
     def test_rejects_bad_mode(self):
         q, db = self.query_db(seed=2)
         with pytest.raises(ValueError, match="on_overflow"):
-            run_star_skew(q, db, p=8, on_overflow="explode")
+            Session(p=8, on_overflow="explode").run(q, db, "skew-star")
 
     @pytest.mark.parametrize("capacity", [400.0, 1500.0])
     def test_truncation_identical_across_backends(self, capacity):
@@ -62,24 +65,23 @@ class TestStarCapacity:
         # pattern): a binding cap drops the same tuples under both
         # backends -- same per-server bits, dropped bits, answers.
         q, db = self.query_db(seed=3)
-        tuples_run = run_star_skew(
-            q, db, p=8, seed=1, backend="tuples",
-            capacity_bits=capacity, on_overflow="drop",
-        )
-        arrays_run = run_star_skew(
-            q, db, p=8, seed=1, backend="numpy",
-            capacity_bits=capacity, on_overflow="drop",
+        tuples_run, arrays_run = (
+            Session(
+                p=8, seed=1, backend=backend,
+                capacity_bits=capacity, on_overflow="drop",
+            ).run(q, db, "skew-star")
+            for backend in ("tuples", "numpy")
         )
         assert tuples_run.report.dropped_bits > 0
         assert_reports_identical(tuples_run, arrays_run)
 
     def test_dropped_tuples_shrink_answers(self):
         q, db = self.query_db(seed=4)
-        free = run_star_skew(q, db, p=8, seed=0)
+        free = Session(p=8, seed=0).run(q, db, "skew-star")
         capacity = 0.5 * free.report.max_load_bits
-        capped = run_star_skew(
-            q, db, p=8, seed=0, capacity_bits=capacity, on_overflow="drop"
-        )
+        capped = Session(
+            p=8, seed=0, capacity_bits=capacity, on_overflow="drop"
+        ).run(q, db, "skew-star")
         assert capped.report.dropped_bits > 0
         assert capped.answers.issubset(free.answers)
 
@@ -92,8 +94,10 @@ class TestTriangleCapacity:
 
     def test_uncapped_runs_unchanged(self):
         db = self.db()
-        free = run_triangle_skew(db, p=8, seed=0)
-        capped = run_triangle_skew(db, p=8, seed=0, capacity_bits=10**9)
+        free = Session(p=8, seed=0).run(TRIANGLE, db, "skew-triangle")
+        capped = Session(p=8, seed=0, capacity_bits=10**9).run(
+            TRIANGLE, db, "skew-triangle"
+        )
         assert capped.answers == free.answers
         assert capped.report.total_bits == free.report.total_bits
         assert capped.report.dropped_bits == 0
@@ -102,25 +106,26 @@ class TestTriangleCapacity:
         db = self.db(seed=1)
         for backend in ("tuples", "numpy"):
             with pytest.raises(LoadExceededError):
-                run_triangle_skew(
-                    db, p=8, seed=0, backend=backend, capacity_bits=60.0
-                )
+                Session(
+                    p=8, seed=0, backend=backend, capacity_bits=60.0
+                ).run(TRIANGLE, db, "skew-triangle")
 
     def test_rejects_bad_mode(self):
         db = self.db(seed=2)
         with pytest.raises(ValueError, match="on_overflow"):
-            run_triangle_skew(db, p=8, on_overflow="explode")
+            Session(p=8, on_overflow="explode").run(
+                TRIANGLE, db, "skew-triangle"
+            )
 
     @pytest.mark.parametrize("capacity", [600.0, 2500.0])
     def test_truncation_identical_across_backends(self, capacity):
         db = self.db(seed=3)
-        tuples_run = run_triangle_skew(
-            db, p=8, seed=1, backend="tuples",
-            capacity_bits=capacity, on_overflow="drop",
-        )
-        arrays_run = run_triangle_skew(
-            db, p=8, seed=1, backend="numpy",
-            capacity_bits=capacity, on_overflow="drop",
+        tuples_run, arrays_run = (
+            Session(
+                p=8, seed=1, backend=backend,
+                capacity_bits=capacity, on_overflow="drop",
+            ).run(TRIANGLE, db, "skew-triangle")
+            for backend in ("tuples", "numpy")
         )
         assert tuples_run.report.dropped_bits > 0
         assert_reports_identical(tuples_run, arrays_run)
@@ -128,11 +133,11 @@ class TestTriangleCapacity:
     def test_matching_data_uncapped_equals_capped_loosely(self):
         # A skew-free instance under a generous cap must not truncate.
         db = matching_database(triangle_query(), m=120, n=480, seed=5)
-        free = run_triangle_skew(db, p=8, seed=0)
-        capped = run_triangle_skew(
-            db, p=8, seed=0,
+        free = Session(p=8, seed=0).run(TRIANGLE, db, "skew-triangle")
+        capped = Session(
+            p=8, seed=0,
             capacity_bits=free.report.max_load_bits + 1.0,
             on_overflow="drop",
-        )
+        ).run(TRIANGLE, db, "skew-triangle")
         assert capped.report.dropped_bits == 0
         assert capped.answers == free.answers

@@ -4,16 +4,18 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import chain_query, star_query
 from repro.data.generators import (
     degree_sequence_database,
     matching_database,
     zipf_database,
 )
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
+from repro.run import dispatch_run
 from repro.skew.heavy_hitters import HitterStatistics
-from repro.skew.star import run_star_skew, star_skew_load_bound, _star_center
+from repro.skew.star import star_skew_load_bound, _star_center
 
 
 class TestValidation:
@@ -28,7 +30,9 @@ class TestValidation:
         q = star_query(2)
         db = degree_sequence_database(q, "z", {"S1": {0: 2}, "S2": {0: 2}}, 20, 0)
         with pytest.raises(ValueError):
-            run_star_skew(q, db, p=1)
+            dispatch_run(
+                "skew-star", q, db, 1, seed=0, settings=ExecutionSettings()
+            )
 
 
 class TestCorrectness:
@@ -39,14 +43,14 @@ class TestCorrectness:
             f"S{j}": {0: 30 + j, j: 5, 10 + j: 1} for j in range(1, k + 1)
         }
         db = degree_sequence_database(q, "z", freqs, 500, seed=k)
-        result = run_star_skew(q, db, p=8, seed=k)
+        result = Session(p=8, seed=k).run(q, db, "skew-star")
         assert result.answers == evaluate(q, db)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_zipf_instances(self, seed):
         q = star_query(2)
         db = zipf_database(q, m=150, n=60, skew=1.4, seed=seed)
-        result = run_star_skew(q, db, p=8, seed=seed)
+        result = Session(p=8, seed=seed).run(q, db, "skew-star")
         assert result.answers == evaluate(q, db)
 
     def test_skew_free_instances(self):
@@ -54,7 +58,7 @@ class TestCorrectness:
         # path (plain z-hashing) and still matches the truth.
         q = star_query(2)
         db = matching_database(q, m=50, n=400, seed=7)
-        result = run_star_skew(q, db, p=8, seed=7)
+        result = Session(p=8, seed=7).run(q, db, "skew-star")
         assert result.answers == evaluate(q, db)
         assert result.details["heavy_hitters"] == ()
         assert result.servers_used == 8
@@ -65,7 +69,7 @@ class TestCorrectness:
         q = star_query(2)
         freqs = {"S1": {3: 40}, "S2": {3: 35}}
         db = degree_sequence_database(q, "z", freqs, 200, seed=8)
-        result = run_star_skew(q, db, p=4, seed=8)
+        result = Session(p=4, seed=8).run(q, db, "skew-star")
         truth = evaluate(q, db)
         assert len(truth) == 40 * 35
         assert result.answers == truth
@@ -81,8 +85,9 @@ class TestLoads:
         }
         db = degree_sequence_database(q, "z", freqs, 4 * m, seed=9)
         p = 16
-        skew_aware = run_star_skew(q, db, p, seed=9)
-        vanilla = run_hypercube(q, db, p, exponents={"z": 1.0}, seed=9)
+        with Session(p=p, seed=9) as session:
+            skew_aware = session.run(q, db, "skew-star")
+            vanilla = session.run(q, db, "hypercube", exponents={"z": 1.0})
         assert skew_aware.answers == vanilla.answers
         # Vanilla hashing piles the hitter onto one server.
         assert vanilla.max_load_bits >= 2.0 * skew_aware.max_load_bits
@@ -95,7 +100,10 @@ class TestLoads:
         }
         db = degree_sequence_database(q, "z", freqs, 3000, seed=10)
         p = 16
-        result = run_star_skew(q, db, p, seed=10)
+        # The engine's own Eq. (20) prediction, not the planner's.
+        result = dispatch_run(
+            "skew-star", q, db, p, seed=10, settings=ExecutionSettings()
+        )
         # Eq. (20) is stated in original-relation bits (factor-2 per
         # residual tuple); allow a small constant + hashing noise.
         assert result.max_load_bits <= 3.0 * result.predicted_bits
@@ -108,7 +116,7 @@ class TestLoads:
         }
         db = degree_sequence_database(q, "z", freqs, 2000, seed=11)
         p = 16
-        result = run_star_skew(q, db, p, seed=11)
+        result = Session(p=p, seed=11).run(q, db, "skew-star")
         # Paper bound: (l + 1) * |pk(q_z)| * p = 3 * 3 * 16 with l = 2.
         assert result.servers_used <= (2 + 1) * 3 * p + p
 
@@ -135,7 +143,9 @@ class TestSuppliedHitters:
 
     def test_detected_prediction_is_the_database_bound(self):
         q, db = self._skewed()
-        result = run_star_skew(q, db, 16, seed=10)
+        result = dispatch_run(
+            "skew-star", q, db, 16, seed=10, settings=ExecutionSettings()
+        )
         assert result.details["heavy_hitters"]
         assert result.predicted_bits == star_skew_load_bound(q, db, 16)
 
@@ -153,8 +163,13 @@ class TestSuppliedHitters:
                 for rel, freqs in exact.frequencies.items()
             },
         )
-        baseline = run_star_skew(q, db, 16, seed=10)
-        result = run_star_skew(q, db, 16, seed=10, hitters=estimated)
+        baseline, result = (
+            dispatch_run(
+                "skew-star", q, db, 16, seed=10, settings=ExecutionSettings(),
+                hitters=hitters,
+            )
+            for hitters in (None, estimated)
+        )
         assert result.details["heavy_hitters"] == baseline.details["heavy_hitters"]
         assert result.servers_used == baseline.servers_used
         assert result.answers == baseline.answers

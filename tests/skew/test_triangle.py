@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import triangle_query
 from repro.data.generators import (
     matching_database,
@@ -12,9 +14,11 @@ from repro.data.generators import (
     uniform_database,
     zipf_database,
 )
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
-from repro.skew.triangle import run_triangle_skew, triangle_skew_load_bound
+from repro.run import dispatch_run
+from repro.skew.triangle import triangle_skew_load_bound
+
+TRIANGLE = triangle_query()
 
 
 def hub_graph_db(hub_degree=400, path_edges=100):
@@ -29,19 +33,19 @@ class TestCorrectness:
     def test_random_graphs(self, seed):
         edges = random_graph_edges(60, 250, seed=seed)
         db = triangle_database_from_edges(edges, 60)
-        result = run_triangle_skew(db, p=8, seed=seed)
+        result = Session(p=8, seed=seed).run(TRIANGLE, db, "skew-triangle")
         assert result.answers == evaluate(triangle_query(), db)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_zipf_relations(self, seed):
         q = triangle_query()
         db = zipf_database(q, m=200, n=50, skew=1.1, seed=seed)
-        result = run_triangle_skew(db, p=8, seed=seed)
+        result = Session(p=8, seed=seed).run(TRIANGLE, db, "skew-triangle")
         assert result.answers == evaluate(q, db)
 
     def test_hub_graph(self):
         db = hub_graph_db()
-        result = run_triangle_skew(db, p=27, seed=1)
+        result = Session(p=27, seed=1).run(TRIANGLE, db, "skew-triangle")
         truth = evaluate(triangle_query(), db)
         assert len(truth) == 600  # 100 leaf edges x 6 orientations
         assert result.answers == truth
@@ -49,7 +53,7 @@ class TestCorrectness:
     def test_matching_instance_no_hitters(self):
         q = triangle_query()
         db = matching_database(q, m=60, n=300, seed=3)
-        result = run_triangle_skew(db, p=8, seed=3)
+        result = Session(p=8, seed=3).run(q, db, "skew-triangle")
         assert result.answers == evaluate(q, db)
         assert all(not s for s in result.details["heavy2"].values())
 
@@ -59,40 +63,48 @@ class TestCorrectness:
         edges |= {(u, w) for u in range(6) for w in range(46, 52)}
         edges |= {(6, 46)}
         db = triangle_database_from_edges(edges, 60)
-        result = run_triangle_skew(db, p=8, seed=4)
+        result = Session(p=8, seed=4).run(TRIANGLE, db, "skew-triangle")
         assert result.answers == evaluate(triangle_query(), db)
 
     def test_uniform_random_relations(self):
         q = triangle_query()
         db = uniform_database(q, m=120, n=30, seed=5)
-        result = run_triangle_skew(db, p=8, seed=5)
+        result = Session(p=8, seed=5).run(q, db, "skew-triangle")
         assert result.answers == evaluate(q, db)
 
     def test_rejects_small_p(self):
         db = hub_graph_db(20, 4)
         with pytest.raises(ValueError):
-            run_triangle_skew(db, p=1)
+            dispatch_run(
+                "skew-triangle", TRIANGLE, db, 1, seed=0,
+                settings=ExecutionSettings(),
+            )
 
 
 class TestLoads:
     def test_beats_vanilla_hc_on_hub_graph(self):
         db = hub_graph_db()
         p = 27
-        skew_aware = run_triangle_skew(db, p=p, seed=1)
-        vanilla = run_hypercube(triangle_query(), db, p, seed=1)
+        with Session(p=p, seed=1) as session:
+            skew_aware = session.run(TRIANGLE, db, "skew-triangle")
+            vanilla = session.run(TRIANGLE, db, "hypercube")
         assert skew_aware.answers == vanilla.answers
         assert vanilla.max_load_bits >= 3.0 * skew_aware.max_load_bits
 
     def test_load_within_constant_of_formula(self):
         db = hub_graph_db()
         p = 27
-        result = run_triangle_skew(db, p=p, seed=1)
+        # The engine's own Section 4.2.2 prediction, not the planner's.
+        result = dispatch_run(
+            "skew-triangle", TRIANGLE, db, p, seed=1,
+            settings=ExecutionSettings(),
+        )
         assert result.max_load_bits <= 4.0 * result.predicted_bits
 
     def test_servers_used_is_theta_p(self):
         db = hub_graph_db()
         p = 27
-        result = run_triangle_skew(db, p=p, seed=1)
+        result = Session(p=p, seed=1).run(TRIANGLE, db, "skew-triangle")
         # 4p fixed blocks + per-hitter grids; hitters are O(p^{1/3}).
         assert result.servers_used <= 10 * p
 
@@ -112,7 +124,11 @@ class TestLoads:
 
 
 class TestPrecomputedHitters:
-    """``hitters=`` parity: precomputed statistics skip the scans."""
+    """``hitters=`` parity: precomputed statistics skip the scans.
+
+    Runs the core through ``dispatch_run``: a session always passes its
+    own precomputed statistics, so the scanning side needs the bare core.
+    """
 
     def _hitters(self, db, p):
         from repro.planner.statistics import DataStatistics
@@ -123,9 +139,12 @@ class TestPrecomputedHitters:
     def test_bit_identical_to_in_place_detection(self, seed):
         db = zipf_database(triangle_query(), m=220, n=55, skew=1.1, seed=seed)
         p = 8
-        scanned = run_triangle_skew(db, p=p, seed=seed)
-        precomputed = run_triangle_skew(
-            db, p=p, seed=seed, hitters=self._hitters(db, p)
+        scanned, precomputed = (
+            dispatch_run(
+                "skew-triangle", TRIANGLE, db, p, seed=seed,
+                settings=ExecutionSettings(), hitters=hitters,
+            )
+            for hitters in (None, self._hitters(db, p))
         )
         assert precomputed.answers == scanned.answers
         assert precomputed.details["heavy1"] == scanned.details["heavy1"]
@@ -138,9 +157,12 @@ class TestPrecomputedHitters:
     def test_hub_graph_identical(self):
         db = hub_graph_db()
         p = 27
-        scanned = run_triangle_skew(db, p=p, seed=1)
-        precomputed = run_triangle_skew(
-            db, p=p, seed=1, hitters=self._hitters(db, p)
+        scanned, precomputed = (
+            dispatch_run(
+                "skew-triangle", TRIANGLE, db, p, seed=1,
+                settings=ExecutionSettings(), hitters=hitters,
+            )
+            for hitters in (None, self._hitters(db, p))
         )
         assert precomputed.answers == scanned.answers
         assert precomputed.max_load_bits == scanned.max_load_bits
@@ -151,11 +173,17 @@ class TestPrecomputedHitters:
         hitters = dict(self._hitters(db, 8))
         del hitters["x2"]
         with pytest.raises(ValueError, match="missing triangle variable"):
-            run_triangle_skew(db, p=8, hitters=hitters)
+            dispatch_run(
+                "skew-triangle", TRIANGLE, db, 8, seed=0,
+                settings=ExecutionSettings(), hitters=hitters,
+            )
 
     def test_mislabeled_variable_rejected(self):
         db = hub_graph_db(20, 4)
         hitters = dict(self._hitters(db, 8))
         hitters["x1"], hitters["x2"] = hitters["x2"], hitters["x1"]
         with pytest.raises(ValueError, match="describe"):
-            run_triangle_skew(db, p=8, hitters=hitters)
+            dispatch_run(
+                "skew-triangle", TRIANGLE, db, 8, seed=0,
+                settings=ExecutionSettings(), hitters=hitters,
+            )

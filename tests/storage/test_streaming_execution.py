@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import star_query, triangle_query
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.data.generators import (
@@ -25,15 +27,14 @@ from repro.data.generators import (
     uniform_database,
     zipf_database,
 )
-from repro.hypercube.algorithm import run_hypercube
 from repro.join.multiway import evaluate
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import chain_plan, generic_plan, star_plan
-from repro.skew.star import run_star_skew
-from repro.skew.triangle import run_triangle_skew
+from repro.run import dispatch_run
 from repro.storage import StorageManager
 
 from tests.conftest import random_queries
+
+NUMPY = ExecutionSettings(backend="numpy")
 
 
 def assert_same_report(reference, chunked):
@@ -57,10 +58,13 @@ class TestHyperCubeChunked:
         n = 8
         sizes = {a.relation: min(25, n**a.arity) for a in query.atoms}
         db = uniform_database(query, m=sizes, n=n, seed=seed)
-        reference = run_hypercube(query, db, p=8, seed=seed, backend="numpy")
+        reference = dispatch_run(
+            "hypercube", query, db, 8, seed=seed, settings=NUMPY
+        )
         with StorageManager(chunk_rows=chunk_rows) as storage:
-            chunked = run_hypercube(
-                query, db, p=8, seed=seed, backend="numpy", storage=storage
+            chunked = dispatch_run(
+                "hypercube", query, db, 8, seed=seed, settings=NUMPY,
+                storage=storage,
             )
             assert_same_report(reference.report, chunked.report)
             assert np.array_equal(
@@ -73,9 +77,11 @@ class TestHyperCubeChunked:
         # path the spilling run uses; it must also be bit-identical.
         query = triangle_query()
         db = matching_database(query, m=300, n=1200, seed=4)
-        reference = run_hypercube(query, db, p=8, seed=1, backend="numpy")
-        chunked = run_hypercube(
-            query, db, p=8, seed=1, backend="numpy", chunk_rows=17
+        reference = Session(p=8, seed=1, backend="numpy").run(
+            query, db, "hypercube"
+        )
+        chunked = Session(p=8, seed=1, backend="numpy", chunk_rows=17).run(
+            query, db, "hypercube"
         )
         assert_same_report(reference.report, chunked.report)
         assert chunked.answers == reference.answers
@@ -96,10 +102,12 @@ class TestHyperCubeChunked:
                 ),
                 db.domain_size,
             )
-            reference = run_hypercube(query, db, p=8, seed=2, backend="numpy")
-            chunked = run_hypercube(
-                query, twin, p=8, seed=2, backend="numpy", storage=storage
+            reference = Session(p=8, seed=2, backend="numpy").run(
+                query, db, "hypercube"
             )
+            chunked = Session(
+                p=8, seed=2, backend="numpy", storage=storage
+            ).run(query, twin, "hypercube")
             assert_same_report(reference.report, chunked.report)
             assert np.array_equal(
                 chunked.answers_array(), reference.answers_array()
@@ -114,39 +122,43 @@ class TestHyperCubeChunked:
             (Atom("S1", ("x", "z")), Atom("S2", ("y", "z"))), name="J"
         )
         db = planted_heavy_hitter_database(query, 200, 2000, "z", 1.0, 5, seed=1)
-        kwargs = dict(
-            p=16, exponents={"z": 1.0}, seed=3,
-            capacity_bits=333.3, on_overflow="drop",
+        knobs = dict(p=16, seed=3, capacity_bits=333.3, on_overflow="drop")
+        exponents = {"z": 1.0}
+        reference = Session(backend="tuples", **knobs).run(
+            query, db, "hypercube", exponents=exponents
         )
-        reference = run_hypercube(query, db, backend="tuples", **kwargs)
         assert reference.report.dropped_bits > 0
         for chunk_rows in (1, 64, 10_000):
             with StorageManager(chunk_rows=chunk_rows) as storage:
-                chunked = run_hypercube(
-                    query, db, backend="numpy", storage=storage, **kwargs
-                )
+                chunked = Session(
+                    backend="numpy", storage=storage, **knobs
+                ).run(query, db, "hypercube", exponents=exponents)
                 assert_same_report(reference.report, chunked.report)
                 assert chunked.answers == reference.answers
 
     def test_storage_requires_numpy_backend(self):
+        # The cores directly: a session drops the manager for a strategy
+        # that cannot stream instead of passing it down.
         query = triangle_query()
         db = matching_database(query, m=20, n=100, seed=0)
+        tuples = ExecutionSettings(backend="tuples")
         with StorageManager() as storage:
             with pytest.raises(ValueError, match="numpy backend"):
-                run_hypercube(
-                    query, db, p=4, backend="tuples", storage=storage
+                dispatch_run(
+                    "hypercube", query, db, 4, seed=0, settings=tuples,
+                    storage=storage,
                 )
             with pytest.raises(ValueError, match="numpy backend"):
-                run_plan(
-                    generic_plan(query), db, p=4, backend="tuples",
-                    storage=storage,
+                dispatch_run(
+                    "multiround", query, db, 4, seed=0, settings=tuples,
+                    storage=storage, plan=generic_plan(query),
                 )
 
     def test_spill_files_are_cleaned_up(self):
         query = triangle_query()
         db = matching_database(query, m=500, n=2000, seed=3)
         with StorageManager(chunk_rows=32) as storage:
-            run_hypercube(query, db, p=8, seed=0, storage=storage)
+            Session(p=8, seed=0, storage=storage).run(query, db, "hypercube")
             assert storage.bytes_spilled > 0
             root = storage.root
             # Per-server fragments are freed right after their joins.
@@ -159,11 +171,13 @@ class TestSkewChunked:
     def test_star_zipf(self, chunk_rows):
         query = star_query(3)
         db = zipf_database(query, m=300, n=120, skew=1.2, seed=3)
-        reference = run_star_skew(query, db, p=16, seed=3, backend="numpy")
+        reference = Session(p=16, seed=3, backend="numpy").run(
+            query, db, "skew-star"
+        )
         with StorageManager(chunk_rows=chunk_rows) as storage:
-            chunked = run_star_skew(
-                query, db, p=16, seed=3, backend="numpy", storage=storage
-            )
+            chunked = Session(
+                p=16, seed=3, backend="numpy", storage=storage
+            ).run(query, db, "skew-star")
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
             assert chunked.details["heavy_hitters"] == reference.details["heavy_hitters"]
@@ -176,10 +190,13 @@ class TestSkewChunked:
     def test_star_random_chunks(self, seed, chunk_rows):
         query = star_query(2)
         db = zipf_database(query, m=150, n=60, skew=1.0, seed=seed)
-        reference = run_star_skew(query, db, p=8, seed=seed, backend="numpy")
+        reference = dispatch_run(
+            "skew-star", query, db, 8, seed=seed, settings=NUMPY
+        )
         with StorageManager(chunk_rows=chunk_rows) as storage:
-            chunked = run_star_skew(
-                query, db, p=8, seed=seed, backend="numpy", storage=storage
+            chunked = dispatch_run(
+                "skew-star", query, db, 8, seed=seed, settings=NUMPY,
+                storage=storage,
             )
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
@@ -187,12 +204,15 @@ class TestSkewChunked:
 
     @pytest.mark.parametrize("chunk_rows", [5, 64, 100_000])
     def test_triangle_zipf(self, chunk_rows):
-        db = zipf_database(triangle_query(), m=300, n=80, skew=1.0, seed=4)
-        reference = run_triangle_skew(db, p=8, seed=2, backend="numpy")
+        query = triangle_query()
+        db = zipf_database(query, m=300, n=80, skew=1.0, seed=4)
+        reference = Session(p=8, seed=2, backend="numpy").run(
+            query, db, "skew-triangle"
+        )
         with StorageManager(chunk_rows=chunk_rows) as storage:
-            chunked = run_triangle_skew(
-                db, p=8, seed=2, backend="numpy", storage=storage
-            )
+            chunked = Session(
+                p=8, seed=2, backend="numpy", storage=storage
+            ).run(query, db, "skew-triangle")
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
 
@@ -209,10 +229,13 @@ class TestMultiRoundChunked:
         sizes = {a.relation: min(20, n**a.arity) for a in query.atoms}
         db = uniform_database(query, m=sizes, n=n, seed=seed)
         plan = generic_plan(query, fanout=2)
-        reference = run_plan(plan, db, p=8, seed=seed, backend="numpy")
+        reference = dispatch_run(
+            "multiround", query, db, 8, seed=seed, settings=NUMPY, plan=plan
+        )
         with StorageManager(chunk_rows=chunk_rows) as storage:
-            chunked = run_plan(
-                plan, db, p=8, seed=seed, backend="numpy", storage=storage
+            chunked = dispatch_run(
+                "multiround", query, db, 8, seed=seed, settings=NUMPY,
+                storage=storage, plan=plan,
             )
             assert_same_report(reference.report, chunked.report)
             assert np.array_equal(
@@ -224,11 +247,13 @@ class TestMultiRoundChunked:
     def test_chain_plan_views_spill(self, chunk_rows):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=200, n=200, seed=6)
-        reference = run_plan(plan, db, p=8, seed=3, backend="numpy")
+        reference = dispatch_run(
+            "multiround", plan.query, db, 8, seed=3, settings=NUMPY, plan=plan
+        )
         with StorageManager(chunk_rows=chunk_rows) as storage:
-            chunked = run_plan(
-                plan, db, p=8, seed=3, backend="numpy", storage=storage,
-                keep_view_fragments=True,
+            chunked = dispatch_run(
+                "multiround", plan.query, db, 8, seed=3, settings=NUMPY,
+                storage=storage, plan=plan, keep_view_fragments=True,
             )
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
@@ -245,11 +270,13 @@ class TestMultiRoundChunked:
     def test_star_plan_chunked(self):
         plan = star_plan(3)
         db = matching_database(plan.query, m=120, n=600, seed=7)
-        reference = run_plan(plan, db, p=8, seed=2, backend="numpy")
+        reference = Session(p=8, seed=2, backend="numpy").run(
+            plan.query, db, "multiround", plan=plan
+        )
         with StorageManager(chunk_rows=13) as storage:
-            chunked = run_plan(
-                plan, db, p=8, seed=2, backend="numpy", storage=storage
-            )
+            chunked = Session(
+                p=8, seed=2, backend="numpy", storage=storage
+            ).run(plan.query, db, "multiround", plan=plan)
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
 
@@ -261,15 +288,19 @@ class TestMultiRoundChunked:
         # identically through round 2.
         plan = chain_plan(4, 0.0)
         db = zipf_database(plan.query, m=150, n=60, skew=1.0, seed=9)
-        kwargs = dict(p=8, seed=1, capacity_bits=2000.0, on_overflow="drop")
-        reference = run_plan(plan, db, backend="tuples", **kwargs)
+        knobs = dict(p=8, seed=1, capacity_bits=2000.0, on_overflow="drop")
+        reference = Session(backend="tuples", **knobs).run(
+            plan.query, db, "multiround", plan=plan
+        )
         assert reference.report.dropped_bits > 0
-        in_memory = run_plan(plan, db, backend="numpy", **kwargs)
+        in_memory = Session(backend="numpy", **knobs).run(
+            plan.query, db, "multiround", plan=plan
+        )
         assert_same_report(reference.report, in_memory.report)
         assert in_memory.answers == reference.answers
         with StorageManager(chunk_rows=chunk_rows) as storage:
-            chunked = run_plan(
-                plan, db, backend="numpy", storage=storage, **kwargs
-            )
+            chunked = Session(
+                backend="numpy", storage=storage, **knobs
+            ).run(plan.query, db, "multiround", plan=plan)
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers

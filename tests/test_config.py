@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 import repro
+from repro import Session
 from repro.config import (
+    ExecutionSettings,
     default_backend,
     resolve_backend,
     resolve_generator_backend,
@@ -14,9 +16,8 @@ from repro.config import (
 )
 from repro.core.families import triangle_query
 from repro.data.generators import matching_database
-from repro.hypercube.algorithm import run_hypercube
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import generic_plan
+from repro.run import dispatch_run
 
 
 @pytest.fixture
@@ -101,8 +102,8 @@ class TestUseBackendContextManager:
         q = triangle_query()
         db = matching_database(q, m=30, n=150, seed=1)
         with use_backend("tuples"):
-            reference = run_hypercube(q, db, p=4, seed=0)
-        columnar = run_hypercube(q, db, p=4, seed=0)
+            reference = Session(p=4, seed=0).run(q, db, "hypercube")
+        columnar = Session(p=4, seed=0).run(q, db, "hypercube")
         assert reference.answers == columnar.answers
         assert all(
             not reference.simulation.server(s).array_fragments
@@ -117,8 +118,8 @@ class TestSwitchGovernsExecutors:
     def test_hypercube_default_equals_explicit_numpy(self, restore_backend):
         q = triangle_query()
         db = matching_database(q, m=80, n=400, seed=0)
-        implicit = run_hypercube(q, db, p=8, seed=1)
-        explicit = run_hypercube(q, db, p=8, seed=1, backend="numpy")
+        implicit = Session(p=8, seed=1).run(q, db, "hypercube")
+        explicit = Session(p=8, seed=1, backend="numpy").run(q, db, "hypercube")
         assert implicit.answers == explicit.answers
         assert implicit.report.total_bits == explicit.report.total_bits
         # Default runs store array fragments, the tuple path would not.
@@ -126,7 +127,7 @@ class TestSwitchGovernsExecutors:
             implicit.simulation.server(s).array_fragments for s in range(8)
         )
         set_default_backend("tuples")
-        reference = run_hypercube(q, db, p=8, seed=1)
+        reference = Session(p=8, seed=1).run(q, db, "hypercube")
         assert reference.answers == implicit.answers
         assert all(
             not reference.simulation.server(s).array_fragments
@@ -137,14 +138,21 @@ class TestSwitchGovernsExecutors:
         q = triangle_query()
         plan = generic_plan(q)
         db = matching_database(q, m=60, n=300, seed=2)
-        columnar = run_plan(plan, db, p=8, seed=0, keep_view_fragments=True)
+        settings = ExecutionSettings()  # the backend resolves per run
+        columnar = dispatch_run(
+            "multiround", q, db, 8, seed=0, settings=settings, plan=plan,
+            keep_view_fragments=True,
+        )
         import numpy as np
 
         assert all(
             isinstance(c, np.ndarray) for c in columnar.details["view_fragments"]["V1"]
         )
         set_default_backend("tuples")
-        tuple_run = run_plan(plan, db, p=8, seed=0, keep_view_fragments=True)
+        tuple_run = dispatch_run(
+            "multiround", q, db, 8, seed=0, settings=settings, plan=plan,
+            keep_view_fragments=True,
+        )
         assert all(
             isinstance(c, set) for c in tuple_run.details["view_fragments"]["V1"]
         )

@@ -27,7 +27,6 @@ from repro import (
     zipf_database,
 )
 from repro.core.families import chain_query
-from repro.hypercube import run_hypercube
 from repro.hypercube.analysis import (
     predicted_load_bits_with_frequencies,
     predicted_makespan_bits,
@@ -35,11 +34,8 @@ from repro.hypercube.analysis import (
 )
 from repro.join import evaluate
 from repro.mpc.simulator import LoadExceededError, MPCSimulation
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import chain_plan
 from repro.planner.statistics import DataStatistics
-from repro.skew.star import run_star_skew
-from repro.skew.triangle import run_triangle_skew
 from repro.storage.manager import StorageManager
 from repro.trace import TraceQuery, TraceRecorder, tracing
 
@@ -83,32 +79,33 @@ class TestUniformIdentity:
     def test_hypercube(self, backend, speed):
         q = triangle_query()
         db = matching_database(q, m=300, n=1200, seed=3)
-        plain = run_hypercube(q, db, 8, seed=1, backend=backend)
-        uniform = run_hypercube(
-            q, db, 8, seed=1, backend=backend,
+        plain = Session(p=8, seed=1, backend=backend).run(q, db, "hypercube")
+        uniform = Session(
+            p=8, seed=1, backend=backend,
             machines=MachineSpec.uniform(8, speed=speed),
-        )
+        ).run(q, db, "hypercube")
         assert fingerprint(uniform) == fingerprint(plain)
 
     @pytest.mark.parametrize("backend", ("tuples", "numpy"))
     def test_star_skew(self, backend):
         q = star_query(2)
         db = zipf_database(q, m=500, n=500, skew=1.0, seed=2)
-        plain = run_star_skew(q, db, 8, seed=1, backend=backend)
-        uniform = run_star_skew(
-            q, db, 8, seed=1, backend=backend,
-            machines=MachineSpec.uniform(8),
-        )
+        plain = Session(p=8, seed=1, backend=backend).run(q, db, "skew-star")
+        uniform = Session(
+            p=8, seed=1, backend=backend, machines=MachineSpec.uniform(8),
+        ).run(q, db, "skew-star")
         assert fingerprint(uniform) == fingerprint(plain)
 
     @pytest.mark.parametrize("backend", ("tuples", "numpy"))
     def test_triangle_skew(self, backend):
         q = triangle_query()
         db = zipf_database(q, m=400, n=400, skew=1.0, seed=4)
-        plain = run_triangle_skew(db, 4, seed=1, backend=backend)
-        uniform = run_triangle_skew(
-            db, 4, seed=1, backend=backend, machines=MachineSpec.uniform(4),
+        plain = Session(p=4, seed=1, backend=backend).run(
+            q, db, "skew-triangle"
         )
+        uniform = Session(
+            p=4, seed=1, backend=backend, machines=MachineSpec.uniform(4),
+        ).run(q, db, "skew-triangle")
         assert fingerprint(uniform) == fingerprint(plain)
 
     @pytest.mark.parametrize("backend", ("tuples", "numpy"))
@@ -116,43 +113,43 @@ class TestUniformIdentity:
         q = chain_query(4)
         db = matching_database(q, m=400, n=1600, seed=5)
         plan = chain_plan(4)
-        plain = run_plan(plan, db, 8, seed=1, backend=backend)
-        uniform = run_plan(
-            plan, db, 8, seed=1, backend=backend,
-            machines=MachineSpec.uniform(8),
+        plain = Session(p=8, seed=1, backend=backend).run(
+            q, db, "multiround", plan=plan
         )
+        uniform = Session(
+            p=8, seed=1, backend=backend, machines=MachineSpec.uniform(8),
+        ).run(q, db, "multiround", plan=plan)
         assert fingerprint(uniform) == fingerprint(plain)
 
     @pytest.mark.parametrize("pool", ("thread", "process"))
     def test_across_pools(self, pool):
         q = triangle_query()
         db = matching_database(q, m=300, n=1200, seed=3)
-        plain = run_hypercube(q, db, 8, seed=1, pool="serial")
-        uniform = run_hypercube(
-            q, db, 8, seed=1, pool=pool, max_workers=2,
+        plain = Session(p=8, seed=1, pool="serial").run(q, db, "hypercube")
+        uniform = Session(
+            p=8, seed=1, pool=pool, max_workers=2,
             machines=MachineSpec.uniform(8),
-        )
+        ).run(q, db, "hypercube")
         assert fingerprint(uniform) == fingerprint(plain)
 
     def test_with_storage(self, tmp_path):
         q = triangle_query()
         db = matching_database(q, m=300, n=1200, seed=3)
-        plain = run_hypercube(q, db, 8, seed=1)
+        plain = Session(p=8, seed=1).run(q, db, "hypercube")
         with StorageManager(root=tmp_path / "spill", chunk_rows=64) as st:
-            uniform = run_hypercube(
-                q, db, 8, seed=1, storage=st,
-                machines=MachineSpec.uniform(8),
-            )
+            uniform = Session(
+                p=8, seed=1, storage=st, machines=MachineSpec.uniform(8),
+            ).run(q, db, "hypercube")
             assert fingerprint(uniform) == fingerprint(plain)
 
     def test_truncation_identical_under_uniform_spec(self):
         q = triangle_query()
         db = matching_database(q, m=400, n=1600, seed=3)
-        kwargs = dict(seed=1, capacity_bits=3000.0, on_overflow="drop")
-        plain = run_hypercube(q, db, 8, **kwargs)
+        knobs = dict(p=8, seed=1, capacity_bits=3000.0, on_overflow="drop")
+        plain = Session(**knobs).run(q, db, "hypercube")
         assert plain.report.dropped_bits > 0
-        uniform = run_hypercube(
-            q, db, 8, machines=MachineSpec.uniform(8), **kwargs
+        uniform = Session(machines=MachineSpec.uniform(8), **knobs).run(
+            q, db, "hypercube"
         )
         assert fingerprint(uniform) == fingerprint(plain)
 
@@ -289,8 +286,8 @@ class TestHeterogeneousExecution:
         q = star_query(2)
         db = matching_database(q, m=2000, n=8000, seed=1)
         expected = evaluate(q, db)
-        uniform = run_star_skew(q, db, 8, seed=1)
-        weighted = run_star_skew(q, db, 8, seed=1, machines=HETERO)
+        uniform = Session(p=8, seed=1).run(q, db, "skew-star")
+        weighted = Session(p=8, seed=1, machines=HETERO).run(q, db, "skew-star")
         assert weighted.answers == expected
         assert uniform.answers == expected
 
@@ -351,7 +348,7 @@ class TestHeterogeneousExecution:
         db = matching_database(q, m=300, n=1200, seed=0)
         recorder = TraceRecorder()
         with tracing(recorder):
-            run_hypercube(q, db, 8, seed=1)
+            Session(p=8, seed=1).run(q, db, "hypercube")
         view = TraceQuery(recorder.finish())
         assert view.machines() is None
         assert view.speed_class_bits() is None

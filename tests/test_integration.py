@@ -9,23 +9,28 @@ the full pipeline exercised exactly as a downstream user would.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Session
 from repro.bounds.one_round import lower_bound, upper_bound
+from repro.config import ExecutionSettings
 from repro.bounds.probability import output_concentration_bound
 from repro.core.families import chain_query, triangle_query
 from repro.core.friedgut import expected_output_size
 from repro.core.stats import Statistics
 from repro.data.generators import matching_database, uniform_database
-from repro.hypercube.algorithm import run_hypercube
-from repro.hypercube.baselines import run_broadcast_join, run_single_server
 from repro.join.multiway import evaluate
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import generic_plan
+from repro.run import dispatch_run
 from tests.conftest import random_queries
+
+#: Hot hypothesis loops run the executor cores directly: a session
+#: would collect statistics and rank every strategy per example.
+ENGINE = ExecutionSettings()
 
 
 def bounded_uniform_db(query, m, n, seed):
@@ -44,7 +49,7 @@ class TestRandomQueryPipelines:
     @settings(max_examples=25, deadline=None)
     def test_hypercube_matches_sequential(self, query, seed):
         db = bounded_uniform_db(query, m=20, n=8, seed=seed)
-        result = run_hypercube(query, db, p=8, seed=seed)
+        result = dispatch_run("hypercube", query, db, 8, seed=seed, settings=ENGINE)
         assert result.answers == evaluate(query, db)
 
     @given(
@@ -55,7 +60,9 @@ class TestRandomQueryPipelines:
     def test_generic_plan_matches_sequential(self, query, seed):
         db = bounded_uniform_db(query, m=15, n=7, seed=seed)
         plan = generic_plan(query)
-        result = run_plan(plan, db, p=8, seed=seed)
+        result = dispatch_run(
+            "multiround", query, db, 8, seed=seed, settings=ENGINE, plan=plan
+        )
         assert result.answers == evaluate(query, db)
 
     @given(
@@ -66,8 +73,9 @@ class TestRandomQueryPipelines:
     def test_baselines_match_sequential(self, query, seed):
         db = bounded_uniform_db(query, m=12, n=6, seed=seed)
         truth = evaluate(query, db)
-        assert run_single_server(query, db, p=4).answers == truth
-        assert run_broadcast_join(query, db, p=4).answers == truth
+        for name in ("single-server", "broadcast"):
+            result = dispatch_run(name, query, db, 4, seed=0, settings=ENGINE)
+            assert result.answers == truth
 
     @given(random_queries(max_variables=4, max_atoms=4))
     @settings(max_examples=20, deadline=None)
@@ -88,8 +96,9 @@ class TestLoadOrdering:
     def test_hypercube_never_worse_than_single_server(self, query):
         db = matching_database(query, m=400, n=2**13, seed=3)
         p = 16
-        single = run_single_server(query, db, p)
-        hypercube = run_hypercube(query, db, p, seed=3)
+        with Session(p=p, seed=3) as session:
+            single = session.run(query, db, "single-server")
+            hypercube = session.run(query, db, "hypercube")
         assert hypercube.max_load_bits < single.max_load_bits
 
     def test_broadcast_between_for_small_relation(self):
@@ -98,8 +107,11 @@ class TestLoadOrdering:
             query, {"S1": 10, "S2": 500, "S3": 500}, n=2**12, seed=4
         )
         p = 16
-        single = run_single_server(query, db, p)
-        broadcast = run_broadcast_join(query, db, p, partition_relation="S2")
+        single = Session(p=p).run(query, db, "single-server")
+        broadcast = dispatch_run(
+            "broadcast", query, db, p, seed=0, settings=ENGINE,
+            partition_relation="S2",
+        )
         assert broadcast.max_load_bits < single.max_load_bits
 
 
@@ -133,8 +145,8 @@ class TestUserJourney:
 
     def test_quickstart_flow(self):
         from repro import (
+            Session as S,
             matching_database as mdb,
-            run_hypercube as rhc,
             triangle_query as tq,
         )
         from repro.bounds import lower_bound as lb, upper_bound as ub
@@ -143,7 +155,7 @@ class TestUserJourney:
         q = tq()
         db = mdb(q, m=500, n=2**14, seed=0)
         stats = db.statistics(q)
-        result = rhc(q, db, p=64)
+        result = S(p=64).run(q, db, "hypercube")
         assert result.answers == ev(q, db)
         assert result.details["shares"] == {"x1": 4, "x2": 4, "x3": 4}
         assert lb(q, stats, 64) == pytest.approx(ub(q, stats, 64), rel=1e-6)
@@ -151,4 +163,35 @@ class TestUserJourney:
     def test_version_exported(self):
         import repro
 
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
+
+    def test_public_names_resolve_and_free_runners_are_gone(self):
+        import importlib
+
+        modules = [
+            importlib.import_module(name)
+            for name in (
+                "repro", "repro.hypercube", "repro.skew",
+                "repro.multiround", "repro.planner",
+            )
+        ]
+        for module in modules:
+            for name in module.__all__:
+                assert hasattr(module, name), f"{module.__name__}.{name}"
+        # Session.run / run_many are the only public run verbs: no free
+        # run_* function or planner execute() is left in the modules
+        # that used to hold one.
+        runner = re.compile(r"run_\w+|execute(_\w+)?")
+        for name in (
+            "hypercube.algorithm", "hypercube.baselines", "skew.star",
+            "skew.triangle", "skew.oblivious", "multiround.executor",
+            "planner.engine",
+        ):
+            modules.append(importlib.import_module(f"repro.{name}"))
+        for module in modules:
+            leftovers = sorted(n for n in vars(module) if runner.fullmatch(n))
+            assert leftovers == [], module.__name__
+        from repro.session import Session
+
+        assert not hasattr(Session, "_planner_run")
+        assert len(modules[0].__all__) == 49

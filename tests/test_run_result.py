@@ -1,9 +1,9 @@
-"""One ``RunResult``: the contract every entry point's return value meets.
+"""One ``RunResult``: the contract every run's return value meets.
 
-Eight registered strategies x {``Session.run``, the matching free
-function, ``planner.execute``, ``run_many`` under each pool kind}: the
-result is exactly :class:`repro.run.RunResult`, carries the identical
-attribute set, survives a pickle round trip, and answers the query.
+Eight registered strategies x {``Session.run``, ``Strategy.run``,
+``run_many`` under each pool kind}: the result is exactly
+:class:`repro.run.RunResult`, carries the identical attribute set,
+survives a pickle round trip, and answers the query.
 """
 
 from __future__ import annotations
@@ -16,19 +16,9 @@ import pytest
 from repro import Job, RunResult, Session
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import zipf_database
-from repro.hypercube.algorithm import run_hypercube
-from repro.hypercube.baselines import (
-    run_broadcast_join,
-    run_parallel_hash_join,
-    run_single_server,
-)
 from repro.join.multiway import evaluate
-from repro.multiround.executor import run_plan
-from repro.planner import default_strategies, execute
+from repro.planner import default_strategies
 from repro.session import RunResult as SessionRunResult
-from repro.skew.oblivious import run_skew_oblivious_hypercube
-from repro.skew.star import run_star_skew
-from repro.skew.triangle import run_triangle_skew
 
 P = 8
 STRATEGIES = [strategy.name for strategy in default_strategies()]
@@ -44,24 +34,6 @@ def case(strategy):
     return q, zipf_database(q, m=180, n=80, skew=1.0, seed=1)
 
 
-def free_function(strategy, q, db, pinned):
-    if strategy == "skew-triangle":
-        return run_triangle_skew(db, P, seed=0)
-    if strategy == "multiround":
-        # The plan the strategy priced cheapest, so the loads compare.
-        return run_plan(pinned.details["plan"], db, P, seed=0)
-    runner = {
-        "hypercube": run_hypercube,
-        "skew-oblivious": run_skew_oblivious_hypercube,
-        "skew-star": run_star_skew,
-        "hash-join": run_parallel_hash_join,
-        "broadcast": run_broadcast_join,
-    }.get(strategy)
-    if runner is None:
-        return run_single_server(q, db, P)
-    return runner(q, db, P, seed=0)
-
-
 def surface(result):
     """Everything readable that must not depend on the pool kind."""
     details = dict(result.details)
@@ -73,7 +45,6 @@ def surface(result):
         "max_load_bits": result.max_load_bits,
         "max_load_tuples": result.max_load_tuples,
         "predicted_bits": result.predicted_bits,
-        "budget_outcome": result.budget_outcome,
         "details": details,
         "explained": result.explained and result.explained.table(),
         "summary": result.summary(),
@@ -104,9 +75,9 @@ def check_contract(result, strategy, q, db):
     assert copy.report == result.report
     assert copy.predicted_bits == result.predicted_bits
     assert copy.strategy == result.strategy
-    # The pickled form never carries the simulation, a storage manager
-    # or per-server view fragments.
-    assert copy.simulation is None and copy.storage is None
+    # The pickled form never carries the simulation or per-server view
+    # fragments.
+    assert copy.simulation is None
     assert "view_fragments" not in copy.details
     return set(vars(result)) | {
         name for name in dir(RunResult) if not name.startswith("__")
@@ -121,27 +92,21 @@ def test_one_class_under_both_import_paths():
 def test_every_entry_point_returns_the_same_thing(strategy):
     q, db = case(strategy)
     with Session(p=P, seed=0) as session:
-        pinned = session.run(q, db, strategy=strategy)
-        results = [
-            pinned,
-            free_function(strategy, q, db, pinned),
-            execute(q, db, P, seed=0, strategy=strategy),
-            next(s for s in default_strategies() if s.name == strategy).run(
-                q, db, P, seed=0
-            ),
-        ]
+        planned = session.run(q, db, strategy=strategy)
+        direct = next(
+            s for s in default_strategies() if s.name == strategy
+        ).run(q, db, P, seed=0)
         attribute_sets = [
-            check_contract(result, strategy, q, db) for result in results
+            check_contract(result, strategy, q, db)
+            for result in (planned, direct)
         ]
-    assert all(names == attribute_sets[0] for names in attribute_sets)
-    _, free, planned, direct = results
+    assert attribute_sets[0] == attribute_sets[1]
     # The planner adds context; it never changes what ran.
     assert planned.explained is not None and planned.estimate is not None
     assert planned.predicted_bits == planned.estimate.load_bits
-    assert free.explained is None and direct.explained is None
-    for other in (free, planned, direct):
-        assert surface(other)["loads"] == surface(pinned)["loads"]
-        assert surface(other)["answers"] == surface(pinned)["answers"]
+    assert direct.explained is None and direct.estimate is None
+    assert surface(direct)["loads"] == surface(planned)["loads"]
+    assert surface(direct)["answers"] == surface(planned)["answers"]
 
 
 def test_planner_routed_run_pickles():

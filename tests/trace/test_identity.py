@@ -10,40 +10,53 @@ integer-valued doubles far below 2**53.
 
 from __future__ import annotations
 
+import functools
 import time
 
 import pytest
 
+from repro import Session
+from repro.config import ExecutionSettings
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import matching_database, zipf_database
-from repro.hypercube import run_hypercube
-from repro.multiround.executor import run_plan
 from repro.multiround.plans import chain_plan
-from repro.skew.star import run_star_skew
-from repro.skew.triangle import run_triangle_skew
+from repro.planner import DataStatistics
+from repro.run import dispatch_run
 from repro.storage.manager import StorageManager
 from repro.trace import tracing
 
 ENGINES = ["hypercube", "skew-star", "skew-triangle", "multiround"]
 
 
-def run_engine(name, pool=None, storage=None, **knobs):
-    knobs.setdefault("seed", 0)
+@functools.cache
+def engine_case(name):
+    """The fixed (query, database, statistics, overrides) of each engine.
+
+    Cached, so every run of one engine plans from one shared
+    ``DataStatistics`` and the planner prices it once.
+    """
+    overrides = {}
     if name == "hypercube":
         q = triangle_query()
         db = matching_database(q, m=120, n=480, seed=0)
-        return run_hypercube(q, db, p=8, pool=pool, storage=storage, **knobs)
-    if name == "skew-star":
+    elif name == "skew-star":
         q = star_query(2)
         db = zipf_database(q, m=150, n=60, skew=1.0, seed=1)
-        return run_star_skew(q, db, p=8, pool=pool, storage=storage, **knobs)
-    if name == "skew-triangle":
+    elif name == "skew-triangle":
         q = triangle_query()
         db = zipf_database(q, m=120, n=50, skew=1.1, seed=2)
-        return run_triangle_skew(db, p=8, pool=pool, storage=storage, **knobs)
-    plan = chain_plan(4)
-    db = matching_database(plan.query, m=120, n=480, seed=3)
-    return run_plan(plan, db, p=8, pool=pool, storage=storage, **knobs)
+    else:
+        plan = chain_plan(4)
+        q, overrides = plan.query, {"plan": plan}
+        db = matching_database(q, m=120, n=480, seed=3)
+    return q, db, DataStatistics.from_database(q, db, 8), overrides
+
+
+def run_engine(name, **knobs):
+    query, db, stats, overrides = engine_case(name)
+    return Session(p=8, **knobs).run(
+        query, db, name, stats=stats, **overrides
+    )
 
 
 def snapshot(result):
@@ -128,7 +141,7 @@ class TestAccounting:
         with StorageManager(root=tmp_path / "s", chunk_rows=64) as storage:
             db = matching_database(q, m=400, n=1600, seed=0, storage=storage)
             with tracing() as rec:
-                run_hypercube(q, db, p=8, storage=storage)
+                Session(p=8, storage=storage).run(q, db, "hypercube")
             counters = storage.io_counters()
         writes = [
             e for e in rec.events
@@ -158,6 +171,7 @@ class TestOverhead:
         """Traced wall time <= 1.25x untraced at n = 10**5 (min of 3)."""
         q = triangle_query()
         db = matching_database(q, m=25_000, n=100_000, seed=0)
+        settings = ExecutionSettings()
 
         def best_of(traced, repeats=3):
             samples = []
@@ -165,9 +179,13 @@ class TestOverhead:
                 start = time.perf_counter()
                 if traced:
                     with tracing():
-                        run_hypercube(q, db, p=8, skip_local_join=True)
+                        dispatch_run(
+                            "hypercube", q, db, 8, seed=0, settings=settings
+                        )
                 else:
-                    run_hypercube(q, db, p=8, skip_local_join=True)
+                    dispatch_run(
+                        "hypercube", q, db, 8, seed=0, settings=settings
+                    )
                 samples.append(time.perf_counter() - start)
             return min(samples)
 
