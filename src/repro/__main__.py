@@ -337,7 +337,7 @@ def _budget_line(result, session: Session, budget_mb: float) -> str:
         return (
             f"out-of-core: budget {budget_mb:g} MiB -> chunked execution, "
             f"spilled {spill['bytes_written'] / 2**20:.1f} MiB in "
-            f"{spill['files_created']} chunks "
+            f"{spill['files_created']} spill files "
             f"(chunk_rows={session.storage.chunk_rows})"
         )
     if session.storage is None:
@@ -433,7 +433,7 @@ def run_run_command(args: argparse.Namespace) -> None:
             print(
                 "out-of-core: spilled "
                 f"{session.storage.bytes_spilled / 2**20:.1f} MiB in "
-                f"{session.storage.chunks_spilled} chunks "
+                f"{session.storage.files_created} spill files "
                 f"(chunk_rows={session.storage.chunk_rows})"
             )
         if session.metrics is not None:

@@ -13,6 +13,7 @@ from repro.checks.rules.parallel import ParentAccountingRule, PoolTaskRule
 from repro.checks.rules.resolution import SettingsResolutionRule
 from repro.checks.rules.row_order import RowOrderRule
 from repro.checks.rules.run_path import RunPathRule
+from repro.checks.rules.spill_format import SpillFormatRule
 
 __all__ = ["all_rules", "rule_ids"]
 
@@ -29,6 +30,7 @@ def all_rules() -> list[Rule]:
         SettingsResolutionRule(),
         RowOrderRule(),
         RunPathRule(),
+        SpillFormatRule(),
     ]
 
 

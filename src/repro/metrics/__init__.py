@@ -53,7 +53,11 @@ braces)
 ``repro_spill_bytes_written_total`` / ``repro_spill_writes_total`` /
 ``repro_spill_bytes_read_total`` / ``repro_spill_reads_total`` (counters)
     Storage-manager spill I/O, mirroring the trace ``spill`` events
-    (real file bytes, not model bits).
+    (real file bytes, not model bits).  A write is one append to a
+    spool's segment file (one per flush, carrying one or more whole
+    chunks), so the writes total equals ``StorageManager.writes`` --
+    not ``files_created``, which counts segment files.  A read is one
+    chunk read or one worker handle, as ``StorageManager.reads``.
 ``repro_pool_tasks_total{kind}`` (counter),
 ``repro_pool_task_seconds{kind}`` (histogram)
     Worker-pool route/join tasks merged by the drivers; seconds are

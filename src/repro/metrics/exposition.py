@@ -33,10 +33,10 @@ HELP: dict[str, str] = {
     "repro_sim_rounds_total": "Communication rounds closed.",
     "repro_sim_round_max_bits":
         "Last closed round's max per-server bits (gauge; max = worst round).",
-    "repro_spill_bytes_written_total": "Bytes written to spill chunks.",
-    "repro_spill_writes_total": "Spill-chunk writes.",
-    "repro_spill_bytes_read_total": "Bytes read back from spill chunks.",
-    "repro_spill_reads_total": "Spill-chunk reads.",
+    "repro_spill_bytes_written_total": "Bytes written to spill segments.",
+    "repro_spill_writes_total": "Appends to spill segment files.",
+    "repro_spill_bytes_read_total": "Bytes read back from spill segments.",
+    "repro_spill_reads_total": "Spill chunk reads and worker handles.",
     "repro_pool_tasks_total": "Worker-pool tasks completed, by kind.",
     "repro_pool_task_seconds":
         "Task-body wall time measured inside the worker, by kind.",

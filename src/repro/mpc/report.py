@@ -297,7 +297,7 @@ class LoadReport:
             lines.append(
                 "  spill I/O: wrote "
                 f"{stats.get('bytes_written', 0) / 2**20:.2f} MiB in "
-                f"{stats.get('files_created', 0)} chunk(s), read "
+                f"{stats.get('files_created', 0)} spill file(s), read "
                 f"{stats.get('bytes_read', 0) / 2**20:.2f} MiB, peak live "
                 f"{stats.get('peak_live_bytes', 0) / 2**20:.2f} MiB"
             )

@@ -13,8 +13,9 @@ happens on the parent as results are merged.  Three implementations:
   task bodies release the GIL (NumPy routing/joins on large arrays).
 * :class:`ProcessPool` -- a spawn-context ``ProcessPoolExecutor``.
   True multicore for CPU-bound work; tasks and results cross a pickle
-  boundary, so task dataclasses reference large on-disk chunks by path
-  (re-opened as read-only memmaps in the worker) instead of by value.
+  boundary, so task dataclasses reference spilled rows by ``(path,
+  offset, rows)`` segment slices (mapped read-only in the worker)
+  instead of by value.
 
 ``imap`` keeps at most ``2 * max_workers`` tasks in flight (bounded
 prefetch), so fanning a million-chunk stream over a pool never

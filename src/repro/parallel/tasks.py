@@ -18,8 +18,9 @@ here.  The split is strict:
   what keeps answers, per-server per-round loads, and capacity-drop
   truncation bit-identical.
 * **Large data ships by path.**  An :class:`ArraySource` wraps either
-  an in-memory array or the path of a ``.npy`` spill chunk; process
-  workers re-open paths as read-only memmaps
+  an in-memory array or a
+  :class:`~repro.storage.chunked.SegmentSlice` -- ``(path, offset,
+  rows)`` of a spool's spill segment -- that workers map read-only
   (:meth:`~repro.storage.chunked.ChunkedRelation.chunk_handles`), so
   out-of-core fragments cross the pickle boundary as a few bytes.
 
@@ -32,7 +33,6 @@ result is pickled back.
 
 from __future__ import annotations
 
-import pathlib
 import pickle
 import time
 from dataclasses import dataclass
@@ -46,7 +46,7 @@ from repro.hashing.family import GridPartitioner, HashFamily
 from repro.metrics.registry import active_metrics
 from repro.mpc.timing import PhaseTimer
 from repro.parallel.pool import WorkerPool
-from repro.storage.chunked import ChunkedRelation
+from repro.storage.chunked import ChunkedRelation, SegmentSlice
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.query import ConjunctiveQuery
@@ -59,25 +59,26 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 @dataclass(frozen=True, eq=False)
 class ArraySource:
-    """One shippable ``(n, arity)`` row batch: inline rows or a path.
+    """One shippable ``(n, arity)`` row batch: inline rows or a segment.
 
-    ``path`` names a ``.npy`` spill chunk that :meth:`load` re-opens as
-    a read-only memmap -- the zero-copy hand-off for process workers.
-    Exactly one of ``rows``/``path`` is set.
+    ``segment`` names a row range ``(path, offset, rows, arity)`` of a
+    spill segment that :meth:`load` maps read-only -- the zero-copy
+    hand-off for process workers.  Exactly one of ``rows``/``segment``
+    is set.
     """
 
     rows: np.ndarray | None = None
-    path: str | None = None
+    segment: SegmentSlice | None = None
 
     def load(self) -> np.ndarray:
         if self.rows is not None:
             return self.rows
-        return np.load(self.path, mmap_mode="r", allow_pickle=False)
+        return self.segment.load()
 
 
-def _source(handle: np.ndarray | pathlib.Path) -> ArraySource:
-    if isinstance(handle, pathlib.Path):
-        return ArraySource(path=str(handle))
+def _source(handle: np.ndarray | SegmentSlice) -> ArraySource:
+    if isinstance(handle, SegmentSlice):
+        return ArraySource(segment=handle)
     return ArraySource(rows=handle)
 
 
@@ -89,7 +90,8 @@ def iter_array_sources(
 
     Yields the same rows in the same chunking, but as
     :class:`ArraySource` handles: a chunked relation's spilled chunks
-    come out as paths (never opened here), everything else as arrays.
+    come out as segment slices (never opened here), everything else as
+    arrays.
     """
     if isinstance(source, ChunkedRelation):
         for handle in source.chunk_handles():
@@ -263,8 +265,9 @@ def server_join_task(
     """Snapshot one server's array fragments into a picklable task.
 
     Mirrors :meth:`MPCSimulation.array_state`: tags enumerate in
-    delivery-store order, spooled fragments become chunk handles
-    (paths for spilled chunks), and ``prefix`` selects and strips the
+    delivery-store order, a spooled fragment becomes one segment slice
+    over all its spilled rows plus its in-memory tail (the join merges
+    the whole fragment anyway), and ``prefix`` selects and strips the
     multi-round executor's namespaced tags.
     """
     tags = list(state.array_fragments)
@@ -276,7 +279,7 @@ def server_join_task(
         key = tag if prefix is None else tag[len(prefix):]
         spool = state.array_spools.get(tag)
         if spool is not None:
-            sources = tuple(_source(h) for h in spool.chunk_handles())
+            sources = tuple(_source(h) for h in spool.segment_handles())
         else:
             sources = tuple(
                 ArraySource(rows=batch)

@@ -139,7 +139,7 @@ class RunResult:
             lines.append(
                 "  out-of-core: spilled "
                 f"{spill['bytes_written'] / 2**20:.1f} MiB in "
-                f"{spill['files_created']} chunks"
+                f"{spill['files_created']} spill files"
             )
         return "\n".join(lines)
 

@@ -1,16 +1,25 @@
-"""Chunked relations: fixed-size numpy chunks with ``.npy`` spill files.
+"""Chunked relations: fixed-size numpy chunks over one spill segment.
 
 A :class:`ChunkedRelation` stores a relation (or an append-mode spool of
 row batches) as a sequence of ``(chunk_rows, arity)`` int64 chunks.
-Full chunks spill to ``.npy`` files owned by a
-:class:`~repro.storage.manager.StorageManager` and are read back as
-read-only memory maps, so a relation of ``n`` rows is never resident in
-full; the partial tail chunk stays in memory, which doubles as the
-small-relation fast path (a spool below ``chunk_rows`` rows never
-touches disk).  Without a manager, full chunks stay as in-memory arrays
--- the chunk *iteration* contract is identical either way, which is
-what lets the property suites exercise chunked execution without a
-filesystem.
+Full chunks spill to the spool's **segment**: one append-only file of
+raw native int64 rows, no header, owned by a
+:class:`~repro.storage.manager.StorageManager`.  Only whole chunks ever
+spill, so chunk ``k`` starts at row ``k * chunk_rows`` and the row
+count is the whole index.  Each flush appends every full chunk with one
+write and closes the file again; each read pass maps the segment once
+(read-only) and slices chunks out of it, so a relation of ``n`` rows is
+never resident in full.  The partial tail chunk stays in memory, which
+doubles as the small-relation fast path (a spool below ``chunk_rows``
+rows never touches disk).  Without a manager, full chunks stay as
+in-memory arrays -- the chunk *iteration* contract is identical either
+way, which is what lets the property suites exercise chunked execution
+without a filesystem.
+
+A :class:`SegmentSlice` ``(path, offset, rows, arity)`` names a row
+range of a segment; it is the handle spilled rows cross a process
+boundary as, and :meth:`SegmentSlice.load` is the one reader of the
+format.
 
 Unlike :class:`~repro.data.relation.Relation` (whose canonical array is
 sorted and deduplicated), a chunked relation stores rows in **append
@@ -25,13 +34,36 @@ array-born relation.
 from __future__ import annotations
 
 import pathlib
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.data.arrays import column_counts, unique_rows
 from repro.data.relation import Relation, validate_array_domain
 from repro.storage.manager import DEFAULT_CHUNK_ROWS, StorageManager
+
+
+class SegmentSlice(NamedTuple):
+    """Rows ``[offset, offset + rows)`` of a raw int64 segment file."""
+
+    path: str
+    offset: int
+    rows: int
+    arity: int
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows * self.arity * 8
+
+    def load(self) -> np.memmap:
+        """The row range as a read-only memory map (pages load lazily)."""
+        return np.memmap(
+            self.path,
+            dtype=np.int64,
+            mode="r",
+            offset=self.offset * self.arity * 8,
+            shape=(self.rows, self.arity),
+        )
 
 
 class ChunkedRelation(Relation):
@@ -44,8 +76,8 @@ class ChunkedRelation(Relation):
     set-semantics API works but materializes.
     """
 
-    __slots__ = ("chunk_rows", "_storage", "_parts", "_tail", "_tail_rows",
-                 "_num_rows")
+    __slots__ = ("chunk_rows", "_storage", "_parts", "_segment",
+                 "_spilled_rows", "_tail", "_tail_rows", "_num_rows")
 
     def __init__(
         self,
@@ -64,7 +96,10 @@ class ChunkedRelation(Relation):
         self.arity = arity
         self.chunk_rows = int(chunk_rows)
         self._storage = storage
-        self._parts: list[np.ndarray | pathlib.Path] = []
+        # In-memory full chunks (no manager) or the spilled segment.
+        self._parts: list[np.ndarray] = []
+        self._segment: pathlib.Path | None = None
+        self._spilled_rows = 0
         self._tail: list[np.ndarray] = []
         self._tail_rows = 0
         self._num_rows = 0
@@ -151,31 +186,38 @@ class ChunkedRelation(Relation):
             else np.concatenate(self._tail, axis=0)
         )
         full = (len(merged) // self.chunk_rows) * self.chunk_rows
-        for start in range(0, full, self.chunk_rows):
-            self._store(
+        if self._storage is None:
+            self._parts.extend(
                 np.ascontiguousarray(merged[start:start + self.chunk_rows])
+                for start in range(0, full, self.chunk_rows)
             )
+        else:
+            self._spill(merged[:full])
         rest = merged[full:]
         self._tail = [rest.copy()] if len(rest) else []
         self._tail_rows = len(rest)
 
-    def _store(self, chunk: np.ndarray) -> None:
-        if self._storage is None:
-            self._parts.append(chunk)
-            return
-        path = self._storage.new_chunk_path(f"{self.name}-{len(self._parts)}")
-        np.save(path, chunk, allow_pickle=False)
-        self._storage.account_spill(chunk.nbytes, path)
-        self._parts.append(path)
+    def _spill(self, rows: np.ndarray) -> None:
+        """Append whole chunks to the segment file with one write.
+
+        The file is opened per flush and never held: a run keeps one
+        spool per server and tag alive, far more than descriptors allow.
+        """
+        if self._segment is None:
+            self._segment = self._storage.new_chunk_path(self.name)
+        with open(self._segment, "ab") as handle:
+            handle.write(np.ascontiguousarray(rows).data)
+        self._storage.account_spill(rows.nbytes, self._segment)
+        self._spilled_rows += len(rows)
 
     def drop(self) -> None:
-        """Discard all rows, deleting this spool's spill files."""
-        for part in self._parts:
-            if isinstance(part, pathlib.Path):
-                if self._storage is not None:
-                    self._storage.account_unlink(part)
-                part.unlink(missing_ok=True)
+        """Discard all rows, deleting this spool's segment file."""
+        if self._segment is not None:
+            self._storage.account_unlink(self._segment)
+            self._segment.unlink(missing_ok=True)
         self._parts = []
+        self._segment = None
+        self._spilled_rows = 0
         self._tail = []
         self._tail_rows = 0
         self._num_rows = 0
@@ -187,71 +229,79 @@ class ChunkedRelation(Relation):
     @property
     def num_chunks(self) -> int:
         """Closed chunks plus the in-memory tail (if any)."""
-        return len(self._parts) + (1 if self._tail_rows else 0)
+        tail = 1 if self._tail_rows else 0
+        return len(self._parts) + self.spilled_chunks + tail
 
     @property
     def spilled_chunks(self) -> int:
-        """Chunks currently backed by ``.npy`` files."""
-        return sum(1 for part in self._parts if isinstance(part, pathlib.Path))
+        """Chunks currently stored in the segment file."""
+        return self._spilled_rows // self.chunk_rows
 
     def chunks(self) -> Iterator[np.ndarray]:
         """Yield every chunk in append order.
 
-        Spilled chunks come back as read-only memory maps: only the
-        pages a consumer touches become resident, and they are released
-        when the chunk array goes out of scope.
+        Spilled chunks are slices of one read-only memory map of the
+        segment, opened per pass: only the pages a consumer touches
+        become resident, and the map closes once no chunk refers to it.
         """
-        for part in self._parts:
-            if isinstance(part, pathlib.Path):
-                if (
-                    self._storage is not None
-                    and self._storage.closed
-                    and not self._storage.keep
-                ):
-                    raise RuntimeError(
-                        f"spill files of {self.name!r} are gone: its "
-                        "StorageManager is closed -- materialize "
-                        "results (answers, to_array()) before closing "
-                        "the manager"
-                    )
-                arr = np.load(part, mmap_mode="r", allow_pickle=False)
-                if self._storage is not None:
-                    self._storage.account_read(arr.nbytes, part)
-                yield arr
-            else:
-                yield part
+        yield from self._parts
+        if self._spilled_rows:
+            if self._storage.closed and not self._storage.keep:
+                raise RuntimeError(
+                    f"spill files of {self.name!r} are gone: its "
+                    "StorageManager is closed -- materialize "
+                    "results (answers, to_array()) before closing "
+                    "the manager"
+                )
+            segment = self._slice(0, self._spilled_rows).load()
+            for start in range(0, self._spilled_rows, self.chunk_rows):
+                chunk = segment[start:start + self.chunk_rows]
+                self._storage.account_read(chunk.nbytes, self._segment)
+                yield chunk
         if self._tail_rows:
-            if len(self._tail) > 1:
-                self._tail = [np.concatenate(self._tail, axis=0)]
-            yield self._tail[0]
+            yield self._merged_tail()
 
-    def chunk_handles(self) -> list[np.ndarray | pathlib.Path]:
+    def chunk_handles(self) -> list[np.ndarray | SegmentSlice]:
         """Every chunk as a shippable handle, in append order.
 
-        Spilled chunks come back as their ``.npy`` *paths* (no memmap
-        is opened here); in-memory chunks and the tail come back as
+        Spilled chunks come back as :class:`SegmentSlice` handles (no
+        file is opened here); in-memory chunks and the tail come back as
         arrays.  This is the zero-copy hand-off for process-pool
-        workers: a path pickles as a few bytes and the worker re-opens
-        it as a read-only memmap, instead of the parent pickling the
-        chunk's contents.  Loading every handle reproduces exactly the
-        rows of :meth:`chunks` in the same order.
+        workers: a handle pickles as a few bytes and the worker maps
+        just its row range, instead of the parent pickling the chunk's
+        contents.  Loading every handle reproduces exactly the rows of
+        :meth:`chunks` in the same order.
         """
-        handles: list[np.ndarray | pathlib.Path] = list(self._parts)
-        if self._storage is not None:
-            # Workers re-open path handles with bare np.load and cannot
-            # reach the manager, so each spilled handle's eventual read
-            # is accounted here, at creation.  Spilled chunks are always
-            # exactly chunk_rows rows (only full chunks spill).
-            for handle in handles:
-                if isinstance(handle, pathlib.Path):
-                    self._storage.account_read(
-                        self.chunk_rows * self.arity * 8, handle
-                    )
+        return self._handles(self.chunk_rows)
+
+    def segment_handles(self) -> list[np.ndarray | SegmentSlice]:
+        """:meth:`chunk_handles` with all spilled rows as one handle.
+
+        For consumers that merge the whole spool anyway (a server's
+        local join): one map of the segment instead of one per chunk.
+        """
+        # max(..., 1): range() needs a positive step when nothing spilled.
+        return self._handles(max(self._spilled_rows, 1))
+
+    def _handles(self, span: int) -> list[np.ndarray | SegmentSlice]:
+        handles: list[np.ndarray | SegmentSlice] = list(self._parts)
+        for start in range(0, self._spilled_rows, span):
+            handle = self._slice(start, span)
+            # Workers load handles without the manager, so each
+            # handle's eventual read is accounted here, at creation.
+            self._storage.account_read(handle.nbytes, self._segment)
+            handles.append(handle)
         if self._tail_rows:
-            if len(self._tail) > 1:
-                self._tail = [np.concatenate(self._tail, axis=0)]
-            handles.append(self._tail[0])
+            handles.append(self._merged_tail())
         return handles
+
+    def _slice(self, offset: int, rows: int) -> SegmentSlice:
+        return SegmentSlice(str(self._segment), offset, rows, self.arity)
+
+    def _merged_tail(self) -> np.ndarray:
+        if len(self._tail) > 1:
+            self._tail = [np.concatenate(self._tail, axis=0)]
+        return self._tail[0]
 
     def __len__(self) -> int:
         return self._num_rows
@@ -270,9 +320,7 @@ class ChunkedRelation(Relation):
         """
         if self._num_rows == 0:
             return np.empty((0, self.arity), dtype=np.int64)
-        # np.array (not asarray): copy each memmap chunk so its file
-        # descriptor closes before the next chunk opens.
-        return np.concatenate([np.array(c) for c in self.chunks()], axis=0)
+        return np.concatenate(list(self.chunks()), axis=0)
 
     @property
     def _tuples(self):

@@ -1,12 +1,13 @@
 """Spill-directory ownership and chunk budgets for out-of-core runs.
 
 A :class:`StorageManager` is the capability every out-of-core execution
-path shares: it owns one spill directory of ``.npy`` chunk files,
-hands out append-mode :class:`~repro.storage.chunked.ChunkedRelation`
-spools with a common ``chunk_rows`` granularity, accounts the bytes and
-chunk files written, and removes the directory at :meth:`close` (also
-on garbage collection and on context-manager exit), so a crashed or
-interrupted run cannot leak gigabytes of spill files.
+path shares: it owns one spill directory holding one raw int64 segment
+file per spool, hands out append-mode
+:class:`~repro.storage.chunked.ChunkedRelation` spools with a common
+``chunk_rows`` granularity, accounts the bytes and files written, and
+removes the directory at :meth:`close` (also on garbage collection and
+on context-manager exit), so a crashed or interrupted run cannot leak
+gigabytes of spill files.
 
 ``from_budget`` derives a chunk granularity from a byte budget: the
 executors stream one chunk at a time and materialize at most one
@@ -38,7 +39,7 @@ class StorageManager:
     Parameters
     ----------
     root:
-        Directory for the ``.npy`` chunk files.  ``None`` (the default)
+        Directory for the spools' segment files.  ``None`` (the default)
         creates a private temporary directory that :meth:`close`
         removes.  An explicit ``root`` is created if missing and removed
         on close unless ``keep=True``.
@@ -82,12 +83,17 @@ class StorageManager:
         #: Bytes written to spill files over the manager's lifetime
         #: (monotonic; deleting a spool does not subtract).
         self.bytes_spilled = 0
-        #: Spill files written over the manager's lifetime.
+        #: Spill files created over the manager's lifetime (one segment
+        #: per spool that ever spilled, however many chunks it holds).
         self.chunks_spilled = 0
+        #: Appends to spill files (one per spool flush, each writing one
+        #: or more whole chunks).
+        self.writes = 0
         #: Bytes read back from spill files (parent-side accounting:
         #: serial chunk reads count the memmap's full payload, and a
-        #: chunk handed to a pool worker counts once when the handle is
-        #: created -- every handle is loaded exactly once downstream).
+        #: segment handle handed to a pool worker counts once when the
+        #: handle is created -- every handle is loaded exactly once
+        #: downstream).
         self.bytes_read = 0
         #: Spill-file read accesses (same accounting point as
         #: :attr:`bytes_read`).
@@ -97,8 +103,9 @@ class StorageManager:
         #: High-water mark of :attr:`live_bytes` -- the run's real peak
         #: disk footprint.
         self.peak_live_bytes = 0
-        # Per-file sizes so unlink accounting needs no stat call.
-        self._chunk_sizes: dict[str, int] = {}
+        # Per-file sizes (summed over appends) so unlink accounting
+        # needs no stat call.
+        self._file_sizes: dict[str, int] = {}
 
     @classmethod
     def from_budget(
@@ -154,26 +161,29 @@ class StorageManager:
             self._counter += 1
             counter = self._counter
         safe = _SAFE_NAME.sub("_", hint)[:80] or "chunk"
-        return self.root / f"{counter:08d}-{safe}.npy"
+        return self.root / f"{counter:08d}-{safe}.i64"
 
-    def account_spill(
-        self, nbytes: int, path: str | pathlib.Path | None = None
-    ) -> None:
-        """Record one spilled chunk (called by spools on every write)."""
+    def account_spill(self, nbytes: int, path: str | pathlib.Path) -> None:
+        """Record one append of ``nbytes`` to the spill file ``path``.
+
+        The first append to a path counts it as a created file; later
+        appends grow its recorded size, so :meth:`account_unlink`
+        subtracts the whole file.
+        """
         nbytes = int(nbytes)
+        key = str(path)
         with self._lock:
             self.bytes_spilled += nbytes
-            self.chunks_spilled += 1
+            self.writes += 1
+            if key not in self._file_sizes:
+                self.chunks_spilled += 1
+            self._file_sizes[key] = self._file_sizes.get(key, 0) + nbytes
             self.live_bytes += nbytes
             if self.live_bytes > self.peak_live_bytes:
                 self.peak_live_bytes = self.live_bytes
-            if path is not None:
-                self._chunk_sizes[str(path)] = nbytes
         recorder = active_recorder()
         if recorder is not None:
-            recorder.spill(
-                "write", str(path) if path is not None else None, nbytes
-            )
+            recorder.spill("write", key, nbytes)
         metrics = active_metrics()
         if metrics is not None:
             metrics.counter("repro_spill_bytes_written_total").inc(nbytes)
@@ -182,7 +192,7 @@ class StorageManager:
     def account_read(
         self, nbytes: int, path: str | pathlib.Path | None = None
     ) -> None:
-        """Record one spill-chunk read access (or worker hand-off)."""
+        """Record one spill read access (or worker hand-off)."""
         nbytes = int(nbytes)
         with self._lock:
             self.bytes_read += nbytes
@@ -200,7 +210,7 @@ class StorageManager:
     def account_unlink(self, path: str | pathlib.Path) -> None:
         """Record a spill file's deletion (keeps :attr:`live_bytes` true)."""
         with self._lock:
-            nbytes = self._chunk_sizes.pop(str(path), 0)
+            nbytes = self._file_sizes.pop(str(path), 0)
             self.live_bytes -= nbytes
 
     def io_counters(self) -> dict[str, int]:
@@ -213,6 +223,7 @@ class StorageManager:
             return {
                 "bytes_written": self.bytes_spilled,
                 "files_created": self.chunks_spilled,
+                "writes": self.writes,
                 "bytes_read": self.bytes_read,
                 "reads": self.reads,
                 "live_bytes": self.live_bytes,
@@ -234,7 +245,7 @@ class StorageManager:
     def __getstate__(self) -> dict:
         """Pickle as a *read-only handle* to the spill directory.
 
-        Process-pool workers receive chunked relations whose spill
+        Process-pool workers receive chunked relations whose segment
         files they re-open by path; the manager rides along only so
         those paths stay resolvable.  The thread lock is unpicklable
         and dropped (recreated on unpickle), and the copy is marked
@@ -285,5 +296,5 @@ class StorageManager:
         return (
             f"StorageManager(root={str(self.root)!r}, "
             f"chunk_rows={self.chunk_rows}{budget}, "
-            f"spilled={self.bytes_spilled:,}B/{self.chunks_spilled} chunks)"
+            f"spilled={self.bytes_spilled:,}B/{self.chunks_spilled} files)"
         )

@@ -109,6 +109,17 @@ def test_strategy_registry_may_dispatch():
     assert findings_for("repro/planner/strategies.py") == []
 
 
+def test_spill_io_outside_storage_detected():
+    # The fixture sits under a repro/ package path outside repro/storage/:
+    # np.save / np.load / np.memmap (aliased) / np.fromfile / .tofile(.
+    found = findings_for("repro/parallel/spill_reader.py")
+    assert found == [("spill-format", line) for line in (8, 9, 10, 11, 12)]
+
+
+def test_storage_package_owns_the_spill_format():
+    assert findings_for("repro/storage/chunked.py") == []
+
+
 def test_file_and_path_anchoring():
     result = check_paths([FIXTURES / "parent_accounting.py"])
     (finding,) = result.findings
@@ -125,7 +136,7 @@ def test_file_and_path_anchoring():
 @pytest.mark.parametrize("rule", [
     "unseeded-random", "wall-clock", "sorted-iteration", "pool-task",
     "parent-accounting", "hook-guard", "settings-resolution", "row-order",
-    "run-path",
+    "run-path", "spill-format",
 ])
 def test_every_shipped_rule_is_registered(rule):
     assert rule in rule_ids()

@@ -34,6 +34,7 @@ from repro.hashing.family import GridPartitioner, HashFamily, derive_seed
 from repro.hypercube.algorithm import route_relation, route_relation_arrays
 from repro.join.binary import hash_join
 from repro.join.vectorized import join_arrays
+from repro.storage import StorageManager
 
 INT64 = np.iinfo(np.int64)
 
@@ -171,14 +172,17 @@ def test_read_only_and_memmap_inputs(tmp_path):
     expected = np.unique(rows, axis=0)
     frozen = rows.copy()
     frozen.flags.writeable = False
-    np.save(tmp_path / "chunk.npy", rows)
-    mapped = np.load(tmp_path / "chunk.npy", mmap_mode="r")  # how spill chunks arrive
-    for source in (frozen, mapped, mapped[:, :1], frozen[:, 1:]):
-        reference = np.unique(np.asarray(source), axis=0)
-        assert np.array_equal(unique_rows(source), reference)
-        assert encode_rows(source)[1] == len(reference)
-    assert np.array_equal(merge_batches([mapped, frozen]), expected)
-    assert np.array_equal(np.asarray(mapped), rows)
+    with StorageManager(root=tmp_path / "spill", chunk_rows=len(rows)) as storage:
+        spool = storage.spool("chunk", rows.shape[1])
+        spool.append(rows)
+        (mapped,) = spool.chunks()  # how spill chunks arrive
+        assert isinstance(mapped, np.memmap)
+        for source in (frozen, mapped, mapped[:, :1], frozen[:, 1:]):
+            reference = np.unique(np.asarray(source), axis=0)
+            assert np.array_equal(unique_rows(source), reference)
+            assert encode_rows(source)[1] == len(reference)
+        assert np.array_equal(merge_batches([mapped, frozen]), expected)
+        assert np.array_equal(np.asarray(mapped), rows)
 
 
 def test_zero_column_and_tiny_arrays():

@@ -107,14 +107,17 @@ def test_metrics_identity_with_storage(engine, tmp_path):
         baseline = result_snapshot(run_engine(engine, storage=storage))
     with StorageManager(root=tmp_path / "on", chunk_rows=64) as storage:
         observed, reg = run_with_metrics(engine, storage=storage)
-        # Spill counters reconcile with the manager's own accounting.
+        # Spill counters reconcile with the manager's own accounting:
+        # a write is one append to a segment file, so the writes total
+        # counts appends; segment files number at most that.
         counters = storage.io_counters()
         assert reg.value("repro_spill_bytes_written_total") == float(
             counters["bytes_written"]
         )
         assert reg.value("repro_spill_writes_total") == float(
-            counters["files_created"]
+            counters["writes"]
         )
+        assert counters["files_created"] <= counters["writes"]
         # Answers are lazy on every engine: read them before the
         # manager (and the spooled outputs) close.
         assert result_snapshot(observed) == baseline

@@ -275,7 +275,7 @@ class TestStorageSpooling:
             sim.begin_round()
             sim.send_array(0, "R", np.arange(20).reshape(10, 2))
             sim.end_round()
-            assert list(storage.root.glob("*.npy"))
+            assert list(storage.root.glob("*.i64"))
             sim.clear_all()
-            assert not list(storage.root.glob("*.npy"))
+            assert not list(storage.root.glob("*.i64"))
             assert sim.array_state(0) == {}

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, Job, RunRecord, matching_database, triangle_query
-from repro.storage.chunked import ChunkedRelation
+from repro.storage.chunked import ChunkedRelation, SegmentSlice
 from repro.mpc.simulator import LoadExceededError, MPCSimulation
 from repro.multiround.plans import chain_plan
 from repro.parallel.tasks import (
@@ -69,9 +69,12 @@ def test_array_source_roundtrips_rows_and_path(tmp_path):
     by_value = roundtrip(ArraySource(rows=rows))
     np.testing.assert_array_equal(by_value.load(), rows)
 
-    path = tmp_path / "chunk.npy"
-    np.save(path, rows)
-    by_path = roundtrip(ArraySource(path=str(path)))
+    # A raw int64 segment whose first two rows belong to someone else.
+    path = tmp_path / "segment.i64"
+    head = np.arange(100, 104, dtype=np.int64)
+    path.write_bytes(head.tobytes() + rows.tobytes())
+    handle = SegmentSlice(str(path), offset=2, rows=6, arity=2)
+    by_path = roundtrip(ArraySource(segment=handle))
     np.testing.assert_array_equal(np.asarray(by_path.load()), rows)
 
 
@@ -167,8 +170,9 @@ def test_iter_array_sources_yields_paths_for_chunked(tmp_path):
     with StorageManager(root=tmp_path / "spill", chunk_rows=4) as storage:
         chunked = ChunkedRelation.from_array("R", rows, storage=storage)
         sources = list(iter_array_sources(chunked))
-        # Spilled chunks cross as paths (an in-memory tail may remain).
-        assert sum(s.path is not None for s in sources) >= 2
+        # Spilled chunks cross as segment slices (an in-memory tail may
+        # remain).
+        assert sum(s.segment is not None for s in sources) >= 2
         stacked = np.concatenate([np.asarray(s.load()) for s in sources])
         np.testing.assert_array_equal(stacked, rows)
 

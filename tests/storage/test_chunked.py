@@ -43,7 +43,8 @@ class TestStorageManager:
         spool.append(np.arange(6)[:, None])
         manager.close()
         assert manager.root.exists()
-        assert list(manager.root.glob("*.npy"))
+        (segment,) = manager.root.glob("*.i64")
+        assert segment.stat().st_size == 6 * 8  # raw int64, no header
 
     def test_context_manager(self):
         with StorageManager(chunk_rows=4) as manager:
@@ -54,8 +55,15 @@ class TestStorageManager:
     def test_accounting(self, storage):
         spool = storage.spool("acc", 2)
         spool.append(np.arange(48).reshape(24, 2))
-        assert storage.chunks_spilled == 3  # 24 rows / chunk_rows=8
+        assert spool.spilled_chunks == 3  # 24 rows / chunk_rows=8
+        assert storage.files_created == 1  # ... in one segment file
         assert storage.bytes_spilled == 3 * 8 * 2 * 8
+        spool.append(np.arange(16).reshape(8, 2))
+        assert (storage.files_created, storage.writes) == (1, 2)
+        assert storage.live_bytes == storage.bytes_spilled == 4 * 8 * 2 * 8
+        spool.drop()
+        assert storage.live_bytes == 0  # the whole file, not one append
+        assert storage.peak_live_bytes == 4 * 8 * 2 * 8
 
     def test_from_budget_scales_chunk_rows(self):
         small = StorageManager.from_budget(10 * 2**20)
@@ -172,11 +180,10 @@ class TestChunkedRelation:
     def test_drop_deletes_spill_files(self, storage):
         spool = storage.spool("d", 1)
         spool.append(np.arange(20)[:, None])
-        files = list(storage.root.glob("*d-*.npy"))
-        assert files
+        (segment,) = storage.root.glob("*-d.i64")
         spool.drop()
         assert len(spool) == 0
-        assert all(not f.exists() for f in files)
+        assert not segment.exists()
 
     def test_degrees_chunkwise(self, storage):
         rows = np.array([[1, 5], [1, 6], [2, 5], [1, 5]])

@@ -162,7 +162,7 @@ class TestHyperCubeChunked:
             assert storage.bytes_spilled > 0
             root = storage.root
             # Per-server fragments are freed right after their joins.
-            assert not list(root.glob("*srv*.npy"))
+            assert not list(root.glob("*srv*"))
         assert not root.exists()
 
 
