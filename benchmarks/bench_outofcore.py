@@ -2,8 +2,8 @@
 
 The acceptance harness for ``repro.storage``.  Three tiers:
 
-* **Small (CI)** -- chunked hypercube runs against the in-memory
-  columnar backend on a matching triangle database: bit-identical
+* **Small (CI)** -- chunked hypercube runs against the in-memory run
+  on a matching triangle database: bit-identical
   per-server loads and answers, with real spill traffic, plus a
   pytest-benchmark latency probe.
 * **Budgeted smoke (CI)** -- a run whose assumed in-memory footprint
@@ -50,7 +50,7 @@ _RSS_UNIT = 1 if sys.platform == "darwin" else 1024
 #: Every run here is the HyperCube core alone: the timings compare
 #: execution paths, and a session's exact statistics scan would be the
 #: largest resident cost of a budgeted run.
-NUMPY = ExecutionSettings(backend="numpy")
+NUMPY = ExecutionSettings()
 
 
 def peak_rss_bytes() -> int:

@@ -22,7 +22,7 @@ Quickstart -- configure the cluster once, run anything on it::
 
 A :class:`~repro.session.Session` wraps the paper's fixed machine
 configuration (:class:`~repro.session.ClusterConfig`: ``p`` servers,
-backend, seed, per-server capacity ``L``, memory budget) and exposes
+seed, per-server capacity ``L``, memory budget) and exposes
 one verb: ``session.run(query, db)`` routes through the cost-based
 planner, ``session.run(query, db, strategy="skew-star")`` pins a named
 algorithm, ``session.run_many([...])`` executes a batch of independent
@@ -66,13 +66,11 @@ executes one strategy without planning, and
 engine-only knobs (``keep_view_fragments``, ``join_variables``,
 ``partition_relation``) -- bit-identical results on every path.
 
-Every executor and generator runs the columnar (``"numpy"``) engine by
-default; the tuple-at-a-time reference path is one switch away::
-
-    import repro
-    repro.set_default_backend("tuples")   # system-wide ground-truth mode
-    with repro.use_backend("tuples"):     # scoped, exception-safe form
-        ...
+There is one execution engine: relations travel as ``(n, arity)``
+int64 arrays and every received row is charged as one tuple of the
+tuple-based MPC model (``arity * value_bits`` bits).  The test suite
+checks it against a scalar router and backtracking join
+(``tests/reference/``).
 
 When the data outgrows RAM, attach a storage manager and everything
 streams through disk-backed chunks with bit-identical results::
@@ -86,11 +84,11 @@ streams through disk-backed chunks with bit-identical results::
 manager itself whenever a database outgrows the budget.)
 
 To spread the simulated servers' routing and local joins across real
-cores, pick a worker pool -- per session or system-wide.  Every pool
+cores, pick a worker pool -- per session, or for every session through
+the environment (read when a run resolves its settings).  Every pool
 kind produces bit-identical answers and loads::
 
     with Session(p=64, pool="process") as session: ...   # one cluster
-    repro.set_default_pool("process")                    # system-wide
     # or: REPRO_DEFAULT_POOL=process python -m repro run triangle
 
 To see *where* the communication went -- not just the end-of-run
@@ -118,18 +116,7 @@ results)::
 
 import logging as _logging
 
-from repro.config import (
-    MachineSpec,
-    default_backend,
-    default_machines,
-    default_pool,
-    set_default_backend,
-    set_default_machines,
-    set_default_pool,
-    use_backend,
-    use_machines,
-    use_pool,
-)
+from repro.config import MachineSpec, default_machines, default_pool
 from repro.core import (
     Atom,
     ConjunctiveQuery,
@@ -169,12 +156,11 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # Library logging convention: everything logs under the "repro"
 # namespace and the root handler is a NullHandler, so the library is
 # silent unless the application configures logging.  The few warnings
-# (silent-fallback sites: a forced-serial pool, a legacy estimate()
-# signature, nested process fan-out) surface with plain
-# ``logging.basicConfig()``.
+# (silent-fallback sites: a legacy estimate() signature, nested process
+# fan-out) surface with plain ``logging.basicConfig()``.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Atom",
@@ -198,16 +184,9 @@ __all__ = [
     "RunRecord",
     "RunResult",
     "Session",
-    "default_backend",
-    "set_default_backend",
-    "use_backend",
     "default_pool",
-    "set_default_pool",
-    "use_pool",
     "MachineSpec",
     "default_machines",
-    "set_default_machines",
-    "use_machines",
     "ChunkedRelation",
     "StorageManager",
     "MPCSimulation",

@@ -48,10 +48,8 @@ from repro import (
     Job,
     MachineSpec,
     Session,
-    default_backend,
     default_pool,
     matching_database,
-    set_default_backend,
     triangle_query,
     zipf_database,
 )
@@ -134,10 +132,8 @@ def parse_query(name: str) -> ConjunctiveQuery:
 def run_tour(trace_dir: str | None = None) -> None:
     print("repro: Beame-Koutris-Suciu, Communication Cost in Parallel")
     print("Query Processing (EDBT 2015) -- reproduction smoke tour")
-    print(f"execution backend: {default_backend()} "
-          "(see --backend / repro.set_default_backend)")
     print(f"worker pool: {default_pool()} "
-          "(see `run --pool` / repro.set_default_pool; serial, thread "
+          "(see `run --pool` / REPRO_DEFAULT_POOL; serial, thread "
           "and process pools are bit-identical)\n")
 
     print("Table 2 (tau*, one-round space exponent):")
@@ -329,22 +325,17 @@ def run_plan_command(args: argparse.Namespace) -> None:
 def _budget_line(result, session: Session, budget_mb: float) -> str:
     """What a ``--memory-budget-mb`` run did with its budget.
 
-    The session opens a manager only for an over-budget database, and a
-    run reports spill traffic only when its strategy streamed through it.
+    The session opens a manager only for an over-budget database, and
+    the run then reports the spill traffic it streamed through it.
     """
     spill = result.report.spill_stats
-    if spill is not None:
-        return (
-            f"out-of-core: budget {budget_mb:g} MiB -> chunked execution, "
-            f"spilled {spill['bytes_written'] / 2**20:.1f} MiB in "
-            f"{spill['files_created']} spill files "
-            f"(chunk_rows={session.storage.chunk_rows})"
-        )
-    if session.storage is None:
+    if spill is None:
         return f"in-memory: input fits the {budget_mb:g} MiB budget"
     return (
-        f"in-memory: {result.strategy} cannot stream chunks (the "
-        f"{budget_mb:g} MiB budget was not enforced)"
+        f"out-of-core: budget {budget_mb:g} MiB -> chunked execution, "
+        f"spilled {spill['bytes_written'] / 2**20:.1f} MiB in "
+        f"{spill['files_created']} spill files "
+        f"(chunk_rows={session.storage.chunk_rows})"
     )
 
 
@@ -353,12 +344,11 @@ def _generate_database(args: argparse.Namespace):
     if args.skew > 0:
         db = zipf_database(
             args.query, m=args.m, n=args.n, skew=args.skew, seed=args.seed,
-            backend="numpy",
         )
         flavour = f"zipf(skew={args.skew:g})"
     else:
         db = matching_database(
-            args.query, m=args.m, n=args.n, seed=args.seed, backend="numpy"
+            args.query, m=args.m, n=args.n, seed=args.seed
         )
         flavour = "matching"
     print(f"{flavour} database: m={args.m}, n={args.n}, seed={args.seed}\n")
@@ -485,12 +475,6 @@ def main(argv: list[str] | None = None) -> None:
         description="Reproduction smoke tour and cost-based planner CLI.",
     )
     parser.add_argument(
-        "--backend", choices=("tuples", "numpy"), default=None,
-        help="system-wide execution backend for this run "
-             "(default: numpy, the columnar engine; tuples is the "
-             "tuple-at-a-time reference path)",
-    )
-    parser.add_argument(
         "--trace-dir", default=None, metavar="DIR",
         help="record communication traces as JSONL artifacts under DIR "
              "(tour: the Session segment; run: every job); summarize "
@@ -525,12 +509,6 @@ def main(argv: list[str] | None = None) -> None:
         help="resident-set budget for --execute; when the in-memory "
              "footprint would exceed it, the winner runs out-of-core "
              "(chunked relations spilled to disk, identical results)",
-    )
-    # Accept the global flag after the subcommand too; SUPPRESS keeps a
-    # pre-subcommand value from being clobbered by a subparser default.
-    plan_parser.add_argument(
-        "--backend", choices=("tuples", "numpy"), default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
     )
     run_parser = sub.add_parser(
         "run", help="run a Session workload for a query (checked answers)"
@@ -597,10 +575,8 @@ def main(argv: list[str] | None = None) -> None:
         help="print a progress line every N completed jobs "
              "(works with or without --metrics)",
     )
-    run_parser.add_argument(
-        "--backend", choices=("tuples", "numpy"), default=argparse.SUPPRESS,
-        help=argparse.SUPPRESS,
-    )
+    # Accept the global flag after the subcommand too; SUPPRESS keeps a
+    # pre-subcommand value from being clobbered by a subparser default.
     run_parser.add_argument(
         "--trace-dir", default=argparse.SUPPRESS, metavar="DIR",
         help=argparse.SUPPRESS,
@@ -659,8 +635,6 @@ def main(argv: list[str] | None = None) -> None:
         help="print every rule id with its description and exit",
     )
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        set_default_backend(args.backend)
     if args.command in ("plan", "run"):
         if args.n is None:
             args.n = 4 * args.m

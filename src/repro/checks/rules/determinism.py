@@ -1,7 +1,7 @@
 """Determinism rules.
 
 The repo's load guarantees only mean anything if runs are bit-identical
-across backend × pool × worker count × storage × machine spec (see
+across pool × worker count × storage × machine spec (see
 PAPER.md / ROADMAP.md).  Three source-level habits break that:
 
 - drawing from a *global* random state (``random.shuffle``,

@@ -7,7 +7,7 @@ def works under the serial/thread pools and then dies — or silently
 diverges — under ``pool="process"``.  And because bit-identity is
 guaranteed by replaying all simulator accounting on the parent in
 serial order, a worker body that mutates ``MPCSimulation`` state
-directly (``send``/``send_array``/output recording) would double-count
+directly (``send_array``/``output_array``) would double-count
 or order-scramble the very loads the paper's bounds are about.
 """
 
@@ -19,7 +19,7 @@ from typing import Iterable
 from repro.checks.engine import Finding, Module, Rule
 
 #: MPCSimulation calls that mutate accounting state.
-_SIM_MUTATORS = frozenset({"send", "send_array", "output", "output_array"})
+_SIM_MUTATORS = frozenset({"send_array", "output_array"})
 
 
 def _module_level_bindings(tree: ast.Module) -> set[str]:
@@ -150,7 +150,7 @@ class ParentAccountingRule(Rule):
     id = "parent-accounting"
     description = (
         "worker task bodies must not mutate MPCSimulation accounting "
-        "(send/send_array/output); the parent replays accounting in "
+        "(send_array/output_array); the parent replays accounting in "
         "serial order to keep runs bit-identical across pools"
     )
 

@@ -1,41 +1,27 @@
 """Resolution discipline.
 
-``repro.config`` is the single place where ``backend=`` / ``pool=`` /
-``machines=`` get their defaults (env vars, registered fallbacks,
+``repro.config`` is the single place where ``pool=`` / ``machines=``
+get their defaults (the ``REPRO_DEFAULT_*`` environment variables,
 machine-spec parsing).  An entry point that hand-rolls its own default
-— ``backend = backend or "numpy"`` or ``if pool is None: pool =
+— ``machines = machines or "4x1"`` or ``if pool is None: pool =
 "serial"`` — silently diverges from ``REPRO_DEFAULT_*`` and from every
 other entry point the moment the central default moves.  Resolve
-through ``ExecutionSettings.resolve`` / ``resolve_backend`` /
-``resolve_pool`` / ``resolve_machines`` instead.
-
-The same discipline covers *reading* the backend: which engine runs a
-round is decided once, by the round kernel
-(``repro.hypercube.blocks``).  An engine, planner or session module
-that compares ``backend`` / ``settings.backend`` with a string literal
-re-opens a second code path beside the kernel.
+through ``ExecutionSettings.resolve`` / ``resolve_pool`` /
+``resolve_machines`` instead.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterable
 
 from repro.checks.engine import Finding, Module, Rule
 
-_SETTING_NAMES = frozenset({"backend", "pool", "machines"})
+_SETTING_NAMES = frozenset({"pool", "machines"})
 
 #: The module that *defines* the resolvers necessarily hand-rolls the
 #: defaults everyone else must route through.
 _EXEMPT_SUFFIX = "repro/config.py"
-
-#: Where a backend branch is a finding: the engines and their callers,
-#: minus the kernel module that owns the decision.
-_ENGINE_PATH = re.compile(
-    r"repro/(?:(?:hypercube|skew|multiround|planner)/|(?:run|session)\.py$)"
-)
-_KERNEL_SUFFIX = "repro/hypercube/blocks.py"
 
 
 def _terminal_name(node: ast.expr) -> str | None:
@@ -46,40 +32,18 @@ def _terminal_name(node: ast.expr) -> str | None:
     return None
 
 
-def _compares_backend_to_literal(node: ast.Compare) -> bool:
-    """``backend == "numpy"`` / ``settings.backend != "tuples"`` and kin."""
-    operands = [node.left, *node.comparators]
-    return any(_terminal_name(o) == "backend" for o in operands) and any(
-        isinstance(o, ast.Constant) and isinstance(o.value, str)
-        for o in operands
-    )
-
-
 class SettingsResolutionRule(Rule):
     id = "settings-resolution"
     description = (
-        "backend/pool/machines defaults must come from repro.config "
-        "resolvers, not hand-rolled `or`/`is None` fallbacks; only the "
-        "round kernel (repro.hypercube.blocks) branches on the backend"
+        "pool/machines defaults must come from repro.config resolvers, "
+        "not hand-rolled `or`/`is None` fallbacks"
     )
 
     def check(self, module: Module) -> Iterable[Finding]:
         if module.posix.endswith(_EXEMPT_SUFFIX):
             return
-        engine_code = bool(
-            _ENGINE_PATH.search(module.posix)
-        ) and not module.posix.endswith(_KERNEL_SUFFIX)
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Compare):
-                if engine_code and _compares_backend_to_literal(node):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"backend branch `{ast.unparse(node)}` outside the "
-                        "round kernel; build blocks and let "
-                        "repro.hypercube.blocks pick the implementation",
-                    )
-            elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
+            if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or):
                 name = _terminal_name(node.values[0])
                 if name not in _SETTING_NAMES:
                     continue

@@ -8,7 +8,7 @@ covers, the share-exponent linear programs of Sections 3.1 and 4.1, and
 the Friedgut/AGM output-size machinery of Sections 2.4 and 3.2.
 """
 
-from repro.core.query import Atom, ConjunctiveQuery
+from repro.core.query import Atom, ConjunctiveQuery, UnsupportedQueryError
 from repro.core.families import (
     binom_query,
     chain_query,
@@ -50,6 +50,7 @@ from repro.core.friedgut import (
 __all__ = [
     "Atom",
     "ConjunctiveQuery",
+    "UnsupportedQueryError",
     "Statistics",
     "binom_query",
     "chain_query",

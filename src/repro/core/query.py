@@ -34,6 +34,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
+class UnsupportedQueryError(ValueError):
+    """The query keeps isolated variables, which no join plan can bind.
+
+    Isolated variables are contraction residues, not executable
+    queries: :func:`repro.run.dispatch_run` raises this before the
+    first round, and every local join evaluator raises it too.
+    """
+
+
 @dataclass(frozen=True)
 class Atom:
     """A relational atom ``S(x, y, ...)``.
@@ -115,6 +124,14 @@ class ConjunctiveQuery:
         if overlap:
             raise ValueError(
                 f"isolated variables {sorted(overlap)} also occur in atoms"
+            )
+
+    def require_executable(self) -> None:
+        """Raise :class:`UnsupportedQueryError` for isolated variables."""
+        if self.isolated_variables:
+            raise UnsupportedQueryError(
+                f"cannot evaluate a query with isolated variables "
+                f"{sorted(self.isolated_variables)}: no join plan binds them"
             )
 
     # ----------------------------------------------------------------- basics

@@ -29,12 +29,9 @@ the same distribution families with a vectorized
 (array-born via :meth:`Relation.from_array`, no Python tuples).  The
 columnar stream is what makes ``n = 10^7`` planner/skew benchmark
 setups take seconds instead of minutes; ``backend=None`` resolves to
-``repro.config.DEFAULT_GENERATOR_BACKEND`` (``"numpy"``), which is
-deliberately independent of the execution-engine switch.  The two
-backends are each deterministic per seed but draw from *different*
-streams, so for equal seeds they produce different (equally
-distributed) instances -- which is exactly why switching execution
-engines must not silently switch the generator stream.
+:data:`DEFAULT_GENERATOR_BACKEND` (``"numpy"``).  The two backends are
+each deterministic per seed but draw from *different* streams, so for
+equal seeds they produce different (equally distributed) instances.
 
 The matching and zipf generators also take ``storage=`` (a
 :class:`~repro.storage.manager.StorageManager`) and ``chunk_rows=``:
@@ -54,11 +51,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from repro.config import GeneratorBackend, resolve_generator_backend
 from repro.core.query import ConjunctiveQuery
 from repro.data.arrays import encode_rows
 from repro.data.database import Database
@@ -66,6 +62,25 @@ from repro.data.relation import Relation
 from repro.hashing.permutation import PseudorandomPermutation
 from repro.storage.chunked import ChunkedRelation
 from repro.storage.manager import StorageManager
+
+GeneratorBackend = Literal["python", "numpy"]
+
+#: The generator-stream default: vectorized draws.
+DEFAULT_GENERATOR_BACKEND: GeneratorBackend = "numpy"
+
+_GENERATOR_BACKENDS = ("python", "numpy")
+
+
+def resolve_generator_backend(backend: str | None) -> GeneratorBackend:
+    """An explicit generator stream, or :data:`DEFAULT_GENERATOR_BACKEND`."""
+    if backend is None:
+        return DEFAULT_GENERATOR_BACKEND
+    if backend not in _GENERATOR_BACKENDS:
+        raise ValueError(
+            f"unknown generator backend {backend!r} "
+            f"(expected one of {_GENERATOR_BACKENDS})"
+        )
+    return backend  # type: ignore[return-value]
 
 
 def _rng(seed_or_rng: int | random.Random) -> random.Random:

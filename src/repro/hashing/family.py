@@ -6,13 +6,13 @@ determinism contract:
 
 * ``"splitmix64"`` (the default): a keyed splitmix64 finalizer over
   64-bit arithmetic.  It is a strong statistical mixer, cheap to compute
-  scalar-at-a-time, and -- crucially for the columnar execution backend
-  -- vectorizes over whole ``uint64`` columns via
+  scalar-at-a-time, and -- crucially for the array round kernel --
+  vectorizes over whole ``uint64`` columns via
   :meth:`HashFunction.hash_array`.
 * ``"blake2b"``: the original keyed BLAKE2b digest, kept behind the
   ``method`` flag as a cryptographic-strength cross-check.  Its
   vectorized path hashes each *distinct* value once and scatters the
-  results, so it remains usable (if slower) from the columnar backend.
+  results, so it remains usable (if slower) from the array kernel.
 
 Distinct ``(seed, salt)`` pairs give (for all statistical purposes)
 independent functions, matching the paper's assumption of independent

@@ -16,7 +16,7 @@ one variable), and broadcast joins.  Every engine runs through
 ``Session.run(q, db, "<strategy name>")``.
 """
 
-from repro.hypercube.algorithm import route_relation, route_relation_arrays
+from repro.hypercube.algorithm import route_relation_arrays
 from repro.hypercube.analysis import (
     predicted_load_bits,
     predicted_load_bits_skewed,
@@ -25,7 +25,6 @@ from repro.hypercube.analysis import (
 )
 
 __all__ = [
-    "route_relation",
     "route_relation_arrays",
     "predicted_load_bits",
     "predicted_load_bits_skewed",

@@ -11,24 +11,19 @@ receives every base tuple consistent with it, so the union of local
 join results is exactly ``q(I)``.
 
 The run is a single block on ``[0, p)`` handed to the round kernel of
-:mod:`repro.hypercube.blocks`, which executes it on either backend:
+:mod:`repro.hypercube.blocks`: relations are routed as ``(n, arity)``
+arrays (all destination coordinates per column in one vectorized hash,
+replication axes expanded by broadcasting, grouping by server with one
+stable sort) and each server runs the vectorized local join.  The
+property suites compare it against a scalar router and backtracking
+join (``tests/reference/tuple_kernel.py``).
 
-* ``backend="tuples"`` routes and joins one Python tuple at a time --
-  the original, obviously-correct reference path.
-* ``backend="numpy"`` routes whole relations as ``(n, arity)`` arrays
-  (all destination coordinates per column in one vectorized hash,
-  replication axes expanded by broadcasting, grouping by server via
-  ``argsort``) and runs the vectorized local join.  It produces
-  bit-identical answers and loads; the property tests in
-  ``tests/hypercube/test_backends.py`` enforce that.
-
-The columnar backend additionally streams: with ``chunk_rows`` (or a
-:class:`~repro.storage.manager.StorageManager` via ``storage=``)
-relations are routed chunk-by-chunk through the same vectorized router,
-per-server fragments accumulate in disk-spilling spools, and each
-server's fragment is materialized only for its own local join -- so
-``n`` is bounded by disk, not RAM, while answers, per-server loads and
-even capacity truncation stay bit-identical
+With ``chunk_rows`` (or a :class:`~repro.storage.manager.StorageManager`
+via ``storage=``) relations are routed chunk-by-chunk through the same
+router, per-server fragments accumulate in disk-spilling spools, and
+each server's fragment is materialized only for its own local join --
+so ``n`` is bounded by disk, not RAM, while answers, per-server loads
+and even capacity truncation stay bit-identical
 (``tests/storage/test_streaming_execution.py`` enforces that).
 """
 
@@ -45,8 +40,8 @@ from repro.core.stats import Statistics
 from repro.data.arrays import group_order, repeated_binding_filter
 from repro.data.database import Database
 from repro.hashing.family import GridPartitioner, grid_dimension_weights
-from repro.join.multiway import evaluate_on_fragments
-from repro.join.vectorized import UnsupportedVectorizedQuery, evaluate_arrays
+from repro.hypercube.blocks import Block, BlockInput, round_kernel
+from repro.join.vectorized import evaluate_arrays
 from repro.mpc.timing import PhaseTimer
 from repro.run import RunResult, implements
 from repro.storage.manager import StorageManager
@@ -78,38 +73,6 @@ def resolve_shares(
     return integerize_shares(full, p)
 
 
-def route_relation(
-    partitioner: GridPartitioner,
-    dimension_variables: Sequence[str],
-    atom_variables: Sequence[str],
-    tuples,
-):
-    """Yield ``(server, tuple)`` pairs for one relation's tuples.
-
-    ``dimension_variables`` fixes the grid axes (the query variables in
-    head order); a tuple binds the axes named by ``atom_variables`` and
-    is replicated along all others (Eq. 9's destination subcube).
-    Tuples that bind a repeated variable inconsistently (e.g. ``S(x, x)``
-    with tuple ``(1, 2)``) can match no answer and are dropped before
-    routing, so they contribute zero bits to every server's load.
-    """
-    axis_of = {v: i for i, v in enumerate(dimension_variables)}
-    for t in tuples:
-        coordinates: list[int | None] = [None] * len(dimension_variables)
-        consistent = True
-        for variable, value in zip(atom_variables, t):
-            axis = axis_of[variable]
-            if coordinates[axis] is None:
-                coordinates[axis] = value
-            elif coordinates[axis] != value:
-                consistent = False
-                break
-        if not consistent:
-            continue
-        for cell in partitioner.destinations(coordinates):
-            yield partitioner.linear_index(cell), t
-
-
 def route_relation_arrays(
     partitioner: GridPartitioner,
     dimension_variables: Sequence[str],
@@ -118,13 +81,18 @@ def route_relation_arrays(
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(server, row_batch)`` pairs for one relation, vectorized.
 
-    The columnar counterpart of :func:`route_relation`: destination
-    coordinates are computed per *column* with one vectorized hash per
-    bound axis, replication along unbound axes is expanded by
-    broadcasting the subcube's linear-offset vector, and rows are
-    grouped by destination server with one stable sort
-    (:func:`repro.data.arrays.group_order`).  Row batches
-    preserve the (deterministic) input row order within each server.
+    ``dimension_variables`` fixes the grid axes (the query variables in
+    head order); a row binds the axes named by ``atom_variables`` and
+    is replicated along all others (Eq. 9's destination subcube).
+    Destination coordinates are computed per *column* with one
+    vectorized hash per bound axis, replication along unbound axes is
+    expanded by broadcasting the subcube's linear-offset vector, and
+    rows are grouped by destination server with one stable sort
+    (:func:`repro.data.arrays.group_order`).  Row batches preserve the
+    (deterministic) input row order within each server.  Rows that
+    bind a repeated variable inconsistently (e.g. ``S(x, x)`` with row
+    ``(1, 2)``) can match no answer and are dropped before routing, so
+    they contribute zero bits to every server's load.
     """
     axis_of = {v: i for i, v in enumerate(dimension_variables)}
     strides = partitioner.strides
@@ -181,10 +149,6 @@ def _hypercube_impl(
     labels the result for the cores that are HyperCube under another
     share choice (``hash-join``, ``skew-oblivious``).
     """
-    # Imported here: the kernel's tuple reference routes through
-    # route_relation above.
-    from repro.hypercube.blocks import Block, BlockInput, round_kernel
-
     timer = PhaseTimer()
     with timer.phase("generate"):
         database.validate_for(query)
@@ -221,25 +185,9 @@ def _hypercube_impl(
 def local_join_fragments(
     query: ConjunctiveQuery, fragments: Mapping[str, np.ndarray]
 ) -> np.ndarray:
-    """Vectorized multiway join over array fragments, with tuple fallback.
+    """One server's local join: the distinct answers as ``(n, k)`` rows.
 
-    Returns the distinct local answers as a ``(n, k)`` int64 array in
-    the query's head order.  Queries the vectorized evaluator cannot
-    handle fall back to the backtracking tuple join and are converted
-    back to array form.  The array kernel's per-server join body
-    (every block of every engine).
+    The array kernel's per-server join body (every block of every
+    engine), in the query's head order.
     """
-    try:
-        return evaluate_arrays(query, fragments)
-    except UnsupportedVectorizedQuery:
-        tuple_fragments = {
-            tag: set(map(tuple, rows.tolist()))
-            for tag, rows in fragments.items()
-        }
-        fallback = evaluate_on_fragments(query, tuple_fragments)
-        width = query.num_variables
-        if not fallback:
-            return np.empty((0, width), dtype=np.int64)
-        return np.array(sorted(fallback), dtype=np.int64).reshape(
-            len(fallback), width
-        )
+    return evaluate_arrays(query, fragments)

@@ -1,31 +1,99 @@
 """Baseline one-round algorithms the paper compares against.
 
 Each is an executor core behind :func:`repro.run.dispatch_run`; run
-them with ``Session.run(q, db, "<name>")``.
+them with ``Session.run(q, db, "<name>")``.  All three are HyperCube
+block lists (:mod:`repro.hypercube.blocks`), so they honour the
+cluster's machine spec, capacity cap, worker pool and storage manager
+exactly like every other engine.
 
 * ``"single-server"`` -- the degenerate ``L = M`` algorithm (Section
   2.1: "if we allowed a load L = M, any problem can be solved trivially
-  in one round"): ship the entire input to server 0 and join there.
+  in one round"): one block with every share 1, so the entire input
+  lands on server 0 and is joined there.
 * ``"hash-join"`` -- the standard parallel hash join of Example 4.1:
   all ``p`` shares on the join variable(s).  Optimal without skew, load
   ``Theta(M)`` when a single heavy hitter carries the relation.
 * ``"broadcast"`` -- partition one relation, broadcast the rest;
   matches the HC optimum when the broadcast relations are small (Lemma
-  3.18's regime ``M_j < M/p``).
+  3.18's regime ``M_j < M/p``).  One share-1 block per server.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from repro.config import ExecutionSettings
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
 from repro.hypercube.algorithm import _hypercube_impl
-from repro.join.multiway import evaluate_on_fragments
-from repro.mpc.simulator import MPCSimulation
+from repro.hypercube.blocks import Block, BlockInput, round_kernel
+from repro.mpc.timing import PhaseTimer
 from repro.run import RunResult, implements
 from repro.storage.manager import StorageManager
+
+
+def _one_server_blocks(
+    query: ConjunctiveQuery,
+    database: Database,
+    p: int,
+    strategy: str,
+    *,
+    seed: int,
+    settings: ExecutionSettings,
+    storage: StorageManager | None,
+    partition: str | None = None,
+) -> RunResult:
+    """Run ``query`` as one-server blocks, every share 1.
+
+    Without ``partition``, one block on server 0 receives every relation
+    in full.  With it, server ``s`` is a block (``base = s``) that
+    receives the canonical rows ``i`` of ``partition`` with ``(i *
+    1_000_003 + seed) % p == s`` and every other relation in full.
+    """
+    timer = PhaseTimer()
+    with timer.phase("generate"):
+        database.validate_for(query)
+        stats = database.statistics(query)
+        slices: dict[int, np.ndarray | None] = {0: None}
+        if partition is not None:
+            rows = database[partition].to_array()
+            # Reduced mod p first: seeds are 64-bit, int64 would overflow.
+            owner = (
+                np.arange(len(rows), dtype=np.int64) * (1_000_003 % p)
+                + seed % p
+            ) % p
+            slices = {server: rows[owner == server] for server in range(p)}
+        blocks = [
+            Block(
+                query=query,
+                inputs=tuple(
+                    BlockInput(
+                        atom.relation,
+                        atom.variables,
+                        (
+                            database[atom.relation]
+                            if atom.relation != partition
+                            else part,
+                        ),
+                    )
+                    for atom in query.atoms
+                ),
+                shares=(1,) * query.num_variables,
+                family_seed=seed,
+                base=server,
+            )
+            for server, part in slices.items()
+        ]
+    kernel = round_kernel(p, stats.value_bits, settings, storage, timer)
+    kernel.communicate(blocks)
+    kernel.compute(blocks)
+    timer.attach(kernel.sim.report)
+    return RunResult(
+        query, strategy, kernel.sim.report, kernel.sim, p,
+        details={"shares": {v: 1 for v in query.variables}},
+    )
 
 
 @implements("single-server")
@@ -38,24 +106,9 @@ def _single_server_impl(
     settings: ExecutionSettings,
     storage: StorageManager | None,
 ) -> RunResult:
-    database.validate_for(query)
-    stats = database.statistics(query)
-    sim = MPCSimulation(
-        p,
-        value_bits=stats.value_bits,
-        capacity_bits=settings.capacity_bits,
-        on_overflow=settings.on_overflow,
-    )
-    sim.begin_round()
-    for atom in query.atoms:
-        # Sorted, so a binding capacity cap truncates a deterministic
-        # prefix rather than whatever the set iteration order yields.
-        sim.send(0, atom.relation, database[atom.relation].sorted_tuples())
-    sim.end_round()
-    sim.output(0, evaluate_on_fragments(query, sim.state(0)))
-    return RunResult(
-        query, "single-server", sim.report, sim, p,
-        details={"shares": {v: 1 for v in query.variables}},
+    return _one_server_blocks(
+        query, database, p, "single-server",
+        seed=seed, settings=settings, storage=storage,
     )
 
 
@@ -120,34 +173,15 @@ def _broadcast_impl(
     non-partitioned relation.
     """
     database.validate_for(query)
-    stats = database.statistics(query)
     if partition_relation is None:
+        stats = database.statistics(query)
         partition_relation = max(
             query.relation_names, key=lambda r: stats.bits(r)
         )
     if partition_relation not in set(query.relation_names):
         raise KeyError(f"unknown relation {partition_relation!r}")
-    sim = MPCSimulation(
-        p,
-        value_bits=stats.value_bits,
-        capacity_bits=settings.capacity_bits,
-        on_overflow=settings.on_overflow,
-    )
-    sim.begin_round()
-    for atom in query.atoms:
-        relation = database[atom.relation]
-        if atom.relation == partition_relation:
-            ordered = relation.sorted_tuples()
-            for index, t in enumerate(ordered):
-                sim.send((index * 1_000_003 + seed) % p, atom.relation, [t])
-        else:
-            sim.broadcast(atom.relation, relation.sorted_tuples())
-    sim.end_round()
-    for server in range(p):
-        local = evaluate_on_fragments(query, sim.state(server))
-        if local:
-            sim.output(server, local)
-    return RunResult(
-        query, "broadcast", sim.report, sim, p,
-        details={"shares": {v: 1 for v in query.variables}},
+    return _one_server_blocks(
+        query, database, p, "broadcast",
+        seed=seed, settings=settings, storage=storage,
+        partition=partition_relation,
     )

@@ -26,14 +26,12 @@ Vocabulary:
   picks that variable's binding, an int is a constant (the hitter a
   residual query was specialised to).
 
-:func:`round_kernel` picks the implementation once per run from
-``settings.backend``: the array kernel (``RouteTask`` / ``JoinTask``
-fanned over the worker pool, spooled under a storage manager) or the
-tuple reference (:func:`~repro.hypercube.algorithm.route_relation` +
-``sim.send`` + :func:`~repro.join.multiway.evaluate_on_fragments`),
-which the identity suites compare against.  Both deliver every server
-the same row sequence, so answers, per-server bits and tuples, and
-capacity truncation are bit-identical.
+:func:`round_kernel` opens the run's simulator and the array kernel:
+relations travel as ``(n, arity)`` int64 arrays, routing fans out as
+``RouteTask`` s and per-server joins as ``JoinTask`` s over the worker
+pool, and under a storage manager every fragment is spooled.  Each
+server receives its rows in block, input, source, chunk order, which
+is all that per-server bits, tuples and capacity truncation depend on.
 """
 
 from __future__ import annotations
@@ -44,11 +42,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.config import ExecutionSettings, resolve_backend
+from repro.config import ExecutionSettings
 from repro.core.query import ConjunctiveQuery
-from repro.data.relation import Relation
-from repro.hashing.family import GridPartitioner, HashFamily
-from repro.join.multiway import evaluate_on_fragments
 from repro.mpc.simulator import MPCSimulation
 from repro.mpc.timing import PhaseTimer
 from repro.parallel.pool import get_pool
@@ -67,7 +62,7 @@ class BlockInput:
 
     tag: str
     schema: tuple[str, ...]
-    sources: tuple  # Relation / (n, arity) array / tuple set, routed in order
+    sources: tuple  # Relation / (n, arity) array, routed in order
     exclude: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
 
@@ -89,8 +84,8 @@ class Block:
         return range(self.base, self.base + math.prod(self.shares))
 
 
-class _Kernel:
-    """What both implementations share: the simulator and the round frame."""
+class _ArrayKernel:
+    """The simulator, the worker pool and the round frame of one run."""
 
     def __init__(
         self, sim: MPCSimulation, settings: ExecutionSettings, timer: PhaseTimer
@@ -98,6 +93,14 @@ class _Kernel:
         self.sim = sim
         self.settings = settings
         self.timer = timer
+        self.pool = get_pool(settings.pool, settings.max_workers)
+
+    @staticmethod
+    def empty(width: int) -> np.ndarray:
+        return np.empty((0, width), dtype=np.int64)
+
+    def record(self, server: int, rows: np.ndarray) -> None:
+        self.sim.output_array(server, rows)
 
     def communicate(self, blocks: Sequence[Block]) -> None:
         """Route every input of every block: one communication round."""
@@ -109,13 +112,12 @@ class _Kernel:
     def compute(
         self,
         blocks: Sequence[Block],
-        on_result: Callable[[int, object], None] | None = None,
+        on_result: Callable[[int, np.ndarray], None] | None = None,
     ) -> None:
         """Join every server of every block, in block then server order.
 
         Each server's local answers (``head`` applied, possibly empty)
-        go to ``on_result(server, answers)`` in the kernel's native
-        form, by default to :meth:`record`.
+        go to ``on_result(server, rows)``, by default to :meth:`record`.
         """
         sink = on_result or self.record
         with self.timer.phase("join"):
@@ -125,27 +127,10 @@ class _Kernel:
                     if self.sim.storage is not None and not block.prefix:
                         self.sim.server(server).clear()
 
-
-class _ArrayKernel(_Kernel):
-    """Relations as ``(n, arity)`` arrays, fanned over the worker pool."""
-
-    streams = True
-
-    def __init__(self, sim, settings, timer):
-        super().__init__(sim, settings, timer)
-        self.pool = get_pool(settings.pool, settings.max_workers)
-
-    @staticmethod
-    def empty(width: int) -> np.ndarray:
-        return np.empty((0, width), dtype=np.int64)
-
-    def record(self, server: int, rows: np.ndarray) -> None:
-        self.sim.output_array(server, rows)
-
     def _route(self, blocks):
         # One task per (block, input, source, chunk), in that nested
         # order; results merge in task order, so every server receives
-        # the row sequence of the serial tuple loop.
+        # the same row sequence at any pool kind and worker count.
         def tasks() -> Iterator[RouteTask]:
             for block in blocks:
                 dims = block.query.variables
@@ -192,108 +177,16 @@ class _ArrayKernel(_Kernel):
             yield block, server, local
 
 
-class _TupleKernel(_Kernel):
-    """One Python tuple at a time: the obviously-correct reference."""
-
-    streams = False
-
-    @staticmethod
-    def empty(width: int) -> set[tuple[int, ...]]:
-        return set()
-
-    def record(self, server: int, tuples: set[tuple[int, ...]]) -> None:
-        self.sim.output(server, tuples)
-
-    def _route(self, blocks):
-        # Imported here: hypercube.algorithm builds its block through
-        # this module.
-        from repro.hypercube.algorithm import route_relation
-
-        for block in blocks:
-            grid = GridPartitioner(
-                block.shares,
-                HashFamily(block.family_seed, method=self.settings.hash_method),
-                weights=block.weights,
-            )
-            dims = block.query.variables
-            for item in block.inputs:
-                batches: dict[int, list[tuple[int, ...]]] = {}
-                for source in item.sources:
-                    for server, t in route_relation(
-                        grid, dims, item.schema, _tuples(source, item.exclude)
-                    ):
-                        batches.setdefault(server, []).append(t)
-                for server, batch in batches.items():
-                    self.sim.send(
-                        block.base + server, block.prefix + item.tag, batch
-                    )
-
-    def _join(self, blocks):
-        for block in blocks:
-            variables = block.query.variables
-            for server in block.servers:
-                local = evaluate_on_fragments(
-                    block.query,
-                    {
-                        tag[len(block.prefix):]: tuples
-                        for tag, tuples in self.sim.state(server).items()
-                        if tag.startswith(block.prefix)
-                    },
-                )
-                if block.head is not None:
-                    picks = [
-                        variables.index(e) if isinstance(e, str) else None
-                        for e in block.head
-                    ]
-                    local = {
-                        tuple(
-                            e if i is None else t[i]
-                            for e, i in zip(block.head, picks)
-                        )
-                        for t in local
-                    }
-                yield block, server, local
-
-
-def _tuples(source, exclude) -> list[tuple[int, ...]]:
-    """A source's tuples in canonical routing order, ``exclude`` applied.
-
-    Relations and tuple sets sort; arrays are routed in the order given
-    (the array kernel does the same), so a binding capacity cap
-    truncates the identical per-server prefix on both kernels.
-    """
-    if isinstance(source, Relation):
-        tuples = source.sorted_tuples()
-    elif isinstance(source, np.ndarray):
-        tuples = list(map(tuple, source.tolist()))
-    else:
-        tuples = sorted(source)
-    for position, values in exclude:
-        dropped = set(values)
-        tuples = [t for t in tuples if t[position] not in dropped]
-    return tuples
-
-
-_KERNELS = {"numpy": _ArrayKernel, "tuples": _TupleKernel}
-
-
-def streams(settings: ExecutionSettings | None) -> bool:
-    """Whether the kernel ``settings`` selects can spool through storage."""
-    backend = settings.backend if settings is not None else None
-    return _KERNELS[resolve_backend(backend)].streams
-
-
 def round_kernel(
     num_servers: int,
     value_bits: int,
     settings: ExecutionSettings,
     storage: StorageManager | None,
     timer: PhaseTimer,
-) -> _Kernel:
-    """Open the run's simulator and the kernel ``settings.backend`` names.
+) -> _ArrayKernel:
+    """Open the run's simulator and its array kernel.
 
-    ``settings`` arrives resolved (:meth:`ExecutionSettings.resolve`),
-    so this lookup is the one place a run's backend is decided.
+    ``settings`` arrives resolved (:meth:`ExecutionSettings.resolve`).
     """
     sim = MPCSimulation(
         num_servers,
@@ -304,4 +197,4 @@ def round_kernel(
         timer=timer,
         machines=settings.machines,
     )
-    return _KERNELS[settings.backend](sim, settings, timer)
+    return _ArrayKernel(sim, settings, timer)

@@ -10,8 +10,7 @@ and, more importantly here, obviously correct -- it serves as ground
 truth for every parallel algorithm in the package.
 
 Fragments may be given as :class:`~repro.data.relation.Relation` objects
-or raw sets of tuples, so the same evaluator runs inside simulated MPC
-servers (whose state is plain tuple sets).
+or raw sets of tuples.
 """
 
 from __future__ import annotations
@@ -115,11 +114,11 @@ def evaluate_on_fragments(
 
     The output tuples list values in ``query.variables`` order (the
     query head).  Missing relations are treated as empty.  Queries with
-    isolated variables cannot be evaluated (they are contraction
-    residues, not executable queries).
+    isolated variables raise
+    :class:`~repro.core.query.UnsupportedQueryError` (they are
+    contraction residues, not executable queries).
     """
-    if query.isolated_variables:
-        raise ValueError("cannot evaluate a query with isolated variables")
+    query.require_executable()
     if query.num_atoms == 0:
         return {()}
     chosen = tuple(order) if order is not None else join_order(query)

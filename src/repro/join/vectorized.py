@@ -1,6 +1,6 @@
 """Vectorized multiway join over columnar (ndarray) fragments.
 
-The columnar execution backend's local computation phase: evaluate a
+Every server's local computation phase: evaluate a
 full conjunctive query over ``(n, arity)`` integer arrays keyed by
 relation name, entirely with NumPy primitives.  The plan is a greedy
 left-deep sequence of binary joins -- each step joins the running
@@ -18,10 +18,8 @@ An atom that binds no new variable (the triangle's closing atom) only
 Set semantics are restored with a final row-wise ``unique``.
 O(n log n), no Python-level per-tuple work.
 
-Queries the vectorized planner cannot handle raise
-:class:`UnsupportedVectorizedQuery`; callers (the HyperCube columnar
-backend) fall back to the backtracking join of
-:mod:`repro.join.multiway` for those.
+Queries with isolated variables have no join plan and raise
+:class:`~repro.core.query.UnsupportedQueryError`.
 """
 
 from __future__ import annotations
@@ -38,10 +36,6 @@ from repro.data.arrays import (
     stable_order,
     unique_rows,
 )
-
-
-class UnsupportedVectorizedQuery(Exception):
-    """The vectorized planner cannot evaluate this query; fall back."""
 
 
 def atom_projection(atom: Atom, rows: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -139,14 +133,10 @@ def evaluate_arrays(
     Returns the distinct answers as a ``(n, k)`` int64 array whose
     columns follow ``query.variables`` (the head order).  Missing
     relations are treated as empty.  Raises
-    :class:`UnsupportedVectorizedQuery` for queries outside the
-    vectorized planner's scope (currently: queries with isolated
-    variables, which no join plan can bind).
+    :class:`~repro.core.query.UnsupportedQueryError` for queries with
+    isolated variables, which no join plan can bind.
     """
-    if query.isolated_variables:
-        raise UnsupportedVectorizedQuery(
-            "queries with isolated variables have no executable join plan"
-        )
+    query.require_executable()
     head = query.variables
     if query.num_atoms == 0:
         return np.empty((1, 0), dtype=np.int64)

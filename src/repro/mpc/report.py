@@ -80,14 +80,14 @@ class LoadReport:
     #: Exclusive wall-clock seconds per execution phase
     #: (``generate``/``route``/``ship``/``join``/``merge``), attached by
     #: the instrumented executors via
-    #: :meth:`repro.mpc.timing.PhaseTimer.attach`.  Empty when the
-    #: executor does not instrument (the tuple-backend baselines).
+    #: :meth:`repro.mpc.timing.PhaseTimer.attach`.  Empty for a bare
+    #: simulator that no executor instruments.
     phase_seconds: dict[str, float] = field(default_factory=dict)
     #: Exclusive *bits delivered* per execution phase -- the
     #: communication-volume twin of :attr:`phase_seconds`, accounted by
     #: the simulator against the innermost active phase on every
     #: accepted delivery.  For instrumented executors the values sum to
-    #: :attr:`total_bits`; empty for the uninstrumented baselines.
+    #: :attr:`total_bits`.
     #: (Named ``phase_bytes`` for symmetry with the trace tooling; the
     #: unit is the model's load unit, bits.)
     phase_bytes: dict[str, float] = field(default_factory=dict)

@@ -6,21 +6,23 @@ An :class:`MPCSimulation` is driven imperatively by algorithm code:
 
     sim = MPCSimulation(p=8, value_bits=20)
     sim.begin_round()
-    sim.send(dest=3, tag="S1", tuples=[(1, 2), (5, 6)])
-    sim.end_round()                   # barrier: close the round's loads
-    fragment = sim.state(3)["S1"]     # local computation phase
-    sim.output(3, answers)
+    sim.send_array(3, "S1", np.array([[1, 2], [5, 6]]))
+    sim.end_round()                        # barrier: close the round's loads
+    fragment = sim.array_state(3)["S1"]    # local computation phase
+    sim.output_array(3, answers)
 
 Bits are accounted on *receipt*, exactly as the model defines load
 (Section 2.1: "the load is the amount of data received by a server
-during a particular round").  A tuple of arity ``a`` costs
-``a * value_bits`` bits unless the sender overrides ``bits_per_tuple``.
-Delivery is streaming: each ``send`` is accounted and stored the moment
-it is issued (in send order, which is all capacity truncation depends
-on), so a round never buffers its full traffic -- the property that
-lets out-of-core executions route terabytes through a constant-memory
-simulator.  ``end_round`` is purely the accounting barrier closing the
-round's :class:`RoundLoad`.
+during a particular round").  Payloads are ``(n, arity)`` int64 row
+batches, and each row is one tuple of the tuple-based model: a tuple
+of arity ``a`` costs ``a * value_bits`` bits unless the sender
+overrides ``bits_per_tuple``.  Delivery is streaming: each
+``send_array`` is accounted and stored the moment it is issued (in send
+order, which is all capacity truncation depends on), so a round never
+buffers its full traffic -- the property that lets out-of-core
+executions route terabytes through a constant-memory simulator.
+``end_round`` is purely the accounting barrier closing the round's
+:class:`RoundLoad`.
 
 Setting ``capacity_bits`` models a hard per-round load cap ``L``:
 ``on_overflow="fail"`` aborts the execution (the paper's randomized
@@ -39,7 +41,7 @@ bit accounting is identical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
@@ -89,25 +91,18 @@ class LoadExceededError(RuntimeError):
 
 @dataclass
 class ServerState:
-    """What one server has stored so far: tag -> set of tuples.
+    """What one server has stored so far: tag -> received row batches.
 
-    The columnar backend stores received batches as arrays instead
-    (``array_fragments``); :meth:`array_fragment` canonicalizes them
-    into one deduplicated ``(n, arity)`` array per tag.  Both stores
-    share the same bit accounting at delivery time.  With a storage
-    manager attached, array batches go to per-tag chunked spools
-    (``array_spools``) that spill to disk instead of accumulating in
-    RAM.
+    :meth:`array_fragment` canonicalizes a tag's batches into one
+    deduplicated ``(n, arity)`` array.  With a storage manager
+    attached, batches go to per-tag chunked spools (``array_spools``)
+    that spill to disk instead of accumulating in RAM.
     """
 
     server_id: int
     storage: "StorageManager | None" = None
-    fragments: dict[str, set[tuple[int, ...]]] = field(default_factory=dict)
     array_fragments: dict[str, list[np.ndarray]] = field(default_factory=dict)
     array_spools: dict[str, object] = field(default_factory=dict)
-
-    def add(self, tag: str, tuples: Iterable[tuple[int, ...]]) -> None:
-        self.fragments.setdefault(tag, set()).update(tuples)
 
     def add_array(self, tag: str, rows: np.ndarray) -> None:
         if self.storage is not None:
@@ -120,9 +115,6 @@ class ServerState:
             spool.append(rows)
             return
         self.array_fragments.setdefault(tag, []).append(rows)
-
-    def get(self, tag: str) -> set[tuple[int, ...]]:
-        return self.fragments.get(tag, set())
 
     def array_fragment(self, tag: str) -> np.ndarray | None:
         """The deduplicated array stored under ``tag`` (None if absent).
@@ -144,22 +136,14 @@ class ServerState:
         self.array_fragments[tag] = [merged]
         return merged
 
-    def tags(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(self.fragments)
-        seen.update(dict.fromkeys(self.array_fragments))
-        seen.update(dict.fromkeys(self.array_spools))
-        return tuple(seen)
-
     def clear(self, tag: str | None = None) -> None:
         """Forget stored data (free local storage between plan stages)."""
         if tag is None:
-            self.fragments.clear()
             self.array_fragments.clear()
             for spool in self.array_spools.values():
                 spool.drop()
             self.array_spools.clear()
         else:
-            self.fragments.pop(tag, None)
             self.array_fragments.pop(tag, None)
             spool = self.array_spools.pop(tag, None)
             if spool is not None:
@@ -243,7 +227,6 @@ class MPCSimulation:
         self._in_round = False
         self._round_load: RoundLoad | None = None
         self._received_bits: list[float] = []
-        self._outputs: list[set[tuple[int, ...]]] = [set() for _ in range(p)]
         self._array_outputs: list[list[np.ndarray]] = [[] for _ in range(p)]
         self._output_spools: list[object | None] = [None] * p
 
@@ -281,73 +264,37 @@ class MPCSimulation:
             )
         return round_load
 
-    def _deliver_tuples(
-        self,
-        dest: int,
-        tag: str,
-        batch: tuple[tuple[int, ...], ...],
-        bits_per_tuple: float,
-    ) -> None:
-        """Deliver a tuple batch with per-tuple capacity accounting."""
-        round_load = self._round_load
-        received_bits = self._received_bits
-        capacity = self._caps[dest]
-        accepted: list[tuple[int, ...]] = []
-        dropped = 0.0
-        for t in batch:
-            cost = bits_per_tuple
-            if (
-                capacity is not None
-                and received_bits[dest] + cost > capacity
-            ):
-                if self.on_overflow == "fail":
-                    raise LoadExceededError(
-                        dest,
-                        self._report.num_rounds + 1,
-                        received_bits[dest] + cost,
-                        capacity,
-                    )
-                round_load.drop(dest, cost)
-                dropped += cost
-                continue
-            received_bits[dest] += cost
-            accepted.append(t)
-        accepted_bits = len(accepted) * bits_per_tuple
-        if accepted:
-            self._servers[dest].add(tag, accepted)
-            round_load.add(dest, accepted_bits, len(accepted))
-            if self.timer is not None:
-                self.timer.account_bits(accepted_bits)
-        if self.trace is not None and (accepted or dropped):
-            self.trace.send(
-                self._report.num_rounds + 1,
-                dest,
-                tag,
-                accepted_bits,
-                len(accepted),
-                dropped,
-            )
-        if self.metrics is not None and (accepted or dropped):
-            self._metric_sends.inc()
-            self._metric_bits.inc(accepted_bits)
-            self._metric_tuples.inc(len(accepted))
-            if dropped:
-                self._metric_dropped.inc(dropped)
+    # ----------------------------------------------------------- primitives
 
-    def _deliver_array(
+    def send_array(
         self,
         dest: int,
         tag: str,
         rows: np.ndarray,
-        bits_per_tuple: float,
+        bits_per_tuple: float | None = None,
     ) -> None:
-        """Deliver an array batch with the tuple path's exact accounting.
+        """Account and store a ``(n, arity)`` row batch at ``dest``.
 
-        Every row costs ``bits_per_tuple`` on receipt; under a capacity
-        cap the accepted rows are the longest prefix that fits (the
-        per-tuple loop accepts exactly that prefix, since all rows of a
-        batch share one cost).
+        Each row costs ``arity * value_bits`` bits on receipt unless
+        ``bits_per_tuple`` overrides it.
         """
+        if not self._in_round:
+            raise RuntimeError("send outside a round; call begin_round first")
+        if not 0 <= dest < self.p:
+            raise ValueError(f"destination {dest} outside [0, {self.p})")
+        rows = np.asarray(rows)
+        if rows.ndim != 2:
+            raise ValueError(f"need a 2-D (n, arity) batch, got shape {rows.shape}")
+        if len(rows) == 0:
+            return
+        bits_per_tuple = float(
+            rows.shape[1] * self.value_bits
+            if bits_per_tuple is None
+            else bits_per_tuple
+        )
+        # Under a capacity cap the accepted rows are the longest prefix
+        # that fits -- the prefix a tuple-at-a-time loop accepts, since
+        # all rows of a batch share one cost.
         round_load = self._round_load
         received_bits = self._received_bits
         capacity = self._caps[dest]
@@ -390,76 +337,15 @@ class MPCSimulation:
             if dropped:
                 self._metric_dropped.inc(dropped)
 
-    # ----------------------------------------------------------- primitives
-
-    def send(
-        self,
-        dest: int,
-        tag: str,
-        tuples: Iterable[tuple[int, ...]],
-        bits_per_tuple: float | None = None,
-    ) -> None:
-        """Account and store tuples at ``dest`` (streaming delivery)."""
-        if not self._in_round:
-            raise RuntimeError("send outside a round; call begin_round first")
-        if not 0 <= dest < self.p:
-            raise ValueError(f"destination {dest} outside [0, {self.p})")
-        batch = tuple(tuple(t) for t in tuples)
-        if not batch:
-            return
-        if bits_per_tuple is None:
-            bits_per_tuple = len(batch[0]) * self.value_bits
-        self._deliver_tuples(dest, tag, batch, float(bits_per_tuple))
-
-    def send_array(
-        self,
-        dest: int,
-        tag: str,
-        rows: np.ndarray,
-        bits_per_tuple: float | None = None,
-    ) -> None:
-        """Account and store a ``(n, arity)`` array batch at ``dest``.
-
-        Accounting is identical to :meth:`send`: each row costs
-        ``arity * value_bits`` bits on receipt unless overridden.
-        """
-        if not self._in_round:
-            raise RuntimeError("send outside a round; call begin_round first")
-        if not 0 <= dest < self.p:
-            raise ValueError(f"destination {dest} outside [0, {self.p})")
-        rows = np.asarray(rows)
-        if rows.ndim != 2:
-            raise ValueError(f"need a 2-D (n, arity) batch, got shape {rows.shape}")
-        if len(rows) == 0:
-            return
-        if bits_per_tuple is None:
-            bits_per_tuple = rows.shape[1] * self.value_bits
-        self._deliver_array(dest, tag, rows, float(bits_per_tuple))
-
-    def broadcast(
-        self,
-        tag: str,
-        tuples: Iterable[tuple[int, ...]],
-        bits_per_tuple: float | None = None,
-    ) -> None:
-        """Send the same tuples to every server."""
-        batch = tuple(tuple(t) for t in tuples)
-        for dest in range(self.p):
-            self.send(dest, tag, batch, bits_per_tuple)
-
     # --------------------------------------------------------------- access
-
-    def state(self, server: int) -> dict[str, set[tuple[int, ...]]]:
-        """The server's stored fragments (local computation phase)."""
-        return self._servers[server].fragments
 
     def array_state(
         self, server: int, prefix: str | None = None
     ) -> dict[str, np.ndarray]:
-        """The server's array-form fragments (columnar local phase).
+        """The server's fragments for its local computation phase.
 
-        Only tags that received array batches appear; each maps to one
-        deduplicated ``(n, arity)`` array.  With ``prefix``, only tags
+        Each tag that received rows maps to one deduplicated
+        ``(n, arity)`` array.  With ``prefix``, only tags
         starting with it are merged (co-resident operators' fragments
         stay untouched) and the keys are returned with the prefix
         stripped -- the namespaced-tag convention of the multi-round
@@ -484,10 +370,6 @@ class MPCSimulation:
         """Drop stored fragments on every server (between plan stages)."""
         for s in self._servers:
             s.clear(tag)
-
-    def output(self, server: int, tuples: Iterable[tuple[int, ...]]) -> None:
-        """Record locally-produced answers (stays at the server)."""
-        self._outputs[server].update(tuple(t) for t in tuples)
 
     def output_array(self, server: int, rows: np.ndarray) -> None:
         """Record locally-produced answers given as a ``(n, k)`` array.
@@ -519,11 +401,7 @@ class MPCSimulation:
         """
         if self.storage is None:
             raise RuntimeError("adopt_output_spool needs storage mode")
-        if (
-            self._output_spools[server] is not None
-            or self._outputs[server]
-            or self._array_outputs[server]
-        ):
+        if self._output_spools[server] is not None or self._array_outputs[server]:
             raise RuntimeError(f"server {server} already holds outputs")
         self._output_spools[server] = spool
 
@@ -539,8 +417,6 @@ class MPCSimulation:
     def outputs(self) -> set[tuple[int, ...]]:
         """The union of all servers' outputs -- the algorithm's answer."""
         out: set[tuple[int, ...]] = set()
-        for chunk in self._outputs:
-            out |= chunk
         for server in range(self.p):
             for rows in self._array_output_batches(server):
                 out.update(map(tuple, rows.tolist()))
@@ -549,24 +425,14 @@ class MPCSimulation:
     def outputs_array(self, width: int) -> np.ndarray:
         """All servers' outputs as one canonical ``(n, width)`` array.
 
-        The columnar counterpart of :meth:`outputs`: set-form outputs
-        are converted, array batches concatenated, and the union
-        deduplicated row-wise.
+        The array counterpart of :meth:`outputs`: every server's batches
+        concatenated and the union deduplicated row-wise.
         """
         batches = [
             rows
             for server in range(self.p)
             for rows in self._array_output_batches(server)
         ]
-        merged_sets = set()
-        for chunk in self._outputs:
-            merged_sets |= chunk
-        if merged_sets:
-            batches.append(
-                np.array(sorted(merged_sets), dtype=np.int64).reshape(
-                    len(merged_sets), width
-                )
-            )
         if not batches:
             return np.empty((0, width), dtype=np.int64)
         return merge_batches(batches)
@@ -578,7 +444,7 @@ class MPCSimulation:
         never materializes the union, so out-of-core benches can report
         answer volumes without holding them.
         """
-        total = sum(len(chunk) for chunk in self._outputs)
+        total = 0
         for server in range(self.p):
             total += sum(
                 len(rows) for rows in self._array_outputs[server]
@@ -589,7 +455,7 @@ class MPCSimulation:
         return total
 
     def outputs_of(self, server: int) -> set[tuple[int, ...]]:
-        out = set(self._outputs[server])
+        out: set[tuple[int, ...]] = set()
         for rows in self._array_output_batches(server):
             out.update(map(tuple, rows.tolist()))
         return out

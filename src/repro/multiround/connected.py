@@ -19,7 +19,9 @@ This module provides the algorithms to *run* on those instances:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
+
+import numpy as np
 
 from repro.core.stats import bits_per_value
 from repro.hashing.family import HashFamily
@@ -77,17 +79,15 @@ def connected_components_mpc(
             batches.setdefault(home(v), []).append((u, v))
         else:
             batches[home(u)].append((u, v))
-    for server, batch in batches.items():
-        sim.send(server, "edges", batch)
+    _send_batches(sim, "edges", batches)
     sim.end_round()
 
     # Local state: cluster (or label) per vertex, kept at its home server.
     clusters: dict[int, set[int]] = {v: {v} for v in range(num_vertices)}
     neighbours: dict[int, set[int]] = {v: set() for v in range(num_vertices)}
-    for server in range(p):
-        for u, v in sim.state(server).get("edges", ()):
-            neighbours[u].add(v)
-            neighbours[v].add(u)
+    for u, v in _received(sim, "edges"):
+        neighbours[u].add(v)
+        neighbours[v].add(u)
     for v in range(num_vertices):
         clusters[v] |= neighbours[v]
 
@@ -132,14 +132,12 @@ def _hash_to_min(sim, home, clusters, max_rounds) -> bool:
                 # (target, member): target's cluster gains member.
                 outbox.setdefault(home(smallest), []).append((smallest, w))
                 outbox.setdefault(home(w), []).append((w, smallest))
-        for server, batch in outbox.items():
-            sim.send(server, "h2m", batch)
+        _send_batches(sim, "h2m", outbox)
         sim.end_round()
 
         incoming: dict[int, set[int]] = {}
-        for server in range(sim.p):
-            for target, member in sim.state(server).get("h2m", ()):
-                incoming.setdefault(target, set()).add(member)
+        for target, member in _received(sim, "h2m"):
+            incoming.setdefault(target, set()).add(member)
         sim.clear_all("h2m")
 
         changed = False
@@ -165,16 +163,14 @@ def _label_propagation(sim, home, clusters, neighbours, max_rounds) -> bool:
         for v, label in labels.items():
             for u in neighbours[v]:
                 outbox.setdefault(home(u), []).append((u, label))
-        for server, batch in outbox.items():
-            sim.send(server, "lp", batch)
+        _send_batches(sim, "lp", outbox)
         sim.end_round()
 
         changed = False
-        for server in range(sim.p):
-            for target, label in sim.state(server).get("lp", ()):
-                if label < labels[target]:
-                    labels[target] = label
-                    changed = True
+        for target, label in _received(sim, "lp"):
+            if label < labels[target]:
+                labels[target] = label
+                changed = True
         sim.clear_all("lp")
         if not changed:
             for v in labels:
@@ -183,3 +179,19 @@ def _label_propagation(sim, home, clusters, neighbours, max_rounds) -> bool:
     for v in labels:
         clusters[v] = {labels[v]}
     return False
+
+
+def _send_batches(
+    sim: MPCSimulation, tag: str, batches: dict[int, list[tuple[int, int]]]
+) -> None:
+    """Deliver each server's ``(a, b)`` messages as one row batch."""
+    for server, batch in batches.items():
+        sim.send_array(server, tag, np.array(batch, dtype=np.int64))
+
+
+def _received(sim: MPCSimulation, tag: str) -> Iterator[tuple[int, int]]:
+    """Every distinct ``(a, b)`` message each server stores under ``tag``."""
+    for server in range(sim.p):
+        rows = sim.server(server).array_fragment(tag)
+        if rows is not None:
+            yield from map(tuple, rows.tolist())

@@ -20,31 +20,24 @@ fragments apart on every server.
 Each round is a block list -- one block per operator at ``base=0``
 with ``prefix="<node name>/"`` -- executed by the round kernel of
 :mod:`repro.hypercube.blocks`; view spooling, dropping views past their
-last consumer and adopting the root's spools stay here.  The kernel
-runs either backend (``backend=None`` follows
-:func:`repro.config.default_backend`):
-
-* ``backend="tuples"`` routes and joins one Python tuple at a time --
-  the original reference path and the repo's ground truth.
-* ``backend="numpy"`` keeps every intermediate view as one
-  ``(n, arity)`` int64 array per server between rounds, routes base
-  relations and view fragments with
-  :func:`~repro.hypercube.algorithm.route_relation_arrays`, ships array
-  payloads through :meth:`MPCSimulation.send_array` (identical bit
-  accounting), and joins each server's fragments with the vectorized
-  evaluator.  Answers and per-server/per-round loads are bit-identical
-  to the tuple path; ``tests/multiround/test_executor_backends.py``
-  enforces it.
+last consumer and adopting the root's spools stay here.  Every
+intermediate view is one ``(n, arity)`` int64 array per server between
+rounds; base relations and view fragments are routed with
+:func:`~repro.hypercube.algorithm.route_relation_arrays`, shipped
+through :meth:`MPCSimulation.send_array` and joined with the vectorized
+evaluator.  ``tests/multiround/test_executor_backends.py`` checks
+answers and per-server/per-round loads against the scalar tuple oracle
+under ``tests/reference/``.
 
 ``capacity_bits`` imposes the same hard per-server per-round cap ``L``
 that a one-round HyperCube run honours: every round of the plan
-enforces it, and because both backends (and the
-chunked path) route each relation and view in canonical row order, a
-binding cap with ``on_overflow="drop"`` truncates the identical
-per-server prefix everywhere -- dropped tuples then propagate
-identically through later rounds.
+enforces it, and because in-memory and chunked execution route each
+relation and view in canonical row order, a binding cap with
+``on_overflow="drop"`` truncates the identical per-server prefix
+everywhere -- dropped tuples then propagate identically through later
+rounds.
 
-``storage`` switches the columnar backend to out-of-core mode: base
+``storage`` switches the executor to out-of-core mode: base
 relations and view fragments stream through the router chunk-by-chunk,
 delivered fragments spill to per-server chunked spools, and the
 inter-round views themselves are kept as
@@ -88,9 +81,9 @@ def _multiround_impl(
     results compare directly against the sequential evaluator.
     ``details["plan"]`` is the plan; ``details["view_fragments"]`` maps
     plan-node names to their per-server result fragments in
-    node-schema order (tuple sets on the tuple backend, ``(n, arity)``
-    arrays on the columnar one).  Only the root's are retained --
-    holding every intermediate view of a large columnar run alive would
+    node-schema order (``(n, arity)`` arrays, or spools under
+    ``storage``).  Only the root's are retained --
+    holding every intermediate view of a large run alive would
     pin all of its memory to the result -- unless
     ``keep_view_fragments`` keeps them all (tests use this to pin down
     per-operator routing).  ``settings`` arrives already resolved.
@@ -130,7 +123,7 @@ def _multiround_impl(
                     last_consumed[child.name] = max(
                         last_consumed.get(child.name, 0), node_depth
                     )
-    # view name -> per-server fragments (tuple sets or (n, arity) arrays)
+    # view name -> per-server fragments ((n, arity) arrays or spools)
     produced: dict[str, list] = {}
     schema_of: dict[str, tuple[str, ...]] = {}
 
@@ -201,7 +194,7 @@ def _multiround_impl(
             schema_of[node.name] = block.query.variables
         # Free delivered fragments: the next round re-routes views anyway.
         sim.clear_all()
-        # Free views past their last consumer, so a deep columnar run
+        # Free views past their last consumer, so a deep run
         # holds at most the live generations, not every intermediate.
         if not keep_view_fragments:
             for name, last in last_consumed.items():

@@ -28,7 +28,6 @@ from repro.core.families import triangle_query
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
 from repro.hypercube.baselines import common_variables
-from repro.hypercube.blocks import streams as kernel_streams
 # Imported for its @implements("multiround") registration.
 from repro.multiround import executor as _multiround_core  # noqa: F401
 from repro.multiround.plans import Plan, candidate_plans
@@ -130,15 +129,12 @@ class Strategy:
         :class:`DataStatistics` (a session plans before it runs) pass
         them in, so strategies that can reuse them (multiround plan
         choice, star/triangle hitter statistics) skip a second scan.
-        ``storage`` requests out-of-core execution; strategies whose
-        executor streams (hypercube, skew star/triangle, multiround on
-        a columnar backend) forward it, the in-memory baselines accept
-        and ignore it -- :meth:`streams` tells callers which case they
-        are in before running.
+        ``storage`` requests out-of-core execution; every strategy's
+        executor streams through it.
 
         ``settings`` carries the shared execution knobs
-        (:class:`~repro.config.ExecutionSettings`: backend, capacity
-        cap, hash method, chunk granularity); every strategy threads
+        (:class:`~repro.config.ExecutionSettings`: capacity cap, hash
+        method, chunk granularity, pool, machines); every strategy threads
         them into its executor, so a :class:`repro.session.Session`'s
         cluster configuration applies uniformly no matter which
         strategy wins.  ``overrides`` accepts the per-run knobs of
@@ -194,34 +190,14 @@ class Strategy:
         """
         return dispatch_run(
             self.name, query, database, p, seed=seed, settings=settings,
-            # Only when this run will honor it (see streams()).
-            storage=storage if self.streams(settings) else None,
-            **overrides,
+            storage=storage, **overrides,
         )
-
-    def streams(self, settings: ExecutionSettings | None = None) -> bool:
-        """Whether :meth:`run` would honor a storage manager right now.
-
-        False for the in-memory baselines; the block-list engines
-        (:class:`_KernelStrategy`) stream whenever the round kernel
-        that ``settings.backend`` (else the system-wide default)
-        selects does -- the tuple reference cannot spool chunks.
-        :meth:`_run` consults this and drops a manager the run would
-        not honor, so such a run reports no spill traffic."""
-        return False
 
     def __repr__(self) -> str:
         return f"<Strategy {self.name}>"
 
 
-class _KernelStrategy(Strategy):
-    """A block-list engine: it streams iff its round kernel does."""
-
-    def streams(self, settings=None) -> bool:
-        return kernel_streams(settings)
-
-
-class OneRoundHyperCube(_KernelStrategy):
+class OneRoundHyperCube(Strategy):
     """Vanilla HyperCube with LP (10) shares (Section 3.1)."""
 
     name = "hypercube"
@@ -236,7 +212,7 @@ class OneRoundHyperCube(_KernelStrategy):
         )
 
 
-class SkewObliviousHyperCube(_KernelStrategy):
+class SkewObliviousHyperCube(Strategy):
     """HyperCube with the LP (18) skew-resistant shares (Section 4.1)."""
 
     name = "skew-oblivious"
@@ -248,7 +224,7 @@ class SkewObliviousHyperCube(_KernelStrategy):
         )
 
 
-class SkewAwareStar(_KernelStrategy):
+class SkewAwareStar(Strategy):
     """The Section 4.2.1 star-query algorithm (per-hitter blocks)."""
 
     name = "skew-star"
@@ -278,7 +254,7 @@ class SkewAwareStar(_KernelStrategy):
         )
 
 
-class SkewAwareTriangle(_KernelStrategy):
+class SkewAwareTriangle(Strategy):
     """The Section 4.2.2 triangle algorithm (light/case-1/case-2)."""
 
     name = "skew-triangle"
@@ -315,7 +291,7 @@ class SkewAwareTriangle(_KernelStrategy):
         )
 
 
-class MultiRoundPlan(_KernelStrategy):
+class MultiRoundPlan(Strategy):
     """The cheapest enumerated query plan, run round by round (Section 5)."""
 
     name = "multiround"
@@ -426,10 +402,6 @@ class SingleServer(Strategy):
 
 
 # Registration order doubles as the cost tie-break (see optimizer.plan).
-# Every strategy runs on the backend its ``ExecutionSettings`` name
-# (``Session(backend=...)``; else :func:`repro.config.default_backend`,
-# numpy as shipped) -- that is the one way to pin the tuple reference
-# path for ablations and ground-truth runs.
 _REGISTRY: list[Strategy] = [
     OneRoundHyperCube(),
     SkewObliviousHyperCube(),

@@ -204,13 +204,14 @@ def dispatch_run(
 ) -> RunResult:
     """The one internal run path, reached through ``Strategy.run``.
 
-    Resolves ``settings`` against ``storage`` and ``p`` exactly once
-    (:meth:`ExecutionSettings.resolve` -- the backend default, the
-    storage/backend compatibility check, the chunk-size default, the
-    machine-spec default and its ``p``-match validation), invokes the
-    executor core registered under ``strategy``, attaches the run's own
-    spill traffic to its report and observes the per-run metrics under
-    the ``strategy`` label.
+    Rejects a query no join plan can evaluate
+    (:class:`~repro.core.query.UnsupportedQueryError`) before anything
+    is routed, resolves ``settings`` against ``storage`` and ``p``
+    exactly once (:meth:`ExecutionSettings.resolve` -- the chunk-size,
+    pool and machine-spec defaults and the spec's ``p``-match
+    validation), invokes the executor core registered under
+    ``strategy``, attaches the run's own spill traffic to its report and
+    observes the per-run metrics under the ``strategy`` label.
     """
     impl = _IMPLEMENTATIONS.get(strategy)
     if impl is None:
@@ -218,6 +219,7 @@ def dispatch_run(
             f"unknown executor strategy {strategy!r} "
             f"(expected one of {sorted(_IMPLEMENTATIONS)})"
         )
+    query.require_executable()
     resolved = settings.resolve(storage, p)
     if storage is not None:
         before = storage.io_counters()

@@ -5,8 +5,8 @@ capacity ``L`` -- and then asks how *any* query runs on it.  This
 module gives the Python API the same shape:
 
 * :class:`ClusterConfig` is the frozen description of that cluster
-  (servers, execution backend, seed, capacity cap, routing PRF, memory
-  budget, chunk granularity);
+  (servers, seed, capacity cap, routing PRF, memory budget, chunk
+  granularity, worker pool, machine spec);
 * :class:`Session` owns the derived storage lifecycle and exposes one
   verb, :meth:`Session.run` -- planner-routed by default, pinnable to
   any named strategy -- plus :meth:`Session.plan` (EXPLAIN),
@@ -21,7 +21,7 @@ run verbs.  Each run collects statistics, ranks the strategies, and
 reaches the chosen one's executor core through
 :meth:`~repro.planner.strategies.Strategy.run` and
 :func:`repro.run.dispatch_run`, so *every* execution funnels through
-one resolution of the backend/storage/capacity knobs
+one resolution of the storage/pool/machines knobs
 (:meth:`repro.config.ExecutionSettings.resolve`).
 
 Quickstart::
@@ -63,7 +63,6 @@ from typing import Iterable, Literal, Mapping, Sequence
 import numpy as np
 
 from repro.config import (
-    Backend,
     ExecutionSettings,
     MachineSpec,
     PoolKind,
@@ -105,15 +104,14 @@ class ClusterConfig:
     """The fixed machine configuration of the MPC model, as one value.
 
     Everything that describes the *cluster* -- as opposed to a single
-    query -- lives here: the number of servers ``p``, the execution
-    backend, the base seed every run derives from, the per-server
-    per-round capacity ``L`` and its overflow policy, the routing PRF,
-    and the memory story (budget and chunk granularity).  A
-    :class:`Session` applies one config uniformly to every run.
+    query -- lives here: the number of servers ``p``, the base seed
+    every run derives from, the per-server per-round capacity ``L`` and
+    its overflow policy, the routing PRF, and the memory story (budget
+    and chunk granularity).  A :class:`Session` applies one config
+    uniformly to every run.
     """
 
     p: int
-    backend: Backend | None = None
     seed: int = 0
     capacity_bits: float | None = None
     on_overflow: Literal["fail", "drop"] = "fail"
@@ -122,8 +120,8 @@ class ClusterConfig:
     chunk_rows: int | None = None
     #: Worker pool for intra-run parallelism (per-server routing and
     #: joins) and for :meth:`Session.run_many` batches.  ``None``
-    #: follows :func:`repro.config.default_pool` (the
-    #: ``REPRO_DEFAULT_POOL`` environment variable, else serial).
+    #: follows the ``REPRO_DEFAULT_POOL`` environment variable, else
+    #: serial (:func:`repro.config.default_pool`).
     pool: PoolKind | None = None
     #: Workers per pool (``None``: one per CPU core, capped at 8).
     max_workers: int | None = None
@@ -134,11 +132,11 @@ class ClusterConfig:
     #: ``RunRecord.trace_path`` at it.  Tracing never perturbs results.
     trace: "str | pathlib.Path | None" = None
     #: Per-machine speeds and capacities (a :class:`MachineSpec`, or a
-    #: pattern string like ``"4x1,4x2"``).  ``None`` follows
-    #: :func:`repro.config.default_machines` (the
+    #: pattern string like ``"4x1,4x2"``).  ``None`` follows the
     #: ``REPRO_DEFAULT_MACHINES`` environment variable, else the
-    #: homogeneous model).  An explicit spec must have exactly ``p``
-    #: machines; a default pattern is cycled to ``p``.
+    #: homogeneous model (:func:`repro.config.default_machines`).  An
+    #: explicit spec must have exactly ``p`` machines; a default
+    #: pattern is cycled to ``p``.
     machines: "MachineSpec | str | None" = None
     #: Collect live telemetry (:mod:`repro.metrics`) for every run.
     #: The session keeps one aggregated :class:`MetricsRegistry`
@@ -165,15 +163,14 @@ class ClusterConfig:
             and self.memory_budget_bytes < 1
         ):
             raise ValueError("memory_budget_bytes must be >= 1")
-        # Delegate the remaining validation (backend, overflow policy,
-        # hash method, chunk_rows, pool, max_workers) to the settings
-        # value object.
+        # Delegate the remaining validation (overflow policy, hash
+        # method, chunk_rows, pool, max_workers) to the settings value
+        # object.
         self.settings()
 
     def settings(self) -> ExecutionSettings:
         """The per-run execution knobs this cluster prescribes."""
         return ExecutionSettings(
-            backend=self.backend,
             capacity_bits=self.capacity_bits,
             on_overflow=self.on_overflow,
             hash_method=self.hash_method,
@@ -230,12 +227,11 @@ class RunRecord:
     wall_seconds: float
     #: Exclusive per-phase wall-clock seconds
     #: (``generate``/``route``/``ship``/``join``/``merge``), from the
-    #: executor's :class:`~repro.mpc.timing.PhaseTimer`.  Empty for
-    #: uninstrumented executors (the tuple-backend baselines).
+    #: executor's :class:`~repro.mpc.timing.PhaseTimer`.
     phase_seconds: Mapping[str, float] = field(default_factory=dict)
     #: Exclusive per-phase *bits delivered* -- ``phase_seconds``'s
     #: communication-volume twin (``LoadReport.phase_bytes``).  Sums to
-    #: ``total_bits`` for instrumented executors.
+    #: ``total_bits``.
     phase_bytes: Mapping[str, float] = field(default_factory=dict)
     #: The run's JSONL trace artifact, when the session traced
     #: (``ClusterConfig(trace=...)``); None otherwise.
@@ -374,9 +370,8 @@ class Session:
         configured budget applies only when the database's assumed
         in-memory footprint (:data:`IN_MEMORY_FOOTPRINT_FACTOR` times
         its bytes) exceeds it, opening the shared session manager on
-        first use.  A strategy that cannot stream runs in memory anyway
-        (:meth:`~repro.planner.strategies.Strategy.run` drops the
-        manager), and its report then carries no ``spill_stats``.
+        first use.  Every strategy streams through the manager it is
+        given, and its report then carries ``spill_stats``.
         """
         if self._external_storage is not None:
             return self._external_storage
@@ -487,7 +482,7 @@ class Session:
         session's config and returns its result
         :meth:`~repro.run.RunResult.detached`, sidestepping the GIL
         entirely), or ``"serial"``.  ``None`` follows
-        ``config.pool`` / :func:`repro.config.default_pool`, except
+        ``config.pool`` / ``REPRO_DEFAULT_POOL``, except
         that the historical batch default -- threads -- applies when
         those resolve to serial.  Process mode requires picklable
         queries/databases and does not share the parent's storage
@@ -751,12 +746,9 @@ class Session:
             delta = run_metrics.snapshot()
             self.metrics.merge(delta)
             global_metrics().merge(delta)
-        # The spec the run actually used (report.machines is set by the
-        # simulator from the resolved settings; the config/default spec
-        # is the fallback for executors that bypass a simulator).
+        # The spec the run actually used (the simulator records the
+        # resolved settings' spec).
         machines = report.machines
-        if machines is None:
-            machines = cluster
         heterogeneous = machines is not None and not machines.is_uniform
         trace_path: str | None = None
         if recorder is not None:
@@ -830,9 +822,7 @@ class Session:
     def __repr__(self) -> str:
         storage = self.storage
         return (
-            f"Session(p={self.config.p}, backend="
-            f"{self.config.backend or 'default'}, "
-            f"runs={len(self.history)}"
+            f"Session(p={self.config.p}, runs={len(self.history)}"
             + (f", storage={storage.root}" if storage is not None else "")
             + ")"
         )

@@ -17,7 +17,7 @@ chunk-by-chunk instead of as monoliths.
 * :func:`iter_array_chunks` -- the one seam executors stream through;
   it preserves row order, which is what keeps chunked execution
   bit-identical (answers, per-server loads, capacity truncation) to
-  the in-memory columnar backend.
+  in-memory execution.
 
 Typical out-of-core run::
 

@@ -1,8 +1,8 @@
-"""Entry points hand-rolling backend/pool defaults around repro.config."""
+"""Entry points hand-rolling pool/machines defaults around repro.config."""
 
 
-def run(query, backend=None, pool=None):
-    backend = backend or "numpy"  # line 5: settings-resolution
+def run(query, machines=None, pool=None):
+    machines = machines or "4x1"  # line 5: settings-resolution
     if pool is None:
         pool = "serial"  # line 7: settings-resolution
-    return query, backend, pool
+    return query, machines, pool

@@ -5,10 +5,10 @@ from repro.config import ExecutionSettings
 from repro.run import dispatch_run
 
 
-def quick_hypercube(query, database, p, seed=0, backend=None):
+def quick_hypercube(query, database, p, seed=0, pool=None):
     return dispatch_run(  # line 9: run-path
         "hypercube", query, database, p, seed=seed,
-        settings=ExecutionSettings(backend=backend),
+        settings=ExecutionSettings(pool=pool),
     )
 
 

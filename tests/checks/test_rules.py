@@ -73,16 +73,9 @@ def test_unguarded_and_loop_hooks_detected():
 
 def test_hand_rolled_defaults_detected():
     found = findings_for("hand_rolled_default.py")
-    assert ("settings-resolution", 5) in found  # backend or "numpy"
+    assert ("settings-resolution", 5) in found  # machines or "4x1"
     assert ("settings-resolution", 7) in found  # if pool is None: pool = ...
     assert len(found) == 2
-
-
-def test_backend_branch_outside_kernel_detected():
-    # The fixture sits under a repro/skew/ path: the rule scopes backend
-    # comparisons to the engine packages, minus the kernel module.
-    found = findings_for("repro/skew/backend_branch.py")
-    assert found == [("settings-resolution", 5)]
 
 
 def test_private_row_orders_detected():

@@ -14,6 +14,11 @@ from hypothesis import strategies as st
 
 from repro.core.query import Atom, ConjunctiveQuery
 
+from tests.reference.tuple_kernel import kernel
+
+#: The two round kernels a kernel-parametrized test runs on.
+KERNELS = ("tuples", "numpy")
+
 
 @st.composite
 def random_queries(
@@ -47,6 +52,18 @@ def random_queries(
         components = query.connected_components()
         query = components[0]
     return query
+
+
+@pytest.fixture
+def kernel_name(request):
+    """Run the test on the array kernel or, for ``"tuples"``, the oracle.
+
+    Parametrize indirectly::
+
+        @pytest.mark.parametrize("kernel_name", KERNELS, indirect=True)
+    """
+    with kernel(request.param):
+        yield request.param
 
 
 @pytest.fixture

@@ -31,10 +31,12 @@ from repro.data.arrays import (
     unique_rows_with_counts,
 )
 from repro.hashing.family import GridPartitioner, HashFamily, derive_seed
-from repro.hypercube.algorithm import route_relation, route_relation_arrays
+from repro.hypercube.algorithm import route_relation_arrays
 from repro.join.binary import hash_join
 from repro.join.vectorized import join_arrays
 from repro.storage import StorageManager
+
+from tests.reference.tuple_kernel import route_relation
 
 INT64 = np.iinfo(np.int64)
 

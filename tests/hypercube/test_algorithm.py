@@ -26,19 +26,18 @@ from repro.data.generators import (
 )
 from repro.data.relation import Relation
 from repro.hashing.family import GridPartitioner
-from repro.hypercube.algorithm import (
-    resolve_shares,
-    route_relation,
-    route_relation_arrays,
-)
+from repro.hypercube.algorithm import resolve_shares, route_relation_arrays
 from repro.hypercube.analysis import (
     predicted_load_bits,
     predicted_load_bits_skewed,
     predicted_load_tuples,
 )
 from repro.join.multiway import evaluate
-from repro.mpc.simulator import LoadExceededError
+from repro.core.query import UnsupportedQueryError
+from repro.mpc.simulator import LoadExceededError, MPCSimulation
 from repro.run import dispatch_run
+
+from tests.reference.tuple_kernel import kernel, route_relation
 
 
 class TestCorrectness:
@@ -142,12 +141,13 @@ class TestInconsistentRepeatedVariables:
         assert shipped == {(1, 1)}
         assert sum(len(batch) for _, batch in batches) == 2
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_inconsistent_tuples_contribute_zero_bits(self, backend):
+    @pytest.mark.parametrize("kernel_name", ["tuples", "numpy"])
+    def test_inconsistent_tuples_contribute_zero_bits(self, kernel_name):
         query, db = self.query(), self.database()
-        result = Session(p=6, seed=0, backend=backend).run(
-            query, db, "hypercube", shares={"x": 3, "y": 2}
-        )
+        with kernel(kernel_name):
+            result = Session(p=6, seed=0).run(
+                query, db, "hypercube", shares={"x": 3, "y": 2}
+            )
         assert result.answers == evaluate(query, db) == {(1, 5), (3, 7)}
         # Load accounting matches Eq. 9 over *consistent* tuples only:
         # R ships its 2 consistent tuples, replicated along y's share 2;
@@ -251,3 +251,24 @@ class TestReplication:
         stats = db.statistics(q)
         result = Session(p=64, seed=5).run(q, db, "hypercube")
         assert result.replication_rate(stats) == pytest.approx(4.0, rel=1e-6)
+
+
+class TestUnsupportedQuery:
+    """Isolated variables fail with one typed error, before round 1."""
+
+    @pytest.mark.parametrize("pool", ["serial", "process"])
+    @pytest.mark.parametrize("strategy", ["hypercube", "single-server", "broadcast"])
+    def test_rejected_before_routing(self, strategy, pool, monkeypatch):
+        query = ConjunctiveQuery(
+            (Atom("S", ("x", "y")),), isolated_variables=frozenset({"w"})
+        )
+        db = Database([Relation("S", 2, [(1, 2), (3, 4)])], 10)
+
+        def no_rounds(self):
+            raise AssertionError("a round started for an unsupported query")
+
+        monkeypatch.setattr(MPCSimulation, "begin_round", no_rounds)
+        settings = ExecutionSettings(pool=pool, max_workers=2)
+        with pytest.raises(UnsupportedQueryError, match="isolated"):
+            dispatch_run(strategy, query, db, 4, seed=0, settings=settings)
+        assert issubclass(UnsupportedQueryError, ValueError)

@@ -1,10 +1,10 @@
-"""Backend equivalence: the columnar engine must be bit-identical.
+"""Kernel equivalence: the array kernel must be bit-identical.
 
 The property the acceptance criteria demand: for randomized queries and
-databases under a fixed seed, the HyperCube core on ``backend="numpy"``
+databases under a fixed seed, the HyperCube core on the array kernel
 produces exactly the same answers, the same per-server loads (bits and
-tuples), and the same :class:`LoadReport` bit totals as the reference
-tuple-at-a-time backend.
+tuples), and the same :class:`LoadReport` bit totals as the
+tuple-at-a-time oracle (``tests/reference/tuple_kernel.py``).
 """
 
 from __future__ import annotations
@@ -31,15 +31,21 @@ from repro.join.multiway import evaluate
 from repro.run import dispatch_run
 
 from tests.conftest import random_queries
+from tests.reference.tuple_kernel import kernel
 
 
-def assert_backends_identical(query, db, p, seed=0, hash_method="splitmix64"):
-    tuples, arrays = (
-        dispatch_run(
+def run_on(kernel_name, query, db, p, seed, hash_method):
+    with kernel(kernel_name):
+        return dispatch_run(
             "hypercube", query, db, p, seed=seed,
-            settings=ExecutionSettings(backend=backend, hash_method=hash_method),
+            settings=ExecutionSettings(hash_method=hash_method),
         )
-        for backend in ("tuples", "numpy")
+
+
+def assert_kernels_identical(query, db, p, seed=0, hash_method="splitmix64"):
+    tuples, arrays = (
+        run_on(name, query, db, p, seed, hash_method)
+        for name in ("tuples", "numpy")
     )
     assert arrays.answers == tuples.answers
     assert arrays.details["shares"] == tuples.details["shares"]
@@ -59,7 +65,7 @@ class TestPropertyEquivalence:
         n = 8
         sizes = {a.relation: min(25, n**a.arity) for a in query.atoms}
         db = uniform_database(query, m=sizes, n=n, seed=seed)
-        tuples, _ = assert_backends_identical(query, db, p=8, seed=seed)
+        tuples, _ = assert_kernels_identical(query, db, p=8, seed=seed)
         assert tuples.answers == evaluate(query, db)
 
     @given(seed=st.integers(min_value=0, max_value=2**20))
@@ -67,7 +73,7 @@ class TestPropertyEquivalence:
     def test_triangle_uniform(self, seed):
         query = triangle_query()
         db = uniform_database(query, m=60, n=25, seed=seed)
-        tuples, _ = assert_backends_identical(query, db, p=8, seed=seed)
+        tuples, _ = assert_kernels_identical(query, db, p=8, seed=seed)
         assert tuples.answers == evaluate(query, db)
 
 
@@ -76,35 +82,34 @@ class TestKnownWorkloads:
     def test_matching_chain(self, p):
         query = chain_query(3)
         db = matching_database(query, m=40, n=200, seed=11)
-        assert_backends_identical(query, db, p, seed=5)
+        assert_kernels_identical(query, db, p, seed=5)
 
     def test_star_zipf(self):
         query = star_query(3)
         db = zipf_database(query, m=80, n=50, skew=1.2, seed=3)
-        assert_backends_identical(query, db, p=16, seed=3)
+        assert_kernels_identical(query, db, p=16, seed=3)
 
     def test_planted_skew(self):
         query = ConjunctiveQuery(
             (Atom("S1", ("x", "z")), Atom("S2", ("y", "z"))), name="J"
         )
         db = planted_heavy_hitter_database(query, 50, 500, "z", 1.0, 3, seed=7)
-        assert_backends_identical(query, db, p=8, seed=1)
+        assert_kernels_identical(query, db, p=8, seed=1)
 
     def test_capacity_drop_identical_truncation(self):
-        # Both backends route in canonical order, so a binding capacity
+        # Both kernels route in canonical order, so a binding capacity
         # cap with on_overflow="drop" discards the same tuples: not
         # just equal loads, equal *answers*.
         query = ConjunctiveQuery(
             (Atom("S1", ("x", "z")), Atom("S2", ("y", "z"))), name="J"
         )
         db = planted_heavy_hitter_database(query, 200, 2000, "z", 1.0, 5, seed=1)
-        results = [
-            Session(
-                p=16, seed=3, capacity_bits=333.3, on_overflow="drop",
-                backend=backend,
-            ).run(query, db, "hypercube", exponents={"z": 1.0})
-            for backend in ("tuples", "numpy")
-        ]
+        results = []
+        for name in ("tuples", "numpy"):
+            with kernel(name):
+                results.append(Session(
+                    p=16, seed=3, capacity_bits=333.3, on_overflow="drop",
+                ).run(query, db, "hypercube", exponents={"z": 1.0}))
         assert results[0].report.dropped_bits > 0
         assert results[0].report.dropped_bits == results[1].report.dropped_bits
         for round_t, round_a in zip(
@@ -115,10 +120,10 @@ class TestKnownWorkloads:
 
     def test_blake2b_flag_cross_check(self):
         # The legacy hash stays available behind the flag and the
-        # backends agree under it too.
+        # kernels agree under it too.
         query = triangle_query()
         db = uniform_database(query, m=50, n=20, seed=9)
-        assert_backends_identical(query, db, p=8, seed=9, hash_method="blake2b")
+        assert_kernels_identical(query, db, p=8, seed=9, hash_method="blake2b")
 
     def test_hash_methods_place_differently(self):
         # Sanity: the two PRFs are genuinely different functions.
@@ -142,7 +147,7 @@ class TestKnownWorkloads:
             ],
             10,
         )
-        tuples, _ = assert_backends_identical(query, db, p=6, seed=0)
+        tuples, _ = assert_kernels_identical(query, db, p=6, seed=0)
         assert tuples.answers == evaluate(query, db) == {(1, 5), (3, 7)}
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Session
-from repro.config import ExecutionSettings
+from repro.config import ExecutionSettings, MachineSpec
 from repro.core.families import (
     chain_query,
     simple_join_query,
@@ -18,6 +18,7 @@ from repro.data.generators import (
     uniform_database,
 )
 from repro.join.multiway import evaluate
+from repro.mpc.simulator import LoadExceededError
 from repro.run import dispatch_run
 
 
@@ -119,4 +120,40 @@ class TestBroadcastJoin:
             "broadcast", q, db, 8, seed=0, settings=ExecutionSettings(),
             partition_relation="S2",
         )
+        assert result.answers == evaluate(q, db)
+
+
+@pytest.mark.parametrize("strategy", ["single-server", "broadcast"])
+class TestClusterSpec:
+    """The baselines run on the session's cluster like every engine."""
+
+    def test_per_machine_cap_breach_carries_the_servers_own_cap(self, strategy):
+        q = triangle_query()
+        db = matching_database(q, m=40, n=160, seed=1)
+        machines = MachineSpec((1.0,) * 4, capacities=(96.0, None, None, None))
+        with pytest.raises(LoadExceededError) as err:
+            Session(p=4, machines=machines).run(q, db, strategy)
+        assert err.value.server == 0
+        assert err.value.capacity == 96.0
+
+    def test_drop_mode_truncates_at_the_machine_cap(self, strategy):
+        q = triangle_query()
+        db = matching_database(q, m=40, n=160, seed=1)
+        machines = MachineSpec((1.0,) * 4, capacities=(96.0, None, None, None))
+        result = Session(p=4, machines=machines, on_overflow="drop").run(
+            q, db, strategy
+        )
+        (load,) = result.report.rounds
+        assert load.bits[0] <= 96.0 < load.bits[0] + load.dropped_bits[0]
+        assert result.report.machines == machines
+
+    def test_phase_seconds_and_makespan_recorded(self, strategy):
+        q = triangle_query()
+        db = matching_database(q, m=40, n=160, seed=1)
+        with Session(p=4, machines="2x1,2x2") as session:
+            result = session.run(q, db, strategy)
+            record = session.history[-1]
+        assert record.phase_seconds
+        assert sum(record.phase_bytes.values()) == result.report.total_bits
+        assert record.makespan_bits is not None
         assert result.answers == evaluate(q, db)

@@ -1,4 +1,4 @@
-"""The round kernel: one block list, two implementations, one result.
+"""The round kernel: one block list, one result.
 
 ``repro.hypercube.blocks`` executes every engine's communication round
 and computation phase.  These tests pin its contract from three sides:
@@ -6,9 +6,10 @@ and computation phase.  These tests pin its contract from three sides:
 * any block list -- random residual queries, shares, server offsets,
   seeds, weights, exclude filters, heads -- gives identical per-server
   bits, tuples, dropped bits and outputs through the array kernel and
-  the tuple reference, with and without a binding capacity cap;
-* a ``backend="numpy"`` run of each engine never touches the tuple
-  path (the skew engines' heavy blocks used to);
+  the tuple oracle (``tests/reference/tuple_kernel.py``), with and
+  without a binding capacity cap;
+* a run of each engine never enters the backtracking tuple join (the
+  skew engines' heavy blocks used to);
 * heavy blocks cross the pool and storage seams unchanged.
 """
 
@@ -30,8 +31,8 @@ from repro.data.generators import (
 )
 from repro.data.relation import Relation
 from repro.hashing.family import derive_seed
-from repro.hypercube import algorithm, blocks
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
+from repro.join import multiway
 from repro.join.multiway import evaluate
 from repro.mpc.timing import PhaseTimer
 from repro.multiround.plans import chain_plan
@@ -39,6 +40,7 @@ from repro.skew.bounds import zipf_frequencies
 from repro.storage.manager import StorageManager
 
 from tests.conftest import random_queries
+from tests.reference.tuple_kernel import kernel
 
 DOMAIN = 6
 VALUE_BITS = 3
@@ -112,18 +114,21 @@ def block_lists(draw):
     return out, base
 
 
-def run_blocks(block_list, num_servers, backend, **knobs):
+def run_blocks(block_list, num_servers, kernel_name, **knobs):
     """Communicate + compute through one kernel; everything comparable."""
-    resolved = ExecutionSettings(backend=backend, **knobs).resolve()
-    kernel = round_kernel(num_servers, VALUE_BITS, resolved, None, PhaseTimer())
-    kernel.communicate(block_list)
-    kernel.compute(block_list)
-    (load,) = kernel.sim.report.rounds
+    resolved = ExecutionSettings(**knobs).resolve()
+    with kernel(kernel_name):
+        opened = round_kernel(
+            num_servers, VALUE_BITS, resolved, None, PhaseTimer()
+        )
+    opened.communicate(block_list)
+    opened.compute(block_list)
+    (load,) = opened.sim.report.rounds
     return (
         dict(load.bits),
         dict(load.tuples),
         dict(load.dropped_bits),
-        [kernel.sim.outputs_of(s) for s in range(num_servers)],
+        [opened.sim.outputs_of(s) for s in range(num_servers)],
     )
 
 
@@ -156,13 +161,13 @@ def test_replicated_input_is_a_broadcast():
         family_seed=7,
         base=3,
     )
-    for backend in ("numpy", "tuples"):
-        bits, tuples, _, _ = run_blocks([block], 8, backend)
+    for kernel_name in ("numpy", "tuples"):
+        bits, tuples, _, _ = run_blocks([block], 8, kernel_name)
         assert tuples == {server: 2 for server in range(3, 8)}
         assert set(bits.values()) == {2 * 2 * VALUE_BITS}
 
 
-# ------------------------------------------ (b) numpy runs stay off tuples
+# ----------------------------------- (b) engine runs stay off the tuple join
 
 def hub_graph_db(hub_degree=400, path_edges=100):
     """Hub vertex 0: a case-2 hitter of every triangle variable at p=27."""
@@ -203,14 +208,12 @@ def run_engine(engine, **knobs):
 @pytest.mark.parametrize("engine", sorted(ENGINE_CASES))
 def test_numpy_run_never_enters_the_tuple_path(engine, monkeypatch):
     def tuple_join(*args, **kwargs):
-        raise AssertionError("evaluate_on_fragments entered in a numpy run")
+        raise AssertionError("the backtracking join entered an engine run")
 
-    monkeypatch.setattr(blocks, "evaluate_on_fragments", tuple_join)
-    monkeypatch.setattr(algorithm, "evaluate_on_fragments", tuple_join)
-    result = run_engine(engine, backend="numpy", pool="serial")
-    sim = result.simulation
-    # Mirror of tests/test_config.py: no server holds tuple-path state.
-    assert all(not sim.server(s).fragments for s in range(sim.p))
+    # Every evaluate_on_fragments call builds _AtomIndex, whatever name
+    # the caller imported it under.
+    monkeypatch.setattr(multiway, "_AtomIndex", tuple_join)
+    result = run_engine(engine, pool="serial")
     assert len(result.answers_array()) > 0
     if engine == "skew-star":
         assert len(result.details["heavy_hitters"]) >= 3 and result.servers_used > 16

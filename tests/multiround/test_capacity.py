@@ -2,11 +2,10 @@
 
 The multi-round executor enforces the same per-server per-round
 capacity that one-round HyperCube already supports: ``fail`` aborts with
-:class:`LoadExceededError`, ``drop`` truncates -- and because every
-backend routes each relation and view in canonical row order, the
-truncated per-server prefixes (and therefore all downstream rounds and
-the final answers) are identical under the tuple and columnar
-backends.
+:class:`LoadExceededError`, ``drop`` truncates -- and because the array
+kernel and the tuple oracle route each relation and view in canonical
+row order, the truncated per-server prefixes (and therefore all
+downstream rounds and the final answers) are identical under both.
 """
 
 from __future__ import annotations
@@ -18,14 +17,17 @@ from repro.data.generators import matching_database, zipf_database
 from repro.mpc.simulator import LoadExceededError
 from repro.multiround.plans import chain_plan
 
+from tests.reference.tuple_kernel import kernel
 
-def run_both_backends(plan, db, **knobs):
-    return tuple(
-        Session(backend=backend, **knobs).run(
-            plan.query, db, "multiround", plan=plan
-        )
-        for backend in ("tuples", "numpy")
-    )
+
+def run_both_kernels(plan, db, **knobs):
+    results = []
+    for name in ("tuples", "numpy"):
+        with kernel(name):
+            results.append(
+                Session(**knobs).run(plan.query, db, "multiround", plan=plan)
+            )
+    return tuple(results)
 
 
 class TestCapacityThreading:
@@ -43,11 +45,11 @@ class TestCapacityThreading:
     def test_fail_mode_raises(self):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=80, n=80, seed=1)
-        for backend in ("tuples", "numpy"):
-            with pytest.raises(LoadExceededError):
-                Session(
-                    p=8, seed=0, backend=backend, capacity_bits=50.0
-                ).run(plan.query, db, "multiround", plan=plan)
+        for name in ("tuples", "numpy"):
+            with kernel(name), pytest.raises(LoadExceededError):
+                Session(p=8, seed=0, capacity_bits=50.0).run(
+                    plan.query, db, "multiround", plan=plan
+                )
 
     def test_rejects_bad_mode(self):
         plan = chain_plan(4, 0.0)
@@ -60,11 +62,11 @@ class TestCapacityThreading:
     @pytest.mark.parametrize("capacity", [800.0, 2000.0])
     def test_overcapacity_rounds_truncate_identically(self, capacity):
         # The satellite's acceptance: an over-capacity round truncates
-        # the same tuples under both backends -- same per-round
+        # the same tuples under both kernels -- same per-round
         # per-server bits, same dropped bits, same final answers.
         plan = chain_plan(4, 0.0)
         db = zipf_database(plan.query, m=150, n=60, skew=1.0, seed=5)
-        tuples, arrays = run_both_backends(
+        tuples, arrays = run_both_kernels(
             plan, db, p=8, seed=2, capacity_bits=capacity,
             on_overflow="drop",
         )

@@ -1,9 +1,9 @@
-"""Multi-round executor: backend equivalence and routing bugfixes.
+"""Multi-round executor: kernel equivalence and routing bugfixes.
 
 Three properties pinned here:
 
-* **Backend equivalence** -- the plan core on ``backend="numpy"`` is
-  bit-identical to the tuple reference path: same answers, same
+* **Kernel equivalence** -- the plan core on the array kernel is
+  bit-identical to the tuple oracle (``tests/reference/``): same answers, same
   per-server loads (bits and tuples) in every round, same
   ``LoadReport`` totals, and the same per-server view fragments after
   every operator, across chain/star/triangle plans and skewed (zipf)
@@ -48,23 +48,26 @@ from repro.multiround.plans import (
 from repro.run import dispatch_run
 
 from tests.conftest import random_queries
+from tests.reference.tuple_kernel import kernel
 
 
-def as_tuple_set(chunk) -> set[tuple[int, ...]]:
-    """A per-server view fragment as a plain tuple set, either backend."""
-    if isinstance(chunk, np.ndarray):
-        return set(map(tuple, chunk.tolist()))
-    return set(chunk)
+def as_tuple_set(chunk: np.ndarray) -> set[tuple[int, ...]]:
+    """A per-server view fragment as a plain tuple set."""
+    return set(map(tuple, chunk.tolist()))
 
 
-def assert_plan_backends_identical(plan, db, p, seed=0):
-    tuples, arrays = (
-        dispatch_run(
+def run_plan(kernel_name, plan, db, p, seed):
+    with kernel(kernel_name):
+        return dispatch_run(
             "multiround", plan.query, db, p, seed=seed,
-            settings=ExecutionSettings(backend=backend), plan=plan,
+            settings=ExecutionSettings(), plan=plan,
             keep_view_fragments=True,
         )
-        for backend in ("tuples", "numpy")
+
+
+def assert_plan_kernels_identical(plan, db, p, seed=0):
+    tuples, arrays = (
+        run_plan(name, plan, db, p, seed) for name in ("tuples", "numpy")
     )
     assert arrays.answers == tuples.answers
     assert arrays.rounds == tuples.rounds == plan.depth
@@ -79,7 +82,7 @@ def assert_plan_backends_identical(plan, db, p, seed=0):
         array_chunks = arrays.details["view_fragments"][name]
         assert len(array_chunks) == len(tuple_chunks)
         for tuple_chunk, array_chunk in zip(tuple_chunks, array_chunks):
-            assert as_tuple_set(array_chunk) == tuple_chunk
+            assert np.array_equal(array_chunk, tuple_chunk)
     return tuples, arrays
 
 
@@ -94,7 +97,7 @@ class TestPropertyEquivalence:
         sizes = {a.relation: min(20, n**a.arity) for a in query.atoms}
         db = uniform_database(query, m=sizes, n=n, seed=seed)
         plan = generic_plan(query, fanout=2)
-        tuples, _ = assert_plan_backends_identical(plan, db, p=8, seed=seed)
+        tuples, _ = assert_plan_kernels_identical(plan, db, p=8, seed=seed)
         assert tuples.answers == evaluate(query, db)
 
     @pytest.mark.parametrize(
@@ -103,47 +106,47 @@ class TestPropertyEquivalence:
     def test_chain_plans(self, k, eps, p):
         plan = chain_plan(k, eps)
         db = matching_database(plan.query, m=40, n=40, seed=k)
-        tuples, _ = assert_plan_backends_identical(plan, db, p, seed=3)
+        tuples, _ = assert_plan_kernels_identical(plan, db, p, seed=3)
         assert tuples.answers == evaluate(plan.query, db)
 
     def test_star_plan(self):
         plan = star_plan(3)
         db = matching_database(plan.query, m=50, n=250, seed=1)
-        assert_plan_backends_identical(plan, db, p=8, seed=2)
+        assert_plan_kernels_identical(plan, db, p=8, seed=2)
 
     def test_triangle_generic_plan(self):
         plan = generic_plan(triangle_query())
         db = uniform_database(plan.query, m=60, n=25, seed=5)
-        tuples, _ = assert_plan_backends_identical(plan, db, p=8, seed=4)
+        tuples, _ = assert_plan_kernels_identical(plan, db, p=8, seed=4)
         assert tuples.answers == evaluate(plan.query, db)
 
     def test_cycle_plan(self):
         plan = cycle_plan(5, 0.0)
         db = matching_database(plan.query, m=30, n=30, seed=6)
-        assert_plan_backends_identical(plan, db, p=8, seed=5)
+        assert_plan_kernels_identical(plan, db, p=8, seed=5)
 
     def test_spk_plan(self):
         plan = spk_plan(2)
         db = matching_database(plan.query, m=40, n=200, seed=7)
-        assert_plan_backends_identical(plan, db, p=16, seed=6)
+        assert_plan_kernels_identical(plan, db, p=16, seed=6)
 
     @pytest.mark.parametrize("skew", [0.8, 1.2])
     def test_zipf_star_plan(self, skew):
         plan = star_plan(2)
         db = zipf_database(plan.query, m=120, n=60, skew=skew, seed=8)
-        tuples, _ = assert_plan_backends_identical(plan, db, p=8, seed=7)
+        tuples, _ = assert_plan_kernels_identical(plan, db, p=8, seed=7)
         assert tuples.answers == evaluate(plan.query, db)
 
     def test_zipf_chain_plan(self):
         plan = chain_plan(4, 0.0)
         db = zipf_database(plan.query, m=100, n=50, skew=1.0, seed=9)
-        tuples, _ = assert_plan_backends_identical(plan, db, p=8, seed=8)
+        tuples, _ = assert_plan_kernels_identical(plan, db, p=8, seed=8)
         assert tuples.answers == evaluate(plan.query, db)
 
     def test_answers_array_matches_answers(self):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=30, n=30, seed=10)
-        result = Session(p=8, seed=9, backend="numpy").run(
+        result = Session(p=8, seed=9).run(
             plan.query, db, "multiround", plan=plan
         )
         rows = result.answers_array()
@@ -177,23 +180,18 @@ class TestSameRoundFragmentIsolation:
     the next round's loads and shipping duplicates).
     """
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_view_fragments_match_isolated_runs(self, backend):
+    @pytest.mark.parametrize("kernel_name", ["tuples", "numpy"])
+    def test_view_fragments_match_isolated_runs(self, kernel_name):
         plan = shared_relation_plan()
         db = uniform_database(plan.query, m=60, n=12, seed=0)
-        settings = ExecutionSettings(backend=backend)
-        bushy = dispatch_run(
-            "multiround", plan.query, db, 8, seed=0, settings=settings,
-            plan=plan, keep_view_fragments=True,
-        )
+        bushy = run_plan(kernel_name, plan, db, 8, seed=0)
 
         # The regression oracle: each depth-1 node run as its own
         # single-node plan (same name, sizes, p and seed, hence the
         # same grid) must produce the same per-server fragments.
         for node in plan.root.children:
-            solo = dispatch_run(
-                "multiround", node.operator, db, 8, seed=0, settings=settings,
-                plan=Plan(node.operator, node),
+            solo = run_plan(
+                kernel_name, Plan(node.operator, node), db, 8, seed=0
             )
             bushy_chunks = bushy.details["view_fragments"][node.name]
             solo_chunks = solo.details["view_fragments"][node.name]
@@ -222,13 +220,14 @@ class TestSameRoundFragmentIsolation:
                     query, db, "multiround", plan=Plan(query, duplicated)
                 )
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_answers_match_sequential_evaluation(self, backend):
+    @pytest.mark.parametrize("kernel_name", ["tuples", "numpy"])
+    def test_answers_match_sequential_evaluation(self, kernel_name):
         plan = shared_relation_plan()
         db = uniform_database(plan.query, m=60, n=12, seed=0)
-        result = Session(p=8, seed=0, backend=backend).run(
-            plan.query, db, "multiround", plan=plan
-        )
+        with kernel(kernel_name):
+            result = Session(p=8, seed=0).run(
+                plan.query, db, "multiround", plan=plan
+            )
         assert result.answers == evaluate(plan.query, db)
 
     def test_shared_view_consumers_same_round(self):
@@ -243,7 +242,7 @@ class TestSameRoundFragmentIsolation:
         root = PlanNode("ROOT", (va, vb))
         plan = Plan(query, root)
         db = uniform_database(query, m=50, n=10, seed=3)
-        assert_plan_backends_identical(plan, db, p=8, seed=1)
+        assert_plan_kernels_identical(plan, db, p=8, seed=1)
         with Session(p=8, seed=1) as session:
             result = session.run(query, db, "multiround", plan=plan)
             assert result.answers == evaluate(query, db)
@@ -272,11 +271,11 @@ class TestSeedMixing:
         assert derive_seed(3, 4) == derive_seed(3, 4)
         assert 0 <= derive_seed(3, 4) < 2**64
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_seed_changes_routing_not_answers(self, backend):
+    @pytest.mark.parametrize("kernel_name", ["tuples", "numpy"])
+    def test_seed_changes_routing_not_answers(self, kernel_name):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=48, n=48, seed=11)
-        with Session(p=8, backend=backend) as session:
+        with kernel(kernel_name), Session(p=8) as session:
             base = session.run(plan.query, db, "multiround", plan=plan, seed=0)
             moved = session.run(plan.query, db, "multiround", plan=plan, seed=1)
         assert base.answers == moved.answers == evaluate(plan.query, db)
@@ -311,10 +310,11 @@ class TestOutputServerAccounting:
         query = triangle_query()
         plan = Plan(query, PlanNode("V1", tuple(query.atoms)))
         db = uniform_database(query, m=60, n=20, seed=4)
-        for backend in ("tuples", "numpy"):
-            result = Session(p=10, seed=0, backend=backend).run(
-                query, db, "multiround", plan=plan
-            )
+        for kernel_name in ("tuples", "numpy"):
+            with kernel(kernel_name):
+                result = Session(p=10, seed=0).run(
+                    query, db, "multiround", plan=plan
+                )
             num_bins = len(
                 [c for c in result.details["view_fragments"]["V1"] if len(c)]
             )
@@ -335,10 +335,11 @@ class TestOutputServerAccounting:
         query = triangle_query()
         plan = Plan(query, PlanNode("V1", tuple(query.atoms)))
         db = uniform_database(query, m=40, n=20, seed=5)
-        for backend in ("tuples", "numpy"):
-            result = Session(p=10, seed=0, backend=backend).run(
-                query, db, "multiround", plan=plan
-            )
+        for kernel_name in ("tuples", "numpy"):
+            with kernel(kernel_name):
+                result = Session(p=10, seed=0).run(
+                    query, db, "multiround", plan=plan
+                )
             chunks = result.details["view_fragments"]["V1"]
             assert len(chunks) == 10
             assert all(len(c) == 0 for c in chunks[8:])

@@ -131,7 +131,7 @@ def test_run_record_with_phase_seconds_roundtrip():
 def test_load_report_roundtrip():
     sim = MPCSimulation(p=4, value_bits=32)
     sim.begin_round()
-    sim.send(0, "R", [(1, 2)])
+    sim.send_array(0, "R", np.array([(1, 2)]))
     sim.end_round()
     report = roundtrip(sim.report)
     assert report.max_load_bits == 64
@@ -143,7 +143,7 @@ def test_load_exceeded_error_roundtrip():
                         on_overflow="fail")
     sim.begin_round()
     with pytest.raises(LoadExceededError) as info:
-        sim.send(0, "R", [(1, 2)])
+        sim.send_array(0, "R", np.array([(1, 2)]))
     error = roundtrip(info.value)
     assert isinstance(error, LoadExceededError)
     assert str(error) == str(info.value)

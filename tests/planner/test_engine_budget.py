@@ -1,12 +1,11 @@
 """Memory-budgeted runs (`Session(memory_budget_bytes=)`).
 
 The budget contract: a binding budget opens the session's storage
-manager and runs streaming strategies chunked (the run's report carries
-its ``spill_stats`` and ``summary()`` says so); strategies that cannot
-stream -- in-memory baselines, or any strategy under the tuple backend
-(pinned or default) -- run in-memory with no spill traffic, and never
-crash.  Budgeted runs plan from the same exact statistics as unbudgeted
-ones, so the decision does not depend on the budget.
+manager and runs the strategy chunked -- every strategy streams, the
+baselines included -- so the run's report carries its ``spill_stats``
+and ``summary()`` says so.  Budgeted runs plan from the same exact
+statistics as unbudgeted ones, so the decision does not depend on the
+budget.
 """
 
 from __future__ import annotations
@@ -14,15 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro import Session
-from repro.config import ExecutionSettings, use_backend
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import matching_database, zipf_database
 from repro.join.multiway import evaluate
 from repro.planner.engine import IN_MEMORY_FOOTPRINT_FACTOR
-from repro.planner.strategies import default_strategies
 
-NUMPY = ExecutionSettings(backend="numpy")
-TUPLES = ExecutionSettings(backend="tuples")
+from tests.reference.tuple_kernel import tuple_kernel
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +31,7 @@ class TestBudgetSelection:
     def test_binding_budget_runs_chunked(self, triangle_db):
         query, db = triangle_db
         assert db.total_bytes() * IN_MEMORY_FOOTPRINT_FACTOR > 1
-        with Session(p=8, backend="numpy", memory_budget_bytes=1) as session:
+        with Session(p=8, memory_budget_bytes=1) as session:
             planned = session.run(query, db, strategy="hypercube")
             assert session.storage is not None
             assert not session.storage.closed
@@ -51,10 +47,8 @@ class TestBudgetSelection:
 
     def test_chunked_results_match_in_memory(self, triangle_db):
         query, db = triangle_db
-        reference = Session(p=8, backend="numpy").run(
-            query, db, strategy="hypercube"
-        )
-        with Session(p=8, backend="numpy", memory_budget_bytes=1) as session:
+        reference = Session(p=8).run(query, db, strategy="hypercube")
+        with Session(p=8, memory_budget_bytes=1) as session:
             budgeted = session.run(
                 query, db, strategy="hypercube",
                 stats=reference.explained.statistics,  # same (exact) statistics
@@ -64,37 +58,30 @@ class TestBudgetSelection:
 
 
 class TestNonStreamingWinners:
-    def test_tuples_twin_declines_budget_honestly(self, triangle_db):
+    """There are none left: the baselines and the tuple oracle stream too."""
+
+    @pytest.mark.parametrize("strategy", ["single-server", "broadcast"])
+    def test_baselines_honour_the_budget(self, triangle_db, strategy):
         query, db = triangle_db
-        with Session(p=8, backend="tuples", memory_budget_bytes=1) as session:
-            planned = session.run(query, db, strategy="hypercube")
-        assert planned.report.spill_stats is None  # budget NOT enforced
-        assert "out-of-core" not in planned.summary()
+        reference = Session(p=8, seed=1).run(query, db, strategy)
+        with Session(p=8, seed=1, memory_budget_bytes=1) as session:
+            planned = session.run(query, db, strategy)
+            spill = planned.report.spill_stats
+            assert spill is not None and spill["bytes_written"] > 0
+            assert "out-of-core" in planned.summary()
+            assert planned.answers == reference.answers
+        for budgeted, plain in zip(planned.report.rounds, reference.report.rounds):
+            assert budgeted.bits == plain.bits
 
     def test_tuple_default_backend_never_crashes(self):
-        # The skew-aware strategies resolve backend=None at run time;
-        # under the tuple default they must decline the manager, not
-        # raise "requires the numpy backend".
+        # The oracle kernel delivers through the simulator, so it spools
+        # under a manager like the array kernel instead of declining it.
         query = star_query(2)
         db = zipf_database(query, m=1500, n=600, skew=1.2, seed=2)
-        with use_backend("tuples"):
-            with Session(p=8, memory_budget_bytes=1) as session:
-                planned = session.run(query, db, strategy="skew-star")
-                assert planned.report.spill_stats is None
-                assert planned.answers == evaluate(query, db)
-
-    def test_streams_capability_tracks_backend(self):
-        by_name = {s.name: s for s in default_strategies()}
-        assert by_name["hypercube"].streams(NUMPY)
-        assert not by_name["hypercube"].streams(TUPLES)
-        assert not by_name["single-server"].streams()
-        assert by_name["hypercube"].streams()  # numpy default
-        assert by_name["skew-star"].streams()
-        with use_backend("tuples"):
-            assert not by_name["hypercube"].streams()
-            assert not by_name["skew-star"].streams()
-            assert not by_name["multiround"].streams()
-            assert by_name["multiround"].streams(NUMPY)
+        with tuple_kernel(), Session(p=8, memory_budget_bytes=1) as session:
+            planned = session.run(query, db, strategy="skew-star")
+            assert planned.report.spill_stats is not None
+            assert planned.answers == evaluate(query, db)
 
 
 class TestExactStatsUnderBudget:
@@ -120,7 +107,7 @@ class TestExactStatsUnderBudget:
         monkeypatch.setattr(
             DataStatistics, "from_sample", classmethod(spy_sampled)
         )
-        with Session(p=8, backend="numpy", memory_budget_bytes=1) as session:
+        with Session(p=8, memory_budget_bytes=1) as session:
             planned = session.run(query, db, strategy="hypercube")
             assert calls["exact"] == 1 and calls["sampled"] == 0
             assert planned.answers == evaluate(query, db)

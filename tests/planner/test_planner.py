@@ -201,9 +201,8 @@ class TestAcceptanceMargin:
         ``REPRO_DEFAULT_MACHINES`` pattern (the CI heterogeneous leg)
         would deliberately skew.
         """
-        from repro.config import use_machines
-
-        with use_machines(None):
+        with pytest.MonkeyPatch.context() as env:
+            env.delenv("REPRO_DEFAULT_MACHINES", raising=False)
             self._check_margin()
 
     def _check_margin(self):

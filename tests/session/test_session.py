@@ -3,8 +3,8 @@
 The acceptance property: ``Session.run`` pinned to a strategy is
 bit-identical -- answers, per-server per-round loads, capacity
 truncation -- to the strategy's executor core reached directly through
-``dispatch_run`` with the same knobs, across strategies x backends x
-storage modes; and every run returns the one :class:`RunResult`.
+``dispatch_run`` with the same knobs, across strategies x kernels (the
+array kernel and the tuple oracle) x storage modes; and every run returns the one :class:`RunResult`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from repro.run import dispatch_run
 from repro.session import ClusterConfig, RunResult, Session
 from repro.storage import StorageManager
 
-from tests.conftest import random_queries
+from tests.conftest import KERNELS, random_queries
+from tests.reference.tuple_kernel import kernel
 
 #: A 1-byte budget: every database's assumed footprint exceeds it, so
 #: the session always engages its shared out-of-core manager.
@@ -63,15 +64,13 @@ def matching_triangle_case(seed):
 class TestBitIdentityToLegacy:
     """session.run(strategy=...) == the core through dispatch_run."""
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
+    @pytest.mark.parametrize("kernel_name", KERNELS, indirect=True)
     @pytest.mark.parametrize("with_budget", [False, True])
     @pytest.mark.parametrize("seed", range(2))
-    def test_hypercube(self, backend, with_budget, seed):
-        if backend == "tuples" and with_budget:
-            pytest.skip("the tuple engine cannot stream chunks")
+    def test_hypercube(self, kernel_name, with_budget, seed):
         q, db = matching_triangle_case(seed)
         budget = TINY_BUDGET if with_budget else None
-        with Session(p=16, backend=backend, seed=seed,
+        with Session(p=16, seed=seed,
                      memory_budget_bytes=budget) as session:
             mine = session.run(q, db, strategy="hypercube")
             if with_budget:
@@ -80,7 +79,7 @@ class TestBitIdentityToLegacy:
                 direct_storage = None
             direct = dispatch_run(
                 "hypercube", q, db, 16, seed=seed,
-                settings=ExecutionSettings(backend=backend),
+                settings=ExecutionSettings(),
                 storage=direct_storage,
             )
             assert_identical(mine, direct)
@@ -88,15 +87,13 @@ class TestBitIdentityToLegacy:
             if direct_storage is not None:
                 direct_storage.close()
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
+    @pytest.mark.parametrize("kernel_name", KERNELS, indirect=True)
     @pytest.mark.parametrize("with_budget", [False, True])
     @pytest.mark.parametrize("seed", range(2))
-    def test_skew_star(self, backend, with_budget, seed):
-        if backend == "tuples" and with_budget:
-            pytest.skip("the tuple engine cannot stream chunks")
+    def test_skew_star(self, kernel_name, with_budget, seed):
         q, db = star_case(seed)
         budget = TINY_BUDGET if with_budget else None
-        with Session(p=8, backend=backend, seed=seed,
+        with Session(p=8, seed=seed,
                      memory_budget_bytes=budget) as session:
             mine = session.run(q, db, strategy="skew-star")
             if with_budget:
@@ -105,22 +102,20 @@ class TestBitIdentityToLegacy:
                 direct_storage = None
             direct = dispatch_run(
                 "skew-star", q, db, 8, seed=seed,
-                settings=ExecutionSettings(backend=backend),
+                settings=ExecutionSettings(),
                 storage=direct_storage,
             )
             assert_identical(mine, direct)
             if direct_storage is not None:
                 direct_storage.close()
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
+    @pytest.mark.parametrize("kernel_name", KERNELS, indirect=True)
     @pytest.mark.parametrize("with_budget", [False, True])
     @pytest.mark.parametrize("seed", range(2))
-    def test_skew_triangle(self, backend, with_budget, seed):
-        if backend == "tuples" and with_budget:
-            pytest.skip("the tuple engine cannot stream chunks")
+    def test_skew_triangle(self, kernel_name, with_budget, seed):
         q, db = triangle_case(seed)
         budget = TINY_BUDGET if with_budget else None
-        with Session(p=8, backend=backend, seed=seed,
+        with Session(p=8, seed=seed,
                      memory_budget_bytes=budget) as session:
             mine = session.run(q, db, strategy="skew-triangle")
             if with_budget:
@@ -129,22 +124,20 @@ class TestBitIdentityToLegacy:
                 direct_storage = None
             direct = dispatch_run(
                 "skew-triangle", q, db, 8, seed=seed,
-                settings=ExecutionSettings(backend=backend),
+                settings=ExecutionSettings(),
                 storage=direct_storage,
             )
             assert_identical(mine, direct)
             if direct_storage is not None:
                 direct_storage.close()
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
+    @pytest.mark.parametrize("kernel_name", KERNELS, indirect=True)
     @pytest.mark.parametrize("with_budget", [False, True])
-    def test_multiround(self, backend, with_budget):
-        if backend == "tuples" and with_budget:
-            pytest.skip("the tuple engine cannot stream chunks")
+    def test_multiround(self, kernel_name, with_budget):
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=60, n=60, seed=0)
         budget = TINY_BUDGET if with_budget else None
-        with Session(p=8, backend=backend, seed=2,
+        with Session(p=8, seed=2,
                      memory_budget_bytes=budget) as session:
             mine = session.run(
                 plan.query, db, strategy="multiround", plan=plan
@@ -155,7 +148,7 @@ class TestBitIdentityToLegacy:
                 direct_storage = None
             direct = dispatch_run(
                 "multiround", plan.query, db, 8, seed=2,
-                settings=ExecutionSettings(backend=backend),
+                settings=ExecutionSettings(),
                 storage=direct_storage, plan=plan,
             )
             assert_identical(mine, direct)
@@ -190,35 +183,33 @@ class TestBitIdentityToLegacy:
 class TestCapacityThreading:
     """A session capacity cap truncates exactly like the engine knob."""
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_hypercube_drop(self, backend):
+    @pytest.mark.parametrize("kernel_name", KERNELS, indirect=True)
+    def test_hypercube_drop(self, kernel_name):
         q, db = triangle_case(seed=4)
         capacity = 900.0
-        with Session(p=8, backend=backend, seed=1, capacity_bits=capacity,
+        with Session(p=8, seed=1, capacity_bits=capacity,
                      on_overflow="drop") as session:
             mine = session.run(q, db, strategy="hypercube")
             direct = dispatch_run(
                 "hypercube", q, db, 8, seed=1,
                 settings=ExecutionSettings(
-                    backend=backend, capacity_bits=capacity,
-                    on_overflow="drop",
+                    capacity_bits=capacity, on_overflow="drop",
                 ),
             )
             assert direct.load_report.dropped_bits > 0
             assert_identical(mine, direct)
 
-    @pytest.mark.parametrize("backend", ["tuples", "numpy"])
-    def test_star_drop(self, backend):
+    @pytest.mark.parametrize("kernel_name", KERNELS, indirect=True)
+    def test_star_drop(self, kernel_name):
         q, db = star_case(seed=5)
         capacity = 700.0
-        with Session(p=8, backend=backend, seed=1, capacity_bits=capacity,
+        with Session(p=8, seed=1, capacity_bits=capacity,
                      on_overflow="drop") as session:
             mine = session.run(q, db, strategy="skew-star")
             direct = dispatch_run(
                 "skew-star", q, db, 8, seed=1,
                 settings=ExecutionSettings(
-                    backend=backend, capacity_bits=capacity,
-                    on_overflow="drop",
+                    capacity_bits=capacity, on_overflow="drop",
                 ),
             )
             assert direct.load_report.dropped_bits > 0
@@ -271,8 +262,8 @@ class TestSessionSemantics:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="server"):
             ClusterConfig(p=0)
-        with pytest.raises(ValueError, match="backend"):
-            ClusterConfig(p=4, backend="pandas")
+        with pytest.raises(TypeError, match="backend"):
+            ClusterConfig(p=4, backend="numpy")
         with pytest.raises(ValueError, match="on_overflow"):
             ClusterConfig(p=4, on_overflow="explode")
         with pytest.raises(ValueError, match="hash_method"):
@@ -321,19 +312,6 @@ class TestSessionSemantics:
             session.run(q, db, strategy="hypercube")
             assert session.storage is None
 
-    def test_tuples_backend_with_budget_not_enforced(self):
-        # The engine's storage_optional contract: a non-streaming
-        # winner runs in memory instead of raising.
-        q, db = matching_triangle_case(seed=2)
-        with Session(p=8, backend="tuples",
-                     memory_budget_bytes=TINY_BUDGET) as session:
-            mine = session.run(q, db, strategy="hypercube")
-            direct = dispatch_run(
-                "hypercube", q, db, 8, seed=0,
-                settings=ExecutionSettings(backend="tuples"),
-            )
-            assert_identical(mine, direct)
-
     def test_unsupported_override_rejected(self):
         q, db = star_case(seed=0)
         with Session(p=8) as session:
@@ -376,10 +354,9 @@ class TestSessionSemantics:
 
     def test_pinned_twin_strategies(self):
         q, db = matching_triangle_case(seed=3)
-        # Session(backend=...) is the one way to pin an engine.
-        with Session(p=16, seed=1, backend="tuples") as session:
+        with kernel("tuples"), Session(p=16, seed=1) as session:
             tuples_run = session.run(q, db, strategy="hypercube")
-        with Session(p=16, seed=1, backend="numpy") as session:
+        with Session(p=16, seed=1) as session:
             numpy_run = session.run(q, db, strategy="hypercube")
         assert_identical(tuples_run, numpy_run)
 

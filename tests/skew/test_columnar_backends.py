@@ -1,9 +1,9 @@
-"""The skew-aware executors' ``backend="numpy"`` light-part routing.
+"""The skew-aware executors on the array kernel.
 
-The contract mirrors the HyperCube backends: identical answers and
-bit-identical per-server, per-round loads between the tuple reference
-path and the columnar path, on skew-free, zipf and planted-hitter
-inputs.
+The contract mirrors the HyperCube kernel suite: identical answers and
+bit-identical per-server, per-round loads between the tuple oracle
+(``tests/reference/tuple_kernel.py``) and the array kernel, on
+skew-free, zipf and planted-hitter inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from repro.data.generators import (
     zipf_database,
 )
 from repro.join.multiway import evaluate
+
+from tests.reference.tuple_kernel import tuple_kernel
 
 
 def assert_bit_identical(report_a, report_b):
@@ -39,8 +41,9 @@ class TestStarBackends:
     def test_zipf_bit_identical(self, k, m, n, skew, seed):
         q = star_query(k)
         db = zipf_database(q, m=m, n=n, skew=skew, seed=seed)
-        tuples = Session(p=16, seed=7).run(q, db, "skew-star")
-        arrays = Session(p=16, seed=7, backend="numpy").run(q, db, "skew-star")
+        with tuple_kernel():
+            tuples = Session(p=16, seed=7).run(q, db, "skew-star")
+        arrays = Session(p=16, seed=7).run(q, db, "skew-star")
         assert_bit_identical(tuples.report, arrays.report)
         assert tuples.answers == arrays.answers == evaluate(q, db)
         assert tuples.servers_used == arrays.servers_used
@@ -49,8 +52,9 @@ class TestStarBackends:
     def test_matching_bit_identical(self):
         q = star_query(2)
         db = matching_database(q, m=500, n=4096, seed=3)
-        tuples = Session(p=8, seed=0).run(q, db, "skew-star")
-        arrays = Session(p=8, seed=0, backend="numpy").run(q, db, "skew-star")
+        with tuple_kernel():
+            tuples = Session(p=8, seed=0).run(q, db, "skew-star")
+        arrays = Session(p=8, seed=0).run(q, db, "skew-star")
         assert_bit_identical(tuples.report, arrays.report)
         assert tuples.answers == arrays.answers == evaluate(q, db)
 
@@ -59,15 +63,16 @@ class TestStarBackends:
         db = planted_heavy_hitter_database(
             q, m=800, n=4096, variable="z", hitter_fraction=0.4, seed=5
         )
-        tuples = Session(p=16, seed=1).run(q, db, "skew-star")
-        arrays = Session(p=16, seed=1, backend="numpy").run(q, db, "skew-star")
+        with tuple_kernel():
+            tuples = Session(p=16, seed=1).run(q, db, "skew-star")
+        arrays = Session(p=16, seed=1).run(q, db, "skew-star")
         assert_bit_identical(tuples.report, arrays.report)
         assert tuples.answers == arrays.answers == evaluate(q, db)
 
     def test_rejects_unknown_backend(self):
         q = star_query(2)
         db = matching_database(q, m=50, n=256, seed=0)
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(TypeError, match="backend"):
             Session(p=4, backend="jax").run(q, db, "skew-star")
 
 
@@ -86,10 +91,9 @@ class TestTriangleBackends:
     def test_bit_identical(self, maker):
         q = triangle_query()
         db = maker(q)
-        tuples = Session(p=8, seed=2).run(q, db, "skew-triangle")
-        arrays = Session(p=8, seed=2, backend="numpy").run(
-            q, db, "skew-triangle"
-        )
+        with tuple_kernel():
+            tuples = Session(p=8, seed=2).run(q, db, "skew-triangle")
+        arrays = Session(p=8, seed=2).run(q, db, "skew-triangle")
         assert_bit_identical(tuples.report, arrays.report)
         assert tuples.answers == arrays.answers == evaluate(q, db)
         assert tuples.servers_used == arrays.servers_used
@@ -97,5 +101,5 @@ class TestTriangleBackends:
     def test_rejects_unknown_backend(self):
         q = triangle_query()
         db = matching_database(q, m=50, n=256, seed=0)
-        with pytest.raises(ValueError, match="backend"):
+        with pytest.raises(TypeError, match="backend"):
             Session(p=4, backend="jax").run(q, db, "skew-triangle")

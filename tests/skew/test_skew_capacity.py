@@ -6,7 +6,7 @@ cap ``L`` that the HyperCube and plan executors already support:
 and because every part (light grids, per-hitter blocks, case-1/case-2
 blocks) routes in canonical sorted order, the truncated per-server
 prefixes (and therefore the surviving answers) are identical under the
-tuple and columnar backends.
+tuple oracle and the array kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +18,16 @@ from repro.core.families import star_query, triangle_query
 from repro.data.generators import matching_database, zipf_database
 from repro.mpc.simulator import LoadExceededError
 
+from tests.reference.tuple_kernel import kernel
+
 TRIANGLE = triangle_query()
+
+
+def run_on(kernel_name, q, db, strategy, capacity):
+    with kernel(kernel_name):
+        return Session(
+            p=8, seed=1, capacity_bits=capacity, on_overflow="drop",
+        ).run(q, db, strategy)
 
 
 def assert_reports_identical(a, b):
@@ -48,11 +57,9 @@ class TestStarCapacity:
 
     def test_fail_mode_raises(self):
         q, db = self.query_db(seed=1)
-        for backend in ("tuples", "numpy"):
-            with pytest.raises(LoadExceededError):
-                Session(
-                    p=8, seed=0, backend=backend, capacity_bits=60.0
-                ).run(q, db, "skew-star")
+        for name in ("tuples", "numpy"):
+            with kernel(name), pytest.raises(LoadExceededError):
+                Session(p=8, seed=0, capacity_bits=60.0).run(q, db, "skew-star")
 
     def test_rejects_bad_mode(self):
         q, db = self.query_db(seed=2)
@@ -63,14 +70,11 @@ class TestStarCapacity:
     def test_truncation_identical_across_backends(self, capacity):
         # The satellite's acceptance (the multiround test_capacity
         # pattern): a binding cap drops the same tuples under both
-        # backends -- same per-server bits, dropped bits, answers.
+        # kernels -- same per-server bits, dropped bits, answers.
         q, db = self.query_db(seed=3)
         tuples_run, arrays_run = (
-            Session(
-                p=8, seed=1, backend=backend,
-                capacity_bits=capacity, on_overflow="drop",
-            ).run(q, db, "skew-star")
-            for backend in ("tuples", "numpy")
+            run_on(name, q, db, "skew-star", capacity)
+            for name in ("tuples", "numpy")
         )
         assert tuples_run.report.dropped_bits > 0
         assert_reports_identical(tuples_run, arrays_run)
@@ -104,11 +108,11 @@ class TestTriangleCapacity:
 
     def test_fail_mode_raises(self):
         db = self.db(seed=1)
-        for backend in ("tuples", "numpy"):
-            with pytest.raises(LoadExceededError):
-                Session(
-                    p=8, seed=0, backend=backend, capacity_bits=60.0
-                ).run(TRIANGLE, db, "skew-triangle")
+        for name in ("tuples", "numpy"):
+            with kernel(name), pytest.raises(LoadExceededError):
+                Session(p=8, seed=0, capacity_bits=60.0).run(
+                    TRIANGLE, db, "skew-triangle"
+                )
 
     def test_rejects_bad_mode(self):
         db = self.db(seed=2)
@@ -121,11 +125,8 @@ class TestTriangleCapacity:
     def test_truncation_identical_across_backends(self, capacity):
         db = self.db(seed=3)
         tuples_run, arrays_run = (
-            Session(
-                p=8, seed=1, backend=backend,
-                capacity_bits=capacity, on_overflow="drop",
-            ).run(TRIANGLE, db, "skew-triangle")
-            for backend in ("tuples", "numpy")
+            run_on(name, TRIANGLE, db, "skew-triangle", capacity)
+            for name in ("tuples", "numpy")
         )
         assert tuples_run.report.dropped_bits > 0
         assert_reports_identical(tuples_run, arrays_run)

@@ -5,7 +5,7 @@ family the repo executes -- vanilla HyperCube, the skew-aware star and
 triangle algorithms, and multi-round plans -- running with chunked
 routing and disk-spilling fragments produces exactly the same answers
 and the same per-server per-round loads (bits and tuples) as the
-in-memory columnar backend, across *random chunk sizes*, including the
+in-memory run, across *random chunk sizes*, including the
 capacity-truncation edge where per-server arrival order is the whole
 story.
 """
@@ -33,8 +33,9 @@ from repro.run import dispatch_run
 from repro.storage import StorageManager
 
 from tests.conftest import random_queries
+from tests.reference.tuple_kernel import tuple_kernel
 
-NUMPY = ExecutionSettings(backend="numpy")
+NUMPY = ExecutionSettings()
 
 
 def assert_same_report(reference, chunked):
@@ -77,10 +78,10 @@ class TestHyperCubeChunked:
         # path the spilling run uses; it must also be bit-identical.
         query = triangle_query()
         db = matching_database(query, m=300, n=1200, seed=4)
-        reference = Session(p=8, seed=1, backend="numpy").run(
+        reference = Session(p=8, seed=1).run(
             query, db, "hypercube"
         )
-        chunked = Session(p=8, seed=1, backend="numpy", chunk_rows=17).run(
+        chunked = Session(p=8, seed=1, chunk_rows=17).run(
             query, db, "hypercube"
         )
         assert_same_report(reference.report, chunked.report)
@@ -102,11 +103,11 @@ class TestHyperCubeChunked:
                 ),
                 db.domain_size,
             )
-            reference = Session(p=8, seed=2, backend="numpy").run(
+            reference = Session(p=8, seed=2).run(
                 query, db, "hypercube"
             )
             chunked = Session(
-                p=8, seed=2, backend="numpy", storage=storage
+                p=8, seed=2, storage=storage
             ).run(query, twin, "hypercube")
             assert_same_report(reference.report, chunked.report)
             assert np.array_equal(
@@ -124,35 +125,36 @@ class TestHyperCubeChunked:
         db = planted_heavy_hitter_database(query, 200, 2000, "z", 1.0, 5, seed=1)
         knobs = dict(p=16, seed=3, capacity_bits=333.3, on_overflow="drop")
         exponents = {"z": 1.0}
-        reference = Session(backend="tuples", **knobs).run(
-            query, db, "hypercube", exponents=exponents
-        )
+        with tuple_kernel():
+            reference = Session(**knobs).run(
+                query, db, "hypercube", exponents=exponents
+            )
         assert reference.report.dropped_bits > 0
         for chunk_rows in (1, 64, 10_000):
             with StorageManager(chunk_rows=chunk_rows) as storage:
-                chunked = Session(
-                    backend="numpy", storage=storage, **knobs
-                ).run(query, db, "hypercube", exponents=exponents)
+                chunked = Session(storage=storage, **knobs).run(
+                    query, db, "hypercube", exponents=exponents
+                )
                 assert_same_report(reference.report, chunked.report)
                 assert chunked.answers == reference.answers
 
-    def test_storage_requires_numpy_backend(self):
-        # The cores directly: a session drops the manager for a strategy
-        # that cannot stream instead of passing it down.
+    @pytest.mark.parametrize(
+        "strategy", ["single-server", "broadcast", "hypercube", "skew-triangle"]
+    )
+    def test_every_strategy_streams(self, strategy):
+        # No strategy declines a manager: the baselines are block lists
+        # too, so their fragments spool and their report carries the
+        # spill traffic, bit-identical to the in-memory run.
         query = triangle_query()
-        db = matching_database(query, m=20, n=100, seed=0)
-        tuples = ExecutionSettings(backend="tuples")
-        with StorageManager() as storage:
-            with pytest.raises(ValueError, match="numpy backend"):
-                dispatch_run(
-                    "hypercube", query, db, 4, seed=0, settings=tuples,
-                    storage=storage,
-                )
-            with pytest.raises(ValueError, match="numpy backend"):
-                dispatch_run(
-                    "multiround", query, db, 4, seed=0, settings=tuples,
-                    storage=storage, plan=generic_plan(query),
-                )
+        db = matching_database(query, m=60, n=240, seed=0)
+        knobs = dict(p=4, seed=2, capacity_bits=900.0, on_overflow="drop")
+        reference = Session(**knobs).run(query, db, strategy)
+        with StorageManager(chunk_rows=8) as storage:
+            chunked = Session(storage=storage, **knobs).run(query, db, strategy)
+            assert chunked.report.spill_stats is not None
+            assert chunked.report.spill_stats["bytes_written"] > 0
+            assert_same_report(reference.report, chunked.report)
+            assert chunked.answers == reference.answers
 
     def test_spill_files_are_cleaned_up(self):
         query = triangle_query()
@@ -171,12 +173,12 @@ class TestSkewChunked:
     def test_star_zipf(self, chunk_rows):
         query = star_query(3)
         db = zipf_database(query, m=300, n=120, skew=1.2, seed=3)
-        reference = Session(p=16, seed=3, backend="numpy").run(
+        reference = Session(p=16, seed=3).run(
             query, db, "skew-star"
         )
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = Session(
-                p=16, seed=3, backend="numpy", storage=storage
+                p=16, seed=3, storage=storage
             ).run(query, db, "skew-star")
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
@@ -206,12 +208,12 @@ class TestSkewChunked:
     def test_triangle_zipf(self, chunk_rows):
         query = triangle_query()
         db = zipf_database(query, m=300, n=80, skew=1.0, seed=4)
-        reference = Session(p=8, seed=2, backend="numpy").run(
+        reference = Session(p=8, seed=2).run(
             query, db, "skew-triangle"
         )
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = Session(
-                p=8, seed=2, backend="numpy", storage=storage
+                p=8, seed=2, storage=storage
             ).run(query, db, "skew-triangle")
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
@@ -270,12 +272,12 @@ class TestMultiRoundChunked:
     def test_star_plan_chunked(self):
         plan = star_plan(3)
         db = matching_database(plan.query, m=120, n=600, seed=7)
-        reference = Session(p=8, seed=2, backend="numpy").run(
+        reference = Session(p=8, seed=2).run(
             plan.query, db, "multiround", plan=plan
         )
         with StorageManager(chunk_rows=13) as storage:
             chunked = Session(
-                p=8, seed=2, backend="numpy", storage=storage
+                p=8, seed=2, storage=storage
             ).run(plan.query, db, "multiround", plan=plan)
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
@@ -285,22 +287,30 @@ class TestMultiRoundChunked:
         # Satellite edge: a binding per-round cap inside a multi-round
         # plan truncates identically on the tuple, in-memory columnar,
         # and chunked paths -- drops in round 1 then propagate
-        # identically through round 2.
+        # identically through round 2.  The tuple oracle also streams.
         plan = chain_plan(4, 0.0)
         db = zipf_database(plan.query, m=150, n=60, skew=1.0, seed=9)
         knobs = dict(p=8, seed=1, capacity_bits=2000.0, on_overflow="drop")
-        reference = Session(backend="tuples", **knobs).run(
-            plan.query, db, "multiround", plan=plan
-        )
+        with tuple_kernel():
+            reference = Session(**knobs).run(
+                plan.query, db, "multiround", plan=plan
+            )
         assert reference.report.dropped_bits > 0
-        in_memory = Session(backend="numpy", **knobs).run(
+        in_memory = Session(**knobs).run(
             plan.query, db, "multiround", plan=plan
         )
         assert_same_report(reference.report, in_memory.report)
         assert in_memory.answers == reference.answers
         with StorageManager(chunk_rows=chunk_rows) as storage:
-            chunked = Session(
-                backend="numpy", storage=storage, **knobs
-            ).run(plan.query, db, "multiround", plan=plan)
+            chunked = Session(storage=storage, **knobs).run(
+                plan.query, db, "multiround", plan=plan
+            )
             assert_same_report(reference.report, chunked.report)
             assert chunked.answers == reference.answers
+            with tuple_kernel():
+                oracle = Session(storage=storage, **knobs).run(
+                    plan.query, db, "multiround", plan=plan
+                )
+            assert oracle.report.spill_stats is not None
+            assert_same_report(reference.report, oracle.report)
+            assert oracle.answers == reference.answers

@@ -87,22 +87,15 @@ class TestPlanSubcommand:
 
 
 class TestBackendFlag:
-    def test_backend_flag_sets_default_for_the_run(self, capsys):
-        import repro
-
-        previous = repro.default_backend()
-        try:
-            main(["--backend", "tuples", "plan", "T2", "--p", "4",
-                  "--m", "50", "--n", "200"])
-            assert repro.default_backend() == "tuples"
-        finally:
-            repro.set_default_backend(previous)
-        out = capsys.readouterr().out
-        assert "EXPLAIN" in out
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--backend", "pandas", "plan", "T2"])
+        # There is one execution engine: no --backend flag, anywhere.
+        for argv in (
+            ["--backend", "numpy", "plan", "T2"],
+            ["plan", "T2", "--backend", "tuples"],
+            ["run", "T2", "--backend", "tuples"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
 
 
 class TestRunSubcommand:

@@ -4,8 +4,9 @@ The heterogeneous machine model's central invariant is that the uniform
 spec is *bit-identical* to the pre-heterogeneity code paths: equal
 speeds normalize away to the unweighted modulo hash and absent
 per-machine caps leave the global capacity comparisons untouched.
-These tests pin that down for all four engines across backends, pools
-and storage, then exercise the genuinely heterogeneous behavior --
+These tests pin that down for all four engines on the array kernel and
+the tuple oracle, across pools and storage, then exercise the genuinely
+heterogeneous behavior --
 per-server caps in :class:`LoadExceededError`, makespan pricing in the
 planner, speed-weighted routing reducing measured makespan, and the
 trace/record/summary plumbing.
@@ -13,6 +14,7 @@ trace/record/summary plumbing.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -23,7 +25,6 @@ from repro import (
     plan_query,
     star_query,
     triangle_query,
-    use_machines,
     zipf_database,
 )
 from repro.core.families import chain_query
@@ -38,6 +39,8 @@ from repro.multiround.plans import chain_plan
 from repro.planner.statistics import DataStatistics
 from repro.storage.manager import StorageManager
 from repro.trace import TraceQuery, TraceRecorder, tracing
+
+from tests.reference.tuple_kernel import kernel
 
 
 def fingerprint(result):
@@ -55,17 +58,16 @@ HETERO = MachineSpec.parse("4x1,4x4")
 
 
 @pytest.fixture(autouse=True)
-def homogeneous_default():
+def homogeneous_default(monkeypatch):
     """Pin the machine default to None for every test in this module.
 
     The identity tests compare explicit specs against the bare
     ``machines=None`` path, which must mean *homogeneous* here even
     when the suite runs under ``REPRO_DEFAULT_MACHINES`` (the CI leg
     that reruns everything on a heterogeneous pattern).  Tests that
-    exercise the default pattern set their own scope inside.
+    exercise the default pattern set their own.
     """
-    with use_machines(None):
-        yield
+    monkeypatch.delenv("REPRO_DEFAULT_MACHINES", raising=False)
 
 
 # --------------------------------------------------------------------------
@@ -74,51 +76,50 @@ def homogeneous_default():
 
 
 class TestUniformIdentity:
-    @pytest.mark.parametrize("backend", ("tuples", "numpy"))
+    @pytest.mark.parametrize("kernel_name", ("tuples", "numpy"))
     @pytest.mark.parametrize("speed", (1.0, 2.5))
-    def test_hypercube(self, backend, speed):
+    def test_hypercube(self, kernel_name, speed):
         q = triangle_query()
         db = matching_database(q, m=300, n=1200, seed=3)
-        plain = Session(p=8, seed=1, backend=backend).run(q, db, "hypercube")
-        uniform = Session(
-            p=8, seed=1, backend=backend,
-            machines=MachineSpec.uniform(8, speed=speed),
-        ).run(q, db, "hypercube")
+        with kernel(kernel_name):
+            plain = Session(p=8, seed=1).run(q, db, "hypercube")
+            uniform = Session(
+                p=8, seed=1, machines=MachineSpec.uniform(8, speed=speed),
+            ).run(q, db, "hypercube")
         assert fingerprint(uniform) == fingerprint(plain)
 
-    @pytest.mark.parametrize("backend", ("tuples", "numpy"))
-    def test_star_skew(self, backend):
+    @pytest.mark.parametrize("kernel_name", ("tuples", "numpy"))
+    def test_star_skew(self, kernel_name):
         q = star_query(2)
         db = zipf_database(q, m=500, n=500, skew=1.0, seed=2)
-        plain = Session(p=8, seed=1, backend=backend).run(q, db, "skew-star")
-        uniform = Session(
-            p=8, seed=1, backend=backend, machines=MachineSpec.uniform(8),
-        ).run(q, db, "skew-star")
+        with kernel(kernel_name):
+            plain = Session(p=8, seed=1).run(q, db, "skew-star")
+            uniform = Session(
+                p=8, seed=1, machines=MachineSpec.uniform(8),
+            ).run(q, db, "skew-star")
         assert fingerprint(uniform) == fingerprint(plain)
 
-    @pytest.mark.parametrize("backend", ("tuples", "numpy"))
-    def test_triangle_skew(self, backend):
+    @pytest.mark.parametrize("kernel_name", ("tuples", "numpy"))
+    def test_triangle_skew(self, kernel_name):
         q = triangle_query()
         db = zipf_database(q, m=400, n=400, skew=1.0, seed=4)
-        plain = Session(p=4, seed=1, backend=backend).run(
-            q, db, "skew-triangle"
-        )
-        uniform = Session(
-            p=4, seed=1, backend=backend, machines=MachineSpec.uniform(4),
-        ).run(q, db, "skew-triangle")
+        with kernel(kernel_name):
+            plain = Session(p=4, seed=1).run(q, db, "skew-triangle")
+            uniform = Session(
+                p=4, seed=1, machines=MachineSpec.uniform(4),
+            ).run(q, db, "skew-triangle")
         assert fingerprint(uniform) == fingerprint(plain)
 
-    @pytest.mark.parametrize("backend", ("tuples", "numpy"))
-    def test_multiround(self, backend):
+    @pytest.mark.parametrize("kernel_name", ("tuples", "numpy"))
+    def test_multiround(self, kernel_name):
         q = chain_query(4)
         db = matching_database(q, m=400, n=1600, seed=5)
         plan = chain_plan(4)
-        plain = Session(p=8, seed=1, backend=backend).run(
-            q, db, "multiround", plan=plan
-        )
-        uniform = Session(
-            p=8, seed=1, backend=backend, machines=MachineSpec.uniform(8),
-        ).run(q, db, "multiround", plan=plan)
+        with kernel(kernel_name):
+            plain = Session(p=8, seed=1).run(q, db, "multiround", plan=plan)
+            uniform = Session(
+                p=8, seed=1, machines=MachineSpec.uniform(8),
+            ).run(q, db, "multiround", plan=plan)
         assert fingerprint(uniform) == fingerprint(plain)
 
     @pytest.mark.parametrize("pool", ("thread", "process"))
@@ -199,9 +200,9 @@ class TestPerServerCapacities:
         )
         sim = MPCSimulation(p=2, value_bits=32, machines=machines)
         sim.begin_round()
-        sim.send(0, "R", [(1, 2)] * 10)  # well under server 0's cap
+        sim.send_array(0, "R", np.array([(1, 2)] * 10))  # well under server 0's cap
         with pytest.raises(LoadExceededError) as err:
-            sim.send(1, "R", [(1, 2)] * 10)
+            sim.send_array(1, "R", np.array([(1, 2)] * 10))
         assert err.value.server == 1
         assert err.value.capacity == 64.0  # its own cap, not a global one
         assert err.value.bits > 64.0
@@ -212,7 +213,7 @@ class TestPerServerCapacities:
                             machines=machines)
         sim.begin_round()
         with pytest.raises(LoadExceededError) as err:
-            sim.send(1, "R", [(1, 2)] * 10)
+            sim.send_array(1, "R", np.array([(1, 2)] * 10))
         assert err.value.capacity == 64.0
 
     def test_drop_mode_truncates_at_per_server_cap(self):
@@ -220,8 +221,8 @@ class TestPerServerCapacities:
         sim = MPCSimulation(p=2, value_bits=32, on_overflow="drop",
                             machines=machines)
         sim.begin_round()
-        sim.send(0, "R", [(i, i) for i in range(10)])
-        sim.send(1, "R", [(i, i) for i in range(10)])
+        sim.send_array(0, "R", np.array([(i, i) for i in range(10)]))
+        sim.send_array(1, "R", np.array([(i, i) for i in range(10)]))
         load = sim.end_round()
         assert load.dropped_bits.get(1, 0.0) > 0
         assert 0 not in load.dropped_bits  # uncapped server keeps all
@@ -333,13 +334,13 @@ class TestHeterogeneousExecution:
         with pytest.raises(ValueError):
             ClusterConfig(p=16, machines="4x1,4x4")
 
-    def test_default_pattern_reaches_session(self):
+    def test_default_pattern_reaches_session(self, monkeypatch):
         q = triangle_query()
         db = matching_database(q, m=300, n=1200, seed=0)
-        with use_machines("1,4"):
-            with Session(p=8, seed=0) as session:
-                session.run(q, db)
-                record = session.history[-1]
+        monkeypatch.setenv("REPRO_DEFAULT_MACHINES", "1,4")
+        with Session(p=8, seed=0) as session:
+            session.run(q, db)
+            record = session.history[-1]
         assert record.machines == MachineSpec.parse("1,4").cycle_to(8).describe()
         assert record.makespan_bits is not None
 

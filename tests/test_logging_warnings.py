@@ -1,12 +1,11 @@
 """The ``repro`` logging namespace and its silent-fallback warnings.
 
-Three fallbacks used to happen silently; each now emits one
-``logging`` warning on the ``repro.*`` namespace (never a Python
-``warnings`` warning, so ``filterwarnings = error`` test suites stay
-quiet): the tuple backend forcing an explicitly requested pool to
-serial, the planner pricing a pre-heterogeneity ``estimate()`` against
-the homogeneous model, and a process-pool worker degrading nested
-fan-out to serial execution.
+Two fallbacks used to happen silently; each now emits one ``logging``
+warning on the ``repro.*`` namespace (never a Python ``warnings``
+warning, so ``filterwarnings = error`` test suites stay quiet): the
+planner pricing a pre-heterogeneity ``estimate()`` against the
+homogeneous model, and a process-pool worker degrading nested fan-out
+to serial execution.  Resolving settings never warns.
 """
 
 from __future__ import annotations
@@ -33,20 +32,12 @@ def test_root_logger_has_null_handler():
 
 
 class TestForcedSerialWarning:
-    def test_explicit_pool_on_tuples_backend_warns(self, caplog):
-        settings = ExecutionSettings(backend="tuples", pool="thread")
-        with caplog.at_level(logging.WARNING, logger="repro.config"):
-            resolved = settings.resolve()
-        assert resolved.pool == "serial"
-        assert any(
-            "forcing pool" in rec.message for rec in caplog.records
-        )
-
-    def test_defaulted_pool_stays_silent(self, caplog):
-        settings = ExecutionSettings(backend="tuples", pool=None)
-        with caplog.at_level(logging.WARNING, logger="repro.config"):
-            resolved = settings.resolve()
-        assert resolved.pool == "serial"
+    def test_defaulted_pool_stays_silent(self, caplog, monkeypatch):
+        monkeypatch.delenv("REPRO_DEFAULT_POOL", raising=False)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert ExecutionSettings(pool=None).resolve().pool == "serial"
+            # An explicit pool is honoured as given, silently.
+            assert ExecutionSettings(pool="thread").resolve().pool == "thread"
         assert not caplog.records
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import MachineSpec, default_machines, use_machines
+from repro import MachineSpec, default_machines
 from repro.config import ExecutionSettings, resolve_machines
 
 
@@ -96,7 +96,8 @@ class TestMachineSpec:
 
 
 class TestResolveMachines:
-    def test_none_stays_none(self):
+    def test_none_stays_none(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DEFAULT_MACHINES", raising=False)
         assert resolve_machines(None, 8) is None
 
     def test_explicit_spec_must_match_p(self):
@@ -105,17 +106,12 @@ class TestResolveMachines:
         with pytest.raises(ValueError):
             resolve_machines(spec, 16)
 
-    def test_default_pattern_cycles_to_p(self):
-        with use_machines("1,4"):
-            assert default_machines() == MachineSpec.parse("1,4")
-            resolved = resolve_machines(None, 6)
-            assert resolved.speeds == (1.0, 4.0) * 3
-        assert default_machines() is None
-
-    def test_use_machines_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_machines("2x1,2x2"):
-                raise RuntimeError("boom")
+    def test_default_pattern_cycles_to_p(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DEFAULT_MACHINES", "1,4")
+        assert default_machines() == MachineSpec.parse("1,4")
+        resolved = resolve_machines(None, 6)
+        assert resolved.speeds == (1.0, 4.0) * 3
+        monkeypatch.delenv("REPRO_DEFAULT_MACHINES")
         assert default_machines() is None
 
     def test_settings_reject_non_spec(self):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.mpc.simulator import MPCSimulation
@@ -48,7 +49,7 @@ class TestActivation:
         with tracing() as rec:
             sim = MPCSimulation(p=4, value_bits=32)
             sim.begin_round()
-            sim.send(0, "R", [(1, 2)])
+            sim.send_array(0, "R", np.array([(1, 2)]))
             sim.end_round()
         assert sim.trace is rec
         kinds = [event["t"] for event in rec.events]
@@ -72,8 +73,8 @@ class TestEvents:
         with tracing() as rec:
             sim = MPCSimulation(p=4, value_bits=32)
             sim.begin_round()
-            sim.send(0, "R", [(1, 2), (3, 4)])
-            sim.send(1, "S", [(5, 6)])
+            sim.send_array(0, "R", np.array([(1, 2), (3, 4)]))
+            sim.send_array(1, "S", np.array([(5, 6)]))
             sim.end_round()
         trace = rec.finish(
             report=sim.report, meta={"query": "probe", "seed": 7}
@@ -104,7 +105,7 @@ class TestSerialization:
         with tracing() as rec:
             sim = MPCSimulation(p=4, value_bits=32)
             sim.begin_round()
-            sim.send(0, "R", [(1, 2)])
+            sim.send_array(0, "R", np.array([(1, 2)]))
             sim.end_round()
         return rec.finish(report=sim.report, meta={"query": "probe"})
 
