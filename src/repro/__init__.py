@@ -55,9 +55,9 @@ Package map (see DESIGN.md for the paper-section correspondence):
   door
 * :mod:`repro.trace` -- per-event communication traces (JSONL
   artifacts, `TraceQuery` analysis, `python -m repro trace`)
-* :mod:`repro.metrics` -- live workload telemetry (counters / gauges /
-  histograms, prediction-calibration tracking, `python -m repro
-  metrics`)
+* :mod:`repro.metrics` -- workload telemetry folded from each run's
+  trace (counters / gauges / histograms, prediction-calibration
+  tracking, `python -m repro metrics`)
 
 ``Session.run`` / ``Session.run_many`` are the only public run verbs.
 Below them, :meth:`Strategy.run <repro.planner.strategies.Strategy.run>`
@@ -101,17 +101,16 @@ results, and writes compact JSONL artifacts::
     print(TraceQuery(session.history[0].trace_path).top_servers(k=5))
     # or offline: python -m repro trace traces/
 
-For *live* aggregates instead of event streams -- how many bits a
-workload shipped, run latency histograms, how well the cost model
-predicted each strategy -- turn on metrics (also never perturbs
-results)::
+For aggregates instead of event streams -- how many bits a workload
+shipped, run latency histograms, how well the cost model predicted each
+strategy -- turn on metrics, a fold over each run's trace (also never
+perturbs results)::
 
     from repro import Session, global_metrics, render_text
     with Session(p=64, seed=0, metrics=True) as session:
         session.run_many(jobs, metrics_every=10)   # progress lines
         print(session.metrics.calibration.stats()) # measured/predicted
     print(render_text(global_metrics().snapshot()))
-    # or scoped: with repro.collecting() as reg: ...
 """
 
 import logging as _logging
@@ -140,7 +139,6 @@ from repro.data import (
 from repro.metrics import (
     CalibrationTracker,
     MetricsRegistry,
-    collecting,
     global_metrics,
     render_text,
 )
@@ -160,7 +158,7 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # fan-out) surface with plain ``logging.basicConfig()``.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "Atom",
@@ -196,7 +194,6 @@ __all__ = [
     "tracing",
     "CalibrationTracker",
     "MetricsRegistry",
-    "collecting",
     "global_metrics",
     "render_text",
     "lower_bound",

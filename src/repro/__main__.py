@@ -428,7 +428,7 @@ def run_run_command(args: argparse.Namespace) -> None:
             )
         if session.metrics is not None:
             registry = session.metrics
-            # Self-check: the live registry's totals must reconcile
+            # Self-check: the registry's totals must reconcile
             # *exactly* (float ==) with the runs' LoadReport counters
             # -- bit counts are integer-valued doubles, so the sums are
             # order-independent and exact.
@@ -560,7 +560,7 @@ def main(argv: list[str] | None = None) -> None:
     )
     run_parser.add_argument(
         "--metrics", action="store_true",
-        help="collect live telemetry (repro.metrics) for the workload, "
+        help="collect telemetry (repro.metrics) for the workload, "
              "print the Prometheus-style exposition, and self-check "
              "that the totals reconcile exactly with the LoadReports",
     )

@@ -1,12 +1,12 @@
 """Observability-hook hygiene.
 
-``active_recorder()`` / ``active_metrics()`` are contextvar lookups
-that return ``None`` when tracing/metrics are off — which is the
-default.  The discipline settled in PR 7/PR 9 is: fetch the hook
-*once* per operation into a local (or instance attribute), guard that
-binding with a single ``is not None`` (or truthiness) check, and never
-re-fetch inside per-tuple loops where the contextvar lookup becomes
-measurable overhead.
+``active_recorder()`` is a contextvar lookup that returns ``None``
+when no recorder is installed — which is the default.  It is the only
+instrumentation hook: metrics are a fold over the recorded trace.  The
+discipline is: fetch the hook *once* per operation into a local (or
+instance attribute), guard that binding with a single ``is not None``
+(or truthiness) check, and never re-fetch inside per-tuple loops where
+the contextvar lookup becomes measurable overhead.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable
 
 from repro.checks.engine import Finding, Module, Rule
 
-_HOOKS = ("active_recorder", "active_metrics")
+_HOOKS = ("active_recorder",)
 
 
 def _hook_name(module: Module, call: ast.Call) -> str | None:
@@ -53,7 +53,7 @@ def _guard_texts(module: Module) -> set[str]:
 class HookGuardRule(Rule):
     id = "hook-guard"
     description = (
-        "active_recorder()/active_metrics() must be fetched once into a "
+        "active_recorder() must be fetched once into a "
         "None-guarded binding, never used inline or re-fetched in loops"
     )
 

@@ -1,6 +1,6 @@
 """``python -m repro metrics``: render or diff snapshot artifacts.
 
-Offline counterpart of the live registry: ``run --metrics
+Offline counterpart of a session's registry: ``run --metrics
 --metrics-out FILE`` (or :func:`repro.metrics.write_snapshot`) leaves
 a JSON snapshot on disk; this command renders it as Prometheus-style
 text (default), as JSON (``--json``), or as a series-by-series delta

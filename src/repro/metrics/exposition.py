@@ -37,15 +37,12 @@ HELP: dict[str, str] = {
     "repro_spill_writes_total": "Appends to spill segment files.",
     "repro_spill_bytes_read_total": "Bytes read back from spill segments.",
     "repro_spill_reads_total": "Spill chunk reads and worker handles.",
-    "repro_pool_tasks_total": "Worker-pool tasks completed, by kind.",
+    "repro_pool_tasks_total": "Worker-pool tasks completed, by pool kind.",
     "repro_pool_task_seconds":
-        "Task-body wall time measured inside the worker, by kind.",
-    "repro_pool_queue_depth":
-        "In-flight tasks in the pool's prefetch window (gauge; max = "
-        "high watermark).",
-    "repro_runs_total": "Executor runs dispatched, by strategy.",
+        "Task-body wall time measured inside the worker, by pool kind.",
+    "repro_runs_total": "Session runs, by strategy.",
     "repro_run_seconds":
-        "Run wall latency by strategy (throughput = count / sum).",
+        "Session wall time per run, by strategy (throughput = count / sum).",
     "repro_run_rounds": "Rounds per run, by strategy.",
     "repro_run_load_bits": "Per-run max per-server load L, by strategy.",
     "repro_run_makespan_bits":

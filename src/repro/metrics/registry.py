@@ -3,19 +3,16 @@
 A :class:`MetricsRegistry` holds named, optionally labeled instruments
 -- :class:`Counter`, :class:`Gauge`, :class:`Histogram` -- behind one
 lock-per-instrument design: looking an instrument up takes the
-registry lock once, updating it takes only its own lock, so the hot
-delivery paths bind their counters once per simulation and pay a
-single guarded float add per event.
+registry lock once, updating it takes only its own lock.
 
-Activation mirrors :mod:`repro.trace.recorder` exactly: a
-:mod:`contextvars` context variable scopes the active registry
-(:func:`collecting` installs one, :func:`active_metrics` reads it), so
-no executor signature changes and a disabled hook is one ``None``
-check.  Histogram bucket edges are fixed per metric family
-(:data:`SECONDS_EDGES`, :data:`BITS_EDGES`, ...) -- deterministic, so
-two runs of the same workload fill the same buckets -- and none of the
-counting hooks reads a wall clock; time observations come from places
-that already measure time for reporting (task bodies, run dispatch).
+The engine layers never touch a registry.  :meth:`MetricsRegistry.observe`
+folds one run's sealed :class:`~repro.trace.recorder.Trace` into the
+series after the run, so the trace event stream is the only
+instrumentation seam.  Histogram bucket edges are fixed per metric
+family (:data:`SECONDS_EDGES`, :data:`BITS_EDGES`, ...) --
+deterministic, so two runs of the same workload fill the same buckets;
+the time observations are the ones the trace already carries (task
+bodies, the session's run wall time).
 
 Aggregation is snapshot-and-merge: :meth:`MetricsRegistry.snapshot`
 produces a plain-JSON dict and :meth:`MetricsRegistry.merge` folds one
@@ -31,9 +28,7 @@ from __future__ import annotations
 
 import bisect
 import threading
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.metrics.calibration import CalibrationTracker
 
@@ -90,10 +85,10 @@ class Counter:
 
 
 class Gauge:
-    """A last-write-wins level (queue depth, last round's max load).
+    """A last-write-wins level (last round's max load, run makespan).
 
     Tracks the running maximum alongside the current value -- the high
-    watermark is usually the interesting number for depths and loads.
+    watermark is usually the interesting number for loads.
     """
 
     __slots__ = ("_lock", "value", "max")
@@ -259,6 +254,70 @@ class MetricsRegistry:
             ]
         return sum(s._sample().get("value", 0.0) for s in series)
 
+    # ------------------------------------------------------------------ fold
+
+    def observe(self, trace: Iterable[Mapping]) -> "MetricsRegistry":
+        """Fold one run's sealed trace events into the series; returns self.
+
+        Replays, in event order: ``sim``/``send`` into the four
+        ``repro_sim_*_total`` delivery counters (all four exist once a
+        simulation does), ``round`` into the rounds counter and the
+        max-bits gauge, ``spill`` into the spill I/O counters, ``task``
+        into the per-``pool`` task counter and seconds histogram, and
+        the ``run`` footer into the ``repro_run_*`` series under its
+        strategy.  See :mod:`repro.metrics` for the schema.
+        """
+        delivery: tuple[Counter, ...] = ()
+        for event in trace:
+            kind = event["t"]
+            if kind == "send":
+                sends, bits, tuples, dropped = delivery
+                sends.inc()
+                bits.inc(event["bits"])
+                tuples.inc(event["n"])
+                if "drop" in event:
+                    dropped.inc(event["drop"])
+            elif kind == "sim":
+                self.counter("repro_sim_simulations_total").inc()
+                delivery = tuple(
+                    self.counter(f"repro_sim_{name}_total")
+                    for name in ("sends", "bits", "tuples", "dropped_bits")
+                )
+            elif kind == "round":
+                self.counter("repro_sim_rounds_total").inc()
+                self.gauge("repro_sim_round_max_bits").set(event["max_bits"])
+            elif kind == "spill":
+                op = event["op"]
+                moved = "written" if op == "write" else "read"
+                self.counter(f"repro_spill_bytes_{moved}_total").inc(
+                    event["bytes"]
+                )
+                self.counter(f"repro_spill_{op}s_total").inc()
+            elif kind == "task":
+                pool = event["pool"]
+                self.counter("repro_pool_tasks_total", kind=pool).inc()
+                self.histogram("repro_pool_task_seconds", kind=pool).observe(
+                    event["seconds"]
+                )
+            elif kind == "run":
+                strategy = event["strategy"]
+                self.counter("repro_runs_total", strategy=strategy).inc()
+                if "wall_seconds" in event:
+                    self.histogram(
+                        "repro_run_seconds", strategy=strategy
+                    ).observe(event["wall_seconds"])
+                self.histogram("repro_run_rounds", strategy=strategy).observe(
+                    event["rounds"]
+                )
+                self.histogram(
+                    "repro_run_load_bits", strategy=strategy
+                ).observe(event["max_load_bits"])
+                if "makespan_bits" in event:
+                    self.gauge(
+                        "repro_run_makespan_bits", strategy=strategy
+                    ).set(event["makespan_bits"])
+        return self
+
     # ------------------------------------------------------ snapshot / merge
 
     def snapshot(self) -> dict:
@@ -306,50 +365,11 @@ class MetricsRegistry:
         return f"MetricsRegistry({len(self)} series)"
 
 
-# ------------------------------------------------------------- activation
+# ------------------------------------------------------------- global view
 
 _GLOBAL = MetricsRegistry()
-
-_ACTIVE: ContextVar["MetricsRegistry | None"] = ContextVar(
-    "repro_metrics_registry", default=None
-)
 
 
 def global_metrics() -> MetricsRegistry:
     """The process-wide registry every session view aggregates into."""
     return _GLOBAL
-
-
-def active_metrics() -> "MetricsRegistry | None":
-    """The registry installed in the current context (None: metrics off)."""
-    return _ACTIVE.get()
-
-
-@contextmanager
-def collecting(
-    registry: "MetricsRegistry | None" = None,
-) -> Iterator["MetricsRegistry"]:
-    """Install a registry for the duration of the ``with`` block.
-
-    .. code-block:: python
-
-        from repro.metrics import collecting
-
-        with collecting() as reg:
-            result = Session(p=64).run(q, db, "hypercube")
-        assert reg.value("repro_sim_bits_total") == \\
-            result.load_report.total_bits
-
-    Every simulation, storage manager and pool driver that runs inside
-    the block counts into ``reg``; nesting installs the inner registry
-    and restores the outer one on exit.  ``Session`` runs with
-    ``ClusterConfig(metrics=True)`` manage this scope themselves (one
-    fresh registry per run, rolled up into ``session.metrics`` and the
-    global registry).
-    """
-    reg = MetricsRegistry() if registry is None else registry
-    token = _ACTIVE.set(reg)
-    try:
-        yield reg
-    finally:
-        _ACTIVE.reset(token)

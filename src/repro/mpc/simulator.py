@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Literal
 import numpy as np
 
 from repro.data.arrays import merge_batches, unique_rows
-from repro.metrics.registry import active_metrics
 from repro.mpc.report import LoadReport, RoundLoad
 from repro.trace.recorder import active_recorder
 
@@ -196,20 +195,6 @@ class MPCSimulation:
         # the context-installed recorder (repro.trace.tracing) applies.
         self.timer = timer
         self.trace = trace if trace is not None else active_recorder()
-        # Metrics follow the same contextvar scoping as tracing; the
-        # per-delivery counters are bound once here so the hot paths
-        # pay one None check plus a few guarded adds when enabled.
-        self.metrics = active_metrics()
-        if self.metrics is not None:
-            self.metrics.counter("repro_sim_simulations_total").inc()
-            self._metric_sends = self.metrics.counter("repro_sim_sends_total")
-            self._metric_bits = self.metrics.counter("repro_sim_bits_total")
-            self._metric_tuples = self.metrics.counter(
-                "repro_sim_tuples_total"
-            )
-            self._metric_dropped = self.metrics.counter(
-                "repro_sim_dropped_bits_total"
-            )
         if self.trace is not None:
             event = {
                 "t": "sim",
@@ -257,11 +242,6 @@ class MPCSimulation:
                 "tuples": sum(round_load.tuples.values()),
                 "dropped_bits": sum(round_load.dropped_bits.values()),
             })
-        if self.metrics is not None:
-            self.metrics.counter("repro_sim_rounds_total").inc()
-            self.metrics.gauge("repro_sim_round_max_bits").set(
-                round_load.max_bits
-            )
         return round_load
 
     # ----------------------------------------------------------- primitives
@@ -330,12 +310,6 @@ class MPCSimulation:
                 accept,
                 dropped,
             )
-        if self.metrics is not None and (accept or dropped):
-            self._metric_sends.inc()
-            self._metric_bits.inc(accepted_bits)
-            self._metric_tuples.inc(accept)
-            if dropped:
-                self._metric_dropped.inc(dropped)
 
     # --------------------------------------------------------------- access
 

@@ -46,8 +46,6 @@ from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, Iterator, Literal, TypeVar
 
-from repro.metrics.registry import active_metrics
-
 logger = logging.getLogger("repro.parallel.pool")
 
 PoolKind = Literal["serial", "thread", "process"]
@@ -143,12 +141,6 @@ class _ExecutorPool(WorkerPool):
     def imap(self, fn, tasks):
         executor = self.executor
         prefetch = 2 * self.max_workers
-        metrics = active_metrics()
-        depth = (
-            metrics.gauge("repro_pool_queue_depth", kind=self.kind)
-            if metrics is not None
-            else None
-        )
 
         def results() -> Iterator:
             pending: deque = deque()
@@ -162,8 +154,6 @@ class _ExecutorPool(WorkerPool):
                         exhausted = True
                         break
                     pending.append(executor.submit(fn, task))
-                if depth is not None:
-                    depth.set(float(len(pending)))
                 if not pending:
                     return
                 yield pending.popleft().result()

@@ -43,7 +43,6 @@ import numpy as np
 from repro.data.arrays import merge_batches
 from repro.data.relation import Relation
 from repro.hashing.family import GridPartitioner, HashFamily
-from repro.metrics.registry import active_metrics
 from repro.mpc.timing import PhaseTimer
 from repro.parallel.pool import WorkerPool
 from repro.storage.chunked import ChunkedRelation, SegmentSlice
@@ -189,18 +188,9 @@ def route_over_pool(
     """
     timer = timer or PhaseTimer()
     trace = sim.trace
-    metrics = active_metrics()
-    if metrics is not None:
-        tasks_total = metrics.counter("repro_pool_tasks_total", kind=pool.kind)
-        task_seconds = metrics.histogram(
-            "repro_pool_task_seconds", kind=pool.kind
-        )
     for tag, base, groups, seconds in pool.imap(route_task, tasks):
         if trace is not None:
-            trace.task("route", tag, seconds)
-        if metrics is not None:
-            tasks_total.inc()
-            task_seconds.observe(seconds)
+            trace.task("route", tag, seconds, pool.kind)
         with timer.phase("ship"):
             for server, batch in groups:
                 sim.send_array(base + server, tag, batch)
@@ -311,18 +301,9 @@ def join_over_pool(
             yield server_join_task(query, sim.server(server), server, prefix)
 
     trace = sim.trace
-    metrics = active_metrics()
-    if metrics is not None:
-        tasks_total = metrics.counter("repro_pool_tasks_total", kind=pool.kind)
-        task_seconds = metrics.histogram(
-            "repro_pool_task_seconds", kind=pool.kind
-        )
     for server, local, seconds in pool.imap(join_task, tasks()):
         if trace is not None:
-            trace.task("join", server, seconds)
-        if metrics is not None:
-            tasks_total.inc()
-            task_seconds.observe(seconds)
+            trace.task("join", server, seconds, pool.kind)
         yield local
 
 

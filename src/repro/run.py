@@ -13,13 +13,11 @@ context fields.
 :meth:`repro.session.Session.run` plans, then reaches it through the
 chosen :class:`~repro.planner.strategies.Strategy`.  The engines
 register their executor cores with :func:`implements`; the settings are
-resolved, the spill traffic attributed and the per-run metrics observed
-here, once, for all of them.
+resolved and the spill traffic attributed here, once, for all of them.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -28,7 +26,6 @@ import numpy as np
 from repro.config import ExecutionSettings
 from repro.data.arrays import unique_rows
 from repro.join.binary import reorder
-from repro.metrics.registry import active_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.query import ConjunctiveQuery
@@ -210,8 +207,7 @@ def dispatch_run(
     exactly once (:meth:`ExecutionSettings.resolve` -- the chunk-size,
     pool and machine-spec defaults and the spec's ``p``-match
     validation), invokes the executor core registered under
-    ``strategy``, attaches the run's own spill traffic to its report and
-    observes the per-run metrics under the ``strategy`` label.
+    ``strategy`` and attaches the run's own spill traffic to its report.
     """
     impl = _IMPLEMENTATIONS.get(strategy)
     if impl is None:
@@ -223,42 +219,21 @@ def dispatch_run(
     resolved = settings.resolve(storage, p)
     if storage is not None:
         before = storage.io_counters()
-    metrics = active_metrics()
-    # The wall clock is read only when metrics are on, and only around
-    # the whole run -- never on an identity-sensitive path.
-    run_started = time.perf_counter() if metrics is not None else 0.0  # repro: allow(wall-clock) -- metrics-gated, whole-run only
     result = impl(
         query, database, p,
         seed=seed, settings=resolved, storage=storage, **overrides,
     )
-    report = result.report
     if storage is not None:
         # Managers outlive runs (a session shares one across a whole
         # batch), so the run's own spill traffic is the counter delta.
         # peak_live_bytes is manager-lifetime: concurrent runs share
         # the disk, so a per-run peak would be fiction.
         after = storage.io_counters()
-        report.attach_spill({
+        result.report.attach_spill({
             "bytes_written": after["bytes_written"] - before["bytes_written"],
             "files_created": after["files_created"] - before["files_created"],
             "bytes_read": after["bytes_read"] - before["bytes_read"],
             "reads": after["reads"] - before["reads"],
             "peak_live_bytes": after["peak_live_bytes"],
         })
-    if metrics is not None:
-        elapsed = time.perf_counter() - run_started  # repro: allow(wall-clock) -- metrics-gated, whole-run only
-        metrics.counter("repro_runs_total", strategy=strategy).inc()
-        metrics.histogram("repro_run_seconds", strategy=strategy).observe(
-            elapsed
-        )
-        metrics.histogram("repro_run_rounds", strategy=strategy).observe(
-            report.num_rounds
-        )
-        metrics.histogram("repro_run_load_bits", strategy=strategy).observe(
-            report.max_load_bits
-        )
-        if report.machines is not None and not report.machines.is_uniform:
-            metrics.gauge("repro_run_makespan_bits", strategy=strategy).set(
-                report.makespan_bits
-            )
     return result

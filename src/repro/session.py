@@ -72,13 +72,9 @@ from repro.config import (
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
 from repro.hashing.family import derive_seed
-from repro.metrics.registry import (
-    MetricsRegistry,
-    collecting,
-    global_metrics,
-)
+from repro.metrics.registry import MetricsRegistry, global_metrics
 from repro.mpc.timing import format_phases
-from repro.parallel.pool import get_pool
+from repro.parallel.pool import get_pool, in_worker
 from repro.parallel.tasks import RunJobTask, run_job_task
 from repro.multiround.plans import Plan
 from repro.planner.engine import IN_MEMORY_FOOTPRINT_FACTOR
@@ -138,8 +134,10 @@ class ClusterConfig:
     #: explicit spec must have exactly ``p`` machines; a default
     #: pattern is cycled to ``p``.
     machines: "MachineSpec | str | None" = None
-    #: Collect live telemetry (:mod:`repro.metrics`) for every run.
-    #: The session keeps one aggregated :class:`MetricsRegistry`
+    #: Collect telemetry (:mod:`repro.metrics`) for every run: each run
+    #: records its trace events (in memory; written out only when
+    #: ``trace`` is set) and folds them into a :class:`MetricsRegistry`
+    #: once it finishes.  The session keeps one aggregated registry
     #: (:attr:`Session.metrics`) and rolls every run into the
     #: process-wide registry; per-run counter totals reconcile exactly
     #: with the run's :class:`~repro.mpc.report.LoadReport`, and
@@ -616,7 +614,7 @@ class Session:
 
     def workload_summary(self) -> str:
         """The accumulated history, one line per run plus percentiles."""
-        machines = self.config.machines
+        machines = resolve_machines(self.config.machines, self.config.p)
         cluster = (
             f", machines {machines.describe()}"
             if machines is not None and not machines.is_uniform
@@ -693,23 +691,21 @@ class Session:
         cluster = resolve_machines(settings.machines, p)
         storage = self._storage_for(database)
         run_seed = self.config.seed if seed is None else seed
+        # A traced or metered run records one event stream.  The
+        # context-variable scope makes every simulator and storage
+        # manager constructed during this run record into this recorder
+        # -- including on a run_many worker thread, where the context is
+        # private to the thread.
         recorder = (
-            TraceRecorder() if self.config.trace is not None else None
+            TraceRecorder()
+            if self.config.trace is not None or self.metrics is not None
+            else None
         )
-        # Each run collects into a fresh registry (so per-run totals
-        # reconcile exactly with the run's LoadReport) that is merged
-        # into the session and process-wide views afterwards.  The
-        # context-variable scopes make every simulator and storage
-        # manager constructed during this run record into this
-        # recorder/registry -- including on a run_many worker thread,
-        # where the context is private to the thread.
-        run_metrics = MetricsRegistry() if self.metrics is not None else None
         started = time.perf_counter()  # repro: allow(wall-clock) -- RunRecord.wall_seconds telemetry
-        with contextlib.ExitStack() as scope:
-            if recorder is not None:
-                scope.enter_context(tracing(recorder))
-            if run_metrics is not None:
-                scope.enter_context(collecting(run_metrics))
+        with (
+            tracing(recorder) if recorder is not None
+            else contextlib.nullcontext()
+        ):
             if stats is None:
                 stats = DataStatistics.from_database(query, database, p)
             # Rank under the cluster's machine spec, so a heterogeneous
@@ -739,13 +735,6 @@ class Session:
         )
         wall = time.perf_counter() - started  # repro: allow(wall-clock) -- RunRecord.wall_seconds telemetry
         report = result.load_report
-        if run_metrics is not None:
-            ratio = report.prediction_ratio()
-            if ratio is not None:
-                run_metrics.calibration.observe(result.strategy, ratio)
-            delta = run_metrics.snapshot()
-            self.metrics.merge(delta)
-            global_metrics().merge(delta)
         # The spec the run actually used (the simulator records the
         # resolved settings' spec).
         machines = report.machines
@@ -760,16 +749,33 @@ class Session:
                     "label": label,
                     "seed": run_seed,
                     "version": _repro_version(),
-                    "pool": resolve_pool(self.config.pool),
+                    # Engine fan-out inside a process-pool worker runs
+                    # inline (repro.parallel.pool.get_pool).
+                    "pool": (
+                        "serial" if in_worker()
+                        else resolve_pool(self.config.pool)
+                    ),
                     "machines": (
                         machines.describe() if machines is not None else None
                     ),
                 },
                 wall_seconds=wall,
             )
-            trace_path = str(trace.write_jsonl(self._trace_file(
-                label or query.name or "run"
-            )))
+            if self.config.trace is not None:
+                trace_path = str(trace.write_jsonl(self._trace_file(
+                    label or query.name or "run"
+                )))
+            if self.metrics is not None:
+                # A fresh per-run registry, merged into the session and
+                # process-wide views: per-run totals reconcile exactly
+                # with the run's LoadReport.
+                run_metrics = MetricsRegistry().observe(trace)
+                ratio = report.prediction_ratio()
+                if ratio is not None:
+                    run_metrics.calibration.observe(result.strategy, ratio)
+                delta = run_metrics.snapshot()
+                self.metrics.merge(delta)
+                global_metrics().merge(delta)
         record = RunRecord(
             label=label,
             query=query.name or "q",

@@ -23,7 +23,6 @@ import shutil
 import tempfile
 import threading
 
-from repro.metrics.registry import active_metrics
 from repro.trace.recorder import active_recorder
 
 #: Rows per chunk when neither the caller nor a budget says otherwise
@@ -184,10 +183,6 @@ class StorageManager:
         recorder = active_recorder()
         if recorder is not None:
             recorder.spill("write", key, nbytes)
-        metrics = active_metrics()
-        if metrics is not None:
-            metrics.counter("repro_spill_bytes_written_total").inc(nbytes)
-            metrics.counter("repro_spill_writes_total").inc()
 
     def account_read(
         self, nbytes: int, path: str | pathlib.Path | None = None
@@ -202,10 +197,6 @@ class StorageManager:
             recorder.spill(
                 "read", str(path) if path is not None else None, nbytes
             )
-        metrics = active_metrics()
-        if metrics is not None:
-            metrics.counter("repro_spill_bytes_read_total").inc(nbytes)
-            metrics.counter("repro_spill_reads_total").inc()
 
     def account_unlink(self, path: str | pathlib.Path) -> None:
         """Record a spill file's deletion (keeps :attr:`live_bytes` true)."""

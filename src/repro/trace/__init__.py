@@ -31,7 +31,8 @@ Trace schema (JSONL: one JSON object per line, typed by ``"t"``)
     Run identity, first line when present.  Keys: ``query`` (name),
     ``strategy``, ``label``, ``seed``, ``index`` (position in a
     ``run_many`` batch), ``version`` (repro release), ``pool`` (the
-    session's resolved worker-pool kind), ``machines`` (the
+    worker-pool kind the run's fan-out used: the session's resolved
+    kind, ``serial`` inside a process-pool worker), ``machines`` (the
     heterogeneous spec's ``describe()`` form, None for the
     homogeneous model).
 ``sim``
@@ -56,7 +57,8 @@ Trace schema (JSONL: one JSON object per line, typed by ``"t"``)
     One per worker-pool task, emitted by the parent in deterministic
     merge order.  Keys: ``kind`` (``"route"``/``"join"``), ``label``
     (relation tag or server id), ``seconds`` (the task body's own wall
-    time, measured inside the worker).
+    time, measured inside the worker), ``pool`` (the kind of the pool
+    that ran it).
 ``phase``
     One per instrumented phase at sealing time.  Keys: ``name``
     (generate/route/ship/join/merge), ``seconds`` (exclusive wall
@@ -68,10 +70,13 @@ Trace schema (JSONL: one JSON object per line, typed by ``"t"``)
     ``dropped_bits``, ``predicted_bits``/``predicted_rounds`` (the
     planner's prediction, None when not attached), ``server_bits``
     (per-server totals keyed by server id as a string), ``spill``
-    (cumulative I/O counters for spill-backed runs), ``wall_seconds``.
+    (cumulative I/O counters for spill-backed runs), ``makespan_bits``
+    (heterogeneous clusters only), ``wall_seconds``.
 
 All ``bits`` fields are in the model's load unit (bits, not bytes);
-``spill`` events use real file bytes.  Analysis lives in
+``spill`` events use real file bytes.  The trace is the one
+instrumentation stream: :meth:`repro.metrics.MetricsRegistry.observe`
+computes a run's metrics from it.  Analysis lives in
 :class:`TraceQuery` (filter/group/aggregate, top-k, predicted-vs-
 measured deltas) and the ``python -m repro trace <file-or-dir>`` CLI.
 """

@@ -10,7 +10,8 @@ in a :mod:`contextvars` context, and every instrumented component --
 worker-pool drivers on task completion -- picks it up via
 :func:`active_recorder`.  With no recorder installed each hook is a
 single ``None`` check, which is what keeps tracing off by default with
-near-zero overhead.
+near-zero overhead.  The trace is the only instrumentation seam: run
+metrics are a fold over it (:meth:`repro.metrics.MetricsRegistry.observe`).
 
 Context-variable scoping composes with the concurrency model: a
 ``Session.run_many`` thread batch installs one recorder per job inside
@@ -65,9 +66,10 @@ def tracing(
 
     Every simulation, storage manager and pool driver that runs inside
     the block records into ``rec``; nesting installs the inner recorder
-    and restores the outer one on exit.  ``Session`` runs with
-    ``ClusterConfig(trace=...)`` manage this scope (and the artifact
-    write) themselves.
+    and restores the outer one on exit.  A recording ``Session``
+    (``ClusterConfig(trace=...)`` or ``metrics=True``) installs its own
+    per-run recorder the same way, so its runs record there, not into
+    an enclosing ``tracing()`` block.
     """
     rec = TraceRecorder() if recorder is None else recorder
     token = _ACTIVE.set(rec)
@@ -122,11 +124,20 @@ class TraceRecorder:
             {"t": "spill", "op": op, "path": path, "bytes": int(nbytes)}
         )
 
-    def task(self, kind: str, label: object, seconds: float) -> None:
-        """One worker-pool task body's own wall time (parent merge order)."""
-        self.events.append(
-            {"t": "task", "kind": kind, "label": label, "seconds": seconds}
-        )
+    def task(
+        self, kind: str, label: object, seconds: float, pool: str
+    ) -> None:
+        """One worker-pool task body's own wall time (parent merge order).
+
+        ``pool`` is the kind of the pool that ran it (``pool.kind``).
+        """
+        self.events.append({
+            "t": "task",
+            "kind": kind,
+            "label": label,
+            "seconds": seconds,
+            "pool": pool,
+        })
 
     # ------------------------------------------------------------- sealing
 
@@ -181,6 +192,8 @@ class TraceRecorder:
             }
             if report.spill_stats:
                 footer["spill"] = dict(report.spill_stats)
+            if report.machines is not None and not report.machines.is_uniform:
+                footer["makespan_bits"] = report.makespan_bits
             if wall_seconds is not None:
                 footer["wall_seconds"] = wall_seconds
             events.append(footer)

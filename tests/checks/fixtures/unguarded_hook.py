@@ -1,19 +1,19 @@
 """Observability hooks used without the one-None-check discipline."""
 
-from repro.metrics.registry import active_metrics
+from repro.trace.recorder import active_recorder
 
 
 def record(rows):
-    active_metrics().counter("rows_total").inc(len(rows))  # line 7: hook-guard
+    active_recorder().spill("write", None, len(rows))  # line 7: hook-guard
     for row in rows:
-        metrics = active_metrics()  # line 9: hook-guard (refetch in loop)
-        if metrics is not None:
-            metrics.counter("rows_seen").inc()
+        recorder = active_recorder()  # line 9: hook-guard (refetch in loop)
+        if recorder is not None:
+            recorder.spill("read", None, len(row))
     return rows
 
 
 def disciplined(rows):
-    metrics = active_metrics()
-    if metrics is not None:
-        metrics.counter("rows_total").inc(len(rows))
+    recorder = active_recorder()
+    if recorder is not None:
+        recorder.spill("write", None, len(rows))
     return rows

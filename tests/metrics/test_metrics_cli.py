@@ -22,7 +22,7 @@ def sample_registry():
     reg = MetricsRegistry()
     reg.counter("repro_sim_bits_total").inc(1024.0)
     reg.counter("repro_pool_tasks_total", kind="thread").inc(6)
-    reg.gauge("repro_pool_queue_depth", kind="thread").set(2)
+    reg.gauge("repro_sim_round_max_bits").set(2)
     reg.histogram("repro_run_seconds", strategy="hypercube").observe(0.02)
     reg.calibration.observe("hypercube", 1.25)
     return reg

@@ -21,11 +21,8 @@ from repro import (
     triangle_query,
     zipf_database,
 )
-from repro.config import ExecutionSettings
-from repro.metrics import MetricsRegistry, collecting
 from repro.multiround.plans import chain_plan
 from repro.planner import DataStatistics
-from repro.run import dispatch_run
 from repro.storage.manager import StorageManager
 
 ENGINES = ["hypercube", "skew-star", "skew-triangle", "multiround"]
@@ -57,12 +54,15 @@ def engine_case(name):
     return q, db, DataStatistics.from_database(q, db, 8), seed, overrides
 
 
-def run_engine(name, **knobs):
-    """One deterministic run of the named engine; returns its result."""
+def run_session(name, **knobs):
+    """One deterministic run of the named engine: ``(result, session)``."""
     query, db, stats, seed, overrides = engine_case(name)
-    return Session(p=8, seed=seed, **knobs).run(
-        query, db, name, stats=stats, **overrides
-    )
+    session = Session(p=8, seed=seed, **knobs)
+    return session.run(query, db, name, stats=stats, **overrides), session
+
+
+def run_engine(name, **knobs):
+    return run_session(name, **knobs)[0]
 
 
 def result_snapshot(result):
@@ -77,11 +77,9 @@ def result_snapshot(result):
     )
 
 
-def run_with_metrics(name, **kwargs):
-    reg = MetricsRegistry()
-    with collecting(reg):
-        result = run_engine(name, **kwargs)
-    return result, reg
+def run_with_metrics(name, **knobs):
+    result, session = run_session(name, metrics=True, **knobs)
+    return result, session.metrics
 
 
 def assert_reconciles(reg, result):
@@ -145,23 +143,21 @@ def test_metrics_identity_under_capacity_drops():
 def test_metrics_overhead_stays_small():
     """Collected wall time <= 1.1x uncollected at n = 10**5 (min of 3).
 
-    The disabled path is one ``is None`` check per hook, and even the
-    enabled path only bumps in-process counters -- so the full enabled
-    run must stay within 10% of the plain run (plus timer noise).
+    The disabled path is one ``is None`` check per hook; the enabled
+    path appends one in-memory trace event per delivery and folds the
+    events once after the run -- so the full enabled run must stay
+    within 10% of the plain run (plus timer noise).
     """
     q = triangle_query()
     db = matching_database(q, m=25_000, n=100_000, seed=0)
-    settings = ExecutionSettings()
+    stats = DataStatistics.from_database(q, db, 8)
 
     def best_of(collected, repeats=3):
         samples = []
         for _ in range(repeats):
+            session = Session(p=8, seed=0, metrics=collected)
             start = time.perf_counter()
-            if collected:
-                with collecting():
-                    dispatch_run("hypercube", q, db, 8, seed=0, settings=settings)
-            else:
-                dispatch_run("hypercube", q, db, 8, seed=0, settings=settings)
+            session.run(q, db, "hypercube", stats=stats)
             samples.append(time.perf_counter() - start)
         return min(samples)
 

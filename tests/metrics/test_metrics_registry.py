@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metrics import CalibrationTracker, MetricsRegistry, collecting
+from repro.metrics import CalibrationTracker, MetricsRegistry
 from repro.metrics.registry import (
     BITS_EDGES,
     DEFAULT_EDGES,
     ROUNDS_EDGES,
     SECONDS_EDGES,
-    active_metrics,
     default_edges,
 )
 
@@ -37,7 +36,7 @@ class TestInstruments:
 
     def test_gauge_tracks_running_max(self):
         reg = MetricsRegistry()
-        gauge = reg.gauge("repro_pool_queue_depth", kind="thread")
+        gauge = reg.gauge("repro_sim_round_max_bits")
         gauge.set(4)
         gauge.set(9)
         gauge.set(2)
@@ -181,19 +180,69 @@ class TestCalibration:
         assert merged["max"] == expected["max"]
 
 
-class TestActivation:
-    def test_off_by_default(self):
-        assert active_metrics() is None
+class TestObserve:
+    """``observe`` folds each trace event type into its series."""
 
-    def test_collecting_installs_and_restores(self):
-        with collecting() as outer:
-            assert active_metrics() is outer
-            with collecting() as inner:
-                assert active_metrics() is inner
-            assert active_metrics() is outer
-        assert active_metrics() is None
+    EVENTS = [
+        {"t": "meta", "strategy": "hypercube", "pool": "thread"},
+        {"t": "sim", "p": 2, "value_bits": 32, "capacity_bits": 64.0,
+         "on_overflow": "drop", "storage": True},
+        {"t": "send", "r": 1, "dst": 0, "tag": "R", "bits": 64.0, "n": 1},
+        {"t": "send", "r": 1, "dst": 0, "tag": "R", "bits": 0.0, "n": 0,
+         "drop": 32.0},
+        {"t": "round", "r": 1, "total_bits": 64.0, "max_bits": 64.0,
+         "tuples": 1, "dropped_bits": 32.0},
+        {"t": "spill", "op": "write", "path": "a.i64", "bytes": 96},
+        {"t": "spill", "op": "read", "path": "a.i64", "bytes": 40},
+        {"t": "task", "kind": "route", "label": "R", "seconds": 0.002,
+         "pool": "thread"},
+        {"t": "phase", "name": "route", "seconds": 0.01, "bits": 64.0},
+        {"t": "run", "p": 2, "strategy": "hypercube", "rounds": 1,
+         "total_bits": 64.0, "max_load_bits": 64.0, "dropped_bits": 32.0,
+         "wall_seconds": 0.02, "makespan_bits": 16.0},
+    ]
 
-    def test_collecting_accepts_existing_registry(self):
-        reg = MetricsRegistry()
-        with collecting(reg) as installed:
-            assert installed is reg
+    def test_every_event_type_lands_in_its_series(self):
+        reg = MetricsRegistry().observe(self.EVENTS)
+        assert reg.value("repro_sim_simulations_total") == 1.0
+        assert reg.value("repro_sim_sends_total") == 2.0
+        assert reg.value("repro_sim_bits_total") == 64.0
+        assert reg.value("repro_sim_tuples_total") == 1.0
+        assert reg.value("repro_sim_dropped_bits_total") == 32.0
+        assert reg.value("repro_sim_rounds_total") == 1.0
+        assert reg.gauge("repro_sim_round_max_bits").max == 64.0
+        assert reg.value("repro_spill_bytes_written_total") == 96.0
+        assert reg.value("repro_spill_writes_total") == 1.0
+        assert reg.value("repro_spill_bytes_read_total") == 40.0
+        assert reg.value("repro_spill_reads_total") == 1.0
+        assert reg.value("repro_pool_tasks_total", kind="thread") == 1.0
+        assert reg.histogram(
+            "repro_pool_task_seconds", kind="thread"
+        ).sum == 0.002
+        assert reg.value("repro_runs_total", strategy="hypercube") == 1.0
+        for name, total in (
+            ("repro_run_seconds", 0.02),
+            ("repro_run_rounds", 1.0),
+            ("repro_run_load_bits", 64.0),
+        ):
+            hist = reg.histogram(name, strategy="hypercube")
+            assert (hist.count, hist.sum) == (1, total)
+        assert reg.value(
+            "repro_run_makespan_bits", strategy="hypercube"
+        ) == 16.0
+
+    def test_a_simulation_creates_all_four_delivery_counters(self):
+        reg = MetricsRegistry().observe([{"t": "sim"}])
+        names = {row["name"] for row in reg.snapshot()["metrics"]}
+        assert names == {
+            "repro_sim_simulations_total",
+            "repro_sim_sends_total",
+            "repro_sim_bits_total",
+            "repro_sim_tuples_total",
+            "repro_sim_dropped_bits_total",
+        }
+        assert reg.value("repro_sim_dropped_bits_total") == 0.0
+
+    def test_events_without_series_are_ignored(self):
+        reg = MetricsRegistry().observe(self.EVENTS[:1] + self.EVENTS[-2:-1])
+        assert len(reg) == 0

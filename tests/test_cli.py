@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 
@@ -103,7 +104,10 @@ class TestRunSubcommand:
         main(["run", "triangle", "--p", "8", "--m", "120", "--n", "480",
               "--repeat", "3", "--max-workers", "2"])
         out = capsys.readouterr().out
-        assert "session workload: p=8, 3 run(s)" in out
+        # A REPRO_DEFAULT_MACHINES pattern names its machines here.
+        assert re.search(
+            r"session workload: p=8(, machines \S+)?, 3 run\(s\)", out
+        )
         assert "job-0" in out and "job-2" in out
         assert "per-run L percentiles" in out
 

@@ -79,7 +79,7 @@ class TestSwitch:
             assert name not in repro.__all__
             assert not hasattr(repro, name)
             assert not hasattr(repro.config, name)
-        assert len(repro.__all__) <= 42
+        assert len(repro.__all__) <= 41
 
 
 class TestUseBackendContextManager:

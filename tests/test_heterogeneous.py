@@ -344,6 +344,20 @@ class TestHeterogeneousExecution:
         assert record.machines == MachineSpec.parse("1,4").cycle_to(8).describe()
         assert record.makespan_bits is not None
 
+    def test_default_pattern_reaches_workload_summary(self, monkeypatch):
+        q = triangle_query()
+        db = matching_database(q, m=300, n=1200, seed=0)
+        monkeypatch.setenv("REPRO_DEFAULT_MACHINES", "1,2")
+        with Session(p=8, seed=0) as session:
+            session.run(q, db)
+            summary = session.workload_summary()
+        spec = MachineSpec.parse("1,2").cycle_to(8).describe()
+        # The header names the cluster the makespan on the run line is for.
+        assert summary.splitlines()[0] == (
+            f"session workload: p=8, machines {spec}, 1 run(s)"
+        )
+        assert "makespan" in summary.splitlines()[1]
+
     def test_homogeneous_trace_has_no_machine_rows(self):
         q = triangle_query()
         db = matching_database(q, m=300, n=1200, seed=0)

@@ -163,7 +163,7 @@ class TestUserJourney:
     def test_version_exported(self):
         import repro
 
-        assert repro.__version__ == "4.0.0"
+        assert repro.__version__ == "5.0.0"
 
     def test_public_names_resolve_and_free_runners_are_gone(self):
         import importlib
@@ -194,4 +194,4 @@ class TestUserJourney:
         from repro.session import Session
 
         assert not hasattr(Session, "_planner_run")
-        assert len(modules[0].__all__) == 42
+        assert len(modules[0].__all__) == 41
