@@ -125,10 +125,10 @@ def test_triangle_hypercube_weighted_vs_uniform_makespan(report_table):
     )
     assert uniform.answers == truth and weighted.answers == truth
 
-    predicted_uniform = hypercube_cost(query, dstats, P).load_bits
+    predicted_uniform = hypercube_cost(query, dstats, P)[2].load_bits
     predicted_weighted = hypercube_cost(
         query, dstats, P, machines=MACHINES
-    ).load_bits
+    )[2].load_bits
     measured_uniform = measured_makespan(uniform, MACHINES)
     measured_weighted = measured_makespan(weighted, MACHINES)
 

@@ -5,7 +5,8 @@ skew but Theta(M) when every tuple shares one z value.  The
 skew-oblivious LP (18) shares (p^{1/3} on each variable) cap the damage
 at M/p^{1/3}.  We sweep the planted-hitter fraction and tabulate all
 three: vanilla hash join, skew-oblivious HC, and the Corollary 4.3
-prediction.
+prediction.  Both algorithms are HyperCube pinned to one share vector
+(``exponents={"z": 1.0}`` and LP (18)'s exponents).
 """
 
 from __future__ import annotations
@@ -14,10 +15,16 @@ from __future__ import annotations
 from repro import Session
 from repro.config import ExecutionSettings
 from repro.core.families import simple_join_query
+from repro.core.shares import skew_oblivious_share_exponents
 from repro.data.generators import planted_heavy_hitter_database
 from repro.hypercube.analysis import predicted_load_bits_skewed
 from repro.join.multiway import evaluate
 from repro.run import dispatch_run
+
+
+def lp18_exponents(query, db, p):
+    """LP (18)'s exponents: pins HyperCube to the skew-oblivious shares."""
+    return skew_oblivious_share_exponents(query, db.statistics(query), p).exponents
 
 
 def test_skew_sweep(report_table):
@@ -35,7 +42,9 @@ def test_skew_sweep(report_table):
         truth = evaluate(query, db)
         session = Session(p=p, seed=37)
         vanilla = session.run(query, db, "hypercube", exponents={"z": 1.0})
-        oblivious = session.run(query, db, "skew-oblivious")
+        oblivious = session.run(
+            query, db, "hypercube", exponents=lp18_exponents(query, db, p)
+        )
         assert vanilla.answers == truth
         assert oblivious.answers == truth
         ratio = vanilla.max_load_bits / oblivious.max_load_bits
@@ -61,7 +70,9 @@ def test_corollary_4_3_prediction(report_table):
     m, p = 540, 27
     db = planted_heavy_hitter_database(query, m, 2**14, "z", 1.0, 7, seed=41)
     stats = db.statistics(query)
-    result = Session(p=p, seed=41).run(query, db, "skew-oblivious")
+    result = Session(p=p, seed=41).run(
+        query, db, "hypercube", exponents=lp18_exponents(query, db, p)
+    )
     predicted = predicted_load_bits_skewed(query, stats, result.details["shares"])
     ratio = result.max_load_bits / predicted
     assert 0.3 <= ratio <= 3.0
@@ -80,6 +91,6 @@ def test_benchmark_oblivious_join(benchmark):
     query = simple_join_query()
     db = planted_heavy_hitter_database(query, 400, 2**13, "z", 1.0, 3, seed=1)
     benchmark(
-        dispatch_run, "skew-oblivious", query, db, 27, seed=1,
-        settings=ExecutionSettings(),
+        dispatch_run, "hypercube", query, db, 27, seed=1,
+        settings=ExecutionSettings(), exponents=lp18_exponents(query, db, 27),
     )

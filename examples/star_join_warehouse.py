@@ -9,7 +9,9 @@ customers dominate.  The example:
    z-statistics),
 2. runs the standard parallel hash join (all shares on ``z``) -- the
    Example 4.1 failure mode,
-3. runs the skew-oblivious HyperCube (LP (18) shares),
+3. runs the skew-oblivious HyperCube (LP (18) shares); both are the
+   ``"hypercube"`` strategy pinned to one share vector with
+   ``exponents=``,
 4. runs the Section 4.2.1 skew-aware star algorithm with per-hitter
    server allocation,
 5. compares all three loads against the Theorem 4.4 lower bound.
@@ -18,6 +20,7 @@ Run:  python examples/star_join_warehouse.py
 """
 
 from repro import Session, star_query
+from repro.core.shares import skew_oblivious_share_exponents
 from repro.data.generators import degree_sequence_database
 from repro.join import evaluate
 from repro.skew import star_skew_load_bound, star_skew_lower_bound
@@ -50,7 +53,10 @@ def main() -> None:
 
     with Session(p=p, seed=5) as session:
         hash_join = session.run(query, db, "hypercube", exponents={"z": 1.0})
-        oblivious = session.run(query, db, "skew-oblivious")
+        lp18 = skew_oblivious_share_exponents(query, stats, p)
+        oblivious = session.run(
+            query, db, "hypercube", exponents=lp18.exponents
+        )
         star = session.run(query, db, "skew-star")
     for result, name in (
         (hash_join, "parallel hash join (shares on z)"),

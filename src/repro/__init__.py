@@ -63,8 +63,8 @@ Package map (see DESIGN.md for the paper-section correspondence):
 Below them, :meth:`Strategy.run <repro.planner.strategies.Strategy.run>`
 executes one strategy without planning, and
 :func:`repro.run.dispatch_run` reaches an executor core by name with
-engine-only knobs (``keep_view_fragments``, ``join_variables``,
-``partition_relation``) -- bit-identical results on every path.
+engine-only knobs (``keep_view_fragments``, ``partition_relation``)
+-- bit-identical results on every path.
 
 There is one execution engine: relations travel as ``(n, arity)``
 int64 arrays and every received row is charged as one tuple of the
@@ -158,7 +158,7 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # fan-out) surface with plain ``logging.basicConfig()``.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "Atom",

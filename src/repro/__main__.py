@@ -54,6 +54,7 @@ from repro import (
     zipf_database,
 )
 from repro.bounds import lower_bound, upper_bound
+from repro.config import resolve_machines
 from repro.core.families import (
     binom_query,
     chain_query,
@@ -290,12 +291,6 @@ def _positive_mb(text: str) -> float:
 def run_plan_command(args: argparse.Namespace) -> None:
     query = args.query
     machines = args.machines
-    if machines is not None and machines.p != args.p:
-        message = (
-            f"--machines describes {machines.p} machines but --p is {args.p}"
-        )
-        print(f"CHECK FAILED: {message}", file=sys.stderr)
-        raise TourCheckFailed(message)
     db = _generate_database(args)
     explained = planner_plan(query, db, args.p, machines=machines)
     print(explained.table())
@@ -363,13 +358,6 @@ def run_run_command(args: argparse.Namespace) -> None:
         if args.memory_budget_mb is not None
         else None
     )
-    if args.machines is not None and args.machines.p != args.p:
-        message = (
-            f"--machines describes {args.machines.p} machines "
-            f"but --p is {args.p}"
-        )
-        print(f"CHECK FAILED: {message}", file=sys.stderr)
-        raise TourCheckFailed(message)
     config = ClusterConfig(
         p=args.p,
         seed=args.seed,
@@ -638,6 +626,11 @@ def main(argv: list[str] | None = None) -> None:
     if args.command in ("plan", "run"):
         if args.n is None:
             args.n = 4 * args.m
+        try:
+            resolve_machines(args.machines, args.p)
+        except ValueError as exc:
+            print(f"CHECK FAILED: {exc}", file=sys.stderr)
+            raise TourCheckFailed(str(exc)) from exc
     if args.command == "plan":
         run_plan_command(args)
     elif args.command == "run":

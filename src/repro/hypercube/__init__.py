@@ -10,10 +10,11 @@ server then joins its fragments locally.  One round; load
 (Corollary 3.3), degrading to ``O(max_j M_j / min_{i in S_j} p_i)``
 under adversarial skew (Corollary 4.3).
 
-:mod:`repro.hypercube.baselines` adds the classical comparison points:
-single-server execution, the standard parallel hash join (all shares on
-one variable), and broadcast joins.  Every engine runs through
-``Session.run(q, db, "<strategy name>")``.
+:mod:`repro.hypercube.baselines` adds two classical comparison points:
+single-server execution and broadcast joins.  The standard parallel
+hash join (all shares on the join variables) is HyperCube with another
+share vector, one of the candidates the ``"hypercube"`` strategy prices.
+Every engine runs through ``Session.run(q, db, "<strategy name>")``.
 """
 
 from repro.hypercube.algorithm import route_relation_arrays

@@ -139,15 +139,12 @@ def _hypercube_impl(
     storage: StorageManager | None,
     shares: Mapping[str, int] | None = None,
     exponents: Mapping[str, float] | None = None,
-    strategy: str = "hypercube",
 ) -> RunResult:
     """The HyperCube core: one block on ``[0, p)``.
 
     ``shares``/``exponents`` override the LP (10) allocation
     (:func:`resolve_shares`); ``details["shares"]`` holds the integer
-    shares used.  ``settings`` arrives already resolved.  ``strategy``
-    labels the result for the cores that are HyperCube under another
-    share choice (``hash-join``, ``skew-oblivious``).
+    shares used.  ``settings`` arrives already resolved.
     """
     timer = PhaseTimer()
     with timer.phase("generate"):
@@ -177,7 +174,7 @@ def _hypercube_impl(
     kernel.compute([block])
     timer.attach(kernel.sim.report)
     return RunResult(
-        query, strategy, kernel.sim.report, kernel.sim, p,
+        query, "hypercube", kernel.sim.report, kernel.sim, p,
         details={"shares": resolved},
     )
 

@@ -1,18 +1,19 @@
 """Baseline one-round algorithms the paper compares against.
 
 Each is an executor core behind :func:`repro.run.dispatch_run`; run
-them with ``Session.run(q, db, "<name>")``.  All three are HyperCube
-block lists (:mod:`repro.hypercube.blocks`), so they honour the
-cluster's machine spec, capacity cap, worker pool and storage manager
-exactly like every other engine.
+them with ``Session.run(q, db, "<name>")``.  Both are HyperCube block
+lists (:mod:`repro.hypercube.blocks`), so they honour the cluster's
+machine spec, capacity cap, worker pool and storage manager exactly
+like every other engine.  The third classical baseline, the parallel
+hash join of Example 4.1, is not a core of its own: it is one of the
+share vectors the ``"hypercube"`` strategy chooses between
+(:func:`repro.planner.cost.share_candidates`); pin it with
+``Session.run(q, db, "hypercube", exponents={"z": 1.0})``.
 
 * ``"single-server"`` -- the degenerate ``L = M`` algorithm (Section
   2.1: "if we allowed a load L = M, any problem can be solved trivially
   in one round"): one block with every share 1, so the entire input
   lands on server 0 and is joined there.
-* ``"hash-join"`` -- the standard parallel hash join of Example 4.1:
-  all ``p`` shares on the join variable(s).  Optimal without skew, load
-  ``Theta(M)`` when a single heavy hitter carries the relation.
 * ``"broadcast"`` -- partition one relation, broadcast the rest;
   matches the HC optimum when the broadcast relations are small (Lemma
   3.18's regime ``M_j < M/p``).  One share-1 block per server.
@@ -20,14 +21,11 @@ exactly like every other engine.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.config import ExecutionSettings
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
-from repro.hypercube.algorithm import _hypercube_impl
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
 from repro.mpc.timing import PhaseTimer
 from repro.run import RunResult, implements
@@ -109,49 +107,6 @@ def _single_server_impl(
     return _one_server_blocks(
         query, database, p, "single-server",
         seed=seed, settings=settings, storage=storage,
-    )
-
-
-def common_variables(query: ConjunctiveQuery) -> tuple[str, ...]:
-    """The variables occurring in every atom: the natural join key."""
-    return tuple(
-        v
-        for v in query.variables
-        if all(v in a.variable_set for a in query.atoms)
-    )
-
-
-@implements("hash-join")
-def _hash_join_impl(
-    query: ConjunctiveQuery,
-    database: Database,
-    p: int,
-    *,
-    seed: int,
-    settings: ExecutionSettings,
-    storage: StorageManager | None,
-    join_variables: Sequence[str] | None = None,
-) -> RunResult:
-    """HyperCube with all of ``p`` spread over the join variable(s).
-
-    ``join_variables`` defaults to the variables occurring in *all*
-    atoms (the natural join key); for the simple join ``S1(x,z),
-    S2(y,z)`` that is ``z`` and the algorithm is the textbook parallel
-    hash join with ``p_z = p``.
-    """
-    if join_variables is None:
-        join_variables = common_variables(query)
-    join_variables = list(join_variables)
-    if not join_variables:
-        raise ValueError(
-            "query has no variable common to all atoms; "
-            "pass join_variables explicitly"
-        )
-    # Spread p as evenly as possible over the join variables.
-    exponents = {v: 1.0 / len(join_variables) for v in join_variables}
-    return _hypercube_impl(
-        query, database, p, seed=seed, settings=settings, storage=storage,
-        exponents=exponents, strategy="hash-join",
     )
 
 

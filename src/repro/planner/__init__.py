@@ -12,8 +12,10 @@ optimizer:
 * :mod:`repro.planner.cost` -- per-strategy closed-form cost
   estimates (:class:`CostEstimate`), no execution involved;
 * :mod:`repro.planner.strategies` -- the :class:`Strategy` registry
-  wrapping every executor (HyperCube, skew-oblivious, skew-aware
-  star/triangle, enumerated multi-round plans, baselines);
+  wrapping every executor: HyperCube (which picks the cheapest of its
+  LP (10), LP (18) and hash join share vectors), the skew-aware
+  star/triangle algorithms, enumerated multi-round plans, and the
+  broadcast and single-server baselines;
 * :mod:`repro.planner.optimizer` -- :func:`plan`, which prunes
   inapplicable strategies, ranks the rest and returns an
   :class:`ExplainedPlan` with the EXPLAIN cost table.
@@ -42,11 +44,9 @@ from repro.planner.strategies import (
     BroadcastJoin,
     MultiRoundPlan,
     OneRoundHyperCube,
-    ParallelHashJoin,
     SingleServer,
     SkewAwareStar,
     SkewAwareTriangle,
-    SkewObliviousHyperCube,
     Strategy,
     default_strategies,
     register,
@@ -61,11 +61,9 @@ __all__ = [
     "BroadcastJoin",
     "MultiRoundPlan",
     "OneRoundHyperCube",
-    "ParallelHashJoin",
     "SingleServer",
     "SkewAwareStar",
     "SkewAwareTriangle",
-    "SkewObliviousHyperCube",
     "default_strategies",
     "plan",
     "register",

@@ -4,11 +4,12 @@ Each estimator prices one algorithm family using the paper's own
 formulas, evaluated on :class:`~repro.planner.statistics.DataStatistics`
 alone:
 
-* one-round HyperCube -- LP (10) shares, integerized, priced with
-  Corollary 3.3 plus the data-dependent hotspot term of
+* one-round HyperCube -- every candidate share vector of
+  :func:`share_candidates` (LP (10), LP (18), the parallel hash join on
+  the common variables), integerized, priced with Corollary 3.3 plus the
+  data-dependent hotspot term of
   :func:`~repro.hypercube.analysis.predicted_load_bits_with_frequencies`
-  (which recovers Corollary 4.3 under total skew);
-* skew-oblivious HyperCube -- the same, with LP (18) shares;
+  (which recovers Corollary 4.3 under total skew); the cheapest wins;
 * the skew-aware star algorithm -- Eq. (20) plus the light term,
   priced in the sum-form server convention described below (the
   max-form statistics-only bound lives in
@@ -20,8 +21,8 @@ alone:
   (Proposition 5.1's constant-factor regime), with intermediate view
   sizes estimated by Lemma 3.6's expected output size, clamped by the
   AGM bound;
-* the baselines (broadcast join, parallel hash join, single server) --
-  their exact shipping formulas.
+* the baselines (broadcast join, single server) -- their exact
+  shipping formulas.
 
 All estimates are in bits of maximum per-server, per-round load -- the
 MPC model's ``L`` -- so they are directly comparable with each other,
@@ -92,39 +93,98 @@ class CostEstimate:
 # ------------------------------------------------------------------ HyperCube
 
 
+def common_variables(query: ConjunctiveQuery) -> tuple[str, ...]:
+    """The variables occurring in every atom: the natural join key."""
+    return tuple(
+        v
+        for v in query.variables
+        if all(v in a.variable_set for a in query.atoms)
+    )
+
+
+def share_candidates(
+    query: ConjunctiveQuery, stats: Statistics, p: int
+) -> list[tuple[str, dict[str, int]]]:
+    """The ``(label, integer shares)`` vectors HyperCube chooses between.
+
+    In tie-breaking order: LP (10) (Section 3.1); LP (18), the
+    worst-case-skew shares of Section 4.1; and, when some variable
+    occurs in every atom, the parallel hash join of Example 4.1 --
+    ``p`` spread evenly over those common variables.
+    """
+    candidates = [
+        ("LP(10)", share_exponents(query, stats, p).integer_shares()),
+        (
+            "LP(18)",
+            skew_oblivious_share_exponents(query, stats, p).integer_shares(),
+        ),
+    ]
+    common = common_variables(query)
+    if common:
+        exponents = {
+            v: 1.0 / len(common) if v in common else 0.0
+            for v in query.variables
+        }
+        candidates.append(
+            ("hash on " + ",".join(common), integerize_shares(exponents, p))
+        )
+    return candidates
+
+
+def _shares_load(
+    query: ConjunctiveQuery,
+    stats: Statistics,
+    shares: dict[str, int],
+    frequencies: dict,
+    machines: "MachineSpec | None",
+) -> float:
+    """One share grid's predicted ``L``, or its makespan under ``machines``.
+
+    Every grid routes through speed-weighted marginals on a
+    heterogeneous cluster, so the makespan is priced over that
+    weighted grid (:func:`~repro.hypercube.analysis.predicted_makespan_bits`).
+    """
+    if machines is None:
+        return predicted_load_bits_with_frequencies(
+            query, stats, shares, frequencies
+        )
+    return predicted_makespan_bits(query, stats, shares, machines, frequencies)
+
+
 def hypercube_cost(
     query: ConjunctiveQuery,
     dstats: DataStatistics,
     p: int,
-    skew_oblivious: bool = False,
     machines: "MachineSpec | None" = None,
-) -> CostEstimate:
-    """Price one-round HyperCube with LP (10) or LP (18) shares.
+) -> tuple[str, dict[str, int], CostEstimate]:
+    """Price every :func:`share_candidates` vector; return the cheapest.
 
-    With a heterogeneous ``machines`` spec the executor routes through
-    speed-weighted grid marginals, so the estimate is the predicted
-    makespan over that weighted grid
-    (:func:`~repro.hypercube.analysis.predicted_makespan_bits`).
+    Returns ``(label, integer shares, estimate)``; ties go to the earlier
+    candidate.  The estimate's ``detail`` names the chosen vector and
+    lists the other candidates' prices.
     """
     stats = dstats.stats
-    solve = skew_oblivious_share_exponents if skew_oblivious else share_exponents
-    solution = solve(query, stats, p)
-    shares = solution.integer_shares()
-    label = "LP(18)" if skew_oblivious else "LP(10)"
-    detail = f"{label} shares " + "x".join(
-        str(shares[v]) for v in query.variables
+    frequencies = dstats.frequency_maps()
+    priced = [
+        (label, shares, _shares_load(query, stats, shares, frequencies, machines))
+        for label, shares in share_candidates(query, stats, p)
+    ]
+    label, shares, load = min(priced, key=lambda candidate: candidate[2])
+
+    def grid(vector: dict[str, int]) -> str:
+        return "x".join(str(vector[v]) for v in query.variables)
+
+    detail = f"{label} shares {grid(shares)}"
+    if machines is not None and not machines.is_uniform:
+        detail += ", speed-weighted makespan"
+    others = ", ".join(
+        f"{other} {grid(vector)}: {cost:.4g}"
+        for other, vector, cost in priced
+        if other != label
     )
-    if machines is None:
-        load = predicted_load_bits_with_frequencies(
-            query, stats, shares, dstats.frequency_maps()
-        )
-    else:
-        load = predicted_makespan_bits(
-            query, stats, shares, machines, dstats.frequency_maps()
-        )
-        if not machines.is_uniform:
-            detail += ", speed-weighted makespan"
-    return CostEstimate(load_bits=load, rounds=1, servers=p, detail=detail)
+    detail += f" ({others})"
+    estimate = CostEstimate(load_bits=load, rounds=1, servers=p, detail=detail)
+    return label, shares, estimate
 
 
 # ------------------------------------------------------------ skew-aware star
@@ -309,19 +369,10 @@ def multiround_plan_cost(
                 else:
                     sizes[child.name] = int(math.ceil(view_sizes[child.name]))
             op_stats = Statistics(operator, sizes, domain)
-            solution = share_exponents(operator, op_stats, p)
-            shares = solution.integer_shares()
-            if machines is None:
-                load = predicted_load_bits_with_frequencies(
-                    operator, op_stats, shares, frequency_maps
-                )
-            else:
-                # Every round's per-operator grid routes through
-                # speed-weighted marginals, so each operator contributes
-                # its predicted makespan over that weighted grid.
-                load = predicted_makespan_bits(
-                    operator, op_stats, shares, machines, frequency_maps
-                )
+            shares = share_exponents(operator, op_stats, p).integer_shares()
+            load = _shares_load(
+                operator, op_stats, shares, frequency_maps, machines
+            )
             round_loads[depth] = round_loads.get(depth, 0.0) + load
             estimate = expected_output_size(op_stats)
             bound = agm_bound(operator, op_stats.tuples_vector())
@@ -360,32 +411,6 @@ def broadcast_cost(
     return CostEstimate(
         load_bits=load, rounds=1, servers=p, detail=f"partition {partition}"
     )
-
-
-def hash_join_cost(
-    query: ConjunctiveQuery,
-    dstats: DataStatistics,
-    p: int,
-    join_variables: tuple[str, ...],
-    machines: "MachineSpec | None" = None,
-) -> CostEstimate:
-    """All shares spread over the common join variables (Example 4.1).
-
-    The baseline executor routes unweighted, so heterogeneous pricing
-    divides by the slowest server's speed.
-    """
-    stats = dstats.stats
-    exponents = {v: 1.0 / len(join_variables) for v in join_variables}
-    shares = integerize_shares(
-        {v: exponents.get(v, 0.0) for v in query.variables}, p
-    )
-    load = predicted_load_bits_with_frequencies(
-        query, stats, shares, dstats.frequency_maps()
-    )
-    if machines is not None:
-        load /= machines.min_speed
-    detail = "hash on " + ",".join(join_variables)
-    return CostEstimate(load_bits=load, rounds=1, servers=p, detail=detail)
 
 
 def single_server_cost(

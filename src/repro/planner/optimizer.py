@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.bounds.one_round import lower_bound
+from repro.config import resolve_machines
 from repro.core.query import ConjunctiveQuery
 from repro.core.stats import Statistics
 from repro.data.database import Database
@@ -187,8 +188,12 @@ def plan(
     reprices every strategy under the makespan objective
     ``max_s load_s / v_s``, so the ranking favors strategies whose
     routing can exploit fast servers; with ``None`` (or a uniform
-    spec) the classic homogeneous ``L`` is used.
+    spec) the classic homogeneous ``L`` is used.  A spec must describe
+    exactly ``p`` machines, the rule every run applies
+    (:func:`~repro.config.resolve_machines`).
     """
+    if machines is not None:
+        machines = resolve_machines(machines, p)
     dstats = DataStatistics.coerce(query, stats, p)
     if dstats.query.relation_names != query.relation_names:
         raise ValueError(

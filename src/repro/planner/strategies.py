@@ -27,14 +27,16 @@ from repro.config import DEFAULT_SETTINGS, ExecutionSettings, resolve_machines
 from repro.core.families import triangle_query
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
-from repro.hypercube.baselines import common_variables
+# Imported for their @implements("hypercube" / "single-server" /
+# "broadcast") registrations.
+from repro.hypercube import algorithm as _hypercube_core  # noqa: F401
+from repro.hypercube import baselines as _baseline_cores  # noqa: F401
 # Imported for its @implements("multiround") registration.
 from repro.multiround import executor as _multiround_core  # noqa: F401
 from repro.multiround.plans import Plan, candidate_plans
 from repro.planner.cost import (
     CostEstimate,
     broadcast_cost,
-    hash_join_cost,
     hypercube_cost,
     multiround_plan_cost,
     single_server_cost,
@@ -43,8 +45,6 @@ from repro.planner.cost import (
 )
 from repro.planner.statistics import DataStatistics
 from repro.run import RunResult, dispatch_run
-# Imported for its @implements("skew-oblivious") registration.
-from repro.skew import oblivious as _oblivious_core  # noqa: F401
 from repro.skew.star import star_center
 from repro.skew.triangle import is_triangle_query
 
@@ -198,29 +198,45 @@ class Strategy:
 
 
 class OneRoundHyperCube(Strategy):
-    """Vanilla HyperCube with LP (10) shares (Section 3.1)."""
+    """One-round HyperCube (Section 3.1) on the cheapest share vector.
+
+    The candidates are LP (10), LP (18) (the worst-case-skew shares of
+    Section 4.1) and the parallel hash join of Example 4.1
+    (:func:`~repro.planner.cost.share_candidates`).
+    """
 
     name = "hypercube"
-    summary = "one-round HyperCube, LP(10) shares"
+    summary = "one-round HyperCube, cheapest of LP(10)/LP(18)/hash shares"
     supported_overrides = frozenset({"shares", "exponents"})
 
-    def estimate(self, query, dstats, p, machines=None):
+    def best_shares(
+        self,
+        query: ConjunctiveQuery,
+        dstats: DataStatistics,
+        p: int,
+        machines=None,
+    ) -> tuple[str, dict[str, int], CostEstimate]:
+        """The minimum-predicted-cost share vector, with its estimate."""
         return _memoized(
             dstats,
             ("hypercube", query, p, machines),
             lambda: hypercube_cost(query, dstats, p, machines=machines),
         )
 
-
-class SkewObliviousHyperCube(Strategy):
-    """HyperCube with the LP (18) skew-resistant shares (Section 4.1)."""
-
-    name = "skew-oblivious"
-    summary = "HyperCube, LP(18) worst-case-skew shares"
-
     def estimate(self, query, dstats, p, machines=None):
-        return hypercube_cost(
-            query, dstats, p, skew_oblivious=True, machines=machines
+        return self.best_shares(query, dstats, p, machines)[2]
+
+    def _run(self, query, database, p, seed, dstats, storage, settings,
+             shares=None, exponents=None):
+        if shares is None and exponents is None:
+            if dstats is None:
+                dstats = DataStatistics.from_database(query, database, p)
+            _, shares, _ = self.best_shares(
+                query, dstats, p, resolve_machines(settings.machines, p)
+            )
+        return super()._run(
+            query, database, p, seed, dstats, storage, settings,
+            shares=shares, exponents=exponents,
         )
 
 
@@ -356,26 +372,6 @@ class MultiRoundPlan(Strategy):
         )
 
 
-class ParallelHashJoin(Strategy):
-    """The textbook parallel hash join on the common variables."""
-
-    name = "hash-join"
-    summary = "parallel hash join on the shared variable(s)"
-
-    def applicable(self, query, dstats, p):
-        base = super().applicable(query, dstats, p)
-        if base:
-            return base
-        if not common_variables(query):
-            return "no variable common to all atoms"
-        return None
-
-    def estimate(self, query, dstats, p, machines=None):
-        return hash_join_cost(
-            query, dstats, p, common_variables(query), machines=machines
-        )
-
-
 class BroadcastJoin(Strategy):
     """Partition the largest relation, broadcast the rest (Lemma 3.18)."""
 
@@ -404,11 +400,9 @@ class SingleServer(Strategy):
 # Registration order doubles as the cost tie-break (see optimizer.plan).
 _REGISTRY: list[Strategy] = [
     OneRoundHyperCube(),
-    SkewObliviousHyperCube(),
     SkewAwareStar(),
     SkewAwareTriangle(),
     MultiRoundPlan(),
-    ParallelHashJoin(),
     BroadcastJoin(),
     SingleServer(),
 ]

@@ -7,13 +7,17 @@ Section 4 of the paper studies one-round computation when the data has
 * heavy-hitter detection, exact and sample-based (the paper assumes the
   identities and approximate frequencies of heavy hitters are known to
   all servers; there can be at most ``p`` per relation);
-* the *skew-oblivious* HyperCube with LP (18) shares (Section 4.1);
 * the star-query algorithm of Section 4.2.1 (per-hitter server
   allocation proportional to the residual-query work);
 * the triangle algorithm of Section 4.2.2 (light / two-heavy /
   one-heavy case split);
 * the Theorem 4.4 lower bound ``L_x(u, M, p)`` for databases with known
   degree sequences.
+
+HyperCube against unknown skew (Section 4.1) is not a separate engine:
+its LP (18) shares (:func:`repro.core.shares.skew_oblivious_share_exponents`)
+are one of the vectors the ``"hypercube"`` strategy prices and picks
+from (:func:`repro.planner.cost.share_candidates`).
 """
 
 from repro.skew.heavy_hitters import (

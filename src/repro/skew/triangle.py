@@ -9,7 +9,7 @@ many heavy values they contain:
   ``O~(M/p^{2/3})``.
 * **Case 1** (at least two values with frequency >= ``m/p``): for each
   variable pair, broadcast the (at most ``p^2``) doubly-heavy tuples of
-  their shared relation and hash-join the other two relations on the
+  their shared relation and hash join the other two relations on the
   third variable -- load ``O(M/p)`` plus the broadcast.
 * **Case 2** (exactly one value with frequency >= ``m/p^{1/3}``, the
   others below ``m/p``): each such hitter ``h`` of variable ``x`` gets

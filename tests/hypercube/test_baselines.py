@@ -19,6 +19,7 @@ from repro.data.generators import (
 )
 from repro.join.multiway import evaluate
 from repro.mpc.simulator import LoadExceededError
+from repro.planner.cost import share_candidates
 from repro.run import dispatch_run
 
 
@@ -40,10 +41,12 @@ class TestSingleServer:
 
 
 class TestParallelHashJoin:
+    """Example 4.1's hash join: HyperCube pinned to the join variable."""
+
     def test_simple_join_correct(self):
         q = simple_join_query()
         db = uniform_database(q, m=50, n=30, seed=3)
-        result = Session(p=8).run(q, db, "hash-join")
+        result = Session(p=8).run(q, db, "hypercube", exponents={"z": 1.0})
         assert result.answers == evaluate(q, db)
         assert result.details["shares"]["z"] == 8
 
@@ -52,7 +55,7 @@ class TestParallelHashJoin:
         m, p = 800, 16
         db = matching_database(q, m=m, n=2**13, seed=4)
         stats = db.statistics(q)
-        result = Session(p=p).run(q, db, "hash-join")
+        result = Session(p=p).run(q, db, "hypercube", exponents={"z": 1.0})
         # Without skew the hash join achieves ~ 2M/p bits per server.
         fair_share = 2 * stats.bits("S1") / p
         assert result.max_load_bits <= 3 * fair_share
@@ -62,26 +65,27 @@ class TestParallelHashJoin:
         q = simple_join_query()
         db = planted_heavy_hitter_database(q, 300, 3000, "z", 1.0, 9, seed=5)
         stats = db.statistics(q)
-        result = Session(p=16).run(q, db, "hash-join")
+        result = Session(p=16).run(q, db, "hypercube", exponents={"z": 1.0})
         assert result.answers == evaluate(q, db)
         assert result.max_load_bits >= stats.bits("S1") + stats.bits("S2")
 
     def test_star_query_join_key(self):
         q = star_query(3)
         db = matching_database(q, m=60, n=240, seed=6)
-        result = Session(p=8).run(q, db, "hash-join")
+        stats = db.statistics(q)
+        assert dict(share_candidates(q, stats, 8))["hash on z"]["z"] == 8
+        result = Session(p=8).run(q, db, "hypercube", exponents={"z": 1.0})
         assert result.answers == evaluate(q, db)
 
     def test_no_common_variable_needs_explicit_key(self):
+        # No variable of L3 occurs in every atom: the hash join is no
+        # HyperCube candidate, but an explicit key still pins it.
         q = chain_query(3)
         db = matching_database(q, m=10, n=40, seed=7)
-        settings = ExecutionSettings()
-        with pytest.raises(ValueError, match="common"):
-            dispatch_run("hash-join", q, db, 4, seed=0, settings=settings)
-        result = dispatch_run(
-            "hash-join", q, db, 4, seed=0, settings=settings,
-            join_variables=["x1"],
-        )
+        labels = [label for label, _ in share_candidates(q, db.statistics(q), 4)]
+        assert labels == ["LP(10)", "LP(18)"]
+        result = Session(p=4).run(q, db, "hypercube", exponents={"x1": 1.0})
+        assert result.details["shares"]["x1"] == 4
         assert result.answers == evaluate(q, db)
 
 

@@ -19,8 +19,13 @@ from repro.core.families import (
     triangle_query,
 )
 from repro.data.generators import matching_database, zipf_database
-from repro.planner import DataStatistics, default_strategies, plan
-from repro.planner.cost import CostEstimate
+from repro.planner import (
+    DataStatistics,
+    OneRoundHyperCube,
+    default_strategies,
+    plan,
+)
+from repro.planner.cost import CostEstimate, share_candidates
 
 
 def _strategy(name):
@@ -46,7 +51,6 @@ def _measure(name, query, db, p, seed=0):
 # forms.
 MATCHING_BANDS = {
     "hypercube": (0.3, 2.0),
-    "skew-oblivious": (0.3, 2.0),
     "skew-triangle": (0.2, 2.0),
     "multiround": (0.2, 3.0),
     "broadcast": (0.5, 1.5),
@@ -86,9 +90,16 @@ class TestMatchingStar:
         assert 0.3 <= ratio <= 2.0
 
     def test_hash_join_band(self):
+        # On a matching the hash-on-z vector is the cheapest candidate,
+        # so HyperCube's estimate prices exactly the pinned hash join.
         q = simple_join_query()
         db = matching_database(q, m=800, n=4096, seed=4)
-        estimate, outcome = _measure("hash-join", q, db, p=16)
+        dstats = DataStatistics.from_database(q, db, 16)
+        hashed = dict(share_candidates(q, dstats.stats, 16))["hash on z"]
+        _, shares, estimate = OneRoundHyperCube().best_shares(q, dstats, 16)
+        assert shares == hashed
+        outcome = _strategy("hypercube").run(q, db, 16, exponents={"z": 1.0})
+        assert outcome.details["shares"] == hashed
         ratio = outcome.max_load_bits / estimate.load_bits
         assert 0.3 <= ratio <= 2.0
 

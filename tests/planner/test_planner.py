@@ -11,6 +11,7 @@ from repro.core.families import (
     star_query,
     triangle_query,
 )
+from repro.core.shares import skew_oblivious_share_exponents
 from repro.core.stats import Statistics
 from repro.data.generators import (
     matching_database,
@@ -36,8 +37,8 @@ class TestPlanTable:
         explained = plan(q, stats, 64)
         assert len(explained.ranked) >= 5
         names = {c.name for c in explained.ranked}
-        assert {"hypercube", "skew-oblivious", "skew-triangle",
-                "multiround"} <= names
+        assert {"hypercube", "skew-triangle", "multiround", "broadcast",
+                "single-server"} <= names
 
     def test_accepts_statistics_database_and_datastatistics(self):
         q = triangle_query()
@@ -64,9 +65,12 @@ class TestPlanTable:
         pruned = {c.name: c.reason for c in explained.pruned}
         assert "skew-star" in pruned
         assert "skew-triangle" in pruned
-        assert "hash-join" in pruned
         for reason in pruned.values():
             assert reason
+        # No variable occurs in every atom, so HyperCube has no hash-join
+        # candidate: its detail prices LP (10) against LP (18) only.
+        detail = explained.candidate("hypercube").estimate.detail
+        assert "LP(18)" in detail and "hash on" not in detail
 
     def test_table_renders(self):
         q = triangle_query()
@@ -171,8 +175,13 @@ class TestExecute:
     def test_forced_strategy(self):
         q = triangle_query()
         db = matching_database(q, m=300, n=2048, seed=0)
-        result = Session(p=16).run(q, db, strategy="skew-oblivious")
-        assert result.strategy == "skew-oblivious"
+        lp18 = skew_oblivious_share_exponents(q, db.statistics(q), 16)
+        result = Session(p=16).run(
+            q, db, strategy="hypercube", exponents=lp18.exponents
+        )
+        assert plan(q, db, 16).winner.name != "hypercube"
+        assert result.strategy == "hypercube"
+        assert result.details["shares"] == lp18.integer_shares()
         assert result.answers == evaluate(q, db)
 
     def test_forcing_inapplicable_strategy_raises(self):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ExecutionSettings
+from repro.config import ExecutionSettings, resolve_machines
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import (
     matching_database,
@@ -22,6 +22,7 @@ from repro.data.generators import (
 )
 from repro.join.multiway import evaluate
 from repro.multiround.plans import chain_plan
+from repro.planner import DataStatistics, OneRoundHyperCube
 from repro.run import dispatch_run
 from repro.session import ClusterConfig, RunResult, Session
 from repro.storage import StorageManager
@@ -172,11 +173,19 @@ class TestBitIdentityToLegacy:
         n = 8
         sizes = {a.relation: min(20, n**a.arity) for a in query.atoms}
         db = uniform_database(query, m=sizes, n=n, seed=seed)
+        # The strategy runs its cheapest candidate vector; the core runs
+        # whatever shares it is handed.
+        _, shares, _ = OneRoundHyperCube().best_shares(
+            query, DataStatistics.from_database(query, db, 8), 8,
+            resolve_machines(None, 8),
+        )
         direct = dispatch_run(
-            "hypercube", query, db, 8, seed=seed, settings=ExecutionSettings()
+            "hypercube", query, db, 8, seed=seed, settings=ExecutionSettings(),
+            shares=shares,
         )
         with Session(p=8, seed=seed) as session:
             mine = session.run(query, db, strategy="hypercube")
+        assert mine.details["shares"] == shares
         assert_identical(mine, direct)
 
 
@@ -252,10 +261,14 @@ class TestRunResultProtocol:
         q = simple_join_query()
         db = matching_database(q, m=60, n=240, seed=1)
         with Session(p=4) as session:
-            for name in ("single-server", "hash-join", "broadcast"):
+            for name in ("single-server", "broadcast"):
                 result = session.run(q, db, name)
                 assert result.strategy == name
                 assert isinstance(result, RunResult)
+            # The parallel hash join is HyperCube pinned to the join key.
+            hashed = session.run(q, db, "hypercube", exponents={"z": 1.0})
+            assert hashed.strategy == "hypercube"
+            assert hashed.details["shares"]["z"] == 4
 
 
 class TestSessionSemantics:

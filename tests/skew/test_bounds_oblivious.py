@@ -1,4 +1,4 @@
-"""Tests for skew lower bounds (Thm 4.4) and the skew-oblivious HC."""
+"""Tests for skew lower bounds (Thm 4.4) and HyperCube on LP (18) shares."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import pytest
 
 from repro import Session
 from repro.core.families import simple_join_query, star_query, triangle_query
+from repro.core.shares import skew_oblivious_share_exponents
 from repro.data.generators import (
     matching_database,
     planted_heavy_hitter_database,
@@ -117,17 +118,26 @@ class TestGeneralSkewBound:
             )
 
 
+def lp18(q, db, p):
+    """LP (18)'s exponents: pins HyperCube to the skew-oblivious shares."""
+    return skew_oblivious_share_exponents(q, db.statistics(q), p).exponents
+
+
 class TestSkewObliviousHC:
     def test_correctness(self):
         q = simple_join_query()
         db = planted_heavy_hitter_database(q, 100, 1000, "z", 1.0, 3, seed=1)
-        result = Session(p=27, seed=1).run(q, db, "skew-oblivious")
+        result = Session(p=27, seed=1).run(
+            q, db, "hypercube", exponents=lp18(q, db, 27)
+        )
         assert result.answers == evaluate(q, db)
 
     def test_balanced_shares_for_join(self):
         q = simple_join_query()
         db = matching_database(q, m=64, n=512, seed=2)
-        result = Session(p=27, seed=2).run(q, db, "skew-oblivious")
+        result = Session(p=27, seed=2).run(
+            q, db, "hypercube", exponents=lp18(q, db, 27)
+        )
         assert result.details["shares"] == {"x": 3, "y": 3, "z": 3}
 
     def test_beats_vanilla_hash_join_under_skew(self):
@@ -137,7 +147,9 @@ class TestSkewObliviousHC:
         db = planted_heavy_hitter_database(q, m, 5000, "z", 1.0, 3, seed=3)
         stats = db.statistics(q)
         with Session(p=p, seed=3) as session:
-            oblivious = session.run(q, db, "skew-oblivious")
+            oblivious = session.run(
+                q, db, "hypercube", exponents=lp18(q, db, p)
+            )
             vanilla = session.run(q, db, "hypercube", exponents={"z": 1.0})
         assert oblivious.answers == vanilla.answers
         assert vanilla.max_load_bits >= stats.bits("S1")
@@ -148,6 +160,8 @@ class TestSkewObliviousHC:
         m, p = 540, 27
         db = planted_heavy_hitter_database(q, m, 5000, "z", 1.0, 3, seed=4)
         stats = db.statistics(q)
-        result = Session(p=p, seed=4).run(q, db, "skew-oblivious")
+        result = Session(p=p, seed=4).run(
+            q, db, "hypercube", exponents=lp18(q, db, p)
+        )
         target = stats.bits("S1") / p ** (1 / 3)
         assert result.max_load_bits <= 3.0 * target

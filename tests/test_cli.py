@@ -87,6 +87,16 @@ class TestPlanSubcommand:
         assert "fits" in out
 
 
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_machines_of_the_wrong_size_fail_the_check(command, capsys):
+    with pytest.raises(TourCheckFailed):
+        main([command, "triangle", "--p", "16", "--m", "100",
+              "--machines", "4x1,4x4"])
+    assert "CHECK FAILED: MachineSpec describes 8 servers but p=16" in (
+        capsys.readouterr().err
+    )
+
+
 class TestBackendFlag:
     def test_unknown_backend_rejected(self):
         # There is one execution engine: no --backend flag, anywhere.

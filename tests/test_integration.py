@@ -163,7 +163,7 @@ class TestUserJourney:
     def test_version_exported(self):
         import repro
 
-        assert repro.__version__ == "5.0.0"
+        assert repro.__version__ == "6.0.0"
 
     def test_public_names_resolve_and_free_runners_are_gone(self):
         import importlib
@@ -184,7 +184,7 @@ class TestUserJourney:
         runner = re.compile(r"run_\w+|execute(_\w+)?")
         for name in (
             "hypercube.algorithm", "hypercube.baselines", "skew.star",
-            "skew.triangle", "skew.oblivious", "multiround.executor",
+            "skew.triangle", "multiround.executor",
             "planner.engine",
         ):
             modules.append(importlib.import_module(f"repro.{name}"))
