@@ -15,7 +15,7 @@ Section 5 of the paper is about the rounds/load tradeoff.  This example
 Run:  python examples/chain_query_multiround.py
 """
 
-from repro import chain_query
+from repro import Session, chain_query
 from repro.data.generators import layered_path_graph, matching_database
 from repro.join import evaluate
 from repro.multiround import (
@@ -25,7 +25,6 @@ from repro.multiround import (
     connected_components_mpc,
     validate_plan,
 )
-from repro.planner import MultiRoundPlan
 
 
 def chain_tradeoff() -> None:
@@ -35,12 +34,9 @@ def chain_tradeoff() -> None:
     stats = db.statistics(query)
     truth = evaluate(query, db)
     print(f"=== {query.name}: rounds vs load on p={p}, m=n={m} ===")
-    # Strategy.run executes a pinned plan without ranking every strategy
-    # first (Session.run would, and L16's packing polytope is large).
-    multiround = MultiRoundPlan()
     for eps, label in ((0.0, "binary bushy tree"), (0.5, "4-ary bushy tree")):
         plan = chain_plan(k, eps)
-        result = multiround.run(query, db, p, seed=2, plan=plan)
+        result = Session(p=p, seed=2).run(query, db, "multiround", plan=plan)
         assert result.answers == truth
         # Tuple-based load: every received tuple costs arity * value_bits.
         print(

@@ -153,12 +153,12 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 
 # Library logging convention: everything logs under the "repro"
 # namespace and the root handler is a NullHandler, so the library is
-# silent unless the application configures logging.  The few warnings
-# (silent-fallback sites: a legacy estimate() signature, nested process
-# fan-out) surface with plain ``logging.basicConfig()``.
+# silent unless the application configures logging.  Its one warning
+# (nested process fan-out degrading to serial) surfaces with plain
+# ``logging.basicConfig()``.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "Atom",

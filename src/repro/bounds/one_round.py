@@ -15,6 +15,12 @@ HyperCube upper bound ``L_upper = p^{e^*}`` of LP (10): the two halves
 of the paper's "essentially tight" claim.  Theorem 3.5 also bounds the
 *fraction of answers* any load-``L`` algorithm can report, which is
 what :func:`answer_fraction_bound` computes.
+
+This module is the vertex form: it enumerates ``pk(q)``, which is
+exponential in the number of atoms.  It serves the paper tables and is
+the tests' oracle; it is off the planning path.  The planner's EXPLAIN
+floor is LP (10)'s optimum by Theorem 3.15
+(:func:`repro.planner.cost.one_round_floor`).
 """
 
 from __future__ import annotations

@@ -258,6 +258,11 @@ def packing_polytope_vertices(
     the resulting square system and keeps feasible, distinct solutions
     (Section 3.3: each vertex arises this way).  The all-zero vertex is
     always included.  Exponential in ``l``; guarded by ``max_atoms``.
+    The planner never calls this: its one-round floor is LP (10)'s
+    optimum by Theorem 3.15
+    (:func:`repro.planner.cost.one_round_floor`), so ``max_atoms`` only
+    limits the vertex-form bounds of :mod:`repro.bounds` and
+    :mod:`repro.skew.bounds`.
     """
     relations = query.relation_names
     num_atoms = len(relations)

@@ -194,7 +194,6 @@ def round_kernel(
         capacity_bits=settings.capacity_bits,
         on_overflow=settings.on_overflow,
         storage=storage,
-        timer=timer,
         machines=settings.machines,
     )
     return _ArrayKernel(sim, settings, timer)

@@ -83,14 +83,6 @@ class LoadReport:
     #: :meth:`repro.mpc.timing.PhaseTimer.attach`.  Empty for a bare
     #: simulator that no executor instruments.
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    #: Exclusive *bits delivered* per execution phase -- the
-    #: communication-volume twin of :attr:`phase_seconds`, accounted by
-    #: the simulator against the innermost active phase on every
-    #: accepted delivery.  For instrumented executors the values sum to
-    #: :attr:`total_bits`.
-    #: (Named ``phase_bytes`` for symmetry with the trace tooling; the
-    #: unit is the model's load unit, bits.)
-    phase_bytes: dict[str, float] = field(default_factory=dict)
     #: Spill I/O deltas for this run when it executed against a
     #: :class:`~repro.storage.manager.StorageManager`
     #: (:meth:`attach_spill`): ``bytes_written``, ``bytes_read``,
@@ -286,11 +278,11 @@ class LoadReport:
                 f"{self.makespan_bits:.0f} bits/speed (normalized p50 "
                 f"{pct['p50']:.0f}, p99 {pct['p99']:.0f})"
             )
-        if self.phase_seconds or self.phase_bytes:
-            from repro.mpc.timing import format_phases
+        if self.phase_seconds:
+            from repro.mpc.timing import format_phase_seconds
 
             lines.append(
-                f"  phases: {format_phases(self.phase_seconds, self.phase_bytes)}"
+                f"  phases: {format_phase_seconds(self.phase_seconds)}"
             )
         if self.spill_stats:
             stats = self.spill_stats

@@ -51,7 +51,6 @@ from repro.trace.recorder import active_recorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.config import MachineSpec
-    from repro.mpc.timing import PhaseTimer
     from repro.storage.manager import StorageManager
     from repro.trace.recorder import TraceRecorder
 
@@ -159,7 +158,6 @@ class MPCSimulation:
         capacity_bits: float | None = None,
         on_overflow: Literal["fail", "drop"] = "fail",
         storage: "StorageManager | None" = None,
-        timer: "PhaseTimer | None" = None,
         trace: "TraceRecorder | None" = None,
         machines: "MachineSpec | None" = None,
     ):
@@ -187,13 +185,11 @@ class MPCSimulation:
                 if own is not None:
                     caps[s] = own if capacity_bits is None else min(own, capacity_bits)
         self._caps = caps
-        # Accounting side-channels.  The timer attributes delivered bits
-        # to the executor's current phase (phase_bytes); the recorder
-        # gets one event per delivery.  Neither affects results: both
-        # observe the exact accepted/dropped quantities the accounting
-        # below computes anyway.  When no trace is passed explicitly,
-        # the context-installed recorder (repro.trace.tracing) applies.
-        self.timer = timer
+        # Accounting side-channel: the recorder gets one event per
+        # delivery.  It does not affect results: it observes the exact
+        # accepted/dropped quantities the accounting below computes
+        # anyway.  When no trace is passed explicitly, the
+        # context-installed recorder (repro.trace.tracing) applies.
         self.trace = trace if trace is not None else active_recorder()
         if self.trace is not None:
             event = {
@@ -299,8 +295,6 @@ class MPCSimulation:
             received_bits[dest] += accepted_bits
             self._servers[dest].add_array(tag, rows[:accept])
             round_load.add(dest, accepted_bits, accept)
-            if self.timer is not None:
-                self.timer.account_bits(accepted_bits)
         if self.trace is not None and (accept or dropped):
             self.trace.send(
                 self._report.num_rounds + 1,

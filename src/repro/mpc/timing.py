@@ -38,11 +38,10 @@ class PhaseTimer:
         timer.seconds  # {"route": ..., "ship": ...}
     """
 
-    __slots__ = ("seconds", "bits", "_stack")
+    __slots__ = ("seconds", "_stack")
 
     def __init__(self) -> None:
         self.seconds: dict[str, float] = {}
-        self.bits: dict[str, float] = {}
         self._stack: list[list] = []  # [name, started] frames
 
     @contextmanager
@@ -65,22 +64,9 @@ class PhaseTimer:
             if self._stack:
                 self._stack[-1][1] = now
 
-    def account_bits(self, bits: float) -> None:
-        """Attribute delivered bits to the innermost active phase.
-
-        Called by the simulator on every accepted delivery when it was
-        constructed with this timer, so ``self.bits`` splits the run's
-        communicated bits across the same exclusive phases as the
-        seconds (``phase_bytes`` on the report).  Outside any phase the
-        bits land under ``"other"``.
-        """
-        name = self._stack[-1][0] if self._stack else "other"
-        self.bits[name] = self.bits.get(name, 0.0) + bits
-
     def attach(self, report) -> None:
-        """Copy the accumulated seconds and bits onto the report."""
+        """Copy the accumulated seconds onto the report."""
         report.phase_seconds.update(self.seconds)
-        report.phase_bytes.update(self.bits)
 
 
 def format_phase_seconds(phase_seconds: dict[str, float]) -> str:
@@ -106,27 +92,3 @@ def format_bits(bits: float) -> str:
         if abs(bits) >= threshold:
             return f"{bits / threshold:.1f}{unit}"
     return f"{bits:.0f}b"
-
-
-def format_phases(
-    phase_seconds: dict[str, float], phase_bytes: dict[str, float]
-) -> str:
-    """``"route 0.1ms/7.2kb, join 0.5ms"`` in canonical phase order.
-
-    Phases appearing in either dict are rendered; the bits part is
-    omitted for phases that shipped nothing (``generate``, ``join``).
-    """
-    order = ("generate", "route", "ship", "join", "merge")
-    names = [n for n in order if n in phase_seconds or n in phase_bytes]
-    names += [
-        n
-        for n in {**phase_seconds, **phase_bytes}
-        if n not in order
-    ]
-    parts = []
-    for name in names:
-        rendered = f"{name} {phase_seconds.get(name, 0.0) * 1e3:.1f}ms"
-        if phase_bytes.get(name):
-            rendered += f"/{format_bits(phase_bytes[name])}"
-        parts.append(rendered)
-    return ", ".join(parts)

@@ -26,8 +26,9 @@ alone:
 
 All estimates are in bits of maximum per-server, per-round load -- the
 MPC model's ``L`` -- so they are directly comparable with each other,
-with the Theorem 3.15 lower bound, and with measured
-:class:`~repro.mpc.report.LoadReport` maxima.
+with the Theorem 3.15 lower bound (:func:`one_round_floor`, read from
+the same LP (10) solve as HyperCube's ``LP(10)`` candidate), and with
+measured :class:`~repro.mpc.report.LoadReport` maxima.
 
 On a heterogeneous cluster (``machines=`` a
 :class:`~repro.config.MachineSpec` with per-server speeds) every
@@ -45,9 +46,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.friedgut import agm_bound, expected_output_size
-from repro.core.lp import balanced_makespan
+from repro.core.lp import balanced_makespan, solve_lp
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.core.shares import (
+    ShareSolution,
     integerize_shares,
     share_exponents,
     skew_oblivious_share_exponents,
@@ -59,7 +61,7 @@ from repro.hypercube.analysis import (
 )
 
 from repro.multiround.plans import Plan
-from repro.planner.statistics import DataStatistics
+from repro.planner.statistics import DataStatistics, memoized
 from repro.skew.heavy_hitters import HitterStatistics
 from repro.skew.star import _heavy_allocation, star_center
 from repro.skew.triangle import _STRUCTURE as _TRIANGLE_STRUCTURE
@@ -102,21 +104,89 @@ def common_variables(query: ConjunctiveQuery) -> tuple[str, ...]:
     )
 
 
+def one_round_lp(
+    query: ConjunctiveQuery, dstats: DataStatistics, p: int
+) -> ShareSolution:
+    """LP (10)'s solution, solved once per ``(dstats, query, p)``.
+
+    The ``LP(10)`` share candidate and the EXPLAIN floor
+    (:func:`one_round_floor`) both read it.
+    """
+    return memoized(
+        dstats,
+        ("LP(10)", query, p),
+        lambda: share_exponents(query, dstats.stats, p),
+    )
+
+
+def one_round_floor(
+    query: ConjunctiveQuery, dstats: DataStatistics, p: int
+) -> float:
+    """Theorem 3.15's one-round floor ``L_lower`` in bits, from LP (10).
+
+    Theorem 3.15 proves ``max_{u in pk(q)} L(u, M, p) = p^{lambda*}``,
+    the optimum of LP (10), so the floor reads :func:`one_round_lp` and
+    no packing-polytope vertex is enumerated
+    (:func:`~repro.bounds.one_round.lower_bound` is the vertex form).
+    LP (10) needs ``p >= 2``: at ``p = 1`` every ``L(u, M, 1)`` is a
+    weighted geometric mean of the ``M_j``, so the floor is
+    ``max_j M_j``; below that it is 0.
+    """
+    if p < 2:
+        return max(dstats.stats.bits_vector().values()) if p == 1 else 0.0
+    solution = one_round_lp(query, dstats, p)
+    if solution.lam > 0:
+        return solution.load_bits
+    return _sub_bit_floor(query, dstats.stats, p)
+
+
+def _sub_bit_floor(query: ConjunctiveQuery, stats: Statistics, p: int) -> float:
+    """``max_u L(u, M, p)`` when no packing's ``L`` exceeds one bit.
+
+    LP (10) keeps ``lambda >= 0``, so it reports ``p^0 = 1`` bit there.
+    The floor is then ``max_u (sum_j u_j ln M_j - ln p) / sum_j u_j``
+    over the nonzero packings that avoid empty relations (any other
+    packing has ``L = 0``): one LP after the Charnes-Cooper substitution
+    ``u <- u / sum_j u_j``, ``t = 1 / sum_j u_j``.  Only tiny inputs
+    (every relation a few bits against ``p`` servers) get here.
+    """
+    atoms = [a for a in query.atoms if stats.bits(a.relation) > 0]
+    if not atoms:
+        return 0.0
+    variables = {v for a in atoms for v in a.variable_set}
+    # Decision vector: (u_1 .. u_l, t).
+    solution = solve_lp(
+        [math.log(stats.bits(a.relation)) for a in atoms] + [-math.log(p)],
+        a_ub=[
+            [float(v in a.variable_set) for a in atoms] + [-1.0]
+            for v in sorted(variables)
+        ],
+        b_ub=[0.0] * len(variables),
+        a_eq=[[1.0] * len(atoms) + [0.0]],
+        b_eq=[1.0],
+        maximize=True,
+    )
+    return math.exp(solution.value)
+
+
 def share_candidates(
-    query: ConjunctiveQuery, stats: Statistics, p: int
+    query: ConjunctiveQuery, dstats: DataStatistics, p: int
 ) -> list[tuple[str, dict[str, int]]]:
     """The ``(label, integer shares)`` vectors HyperCube chooses between.
 
-    In tie-breaking order: LP (10) (Section 3.1); LP (18), the
-    worst-case-skew shares of Section 4.1; and, when some variable
-    occurs in every atom, the parallel hash join of Example 4.1 --
-    ``p`` spread evenly over those common variables.
+    In tie-breaking order: LP (10) (Section 3.1; the memoized
+    :func:`one_round_lp`); LP (18), the worst-case-skew shares of
+    Section 4.1; and, when some variable occurs in every atom, the
+    parallel hash join of Example 4.1 -- ``p`` spread evenly over those
+    common variables.
     """
     candidates = [
-        ("LP(10)", share_exponents(query, stats, p).integer_shares()),
+        ("LP(10)", one_round_lp(query, dstats, p).integer_shares()),
         (
             "LP(18)",
-            skew_oblivious_share_exponents(query, stats, p).integer_shares(),
+            skew_oblivious_share_exponents(
+                query, dstats.stats, p
+            ).integer_shares(),
         ),
     ]
     common = common_variables(query)
@@ -167,7 +237,7 @@ def hypercube_cost(
     frequencies = dstats.frequency_maps()
     priced = [
         (label, shares, _shares_load(query, stats, shares, frequencies, machines))
-        for label, shares in share_candidates(query, stats, p)
+        for label, shares in share_candidates(query, dstats, p)
     ]
     label, shares, load = min(priced, key=lambda candidate: candidate[2])
 

@@ -9,71 +9,30 @@ out by hand in Sections 3-5, automated.
 
 The Theorem 3.15 one-round floor ``L_lower`` is computed alongside as
 the reference line: no one-round strategy can beat it, so a predicted
-cost close to the floor means the winner is essentially optimal.
+cost close to the floor means the winner is essentially optimal.  By
+Theorem 3.15 the floor is the optimum ``p^{lambda*}`` of LP (10), the
+program the ``LP(10)`` share candidate already solves, so planning
+reads it from that one memoized solve
+(:func:`~repro.planner.cost.one_round_floor`); the packing-polytope
+vertex enumeration of :mod:`repro.bounds.one_round` stays off the
+planning path and planning stays polynomial in the number of atoms.
 """
 
 from __future__ import annotations
 
-import inspect
-import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.bounds.one_round import lower_bound
 from repro.config import resolve_machines
 from repro.core.query import ConjunctiveQuery
 from repro.core.stats import Statistics
 from repro.data.database import Database
-from repro.planner.cost import CostEstimate
+from repro.planner.cost import CostEstimate, one_round_floor
 from repro.planner.statistics import DataStatistics
 from repro.planner.strategies import Strategy, default_strategies
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.config import MachineSpec
-
-logger = logging.getLogger("repro.planner.optimizer")
-
-#: Strategy classes already warned about a pre-heterogeneity
-#: ``estimate()`` signature (one warning per class per process).
-_LEGACY_ESTIMATE_WARNED: set[type] = set()
-
-
-def _estimate_with_machines(
-    strategy: Strategy,
-    query: ConjunctiveQuery,
-    dstats: DataStatistics,
-    p: int,
-    machines: "MachineSpec",
-) -> CostEstimate:
-    """Price one strategy against a machine spec, tolerating old APIs.
-
-    Custom strategies written before the heterogeneity work have a
-    three-parameter ``estimate()``; they used to raise ``TypeError``
-    the moment a cluster had a machine spec.  Now they are priced
-    against the homogeneous model instead, with one warning per
-    strategy class -- the signature is checked first so a genuine
-    ``TypeError`` raised *inside* a four-parameter estimate still
-    propagates.
-    """
-    try:
-        return strategy.estimate(query, dstats, p, machines)
-    except TypeError:
-        parameters = inspect.signature(strategy.estimate).parameters
-        takes_machines = len(parameters) >= 4 or any(
-            param.kind is inspect.Parameter.VAR_POSITIONAL
-            for param in parameters.values()
-        )
-        if takes_machines:
-            raise
-    cls = type(strategy)
-    if cls not in _LEGACY_ESTIMATE_WARNED:
-        _LEGACY_ESTIMATE_WARNED.add(cls)
-        logger.warning(
-            "strategy %r has a pre-heterogeneity estimate() without the "
-            "machines parameter; pricing it against the homogeneous model",
-            strategy.name,
-        )
-    return strategy.estimate(query, dstats, p)
 
 
 @dataclass(frozen=True)
@@ -209,22 +168,16 @@ def plan(
         if reason is not None:
             pruned.append(Candidate(strategy, None, reason))
             continue
-        if machines is None:
-            estimate = strategy.estimate(query, dstats, p)
-        else:
-            estimate = _estimate_with_machines(
-                strategy, query, dstats, p, machines
-            )
+        estimate = strategy.estimate(query, dstats, p, machines)
         applicable.append((order, Candidate(strategy, estimate)))
 
     applicable.sort(key=lambda item: (item[1].estimate.sort_key(), item[0]))
     candidates = tuple(c for _, c in applicable) + tuple(pruned)
-    floor = lower_bound(query, dstats.stats, p) if p >= 1 else 0.0
     return ExplainedPlan(
         query=query,
         p=p,
         statistics=dstats,
         candidates=candidates,
-        lower_bound_bits=floor,
+        lower_bound_bits=one_round_floor(query, dstats, p),
         machines=machines,
     )

@@ -16,6 +16,7 @@ strategy is executed to produce a cost estimate.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -213,3 +214,25 @@ def _gather_column(relation, position: int, sorted_index: np.ndarray) -> np.ndar
             taken = hi
         start = stop
     return out
+
+
+# Planning and running against the same DataStatistics (EXPLAIN, then
+# execute; a batch sharing ``stats``) do the expensive estimation work
+# once -- the LP (10) solve, plan enumeration + per-round costing -- in
+# a per-DataStatistics memo that evicts itself when the statistics
+# object is garbage-collected.
+_ESTIMATE_CACHE: dict[int, dict] = {}
+
+
+def memoized(dstats, key, compute):
+    """``compute()``, cached per ``dstats`` under ``key``."""
+    bucket = _ESTIMATE_CACHE.get(id(dstats))
+    if bucket is None:
+        try:
+            weakref.finalize(dstats, _ESTIMATE_CACHE.pop, id(dstats), None)
+        except TypeError:
+            return compute()
+        bucket = _ESTIMATE_CACHE[id(dstats)] = {}
+    if key not in bucket:
+        bucket[key] = compute()
+    return bucket[key]

@@ -20,7 +20,6 @@ order (ties in predicted cost resolve to the earlier entry);
 
 from __future__ import annotations
 
-import weakref
 from typing import TYPE_CHECKING
 
 from repro.config import DEFAULT_SETTINGS, ExecutionSettings, resolve_machines
@@ -43,7 +42,7 @@ from repro.planner.cost import (
     star_cost,
     triangle_cost,
 )
-from repro.planner.statistics import DataStatistics
+from repro.planner.statistics import DataStatistics, memoized
 from repro.run import RunResult, dispatch_run
 from repro.skew.star import star_center
 from repro.skew.triangle import is_triangle_query
@@ -56,27 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: rejects the rest loudly (a silently dropped ``shares=`` or ``plan=``
 #: would masquerade as a planner decision).
 OVERRIDE_KEYS = ("shares", "exponents", "hitters", "plan")
-
-
-# Planning and running against the same DataStatistics (EXPLAIN, then
-# execute; a batch sharing ``stats``) price "hypercube"/"multiround"
-# once: the expensive estimation work -- plan enumeration + per-round
-# costing, share-LP solves -- sits in a per-DataStatistics memo that
-# evicts itself when the statistics object is garbage-collected.
-_ESTIMATE_CACHE: dict[int, dict] = {}
-
-
-def _memoized(dstats, key, compute):
-    bucket = _ESTIMATE_CACHE.get(id(dstats))
-    if bucket is None:
-        try:
-            weakref.finalize(dstats, _ESTIMATE_CACHE.pop, id(dstats), None)
-        except TypeError:
-            return compute()
-        bucket = _ESTIMATE_CACHE[id(dstats)] = {}
-    if key not in bucket:
-        bucket[key] = compute()
-    return bucket[key]
 
 
 class Strategy:
@@ -217,7 +195,7 @@ class OneRoundHyperCube(Strategy):
         machines=None,
     ) -> tuple[str, dict[str, int], CostEstimate]:
         """The minimum-predicted-cost share vector, with its estimate."""
-        return _memoized(
+        return memoized(
             dstats,
             ("hypercube", query, p, machines),
             lambda: hypercube_cost(query, dstats, p, machines=machines),
@@ -330,7 +308,7 @@ class MultiRoundPlan(Strategy):
         machines=None,
     ) -> tuple[str, Plan, CostEstimate]:
         """The minimum-predicted-cost plan from :func:`candidate_plans`."""
-        return _memoized(
+        return memoized(
             dstats,
             ("multiround", query, p, machines),
             lambda: self._compute_best_plan(query, dstats, p, machines),

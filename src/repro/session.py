@@ -73,7 +73,7 @@ from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
 from repro.hashing.family import derive_seed
 from repro.metrics.registry import MetricsRegistry, global_metrics
-from repro.mpc.timing import format_phases
+from repro.mpc.timing import format_phase_seconds
 from repro.parallel.pool import get_pool, in_worker
 from repro.parallel.tasks import RunJobTask, run_job_task
 from repro.multiround.plans import Plan
@@ -227,10 +227,6 @@ class RunRecord:
     #: (``generate``/``route``/``ship``/``join``/``merge``), from the
     #: executor's :class:`~repro.mpc.timing.PhaseTimer`.
     phase_seconds: Mapping[str, float] = field(default_factory=dict)
-    #: Exclusive per-phase *bits delivered* -- ``phase_seconds``'s
-    #: communication-volume twin (``LoadReport.phase_bytes``).  Sums to
-    #: ``total_bits``.
-    phase_bytes: Mapping[str, float] = field(default_factory=dict)
     #: The run's JSONL trace artifact, when the session traced
     #: (``ClusterConfig(trace=...)``); None otherwise.
     trace_path: str | None = None
@@ -254,8 +250,8 @@ class RunRecord:
             f", dropped {self.dropped_bits:.0f}" if self.dropped_bits else ""
         )
         phases = (
-            f" [{format_phases(self.phase_seconds, self.phase_bytes)}]"
-            if self.phase_seconds or self.phase_bytes
+            f" [{format_phase_seconds(self.phase_seconds)}]"
+            if self.phase_seconds
             else ""
         )
         makespan = (
@@ -790,7 +786,6 @@ class Session:
             percentiles=report.load_percentiles(),
             wall_seconds=wall,
             phase_seconds=dict(report.phase_seconds),
-            phase_bytes=dict(report.phase_bytes),
             trace_path=trace_path,
             machines=(
                 machines.describe() if heterogeneous else None

@@ -62,8 +62,7 @@ Trace schema (JSONL: one JSON object per line, typed by ``"t"``)
 ``phase``
     One per instrumented phase at sealing time.  Keys: ``name``
     (generate/route/ship/join/merge), ``seconds`` (exclusive wall
-    time), ``bits`` (exclusive bits delivered while the phase was
-    innermost -- ``phase_bytes`` in ``LoadReport`` terms).
+    time).
 ``run``
     Footer with the sealed run's aggregates.  Keys: ``p``,
     ``strategy``, ``rounds``, ``total_bits``, ``max_load_bits``,

@@ -2,7 +2,7 @@
 
 Turns a recorded JSONL trace (or a directory of them) into the summary
 tables the acceptance questions ask for: top-k heaviest servers,
-per-round bytes, per-phase bytes/seconds -- plus hottest tags, spill
+per-round bytes, per-phase seconds -- plus hottest tags, spill
 I/O and worker-task totals when the trace has them.
 """
 
@@ -107,11 +107,8 @@ def render_trace(path: str | pathlib.Path, top: int = 5) -> str:
     phases = query.phases()
     if phases:
         lines.append("  phases (exclusive):")
-        for name, row in phases.items():
-            lines.append(
-                f"    {name}: {row['seconds'] * 1e3:.2f}ms, "
-                f"{format_bits(row['bits'])}"
-            )
+        for name, seconds in phases.items():
+            lines.append(f"    {name}: {seconds * 1e3:.2f}ms")
 
     deltas = [
         row for row in query.predicted_deltas() if row["ratio"] is not None

@@ -161,15 +161,9 @@ class TraceQuery:
             out.append(row)
         return out
 
-    def phases(self) -> dict[str, dict[str, float]]:
-        """Per-phase exclusive time and bits: ``name -> {seconds, bits}``."""
-        out: dict[str, dict[str, float]] = {}
-        for e in self._of_type("phase"):
-            out[e["name"]] = {
-                "seconds": e.get("seconds") or 0.0,
-                "bits": e.get("bits") or 0.0,
-            }
-        return out
+    def phases(self) -> dict[str, float]:
+        """Per-phase exclusive wall time: ``name -> seconds``."""
+        return {e["name"]: e.get("seconds") or 0.0 for e in self._of_type("phase")}
 
     def spill_totals(self) -> dict[str, float]:
         """Spill I/O summed over spill events.

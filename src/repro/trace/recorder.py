@@ -160,18 +160,8 @@ class TraceRecorder:
         if meta is not None:
             events.insert(0, {"t": "meta", **meta})
         if report is not None:
-            names = list(
-                dict.fromkeys(
-                    list(report.phase_seconds) + list(report.phase_bytes)
-                )
-            )
-            for name in names:
-                events.append({
-                    "t": "phase",
-                    "name": name,
-                    "seconds": report.phase_seconds.get(name, 0.0),
-                    "bits": report.phase_bytes.get(name, 0.0),
-                })
+            for name, seconds in report.phase_seconds.items():
+                events.append({"t": "phase", "name": name, "seconds": seconds})
             server_bits: dict[int, float] = {}
             for round_load in report.rounds:
                 for server, bits in round_load.bits.items():

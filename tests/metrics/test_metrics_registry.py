@@ -196,7 +196,7 @@ class TestObserve:
         {"t": "spill", "op": "read", "path": "a.i64", "bytes": 40},
         {"t": "task", "kind": "route", "label": "R", "seconds": 0.002,
          "pool": "thread"},
-        {"t": "phase", "name": "route", "seconds": 0.01, "bits": 64.0},
+        {"t": "phase", "name": "route", "seconds": 0.01},
         {"t": "run", "p": 2, "strategy": "hypercube", "rounds": 1,
          "total_bits": 64.0, "max_load_bits": 64.0, "dropped_bits": 32.0,
          "wall_seconds": 0.02, "makespan_bits": 16.0},

@@ -95,7 +95,7 @@ class TestMatchingStar:
         q = simple_join_query()
         db = matching_database(q, m=800, n=4096, seed=4)
         dstats = DataStatistics.from_database(q, db, 16)
-        hashed = dict(share_candidates(q, dstats.stats, 16))["hash on z"]
+        hashed = dict(share_candidates(q, dstats, 16))["hash on z"]
         _, shares, estimate = OneRoundHyperCube().best_shares(q, dstats, 16)
         assert shares == hashed
         outcome = _strategy("hypercube").run(q, db, 16, exponents={"z": 1.0})

@@ -47,7 +47,7 @@ class TestCandidates:
     def test_order_and_labels(self):
         q = simple_join_query()
         db = matching_database(q, m=200, n=800, seed=0)
-        candidates = share_candidates(q, db.statistics(q), 8)
+        candidates = share_candidates(q, DataStatistics(db.statistics(q)), 8)
         assert [label for label, _ in candidates] == [
             "LP(10)", "LP(18)", "hash on z",
         ]
@@ -57,7 +57,8 @@ class TestCandidates:
         q = triangle_query()
         assert common_variables(q) == ()
         db = matching_database(q, m=200, n=800, seed=0)
-        assert [label for label, _ in share_candidates(q, db.statistics(q), 8)] == [
+        dstats = DataStatistics(db.statistics(q))
+        assert [label for label, _ in share_candidates(q, dstats, 8)] == [
             "LP(10)", "LP(18)",
         ]
 
@@ -104,7 +105,7 @@ def test_hash_vector_priced_at_its_measured_makespan(query):
     """
     db = matching_database(query, m=4_000, n=16_000, seed=7)
     dstats = DataStatistics.from_database(query, db, 8)
-    hashed = dict(share_candidates(query, dstats.stats, 8))["hash on z"]
+    hashed = dict(share_candidates(query, dstats, 8))["hash on z"]
     _, shares, estimate = OneRoundHyperCube().best_shares(
         query, dstats, 8, HETEROGENEOUS
     )

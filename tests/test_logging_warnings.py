@@ -1,17 +1,18 @@
 """The ``repro`` logging namespace and its silent-fallback warnings.
 
-Two fallbacks used to happen silently; each now emits one ``logging``
-warning on the ``repro.*`` namespace (never a Python ``warnings``
-warning, so ``filterwarnings = error`` test suites stay quiet): the
-planner pricing a pre-heterogeneity ``estimate()`` against the
-homogeneous model, and a process-pool worker degrading nested fan-out
-to serial execution.  Resolving settings never warns.
+A process-pool worker degrading nested fan-out to serial execution
+emits one ``logging`` warning on the ``repro.*`` namespace (never a
+Python ``warnings`` warning, so ``filterwarnings = error`` test suites
+stay quiet).  Resolving settings and planning never warn; a custom
+strategy whose ``estimate()`` lacks the ``machines`` parameter raises
+``TypeError`` under a machine spec.
 """
 
 from __future__ import annotations
 
 import logging
 
+import pytest
 
 import repro
 from repro.config import ExecutionSettings, MachineSpec
@@ -19,9 +20,8 @@ from repro.core.families import triangle_query
 from repro.core.stats import Statistics
 from repro.parallel import pool as pool_module
 from repro.parallel.pool import SerialPool, get_pool
-from repro.planner import Strategy, default_strategies, plan
+from repro.planner import Strategy, plan
 from repro.planner.cost import CostEstimate
-from repro.planner.optimizer import _LEGACY_ESTIMATE_WARNED
 
 
 def test_root_logger_has_null_handler():
@@ -42,7 +42,7 @@ class TestForcedSerialWarning:
 
 
 class TestLegacyEstimateWarning:
-    def make_legacy(self):
+    def test_three_arg_estimate_raises_under_a_machine_spec(self):
         class Legacy(Strategy):
             name = "legacy-test"
             summary = "pre-heterogeneity estimate() signature"
@@ -53,28 +53,11 @@ class TestLegacyEstimateWarning:
             def estimate(self, query, dstats, p):
                 return CostEstimate(1.0, 1, p, "legacy")
 
-        return Legacy
-
-    def test_three_arg_estimate_warns_once_per_class(self, caplog):
-        Legacy = self.make_legacy()
-        _LEGACY_ESTIMATE_WARNED.discard(Legacy)
         q = triangle_query()
         stats = Statistics.uniform(q, m=100, domain_size=128)
         machines = MachineSpec((1.0, 2.0)).cycle_to(8)
-        pool = list(default_strategies()) + [Legacy()]
-        logger = "repro.planner.optimizer"
-        with caplog.at_level(logging.WARNING, logger=logger):
-            explained = plan(q, stats, 8, strategies=pool,
-                             machines=machines)
-            plan(q, stats, 8, strategies=pool, machines=machines)
-        warned = [
-            rec for rec in caplog.records
-            if "pre-heterogeneity" in rec.message
-        ]
-        assert len(warned) == 1  # once per class, not per plan() call
-        # The legacy strategy still got priced (homogeneous model).
-        assert explained.candidate("legacy-test").estimate is not None
-        _LEGACY_ESTIMATE_WARNED.discard(Legacy)
+        with pytest.raises(TypeError):
+            plan(q, stats, 8, strategies=[Legacy()], machines=machines)
 
     def test_builtin_strategies_do_not_warn(self, caplog):
         q = triangle_query()
