@@ -158,7 +158,7 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # ``logging.basicConfig()``.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "Atom",

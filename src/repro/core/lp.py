@@ -1,14 +1,36 @@
-"""A small typed wrapper around ``scipy.optimize.linprog``.
+"""A small typed, memoized wrapper around ``scipy.optimize.linprog``.
 
 All linear programs in the paper (edge packings, vertex covers, the
 share-exponent programs (10) and (18)) are tiny -- tens of variables --
 so we always use the exact-ish HiGHS solver and post-process solutions
 into plain Python floats.
+
+Planning solves the same few programs over and over: LP (10) and LP (18)
+for every share candidate, a share and an AGM cover LP per operator of
+every multi-round candidate plan, and again for every run on equal
+statistics.  A solve costs milliseconds, almost all of it in scipy's
+Python wrapper, so :func:`solve_lp` solves each distinct program once:
+
+* **Key.**  The exact input content -- ``cost``, ``a_ub``, ``b_ub``,
+  ``a_eq``, ``b_eq`` as float arrays (shape plus a tuple of their
+  values), ``bounds`` and ``maximize``.  The key is a copy, so a caller
+  mutating its list or array afterwards cannot change a cached entry;
+  an empty matrix keeps its shape.
+* **Bound.**  The :data:`LP_CACHE_SIZE` most recently used programs
+  (least recently used evicted first).
+* **Errors.**  An infeasible or unbounded program raises
+  :class:`InfeasibleError` on every call; failures are never cached.
+* **Scope.**  One cache per process: process-pool workers each keep
+  their own, and threads share theirs.
+
+A hit returns the same frozen :class:`LPSolution` HiGHS returned for
+those exact inputs, so cached and uncached solves are indistinguishable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
@@ -17,6 +39,12 @@ from scipy.optimize import linprog
 
 #: Tolerance used when checking feasibility / tightness of LP constraints.
 TOLERANCE = 1e-9
+
+#: How many distinct programs :func:`solve_lp` keeps solved.
+LP_CACHE_SIZE = 1024
+
+#: A cache-key copy of an array: its shape and its values, flattened.
+_Frozen = tuple[tuple[int, ...], tuple[float, ...]]
 
 
 class InfeasibleError(RuntimeError):
@@ -47,17 +75,48 @@ def solve_lp(
 
     ``bounds`` defaults to ``x >= 0``.  Raises
     :class:`InfeasibleError` if the program is infeasible or unbounded.
+    Each distinct program is solved once per process (see the module
+    docstring).
     """
-    c = np.asarray(cost, dtype=float)
+    return _solve(
+        _freeze(cost),
+        _freeze(a_ub),
+        _freeze(b_ub),
+        _freeze(a_eq),
+        _freeze(b_eq),
+        None if bounds is None else tuple(map(tuple, bounds)),
+        bool(maximize),
+    )
+
+
+def _freeze(values) -> _Frozen | None:
+    """An exact, immutable copy of an array-like: ``(shape, values)``."""
+    if values is None:
+        return None
+    array = np.asarray(values, dtype=float)
+    return array.shape, tuple(array.ravel().tolist())
+
+
+def _thaw(frozen: _Frozen | None) -> np.ndarray | None:
+    """The float array :func:`_freeze` copied, shape included."""
+    if frozen is None:
+        return None
+    shape, values = frozen
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@lru_cache(maxsize=LP_CACHE_SIZE)
+def _solve(cost, a_ub, b_ub, a_eq, b_eq, bounds, maximize) -> LPSolution:
+    c = _thaw(cost)
     if maximize:
         c = -c
     result = linprog(
         c,
-        A_ub=None if a_ub is None else np.asarray(a_ub, dtype=float),
-        b_ub=None if b_ub is None else np.asarray(b_ub, dtype=float),
-        A_eq=None if a_eq is None else np.asarray(a_eq, dtype=float),
-        b_eq=None if b_eq is None else np.asarray(b_eq, dtype=float),
-        bounds=bounds if bounds is not None else [(0, None)] * len(c),
+        A_ub=_thaw(a_ub),
+        b_ub=_thaw(b_ub),
+        A_eq=_thaw(a_eq),
+        b_eq=_thaw(b_eq),
+        bounds=list(bounds) if bounds is not None else [(0, None)] * len(c),
         method="highs",
     )
     if not result.success:

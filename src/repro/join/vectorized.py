@@ -72,9 +72,9 @@ def join_arrays(
     """Natural join of two schema-tagged arrays on their shared variables.
 
     Returns ``(rows, schema)`` with the left schema followed by the
-    right's new variables (the vectorized analogue of
-    :func:`repro.join.binary.hash_join`).  With no shared variables this
-    degenerates to the cross product.
+    right's new variables (the vectorized analogue of a textbook hash
+    join).  With no shared variables this degenerates to the cross
+    product.
     """
     shared = [v for v in left_schema if v in set(right_schema)]
     right_new = [i for i, v in enumerate(right_schema) if v not in set(left_schema)]

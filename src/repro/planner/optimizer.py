@@ -12,10 +12,12 @@ the reference line: no one-round strategy can beat it, so a predicted
 cost close to the floor means the winner is essentially optimal.  By
 Theorem 3.15 the floor is the optimum ``p^{lambda*}`` of LP (10), the
 program the ``LP(10)`` share candidate already solves, so planning
-reads it from that one memoized solve
-(:func:`~repro.planner.cost.one_round_floor`); the packing-polytope
-vertex enumeration of :mod:`repro.bounds.one_round` stays off the
-planning path and planning stays polynomial in the number of atoms.
+reads it from that solve (:func:`~repro.planner.cost.one_round_floor`,
+which shares :func:`~repro.planner.cost.one_round_lp` with the share
+candidate; :func:`~repro.core.lp.solve_lp` hands each distinct program
+to scipy once per process).  The packing-polytope vertex enumeration of
+:mod:`repro.bounds.one_round` stays off the planning path and planning
+stays polynomial in the number of atoms.
 """
 
 from __future__ import annotations

@@ -19,13 +19,12 @@ resolved and the spill traffic attributed here, once, for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.config import ExecutionSettings
 from repro.data.arrays import unique_rows
-from repro.join.binary import reorder
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.query import ConjunctiveQuery
@@ -36,6 +35,19 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.planner.cost import CostEstimate
     from repro.planner.optimizer import ExplainedPlan
     from repro.storage.manager import StorageManager
+
+
+def reorder(
+    tuples: Iterable[tuple[int, ...]],
+    schema: Sequence[str],
+    target: Sequence[str],
+) -> set[tuple[int, ...]]:
+    """Rewrite tuples from one column order to another (same variables)."""
+    schema = tuple(schema)
+    if set(schema) != set(target) or len(schema) != len(target):
+        raise ValueError(f"schemas {schema} and {tuple(target)} differ")
+    positions = [schema.index(v) for v in target]
+    return {tuple(t[i] for i in positions) for t in tuples}
 
 
 @dataclass(eq=False, repr=False)

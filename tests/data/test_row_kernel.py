@@ -32,10 +32,10 @@ from repro.data.arrays import (
 )
 from repro.hashing.family import GridPartitioner, HashFamily, derive_seed
 from repro.hypercube.algorithm import route_relation_arrays
-from repro.join.binary import hash_join
 from repro.join.vectorized import join_arrays
 from repro.storage import StorageManager
 
+from tests.reference.binary_join import hash_join
 from tests.reference.tuple_kernel import route_relation
 
 INT64 = np.iinfo(np.int64)

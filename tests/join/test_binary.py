@@ -1,4 +1,4 @@
-"""Tests for binary hash joins over tagged tuple sets."""
+"""Tests for the reference tuple hash join and ``RunResult``'s ``reorder``."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.join.binary import hash_join, merge_schemas, project, reorder
+from repro.run import reorder
+from tests.reference.binary_join import hash_join, merge_schemas, project
 
 pairs = st.sets(
     st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=0, max_size=25

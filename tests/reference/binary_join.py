@@ -1,9 +1,8 @@
-"""Binary hash joins over schema-tagged tuple sets.
+"""Textbook tuple hash joins: the oracle for the array join.
 
-Used by the baseline algorithms (standard parallel hash join,
-broadcast join) and by the bushy multi-round plans, which materialize
-intermediate results whose schema is the union of their children's
-variables (full conjunctive queries never project).
+:func:`hash_join` joins two schema-tagged tuple sets on their shared
+variables, one dictionary probe per tuple; ``tests/data/test_row_kernel.py``
+checks :func:`repro.join.vectorized.join_arrays` against it.
 """
 
 from __future__ import annotations
@@ -62,17 +61,4 @@ def project(
     """Project tagged tuples onto a sub-schema (set semantics)."""
     schema = tuple(schema)
     positions = [schema.index(v) for v in onto]
-    return {tuple(t[i] for i in positions) for t in tuples}
-
-
-def reorder(
-    tuples: Iterable[tuple[int, ...]],
-    schema: Sequence[str],
-    target: Sequence[str],
-) -> TupleSet:
-    """Rewrite tuples from one column order to another (same variables)."""
-    schema = tuple(schema)
-    if set(schema) != set(target) or len(schema) != len(target):
-        raise ValueError(f"schemas {schema} and {tuple(target)} differ")
-    positions = [schema.index(v) for v in target]
     return {tuple(t[i] for i in positions) for t in tuples}
