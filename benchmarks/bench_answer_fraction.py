@@ -20,7 +20,7 @@ from repro.bounds.one_round import answer_fraction_bound, lower_bound
 from repro.config import ExecutionSettings
 from repro.core.families import triangle_query
 from repro.data.generators import uniform_database
-from repro.join.multiway import evaluate
+from repro.join import evaluate_arrays
 from repro.run import dispatch_run
 
 
@@ -29,7 +29,7 @@ def test_recall_vs_load_cap(report_table):
     db = uniform_database(query, m=1_500, n=120, seed=17)
     stats = db.statistics(query)
     p = 27
-    truth = evaluate(query, db)
+    truth = set(map(tuple, evaluate_arrays(query, db.arrays(query)).tolist()))
     assert truth
     base = lower_bound(query, stats, p)
     lines = [
@@ -63,7 +63,7 @@ def test_space_exponent_decay_with_p(report_table):
     for p in (8, 27, 64):
         db = uniform_database(query, m=1_200, n=110, seed=19)
         stats = db.statistics(query)
-        truth = evaluate(query, db)
+        truth = set(map(tuple, evaluate_arrays(query, db.arrays(query)).tolist()))
         cap = 3 * stats.bits("S1") / p**0.75
         result = Session(
             p=p, seed=19, capacity_bits=cap, on_overflow="drop"

@@ -22,7 +22,7 @@ from repro.core.friedgut import (
 )
 from repro.core.stats import Statistics
 from repro.data.generators import matching_database, uniform_database
-from repro.join.multiway import evaluate
+from repro.join import evaluate_arrays
 
 
 def test_lemma_3_6_monte_carlo(report_table):
@@ -41,7 +41,7 @@ def test_lemma_3_6_monte_carlo(report_table):
         total = 0
         for trial in range(trials):
             db = matching_database(query, m=m, n=n, seed=trial * 7919 + 1)
-            total += len(evaluate(query, db))
+            total += len(evaluate_arrays(query, db.arrays(query)))
         empirical = total / trials
         err = abs(empirical - formula) / formula
         assert err < 0.2, (query.name, empirical, formula)
@@ -60,7 +60,7 @@ def test_agm_bound_never_violated(report_table):
         m = rng.randint(20, 120)
         n = rng.randint(10, 40)
         db = uniform_database(query, m=min(m, n * n), n=n, seed=trial)
-        output = len(evaluate(query, db))
+        output = len(evaluate_arrays(query, db.arrays(query)))
         bound = agm_bound(
             query, {r: len(db[r]) for r in query.relation_names}
         )
@@ -102,6 +102,6 @@ def test_benchmark_expected_output_monte_carlo(benchmark):
 
     def once():
         db = matching_database(query, m=16, n=32, seed=7)
-        return len(evaluate(query, db))
+        return len(evaluate_arrays(query, db.arrays(query)))
 
     benchmark(once)

@@ -10,13 +10,14 @@ either way; only where the bits land changes.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import MachineSpec, Session
 from repro.config import ExecutionSettings
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import matching_database
-from repro.join.multiway import evaluate
+from repro.join import evaluate_arrays
 from repro.planner.cost import hypercube_cost, star_cost
 from repro.planner.statistics import DataStatistics
 from repro.run import dispatch_run
@@ -38,13 +39,14 @@ def test_star_weighted_vs_uniform_makespan(report_table):
     query = star_query(2)
     db = matching_database(query, m=4_000, n=16_000, seed=7)
     dstats = DataStatistics.from_database(query, db, P)
-    truth = evaluate(query, db)
+    truth = evaluate_arrays(query, db.arrays(query))
 
     uniform = Session(p=P, seed=7).run(query, db, "skew-star")
     weighted = Session(p=P, seed=7, machines=MACHINES).run(
         query, db, "skew-star"
     )
-    assert uniform.answers == truth and weighted.answers == truth
+    assert np.array_equal(uniform.answers_array(), truth)
+    assert np.array_equal(weighted.answers_array(), truth)
 
     # Uniform hashing spreads bits evenly, so the slow (1x) servers set
     # the pace: predicted makespan is the classic homogeneous L.
@@ -117,13 +119,14 @@ def test_triangle_hypercube_weighted_vs_uniform_makespan(report_table):
     query = triangle_query()
     db = matching_database(query, m=3_000, n=12_000, seed=11)
     dstats = DataStatistics.from_database(query, db, P)
-    truth = evaluate(query, db)
+    truth = evaluate_arrays(query, db.arrays(query))
 
     uniform = Session(p=P, seed=11).run(query, db, "hypercube")
     weighted = Session(p=P, seed=11, machines=MACHINES).run(
         query, db, "hypercube"
     )
-    assert uniform.answers == truth and weighted.answers == truth
+    assert np.array_equal(uniform.answers_array(), truth)
+    assert np.array_equal(weighted.answers_array(), truth)
 
     predicted_uniform = hypercube_cost(query, dstats, P)[2].load_bits
     predicted_weighted = hypercube_cost(

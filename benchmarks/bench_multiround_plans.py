@@ -9,12 +9,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 
 from repro import Session
 from repro.config import ExecutionSettings
 from repro.core.families import spk_query
 from repro.data.generators import matching_database
-from repro.join.multiway import evaluate
+from repro.join import evaluate_arrays
 from repro.multiround.plans import chain_plan, cycle_plan, spk_plan
 from repro.run import dispatch_run
 
@@ -37,8 +38,9 @@ def test_example_5_2_rounds_vs_load(report_table):
             "multiround", plan.query, db, p, seed=61, settings=ENGINE,
             plan=plan,
         )
-        truth = evaluate(plan.query, db)
-        assert result.answers == truth and len(truth) == m
+        truth = evaluate_arrays(plan.query, db.arrays(plan.query))
+        assert np.array_equal(result.answers_array(), truth)
+        assert len(truth) == m
         loads[eps] = result.max_load_bits
         lines.append(
             f"{label:>22} {result.rounds:>6} {result.max_load_bits:>9.0f} "
@@ -55,14 +57,14 @@ def test_example_5_3_spk(report_table):
     query = spk_query(k)
     db = matching_database(query, m=m, n=m, seed=67)
     stats = db.statistics(query)
-    truth = evaluate(query, db)
+    truth = evaluate_arrays(query, db.arrays(query))
 
     session = Session(p=p, seed=67)
     one_round = session.run(query, db, "hypercube")
-    assert one_round.answers == truth
+    assert np.array_equal(one_round.answers_array(), truth)
     plan = spk_plan(k)
     two_round = session.run(query, db, "multiround", plan=plan)
-    assert two_round.answers == truth
+    assert np.array_equal(two_round.answers_array(), truth)
 
     # One round pays ~ M/p^{1/k}; two rounds get ~ M/p per relation.
     m_bits = stats.bits("R1")
@@ -83,8 +85,8 @@ def test_cycle_plan_c6(report_table):
     result = Session(p=16, seed=71).run(
         plan.query, db, "multiround", plan=plan
     )
-    truth = evaluate(plan.query, db)
-    assert result.answers == truth
+    truth = evaluate_arrays(plan.query, db.arrays(plan.query))
+    assert np.array_equal(result.answers_array(), truth)
     assert result.rounds == 3  # Lemma 5.4 / Example 5.19: tight
     report_table(
         "Lemma 5.4: C6 plan",

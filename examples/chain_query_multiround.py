@@ -15,9 +15,11 @@ Section 5 of the paper is about the rounds/load tradeoff.  This example
 Run:  python examples/chain_query_multiround.py
 """
 
+import numpy as np
+
 from repro import Session, chain_query
 from repro.data.generators import layered_path_graph, matching_database
-from repro.join import evaluate
+from repro.join import evaluate_arrays
 from repro.multiround import (
     chain_epsilon_r_plan,
     chain_plan,
@@ -32,12 +34,12 @@ def chain_tradeoff() -> None:
     query = chain_query(k)
     db = matching_database(query, m=m, n=m, seed=21)  # permutations
     stats = db.statistics(query)
-    truth = evaluate(query, db)
+    truth = evaluate_arrays(query, db.arrays(query))
     print(f"=== {query.name}: rounds vs load on p={p}, m=n={m} ===")
     for eps, label in ((0.0, "binary bushy tree"), (0.5, "4-ary bushy tree")):
         plan = chain_plan(k, eps)
         result = Session(p=p, seed=2).run(query, db, "multiround", plan=plan)
-        assert result.answers == truth
+        assert np.array_equal(result.answers_array(), truth)
         # Tuple-based load: every received tuple costs arity * value_bits.
         print(
             f"eps={eps}: {label}: {result.rounds} rounds, "

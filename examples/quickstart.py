@@ -12,10 +12,12 @@ Walks through the paper's headline result end to end:
 Run:  python examples/quickstart.py
 """
 
+import numpy as np
+
 from repro import Session, triangle_query, uniform_database
 from repro.bounds import lower_bound, upper_bound
 from repro.core.shares import share_exponents
-from repro.join import evaluate
+from repro.join import evaluate_arrays
 
 
 def main() -> None:
@@ -42,8 +44,10 @@ def main() -> None:
     print(f"  max load:       {result.max_load_bits:.0f} bits")
     print(f"  replication:    {result.replication_rate(stats):.2f}x")
 
-    sequential = evaluate(query, db)
-    assert result.answers == sequential, "parallel != sequential!"
+    sequential = evaluate_arrays(query, db.arrays(query))
+    assert np.array_equal(
+        result.answers_array(), sequential
+    ), "parallel != sequential!"
     print(f"  matches the sequential join ({len(sequential)} answers)")
 
     lo = lower_bound(query, stats, p)

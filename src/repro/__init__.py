@@ -9,14 +9,16 @@ bound the paper proves.
 
 Quickstart -- configure the cluster once, run anything on it::
 
+    import numpy as np
     from repro import Session, triangle_query, matching_database
-    from repro.join import evaluate
+    from repro.join import evaluate_arrays
 
     q = triangle_query()
     db = matching_database(q, m=1000, n=10_000, seed=0)
     with Session(p=64, seed=0) as session:
         result = session.run(q, db)          # planner picks the strategy
-        assert result.answers == evaluate(q, db)
+        expected = evaluate_arrays(q, db.arrays(q))   # one-server join
+        assert np.array_equal(result.answers_array(), expected)
         print(result.strategy, result.rounds, result.load_report.max_load_bits)
         print(session.plan(q, db).table())   # EXPLAIN: ranked predictions
 
@@ -41,7 +43,8 @@ Package map (see DESIGN.md for the paper-section correspondence):
 * :mod:`repro.data` -- relations and synthetic data generators
 * :mod:`repro.hashing` -- PRF hash families, balls-in-bins (Appendix A)
 * :mod:`repro.mpc` -- the round-based simulator with bit-level loads
-* :mod:`repro.join` -- generic multiway join (local computation phases)
+* :mod:`repro.join` -- the one local join, ``evaluate_arrays`` (every
+  server's computation phase, and the single-node ground truth)
 * :mod:`repro.hypercube` -- the one-round HyperCube algorithm + baselines
 * :mod:`repro.skew` -- heavy hitters, star/triangle algorithms, Thm 4.4
 * :mod:`repro.multiround` -- plans, (eps, r)-plans, connected components
@@ -158,7 +161,7 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # ``logging.basicConfig()``.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "Atom",

@@ -16,8 +16,8 @@ the winning strategy and reports predicted vs measured load.
 (``--max-workers`` of them concurrently), ``--strategy`` pins an
 algorithm instead of the planner's winner, and the accumulated
 ``session.history`` percentiles print at the end.  Answers are checked
-against the sequential join, so the command exits nonzero on any
-mismatch.
+against the sequential join (``evaluate_arrays`` over the whole
+database on one server), so the command exits nonzero on any mismatch.
 
 ``python -m repro trace PATH`` summarizes recorded communication-trace
 artifacts (one ``.jsonl`` file or a directory of them): top-k heaviest
@@ -41,6 +41,8 @@ import argparse
 import re
 import sys
 import tempfile
+
+import numpy as np
 
 from repro import (
     ClusterConfig,
@@ -67,7 +69,7 @@ from repro.core.families import (
 from repro.core.packing import fractional_vertex_cover_number
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import space_exponent_bound
-from repro.join import evaluate
+from repro.join import evaluate_arrays
 from repro.metrics import render_text, write_snapshot
 from repro.metrics.cli import render_snapshot_path
 from repro.multiround.gamma import chain_rounds_upper_bound
@@ -153,13 +155,13 @@ def run_tour(trace_dir: str | None = None) -> None:
     print(f"  L_lower = {lo:.0f} bits = L_upper = {hi:.0f} bits (Thm 3.15)")
     _check(abs(lo - hi) <= 1e-6 * max(lo, 1.0),
            "Theorem 3.15 tightness: L_lower == L_upper")
-    expected = evaluate(q, db)
+    expected = evaluate_arrays(q, db.arrays(q))
     result = Session(p=p, seed=0).run(q, db, "hypercube")
-    _check(result.answers == expected,
+    _check(np.array_equal(result.answers_array(), expected),
            "HyperCube answers equal the sequential join")
     print(f"  HyperCube shares {result.details['shares']}: measured "
           f"L = {result.max_load_bits:.0f} bits, "
-          f"{len(result.answers)} answers (= sequential join)")
+          f"{len(result.answers_array())} answers (= sequential join)")
     pct = result.report.load_percentiles()
     print(f"  {result.report.percentile_line()}")
     _check(pct["max"] == result.max_load_bits,
@@ -176,7 +178,7 @@ def run_tour(trace_dir: str | None = None) -> None:
           f"L = {planned.max_load_bits:.0f} bits "
           f"(predicted {planned.predicted_bits:.0f}, "
           f"measured/predicted = {ratio:.2f})")
-    _check(planned.answers == expected,
+    _check(np.array_equal(planned.answers_array(), expected),
            "planner-chosen execution equals the sequential join")
     _check(planned.predicted_bits <= hi * len(q.atoms) + 1e-6,
            "planner winner predicted within the one-round envelope")
@@ -187,8 +189,8 @@ def run_tour(trace_dir: str | None = None) -> None:
     print("\nZipf-skewed star join T2 (m=2000, skew=1.0, p=16): planner "
           f"picks {zplanned.strategy}, measured "
           f"L = {zplanned.max_load_bits:.0f} bits")
-    zexpected = evaluate(zq, zdb)
-    _check(zplanned.answers == zexpected,
+    zexpected = evaluate_arrays(zq, zdb.arrays(zq))
+    _check(np.array_equal(zplanned.answers_array(), zexpected),
            "skewed star execution equals the sequential join")
 
     print("\nHeterogeneous cluster (p=8: 4 machines at 1x + 4 at 4x):")
@@ -203,7 +205,7 @@ def run_tour(trace_dir: str | None = None) -> None:
           "--machines 4x1,4x4`)")
     with Session(p=8, seed=0, machines=het_spec) as het_session:
         het_result = het_session.run(q, db, label="triangle-hetero")
-        _check(het_result.answers == expected,
+        _check(np.array_equal(het_result.answers_array(), expected),
                "heterogeneous run equals the sequential join")
         het_record = het_session.history[-1]
         _check(het_record.makespan_bits is not None,
@@ -232,9 +234,9 @@ def run_tour(trace_dir: str | None = None) -> None:
                 [Job(q, db, label="triangle"), Job(zq, zdb, label="T2-zipf")],
                 max_workers=2,
             )
-            _check(batch[0].answers == expected,
+            _check(np.array_equal(batch[0].answers_array(), expected),
                    "session triangle job equals the sequential join")
-            _check(batch[1].answers == zexpected,
+            _check(np.array_equal(batch[1].answers_array(), zexpected),
                    "session star job equals the sequential join")
             for line in session.workload_summary().splitlines():
                 print(f"  {line}")
@@ -308,12 +310,13 @@ def run_plan_command(args: argparse.Namespace) -> None:
             ratio = planned.report.prediction_ratio()
             print(f"\nexecuted {planned.strategy}: measured "
                   f"L = {planned.max_load_bits:.0f} bits, "
-                  f"{len(planned.answers)} answers"
+                  f"{len(planned.answers_array())} answers"
                   + (f" (measured/predicted = {ratio:.2f})" if ratio else ""))
             print(f"{planned.report.percentile_line()}")
             if budget_bytes is not None:
                 print(_budget_line(planned, session, args.memory_budget_mb))
-            _check(planned.answers == evaluate(query, db),
+            _check(np.array_equal(planned.answers_array(),
+                                  evaluate_arrays(query, db.arrays(query))),
                    "planned execution equals the sequential join")
 
 
@@ -370,7 +373,7 @@ def run_run_command(args: argparse.Namespace) -> None:
         machines=args.machines,
         metrics=args.metrics or args.metrics_out is not None,
     )
-    expected = evaluate(args.query, db)
+    expected = evaluate_arrays(args.query, db.arrays(args.query))
     # One statistics collection feeds every job: the repeats run over
     # the same database, so re-scanning per job would only add noise.
     stats = DataStatistics.from_database(args.query, db, args.p)
@@ -393,7 +396,7 @@ def run_run_command(args: argparse.Namespace) -> None:
         for index, result in enumerate(results):
             dropped = result.load_report.dropped_bits
             _check(
-                dropped > 0 or result.answers == expected,
+                dropped > 0 or np.array_equal(result.answers_array(), expected),
                 f"job-{index} answers equal the sequential join",
             )
         print(session.workload_summary())

@@ -7,8 +7,10 @@ need:
 * degrees ``d_J(R) = |sigma_{J}(R)|`` for a tuple ``J`` over a subset of
   positions (Section 3.1's analysis of the HyperCube algorithm),
 * heavy-hitter extraction for a frequency threshold (Section 4),
-* projections / selections, and the semijoin ``A |>< B`` and antijoin
-  ``A |> B`` used by the multi-round machinery (Section 5.2).
+* the canonical ``(n, arity)`` int64 array (:meth:`Relation.to_array`)
+  that every engine routes and joins; relational operators (joins,
+  semijoins, projections) run on those arrays, in :mod:`repro.join`
+  and the executors, not here.
 
 Values are plain Python ints drawn from ``[0, n)``.  Relations are
 hashable and comparable, which makes test assertions cheap.
@@ -17,7 +19,7 @@ hashable and comparable, which makes test assertions cheap.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,8 +36,7 @@ class Relation:
     API is actually used.
     """
 
-    __slots__ = ("name", "arity", "_tuples_cache", "_hash", "_array",
-                 "_sorted_cache")
+    __slots__ = ("name", "arity", "_tuples_cache", "_hash", "_array")
 
     def __init__(self, name: str, arity: int, tuples: Iterable[tuple[int, ...]]):
         if arity < 1:
@@ -51,7 +52,6 @@ class Relation:
         self._tuples_cache: frozenset[tuple[int, ...]] | None = frozen
         self._hash: int | None = None
         self._array: np.ndarray | None = None
-        self._sorted_cache: list[tuple[int, ...]] | None = None
 
     @property
     def _tuples(self) -> frozenset[tuple[int, ...]]:
@@ -92,18 +92,6 @@ class Relation:
     @property
     def tuples(self) -> frozenset[tuple[int, ...]]:
         return self._tuples
-
-    def sorted_tuples(self) -> list[tuple[int, ...]]:
-        """Deterministically ordered tuples (for stable iteration).
-
-        Cached after the first call -- the executors route every block
-        in canonical order, so per-hitter loops would otherwise re-sort
-        the same relation many times.  Callers must not mutate the
-        returned list.
-        """
-        if self._sorted_cache is None:
-            self._sorted_cache = sorted(self._tuples)
-        return self._sorted_cache
 
     # ------------------------------------------------------------- columnar
 
@@ -149,24 +137,9 @@ class Relation:
         relation._tuples_cache = None  # materialized on first set-API use
         relation._hash = None
         relation._array = canonical
-        relation._sorted_cache = None
         return relation
 
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """Per-attribute value columns of :meth:`to_array`."""
-        arr = self.to_array()
-        return tuple(arr[:, j] for j in range(self.arity))
-
     # ------------------------------------------------------------ statistics
-
-    def column(self, position: int) -> set[int]:
-        """The active domain of one attribute position."""
-        self._check_position(position)
-        return {t[position] for t in self._tuples}
-
-    def active_domain(self) -> set[int]:
-        """All values appearing anywhere in the relation."""
-        return {v for t in self._tuples for v in t}
 
     def key_counts(
         self, positions: Sequence[int]
@@ -229,70 +202,6 @@ class Relation:
 
     # ------------------------------------------------------------- operators
 
-    def project(self, positions: Sequence[int], name: str | None = None) -> "Relation":
-        """Set-semantics projection onto the given positions."""
-        positions = tuple(positions)
-        for p in positions:
-            self._check_position(p)
-        out = {tuple(t[p] for p in positions) for t in self._tuples}
-        return Relation(name or self.name, len(positions), out)
-
-    def select(
-        self, positions: Sequence[int], values: Sequence[int], name: str | None = None
-    ) -> "Relation":
-        """``sigma_{positions = values}(R)``."""
-        positions = tuple(positions)
-        values = tuple(values)
-        out = {
-            t
-            for t in self._tuples
-            if all(t[p] == v for p, v in zip(positions, values))
-        }
-        return Relation(name or self.name, self.arity, out)
-
-    def filter(
-        self, predicate: Callable[[tuple[int, ...]], bool], name: str | None = None
-    ) -> "Relation":
-        return Relation(
-            name or self.name, self.arity, (t for t in self._tuples if predicate(t))
-        )
-
-    def semijoin(
-        self,
-        other: "Relation",
-        self_positions: Sequence[int],
-        other_positions: Sequence[int],
-    ) -> "Relation":
-        """``self |>< other``: tuples of ``self`` with a match in ``other``."""
-        keys = other.project(other_positions).tuples
-        self_positions = tuple(self_positions)
-        return self.filter(
-            lambda t: tuple(t[p] for p in self_positions) in keys
-        )
-
-    def antijoin(
-        self,
-        other: "Relation",
-        self_positions: Sequence[int],
-        other_positions: Sequence[int],
-    ) -> "Relation":
-        """``self |> other``: tuples of ``self`` with no match in ``other``."""
-        keys = other.project(other_positions).tuples
-        self_positions = tuple(self_positions)
-        return self.filter(
-            lambda t: tuple(t[p] for p in self_positions) not in keys
-        )
-
-    def union(self, other: "Relation") -> "Relation":
-        if other.arity != self.arity:
-            raise ValueError("union needs equal arities")
-        return Relation(self.name, self.arity, self._tuples | other._tuples)
-
-    def difference(self, other: "Relation") -> "Relation":
-        if other.arity != self.arity:
-            raise ValueError("difference needs equal arities")
-        return Relation(self.name, self.arity, self._tuples - other._tuples)
-
     def renamed(self, name: str) -> "Relation":
         return Relation(name, self.arity, self._tuples)
 
@@ -326,14 +235,6 @@ class Relation:
         return all(
             self.max_degree((p,)) <= 1 for p in range(self.arity)
         )
-
-    def index(self, positions: Sequence[int]) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
-        """Hash index: key over ``positions`` -> matching tuples."""
-        positions = tuple(positions)
-        out: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for t in self._tuples:
-            out.setdefault(tuple(t[p] for p in positions), []).append(t)
-        return out
 
     def _check_position(self, position: int) -> None:
         if not 0 <= position < self.arity:

@@ -382,18 +382,10 @@ class MPCSimulation:
             batches.extend(np.array(c) for c in spool.chunks())
         return batches
 
-    def outputs(self) -> set[tuple[int, ...]]:
-        """The union of all servers' outputs -- the algorithm's answer."""
-        out: set[tuple[int, ...]] = set()
-        for server in range(self.p):
-            for rows in self._array_output_batches(server):
-                out.update(map(tuple, rows.tolist()))
-        return out
-
     def outputs_array(self, width: int) -> np.ndarray:
-        """All servers' outputs as one canonical ``(n, width)`` array.
+        """The union of all servers' outputs -- the algorithm's answer.
 
-        The array counterpart of :meth:`outputs`: every server's batches
+        One canonical ``(n, width)`` array: every server's batches
         concatenated and the union deduplicated row-wise.
         """
         batches = [
@@ -408,7 +400,7 @@ class MPCSimulation:
     def output_rows_total(self) -> int:
         """Rows recorded across all servers, duplicates included.
 
-        A streaming-friendly size signal: unlike :meth:`outputs` it
+        A streaming-friendly size signal: unlike :meth:`outputs_array` it
         never materializes the union, so out-of-core benches can report
         answer volumes without holding them.
         """

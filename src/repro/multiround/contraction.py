@@ -21,12 +21,15 @@ machinery, run on real data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.core.query import ConjunctiveQuery
+from repro.data.arrays import unique_rows
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.join.multiway import evaluate, evaluate_on_fragments
+from repro.join.vectorized import evaluate_arrays
 from repro.multiround.good_sets import contract_to_survivors
 
 
@@ -57,6 +60,15 @@ class ContractionMap:
         head = query.variables
         return {self.apply_tuple(head, t) for t in answers}
 
+    def apply_rows(self, variables: Sequence[str], rows: np.ndarray) -> np.ndarray:
+        """:meth:`apply_tuple` on every row of an ``(n, len(variables))`` array."""
+        out = np.array(rows, dtype=np.int64)
+        for position, variable in enumerate(variables):
+            table = self.sigma.get(variable)
+            if table:
+                out[:, position] = [table.get(a, a) for a in out[:, position].tolist()]
+        return out
+
 
 def contraction_permutation(
     query: ConjunctiveQuery,
@@ -80,17 +92,13 @@ def contraction_permutation(
     for component in g_query.connected_components():
         if component.num_atoms == 0:
             continue
-        fragments = {
-            a.relation: database[a.relation].tuples for a in component.atoms
-        }
-        join = evaluate_on_fragments(component, fragments)
-        head = component.variables
-        representative = head[0]
-        rep_index = head.index(representative)
-        for t in join:
-            target = t[rep_index]
-            for variable, value in zip(head, t):
-                sigma.setdefault(variable, {})[value] = target
+        join = evaluate_arrays(component, database.arrays(component))
+        if not len(join):
+            continue  # no join tuple: every value stays a fixed point
+        # The representative is the component's first head variable.
+        targets = join[:, 0].tolist()
+        for variable, values in zip(component.variables, join.T):
+            sigma.setdefault(variable, {}).update(zip(values.tolist(), targets))
     return ContractionMap(sigma)
 
 
@@ -98,13 +106,13 @@ def apply_permutation(
     query: ConjunctiveQuery, database: Database, mapping: ContractionMap
 ) -> Database:
     """``m_sigma(i)``: rewrite every relation through the permutation."""
-    relations = []
-    for atom in query.atoms:
-        rel = database[atom.relation]
-        tuples = {
-            mapping.apply_tuple(atom.variables, t) for t in rel
-        }
-        relations.append(Relation(atom.relation, atom.arity, tuples))
+    relations = [
+        Relation.from_array(
+            atom.relation,
+            mapping.apply_rows(atom.variables, database[atom.relation].to_array()),
+        )
+        for atom in query.atoms
+    ]
     return Database(relations, database.domain_size)
 
 
@@ -124,14 +132,16 @@ def contract_instance(
     complement = [r for r in query.relation_names if r not in keep]
     mapping = contraction_permutation(query, database, complement)
     contracted_query = contract_to_survivors(query, keep)
-    relations = []
-    for atom in contracted_query.atoms:
-        original = query.atom(atom.relation)
-        rel = database[atom.relation]
-        tuples = {
-            mapping.apply_tuple(original.variables, t) for t in rel
-        }
-        relations.append(Relation(atom.relation, atom.arity, tuples))
+    relations = [
+        Relation.from_array(
+            atom.relation,
+            mapping.apply_rows(
+                query.atom(atom.relation).variables,
+                database[atom.relation].to_array(),
+            ),
+        )
+        for atom in contracted_query.atoms
+    ]
     return (
         contracted_query,
         Database(relations, database.domain_size),
@@ -153,11 +163,10 @@ def contraction_identity_holds(
     contracted_query, contracted_db, mapping = contract_instance(
         query, database, keep
     )
-    left = evaluate(contracted_query, contracted_db)
+    left = evaluate_arrays(contracted_query, contracted_db.arrays(contracted_query))
 
-    answers = evaluate(query, database)
-    mapped = mapping.apply_answers(query, answers)
     head = query.variables
+    mapped = mapping.apply_rows(head, evaluate_arrays(query, database.arrays(query)))
     positions = [head.index(v) for v in contracted_query.variables]
-    right = {tuple(t[i] for i in positions) for t in mapped}
-    return left == right
+    right = unique_rows(mapped[:, positions])
+    return bool(np.array_equal(left, right))

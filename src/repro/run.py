@@ -19,7 +19,7 @@ resolved and the spill traffic attributed here, once, for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -35,19 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.planner.cost import CostEstimate
     from repro.planner.optimizer import ExplainedPlan
     from repro.storage.manager import StorageManager
-
-
-def reorder(
-    tuples: Iterable[tuple[int, ...]],
-    schema: Sequence[str],
-    target: Sequence[str],
-) -> set[tuple[int, ...]]:
-    """Rewrite tuples from one column order to another (same variables)."""
-    schema = tuple(schema)
-    if set(schema) != set(target) or len(schema) != len(target):
-        raise ValueError(f"schemas {schema} and {tuple(target)} differ")
-    positions = [schema.index(v) for v in target]
-    return {tuple(t[i] for i in positions) for t in tuples}
 
 
 @dataclass(eq=False, repr=False)
@@ -94,14 +81,7 @@ class RunResult:
     def answers(self) -> set[tuple[int, ...]]:
         """The distinct answers as Python tuples, in head order."""
         if self._answers is None:
-            if isinstance(self.source, np.ndarray):
-                self._answers = set(map(tuple, self.source.tolist()))
-            elif self.schema is None:
-                self._answers = self.source.outputs()
-            else:
-                self._answers = reorder(
-                    self.source.outputs(), self.schema, self.query.variables
-                )
+            self._answers = set(map(tuple, self.answers_array().tolist()))
         return self._answers
 
     def answers_array(self) -> np.ndarray:

@@ -32,11 +32,11 @@ from repro.hypercube.analysis import (
     predicted_load_bits_skewed,
     predicted_load_tuples,
 )
-from repro.join.multiway import evaluate
 from repro.core.query import UnsupportedQueryError
 from repro.mpc.simulator import LoadExceededError, MPCSimulation
 from repro.run import dispatch_run
 
+from tests.reference.multiway_join import evaluate
 from tests.reference.tuple_kernel import kernel, route_relation
 
 

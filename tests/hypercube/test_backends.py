@@ -27,10 +27,10 @@ from repro.data.generators import (
     zipf_database,
 )
 from repro.data.relation import Relation
-from repro.join.multiway import evaluate
 from repro.run import dispatch_run
 
 from tests.conftest import random_queries
+from tests.reference.multiway_join import evaluate
 from tests.reference.tuple_kernel import kernel
 
 

@@ -17,11 +17,11 @@ from repro.data.generators import (
     planted_heavy_hitter_database,
     uniform_database,
 )
-from repro.join.multiway import evaluate
 from repro.mpc.simulator import LoadExceededError
 from repro.planner import DataStatistics
 from repro.planner.cost import share_candidates
 from repro.run import dispatch_run
+from tests.reference.multiway_join import evaluate
 
 
 class TestSingleServer:

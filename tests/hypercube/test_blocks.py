@@ -32,14 +32,14 @@ from repro.data.generators import (
 from repro.data.relation import Relation
 from repro.hashing.family import derive_seed
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
-from repro.join import multiway
-from repro.join.multiway import evaluate
 from repro.mpc.timing import PhaseTimer
 from repro.multiround.plans import chain_plan
 from repro.skew.bounds import zipf_frequencies
 from repro.storage.manager import StorageManager
 
 from tests.conftest import random_queries
+from tests.reference import multiway_join
+from tests.reference.multiway_join import evaluate
 from tests.reference.tuple_kernel import kernel
 
 DOMAIN = 6
@@ -212,7 +212,7 @@ def test_numpy_run_never_enters_the_tuple_path(engine, monkeypatch):
 
     # Every evaluate_on_fragments call builds _AtomIndex, whatever name
     # the caller imported it under.
-    monkeypatch.setattr(multiway, "_AtomIndex", tuple_join)
+    monkeypatch.setattr(multiway_join, "_AtomIndex", tuple_join)
     result = run_engine(engine, pool="serial")
     assert len(result.answers_array()) > 0
     if engine == "skew-star":

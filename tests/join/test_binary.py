@@ -1,4 +1,4 @@
-"""Tests for the reference tuple hash join and ``RunResult``'s ``reorder``."""
+"""Tests for the reference tuple hash join and its schema helpers."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.run import reorder
-from tests.reference.binary_join import hash_join, merge_schemas, project
+from tests.reference.binary_join import hash_join, merge_schemas, project, reorder
 
 pairs = st.sets(
     st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=0, max_size=25

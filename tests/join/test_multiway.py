@@ -1,4 +1,4 @@
-"""Tests for the generic multiway join (ground-truth evaluator)."""
+"""Tests for the backtracking multiway join (the reference oracle)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,11 @@ from repro.core.query import Atom, ConjunctiveQuery
 from repro.data.database import Database
 from repro.data.generators import matching_database, uniform_database
 from repro.data.relation import Relation
-from repro.join.multiway import evaluate, evaluate_on_fragments, join_order
+from tests.reference.multiway_join import (
+    evaluate,
+    evaluate_on_fragments,
+    join_order,
+)
 
 
 def brute_force(query, fragments, n):

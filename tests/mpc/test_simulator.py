@@ -99,7 +99,7 @@ class TestSemantics:
         sim.output_array(0, rows([(1,)]))
         sim.output_array(1, rows([(2,)]))
         sim.output_array(2, rows([(1,)]))
-        assert sim.outputs() == {(1,), (2,)}
+        assert sim.outputs_array(1).tolist() == [[1], [2]]
         assert sim.outputs_of(0) == {(1,)}
         assert sim.output_counts() == [1, 1, 1]
 

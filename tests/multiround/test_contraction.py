@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from repro.core.families import chain_query, cycle_query
 from repro.data.generators import matching_database
-from repro.join.multiway import evaluate
 from repro.multiround.contraction import (
     apply_permutation,
     contract_instance,
     contraction_identity_holds,
     contraction_permutation,
 )
+from repro.multiround.good_sets import contract_to_survivors
+from tests.reference.multiway_join import evaluate, evaluate_on_fragments
 
 
 class TestPermutation:
@@ -92,3 +93,80 @@ class TestContractionIdentity:
         cq, cdb, _ = contract_instance(q, db, ["S1", "S3", "S5"])
         assert cq.num_atoms == 3
         assert set(cdb.relation_names) == {"S1", "S3", "S5"}
+
+
+def reference_sigma(query, database, contracted):
+    """``m_sigma`` built on the backtracking join over Python tuples."""
+    sigma = {}
+    for component in query.subquery(list(contracted)).connected_components():
+        fragments = {
+            a.relation: database[a.relation].tuples for a in component.atoms
+        }
+        head = component.variables
+        for t in evaluate_on_fragments(component, fragments):
+            for variable, value in zip(head, t):
+                sigma.setdefault(variable, {})[value] = t[0]
+    return sigma
+
+
+def rewrite(sigma, variables, tuples):
+    return {
+        tuple(sigma.get(v, {}).get(a, a) for v, a in zip(variables, t))
+        for t in tuples
+    }
+
+
+@st.composite
+def contractions(draw):
+    """A matching chain or cycle (often a permutation) and its survivors."""
+    if draw(st.booleans()):
+        query = chain_query(draw(st.integers(min_value=2, max_value=6)))
+    else:
+        query = cycle_query(draw(st.integers(min_value=3, max_value=6)))
+    names = list(query.relation_names)
+    survivors = draw(
+        st.lists(st.sampled_from(names), min_size=1, max_size=len(names) - 1,
+                 unique=True)
+    )
+    m = draw(st.integers(min_value=0, max_value=12))
+    n = draw(st.sampled_from((max(m, 1), 16)))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    return query, matching_database(query, m=m, n=n, seed=seed), survivors
+
+
+class TestAgainstTupleReference:
+    @given(contractions())
+    @settings(max_examples=60, deadline=None)
+    def test_same_sigma_and_contracted_instance(self, case):
+        query, db, survivors = case
+        complement = [r for r in query.relation_names if r not in survivors]
+        sigma = reference_sigma(query, db, complement)
+
+        assert contraction_permutation(query, db, complement).sigma == sigma
+        cq, cdb, mapping = contract_instance(query, db, survivors)
+        assert mapping.sigma == sigma
+        assert cq == contract_to_survivors(query, survivors)
+        assert set(cdb.relation_names) == set(survivors)
+        contracted = {}
+        for atom in cq.atoms:
+            original = query.atom(atom.relation).variables
+            contracted[atom.relation] = rewrite(sigma, original, db[atom.relation])
+            assert cdb[atom.relation].arity == atom.arity
+            assert cdb[atom.relation].tuples == contracted[atom.relation]
+        permuted = apply_permutation(query, db, mapping)
+        for atom in query.atoms:
+            assert permuted[atom.relation].tuples == rewrite(
+                sigma, atom.variables, db[atom.relation]
+            )
+
+        # The identity check agrees with the tuple form of Lemma 5.12's
+        # identity, and holds on permutations (m = n).
+        head = query.variables
+        positions = [head.index(v) for v in cq.variables]
+        mapped = rewrite(sigma, head, evaluate(query, db))
+        identity = evaluate_on_fragments(cq, contracted) == {
+            tuple(t[i] for i in positions) for t in mapped
+        }
+        assert contraction_identity_holds(query, db, survivors) == identity
+        if len(db[query.atoms[0].relation]) == db.domain_size:
+            assert identity

@@ -35,7 +35,6 @@ from repro.data.generators import (
     zipf_database,
 )
 from repro.hashing.family import derive_seed
-from repro.join.multiway import evaluate
 from repro.multiround.plans import (
     Plan,
     PlanNode,
@@ -48,6 +47,7 @@ from repro.multiround.plans import (
 from repro.run import dispatch_run
 
 from tests.conftest import random_queries
+from tests.reference.multiway_join import evaluate
 from tests.reference.tuple_kernel import kernel
 
 

@@ -14,7 +14,6 @@ from repro.core.families import (
     triangle_query,
 )
 from repro.data.generators import matching_database, uniform_database
-from repro.join.multiway import evaluate
 from repro.multiround.gamma import (
     chain_rounds_upper_bound,
     in_gamma_1,
@@ -31,6 +30,7 @@ from repro.multiround.plans import (
     star_plan,
 )
 from repro.run import dispatch_run
+from tests.reference.multiway_join import evaluate
 
 
 class TestGammaClasses:

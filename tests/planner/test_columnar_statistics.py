@@ -49,7 +49,6 @@ class TestNoTupleMaterialisation:
         assert result.strategy == strategy  # the planner's own choice
         for relation in database:
             assert relation._tuples_cache is None, relation.name
-            assert relation._sorted_cache is None, relation.name
 
 
 class TestChunkedTwin:

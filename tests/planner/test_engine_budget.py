@@ -15,9 +15,9 @@ import pytest
 from repro import Session
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import matching_database, zipf_database
-from repro.join.multiway import evaluate
 from repro.planner.engine import IN_MEMORY_FOOTPRINT_FACTOR
 
+from tests.reference.multiway_join import evaluate
 from tests.reference.tuple_kernel import tuple_kernel
 
 

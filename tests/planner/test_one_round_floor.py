@@ -27,9 +27,9 @@ from repro.bounds.one_round import lower_bound
 from repro.core.families import chain_query, cycle_query, triangle_query
 from repro.core.stats import Statistics
 from repro.data.generators import uniform_database
-from repro.join.multiway import evaluate
 from repro.planner import plan
 from tests.conftest import random_queries
+from tests.reference.multiway_join import evaluate
 
 
 @given(

@@ -18,7 +18,6 @@ from repro.data.generators import (
     planted_heavy_hitter_database,
     zipf_database,
 )
-from repro.join.multiway import evaluate
 from repro.planner import (
     DataStatistics,
     OneRoundHyperCube,
@@ -27,6 +26,7 @@ from repro.planner import (
     plan,
     register,
 )
+from tests.reference.multiway_join import evaluate
 
 
 class TestPlanTable:

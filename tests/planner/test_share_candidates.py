@@ -33,12 +33,12 @@ from repro.hypercube.analysis import (
     predicted_load_bits_with_frequencies,
     predicted_makespan_bits,
 )
-from repro.join.multiway import evaluate
 from repro.planner import DataStatistics, OneRoundHyperCube, plan
 from repro.planner.cost import common_variables, share_candidates
 from repro.storage.manager import StorageManager
 
 from tests.conftest import random_queries
+from tests.reference.multiway_join import evaluate
 
 HETEROGENEOUS = MachineSpec.parse("4x1+4x4")
 

@@ -62,3 +62,16 @@ def project(
     schema = tuple(schema)
     positions = [schema.index(v) for v in onto]
     return {tuple(t[i] for i in positions) for t in tuples}
+
+
+def reorder(
+    tuples: Iterable[tuple[int, ...]],
+    schema: Sequence[str],
+    target: Sequence[str],
+) -> TupleSet:
+    """Rewrite tuples from one column order to another (same variables)."""
+    schema = tuple(schema)
+    if set(schema) != set(target) or len(schema) != len(target):
+        raise ValueError(f"schemas {schema} and {tuple(target)} differ")
+    positions = [schema.index(v) for v in target]
+    return {tuple(t[i] for i in positions) for t in tuples}

@@ -1,16 +1,16 @@
-"""Generic backtracking multiway join.
+"""Generic backtracking multiway join: the oracle for the array join.
 
 Evaluates a full conjunctive query over relation fragments by binding
 variables one at a time in a fixed *variable order*.  For the variable
 under consideration, the candidate set is the intersection of the value
 sets offered by every atom containing it (restricted to the atom's
 already-bound variables via a prefix hash index).  This is the standard
-generic-join scheme; it is worst-case-optimal for a good variable order
-and, more importantly here, obviously correct -- it serves as ground
-truth for every parallel algorithm in the package.
+generic-join scheme: obviously correct, and sharing no code with
+:func:`repro.join.vectorized.evaluate_arrays` (the library's one local
+join), so every parallel run and ``tests/join/test_vectorized.py`` are
+checked against it.
 
-Fragments may be given as :class:`~repro.data.relation.Relation` objects
-or raw sets of tuples.
+Fragments are raw sets of tuples (or relations) keyed by relation name.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.data.database import Database
-from repro.data.relation import Relation
 
 TupleSet = set[tuple[int, ...]]
 
@@ -173,9 +172,3 @@ def evaluate(
     }
     return evaluate_on_fragments(query, fragments, order)
 
-
-def output_relation(
-    query: ConjunctiveQuery, tuples: TupleSet, name: str = "q"
-) -> Relation:
-    """Package query answers as a relation with the head schema."""
-    return Relation(name, max(1, query.num_variables), tuples)

@@ -2,10 +2,10 @@
 
 Routing is scalar -- one :meth:`GridPartitioner.destinations` call per
 tuple -- and each server's local join is the backtracking
-:func:`~repro.join.multiway.evaluate_on_fragments`.  Only delivery goes
-through the simulator (:meth:`MPCSimulation.send_array`), so bit
-accounting, capacity truncation, spooling and output recording are the
-simulator's own.  Every server receives the same row sequence as under
+:func:`~tests.reference.multiway_join.evaluate_on_fragments`.  Only
+delivery goes through the simulator (:meth:`MPCSimulation.send_array`),
+so bit accounting, capacity truncation, spooling and output recording
+are the simulator's own.  Every server receives the same row sequence as under
 the array kernel (block, input, source order; relations in canonical
 order, arrays and spools as stored), so answers, per-server bits,
 tuples and dropped bits must agree exactly.
@@ -27,8 +27,8 @@ import numpy as np
 from repro.data.relation import Relation
 from repro.hashing.family import GridPartitioner, HashFamily
 from repro.hypercube import blocks
-from repro.join.multiway import evaluate_on_fragments
 from repro.storage.chunked import ChunkedRelation
+from tests.reference.multiway_join import evaluate_on_fragments
 
 
 def route_relation(
@@ -72,7 +72,7 @@ def _tuples(source, exclude) -> list[tuple[int, ...]]:
     if isinstance(source, ChunkedRelation):
         tuples = list(map(tuple, source.to_array().tolist()))
     elif isinstance(source, Relation):
-        tuples = source.sorted_tuples()
+        tuples = sorted(source.tuples)
     else:
         tuples = list(map(tuple, np.asarray(source).tolist()))
     for position, values in exclude:

@@ -20,7 +20,6 @@ from repro.data.generators import (
     uniform_database,
     zipf_database,
 )
-from repro.join.multiway import evaluate
 from repro.multiround.plans import chain_plan
 from repro.planner import DataStatistics, OneRoundHyperCube
 from repro.run import dispatch_run
@@ -28,6 +27,7 @@ from repro.session import ClusterConfig, RunResult, Session
 from repro.storage import StorageManager
 
 from tests.conftest import KERNELS, random_queries
+from tests.reference.multiway_join import evaluate
 from tests.reference.tuple_kernel import kernel
 
 #: A 1-byte budget: every database's assumed footprint exceeds it, so

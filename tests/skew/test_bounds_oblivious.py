@@ -11,7 +11,6 @@ from repro.data.generators import (
     matching_database,
     planted_heavy_hitter_database,
 )
-from repro.join.multiway import evaluate
 from repro.skew.bounds import (
     bound_is_stronger_than_skew_free,
     saturating_vertices,
@@ -20,6 +19,7 @@ from repro.skew.bounds import (
     uniform_frequencies,
     zipf_frequencies,
 )
+from tests.reference.multiway_join import evaluate
 
 
 class TestStarLowerBound:

@@ -17,8 +17,8 @@ from repro.data.generators import (
     planted_heavy_hitter_database,
     zipf_database,
 )
-from repro.join.multiway import evaluate
 
+from tests.reference.multiway_join import evaluate
 from tests.reference.tuple_kernel import tuple_kernel
 
 

@@ -88,7 +88,7 @@ class TestSampledDetection:
         )
         assert got == expected
         assert all(type(v) is int for v in got)
-        assert r._sorted_cache is None and r._tuples_cache is None
+        assert r._tuples_cache is None
 
 
 class TestVariableFrequencies:

@@ -12,10 +12,10 @@ from repro.data.generators import (
     matching_database,
     zipf_database,
 )
-from repro.join.multiway import evaluate
 from repro.run import dispatch_run
 from repro.skew.heavy_hitters import HitterStatistics
 from repro.skew.star import star_skew_load_bound, _star_center
+from tests.reference.multiway_join import evaluate
 
 
 class TestValidation:

@@ -14,9 +14,9 @@ from repro.data.generators import (
     uniform_database,
     zipf_database,
 )
-from repro.join.multiway import evaluate
 from repro.run import dispatch_run
 from repro.skew.triangle import triangle_skew_load_bound
+from tests.reference.multiway_join import evaluate
 
 TRIANGLE = triangle_query()
 

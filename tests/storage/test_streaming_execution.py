@@ -27,12 +27,12 @@ from repro.data.generators import (
     uniform_database,
     zipf_database,
 )
-from repro.join.multiway import evaluate
 from repro.multiround.plans import chain_plan, generic_plan, star_plan
 from repro.run import dispatch_run
 from repro.storage import StorageManager
 
 from tests.conftest import random_queries
+from tests.reference.multiway_join import evaluate
 from tests.reference.tuple_kernel import tuple_kernel
 
 NUMPY = ExecutionSettings()

@@ -33,13 +33,13 @@ from repro.hypercube.analysis import (
     predicted_makespan_bits,
     predicted_server_loads_bits,
 )
-from repro.join import evaluate
 from repro.mpc.simulator import LoadExceededError, MPCSimulation
 from repro.multiround.plans import chain_plan
 from repro.planner.statistics import DataStatistics
 from repro.storage.manager import StorageManager
 from repro.trace import TraceQuery, TraceRecorder, tracing
 
+from tests.reference.multiway_join import evaluate
 from tests.reference.tuple_kernel import kernel
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,10 +24,10 @@ from repro.core.families import chain_query, triangle_query
 from repro.core.friedgut import expected_output_size
 from repro.core.stats import Statistics
 from repro.data.generators import matching_database, uniform_database
-from repro.join.multiway import evaluate
 from repro.multiround.plans import generic_plan
 from repro.run import dispatch_run
 from tests.conftest import random_queries
+from tests.reference.multiway_join import evaluate
 
 #: Hot hypothesis loops run the executor cores directly: a session
 #: would collect statistics and rank every strategy per example.
@@ -150,20 +151,21 @@ class TestUserJourney:
             triangle_query as tq,
         )
         from repro.bounds import lower_bound as lb, upper_bound as ub
-        from repro.join import evaluate as ev
+        from repro.join import evaluate_arrays as ev
 
         q = tq()
         db = mdb(q, m=500, n=2**14, seed=0)
         stats = db.statistics(q)
         result = S(p=64).run(q, db, "hypercube")
-        assert result.answers == ev(q, db)
+        assert result.answers == evaluate(q, db)
+        assert np.array_equal(result.answers_array(), ev(q, db.arrays(q)))
         assert result.details["shares"] == {"x1": 4, "x2": 4, "x3": 4}
         assert lb(q, stats, 64) == pytest.approx(ub(q, stats, 64), rel=1e-6)
 
     def test_version_exported(self):
         import repro
 
-        assert repro.__version__ == "8.0.0"
+        assert repro.__version__ == "9.0.0"
 
     def test_public_names_resolve_and_free_runners_are_gone(self):
         import importlib

@@ -10,7 +10,6 @@ from repro.core.lp import InfeasibleError, snap, snap_vector, solve_lp
 from repro.core.stats import Statistics
 from repro.data.generators import matching_database
 from repro.hypercube.analysis import total_replication
-from repro.join.multiway import output_relation
 from repro.multiround.plans import chain_plan
 
 
@@ -65,15 +64,6 @@ class TestAnalysisHelpers:
 
     def test_raw_size_degenerate_domain(self):
         assert raw_size_bits(1, 5, 2) == 10.0
-
-
-class TestOutputRelation:
-    def test_packages_answers(self):
-        q = chain_query(2)
-        rel = output_relation(q, {(1, 2, 3)}, name="ans")
-        assert rel.name == "ans"
-        assert rel.arity == 3
-        assert (1, 2, 3) in rel
 
 
 class TestPlanIntrospection:

@@ -16,9 +16,9 @@ import pytest
 from repro import Job, RunResult, Session
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import zipf_database
-from repro.join.multiway import evaluate
 from repro.planner import default_strategies
 from repro.session import RunResult as SessionRunResult
+from tests.reference.multiway_join import evaluate
 
 P = 8
 STRATEGIES = [strategy.name for strategy in default_strategies()]
