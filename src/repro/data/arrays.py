@@ -22,7 +22,7 @@ memmaps).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,19 +63,25 @@ def _as_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def key_layout(columns: Iterable[Sequence[np.ndarray]]) -> _Layout | None:
+    """Per key column ``(minimums, bit widths)`` covering every value of
+    its (non-empty) arrays, or None if the packed key would exceed
+    :data:`_KEY_BITS`."""
+    lows: list[int] = []
+    widths: list[int] = []
+    for arrays in columns:
+        low = min(int(a.min()) for a in arrays)
+        lows.append(low)
+        widths.append((max(int(a.max()) for a in arrays) - low).bit_length())
+    return (lows, widths) if sum(widths) <= _KEY_BITS else None
+
+
 def _layout(*arrays: np.ndarray) -> _Layout | None:
     """Per-column ``(minimums, bit widths)`` packing every row of the
     (non-empty, equal-arity) ``arrays`` into one key, or None if too wide."""
     if not all(np.can_cast(a.dtype, np.int64) for a in arrays):
         return None
-    lows: list[int] = []
-    widths: list[int] = []
-    for col in range(arrays[0].shape[1]):
-        low = min(int(a[:, col].min()) for a in arrays)
-        high = max(int(a[:, col].max()) for a in arrays)
-        lows.append(low)
-        widths.append((high - low).bit_length())
-    return (lows, widths) if sum(widths) <= _KEY_BITS else None
+    return key_layout([a[:, col] for a in arrays] for col in range(arrays[0].shape[1]))
 
 
 def _pack(rows: np.ndarray, layout: _Layout) -> np.ndarray:

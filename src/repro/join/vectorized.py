@@ -1,22 +1,40 @@
 """Vectorized multiway join over columnar (ndarray) fragments.
 
-Every server's local computation phase: evaluate a
-full conjunctive query over ``(n, arity)`` integer arrays keyed by
-relation name, entirely with NumPy primitives.  The plan is a greedy
-left-deep sequence of binary joins -- each step joins the running
-intermediate (an array plus its variable schema) with the next atom
-sharing a variable, falling back to a cross product only when the
-residual query is disconnected from the atoms joined so far.
+Every server's local computation phase: evaluate a full conjunctive
+query over ``(n, arity)`` integer arrays keyed by relation name,
+entirely with NumPy primitives.  The plan is a greedy left-deep
+sequence of binary joins -- each step joins the running intermediate
+with the next atom sharing a variable, falling back to a cross product
+(a join on one constant key) only when the residual query is
+disconnected from the atoms joined so far.
 
-Equality joins are sort-merge joins on packed keys: the composite join
-keys of both sides are packed into one int64 id space
-(:func:`repro.data.arrays.row_keys`), both sides are sorted by key, one
-sorted ``searchsorted`` finds each left row's group of matching right
-rows, and the pairs are enumerated with ``cumsum`` offset arithmetic.
-An atom that binds no new variable (the triangle's closing atom) only
-*filters* the running intermediate -- a semijoin, no pairs enumerated.
-Set semantics are restored with a final row-wise ``unique``.
-O(n log n), no Python-level per-tuple work.
+The intermediate is materialised late.  It keeps, per joined atom, the
+atom's rows and a vector of row ids, one per intermediate row; a join
+step returns ``(left_ids, right_ids)`` and only composes id vectors.
+Join keys are packed per atom on its own rows, then gathered through
+its ids; the head is gathered once, straight into the ``(n, k)``
+result.
+
+One step, :func:`join_step`, serves every join.  The composite keys of
+both sides live in one non-negative int64 id space -- columns offset by
+their minimum and packed, or dense lexicographic ranks when the packed
+key would exceed 62 bits (:func:`repro.data.arrays.row_keys`).  How the
+step groups keys depends only on the data:
+
+* a key span of at most ``4 * (n_left + n_right)`` is *dense*: the
+  right side's group start and size per key come from ``bincount`` and
+  ``cumsum``, and each left row looks its group up directly, unsorted;
+* a wider span takes a sort-merge: both sides sorted by key, one
+  sorted ``searchsorted`` finds each left row's group;
+* an atom that binds no new variable (the triangle's closing atom)
+  only *filters* the intermediate: a multiplicative-hash bitmap admits
+  candidates, each then checked exactly against the sorted right keys
+  (a slot collision costs time, never correctness).
+
+Pairs are enumerated with ``cumsum`` offset arithmetic and set
+semantics are restored with a final row-wise ``unique``.  No Python
+work per tuple, and inputs are never written to (spill chunks arrive
+as read-only memmaps).
 
 Queries with isolated variables have no join plan and raise
 :class:`~repro.core.query.UnsupportedQueryError`.
@@ -24,18 +42,35 @@ Queries with isolated variables have no join plan and raise
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.data.arrays import (
     group_order,
+    key_layout,
     repeated_binding_filter,
     row_keys,
     stable_order,
     unique_rows,
 )
+
+#: Fibonacci hashing multiplier: ``2**64`` over the golden ratio.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _int64_rows(rows: np.ndarray, what: str) -> np.ndarray:
+    """``rows`` as int64 (no copy when already int64); other dtypes refused."""
+    if rows.dtype.kind not in "iu":
+        raise TypeError(f"{what} needs an integer array, got dtype {rows.dtype}")
+    if (
+        not np.can_cast(rows.dtype, np.int64)
+        and rows.size
+        and int(rows.max()) > np.iinfo(np.int64).max
+    ):
+        raise ValueError(f"{what} has values above the int64 maximum")
+    return rows.astype(np.int64, copy=False)
 
 
 def atom_projection(atom: Atom, rows: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -44,23 +79,207 @@ def atom_projection(atom: Atom, rows: np.ndarray) -> tuple[np.ndarray, tuple[str
     Rows that bind a repeated variable to two different values (e.g.
     ``S(x, x)`` with row ``(1, 2)``) match nothing and are dropped; the
     surviving rows keep one column per distinct variable, in first
-    occurrence order.
+    occurrence order.  An int64 fragment of an atom with no repeated
+    variable comes back as is, not copied.  Raises ``TypeError`` for a
+    non-integer fragment and ``ValueError`` for a value int64 cannot hold.
     """
     if rows.ndim != 2 or rows.shape[1] != atom.arity:
         raise ValueError(
             f"fragment for {atom.relation} has shape {rows.shape}, "
             f"expected (n, {atom.arity})"
         )
+    rows = _int64_rows(rows, f"fragment for {atom.relation}")
     first_position, mask = repeated_binding_filter(atom.variables, rows)
-    if mask is not None:
-        rows = rows[mask]
     schema = tuple(first_position)
-    projected = rows[:, [first_position[v] for v in schema]]
-    if len(schema) < atom.arity:
-        # Dropping repeated columns can introduce duplicate rows; later
-        # joins assume duplicate-free inputs (natural join of sets).
-        projected = unique_rows(projected)
-    return np.ascontiguousarray(projected.astype(np.int64, copy=False)), schema
+    if mask is None:
+        return rows, schema
+    # Dropping repeated columns can introduce duplicate rows; later joins
+    # assume duplicate-free inputs (natural join of sets).
+    return unique_rows(rows[mask][:, [first_position[v] for v in schema]]), schema
+
+
+# ------------------------------------------------------------------ the step
+
+
+def _pairs(
+    left_rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, right_order: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of left row ``left_rows[i]`` with each right row of
+    ``right_order[starts[i]:starts[i] + sizes[i]]``."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if len(ends) else 0
+    # Pair t (counted over all pairs) of left row i takes the right row
+    # at right_order[starts[i] + t - (ends[i] - sizes[i])].
+    positions = np.repeat(starts - ends + sizes, sizes)
+    positions += np.arange(total)
+    right_ids = right_order[positions]
+    del positions
+    return np.repeat(left_rows, sizes), right_ids
+
+
+def _dense_join(
+    left_keys: np.ndarray, right_keys: np.ndarray, span: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Direct addressing: per key, its right group's start and size."""
+    sizes = np.bincount(right_keys, minlength=span)
+    starts = np.cumsum(sizes)
+    starts -= sizes
+    return _pairs(
+        np.arange(len(left_keys)), starts[left_keys], sizes[left_keys],
+        stable_order(right_keys),
+    )
+
+
+def _merge_join(
+    left_keys: np.ndarray, right_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort-merge: one sorted search finds each left row's group."""
+    right_order, group_starts = group_order(right_keys)
+    group_keys = right_keys[right_order[group_starts]]
+    left_order = stable_order(left_keys)
+    sorted_left = left_keys[left_order]
+    group = np.minimum(np.searchsorted(group_keys, sorted_left), len(group_keys) - 1)
+    matched = group_keys[group] == sorted_left
+    group = group[matched]
+    sizes = np.diff(group_starts, append=len(right_keys))[group]
+    return _pairs(left_order[matched], group_starts[group], sizes, right_order)
+
+
+def _hash_slots(keys: np.ndarray, bits: int) -> np.ndarray:
+    """Multiplicative hash of non-negative int64 ``keys`` into ``[0, 2**bits)``."""
+    slots = np.multiply(keys.view(np.uint64), _HASH_MULTIPLIER)
+    slots >>= np.uint64(64 - bits)
+    return slots.view(np.int64)  # int64 indexes several times faster than uint64
+
+
+def _hashed_filter(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
+    """Semijoin: a hashed bitmap admits candidates, and only those are
+    checked exactly against the sorted right keys."""
+    bits = (4 * (len(left_keys) + len(right_keys)) - 1).bit_length()
+    table = np.zeros(1 << bits, dtype=bool)
+    table[_hash_slots(right_keys, bits)] = True
+    candidates = np.flatnonzero(table[_hash_slots(left_keys, bits)])
+    if len(candidates) == 0:
+        return candidates
+    wanted = left_keys[candidates]
+    right_sorted = np.sort(right_keys)
+    found = np.minimum(np.searchsorted(right_sorted, wanted), len(right_sorted) - 1)
+    return candidates[right_sorted[found] == wanted]
+
+
+def join_step(
+    left_keys: np.ndarray, right_keys: np.ndarray, binds_new: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """One equi-join step on non-negative int64 keys: ``(left_ids, right_ids)``.
+
+    Returns the row ids of every matching (left row, right row) pair.
+    When the right side binds no new variable (``binds_new`` false) the
+    step is a semijoin: ``left_ids`` lists each matching left row once,
+    in input order, and ``right_ids`` is ``None``.
+    """
+    n_left, n_right = len(left_keys), len(right_keys)
+    if n_left == 0 or n_right == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, (empty if binds_new else None)
+    if not binds_new:
+        return _hashed_filter(left_keys, right_keys), None
+    span = int(max(left_keys.max(), right_keys.max())) + 1
+    if span <= 4 * (n_left + n_right):
+        return _dense_join(left_keys, right_keys, span)
+    return _merge_join(left_keys, right_keys)
+
+
+# ---------------------------------------------------------- the intermediate
+
+
+class _Intermediate:
+    """Late-materialised join rows.
+
+    ``sources`` holds, per joined atom, its rows and a row-id vector
+    (``None``: every row, in order); ``where`` maps each bound variable
+    to ``(source, column)``.
+    """
+
+    def __init__(self, rows: np.ndarray, schema: tuple[str, ...]):
+        self.sources: list[tuple[np.ndarray, np.ndarray | None]] = [(rows, None)]
+        self.where = {v: (0, column) for column, v in enumerate(schema)}
+        self.size = len(rows)
+
+    def _column(self, variable: str) -> np.ndarray:
+        source, column = self.where[variable]
+        rows, ids = self.sources[source]
+        return rows[:, column] if ids is None else rows[ids, column]
+
+    def _keys(
+        self, rows: np.ndarray, schema: tuple[str, ...], shared: list[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Join keys on ``shared`` of the intermediate and of ``rows``.
+
+        Each source's part of the packed key is computed on its own rows
+        and gathered once through its ids; keys too wide to pack are
+        ranked on the gathered columns instead.  Without shared variables,
+        or with an empty side, every key is 0.
+        """
+        if not shared or self.size == 0 or len(rows) == 0:
+            return np.zeros(self.size, dtype=np.int64), np.zeros(len(rows), dtype=np.int64)
+        owners = [self.where[v] for v in shared]
+        bases = [self.sources[source][0][:, column] for source, column in owners]
+        right = [rows[:, schema.index(v)] for v in shared]
+        layout = key_layout(zip(bases, right))
+        if layout is None:
+            left_keys, right_keys = row_keys(
+                np.column_stack([self._column(v) for v in shared]), np.column_stack(right)
+            )
+            return left_keys, right_keys
+        lows, widths = layout
+        shift = sum(widths)
+        parts: dict[int, np.ndarray] = {}
+        right_keys = np.zeros(len(rows), dtype=np.int64)
+        for (source, _), base, column, low, width in zip(owners, bases, right, lows, widths):
+            shift -= width
+            part = base - low
+            part <<= shift
+            parts[source] = part if source not in parts else (parts[source] | part)
+            column = column - low
+            column <<= shift
+            right_keys |= column
+        left_keys = np.zeros(self.size, dtype=np.int64)
+        for source, part in parts.items():
+            ids = self.sources[source][1]
+            left_keys |= part if ids is None else part[ids]
+        return left_keys, right_keys
+
+    def join(self, rows: np.ndarray, schema: tuple[str, ...]) -> None:
+        """Join with an atom's ``rows``; only the id vectors change."""
+        shared = [v for v in schema if v in self.where]
+        new = [(v, column) for column, v in enumerate(schema) if v not in self.where]
+        left_ids, right_ids = join_step(*self._keys(rows, schema, shared), bool(new))
+        self.sources = [
+            (base, left_ids if ids is None else ids[left_ids]) for base, ids in self.sources
+        ]
+        if new:
+            self.sources.append((rows, right_ids))
+            self.where.update((v, (len(self.sources) - 1, column)) for v, column in new)
+        self.size = len(left_ids)
+
+    def gather(self, variables: Sequence[str]) -> np.ndarray:
+        """The ``(n, len(variables))`` rows, gathered straight into the
+        result.  Each id vector is released once its columns are out, so
+        the intermediate is spent afterwards."""
+        out = np.empty((self.size, len(variables)), dtype=np.int64, order="F")
+        sources, self.sources = self.sources, []
+        for source in range(len(sources)):
+            rows, ids = sources[source]
+            sources[source] = (rows, None)
+            for j, v in enumerate(variables):
+                owner, column = self.where[v]
+                if owner == source and ids is None:
+                    out[:, j] = rows[:, column]
+                elif owner == source:
+                    # The ids are in range; "clip" lets take write into
+                    # out directly instead of through a buffer.
+                    np.take(rows[:, column], ids, out=out[:, j], mode="clip")
+        return out
 
 
 def join_arrays(
@@ -69,60 +288,18 @@ def join_arrays(
     right: np.ndarray,
     right_schema: tuple[str, ...],
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Natural join of two schema-tagged arrays on their shared variables.
+    """Natural join of two schema-tagged integer arrays on their shared variables.
 
     Returns ``(rows, schema)`` with the left schema followed by the
-    right's new variables (the vectorized analogue of a textbook hash
-    join).  With no shared variables this degenerates to the cross
-    product.
+    right's new variables: :func:`join_step`, materialised.  A right
+    side that binds no new variable filters the left rows; with no
+    shared variables the join is the cross product.
     """
-    shared = [v for v in left_schema if v in set(right_schema)]
-    right_new = [i for i, v in enumerate(right_schema) if v not in set(left_schema)]
-    out_schema = tuple(left_schema) + tuple(right_schema[i] for i in right_new)
-    width = len(out_schema)
-
-    if len(left) == 0 or len(right) == 0:
-        return np.empty((0, width), dtype=np.int64), out_schema
-
-    if not shared:
-        rows = np.hstack(
-            [
-                np.repeat(left, len(right), axis=0),
-                np.tile(right[:, right_new], (len(left), 1)),
-            ]
-        )
-        return rows, out_schema
-
-    left_keys, right_keys = row_keys(
-        left[:, [left_schema.index(v) for v in shared]],
-        right[:, [right_schema.index(v) for v in shared]],
-    )
-    # Sort both sides by key, then merge: one sorted search finds each
-    # left row's group of matching right rows.
-    right_order, group_starts = group_order(right_keys)
-    group_keys = right_keys[right_order[group_starts]]
-    left_order = stable_order(left_keys)
-    left_keys = left_keys[left_order]
-    group = np.minimum(np.searchsorted(group_keys, left_keys), len(group_keys) - 1)
-    matched = group_keys[group] == left_keys
-    left_order, group = left_order[matched], group[matched]
-    if not right_new:
-        # The right atom binds no new variable (e.g. the triangle's
-        # closing atom): it filters the left rows, no pairs to enumerate.
-        return left[left_order], out_schema
-
-    # Enumerate every (left row, matching right row) pair with pure
-    # offset arithmetic.
-    group_sizes = np.diff(group_starts, append=len(right))
-    matches_per_left = group_sizes[group]
-    total = int(matches_per_left.sum())
-    pair_ends = np.cumsum(matches_per_left)
-    within = np.arange(total) - np.repeat(pair_ends - matches_per_left, matches_per_left)
-    right_rows = right_order[np.repeat(group_starts[group], matches_per_left) + within]
-    rows = np.hstack(
-        [left[np.repeat(left_order, matches_per_left)], right[right_rows][:, right_new]]
-    )
-    return rows, out_schema
+    left_schema, right_schema = tuple(left_schema), tuple(right_schema)
+    out_schema = left_schema + tuple(v for v in right_schema if v not in left_schema)
+    joined = _Intermediate(_int64_rows(np.asarray(left), "left side"), left_schema)
+    joined.join(_int64_rows(np.asarray(right), "right side"), right_schema)
+    return joined.gather(out_schema), out_schema
 
 
 def evaluate_arrays(
@@ -134,7 +311,8 @@ def evaluate_arrays(
     columns follow ``query.variables`` (the head order).  Missing
     relations are treated as empty.  Raises
     :class:`~repro.core.query.UnsupportedQueryError` for queries with
-    isolated variables, which no join plan can bind.
+    isolated variables, which no join plan can bind, and
+    :func:`atom_projection`'s errors for a fragment that is not integer.
     """
     query.require_executable()
     head = query.variables
@@ -153,21 +331,14 @@ def evaluate_arrays(
     # Cartesian blowup); fall back to a cross product between
     # components.
     remaining = list(range(len(prepared)))
-    current, schema = prepared[remaining.pop(0)]
+    joined = _Intermediate(*prepared[remaining.pop(0)])
     while remaining:
-        bound = set(schema)
         choice = next(
-            (
-                idx
-                for idx in remaining
-                if bound & set(prepared[idx][1])
-            ),
+            (idx for idx in remaining if any(v in joined.where for v in prepared[idx][1])),
             remaining[0],
         )
         remaining.remove(choice)
-        current, schema = join_arrays(current, schema, *prepared[choice])
-        if len(current) == 0:
+        joined.join(*prepared[choice])
+        if joined.size == 0:
             return np.empty((0, len(head)), dtype=np.int64)
-
-    answers = current[:, [schema.index(v) for v in head]]
-    return unique_rows(answers)
+    return unique_rows(joined.gather(head))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.families import chain_query, simple_join_query, triangle_query
 from repro.core.query import Atom, ConjunctiveQuery, UnsupportedQueryError
-from repro.join import evaluate_arrays
+from repro.join import evaluate_arrays, join_arrays
 from repro.join.vectorized import evaluate_arrays as evaluate_arrays_by_path
 from tests.conftest import random_queries
 from tests.reference.multiway_join import evaluate_on_fragments
@@ -33,19 +33,36 @@ def check_output_contract(query: ConjunctiveQuery, answers: np.ndarray) -> None:
     assert rows == sorted(set(rows))
 
 
+INT64 = np.iinfo(np.int64)
+
+#: Value regimes ``(low, high)``: ``tiny`` keeps every key span dense,
+#: ``wide`` and ``negative`` spread a few values so spans are sparse, and
+#: ``beyond62`` spans more than 62 bits, so keys are ranked, not packed.
+REGIMES = {
+    "tiny": (0, 3),
+    "negative": (-(2**20), -1),
+    "wide": (-(2**40), 2**40),
+    "beyond62": (INT64.min, INT64.max),
+}
+
+
 @st.composite
 def instances(draw):
     """A random query with one small fragment per atom.
 
     Each fragment is empty, a single row, or up to 12 rows (duplicates
-    allowed) over a domain of at most 4 values.
+    allowed) over a domain of at most 4 values drawn from one value
+    regime, so joins match while the kernel's key paths all run.
     """
     query = draw(random_queries(max_variables=5, max_atoms=5))
-    domain = draw(st.integers(min_value=1, max_value=4))
+    low, high = REGIMES[draw(st.sampled_from(sorted(REGIMES)))]
+    domain = draw(
+        st.lists(st.integers(low, high), min_size=1, max_size=4, unique=True)
+    )
     fragments = {}
     for atom in query.atoms:
         size = draw(st.sampled_from(("empty", "one", "any")))
-        row = st.tuples(*[st.integers(0, domain - 1)] * atom.arity)
+        row = st.tuples(*[st.sampled_from(domain)] * atom.arity)
         if size == "empty":
             rows = []
         elif size == "one":
@@ -56,21 +73,26 @@ def instances(draw):
     return query, fragments
 
 
+def check_against_oracle(query: ConjunctiveQuery, arrays: dict) -> np.ndarray:
+    """``evaluate_arrays`` equals the backtracking join; returns the answers."""
+    answers = evaluate_arrays(query, arrays)
+    check_output_contract(query, answers)
+    expected = evaluate_on_fragments(
+        query, {name: set(map(tuple, rows.tolist())) for name, rows in arrays.items()}
+    )
+    assert answers.tolist() == [list(t) for t in sorted(expected)]
+    return answers
+
+
 class TestAgainstBacktrackingJoin:
     @given(instances())
     @settings(max_examples=300, deadline=None)
     def test_random_queries(self, instance):
         query, fragments = instance
-        expected = evaluate_on_fragments(
-            query, {name: set(rows) for name, rows in fragments.items()}
-        )
-        arrays = {
+        check_against_oracle(query, {
             atom.relation: as_rows(fragments[atom.relation], atom.arity)
             for atom in query.atoms
-        }
-        answers = evaluate_arrays(query, arrays)
-        check_output_contract(query, answers)
-        assert answers.tolist() == [list(t) for t in sorted(expected)]
+        })
 
     @pytest.mark.parametrize(
         "query", [triangle_query(), chain_query(3), simple_join_query()],
@@ -154,3 +176,185 @@ class TestOutputContract:
 
         assert repro.join.__all__ == ["evaluate_arrays", "join_arrays"]
         assert evaluate_arrays_by_path is evaluate_arrays
+
+
+# ------------------------------------------------------------ kernel paths
+
+KERNEL_PATHS = ("_dense_join", "_merge_join", "_hashed_filter", "row_keys")
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The names of the kernel paths that ran, in call order."""
+    import repro.join.vectorized as vectorized
+
+    ran: list[str] = []
+
+    def spy(name):
+        real = getattr(vectorized, name)
+
+        def wrapper(*args, **kwargs):
+            ran.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in KERNEL_PATHS:
+        monkeypatch.setattr(vectorized, name, spy(name))
+    return ran
+
+
+R_XY, S_YZ, T_ZX = Atom("R", ("x", "y")), Atom("S", ("y", "z")), Atom("T", ("z", "x"))
+PATH = ConjunctiveQuery((R_XY, S_YZ))
+TRIANGLE = ConjunctiveQuery((R_XY, S_YZ, T_ZX))
+
+
+def path_arrays(scale: int, shift: int = 0) -> dict[str, np.ndarray]:
+    r = [(1, 2), (3, 2), (4, 5), (6, 9)]
+    s = [(2, 7), (2, 8), (5, 9), (5, 1), (0, 3)]
+    return {
+        "R": as_rows(r, 2) * scale + shift,
+        "S": as_rows(s, 2) * scale + shift,
+    }
+
+
+def triangle_arrays(scale: int, shift: int = 0) -> dict[str, np.ndarray]:
+    arrays = path_arrays(scale, shift)
+    t = [(7, 1), (9, 4), (8, 5), (1, 4)]
+    arrays["T"] = as_rows(t, 2) * scale + shift
+    return arrays
+
+
+class TestKernelPaths:
+    """Spans built to force each path; every result equals the oracle."""
+
+    def test_dense_span_groups_by_direct_addressing(self, paths):
+        answers = check_against_oracle(PATH, path_arrays(1))
+        assert len(answers) == 6
+        assert paths == ["_dense_join"]
+
+    def test_wide_span_sort_merges(self, paths):
+        answers = check_against_oracle(PATH, path_arrays(2**30, -(2**35)))
+        assert len(answers) == 6
+        assert paths == ["_merge_join"]
+
+    def test_dense_closing_atom_filters_through_a_hashed_bitmap(self, paths):
+        arrays = {
+            "R": as_rows([(0, 1), (1, 1), (2, 3), (3, 0)], 2),
+            "S": as_rows([(1, 2), (1, 3), (3, 0), (0, 1)], 2),
+            "T": as_rows([(2, 0), (3, 1), (0, 2), (1, 3)], 2),
+        }
+        answers = check_against_oracle(TRIANGLE, arrays)
+        assert answers.tolist() == [[0, 1, 2], [1, 1, 3], [2, 3, 0], [3, 0, 1]]
+        assert paths == ["_dense_join", "_hashed_filter"]
+
+    def test_wide_closing_atom_filters_through_a_hashed_bitmap(self, paths):
+        answers = check_against_oracle(TRIANGLE, triangle_arrays(2**20))
+        assert len(answers) == 3
+        assert paths == ["_merge_join", "_hashed_filter"]
+
+    @pytest.mark.parametrize("query", [PATH, TRIANGLE], ids=["join", "filter"])
+    def test_keys_beyond_62_bits_are_ranked(self, paths, query):
+        arrays = triangle_arrays(2**58, INT64.min // 2)
+        arrays["R"][0] = (INT64.min, INT64.max)
+        arrays["S"][0] = (INT64.max, INT64.min)
+        check_against_oracle(query, {a.relation: arrays[a.relation] for a in query.atoms})
+        assert "row_keys" in paths
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["cross-product", "one-value"])
+    def test_one_key_value_pairs_every_row(self, paths, shared):
+        """A cross product is a join on one constant key; a real key with
+        a single value takes the same direct-addressed path."""
+        s_atom = Atom("S", ("y", "z")) if shared else Atom("S", ("z",))
+        q = ConjunctiveQuery((Atom("R", ("x", "y")), s_atom))
+        s_rows = [(5, 7), (5, 2**60), (5, -3)] if shared else [(7,), (2**60,), (-3,)]
+        arrays = {"R": as_rows([(2, 5), (1, 5)], 2), "S": as_rows(s_rows, s_atom.arity)}
+        assert len(check_against_oracle(q, arrays)) == 6
+        assert paths == ["_dense_join"]
+
+    def test_hash_slot_collisions_without_a_match_admit_nothing(self, paths):
+        """Left keys that share the right key's bitmap slot are candidates,
+        and the exact check against the sorted right keys rejects them."""
+        from repro.join.vectorized import _hash_slots
+
+        n_left = 3
+        bits = (4 * (n_left + 1) - 1).bit_length()
+        keys = np.arange(1000, 5000, dtype=np.int64)
+        colliding = keys[_hash_slots(keys, bits) == _hash_slots(np.zeros(1, np.int64), bits)]
+        assert len(colliding) >= n_left
+        q = ConjunctiveQuery((R_XY, Atom("T", ("x",))))
+        arrays = {
+            "R": np.column_stack([colliding[:n_left], np.arange(n_left)]),
+            "T": as_rows([(0,)], 1),
+        }
+        assert check_against_oracle(q, arrays).shape == (0, 2)
+        assert paths == ["_hashed_filter"]
+
+    def test_hashed_filter_keeps_exactly_the_true_matches(self):
+        from repro.join.vectorized import _hash_slots, join_step
+
+        bits = (4 * (6 + 2) - 1).bit_length()
+        keys = np.arange(10**6, 10**6 + 4000, dtype=np.int64)
+        right = np.array([10**6 + 1, 7], dtype=np.int64)
+        colliding = keys[(_hash_slots(keys, bits) == _hash_slots(right[:1], bits))
+                         & (keys != right[0])]
+        left = np.concatenate([colliding[:4], right[:1], [10**6 + 1]])
+        left_ids, right_ids = join_step(left, right, binds_new=False)
+        assert right_ids is None
+        assert left_ids.tolist() == [4, 5]
+
+
+# ------------------------------------------------------------------ inputs
+
+
+class TestInputs:
+    def test_float_fragment_rejected(self):
+        """Floats used to be truncated silently: [[1.7, 2.2]] joined as (1, 2)."""
+        fragments = {"S1": np.array([[1.7, 2.2]]), "S2": np.array([[2.9, 2.0]])}
+        with pytest.raises(TypeError, match="S1 needs an integer array"):
+            evaluate_arrays(simple_join_query(), fragments)
+
+    def test_float_join_arrays_side_rejected(self):
+        with pytest.raises(TypeError, match="integer"):
+            join_arrays(np.array([[1.5]]), ("x",), as_rows([(1,)], 1), ("x",))
+
+    def test_uint64_above_int64_max_rejected(self):
+        rows = np.array([[2**64 - 1, 3]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="int64 maximum"):
+            evaluate_arrays(chain_query(1), {"S1": rows})
+
+    def test_uint64_within_int64_kept(self):
+        rows = np.array([[INT64.max, 0], [5, 2]], dtype=np.uint64)
+        answers = evaluate_arrays(chain_query(1), {"S1": rows})
+        assert answers.tolist() == [[5, 2], [INT64.max, 0]]
+
+    @pytest.mark.parametrize("scale", [1, 2**20], ids=["dense", "wide"])
+    def test_read_only_fragments_unchanged(self, scale):
+        arrays = triangle_arrays(scale)
+        before = {name: rows.copy() for name, rows in arrays.items()}
+        for rows in arrays.values():
+            rows.setflags(write=False)
+        check_against_oracle(TRIANGLE, arrays)
+        rows, schema = join_arrays(arrays["R"], ("x", "y"), arrays["S"], ("y", "z"))
+        assert schema == ("x", "y", "z") and len(rows) == 6
+        rows, schema = join_arrays(rows, schema, arrays["T"], ("z", "x"))
+        assert len(rows) == 3
+        for name, rows in arrays.items():
+            assert np.array_equal(rows, before[name])
+
+    def test_spilled_memmap_fragments(self, tmp_path):
+        from repro.storage import SegmentSlice, StorageManager
+
+        arrays = triangle_arrays(3, 1)
+        with StorageManager(root=tmp_path / "spill", chunk_rows=2) as storage:
+            mapped = {}
+            for name, rows in arrays.items():
+                spool = storage.spool(name, 2)
+                spool.append(rows[:4])
+                (handle,) = [h for h in spool.segment_handles() if isinstance(h, SegmentSlice)]
+                mapped[name] = handle.load()
+                assert not mapped[name].flags.writeable
+            answers = check_against_oracle(TRIANGLE, mapped)
+            assert len(answers) == 3
+            for name, rows in mapped.items():
+                assert np.array_equal(rows, arrays[name][:4])
