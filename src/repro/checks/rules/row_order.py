@@ -7,7 +7,11 @@ ordered with the plain 1-D sort, an order of magnitude faster than
 which were the three most expensive calls of the local join and the
 router before they moved there.  A private copy of any of them beside
 the kernel is a second, slower row order that can also drift from the
-canonical one the bit-identity suites pin down.
+canonical one the bit-identity suites pin down.  The kernel also owns
+the canonical-order invariant (sorted and distinct rows,
+``is_canonical``): a relation's array is canonical, routing keeps it per
+server, and ``merge_batches`` / ``stable_order`` skip the sort on input
+one linear pass proves ordered -- a private sort cannot know that.
 """
 
 from __future__ import annotations

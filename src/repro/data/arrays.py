@@ -18,11 +18,22 @@ All functions order rows lexicographically (first column primary),
 matching ``np.unique(axis=0)`` and :meth:`Relation.to_array`'s canonical
 layout.  Inputs are never written to (spill chunks arrive as read-only
 memmaps).
+
+Canonical order -- lexicographic and strictly increasing, so distinct --
+is an invariant the package carries rather than recomputes: a relation's
+array is canonical, routing keeps each server's batch in input order
+(so canonical in, canonical out), and the local join mostly emits its
+answers in that order too.  :func:`is_canonical` proves it in one
+linear pass of neighbour comparisons, and work it proves done is
+skipped: :func:`merge_batches` returns canonical input as is, and
+:func:`stable_order` returns the identity for non-decreasing keys.
+Both order checks look at a short prefix first, so input that is out of
+order near its start is rejected without the full pass.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,6 +63,8 @@ def repeated_binding_filter(
 #: Packed keys stay below ``2**62``: non-negative in int64 with a bit to
 #: spare, so sums and comparisons of keys never wrap.
 _KEY_BITS = 62
+#: Neighbour pairs the order checks test before their full pass.
+_PROBE = 64
 
 _Layout = tuple[list[int], list[int]]
 
@@ -61,6 +74,63 @@ def _as_rows(rows: np.ndarray) -> np.ndarray:
     if rows.ndim != 2:
         raise ValueError(f"need a 2-D (n, arity) array, got shape {rows.shape}")
     return rows
+
+
+def int64_rows(rows: np.ndarray, what: str) -> np.ndarray:
+    """``rows`` as int64 (no copy when already int64): the one admission
+    check for integer input.  Raises ``TypeError`` for a non-integer
+    dtype and ``ValueError`` for a value above the int64 maximum (uint64
+    values that fit are kept)."""
+    if rows.dtype.kind not in "iu":
+        raise TypeError(f"{what} needs an integer array, got dtype {rows.dtype}")
+    if (
+        not np.can_cast(rows.dtype, np.int64)
+        and rows.size
+        and int(rows.max()) > np.iinfo(np.int64).max
+    ):
+        raise ValueError(f"{what} has values above the int64 maximum")
+    return rows.astype(np.int64, copy=False)
+
+
+def _prefix_first(test: Callable[[np.ndarray], bool], values: np.ndarray) -> bool:
+    """``test`` on a short prefix of ``values``, then on all of them.
+
+    Input out of order near its start -- the router's destination
+    servers, or join outputs a merge join reordered -- fails the prefix
+    and costs no full pass.
+    """
+    return test(values[: _PROBE + 1]) and (len(values) <= _PROBE + 1 or test(values))
+
+
+def _rows_increasing(rows: np.ndarray) -> bool:
+    later, earlier = rows[1:], rows[:-1]
+    greater = later[:, -1] > earlier[:, -1]
+    for col in range(rows.shape[1] - 2, -1, -1):
+        greater &= later[:, col] == earlier[:, col]
+        greater |= later[:, col] > earlier[:, col]
+    return bool(greater.all())
+
+
+def is_canonical(rows: np.ndarray) -> bool:
+    """Whether ``rows`` are in canonical order: lexicographically strictly
+    increasing, hence sorted and distinct.
+
+    One comparison of each row with the one before it, a column at a
+    time from last to first; any integer or bool dtype, any width.
+    Zero-column rows are all equal, so two or more are not canonical.
+    """
+    rows = _as_rows(rows)
+    n, arity = rows.shape
+    if n < 2:
+        return True
+    if arity == 0:
+        return False
+    return _prefix_first(_rows_increasing, rows)
+
+
+def is_nondecreasing(keys: np.ndarray) -> bool:
+    """Whether 1-D ``keys`` are already sorted (ties allowed)."""
+    return _prefix_first(lambda k: bool((k[1:] >= k[:-1]).all()), keys)
 
 
 def key_layout(columns: Iterable[Sequence[np.ndarray]]) -> _Layout | None:
@@ -141,11 +211,14 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
 
     Sorting ``(key << index_bits) | position`` is stable by construction
     and runs on the plain 1-D sort; keys that are negative or too wide
-    for the tag fall back to ``argsort(kind="stable")``.
+    for the tag fall back to ``argsort(kind="stable")``.  Keys already
+    non-decreasing are their own order: the identity, with no sort.
     """
     n = len(keys)
-    index_bits = max(n - 1, 0).bit_length()
-    if n == 0 or keys.min() < 0 or (
+    if is_nondecreasing(keys):
+        return np.arange(n)
+    index_bits = (n - 1).bit_length()
+    if keys.min() < 0 or (
         int(keys.max()).bit_length() + index_bits > _KEY_BITS
     ):
         return np.argsort(keys, kind="stable")
@@ -164,16 +237,37 @@ def group_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, _run_starts(keys[order])
 
 
+def _distinct_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of non-empty ``rows`` in lexicographic order, and the
+    position in the sorted rows where each one's run begins."""
+    layout = _layout(rows)
+    if layout is not None:
+        keys = np.sort(_pack(rows, layout))
+        starts = _run_starts(keys)
+        return _unpack(keys[starts], layout, rows.dtype), starts
+    order, starts = _ordered_runs(rows, None)
+    return rows[order[starts]], starts
+
+
 def unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Distinct rows in lexicographic order (fast ``unique(axis=0)``)."""
-    return unique_rows_with_counts(rows)[0]
+    """Distinct rows in lexicographic order (fast ``unique(axis=0)``),
+    always a new array."""
+    rows = _as_rows(rows)
+    if len(rows) == 0:
+        return rows.copy()
+    return _distinct_runs(rows)[0]
 
 
 def merge_batches(batches: Sequence[np.ndarray]) -> np.ndarray:
     """The deduplicated union of one or more row batches, canonically
-    ordered -- how every fragment and output merge in the package is done."""
+    ordered -- how every fragment and output merge in the package is done.
+
+    Rows already canonical come back without a sort: one batch as the
+    same object, several as their concatenation.  Callers must not write
+    to the result.
+    """
     rows = batches[0] if len(batches) == 1 else np.concatenate(batches, axis=0)
-    return unique_rows(rows)
+    return rows if is_canonical(rows) else unique_rows(rows)
 
 
 def unique_rows_with_counts(
@@ -187,18 +281,11 @@ def unique_rows_with_counts(
     rows = _as_rows(rows)
     if len(rows) == 0:
         return rows.copy(), np.empty(0, dtype=np.int64)
-    layout = _layout(rows)
-    if layout is not None and weights is None:
-        keys = np.sort(_pack(rows, layout))
-        starts = _run_starts(keys)
-        distinct = _unpack(keys[starts], layout, rows.dtype)
-        return distinct, np.diff(starts, append=len(keys))
-    order, starts = _ordered_runs(rows, layout)
     if weights is None:
-        counts = np.diff(starts, append=len(rows))
-    else:
-        counts = np.add.reduceat(np.asarray(weights)[order], starts)
-    return rows[order[starts]], counts
+        distinct, starts = _distinct_runs(rows)
+        return distinct, np.diff(starts, append=len(rows))
+    order, starts = _ordered_runs(rows, _layout(rows))
+    return rows[order[starts]], np.add.reduceat(np.asarray(weights)[order], starts)
 
 
 def column_counts(

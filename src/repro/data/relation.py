@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.data.arrays import column_counts, unique_rows
+from repro.data.arrays import column_counts, int64_rows, unique_rows
 
 
 class Relation:
@@ -120,16 +120,16 @@ class Relation:
 
         Duplicate rows collapse (set semantics).  The canonical sorted
         array is cached on the result, so a subsequent
-        :meth:`to_array` does not re-convert.
+        :meth:`to_array` does not re-convert.  Raises ``TypeError`` for a
+        non-integer array and ``ValueError`` for a value above the int64
+        maximum, which would otherwise wrap.
         """
         array = np.asarray(array)
         if array.ndim != 2:
             raise ValueError(f"need a 2-D (n, arity) array, got shape {array.shape}")
         if array.shape[1] < 1:
             raise ValueError("relation arity must be >= 1")
-        if array.dtype.kind not in "iu":
-            raise TypeError(f"need an integer array, got dtype {array.dtype}")
-        canonical = unique_rows(array.astype(np.int64, copy=False))
+        canonical = unique_rows(int64_rows(array, f"relation {name}"))
         canonical.flags.writeable = False
         relation = cls.__new__(cls)
         relation.name = name

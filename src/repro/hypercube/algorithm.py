@@ -89,7 +89,10 @@ def route_relation_arrays(
     expanded by broadcasting the subcube's linear-offset vector, and
     rows are grouped by destination server with one stable sort
     (:func:`repro.data.arrays.group_order`).  Row batches preserve the
-    (deterministic) input row order within each server.  Rows that
+    (deterministic) input row order within each server, so canonical
+    input gives canonical batches: each is a subsequence of the rows,
+    and a server's merge of them only checks the order
+    (:func:`repro.data.arrays.merge_batches`).  Rows that
     bind a repeated variable inconsistently (e.g. ``S(x, x)`` with row
     ``(1, 2)``) can match no answer and are dropped before routing, so
     they contribute zero bits to every server's load.

@@ -31,10 +31,16 @@ step groups keys depends only on the data:
   candidates, each then checked exactly against the sorted right keys
   (a slot collision costs time, never correctness).
 
-Pairs are enumerated with ``cumsum`` offset arithmetic and set
-semantics are restored with a final row-wise ``unique``.  No Python
-work per tuple, and inputs are never written to (spill chunks arrive
-as read-only memmaps).
+Pairs are enumerated with ``cumsum`` offset arithmetic.  A natural
+join of sets has distinct answers, and the dense join and the filter
+keep the left side's order and emit each left row's right matches in
+stable order; so when the first atom is canonical the answers mostly
+come out canonical too.  One linear check
+(:func:`repro.data.arrays.is_canonical`) proves it, and only answers it
+rejects take the final row-wise ``unique``.  Join keys already sorted,
+such as a prefix of a canonical atom, skip their sort the same way.  No
+Python work per tuple, and inputs are never written to (spill chunks
+arrive as read-only memmaps).
 
 Queries with isolated variables have no join plan and raise
 :class:`~repro.core.query.UnsupportedQueryError`.
@@ -49,6 +55,9 @@ import numpy as np
 from repro.core.query import Atom, ConjunctiveQuery
 from repro.data.arrays import (
     group_order,
+    int64_rows,
+    is_canonical,
+    is_nondecreasing,
     key_layout,
     repeated_binding_filter,
     row_keys,
@@ -58,19 +67,6 @@ from repro.data.arrays import (
 
 #: Fibonacci hashing multiplier: ``2**64`` over the golden ratio.
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _int64_rows(rows: np.ndarray, what: str) -> np.ndarray:
-    """``rows`` as int64 (no copy when already int64); other dtypes refused."""
-    if rows.dtype.kind not in "iu":
-        raise TypeError(f"{what} needs an integer array, got dtype {rows.dtype}")
-    if (
-        not np.can_cast(rows.dtype, np.int64)
-        and rows.size
-        and int(rows.max()) > np.iinfo(np.int64).max
-    ):
-        raise ValueError(f"{what} has values above the int64 maximum")
-    return rows.astype(np.int64, copy=False)
 
 
 def atom_projection(atom: Atom, rows: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -88,7 +84,7 @@ def atom_projection(atom: Atom, rows: np.ndarray) -> tuple[np.ndarray, tuple[str
             f"fragment for {atom.relation} has shape {rows.shape}, "
             f"expected (n, {atom.arity})"
         )
-    rows = _int64_rows(rows, f"fragment for {atom.relation}")
+    rows = int64_rows(rows, f"fragment for {atom.relation}")
     first_position, mask = repeated_binding_filter(atom.variables, rows)
     schema = tuple(first_position)
     if mask is None:
@@ -154,7 +150,8 @@ def _hash_slots(keys: np.ndarray, bits: int) -> np.ndarray:
 
 def _hashed_filter(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
     """Semijoin: a hashed bitmap admits candidates, and only those are
-    checked exactly against the sorted right keys."""
+    checked exactly against the sorted right keys (sorted here only if
+    they are not already)."""
     bits = (4 * (len(left_keys) + len(right_keys)) - 1).bit_length()
     table = np.zeros(1 << bits, dtype=bool)
     table[_hash_slots(right_keys, bits)] = True
@@ -162,7 +159,7 @@ def _hashed_filter(left_keys: np.ndarray, right_keys: np.ndarray) -> np.ndarray:
     if len(candidates) == 0:
         return candidates
     wanted = left_keys[candidates]
-    right_sorted = np.sort(right_keys)
+    right_sorted = right_keys if is_nondecreasing(right_keys) else np.sort(right_keys)
     found = np.minimum(np.searchsorted(right_sorted, wanted), len(right_sorted) - 1)
     return candidates[right_sorted[found] == wanted]
 
@@ -297,8 +294,8 @@ def join_arrays(
     """
     left_schema, right_schema = tuple(left_schema), tuple(right_schema)
     out_schema = left_schema + tuple(v for v in right_schema if v not in left_schema)
-    joined = _Intermediate(_int64_rows(np.asarray(left), "left side"), left_schema)
-    joined.join(_int64_rows(np.asarray(right), "right side"), right_schema)
+    joined = _Intermediate(int64_rows(np.asarray(left), "left side"), left_schema)
+    joined.join(int64_rows(np.asarray(right), "right side"), right_schema)
     return joined.gather(out_schema), out_schema
 
 
@@ -313,6 +310,7 @@ def evaluate_arrays(
     :class:`~repro.core.query.UnsupportedQueryError` for queries with
     isolated variables, which no join plan can bind, and
     :func:`atom_projection`'s errors for a fragment that is not integer.
+    The result is always a new array, never one of the fragments.
     """
     query.require_executable()
     head = query.variables
@@ -341,4 +339,5 @@ def evaluate_arrays(
         joined.join(*prepared[choice])
         if joined.size == 0:
             return np.empty((0, len(head)), dtype=np.int64)
-    return unique_rows(joined.gather(head))
+    answers = joined.gather(head)
+    return answers if is_canonical(answers) else unique_rows(answers)

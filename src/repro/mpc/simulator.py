@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, Literal
 
 import numpy as np
 
-from repro.data.arrays import merge_batches, unique_rows
+from repro.data.arrays import merge_batches
 from repro.mpc.report import LoadReport, RoundLoad
 from repro.trace.recorder import active_recorder
 
@@ -126,7 +126,7 @@ class ServerState:
         if spool is not None:
             if not len(spool):
                 return None
-            return unique_rows(spool.to_array())
+            return merge_batches([spool.to_array()])
         batches = self.array_fragments.get(tag)
         if not batches:
             return None
@@ -385,8 +385,10 @@ class MPCSimulation:
     def outputs_array(self, width: int) -> np.ndarray:
         """The union of all servers' outputs -- the algorithm's answer.
 
-        One canonical ``(n, width)`` array: every server's batches
-        concatenated and the union deduplicated row-wise.
+        One new, canonical, C-ordered ``(n, width)`` array: every
+        server's batches concatenated and the union deduplicated
+        row-wise.  Callers may write to it without touching the
+        simulation's state.
         """
         batches = [
             rows
@@ -395,7 +397,9 @@ class MPCSimulation:
         ]
         if not batches:
             return np.empty((0, width), dtype=np.int64)
-        return merge_batches(batches)
+        merged = merge_batches(batches)
+        # A lone canonical batch comes back as the stored object itself.
+        return np.array(merged, order="C") if merged is batches[0] else merged
 
     def output_rows_total(self) -> int:
         """Rows recorded across all servers, duplicates included.

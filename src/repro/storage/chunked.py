@@ -26,9 +26,12 @@ sorted and deduplicated), a chunked relation stores rows in **append
 order** and trusts the writer on distinctness: executors append
 already-deduplicated fragments, :meth:`from_array` canonicalizes
 through :func:`~repro.data.arrays.unique_rows` first, and the streaming
-generators produce injective columns.  Set-style APIs inherited from
-``Relation`` materialize the tuples on first use, exactly like an
-array-born relation.
+generators produce injective columns.  A relation built by
+:meth:`from_array` or :meth:`from_relation` is canonical chunk after
+chunk, so routing it hands every server canonical batches and their
+merge (:func:`~repro.data.arrays.merge_batches`) is one linear check.
+Set-style APIs inherited from ``Relation`` materialize the tuples on
+first use, exactly like an array-born relation.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.data.arrays import column_counts, unique_rows
+from repro.data.arrays import column_counts, int64_rows, unique_rows
 from repro.data.relation import Relation, validate_array_domain
 from repro.storage.manager import DEFAULT_CHUNK_ROWS, StorageManager
 
@@ -123,16 +126,15 @@ class ChunkedRelation(Relation):
         The chunk stream then enumerates exactly the rows of
         ``Relation.from_array(name, array).to_array()`` in the same
         order, which is what makes chunked execution bit-identical to
-        the in-memory path.
+        the in-memory path.  Input is admitted as there: ``TypeError``
+        for a non-integer array, ``ValueError`` above the int64 maximum.
         """
         array = np.asarray(array)
         if array.ndim != 2:
             raise ValueError(
                 f"need a 2-D (n, arity) array, got shape {array.shape}"
             )
-        if array.dtype.kind not in "iu":
-            raise TypeError(f"need an integer array, got dtype {array.dtype}")
-        canonical = unique_rows(array.astype(np.int64, copy=False))
+        canonical = unique_rows(int64_rows(array, f"relation {name}"))
         out = cls(name, array.shape[1], storage=storage, chunk_rows=chunk_rows)
         out.append(canonical)
         return out

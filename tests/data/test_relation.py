@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.data.relation import Relation, relation_from_pairs
@@ -34,6 +35,22 @@ class TestConstruction:
         assert a == b
         assert hash(a) == hash(b)
         assert a != rel([(1, 2)])
+
+    def test_from_array_rejects_uint64_above_int64_max(self):
+        """2**64 - 1 used to wrap to -1 instead of raising."""
+        rows = np.array([[2**64 - 1, 1]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="int64 maximum"):
+            Relation.from_array("R", rows)
+
+    def test_from_array_keeps_uint64_that_fit(self):
+        top = np.iinfo(np.int64).max
+        r = Relation.from_array("R", np.array([[top, 1], [5, 2]], dtype=np.uint64))
+        assert r.to_array().tolist() == [[5, 2], [top, 1]]
+        assert r.to_array().dtype == np.int64
+
+    def test_from_array_rejects_floats(self):
+        with pytest.raises(TypeError, match="integer"):
+            Relation.from_array("R", np.array([[1.5, 2.0]]))
 
     def test_sorted_tuples_deterministic(self):
         # The canonical array lists the tuples in sorted order.

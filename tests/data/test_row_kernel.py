@@ -6,7 +6,10 @@ agree with each other and with ``np.unique(axis=0)`` on rows, order,
 inverse ids and counts.  On top of the kernel, ``join_arrays`` must
 equal the tuple ``hash_join`` as sets, and the router's grouping must
 reproduce the stable order batch for batch (capacity-drop truncation
-cuts each server's batch by row position).
+cuts each server's batch by row position).  The canonical-order fast
+paths (``is_canonical``, ``merge_batches`` returning canonical input,
+``stable_order`` on sorted keys) must agree with the same references on
+input that is already ordered, nearly ordered and reversed.
 
 Hypothesis draws the case shape and a case seed; the rows themselves
 come from a numpy generator seeded with ``derive_seed``.
@@ -24,6 +27,8 @@ from repro.data.arrays import (
     column_counts,
     encode_rows,
     group_order,
+    is_canonical,
+    is_nondecreasing,
     merge_batches,
     row_keys,
     stable_order,
@@ -206,6 +211,104 @@ def test_zero_column_and_tiny_arrays():
         unique_rows(np.arange(5))
 
 
+# ------------------------------------------------------- canonical order
+
+def canonical_reference(rows: np.ndarray) -> bool:
+    """Strictly increasing as Python tuples (sorted and distinct)."""
+    as_tuples = list(map(tuple, rows.tolist()))
+    return all(a < b for a, b in zip(as_tuples, as_tuples[1:]))
+
+
+def arranged(rows: np.ndarray, arrangement: str) -> np.ndarray:
+    """``rows`` as drawn, canonical, canonical with one row repeated next
+    to itself, or canonical reversed."""
+    if arrangement == "drawn":
+        return rows
+    ordered = np.unique(rows, axis=0)
+    if arrangement == "duplicate" and len(ordered):
+        return np.insert(ordered, len(ordered) // 2, ordered[len(ordered) // 2], axis=0)
+    return ordered[::-1] if arrangement == "reversed" else ordered
+
+
+def check_fast_paths(batches: list[np.ndarray]) -> None:
+    """``is_canonical``, ``merge_batches`` and ``stable_order`` against
+    ``np.unique(axis=0)`` and the stable ``argsort``."""
+    frozen = [np.array(b) for b in batches]
+    rows = np.concatenate(frozen, axis=0)
+    assert is_canonical(rows) == canonical_reference(rows)
+    merged = merge_batches(batches)
+    expected = np.unique(rows, axis=0)
+    assert merged.dtype == expected.dtype
+    assert np.array_equal(merged, expected)
+    # The input comes back as is exactly when one batch is canonical.
+    assert (merged is batches[0]) == (len(batches) == 1 and canonical_reference(rows))
+    for batch, before in zip(batches, frozen):
+        assert np.array_equal(batch, before)  # never written to
+    if rows.shape[1]:
+        keys = rows[:, 0]
+        assert np.array_equal(stable_order(keys), np.argsort(keys, kind="stable"))
+
+
+@seed(derive_seed(20, 7))
+@settings(max_examples=150, deadline=None)
+@given(row_cases, st.sampled_from(["drawn", "sorted", "duplicate", "reversed"]),
+       st.integers(1, 3))
+def test_canonical_fast_paths_equal_references(case, arrangement, parts):
+    case_seed, n, arity, regime = case
+    rows = arranged(draw_rows(case_seed, 12, n, arity, regime), arrangement)
+    check_fast_paths([rows])
+    cuts = np.random.default_rng(derive_seed(case_seed, 13)).integers(0, len(rows) + 1, parts - 1)
+    check_fast_paths(np.split(rows, np.sort(cuts)))
+
+
+def forced_cases() -> dict[str, np.ndarray]:
+    sorted_rows = np.unique(draw_rows(3, 14, 40, 3, "negative"), axis=0)
+    extreme = np.unique(draw_rows(3, 15, 30, 2, "extreme"), axis=0)
+    cases = {
+        "sorted": sorted_rows,
+        "sorted+duplicate": np.insert(sorted_rows, 5, sorted_rows[5], axis=0),
+        "reversed": sorted_rows[::-1],
+        "empty": np.empty((0, 3), dtype=np.int64),
+        "one row": sorted_rows[:1],
+        "extreme sorted": extreme,
+        "extreme swapped": extreme[[1, 0, *range(2, len(extreme))]],
+        "last column ties": np.array([[1, 2, 3], [1, 2, 3]]),
+        "first column decides": np.array([[1, 9, 9], [2, 0, 0]]),
+        "bool": np.array([[False, True], [True, False], [True, True]]),
+        "bool duplicate": np.array([[False, True], [False, True]]),
+        "uint64": np.array([[0, 2**64 - 1], [2**63, 0], [2**64 - 1, 1]], dtype=np.uint64),
+        "uint64 descending": np.array([[2**64 - 1], [2**63]], dtype=np.uint64),
+    }
+    for n in (0, 1, 2):
+        cases[f"zero columns n={n}"] = np.empty((n, 0), dtype=np.int64)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(forced_cases()))
+def test_canonical_fast_paths_forced_cases(name):
+    rows = forced_cases()[name]
+    check_fast_paths([rows])
+    check_fast_paths([rows[: len(rows) // 2], rows[len(rows) // 2:]])
+    if name.endswith("n=2") or name in ("sorted+duplicate", "reversed", "bool duplicate"):
+        assert not is_canonical(rows)
+
+
+def test_canonical_fast_paths_on_read_only_and_memmap(tmp_path):
+    rows = np.unique(draw_rows(9, 16, 50, 2, "wide"), axis=0)
+    frozen = rows.copy()
+    frozen.flags.writeable = False
+    with StorageManager(root=tmp_path / "spill", chunk_rows=len(rows)) as storage:
+        spool = storage.spool("chunk", rows.shape[1])
+        spool.append(rows)
+        (mapped,) = spool.chunks()
+        assert isinstance(mapped, np.memmap) and not mapped.flags.writeable
+        for source in (frozen, mapped, frozen[::-1], mapped[::-1]):
+            check_fast_paths([source])
+        check_fast_paths([mapped, frozen])
+        assert merge_batches([mapped]) is mapped
+        assert np.array_equal(np.asarray(mapped), rows)
+
+
 # ------------------------------------------------------- keys and ordering
 
 @seed(derive_seed(20, 3))
@@ -244,6 +347,23 @@ def test_group_order_equals_stable_argsort(case_seed, n, bounds):
     ]
     assert np.array_equal(stable_order(keys.astype(np.int32, casting="unsafe")),
                           np.argsort(keys.astype(np.int32, casting="unsafe"), kind="stable"))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 64, 65, 66, 200])
+def test_order_checks_look_past_their_prefix_probe(n):
+    keys = np.arange(n, dtype=np.int64) // 2  # sorted, with ties
+    rows = np.column_stack([keys, np.arange(n) % 2])  # canonical
+    assert is_nondecreasing(keys) and is_canonical(rows)
+    assert np.array_equal(stable_order(keys), np.arange(n))
+    if n >= 2:
+        late = keys.copy()
+        late[-1] = -1  # out of order only at the very end
+        assert not is_nondecreasing(late)
+        assert np.array_equal(stable_order(late), np.argsort(late, kind="stable"))
+        tied = rows.copy()
+        tied[-1] = tied[-2]  # one duplicate, at the very end
+        assert not is_canonical(tied)
+        assert np.array_equal(merge_batches([tied]), np.unique(tied, axis=0))
 
 
 # ------------------------------------------------------------------- joins
@@ -318,3 +438,7 @@ def test_router_batches_keep_stable_row_order(case_seed, shares, atom_variables,
     assert [server for server, _ in batches] == sorted(expected)
     for server, batch in batches:
         assert [tuple(r) for r in batch.tolist()] == expected[server]
+    # Canonical in, canonical out: each server's batch is a subsequence.
+    canonical = unique_rows(rows)
+    for _, batch in route_relation_arrays(partitioner, dimensions, atom_variables, canonical):
+        assert is_canonical(batch)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.families import chain_query, simple_join_query, triangle_query
 from repro.core.query import Atom, ConjunctiveQuery, UnsupportedQueryError
+from repro.data.arrays import unique_rows
 from repro.join import evaluate_arrays, join_arrays
 from repro.join.vectorized import evaluate_arrays as evaluate_arrays_by_path
 from tests.conftest import random_queries
@@ -77,6 +78,7 @@ def check_against_oracle(query: ConjunctiveQuery, arrays: dict) -> np.ndarray:
     """``evaluate_arrays`` equals the backtracking join; returns the answers."""
     answers = evaluate_arrays(query, arrays)
     check_output_contract(query, answers)
+    assert not any(np.shares_memory(answers, rows) for rows in arrays.values())
     expected = evaluate_on_fragments(
         query, {name: set(map(tuple, rows.tolist())) for name, rows in arrays.items()}
     )
@@ -302,6 +304,49 @@ class TestKernelPaths:
         left_ids, right_ids = join_step(left, right, binds_new=False)
         assert right_ids is None
         assert left_ids.tolist() == [4, 5]
+
+
+def canonical_arrays(scale: int = 1) -> dict[str, np.ndarray]:
+    return {name: unique_rows(rows) for name, rows in triangle_arrays(scale).items()}
+
+
+class TestCanonicalAnswers:
+    """The final dedup runs only when the answers are not already
+    canonical; either way the result is a new array."""
+
+    @pytest.mark.parametrize(
+        "atoms, arrays, dedup",
+        [
+            ((R_XY,), canonical_arrays(), False),
+            ((R_XY, S_YZ), canonical_arrays(), False),
+            ((S_YZ, R_XY), canonical_arrays(), False),
+            ((R_XY, S_YZ, T_ZX), canonical_arrays(), False),
+            ((R_XY, S_YZ, T_ZX), canonical_arrays(2**20), False),
+            # A first atom out of order gives answers out of order.
+            ((R_XY, S_YZ), {**canonical_arrays(), "R": canonical_arrays()["R"][::-1]}, True),
+            # The sort-merge join emits left rows in key order, here not
+            # the order of R's rows.
+            ((R_XY, S_YZ), {
+                "R": as_rows([(1, 5), (3, 2)], 2) * 2**20,
+                "S": as_rows([(2, 7), (5, 9)], 2) * 2**20,
+            }, True),
+        ],
+        ids=["R", "path", "path from S", "triangle", "triangle wide", "R reversed",
+             "merge reorders"],
+    )
+    def test_final_dedup_only_when_needed(self, atoms, arrays, dedup, monkeypatch):
+        import repro.join.vectorized as vectorized
+
+        deduped: list[int] = []
+
+        def spy(rows):
+            deduped.append(len(rows))
+            return unique_rows(rows)
+
+        monkeypatch.setattr(vectorized, "unique_rows", spy)
+        answers = check_against_oracle(ConjunctiveQuery(atoms), arrays)
+        assert len(answers)
+        assert deduped == ([len(answers)] if dedup else [])
 
 
 # ------------------------------------------------------------------ inputs

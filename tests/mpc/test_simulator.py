@@ -103,6 +103,19 @@ class TestSemantics:
         assert sim.outputs_of(0) == {(1,)}
         assert sim.output_counts() == [1, 1, 1]
 
+    def test_outputs_array_never_aliases_a_stored_batch(self):
+        # A lone canonical batch needs no merge, but the caller still
+        # gets a C-ordered array of its own to write to.
+        sim = MPCSimulation(p=2, value_bits=1)
+        batch = np.asfortranarray(rows([(1, 2), (3, 4)]))
+        sim.output_array(1, batch)
+        out = sim.outputs_array(2)
+        assert out.tolist() == [[1, 2], [3, 4]]
+        assert out.flags.c_contiguous
+        assert not np.shares_memory(out, batch)
+        out[0, 0] = 9
+        assert sim.outputs_array(2).tolist() == [[1, 2], [3, 4]]
+
     def test_clear_all(self):
         sim = MPCSimulation(p=2, value_bits=1)
         sim.begin_round()

@@ -136,6 +136,19 @@ class TestChunkedRelation:
         assert np.array_equal(chunked.to_array(), reference.to_array())
         assert len(chunked) == 3
 
+    def test_from_array_rejects_uint64_above_int64_max(self, storage):
+        """2**64 - 1 used to wrap to -1 instead of raising."""
+        rows = np.array([[2**64 - 1, 1]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="int64 maximum"):
+            ChunkedRelation.from_array("c", rows, storage=storage)
+
+    def test_from_array_keeps_uint64_that_fit(self, storage):
+        top = np.iinfo(np.int64).max
+        rows = np.array([[top, 1], [5, 2]], dtype=np.uint64)
+        chunked = ChunkedRelation.from_array("c", rows, storage=storage)
+        assert chunked.to_array().tolist() == [[5, 2], [top, 1]]
+        assert chunked.to_array().dtype == np.int64
+
     def test_from_relation_twin_matches_chunkwise(self, storage):
         reference = Relation("t", 2, [(5, 1), (2, 2), (9, 0), (2, 1)])
         chunked = ChunkedRelation.from_relation(
