@@ -161,7 +161,7 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # ``logging.basicConfig()``.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "10.1.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "Atom",

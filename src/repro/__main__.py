@@ -72,6 +72,7 @@ from repro.core.shares import space_exponent_bound
 from repro.join import evaluate_arrays
 from repro.metrics import render_text, write_snapshot
 from repro.metrics.cli import render_snapshot_path
+from repro.mpc.simulator import LoadExceededError
 from repro.multiround.gamma import chain_rounds_upper_bound
 from repro.multiround.lowerbounds import chain_round_lower_bound
 from repro.planner import plan as planner_plan
@@ -389,8 +390,9 @@ def run_run_command(args: argparse.Namespace) -> None:
                 max_workers=args.max_workers,
                 metrics_every=args.metrics_every,
             )
-        except (KeyError, ValueError) as exc:
-            # Unknown/inapplicable strategy etc.: a clean nonzero exit.
+        except (KeyError, ValueError, LoadExceededError) as exc:
+            # Unknown/inapplicable strategy, a breached capacity in
+            # fail mode etc.: a clean nonzero exit.
             print(f"CHECK FAILED: {exc}", file=sys.stderr)
             raise TourCheckFailed(str(exc)) from exc
         for index, result in enumerate(results):

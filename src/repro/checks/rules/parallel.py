@@ -7,8 +7,9 @@ def works under the serial/thread pools and then dies — or silently
 diverges — under ``pool="process"``.  And because bit-identity is
 guaranteed by replaying all simulator accounting on the parent in
 serial order, a worker body that mutates ``MPCSimulation`` state
-directly (``send_array``/``output_array``) would double-count
-or order-scramble the very loads the paper's bounds are about.
+directly (``send_partition``/``send_array``/``output_array``) would
+double-count or order-scramble the very loads the paper's bounds are
+about.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable
 from repro.checks.engine import Finding, Module, Rule
 
 #: MPCSimulation calls that mutate accounting state.
-_SIM_MUTATORS = frozenset({"send_array", "output_array"})
+_SIM_MUTATORS = frozenset({"send_partition", "send_array", "output_array"})
 
 
 def _module_level_bindings(tree: ast.Module) -> set[str]:
@@ -150,8 +151,8 @@ class ParentAccountingRule(Rule):
     id = "parent-accounting"
     description = (
         "worker task bodies must not mutate MPCSimulation accounting "
-        "(send_array/output_array); the parent replays accounting in "
-        "serial order to keep runs bit-identical across pools"
+        "(send_partition/send_array/output_array); the parent replays "
+        "accounting in serial order to keep runs bit-identical across pools"
     )
 
     def check(self, module: Module) -> Iterable[Finding]:

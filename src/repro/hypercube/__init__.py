@@ -17,7 +17,10 @@ share vector, one of the candidates the ``"hypercube"`` strategy prices.
 Every engine runs through ``Session.run(q, db, "<strategy name>")``.
 """
 
-from repro.hypercube.algorithm import route_relation_arrays
+from repro.hypercube.algorithm import (
+    route_relation_arrays,
+    route_relation_partition,
+)
 from repro.hypercube.analysis import (
     predicted_load_bits,
     predicted_load_bits_skewed,
@@ -27,6 +30,7 @@ from repro.hypercube.analysis import (
 
 __all__ = [
     "route_relation_arrays",
+    "route_relation_partition",
     "predicted_load_bits",
     "predicted_load_bits_skewed",
     "predicted_load_bits_with_frequencies",

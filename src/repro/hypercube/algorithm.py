@@ -42,6 +42,7 @@ from repro.data.database import Database
 from repro.hashing.family import GridPartitioner, grid_dimension_weights
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
 from repro.join.vectorized import evaluate_arrays
+from repro.mpc.simulator import Partition
 from repro.mpc.timing import PhaseTimer
 from repro.run import RunResult, implements
 from repro.storage.manager import StorageManager
@@ -73,13 +74,13 @@ def resolve_shares(
     return integerize_shares(full, p)
 
 
-def route_relation_arrays(
+def route_relation_partition(
     partitioner: GridPartitioner,
     dimension_variables: Sequence[str],
     atom_variables: Sequence[str],
     rows: np.ndarray,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(server, row_batch)`` pairs for one relation, vectorized.
+) -> Partition:
+    """Route one relation's rows, vectorized: one :class:`Partition`.
 
     ``dimension_variables`` fixes the grid axes (the query variables in
     head order); a row binds the axes named by ``atom_variables`` and
@@ -88,14 +89,14 @@ def route_relation_arrays(
     vectorized hash per bound axis, replication along unbound axes is
     expanded by broadcasting the subcube's linear-offset vector, and
     rows are grouped by destination server with one stable sort
-    (:func:`repro.data.arrays.group_order`).  Row batches preserve the
-    (deterministic) input row order within each server, so canonical
-    input gives canonical batches: each is a subsequence of the rows,
-    and a server's merge of them only checks the order
-    (:func:`repro.data.arrays.merge_batches`).  Rows that
-    bind a repeated variable inconsistently (e.g. ``S(x, x)`` with row
-    ``(1, 2)``) can match no answer and are dropped before routing, so
-    they contribute zero bits to every server's load.
+    (:func:`repro.data.arrays.group_order`) and gathered once, in
+    server order.  Each server's segment preserves the (deterministic)
+    input row order, so canonical input gives canonical segments: each
+    is a subsequence of the rows, and a server's merge of them only
+    checks the order (:func:`repro.data.arrays.merge_batches`).  Rows
+    that bind a repeated variable inconsistently (e.g. ``S(x, x)`` with
+    row ``(1, 2)``) can match no answer and are dropped before routing,
+    so they contribute zero bits to every server's load.
     """
     axis_of = {v: i for i, v in enumerate(dimension_variables)}
     strides = partitioner.strides
@@ -105,7 +106,9 @@ def route_relation_arrays(
     if mask is not None:
         rows = rows[mask]
     if len(rows) == 0:
-        return
+        return Partition(
+            np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), rows
+        )
     first_of_axis = {axis_of[v]: pos for v, pos in first_position.items()}
 
     base = np.zeros(len(rows), dtype=np.int64)
@@ -123,12 +126,33 @@ def route_relation_arrays(
     servers = (base[:, None] + offsets[None, :]).reshape(-1)
     # Entry i of ``servers`` is copy ``i % len(offsets)`` of row
     # ``i // len(offsets)``; the order is stable, so every server's
-    # batch keeps the input row order.
+    # segment keeps the input row order.
     order, starts = group_order(servers)
-    row_ids = order // len(offsets)
-    bounds = [*starts.tolist(), len(order)]
-    for start, end in zip(bounds, bounds[1:]):
-        yield int(servers[order[start]]), rows[row_ids[start:end]]
+    row_ids = order if len(offsets) == 1 else order // len(offsets)
+    return Partition(
+        servers[order[starts]],
+        np.append(starts, len(order)),
+        rows[row_ids],
+    )
+
+
+def route_relation_arrays(
+    partitioner: GridPartitioner,
+    dimension_variables: Sequence[str],
+    atom_variables: Sequence[str],
+    rows: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(server, row_batch)`` pairs for one relation.
+
+    The per-server view of :func:`route_relation_partition`: one pair
+    per segment, in ascending server order.
+    """
+    servers, bounds, routed = route_relation_partition(
+        partitioner, dimension_variables, atom_variables, rows
+    )
+    edges = bounds.tolist()
+    for server, start, end in zip(servers.tolist(), edges, edges[1:]):
+        yield server, routed[start:end]
 
 
 @implements("hypercube")

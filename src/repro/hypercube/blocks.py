@@ -17,8 +17,9 @@ Vocabulary:
   grid variable is replicated along it -- that *is* a broadcast.
 * A :class:`BlockInput` names one relation of the block's query: its
   ``tag``, the ``schema`` its columns bind, the row ``sources`` routed
-  in order, and an ``exclude`` filter (drop rows whose value at a
-  position is in a set -- the light parts' "no heavy hitter" cut).
+  in order (consecutive in-memory sources as one chunk), and an
+  ``exclude`` filter (drop rows whose value at a position is in a set
+  -- the light parts' "no heavy hitter" cut).
 * ``prefix`` namespaces a block's tags when blocks *share* servers in
   a round (multi-round operators); the caller then frees delivered
   fragments itself.  Blocks without one own their servers.
@@ -29,9 +30,11 @@ Vocabulary:
 :func:`round_kernel` opens the run's simulator and the array kernel:
 relations travel as ``(n, arity)`` int64 arrays, routing fans out as
 ``RouteTask`` s and per-server joins as ``JoinTask`` s over the worker
-pool, and under a storage manager every fragment is spooled.  Each
-server receives its rows in block, input, source, chunk order, which
-is all that per-server bits, tuples and capacity truncation depend on.
+pool, and under a storage manager every fragment is spooled.  A routed
+chunk comes back as one :class:`~repro.mpc.simulator.Partition` and is
+delivered to all its servers at once.  Each server receives its rows
+in block, input, source, chunk order, which is all that per-server
+bits, tuples and capacity truncation depend on.
 """
 
 from __future__ import annotations
@@ -128,29 +131,29 @@ class _ArrayKernel:
                         self.sim.server(server).clear()
 
     def _route(self, blocks):
-        # One task per (block, input, source, chunk), in that nested
-        # order; results merge in task order, so every server receives
-        # the same row sequence at any pool kind and worker count.
+        # One task per (block, input, chunk), in that nested order, a
+        # run of in-memory sources coalesced into one chunk; results
+        # merge in task order, so every server receives the same row
+        # sequence at any pool kind and worker count.
         def tasks() -> Iterator[RouteTask]:
             for block in blocks:
                 dims = block.query.variables
                 for item in block.inputs:
-                    for fragment in item.sources:
-                        for source in iter_array_sources(
-                            fragment, self.settings.chunk_rows
-                        ):
-                            yield RouteTask(
-                                tag=block.prefix + item.tag,
-                                source=source,
-                                dimension_variables=dims,
-                                atom_variables=item.schema,
-                                shares=block.shares,
-                                family_seed=block.family_seed,
-                                hash_method=self.settings.hash_method,
-                                base=block.base,
-                                exclude=item.exclude,
-                                weights=block.weights,
-                            )
+                    for source in iter_array_sources(
+                        item.sources, self.settings.chunk_rows
+                    ):
+                        yield RouteTask(
+                            tag=block.prefix + item.tag,
+                            source=source,
+                            dimension_variables=dims,
+                            atom_variables=item.schema,
+                            shares=block.shares,
+                            family_seed=block.family_seed,
+                            hash_method=self.settings.hash_method,
+                            base=block.base,
+                            exclude=item.exclude,
+                            weights=block.weights,
+                        )
 
         route_over_pool(self.pool, self.sim, tasks(), self.timer)
 

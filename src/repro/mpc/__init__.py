@@ -8,9 +8,9 @@ and the *maximum load* ``L``, the largest number of bits any server
 receives in any single round.
 
 :class:`~repro.mpc.simulator.MPCSimulation` realizes exactly this
-abstract machine: algorithms call ``send`` during a round, the
-simulator delivers everything at the round barrier and records bits
-received per (server, round).  Local computation is free (it happens in
+abstract machine: algorithms send routed partitions during a round,
+the simulator accounts each server's share on receipt, and the round
+barrier closes the bits received per (server, round).  Local computation is free (it happens in
 plain Python between rounds), mirroring the model's "infinitely
 powerful" servers.  A configurable per-round capacity lets experiments
 abort or truncate on overload, which is how the load-capped
@@ -18,12 +18,18 @@ lower-bound experiments are run.
 """
 
 from repro.mpc.report import LoadReport, RoundLoad
-from repro.mpc.simulator import LoadExceededError, MPCSimulation, ServerState
+from repro.mpc.simulator import (
+    LoadExceededError,
+    MPCSimulation,
+    Partition,
+    ServerState,
+)
 
 __all__ = [
     "LoadExceededError",
     "LoadReport",
     "MPCSimulation",
+    "Partition",
     "RoundLoad",
     "ServerState",
 ]

@@ -6,6 +6,7 @@ An :class:`MPCSimulation` is driven imperatively by algorithm code:
 
     sim = MPCSimulation(p=8, value_bits=20)
     sim.begin_round()
+    sim.send_partition("S1", routed)       # one routed chunk, every server
     sim.send_array(3, "S1", np.array([[1, 2], [5, 6]]))
     sim.end_round()                        # barrier: close the round's loads
     fragment = sim.array_state(3)["S1"]    # local computation phase
@@ -16,13 +17,16 @@ Bits are accounted on *receipt*, exactly as the model defines load
 during a particular round").  Payloads are ``(n, arity)`` int64 row
 batches, and each row is one tuple of the tuple-based model: a tuple
 of arity ``a`` costs ``a * value_bits`` bits unless the sender
-overrides ``bits_per_tuple``.  Delivery is streaming: each
-``send_array`` is accounted and stored the moment it is issued (in send
-order, which is all capacity truncation depends on), so a round never
-buffers its full traffic -- the property that lets out-of-core
-executions route terabytes through a constant-memory simulator.
-``end_round`` is purely the accounting barrier closing the round's
-:class:`RoundLoad`.
+overrides ``bits_per_tuple``.  The unit of delivery is a
+:class:`Partition` -- one routed chunk, its rows grouped by destination
+server -- and :meth:`MPCSimulation.send_partition` accounts every
+server's share of it at once; ``send_array`` is its one-server case, so
+there is one accounting path.  Delivery is streaming: each partition
+is accounted and stored the moment it is issued (in send order, which
+is all capacity truncation depends on), so a round never buffers its
+full traffic -- the property that lets out-of-core executions route
+terabytes through a constant-memory simulator.  ``end_round`` is
+purely the accounting barrier closing the round's :class:`RoundLoad`.
 
 Setting ``capacity_bits`` models a hard per-round load cap ``L``:
 ``on_overflow="fail"`` aborts the execution (the paper's randomized
@@ -41,7 +45,7 @@ bit accounting is identical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
 import numpy as np
 
@@ -53,6 +57,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.config import MachineSpec
     from repro.storage.manager import StorageManager
     from repro.trace.recorder import TraceRecorder
+
+
+class Partition(NamedTuple):
+    """One routed chunk: its rows grouped by destination server.
+
+    ``servers`` holds the distinct destinations in ascending order and
+    ``bounds`` the CSR offsets into ``rows`` (``len(servers) + 1``
+    entries): server ``servers[i]`` receives
+    ``rows[bounds[i]:bounds[i + 1]]``, in that order.  Three arrays, so
+    a process worker ships a routed chunk as three pickled buffers.
+    """
+
+    servers: np.ndarray
+    bounds: np.ndarray
+    rows: np.ndarray
 
 
 class LoadExceededError(RuntimeError):
@@ -186,9 +205,9 @@ class MPCSimulation:
                     caps[s] = own if capacity_bits is None else min(own, capacity_bits)
         self._caps = caps
         # Accounting side-channel: the recorder gets one event per
-        # delivery.  It does not affect results: it observes the exact
-        # accepted/dropped quantities the accounting below computes
-        # anyway.  When no trace is passed explicitly, the
+        # server a delivery reaches.  It does not affect results: it
+        # observes the exact accepted/dropped quantities the accounting
+        # below computes anyway.  When no trace is passed explicitly, the
         # context-installed recorder (repro.trace.tracing) applies.
         self.trace = trace if trace is not None else active_recorder()
         if self.trace is not None:
@@ -252,58 +271,95 @@ class MPCSimulation:
         """Account and store a ``(n, arity)`` row batch at ``dest``.
 
         Each row costs ``arity * value_bits`` bits on receipt unless
-        ``bits_per_tuple`` overrides it.
+        ``bits_per_tuple`` overrides it.  The one-server case of
+        :meth:`send_partition`.
         """
+        rows = np.asarray(rows)
+        # A 0-d "batch" has no len(); _deliver rejects it by shape.
+        size = len(rows) if rows.ndim else 0
+        self._deliver(tag, [dest], [0, size], rows, bits_per_tuple)
+
+    def send_partition(
+        self,
+        tag: str,
+        partition: Partition,
+        bits_per_tuple: float | None = None,
+    ) -> None:
+        """Account and store one routed chunk on every destination.
+
+        Equivalent to one :meth:`send_array` per server, in ascending
+        server order: each server's segment is accounted against its
+        own cap, in ``drop`` mode each keeps its longest prefix that
+        fits, and in ``fail`` mode the first breaching server raises
+        after the servers before it were delivered.
+        """
+        servers, bounds, rows = partition
+        destinations = servers.tolist()
+        if any(a >= b for a, b in zip(destinations, destinations[1:])):
+            raise ValueError("partition servers must be strictly ascending")
+        self._deliver(
+            tag, destinations, bounds.tolist(), np.asarray(rows), bits_per_tuple
+        )
+
+    def _deliver(
+        self,
+        tag: str,
+        destinations: list[int],
+        edges: list[int],
+        rows: np.ndarray,
+        bits_per_tuple: float | None,
+    ) -> None:
+        """The one accounting path: server ``destinations[i]`` receives
+        ``rows[edges[i]:edges[i + 1]]``, servers in ascending order."""
         if not self._in_round:
             raise RuntimeError("send outside a round; call begin_round first")
-        if not 0 <= dest < self.p:
-            raise ValueError(f"destination {dest} outside [0, {self.p})")
-        rows = np.asarray(rows)
+        if destinations:
+            low, high = destinations[0], destinations[-1]
+            if low < 0 or high >= self.p:
+                bad = low if low < 0 else high
+                raise ValueError(f"destination {bad} outside [0, {self.p})")
         if rows.ndim != 2:
             raise ValueError(f"need a 2-D (n, arity) batch, got shape {rows.shape}")
-        if len(rows) == 0:
+        if not destinations or len(rows) == 0:
             return
         bits_per_tuple = float(
             rows.shape[1] * self.value_bits
             if bits_per_tuple is None
             else bits_per_tuple
         )
-        # Under a capacity cap the accepted rows are the longest prefix
-        # that fits -- the prefix a tuple-at-a-time loop accepts, since
-        # all rows of a batch share one cost.
         round_load = self._round_load
         received_bits = self._received_bits
-        capacity = self._caps[dest]
-        accept = len(rows)
-        dropped = 0.0
-        if capacity is not None and bits_per_tuple > 0:
-            headroom = capacity - received_bits[dest]
-            fit = int(headroom // bits_per_tuple) if headroom > 0 else 0
-            if fit < accept:
-                if self.on_overflow == "fail":
-                    raise LoadExceededError(
-                        dest,
-                        self._report.num_rounds + 1,
-                        received_bits[dest] + (fit + 1) * bits_per_tuple,
-                        capacity,
-                    )
-                dropped = (accept - fit) * bits_per_tuple
-                round_load.drop(dest, dropped)
-                accept = fit
-        accepted_bits = accept * bits_per_tuple
-        if accept:
-            received_bits[dest] += accepted_bits
-            self._servers[dest].add_array(tag, rows[:accept])
-            round_load.add(dest, accepted_bits, accept)
-        if self.trace is not None and (accept or dropped):
-            self.trace.send(
-                self._report.num_rounds + 1,
-                dest,
-                tag,
-                accepted_bits,
-                accept,
-                dropped,
-            )
+        caps = self._caps
+        trace = self.trace
+        round_index = self._report.num_rounds + 1
+        for server, start, stop in zip(destinations, edges, edges[1:]):
+            accept = stop - start
+            dropped = 0.0
+            # Under a capacity cap the accepted rows are the longest
+            # prefix that fits -- the prefix a tuple-at-a-time loop
+            # accepts, since all rows of a segment share one cost.
+            capacity = caps[server]
+            if capacity is not None and bits_per_tuple > 0:
+                headroom = capacity - received_bits[server]
+                fit = int(headroom // bits_per_tuple) if headroom > 0 else 0
+                if fit < accept:
+                    if self.on_overflow == "fail":
+                        raise LoadExceededError(
+                            server,
+                            round_index,
+                            received_bits[server] + (fit + 1) * bits_per_tuple,
+                            capacity,
+                        )
+                    dropped = (accept - fit) * bits_per_tuple
+                    round_load.drop(server, dropped)
+                    accept = fit
+            accepted_bits = accept * bits_per_tuple
+            if accept:
+                received_bits[server] += accepted_bits
+                self._servers[server].add_array(tag, rows[start:start + accept])
+                round_load.add(server, accepted_bits, accept)
+            if trace is not None and (accept or dropped):
+                trace.send(round_index, server, tag, accepted_bits, accept, dropped)
 
     # --------------------------------------------------------------- access
 

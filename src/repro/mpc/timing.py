@@ -34,7 +34,7 @@ class PhaseTimer:
         with timer.phase("route"):
             ...
             with timer.phase("ship"):   # pauses "route"
-                sim.send_array(...)
+                sim.send_partition(...)
         timer.seconds  # {"route": ..., "ship": ...}
     """
 

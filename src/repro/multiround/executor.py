@@ -22,10 +22,10 @@ with ``prefix="<node name>/"`` -- executed by the round kernel of
 :mod:`repro.hypercube.blocks`; view spooling, dropping views past their
 last consumer and adopting the root's spools stay here.  Every
 intermediate view is one ``(n, arity)`` int64 array per server between
-rounds; base relations and view fragments are routed with
-:func:`~repro.hypercube.algorithm.route_relation_arrays`, shipped
-through :meth:`MPCSimulation.send_array` and joined with the vectorized
-evaluator.  ``tests/multiround/test_executor_backends.py`` checks
+rounds.  A view's ``p`` in-memory fragments route as one coalesced
+chunk: :func:`~repro.hypercube.algorithm.route_relation_partition`
+groups it by server, one :meth:`MPCSimulation.send_partition` delivers
+it, and each server joins with the vectorized evaluator.  ``tests/multiround/test_executor_backends.py`` checks
 answers and per-server/per-round loads against the scalar tuple oracle
 under ``tests/reference/``.
 

@@ -13,9 +13,11 @@ here.  The split is strict:
   the parent as results are merged.
 * **Merging replays the serial order.**  ``imap`` returns results in
   task order and the drivers iterate tasks in exactly the order the
-  serial loops used, so every ``send_array``/``output_array`` fires in
-  the identical sequence at any pool kind and worker count -- which is
-  what keeps answers, per-server per-round loads, and capacity-drop
+  serial loops used, so every delivery -- one
+  :meth:`~repro.mpc.simulator.MPCSimulation.send_partition` per routed
+  chunk, one ``output_array`` per joined server -- fires in the
+  identical sequence at any pool kind and worker count, which is what
+  keeps answers, per-server per-round loads, and capacity-drop
   truncation bit-identical.
 * **Large data ships by path.**  An :class:`ArraySource` wraps either
   an in-memory array or a
@@ -49,7 +51,7 @@ from repro.storage.chunked import ChunkedRelation, SegmentSlice
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.query import ConjunctiveQuery
-    from repro.mpc.simulator import MPCSimulation, ServerState
+    from repro.mpc.simulator import MPCSimulation, Partition, ServerState
     from repro.run import RunResult
 
 
@@ -82,27 +84,47 @@ def _source(handle: np.ndarray | SegmentSlice) -> ArraySource:
 
 
 def iter_array_sources(
-    source: "Relation | np.ndarray",
+    sources: "tuple | Relation | np.ndarray",
     chunk_rows: int | None = None,
 ) -> Iterator[ArraySource]:
-    """The :func:`~repro.storage.chunked.iter_array_chunks` twin.
+    """One input's row sources as shippable chunks, in order.
 
-    Yields the same rows in the same chunking, but as
-    :class:`ArraySource` handles: a chunked relation's spilled chunks
-    come out as segment slices (never opened here), everything else as
-    arrays.
+    ``sources`` is the input's tuple of sources (or one source).  A
+    chunked relation yields its own chunk handles: spilled chunks come
+    out as segment slices (never opened here), tails as arrays.  Each
+    run of consecutive in-memory sources (arrays, relations) is
+    concatenated into one array and cut at ``chunk_rows`` (kept whole
+    when it is None), so a view held as ``p`` per-server fragments
+    routes as one chunk, not ``p``.  The rows and their order are those
+    of the sources one after another: grouping by server is stable, so
+    every server receives the same row sequence either way.
     """
-    if isinstance(source, ChunkedRelation):
-        for handle in source.chunk_handles():
-            yield _source(handle)
-        return
-    array = (
-        source.to_array() if isinstance(source, Relation)
-        else np.asarray(source)
-    )
-    if chunk_rows is None or chunk_rows >= len(array):
+    if not isinstance(sources, tuple):
+        sources = (sources,)
+    pending: list[np.ndarray] = []
+    for source in sources:
+        if isinstance(source, ChunkedRelation):
+            yield from _cut(pending, chunk_rows)
+            pending = []
+            for handle in source.chunk_handles():
+                yield _source(handle)
+            continue
+        array = (
+            source.to_array() if isinstance(source, Relation)
+            else np.asarray(source)
+        )
         if len(array):
-            yield ArraySource(rows=array)
+            pending.append(array)
+    yield from _cut(pending, chunk_rows)
+
+
+def _cut(arrays: list[np.ndarray], chunk_rows: int | None) -> Iterator[ArraySource]:
+    """``arrays`` concatenated, in chunks of at most ``chunk_rows`` rows."""
+    if not arrays:
+        return
+    array = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=0)
+    if chunk_rows is None or chunk_rows >= len(array):
+        yield ArraySource(rows=array)
         return
     for start in range(0, len(array), chunk_rows):
         yield ArraySource(rows=array[start:start + chunk_rows])
@@ -121,8 +143,9 @@ class RouteTask:
     of the weights), so the rebuilt grid routes identically to the
     parent's.  ``exclude`` drops rows whose value at a position is
     in the given set before routing (the skew algorithms' light-part
-    filter; filtering commutes with chunking).  ``tag``/``base`` ride
-    along so the driver can replay the send without holding the task.
+    filter; filtering commutes with chunking and coalescing).  ``tag``
+    rides along so the driver can replay the delivery without holding
+    the task; ``base`` shifts the grid's servers to the block's range.
     ``weights`` is the heterogeneous cluster's per-dimension bucket
     weighting (None: the uniform modulo grid).
     """
@@ -139,16 +162,17 @@ class RouteTask:
     weights: tuple[tuple[float, ...] | None, ...] | None = None
 
 
-def route_task(
-    task: RouteTask,
-) -> tuple[str, int, list[tuple[int, np.ndarray]], float]:
+def route_task(task: RouteTask) -> tuple[str, Partition, float]:
     """Worker body: load, filter, route; no simulator side effects.
+
+    Returns the task's tag and its routed :class:`Partition`, on the
+    block's servers (``base`` already added).
 
     The trailing float is the task body's own wall time, measured
     inside the worker -- the parent replays it as a trace ``task``
     event in deterministic merge order.
     """
-    from repro.hypercube.algorithm import route_relation_arrays
+    from repro.hypercube.algorithm import route_relation_partition
 
     # repro: allow(wall-clock) -- per-task phase timing; reported as
     # telemetry, never folded into answers or routing.
@@ -163,12 +187,12 @@ def route_task(
         HashFamily(task.family_seed, method=task.hash_method),
         weights=task.weights,
     )
-    groups = list(
-        route_relation_arrays(
-            grid, task.dimension_variables, task.atom_variables, rows
-        )
+    partition = route_relation_partition(
+        grid, task.dimension_variables, task.atom_variables, rows
     )
-    return task.tag, task.base, groups, time.perf_counter() - started  # repro: allow(wall-clock) -- phase timing telemetry
+    if task.base:
+        partition = partition._replace(servers=partition.servers + task.base)
+    return task.tag, partition, time.perf_counter() - started  # repro: allow(wall-clock) -- phase timing telemetry
 
 
 def route_over_pool(
@@ -179,21 +203,20 @@ def route_over_pool(
 ) -> None:
     """Fan routing out, replaying deliveries in serial send order.
 
-    Each task's ``(server, batch)`` groups arrive in the task's own
-    order and are delivered strictly in task order, so the global send
-    sequence -- and with it every load count and capacity truncation --
-    matches the serial loop exactly.  Time spent waiting on results
-    lands in the enclosing phase (``route``); simulator delivery is
-    carved out as ``ship``.
+    Each task's partition is delivered with one
+    :meth:`~repro.mpc.simulator.MPCSimulation.send_partition`, strictly
+    in task order, so the global delivery sequence -- and with it every
+    load count and capacity truncation -- matches the serial loop
+    exactly.  Time spent waiting on results lands in the enclosing
+    phase (``route``); simulator delivery is carved out as ``ship``.
     """
     timer = timer or PhaseTimer()
     trace = sim.trace
-    for tag, base, groups, seconds in pool.imap(route_task, tasks):
+    for tag, partition, seconds in pool.imap(route_task, tasks):
         if trace is not None:
             trace.task("route", tag, seconds, pool.kind)
         with timer.phase("ship"):
-            for server, batch in groups:
-                sim.send_array(base + server, tag, batch)
+            sim.send_partition(tag, partition)
 
 
 # ----------------------------------------------------------------- joins

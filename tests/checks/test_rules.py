@@ -63,6 +63,11 @@ def test_parent_accounting_mutation_detected():
     assert found == [("parent-accounting", 12)]
 
 
+def test_partition_delivery_in_a_worker_detected():
+    found = findings_for("parent_accounting_partition.py")
+    assert found == [("parent-accounting", 10)]
+
+
 def test_unguarded_and_loop_hooks_detected():
     found = findings_for("unguarded_hook.py")
     assert ("hook-guard", 7) in found   # inline use, no binding

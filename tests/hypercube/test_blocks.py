@@ -1,7 +1,7 @@
 """The round kernel: one block list, one result.
 
 ``repro.hypercube.blocks`` executes every engine's communication round
-and computation phase.  These tests pin its contract from three sides:
+and computation phase.  These tests pin its contract from four sides:
 
 * any block list -- random residual queries, shares, server offsets,
   seeds, weights, exclude filters, heads -- gives identical per-server
@@ -10,10 +10,14 @@ and computation phase.  These tests pin its contract from three sides:
   without a binding capacity cap;
 * a run of each engine never enters the backtracking tuple join (the
   skew engines' heavy blocks used to);
-* heavy blocks cross the pool and storage seams unchanged.
+* heavy blocks cross the pool and storage seams unchanged;
+* an input's in-memory sources route as one coalesced chunk, and every
+  server receives exactly what one task per source delivered.
 """
 
 from __future__ import annotations
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -31,10 +35,14 @@ from repro.data.generators import (
 )
 from repro.data.relation import Relation
 from repro.hashing.family import derive_seed
+from repro.hashing.family import GridPartitioner, HashFamily
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
+from repro.mpc.simulator import LoadExceededError, MPCSimulation
 from repro.mpc.timing import PhaseTimer
 from repro.multiround.plans import chain_plan
+from repro.parallel import RouteTask, get_pool, iter_array_sources, route_over_pool
 from repro.skew.bounds import zipf_frequencies
+from repro.storage.chunked import ChunkedRelation
 from repro.storage.manager import StorageManager
 
 from tests.conftest import random_queries
@@ -258,3 +266,153 @@ def test_heavy_blocks_identical_across_pool_and_storage(
             engine, pool="process", max_workers=2, storage=storage, **knobs
         )
         assert fingerprint(fanned) == fingerprint(serial)
+
+
+# ------------------------- (d) an input's in-memory sources route as one chunk
+
+def route_per_source(block, num_servers, settings, storage):
+    """The uncoalesced reference: one route task per (source, chunk)."""
+    sim = MPCSimulation(
+        num_servers, VALUE_BITS, capacity_bits=settings.capacity_bits,
+        on_overflow=settings.on_overflow, storage=storage,
+    )
+    tasks = [
+        RouteTask(
+            tag=item.tag, source=source,
+            dimension_variables=block.query.variables,
+            atom_variables=item.schema, shares=block.shares,
+            family_seed=block.family_seed, hash_method=settings.hash_method,
+            base=block.base, exclude=item.exclude, weights=block.weights,
+        )
+        for item in block.inputs
+        for fragment in item.sources
+        for source in iter_array_sources(fragment, settings.chunk_rows)
+    ]
+    sim.begin_round()
+    route_over_pool(get_pool("serial"), sim, tasks)
+    return sim, sim.end_round()
+
+
+def route_coalesced(block, num_servers, settings, storage):
+    kernel = round_kernel(num_servers, VALUE_BITS, settings, storage, PhaseTimer())
+    kernel.communicate([block])
+    (load,) = kernel.sim.report.rounds
+    return kernel.sim, load
+
+
+def delivered(sim, load, num_servers):
+    return (
+        dict(load.bits), dict(load.tuples), dict(load.dropped_bits),
+        [
+            {tag: rows.tolist() for tag, rows in sim.array_state(s).items()}
+            for s in range(num_servers)
+        ],
+    )
+
+
+@st.composite
+def multi_source_blocks(draw):
+    """A block whose inputs hold 1-4 sources each: arrays, relations
+    (some empty) and, when ``spooled``, chunked relations between them."""
+    query = draw(random_queries(max_variables=3, max_atoms=3, max_arity=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**20)))
+    kinds = ["array", "relation", "chunked"]
+    inputs = []
+    for atom in query.atoms:
+        sources = []
+        for _ in range(draw(st.integers(1, 4))):
+            rows = unique_rows(
+                rng.integers(0, DOMAIN, size=(int(rng.integers(0, 12)), atom.arity))
+            )
+            sources.append((draw(st.sampled_from(kinds)), rows))
+        inputs.append((atom, sources))
+    shares = tuple(draw(st.integers(1, 3)) for _ in query.variables)
+    return query, inputs, shares, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=multi_source_blocks(),
+    chunk_rows=st.one_of(st.none(), st.integers(1, 30)),
+    spooled=st.booleans(),
+    capped=st.booleans(),
+)
+def test_coalesced_sources_deliver_what_one_task_per_source_does(
+    case, chunk_rows, spooled, capped
+):
+    query, inputs, shares, family_seed = case
+
+    def build(storage):
+        def source(kind, rows, name):
+            if kind == "chunked" and storage is not None:
+                return ChunkedRelation.from_array(
+                    name, rows, storage=storage, chunk_rows=4
+                )
+            if kind == "relation" and len(rows):
+                return Relation.from_array(name, rows)
+            return rows
+
+        return Block(
+            query=query,
+            inputs=tuple(
+                BlockInput(atom.relation, atom.variables, tuple(
+                    source(kind, rows, atom.relation) for kind, rows in sources
+                ))
+                for atom, sources in inputs
+            ),
+            shares=shares,
+            family_seed=family_seed,
+            base=1,
+        )
+
+    num_servers = 1 + int(np.prod(shares))
+    knobs = dict(chunk_rows=chunk_rows, pool="serial")
+    if capped:
+        knobs.update(capacity_bits=5 * VALUE_BITS, on_overflow="drop")
+    resolved = ExecutionSettings(**knobs).resolve()
+    runs = []
+    for route in (route_coalesced, route_per_source):
+        with tempfile.TemporaryDirectory() as root:
+            storage = StorageManager(root=root, chunk_rows=3) if spooled else None
+            try:
+                sim, load = route(build(storage), num_servers, resolved, storage)
+                runs.append(delivered(sim, load, num_servers))
+            finally:
+                if storage is not None:
+                    storage.close()
+    assert runs[0] == runs[1]
+
+
+def test_coalesced_task_names_its_lowest_breaching_server():
+    """Fail mode: a coalesced chunk is checked in ascending server order.
+
+    Source A overflows server 1 and source B server 0.  One task per
+    source breaches server 1 first; the coalesced chunk names server 0,
+    the lowest breaching server of the chunk.  Bits and tuples do not
+    depend on the order, only the server an error names does.
+    """
+    query = chain_query(1)
+    (x, y) = query.variables
+    grid = GridPartitioner([2, 1], HashFamily(11))
+    values = np.arange(40, dtype=np.int64)
+    coords = grid.functions[0].hash_array(values)
+    to_zero, to_one = values[coords == 0][:3], values[coords == 1][:3]
+    source_a = np.stack([to_one, to_one], axis=1)
+    source_b = np.stack([to_zero, to_zero], axis=1)
+    block = Block(
+        query=query,
+        inputs=(BlockInput(query.atoms[0].relation, (x, y), (source_a, source_b)),),
+        shares=(2, 1),
+        family_seed=11,
+    )
+    settings = ExecutionSettings(
+        capacity_bits=4 * VALUE_BITS, on_overflow="fail", pool="serial"
+    ).resolve()
+    errors = []
+    for route in (route_coalesced, route_per_source):
+        with pytest.raises(LoadExceededError) as caught:
+            route(block, 2, settings, None)
+        err = caught.value
+        errors.append((err.server, err.bits, err.capacity))
+    assert errors[0] == (0, 6.0 * VALUE_BITS, 4 * VALUE_BITS)
+    assert errors[1] == (1, 6.0 * VALUE_BITS, 4 * VALUE_BITS)

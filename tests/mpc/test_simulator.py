@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import MachineSpec
-from repro.mpc.simulator import LoadExceededError, MPCSimulation
+from repro.mpc.simulator import LoadExceededError, MPCSimulation, Partition
 from repro.storage import StorageManager
+from repro.trace.recorder import TraceRecorder
 
 
 def rows(tuples, arity=None):
@@ -294,6 +295,133 @@ class TestCapacityOracle:
                 for r in batch.tolist()
             }
             assert held == kept[s]
+
+
+@st.composite
+def partitions(draw):
+    """``(p, global cap, per-machine caps, [(arity, cost, partition)])``.
+
+    Destinations are random ascending server subsets; segments may be
+    empty, and caps may be fractional, zero-headroom or absent.
+    """
+    p = draw(st.integers(1, 5))
+    cap = st.one_of(st.none(), st.floats(1.0, 200.0, allow_nan=False))
+    global_cap = draw(cap)
+    own_caps = tuple(draw(cap) for _ in range(p))
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        arity = draw(st.integers(1, 3))
+        servers = sorted(draw(st.sets(st.integers(0, p - 1), min_size=1)))
+        counts = [draw(st.integers(0, 6)) for _ in servers]
+        rows = np.array(
+            draw(st.lists(
+                st.integers(0, 9),
+                min_size=sum(counts) * arity, max_size=sum(counts) * arity,
+            )),
+            dtype=np.int64,
+        ).reshape(sum(counts), arity)
+        cost = draw(st.sampled_from([None, 0.0, 7.5, 13.0]))
+        partition = Partition(
+            np.array(servers, dtype=np.int64),
+            np.cumsum([0, *counts], dtype=np.int64),
+            rows,
+        )
+        out.append((cost, partition))
+    return p, global_cap, own_caps, out
+
+
+class TestPartitionDelivery:
+    @staticmethod
+    def _deliver(case, on_overflow, per_server):
+        p, global_cap, own_caps, chunks = case
+        trace = TraceRecorder()
+        sim = MPCSimulation(
+            p=p, value_bits=4, capacity_bits=global_cap,
+            on_overflow=on_overflow, trace=trace,
+            machines=MachineSpec((1.0,) * p, capacities=own_caps),
+        )
+        sim.begin_round()
+        error = None
+        try:
+            for cost, (servers, bounds, batch) in chunks:
+                if not per_server:
+                    sim.send_partition("S", Partition(servers, bounds, batch), cost)
+                    continue
+                for server, start, end in zip(servers, bounds, bounds[1:]):
+                    sim.send_array(int(server), "S", batch[start:end], cost)
+        except LoadExceededError as exc:
+            error = (exc.server, exc.round_index, exc.bits, exc.capacity)
+        load = sim.end_round()
+        fragments = [
+            [b.tolist() for b in sim.server(s).array_fragments.get("S", [])]
+            for s in range(p)
+        ]
+        sends = [e for e in trace.events if e["t"] == "send"]
+        return (
+            error, load.bits, load.tuples, load.dropped_bits, fragments, sends
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=partitions(), on_overflow=st.sampled_from(["fail", "drop"]))
+    def test_matches_the_per_server_send_array_loop(self, case, on_overflow):
+        whole = self._deliver(case, on_overflow, per_server=False)
+        assert whole == self._deliver(case, on_overflow, per_server=True)
+        error, bits, tuples, dropped = whole[:4]
+        assert all(type(v) is float for v in bits.values())
+        assert all(type(v) is int for v in tuples.values())
+        # ... and both equal the tuple-at-a-time oracle.
+        p, global_cap, own_caps, chunks = case
+        caps = [
+            own if global_cap is None else
+            global_cap if own is None else min(own, global_cap)
+            for own in own_caps
+        ]
+        expected = per_tuple_oracle(
+            [
+                (server, list(map(tuple, batch[start:end].tolist())),
+                 batch.shape[1] * 4 if cost is None else cost)
+                for cost, (servers, bounds, batch) in chunks
+                for server, start, end in zip(
+                    servers.tolist(), bounds.tolist(), bounds[1:].tolist()
+                )
+            ],
+            caps,
+            on_overflow,
+        )
+        if error is not None:
+            assert (error[0], error[2], error[3]) == expected
+            return
+        for s in range(p):
+            assert bits.get(s, 0.0) == expected[0][s]
+            assert tuples.get(s, 0) == expected[1][s]
+            assert dropped.get(s, 0.0) == expected[2][s]
+
+    def test_fail_mode_names_the_first_breaching_server(self):
+        sim = MPCSimulation(p=4, value_bits=1, capacity_bits=3)
+        sim.begin_round()
+        # Servers 1 and 3 both overflow; 0 fits and is delivered first.
+        chunk = Partition(
+            np.array([0, 1, 3]), np.array([0, 2, 6, 11]),
+            np.arange(11, dtype=np.int64).reshape(11, 1),
+        )
+        with pytest.raises(LoadExceededError) as caught:
+            sim.send_partition("S", chunk)
+        assert (caught.value.server, caught.value.bits) == (1, 4.0)
+        assert caught.value.capacity == 3
+        load = sim.end_round()
+        assert load.bits == {0: 2.0} and load.tuples == {0: 2}
+
+    def test_rejects_unordered_or_out_of_range_servers(self):
+        sim = MPCSimulation(p=4, value_bits=1)
+        sim.begin_round()
+        rows = np.arange(4, dtype=np.int64).reshape(4, 1)
+        with pytest.raises(ValueError, match="ascending"):
+            sim.send_partition("S", Partition(
+                np.array([2, 1]), np.array([0, 2, 4]), rows))
+        with pytest.raises(ValueError, match="outside"):
+            sim.send_partition("S", Partition(
+                np.array([1, 4]), np.array([0, 2, 4]), rows))
+        assert sim.end_round().bits == {}
 
 
 class TestReportSummary:

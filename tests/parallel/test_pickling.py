@@ -85,14 +85,15 @@ def test_route_task_computes_identically_after_pickle():
         dimension_variables=("x", "y"), atom_variables=("x", "y"),
         shares=(2, 2), family_seed=3, exclude=((0, (5,)),),
     )
-    tag, base, groups, _ = route_task(task)
-    tag2, base2, groups2, _ = route_task(roundtrip(task))
-    assert (tag, base) == (tag2, base2) == ("R", 0)
-    assert [s for s, _ in groups] == [s for s, _ in groups2]
-    for (_, a), (_, b) in zip(groups, groups2):
+    tag, partition, _ = route_task(task)
+    tag2, partition2, _ = route_task(roundtrip(task))
+    assert tag == tag2 == "R"
+    for field in partition._fields:
+        a, b = getattr(partition, field), getattr(partition2, field)
+        assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
     # The exclusion filter dropped the heavy row before routing.
-    assert sum(len(batch) for _, batch in groups) == 3
+    assert len(partition.rows) == partition.bounds[-1] == 3
 
 
 def test_join_task_computes_identically_after_pickle():

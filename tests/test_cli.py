@@ -169,6 +169,17 @@ class TestSubprocessExitCodes:
         assert result.returncode == 0, result.stderr
         assert "EXPLAIN" in result.stdout
 
+    def test_capacity_breach_exits_nonzero_without_traceback(self):
+        result = self._run("run", "L4", "--p", "16", "--m", "100000",
+                           "--strategy", "multiround",
+                           "--capacity-bits", "400000")
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr
+        assert re.search(
+            r"CHECK FAILED: server \d+ received \d+ bits in round \d+, "
+            r"exceeding its capacity 400000", result.stderr
+        )
+
     def test_bad_query_exits_nonzero(self):
         result = self._run("plan", "nonsense")
         assert result.returncode != 0
