@@ -49,11 +49,11 @@ def build_jobs(m: int) -> list[Job]:
     return jobs
 
 
-def run_batch(jobs: list[Job], max_workers: int, pool: str | None = None):
+def run_batch(jobs: list[Job], max_workers: int):
     """One timed batch: (seconds, per-job answer counts, total bits)."""
     with Session(p=P, seed=SEED) as session:
         start = time.perf_counter()
-        results = session.run_many(jobs, max_workers=max_workers, pool=pool)
+        results = session.run_many(jobs, max_workers=max_workers)
         elapsed = time.perf_counter() - start
         counts = [len(result.answers_array()) for result in results]
         bits = [result.load_report.total_bits for result in results]
@@ -64,35 +64,27 @@ def compare_modes(m: int) -> dict:
     jobs = build_jobs(m)
     sequential_s, seq_counts, seq_bits = run_batch(jobs, max_workers=1)
     concurrent_s, conc_counts, conc_bits = run_batch(jobs, max_workers=4)
-    process_s, proc_counts, proc_bits = run_batch(
-        jobs, max_workers=4, pool="process"
-    )
     assert conc_counts == seq_counts, "concurrency changed the answers"
     assert conc_bits == seq_bits, "concurrency changed the loads"
-    assert proc_counts == seq_counts, "process pool changed the answers"
-    assert proc_bits == seq_bits, "process pool changed the loads"
     return {
         "m": m,
         "jobs": len(jobs),
         "sequential_s": sequential_s,
         "concurrent_s": concurrent_s,
-        "process_s": process_s,
         "speedup": sequential_s / concurrent_s,
-        "process_speedup": sequential_s / process_s,
     }
 
 
 def format_rows(rows: list[dict]) -> list[str]:
     lines = [
         f"{'m':>9} {'jobs':>5} {'sequential [s]':>15} "
-        f"{'4 threads [s]':>14} {'4 procs [s]':>12} {'thr':>6} {'proc':>6}"
+        f"{'4 threads [s]':>14} {'speedup':>8}"
         f"   (mixed workload, p={P}, pinned {STRATEGY})"
     ]
     for r in rows:
         lines.append(
             f"{r['m']:>9,} {r['jobs']:>5} {r['sequential_s']:>15.3f} "
-            f"{r['concurrent_s']:>14.3f} {r['process_s']:>12.3f} "
-            f"{r['speedup']:>5.2f}x {r['process_speedup']:>5.2f}x"
+            f"{r['concurrent_s']:>14.3f} {r['speedup']:>7.2f}x"
         )
     return lines
 
@@ -129,23 +121,6 @@ def test_session_batch_sequential_latency(benchmark):
     assert total >= 0
 
 
-def test_session_batch_process_latency(benchmark):
-    """run_many(pool="process") wall-clock: true multicore batches.
-
-    Each job runs in its own spawned worker (the pool is shared and
-    cached, so spawn cost amortizes across benchmark rounds).
-    """
-    jobs = build_jobs(10_000)
-
-    def batch():
-        with Session(p=P, seed=SEED) as session:
-            results = session.run_many(jobs, max_workers=4, pool="process")
-            return sum(len(r.answers_array()) for r in results)
-
-    total = benchmark(batch)
-    assert total >= 0
-
-
 if __name__ == "__main__":
     for m in (5_000, 20_000, 100_000):
         row = compare_modes(m)
@@ -153,7 +128,5 @@ if __name__ == "__main__":
             f"m={row['m']:>9,}: {row['jobs']} jobs, "
             f"sequential {row['sequential_s']:.3f}s, "
             f"4 threads {row['concurrent_s']:.3f}s "
-            f"({row['speedup']:.2f}x), "
-            f"4 processes {row['process_s']:.3f}s "
-            f"({row['process_speedup']:.2f}x)"
+            f"({row['speedup']:.2f}x)"
         )

@@ -56,7 +56,7 @@ from repro import (
     zipf_database,
 )
 from repro.bounds import lower_bound, upper_bound
-from repro.config import resolve_machines
+from repro.config import POOL_KINDS, resolve_machines
 from repro.core.families import (
     binom_query,
     chain_query,
@@ -525,14 +525,16 @@ def main(argv: list[str] | None = None) -> None:
     run_parser.add_argument("--repeat", type=int, default=1,
                             help="number of seed-derived jobs (default 1)")
     run_parser.add_argument("--max-workers", type=int, default=None,
-                            help="concurrent jobs for run_many "
-                                 "(default: min(cpus, 8, jobs))")
+                            help="run_many's job threads and each "
+                                 "engine pool's workers (default: "
+                                 "min(cpus, 8); the batch also caps it "
+                                 "at the job count)")
     run_parser.add_argument(
-        "--pool", choices=("serial", "thread", "process"), default=None,
-        help="worker pool for each run's per-server routing/join fan-out "
-             "and for the batch itself (default: REPRO_DEFAULT_POOL or "
-             "serial engines with a threaded batch; results are "
-             "bit-identical across pools)",
+        "--pool", choices=POOL_KINDS, default=None,
+        help="worker pool for each run's per-server routing/join fan-out; "
+             "the jobs themselves always run on threads (default: "
+             "REPRO_DEFAULT_POOL, else serial; results are bit-identical "
+             "across pools)",
     )
     run_parser.add_argument(
         "--machines", type=_machine_spec, default=None, metavar="SPEC",

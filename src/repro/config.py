@@ -23,9 +23,11 @@ import os
 from dataclasses import dataclass, replace
 from typing import Literal
 
+#: The engines' worker-pool kinds: where a run's per-server routing and
+#: local joins fan out (:func:`repro.parallel.pool.get_pool`).
 PoolKind = Literal["serial", "thread", "process"]
 
-_POOL_KINDS = ("serial", "thread", "process")
+POOL_KINDS: tuple[PoolKind, ...] = ("serial", "thread", "process")
 
 #: The worker-pool default when neither a run nor the environment picks
 #: one: the engines stay serial (zero overhead); callers opt into
@@ -38,9 +40,9 @@ def default_pool() -> PoolKind:
     value = os.environ.get("REPRO_DEFAULT_POOL")
     if value is None:
         return DEFAULT_POOL
-    if value not in _POOL_KINDS:
+    if value not in POOL_KINDS:
         raise ValueError(
-            f"REPRO_DEFAULT_POOL={value!r} is not one of {_POOL_KINDS}"
+            f"REPRO_DEFAULT_POOL={value!r} is not one of {POOL_KINDS}"
         )
     return value  # type: ignore[return-value]
 
@@ -49,9 +51,9 @@ def resolve_pool(pool: str | None) -> PoolKind:
     """An explicit pool kind, or :func:`default_pool`."""
     if pool is None:
         return default_pool()
-    if pool not in _POOL_KINDS:
+    if pool not in POOL_KINDS:
         raise ValueError(
-            f"unknown pool kind {pool!r} (expected one of {_POOL_KINDS})"
+            f"unknown pool kind {pool!r} (expected one of {POOL_KINDS})"
         )
     return pool  # type: ignore[return-value]
 
@@ -294,10 +296,10 @@ class ExecutionSettings:
             )
         if self.chunk_rows is not None and self.chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
-        if self.pool is not None and self.pool not in _POOL_KINDS:
+        if self.pool is not None and self.pool not in POOL_KINDS:
             raise ValueError(
                 f"unknown pool kind {self.pool!r} "
-                f"(expected one of {_POOL_KINDS})"
+                f"(expected one of {POOL_KINDS})"
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")

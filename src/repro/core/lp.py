@@ -20,8 +20,8 @@ Python wrapper, so :func:`solve_lp` solves each distinct program once:
   (least recently used evicted first).
 * **Errors.**  An infeasible or unbounded program raises
   :class:`InfeasibleError` on every call; failures are never cached.
-* **Scope.**  One cache per process: process-pool workers each keep
-  their own, and threads share theirs.
+* **Scope.**  One cache per process, shared by its threads (the jobs
+  of a ``Session.run_many`` batch included).
 
 A hit returns the same frozen :class:`LPSolution` HiGHS returned for
 those exact inputs, so cached and uncached solves are indistinguishable.

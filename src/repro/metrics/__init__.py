@@ -32,9 +32,9 @@ Enabling metrics never perturbs results: every engine stays
 bit-identical (answers, per-server per-round bits, capacity drops) at
 any pool kind x worker count x storage on/off, and the per-run counter
 totals reconcile exactly (float ``==``) with the run's ``LoadReport``.
-Process-pool ``run_many`` workers fold their own run and ship the
-snapshot back through the pickled-result path; the parent merges it,
-so the session view is pool-kind-independent.
+Every run -- a ``run_many`` job too -- runs in the session's own
+process, and its trace records the engine pool's task events wherever
+the tasks ran, so the session view folds the same way at any pool kind.
 
 Metric schema (all ``bits`` in the model's load unit; labels in
 braces)
@@ -61,9 +61,8 @@ braces)
 ``repro_pool_tasks_total{kind}`` (counter),
 ``repro_pool_task_seconds{kind}`` (histogram)
     Worker-pool route/join tasks merged by the drivers, labelled with
-    the kind of pool that ran them (``serial`` inside a process-pool
-    ``run_many`` worker, whose fan-out runs inline); seconds are the
-    task body's own wall time measured inside the worker.
+    the kind of pool that ran them; seconds are the task body's own
+    wall time measured inside the worker.
 ``repro_runs_total{strategy}`` (counter),
 ``repro_run_seconds{strategy}`` / ``repro_run_rounds{strategy}`` /
 ``repro_run_load_bits{strategy}`` (histograms),

@@ -9,8 +9,8 @@ ratio near 1.0 means the cost model prices the strategy well; a drift
 away from it is the signal the ROADMAP's adaptive-planning loop
 recalibrates from.
 
-Merging uses the parallel Welford update (Chan et al.), so worker
-deltas and per-run trackers combine into exactly the statistics one
+Merging uses the parallel Welford update (Chan et al.), so per-run
+and per-session trackers combine into exactly the statistics one
 sequential tracker would have produced, up to float associativity.
 """
 

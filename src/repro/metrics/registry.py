@@ -19,9 +19,7 @@ produces a plain-JSON dict and :meth:`MetricsRegistry.merge` folds one
 in (counters add, gauges keep the newer value and the running max,
 histograms add bucket counts, calibration merges via parallel
 Welford).  That is how per-run registries roll up into a session's
-view, session views into the process-wide :func:`global_metrics`
-registry, and process-pool worker deltas across the pickled-result
-path back into the parent.
+view and into the process-wide :func:`global_metrics` registry.
 """
 
 from __future__ import annotations
@@ -340,7 +338,7 @@ class MetricsRegistry:
         }
 
     def merge(self, snapshot: Mapping) -> None:
-        """Fold a :meth:`snapshot` in (worker deltas, per-run registries)."""
+        """Fold a :meth:`snapshot` in (per-run or per-session registries)."""
         for row in snapshot.get("metrics", ()):
             instrument = self._instrument(
                 row["type"],

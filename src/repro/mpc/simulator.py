@@ -44,6 +44,7 @@ bit accounting is identical either way.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal, NamedTuple
 
@@ -93,17 +94,6 @@ class LoadExceededError(RuntimeError):
         self.round_index = round_index
         self.bits = bits
         self.capacity = capacity
-
-    def __reduce__(self):
-        # The default exception reduce replays __init__ with args=(the
-        # formatted message,), which does not match this 4-argument
-        # signature -- pickling would raise on unpickle.  Process-pool
-        # workers ship this exception back to the parent, so rebuild it
-        # from the structured fields instead.
-        return (
-            LoadExceededError,
-            (self.server, self.round_index, self.bits, self.capacity),
-        )
 
 
 @dataclass
@@ -292,14 +282,32 @@ class MPCSimulation:
         own cap, in ``drop`` mode each keeps its longest prefix that
         fits, and in ``fail`` mode the first breaching server raises
         after the servers before it were delivered.
+
+        A malformed partition -- servers not strictly ascending, or
+        ``bounds`` not ``len(servers) + 1`` non-decreasing offsets from
+        0 to ``len(rows)`` -- raises ``ValueError`` before any server
+        receives a row.
         """
         servers, bounds, rows = partition
         destinations = servers.tolist()
-        if any(a >= b for a, b in zip(destinations, destinations[1:])):
-            raise ValueError("partition servers must be strictly ascending")
-        self._deliver(
-            tag, destinations, bounds.tolist(), np.asarray(rows), bits_per_tuple
-        )
+        edges = bounds.tolist()
+        rows = np.asarray(rows)
+        size = len(rows) if rows.ndim else 0
+        if len(edges) != len(destinations) + 1 or edges[0] != 0 or edges[-1] != size:
+            raise ValueError(
+                f"partition bounds must be {len(destinations) + 1} offsets "
+                f"from 0 to the {size} rows, got {edges}"
+            )
+        # One pass over both lists: servers strictly ascending, offsets
+        # non-decreasing.
+        last_server, last_edge = -math.inf, 0
+        for server, edge in zip(destinations, edges[1:]):
+            if edge < last_edge:
+                raise ValueError(f"partition bounds must not decrease, got {edges}")
+            if server <= last_server:
+                raise ValueError("partition servers must be strictly ascending")
+            last_server, last_edge = server, edge
+        self._deliver(tag, destinations, edges, rows, bits_per_tuple)
 
     def _deliver(
         self,

@@ -1,9 +1,11 @@
 """Pluggable worker pools and picklable engine tasks.
 
-The process-parallel seam: :mod:`repro.parallel.pool` provides the
+The engines' fan-out seam: :mod:`repro.parallel.pool` provides the
 ``WorkerPool`` protocol (serial / thread / process, shared and cached),
 :mod:`repro.parallel.tasks` the picklable per-server task bodies and
 the drivers that replay their results in deterministic serial order.
+Only a run's routing and local joins go through it; a
+``Session.run_many`` batch runs its jobs on the session's own threads.
 """
 
 from repro.parallel.pool import (
@@ -15,20 +17,17 @@ from repro.parallel.pool import (
     WorkerPool,
     default_max_workers,
     get_pool,
-    in_worker,
     shutdown_pools,
 )
 from repro.parallel.tasks import (
     ArraySource,
     JoinTask,
     RouteTask,
-    RunJobTask,
     iter_array_sources,
     join_over_pool,
     join_task,
     route_over_pool,
     route_task,
-    run_job_task,
     server_join_task,
 )
 
@@ -41,17 +40,14 @@ __all__ = [
     "WorkerPool",
     "default_max_workers",
     "get_pool",
-    "in_worker",
     "shutdown_pools",
     "ArraySource",
     "JoinTask",
     "RouteTask",
-    "RunJobTask",
     "iter_array_sources",
     "join_over_pool",
     "join_task",
     "route_over_pool",
     "route_task",
-    "run_job_task",
     "server_join_task",
 ]

@@ -23,13 +23,14 @@ materializes the stream.
 
 Pools are cached per ``(kind, max_workers)`` and shut down at
 interpreter exit: a workload of many small runs pays the process-spawn
-cost once, not per run.  Inside a process-pool worker
-:func:`get_pool` always returns a :class:`SerialPool` -- a worker that
-itself fanned out over processes would fork-bomb the machine, and the
-engine code calling :func:`get_pool` cannot tell where it runs.
+cost once, not per run, and the job threads of a
+``Session.run_many`` batch share one cached pool.  These pools carry
+only the engines' fan-out -- a batch's jobs run on the session's own
+threads -- and the task bodies never ask for a pool themselves, so no
+fan-out nests inside a worker.
 
 The spawn (not fork) context keeps workers safe in threaded parents
-(``Session.run_many``'s thread mode) and on every platform; worker
+(``Session.run_many``'s job threads) and on every platform; worker
 processes import task functions from their defining modules, which is
 why every task function in :mod:`repro.parallel.tasks` is module-level
 and every task argument a plain dataclass.
@@ -38,39 +39,17 @@ and every task argument a plain dataclass.
 from __future__ import annotations
 
 import atexit
-import logging
 import multiprocessing
 import os
 import threading
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, Iterable, Iterator, Literal, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
-logger = logging.getLogger("repro.parallel.pool")
-
-PoolKind = Literal["serial", "thread", "process"]
-
-POOL_KINDS = ("serial", "thread", "process")
+from repro.config import POOL_KINDS, PoolKind
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-#: Set in process-pool workers by the pool initializer; consulted by
-#: :func:`get_pool` so nested fan-out degrades to serial execution.
-_IN_WORKER = False
-
-#: One warning per process when a nested fan-out actually degrades.
-_NESTED_WARNED = False
-
-
-def _mark_worker() -> None:  # pragma: no cover - runs in the worker
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
-def in_worker() -> bool:
-    """True inside a :class:`ProcessPool` worker process."""
-    return _IN_WORKER
 
 
 def default_max_workers() -> int:
@@ -188,7 +167,6 @@ class ProcessPool(_ExecutorPool):
         return ProcessPoolExecutor(
             max_workers=self.max_workers,
             mp_context=multiprocessing.get_context("spawn"),
-            initializer=_mark_worker,
         )
 
 
@@ -211,10 +189,7 @@ def get_pool(kind: str | None, max_workers: int | None = None) -> WorkerPool:
 
     Shared pools amortize executor startup -- above all the process
     spawn cost -- across every run of a session or test suite; they
-    are shut down at interpreter exit.  Inside a process-pool worker
-    this always returns a :class:`SerialPool`, so engine code may
-    request its configured pool unconditionally without risking nested
-    process trees.
+    are shut down at interpreter exit.
     """
     if kind is None:
         kind = "serial"
@@ -222,16 +197,7 @@ def get_pool(kind: str | None, max_workers: int | None = None) -> WorkerPool:
         raise ValueError(
             f"unknown pool kind {kind!r} (expected one of {POOL_KINDS})"
         )
-    if kind == "serial" or _IN_WORKER:
-        if kind != "serial" and _IN_WORKER:
-            global _NESTED_WARNED
-            if not _NESTED_WARNED:
-                _NESTED_WARNED = True
-                logger.warning(
-                    "nested %s-pool fan-out requested inside a process-pool "
-                    "worker; degrading to serial execution",
-                    kind,
-                )
+    if kind == "serial":
         return _SERIAL
     workers = max_workers if max_workers is not None else default_max_workers()
     if workers < 1:
@@ -257,14 +223,3 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 _SERIAL = SerialPool()
-
-
-def _worker_probe(_task: object = None) -> tuple[bool, str]:
-    """Report ``(in_worker, get_pool("process").kind)`` where it runs.
-
-    A module-level task function (process workers must import it) used
-    by the test suite to verify the nested-fan-out guard: inside a
-    worker the probe must see ``in_worker() == True`` and receive a
-    serial pool.
-    """
-    return in_worker(), get_pool("process", 2).kind

@@ -26,16 +26,13 @@ here.  The split is strict:
   (:meth:`~repro.storage.chunked.ChunkedRelation.chunk_handles`), so
   out-of-core fragments cross the pickle boundary as a few bytes.
 
-:func:`run_job_task` is the session-layer counterpart: one whole
-:meth:`Session.run_many` job executed in a worker process, returning
-its :class:`~repro.run.RunResult` detached from the worker's session
-(and any worker-side spill directory), which are gone by the time the
-result is pickled back.
+These are the only payloads that cross into a process worker: a run's
+routing and joins fan out here, while whole runs (a
+:meth:`Session.run_many` batch's jobs) stay on the session's threads.
 """
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -52,7 +49,6 @@ from repro.storage.chunked import ChunkedRelation, SegmentSlice
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.query import ConjunctiveQuery
     from repro.mpc.simulator import MPCSimulation, Partition, ServerState
-    from repro.run import RunResult
 
 
 # --------------------------------------------------------------- sources
@@ -329,63 +325,3 @@ def join_over_pool(
             trace.task("join", server, seconds, pool.kind)
         yield local
 
-
-# ---------------------------------------------------------- session jobs
-
-
-@dataclass(frozen=True)
-class RunJobTask:
-    """One ``Session.run_many`` job, shipped whole to a worker process.
-
-    The worker rebuilds a throwaway session from the pickled
-    :class:`~repro.session.ClusterConfig` and runs the job through the
-    exact ``_run_job`` path the thread/serial modes use (same
-    ``derive_seed(seed, index)`` scheme), so results are identical
-    across pool kinds.
-    """
-
-    config: object  # ClusterConfig (typed loosely: session imports us)
-    job: object  # Job
-    index: int
-
-
-def _portable_error(exc: Exception) -> Exception:
-    """``exc`` if it survives pickling, else a faithful stand-in."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
-def run_job_task(
-    task: RunJobTask,
-) -> tuple[
-    "RunResult | None", object, Exception | None, dict | None
-]:
-    """Worker body: run one batch job inside a private session.
-
-    Returns ``(result, record, error, metrics)`` with the same
-    capture-don't-raise semantics as the thread path, so one failing
-    job cannot poison its siblings' results.  ``metrics`` is the worker
-    session's registry snapshot when the config enables metrics (the
-    worker runs exactly one job, so its session registry *is* this
-    job's delta); the parent merges it so the aggregated view is
-    pool-kind-independent.
-    """
-    from repro.session import Session
-
-    try:
-        with Session(task.config) as session:
-            result, record = session._run_job(task.job, task.index)
-            # Materialize before the session (and any worker-side
-            # spill directory) closes.
-            snapshot = result.detached()
-            metrics = (
-                session.metrics.snapshot()
-                if session.metrics is not None
-                else None
-            )
-        return snapshot, record, None, metrics
-    except Exception as exc:  # noqa: BLE001 - mirrored to the parent
-        return None, None, _portable_error(exc), None

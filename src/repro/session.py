@@ -10,7 +10,7 @@ module gives the Python API the same shape:
 * :class:`Session` owns the derived storage lifecycle and exposes one
   verb, :meth:`Session.run` -- planner-routed by default, pinnable to
   any named strategy -- plus :meth:`Session.plan` (EXPLAIN),
-  :meth:`Session.run_many` (concurrent batch execution over shared
+  :meth:`Session.run_many` (a batch of jobs on threads, over shared
   storage) and :attr:`Session.history` (per-run load records for
   workload-level reporting);
 * :class:`~repro.run.RunResult` (re-exported here) is what every run
@@ -74,8 +74,7 @@ from repro.data.database import Database
 from repro.hashing.family import derive_seed
 from repro.metrics.registry import MetricsRegistry, global_metrics
 from repro.mpc.timing import format_phase_seconds
-from repro.parallel.pool import get_pool, in_worker
-from repro.parallel.tasks import RunJobTask, run_job_task
+from repro.parallel.pool import default_max_workers
 from repro.multiround.plans import Plan
 from repro.planner.engine import IN_MEMORY_FOOTPRINT_FACTOR
 from repro.planner.optimizer import ExplainedPlan, plan as _planner_plan
@@ -86,6 +85,26 @@ from repro.storage.manager import StorageManager
 from repro.trace.recorder import TraceRecorder, tracing
 
 _TRACE_SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]+")
+
+
+def _progress_line(
+    done: int,
+    total: int,
+    started: float,
+    outcome: tuple[tuple[RunResult, RunRecord] | None, Exception | None],
+) -> str:
+    """``run_many``'s ``metrics_every`` line after ``done`` jobs."""
+    elapsed = time.perf_counter() - started  # repro: allow(wall-clock) -- progress-line timing only
+    pair, error = outcome
+    last = (
+        f"last {pair[1].strategy} {pair[1].wall_seconds * 1e3:.1f} ms"
+        if error is None
+        else "last job failed"
+    )
+    return (
+        f"[repro.metrics] {done}/{total} job(s) done, "
+        f"{elapsed:.1f}s elapsed, {last}"
+    )
 
 
 def _repro_version() -> str:
@@ -114,12 +133,14 @@ class ClusterConfig:
     hash_method: str = "splitmix64"
     memory_budget_bytes: int | None = None
     chunk_rows: int | None = None
-    #: Worker pool for intra-run parallelism (per-server routing and
-    #: joins) and for :meth:`Session.run_many` batches.  ``None``
-    #: follows the ``REPRO_DEFAULT_POOL`` environment variable, else
-    #: serial (:func:`repro.config.default_pool`).
+    #: Worker pool for each run's per-server routing and joins (the
+    #: engines' fan-out only: :meth:`Session.run_many` runs its jobs on
+    #: threads whatever this is).  ``None`` follows the
+    #: ``REPRO_DEFAULT_POOL`` environment variable, else serial
+    #: (:func:`repro.config.default_pool`).
     pool: PoolKind | None = None
-    #: Workers per pool (``None``: one per CPU core, capped at 8).
+    #: Workers per engine pool (``None``: one per CPU core, capped at
+    #: 8; :func:`repro.parallel.pool.default_max_workers`).
     max_workers: int | None = None
     #: Directory for per-run communication-trace artifacts (created if
     #: missing).  ``None`` (the default) disables tracing.  When set,
@@ -455,7 +476,6 @@ class Session:
         self,
         jobs: Iterable[Job | tuple[ConjunctiveQuery, Database]],
         max_workers: int | None = None,
-        pool: PoolKind | None = None,
         metrics_every: int | None = None,
     ) -> list[RunResult]:
         """Run independent jobs concurrently over shared storage.
@@ -465,23 +485,16 @@ class Session:
         without an explicit seed runs with
         ``derive_seed(config.seed, index)``, so the results --
         answers, loads, truncation -- are identical whatever
-        ``max_workers`` and ``pool`` are, including sequential
-        execution at ``max_workers=1``.  ``max_workers=None`` picks
-        ``min(cpu_count, 8, len(jobs))``.
+        ``max_workers`` is, including sequential execution at
+        ``max_workers=1``.
 
-        ``pool`` selects the batch concurrency mode: ``"thread"``
-        (shared session and storage, the numpy-releases-the-GIL
-        sweet spot), ``"process"`` (one worker process per job slot --
-        each job runs in a throwaway session rebuilt from this
-        session's config and returns its result
-        :meth:`~repro.run.RunResult.detached`, sidestepping the GIL
-        entirely), or ``"serial"``.  ``None`` follows
-        ``config.pool`` / ``REPRO_DEFAULT_POOL``, except
-        that the historical batch default -- threads -- applies when
-        those resolve to serial.  Process mode requires picklable
-        queries/databases and does not share the parent's storage
-        manager (each worker derives its own from the config's memory
-        budget); its records land in :attr:`history` like any other.
+        Every job runs in this session, on up to ``max_workers``
+        threads (inline when that is 1 or there is one job);
+        ``max_workers=None`` picks ``min(default_max_workers(),
+        len(jobs))``.  ``config.pool`` does not pick the batch's
+        concurrency: it picks where each job's routing and joins fan
+        out, so the job threads of ``Session(pool="process")`` share
+        one cached process pool.
 
         All jobs' records append to :attr:`history` in job order after
         the batch completes.  When a job raises (an inapplicable
@@ -506,83 +519,26 @@ class Session:
             return []
         if metrics_every is not None and metrics_every < 1:
             raise ValueError("metrics_every must be >= 1")
+        total = len(normalized)
         if max_workers is None:
-            max_workers = min(os.cpu_count() or 1, 8, len(normalized))
+            max_workers = min(default_max_workers(), total)
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if pool is None:
-            pool = resolve_pool(self.config.pool)
-            if pool == "serial":
-                # The historical run_many default: thread concurrency.
-                pool = "thread"
-        elif pool not in ("serial", "thread", "process"):
-            raise ValueError(
-                f"unknown pool kind {pool!r} "
-                "(expected 'serial', 'thread' or 'process')"
-            )
-        indices = range(len(normalized))
-        total = len(normalized)
         batch_started = time.perf_counter()  # repro: allow(wall-clock) -- progress-line timing only
-        done = 0
-
-        def note_done(record: RunRecord | None) -> None:
-            """Emit the ``metrics_every`` progress line (parent only)."""
-            nonlocal done
-            if metrics_every is None:
-                return
-            done += 1
-            if done % metrics_every and done != total:
-                return
-            elapsed = time.perf_counter() - batch_started  # repro: allow(wall-clock) -- progress-line timing only
-            last = (
-                f"last {record.strategy} "
-                f"{record.wall_seconds * 1e3:.1f} ms"
-                if record is not None
-                else "last job failed"
-            )
-            print(
-                f"[repro.metrics] {done}/{total} job(s) done, "
-                f"{elapsed:.1f}s elapsed, {last}"
-            )
-
-        if pool == "process" and max_workers > 1 and len(normalized) > 1:
-            worker_pool = get_pool("process", max_workers)
-            tasks = [
-                RunJobTask(config=self.config, job=job, index=index)
-                for index, job in zip(indices, normalized)
-            ]
-            outcomes = []
-            for result, record, error, delta in worker_pool.imap(
-                run_job_task, tasks
-            ):
-                if delta is not None and self.metrics is not None:
-                    # The worker session counted exactly this job; fold
-                    # its shipped registry snapshot into the parent's
-                    # views so the aggregate is pool-kind-independent.
-                    self.metrics.merge(delta)
-                    global_metrics().merge(delta)
-                outcomes.append(
-                    ((result, record) if error is None else None, error)
-                )
-                note_done(record if error is None else None)
-        elif (
-            pool == "serial" or max_workers == 1 or len(normalized) == 1
-        ):
-            outcomes = []
-            for index, job in zip(indices, normalized):
-                outcome = self._try_run_job(job, index)
+        outcomes = []
+        with (
+            ThreadPoolExecutor(max_workers=max_workers)
+            if max_workers > 1 and total > 1
+            else contextlib.nullcontext()
+        ) as executor:
+            run_all = map if executor is None else executor.map
+            for outcome in run_all(self._try_run_job, normalized, range(total)):
                 outcomes.append(outcome)
-                note_done(outcome[0][1] if outcome[1] is None else None)
-        else:
-            with ThreadPoolExecutor(max_workers=max_workers) as executor:
-                outcomes = []
-                for outcome in executor.map(
-                    self._try_run_job, normalized, indices
+                done = len(outcomes)
+                if metrics_every is not None and (
+                    done % metrics_every == 0 or done == total
                 ):
-                    outcomes.append(outcome)
-                    note_done(
-                        outcome[0][1] if outcome[1] is None else None
-                    )
+                    print(_progress_line(done, total, batch_started, outcome))
         self._append_records(
             [pair[1] for pair, error in outcomes if error is None]
         )
@@ -745,12 +701,7 @@ class Session:
                     "label": label,
                     "seed": run_seed,
                     "version": _repro_version(),
-                    # Engine fan-out inside a process-pool worker runs
-                    # inline (repro.parallel.pool.get_pool).
-                    "pool": (
-                        "serial" if in_worker()
-                        else resolve_pool(self.config.pool)
-                    ),
+                    "pool": resolve_pool(self.config.pool),
                     "machines": (
                         machines.describe() if machines is not None else None
                     ),
@@ -800,8 +751,8 @@ class Session:
         """A fresh artifact path under the configured trace directory.
 
         Unique across the session's threads (counter under the lock)
-        and across process-pool workers (each worker session is a new
-        process, so the pid disambiguates).
+        and across processes tracing into one directory (the pid
+        disambiguates).
         """
         directory = pathlib.Path(self.config.trace)
         directory.mkdir(parents=True, exist_ok=True)

@@ -231,27 +231,6 @@ class StorageManager:
         """Alias of :attr:`chunks_spilled` under the I/O-counter naming."""
         return self.chunks_spilled
 
-    # ------------------------------------------------------------ pickling
-
-    def __getstate__(self) -> dict:
-        """Pickle as a *read-only handle* to the spill directory.
-
-        Process-pool workers receive chunked relations whose segment
-        files they re-open by path; the manager rides along only so
-        those paths stay resolvable.  The thread lock is unpicklable
-        and dropped (recreated on unpickle), and the copy is marked
-        ``keep=True`` so a worker-side ``close()``/garbage collection
-        can never delete the parent's spill directory.
-        """
-        state = self.__dict__.copy()
-        del state["_lock"]
-        state["keep"] = True
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     # ----------------------------------------------------------- lifecycle
 
     @property

@@ -32,7 +32,7 @@ Trace schema (JSONL: one JSON object per line, typed by ``"t"``)
     ``strategy``, ``label``, ``seed``, ``index`` (position in a
     ``run_many`` batch), ``version`` (repro release), ``pool`` (the
     worker-pool kind the run's fan-out used: the session's resolved
-    kind, ``serial`` inside a process-pool worker), ``machines`` (the
+    kind), ``machines`` (the
     heterogeneous spec's ``describe()`` form, None for the
     homogeneous model).
 ``sim``

@@ -14,10 +14,8 @@ near-zero overhead.  The trace is the only instrumentation seam: run
 metrics are a fold over it (:meth:`repro.metrics.MetricsRegistry.observe`).
 
 Context-variable scoping composes with the concurrency model: a
-``Session.run_many`` thread batch installs one recorder per job inside
-the job's own thread context, so concurrent runs never interleave
-events; process-pool jobs record in the worker process and ship the
-written artifact's path back.
+``Session.run_many`` batch installs one recorder per job inside the
+job's own thread context, so concurrent runs never interleave events.
 
 :meth:`TraceRecorder.finish` seals the recording into an immutable
 :class:`Trace`, prepending a ``meta`` header and -- given the run's

@@ -224,10 +224,10 @@ def _batch_mixed_jobs(m: int = 20_000, seed: int = 1) -> list[Job]:
     ]
 
 
-def _run_batch(jobs, max_workers, pool):
+def _run_batch(jobs, max_workers):
     lp._solve.cache_clear()
     with Session(p=16) as session:
-        results = session.run_many(jobs, max_workers=max_workers, pool=pool)
+        results = session.run_many(jobs, max_workers=max_workers)
         return [
             (
                 result.strategy,
@@ -240,8 +240,8 @@ def _run_batch(jobs, max_workers, pool):
 
 def test_threaded_batch_from_a_cold_cache_equals_a_serial_one():
     jobs = _batch_mixed_jobs()
-    threaded = _run_batch(jobs, max_workers=2, pool="thread")
-    serial = _run_batch(jobs, max_workers=1, pool="serial")
+    threaded = _run_batch(jobs, max_workers=2)
+    serial = _run_batch(jobs, max_workers=1)
     assert {strategy for strategy, _, _ in serial} == {
         "hypercube", "skew-star", "skew-triangle", "multiround"
     }

@@ -81,7 +81,8 @@ def test_process_run_many_trace_names_the_pool_that_ran_the_tasks(tmp_path):
         assert result.answers == evaluate(job.query, job.database)
     for record in records:
         trace = Trace.read_jsonl(record.trace_path)
-        # The worker's own fan-out runs inline, not over processes.
-        assert trace.meta["pool"] == "serial"
+        # The jobs run on threads; their routing and joins go to the
+        # session's process pool.
+        assert trace.meta["pool"] == "process"
         pools = {e["pool"] for e in trace if e["t"] == "task"}
-        assert pools == {"serial"}
+        assert pools == {"process"}

@@ -1,4 +1,4 @@
-"""Session-level metrics: aggregation across runs, pools, processes."""
+"""Session-level metrics: aggregation across runs, sessions and pools."""
 
 from __future__ import annotations
 
@@ -100,14 +100,15 @@ class TestRunLabels:
 class TestRunMany:
     @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
     def test_pool_kinds_aggregate_identically(self, pool):
+        """Job threads over any engine pool total what one-at-a-time does."""
         with Session(p=8, seed=42, metrics=True) as session:
-            session.run_many(workload(), max_workers=2, pool="serial")
+            session.run_many(workload(), max_workers=1)
             baseline = registry_totals(session.metrics)
-        with Session(p=8, seed=42, metrics=True) as session:
-            session.run_many(workload(), max_workers=2, pool=pool)
+        with Session(p=8, seed=42, pool=pool, max_workers=2,
+                     metrics=True) as session:
+            session.run_many(workload(), max_workers=2)
             observed = registry_totals(session.metrics)
-        # Drop pool-task series: kind labels legitimately differ by
-        # pool, and process mode runs tasks in throwaway workers.
+        # Drop pool-task series: kind labels legitimately differ by pool.
         def strip(totals):
             return {
                 k: v for k, v in totals.items()
@@ -117,15 +118,15 @@ class TestRunMany:
         assert strip(observed) == strip(baseline)
 
     def test_process_pool_ships_worker_deltas(self):
-        with Session(p=8, seed=42, metrics=True) as session:
-            results = session.run_many(workload(), max_workers=2,
-                                       pool="process")
+        """Process-pool engines compute; every job is accounted in-session."""
+        with Session(p=8, seed=42, pool="process", max_workers=2,
+                     metrics=True) as session:
+            results = session.run_many(workload(), max_workers=2)
             expected = sum(r.load_report.total_bits for r in results)
             assert session.metrics.value("repro_sim_bits_total") == expected
             assert session.metrics.total("repro_runs_total") == float(
                 len(results)
             )
-            # Calibration rode along with the pickled deltas.
             assert session.metrics.calibration.stats()
 
     def test_progress_lines(self, capsys):

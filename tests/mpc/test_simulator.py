@@ -423,6 +423,32 @@ class TestPartitionDelivery:
                 np.array([1, 4]), np.array([0, 2, 4]), rows))
         assert sim.end_round().bits == {}
 
+    @staticmethod
+    def _reject(servers, bounds, match):
+        """``send_partition`` over 6 rows on 4 servers raises, delivers nothing."""
+        sim = MPCSimulation(p=4, value_bits=1)
+        sim.begin_round()
+        rows = np.arange(6, dtype=np.int64).reshape(6, 1)
+        with pytest.raises(ValueError, match=match):
+            sim.send_partition("S", Partition(
+                np.array(servers), np.array(bounds), rows))
+        assert sim.end_round().bits == {}
+
+    def test_rejects_bounds_of_the_wrong_length(self):
+        # Two servers need three offsets; [0, 3] would lose rows 3-5.
+        self._reject([1, 2], [0, 3], "offsets")
+
+    def test_rejects_bounds_that_do_not_start_at_zero(self):
+        self._reject([0, 1], [1, 3, 6], "offsets")
+
+    def test_rejects_bounds_that_stop_short_of_the_rows(self):
+        # [0, 2] for server 0 would drop the tail rows 2-5.
+        self._reject([0], [0, 2], "offsets")
+
+    def test_rejects_decreasing_bounds(self):
+        # The offsets 4 then 2 would record -2 tuples for server 2.
+        self._reject([1, 2, 3], [0, 4, 2, 6], "decrease")
+
 
 class TestReportSummary:
     def test_summary_mentions_rounds(self):

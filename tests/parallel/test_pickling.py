@@ -1,9 +1,11 @@
 """Everything that crosses the process-pool boundary must pickle.
 
-The spawn-context pool ships tasks and results by pickle; these tests
-round-trip every payload type the seam carries, and prove the two
+The spawn-context engine pool ships route/join tasks and their results
+by pickle; these tests round-trip those payloads, and prove the two
 worker bodies (`route_task`, `join_task`) compute identically on a
 pickled copy of their task -- the exact situation inside a worker.
+The session's plain value types (config, job, plan, statistics,
+records, reports) pickle as well.
 """
 
 from __future__ import annotations
@@ -11,24 +13,20 @@ from __future__ import annotations
 import pickle
 
 import numpy as np
-import pytest
 
 from repro import ClusterConfig, Job, RunRecord, matching_database, triangle_query
 from repro.storage.chunked import ChunkedRelation, SegmentSlice
-from repro.mpc.simulator import LoadExceededError, MPCSimulation
+from repro.mpc.simulator import MPCSimulation
 from repro.multiround.plans import chain_plan
 from repro.parallel.tasks import (
     ArraySource,
     JoinTask,
     RouteTask,
-    RunJobTask,
     iter_array_sources,
     join_task,
     route_task,
-    run_job_task,
 )
 from repro.planner import DataStatistics
-from repro.run import RunResult
 from repro.storage.manager import StorageManager
 
 
@@ -139,33 +137,6 @@ def test_load_report_roundtrip():
     assert report.num_rounds == 1
 
 
-def test_load_exceeded_error_roundtrip():
-    sim = MPCSimulation(p=2, value_bits=32, capacity_bits=10,
-                        on_overflow="fail")
-    sim.begin_round()
-    with pytest.raises(LoadExceededError) as info:
-        sim.send_array(0, "R", np.array([(1, 2)]))
-    error = roundtrip(info.value)
-    assert isinstance(error, LoadExceededError)
-    assert str(error) == str(info.value)
-
-
-def test_storage_manager_handle_survives_pickle(tmp_path):
-    """A pickled manager is a read-only handle on the same spill dir."""
-    rows = np.array([(i, i + 1) for i in range(10)], dtype=np.int64)
-    with StorageManager(root=tmp_path / "spill", chunk_rows=4) as storage:
-        chunked = ChunkedRelation.from_array("R", rows, storage=storage)
-        handle = roundtrip(storage)
-        assert str(handle.root) == str(storage.root)
-        # The handle does not own the directory: dropping it must not
-        # delete the parent's spill files.
-        del handle
-        import gc
-
-        gc.collect()
-        np.testing.assert_array_equal(chunked.to_array(), rows)
-
-
 def test_iter_array_sources_yields_paths_for_chunked(tmp_path):
     rows = np.array([(i, i + 1) for i in range(10)], dtype=np.int64)
     with StorageManager(root=tmp_path / "spill", chunk_rows=4) as storage:
@@ -176,38 +147,3 @@ def test_iter_array_sources_yields_paths_for_chunked(tmp_path):
         assert sum(s.segment is not None for s in sources) >= 2
         stacked = np.concatenate([np.asarray(s.load()) for s in sources])
         np.testing.assert_array_equal(stacked, rows)
-
-
-def test_run_job_task_roundtrips_and_executes():
-    q = triangle_query()
-    db = matching_database(q, m=40, n=160, seed=0)
-    task = roundtrip(RunJobTask(
-        config=ClusterConfig(p=4, seed=0),
-        job=Job(q, db, label="probe"),
-        index=0,
-    ))
-    result, record, error, metrics = run_job_task(task)
-    assert error is None
-    assert metrics is None  # config did not enable metrics
-    assert type(result) is RunResult
-    assert result.simulation is None
-    assert record.label == "probe"
-    # The detached result survives the pickle hop back from the worker
-    # with answers intact.
-    copy = roundtrip(result)
-    assert copy.answers == result.answers
-    assert copy.load_report.max_load_bits == result.load_report.max_load_bits
-
-
-def test_run_job_task_returns_portable_error():
-    q = triangle_query()
-    db = matching_database(q, m=10, n=40, seed=0)
-    task = RunJobTask(
-        config=ClusterConfig(p=4, seed=0),
-        job=Job(q, db, strategy="no-such-strategy"),
-        index=0,
-    )
-    result, record, error, metrics = run_job_task(task)
-    assert result is None and record is None and metrics is None
-    assert error is not None
-    assert isinstance(roundtrip(error), Exception)

@@ -1,10 +1,9 @@
-"""The WorkerPool contract: ordered results, laziness, caching, guard."""
+"""The WorkerPool contract: ordered results, laziness, caching."""
 
 from __future__ import annotations
 
 import pytest
 
-import repro.parallel.pool as pool_mod
 from repro.parallel import (
     POOL_KINDS,
     ProcessPool,
@@ -12,9 +11,7 @@ from repro.parallel import (
     ThreadPool,
     default_max_workers,
     get_pool,
-    in_worker,
 )
-from repro.parallel.pool import _worker_probe
 
 
 def _square(x: int) -> int:
@@ -104,28 +101,6 @@ def test_task_exception_propagates_with_message():
     pool = get_pool("thread", 2)
     with pytest.raises(RuntimeError, match="task 0 failed"):
         pool.map(_boom, range(4))
-
-
-def test_parent_is_not_a_worker():
-    assert in_worker() is False
-
-
-def test_nested_fanout_degrades_to_serial_in_worker():
-    """Inside a process worker, get_pool('process') must go serial."""
-    pool = get_pool("process", 2)
-    results = pool.map(_worker_probe, range(2))
-    assert results == [(True, "serial"), (True, "serial")]
-
-
-def test_worker_guard_simulation():
-    """The guard logic itself, without spawning: _IN_WORKER forces serial."""
-    assert get_pool("process", 2).kind == "process"
-    pool_mod._IN_WORKER = True
-    try:
-        assert isinstance(get_pool("process", 2), SerialPool)
-        assert isinstance(get_pool("thread", 2), SerialPool)
-    finally:
-        pool_mod._IN_WORKER = False
 
 
 def test_pool_repr_mentions_workers():

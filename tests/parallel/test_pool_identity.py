@@ -4,10 +4,13 @@ Workers compute, the parent accounts, merges replay the serial order --
 so every pool kind at every worker count must produce identical
 answers, identical per-server per-round received bits, and identical
 capacity-drop truncation.  These tests pin that down for all four
-engines and for ``Session.run_many``.
+engines and for ``Session.run_many``'s job threads sharing one pool.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro import (
     matching_database,
     star_query,
     triangle_query,
+    uniform_database,
     zipf_database,
 )
 from repro.multiround.plans import chain_plan
@@ -146,18 +150,61 @@ def record_fingerprint(record):
 
 @pytest.mark.parametrize("batch_pool", POOLS)
 def test_run_many_identity_across_batch_pools(batch_pool):
+    """Job threads sharing one cached engine pool change nothing.
+
+    ``Session(pool=K, max_workers=2).run_many`` runs every job on the
+    session's own threads while their routing and joins fan out over
+    the one shared ``K`` pool.  Records and answers must equal the
+    same batch run one job at a time (``max_workers=1``).
+    """
     q = triangle_query()
     db = matching_database(q, m=300, n=1200, seed=0)
     jobs = [Job(q, db, label=f"j{i}") for i in range(3)]
     with Session(p=8, seed=0) as session:
-        session.run_many(jobs, max_workers=2, pool="serial")
+        baseline_answers = [
+            sorted(r.answers) for r in session.run_many(jobs, max_workers=1)
+        ]
         baseline = [record_fingerprint(r) for r in session.history]
-        baseline_answers = [sorted(r.answers) for r in session.run_many(
-            jobs, max_workers=2, pool="serial")]
-    with Session(p=8, seed=0) as session:
-        results = session.run_many(jobs, max_workers=2, pool=batch_pool)
+    with Session(p=8, seed=0, pool=batch_pool, max_workers=2) as session:
+        results = session.run_many(jobs, max_workers=2)
         assert [record_fingerprint(r) for r in session.history] == baseline
         assert [sorted(r.answers) for r in results] == baseline_answers
+
+
+def test_job_threads_contending_for_one_engine_pool():
+    """More job threads than cores on one cached engine pool, switching often.
+
+    The jobs' route and join tasks interleave on the shared executor,
+    but each job replays its own deliveries in its own task order, so
+    every record and answer equals the sequential batch's.
+    """
+    q = triangle_query()
+    jobs = [
+        Job(q, uniform_database(q, m=120, n=30, seed=seed), label=f"j{seed}")
+        for seed in range(8)
+    ]
+    with Session(p=8, seed=0) as session:
+        answers = [sorted(r.answers) for r in session.run_many(jobs, max_workers=1)]
+        records = [record_fingerprint(r) for r in session.history]
+    assert any(answers)
+    observed = {}
+
+    def batch():
+        with Session(p=8, seed=0, pool="thread", max_workers=4) as session:
+            results = session.run_many(jobs, max_workers=6)
+            observed["answers"] = [sorted(r.answers) for r in results]
+            observed["records"] = [record_fingerprint(r) for r in session.history]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=batch)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert observed == {"answers": answers, "records": records}
 
 
 def test_engine_pool_from_config_identity():

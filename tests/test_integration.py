@@ -165,7 +165,7 @@ class TestUserJourney:
     def test_version_exported(self):
         import repro
 
-        assert repro.__version__ == "11.0.0"
+        assert repro.__version__ == "12.0.0"
 
     def test_public_names_resolve_and_free_runners_are_gone(self):
         import importlib

@@ -1,11 +1,8 @@
-"""The ``repro`` logging namespace and its silent-fallback warnings.
+"""The ``repro`` logging namespace stays quiet.
 
-A process-pool worker degrading nested fan-out to serial execution
-emits one ``logging`` warning on the ``repro.*`` namespace (never a
-Python ``warnings`` warning, so ``filterwarnings = error`` test suites
-stay quiet).  Resolving settings and planning never warn; a custom
-strategy whose ``estimate()`` lacks the ``machines`` parameter raises
-``TypeError`` under a machine spec.
+Importing ``repro`` installs only a ``NullHandler``; resolving settings
+and planning never warn; a custom strategy whose ``estimate()`` lacks
+the ``machines`` parameter raises ``TypeError`` under a machine spec.
 """
 
 from __future__ import annotations
@@ -18,8 +15,6 @@ import repro
 from repro.config import ExecutionSettings, MachineSpec
 from repro.core.families import triangle_query
 from repro.core.stats import Statistics
-from repro.parallel import pool as pool_module
-from repro.parallel.pool import SerialPool, get_pool
 from repro.planner import Strategy, plan
 from repro.planner.cost import CostEstimate
 
@@ -66,32 +61,4 @@ class TestLegacyEstimateWarning:
         logger = "repro.planner.optimizer"
         with caplog.at_level(logging.WARNING, logger=logger):
             plan(q, stats, 8, machines=machines)
-        assert not caplog.records
-
-
-class TestNestedPoolWarning:
-    def test_worker_degrades_to_serial_and_warns_once(
-        self, caplog, monkeypatch
-    ):
-        monkeypatch.setattr(pool_module, "_IN_WORKER", True)
-        monkeypatch.setattr(pool_module, "_NESTED_WARNED", False)
-        logger = "repro.parallel.pool"
-        with caplog.at_level(logging.WARNING, logger=logger):
-            first = get_pool("thread")
-            second = get_pool("process")
-        assert isinstance(first, SerialPool)
-        assert isinstance(second, SerialPool)
-        warned = [
-            rec for rec in caplog.records if "nested" in rec.message
-        ]
-        assert len(warned) == 1  # once per worker process
-
-    def test_parent_process_is_unaffected(self, caplog):
-        assert not pool_module._IN_WORKER
-        with caplog.at_level(logging.WARNING, logger="repro.parallel.pool"):
-            pool = get_pool("thread", max_workers=2)
-            try:
-                assert not isinstance(pool, SerialPool)
-            finally:
-                pool.close()
         assert not caplog.records

@@ -1,7 +1,7 @@
 """One ``RunResult``: the contract every run's return value meets.
 
 Eight registered strategies x {``Session.run``, ``Strategy.run``,
-``run_many`` under each pool kind}: the result is exactly
+``run_many`` over each engine pool kind}: the result is exactly
 :class:`repro.run.RunResult`, carries the identical attribute set,
 survives a pickle round trip, and answers the query.
 """
@@ -119,8 +119,8 @@ def test_run_many_surface_is_pool_independent():
     jobs = [Job(*case(name), strategy=name, label=name) for name in STRATEGIES]
     surfaces = {}
     for pool in ("serial", "thread", "process"):
-        with Session(p=P, seed=7) as session:
-            results = session.run_many(jobs, max_workers=2, pool=pool)
+        with Session(p=P, seed=7, pool=pool, max_workers=2) as session:
+            results = session.run_many(jobs, max_workers=2)
             for job, result in zip(jobs, results):
                 check_contract(result, job.strategy, job.query, job.database)
             surfaces[pool] = [surface(result) for result in results]
