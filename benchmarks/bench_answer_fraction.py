@@ -21,6 +21,7 @@ from repro.config import ExecutionSettings
 from repro.core.families import triangle_query
 from repro.data.generators import uniform_database
 from repro.join import evaluate_arrays
+from repro.hypercube.algorithm import hypercube_core
 from repro.run import dispatch_run
 
 
@@ -88,7 +89,7 @@ def test_benchmark_capped_run(benchmark):
 
     def run():
         return dispatch_run(
-            "hypercube", query, db, 27, seed=23, settings=settings
+            hypercube_core, query, db, 27, seed=23, settings=settings
         )
 
     benchmark(run)

@@ -20,6 +20,7 @@ from repro.data.generators import matching_database
 from repro.join import evaluate_arrays
 from repro.planner.cost import hypercube_cost, star_cost
 from repro.planner.statistics import DataStatistics
+from repro.skew.star import star_core
 from repro.run import dispatch_run
 
 MACHINES = MachineSpec.parse("4x1,4x4")
@@ -94,7 +95,7 @@ def test_heterogeneous_star_latency(benchmark):
     settings = ExecutionSettings(machines=MACHINES)
     weighted = benchmark(
         lambda: dispatch_run(
-            "skew-star", query, db, P, seed=7, settings=settings
+            star_core, query, db, P, seed=7, settings=settings
         )
     )
     measured_uniform = measured_makespan(uniform, MACHINES)

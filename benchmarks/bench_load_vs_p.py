@@ -18,6 +18,7 @@ from repro.config import ExecutionSettings
 from repro.core.families import chain_query, cycle_query, star_query, triangle_query
 from repro.data.generators import matching_database
 from repro.join import evaluate_arrays
+from repro.hypercube.algorithm import hypercube_core
 from repro.run import dispatch_run
 
 
@@ -70,7 +71,7 @@ def test_benchmark_hypercube_triangle(benchmark):
 
     def run():
         return dispatch_run(
-            "hypercube", query, db, 27, seed=1, settings=ExecutionSettings()
+            hypercube_core, query, db, 27, seed=1, settings=ExecutionSettings()
         )
 
     result = benchmark(run)

@@ -17,6 +17,7 @@ from repro.core.families import spk_query
 from repro.data.generators import matching_database
 from repro.join import evaluate_arrays
 from repro.multiround.plans import chain_plan, cycle_plan, spk_plan
+from repro.multiround.executor import multiround_core
 from repro.run import dispatch_run
 
 #: L16 runs its plan core directly: ranking every strategy for it would
@@ -35,7 +36,7 @@ def test_example_5_2_rounds_vs_load(report_table):
         db = matching_database(plan.query, m=m, n=m, seed=61)
         stats = db.statistics(plan.query)
         result = dispatch_run(
-            "multiround", plan.query, db, p, seed=61, settings=ENGINE,
+            multiround_core, plan.query, db, p, seed=61, settings=ENGINE,
             plan=plan,
         )
         truth = evaluate_arrays(plan.query, db.arrays(plan.query))
@@ -102,6 +103,6 @@ def test_benchmark_l16_two_round_plan(benchmark):
     plan = chain_plan(16, 0.5)
     db = matching_database(plan.query, m=128, n=128, seed=1)
     benchmark(
-        dispatch_run, "multiround", plan.query, db, 16, seed=1,
+        dispatch_run, multiround_core, plan.query, db, 16, seed=1,
         settings=ENGINE, plan=plan,
     )

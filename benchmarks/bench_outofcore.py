@@ -31,6 +31,7 @@ from repro.config import ExecutionSettings
 from repro.core.families import simple_join_query, triangle_query
 from repro.data.generators import matching_database
 from repro.planner.engine import IN_MEMORY_FOOTPRINT_FACTOR
+from repro.hypercube.algorithm import hypercube_core
 from repro.run import dispatch_run
 from repro.storage import StorageManager
 
@@ -79,7 +80,7 @@ def run_outofcore(
         )
         generated = time.perf_counter()
         result = dispatch_run(
-            "hypercube", query, db, p, seed=seed,
+            hypercube_core, query, db, p, seed=seed,
             settings=ExecutionSettings(), storage=storage,
         )
         finished = time.perf_counter()
@@ -99,12 +100,12 @@ def test_outofcore_matches_inmemory(report_table):
     m, n = 60_000, 240_000
     db = matching_database(QUERY, m=m, n=n, seed=SEED)
     t0 = time.perf_counter()
-    reference = dispatch_run("hypercube", QUERY, db, P, seed=SEED, settings=NUMPY)
+    reference = dispatch_run(hypercube_core, QUERY, db, P, seed=SEED, settings=NUMPY)
     in_memory_s = time.perf_counter() - t0
     with StorageManager(chunk_rows=1024) as storage:
         t0 = time.perf_counter()
         chunked = dispatch_run(
-            "hypercube", QUERY, db, P, seed=SEED, settings=NUMPY,
+            hypercube_core, QUERY, db, P, seed=SEED, settings=NUMPY,
             storage=storage,
         )
         chunked_s = time.perf_counter() - t0
@@ -163,7 +164,7 @@ def test_outofcore_latency(benchmark):
     def chunked_run():
         with StorageManager(chunk_rows=4096) as storage:
             return dispatch_run(
-                "hypercube", QUERY, db, P, seed=SEED, settings=NUMPY,
+                hypercube_core, QUERY, db, P, seed=SEED, settings=NUMPY,
                 storage=storage,
             )
 

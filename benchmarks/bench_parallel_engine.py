@@ -22,6 +22,7 @@ import time
 from repro.config import ExecutionSettings
 from repro.core.families import triangle_query
 from repro.data.generators import matching_database
+from repro.hypercube.algorithm import hypercube_core
 from repro.run import dispatch_run
 
 P = 64
@@ -50,7 +51,7 @@ def run_once(pool: str, max_workers: int, m: int = M):
     start = time.perf_counter()
     # The HyperCube core alone: the timing compares pools, not planning.
     result = dispatch_run(
-        "hypercube", q, db, P, seed=SEED,
+        hypercube_core, q, db, P, seed=SEED,
         settings=ExecutionSettings(
             pool=pool, max_workers=max_workers, chunk_rows=32_768
         ),

@@ -20,6 +20,7 @@ from repro.core.shares import skew_oblivious_share_exponents
 from repro.data.generators import planted_heavy_hitter_database
 from repro.hypercube.analysis import predicted_load_bits_skewed
 from repro.join import evaluate_arrays
+from repro.hypercube.algorithm import hypercube_core
 from repro.run import dispatch_run
 
 
@@ -92,6 +93,6 @@ def test_benchmark_oblivious_join(benchmark):
     query = simple_join_query()
     db = planted_heavy_hitter_database(query, 400, 2**13, "z", 1.0, 3, seed=1)
     benchmark(
-        dispatch_run, "hypercube", query, db, 27, seed=1,
+        dispatch_run, hypercube_core, query, db, 27, seed=1,
         settings=ExecutionSettings(), exponents=lp18_exponents(query, db, 27),
     )

@@ -19,6 +19,7 @@ from repro.data.generators import degree_sequence_database
 from repro.join import evaluate_arrays
 from repro.run import dispatch_run
 from repro.skew.bounds import star_skew_lower_bound, zipf_frequencies
+from repro.skew.star import star_core, star_skew_load_bound
 
 
 def test_star_zipf_sweep(report_table):
@@ -40,11 +41,11 @@ def test_star_zipf_sweep(report_table):
         vanilla = Session(p=p, seed=43).run(
             query, db, "hypercube", exponents={"z": 1.0}
         )
-        # The core directly: its predicted_bits is Eq. (20) itself, not
-        # the planner's estimate.
         star = dispatch_run(
-            "skew-star", query, db, p, seed=43, settings=ExecutionSettings()
+            star_core, query, db, p, seed=43, settings=ExecutionSettings()
         )
+        # Eq. (20) itself, not the planner's estimate of it.
+        eq20 = star_skew_load_bound(query, db, p)
         assert np.array_equal(vanilla.answers_array(), truth)
         assert np.array_equal(star.answers_array(), truth)
         hitter_stats = {
@@ -59,12 +60,12 @@ def test_star_zipf_sweep(report_table):
         # Upper bound formula tracks the algorithm and the lower bound.
         # The light-part analysis carries a polylog factor (the paper's
         # O~), visible at low skew where sub-threshold hot keys collide.
-        assert star.max_load_bits <= 6.0 * star.predicted_bits
-        assert star.predicted_bits <= 4.0 * max(lb, 1.0)
+        assert star.max_load_bits <= 6.0 * eq20
+        assert eq20 <= 4.0 * max(lb, 1.0)
         wins.append(vanilla.max_load_bits / star.max_load_bits)
         lines.append(
             f"{skew:>6.1f} {vanilla.max_load_bits:>10.0f} "
-            f"{star.max_load_bits:>11.0f} {star.predicted_bits:>9.0f} "
+            f"{star.max_load_bits:>11.0f} {eq20:>9.0f} "
             f"{lb:>11.0f}"
         )
     assert wins[-1] > wins[0]  # more skew, bigger win
@@ -110,6 +111,6 @@ def test_benchmark_star_skew(benchmark):
     }
     db = degree_sequence_database(query, "z", freqs, 2**13, seed=1)
     benchmark(
-        dispatch_run, "skew-star", query, db, 16, seed=1,
+        dispatch_run, star_core, query, db, 16, seed=1,
         settings=ExecutionSettings(),
     )

@@ -16,6 +16,7 @@ from repro.core.families import triangle_query
 from repro.data.generators import triangle_database_from_edges
 from repro.join import evaluate_arrays
 from repro.run import dispatch_run
+from repro.skew.triangle import triangle_core, triangle_skew_load_bound
 
 
 def hub_db(hub_degree: int, fan_edges: int):
@@ -36,12 +37,12 @@ def test_hub_degree_sweep(report_table):
         query = triangle_query()
         truth = evaluate_arrays(query, db.arrays(query))
         vanilla = Session(p=p, seed=53).run(query, db, "hypercube")
-        # The core directly: its predicted_bits is the Section 4.2.2
-        # bound itself, not the planner's estimate.
         aware = dispatch_run(
-            "skew-triangle", query, db, p, seed=53,
+            triangle_core, query, db, p, seed=53,
             settings=ExecutionSettings(),
         )
+        # The Section 4.2.2 bound itself, not the planner's estimate.
+        formula = triangle_skew_load_bound(db, p)
         assert np.array_equal(vanilla.answers_array(), truth)
         assert np.array_equal(aware.answers_array(), truth)
         # The Section 4.2.2 statement is O~: a value just below the
@@ -53,14 +54,14 @@ def test_hub_degree_sweep(report_table):
         stats = db.statistics(query)
         m = max(stats.tuples(r) for r in query.relation_names)
         threshold_bits = (m / p ** (1.0 / 3.0)) * 2 * stats.value_bits
-        slack = max(aware.predicted_bits, threshold_bits)
+        slack = max(formula, threshold_bits)
         assert aware.max_load_bits <= 6.0 * slack
         win = vanilla.max_load_bits / aware.max_load_bits
         wins.append(win)
         lines.append(
             f"{hub_degree:>8} {vanilla.max_load_bits:>10.0f} "
             f"{aware.max_load_bits:>13.0f} "
-            f"{aware.predicted_bits:>9.0f} {win:>5.1f}"
+            f"{formula:>9.0f} {win:>5.1f}"
         )
     assert wins[-1] >= max(2.5, wins[0])
     report_table(
@@ -95,6 +96,6 @@ def test_no_skew_degenerates_to_vanilla(report_table):
 def test_benchmark_triangle_skew(benchmark):
     db = hub_db(300, 60)
     benchmark(
-        dispatch_run, "skew-triangle", triangle_query(), db, 27, seed=1,
+        dispatch_run, triangle_core, triangle_query(), db, 27, seed=1,
         settings=ExecutionSettings(),
     )

@@ -53,7 +53,7 @@ Package map (see DESIGN.md for the paper-section correspondence):
   strategy registry)
 * :mod:`repro.storage` -- out-of-core chunked relations + spill files
 * :mod:`repro.run` -- `RunResult` and `dispatch_run`: the one result
-  type and the one internal run path behind every strategy
+  type and the one internal run path every strategy hands its core to
 * :mod:`repro.session` -- `Session`/`ClusterConfig`, the unified front
   door
 * :mod:`repro.trace` -- per-event communication traces (JSONL
@@ -65,9 +65,12 @@ Package map (see DESIGN.md for the paper-section correspondence):
 ``Session.run`` / ``Session.run_many`` are the only public run verbs.
 Below them, :meth:`Strategy.run <repro.planner.strategies.Strategy.run>`
 executes one strategy without planning, and
-:func:`repro.run.dispatch_run` reaches an executor core by name with
+:func:`repro.run.dispatch_run` runs a strategy's executor core
+(``Strategy.core``, e.g. ``repro.skew.star.star_core``) with
 engine-only knobs (``keep_view_fragments``, ``partition_relation``)
--- bit-identical results on every path.
+-- bit-identical results on every path.  Only the planner prices a
+run: ``predicted_bits`` is the estimate a session attached, and None
+on a core run directly.
 
 There is one execution engine: relations travel as ``(n, arity)``
 int64 arrays and every received row is charged as one tuple of the
@@ -159,7 +162,7 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # silent unless the application configures logging.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "Atom",

@@ -291,6 +291,17 @@ def _positive_mb(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts (``--p``, ``--m``, ``--repeat``, ...)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def run_plan_command(args: argparse.Namespace) -> None:
     query = args.query
     machines = args.machines
@@ -479,11 +490,11 @@ def main(argv: list[str] | None = None) -> None:
     )
     plan_parser.add_argument("query", type=parse_query,
                              help="triangle, join, K4, L5, C4, T3, SP2, ...")
-    plan_parser.add_argument("--p", type=int, default=64,
+    plan_parser.add_argument("--p", type=_positive_int, default=64,
                              help="number of servers (default 64)")
-    plan_parser.add_argument("--m", type=int, default=2000,
+    plan_parser.add_argument("--m", type=_positive_int, default=2000,
                              help="tuples per relation (default 2000)")
-    plan_parser.add_argument("--n", type=int, default=None,
+    plan_parser.add_argument("--n", type=_positive_int, default=None,
                              help="domain size (default 4*m)")
     plan_parser.add_argument("--skew", type=float, default=0.0,
                              help="zipf skew; 0 generates a matching "
@@ -508,11 +519,11 @@ def main(argv: list[str] | None = None) -> None:
     )
     run_parser.add_argument("query", type=parse_query,
                             help="triangle, join, K4, L5, C4, T3, SP2, ...")
-    run_parser.add_argument("--p", type=int, default=64,
+    run_parser.add_argument("--p", type=_positive_int, default=64,
                             help="number of servers (default 64)")
-    run_parser.add_argument("--m", type=int, default=2000,
+    run_parser.add_argument("--m", type=_positive_int, default=2000,
                             help="tuples per relation (default 2000)")
-    run_parser.add_argument("--n", type=int, default=None,
+    run_parser.add_argument("--n", type=_positive_int, default=None,
                             help="domain size (default 4*m)")
     run_parser.add_argument("--skew", type=float, default=0.0,
                             help="zipf skew; 0 generates a matching "
@@ -522,9 +533,9 @@ def main(argv: list[str] | None = None) -> None:
                             help="pin a strategy by name instead of the "
                                  "planner's winner (e.g. hypercube, "
                                  "skew-star, multiround)")
-    run_parser.add_argument("--repeat", type=int, default=1,
+    run_parser.add_argument("--repeat", type=_positive_int, default=1,
                             help="number of seed-derived jobs (default 1)")
-    run_parser.add_argument("--max-workers", type=int, default=None,
+    run_parser.add_argument("--max-workers", type=_positive_int, default=None,
                             help="run_many's job threads and each "
                                  "engine pool's workers (default: "
                                  "min(cpus, 8); the batch also caps it "

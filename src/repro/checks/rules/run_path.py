@@ -1,11 +1,11 @@
 """Run-path discipline.
 
 ``Session.run`` / ``Session.run_many`` are the public run verbs; below
-them a :class:`~repro.planner.strategies.Strategy` reaches its executor
-core through ``repro.run.dispatch_run``.  A package module that calls
-``dispatch_run`` itself is a free run wrapper beside the session: a
-second entry point that skips the statistics, the budget rule and the
-prediction the session attaches, and so drifts from it.
+them a :class:`~repro.planner.strategies.Strategy` hands its executor
+core (``Strategy.core``) to ``repro.run.dispatch_run``.  A package
+module that calls ``dispatch_run`` itself is a free run wrapper beside
+the session: a second entry point that skips the statistics, the budget
+rule and the prediction the session attaches, and so drifts from it.
 """
 
 from __future__ import annotations

@@ -40,11 +40,11 @@ from repro.core.stats import Statistics
 from repro.data.arrays import group_order, repeated_binding_filter
 from repro.data.database import Database
 from repro.hashing.family import GridPartitioner, grid_dimension_weights
-from repro.hypercube.blocks import Block, BlockInput, round_kernel
+from repro.hypercube.blocks import Block, BlockInput, one_round
 from repro.join.vectorized import evaluate_arrays
 from repro.mpc.simulator import Partition
 from repro.mpc.timing import PhaseTimer
-from repro.run import RunResult, implements
+from repro.run import RunResult
 from repro.storage.manager import StorageManager
 
 
@@ -155,8 +155,7 @@ def route_relation_arrays(
         yield server, routed[start:end]
 
 
-@implements("hypercube")
-def _hypercube_impl(
+def hypercube_core(
     query: ConjunctiveQuery,
     database: Database,
     p: int,
@@ -196,13 +195,9 @@ def _hypercube_impl(
             weights=grid_dimension_weights(share_list, settings.machines),
         )
 
-    kernel = round_kernel(p, stats.value_bits, settings, storage, timer)
-    kernel.communicate([block])
-    kernel.compute([block])
-    timer.attach(kernel.sim.report)
-    return RunResult(
-        query, "hypercube", kernel.sim.report, kernel.sim, p,
-        details={"shares": resolved},
+    return one_round(
+        query, "hypercube", [block], p, stats.value_bits, settings, storage,
+        timer, {"shares": resolved},
     )
 
 

@@ -1,22 +1,23 @@
 """Baseline one-round algorithms the paper compares against.
 
-Each is an executor core behind :func:`repro.run.dispatch_run`; run
-them with ``Session.run(q, db, "<name>")``.  Both are HyperCube block
-lists (:mod:`repro.hypercube.blocks`), so they honour the cluster's
-machine spec, capacity cap, worker pool and storage manager exactly
-like every other engine.  The third classical baseline, the parallel
-hash join of Example 4.1, is not a core of its own: it is one of the
-share vectors the ``"hypercube"`` strategy chooses between
+Each is the executor core of one built-in strategy (``Strategy.core``);
+run them with ``Session.run(q, db, "<name>")``.  Both are HyperCube
+block lists (:mod:`repro.hypercube.blocks`), so they honour the
+cluster's machine spec, capacity cap, worker pool and storage manager
+exactly like every other engine.  The third classical baseline, the
+parallel hash join of Example 4.1, is not a core of its own: it is one
+of the share vectors the ``"hypercube"`` strategy chooses between
 (:func:`repro.planner.cost.share_candidates`); pin it with
 ``Session.run(q, db, "hypercube", exponents={"z": 1.0})``.
 
-* ``"single-server"`` -- the degenerate ``L = M`` algorithm (Section
-  2.1: "if we allowed a load L = M, any problem can be solved trivially
-  in one round"): one block with every share 1, so the entire input
-  lands on server 0 and is joined there.
-* ``"broadcast"`` -- partition one relation, broadcast the rest;
-  matches the HC optimum when the broadcast relations are small (Lemma
-  3.18's regime ``M_j < M/p``).  One share-1 block per server.
+* ``"single-server"`` (:func:`single_server_core`) -- the degenerate
+  ``L = M`` algorithm (Section 2.1: "if we allowed a load L = M, any
+  problem can be solved trivially in one round"): one block with every
+  share 1, so the entire input lands on server 0 and is joined there.
+* ``"broadcast"`` (:func:`broadcast_core`) -- partition one relation,
+  broadcast the rest; matches the HC optimum when the broadcast
+  relations are small (Lemma 3.18's regime ``M_j < M/p``).  One share-1
+  block per server.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 from repro.config import ExecutionSettings
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
-from repro.hypercube.blocks import Block, BlockInput, round_kernel
+from repro.hypercube.blocks import Block, BlockInput, one_round
 from repro.mpc.timing import PhaseTimer
-from repro.run import RunResult, implements
+from repro.run import RunResult
 from repro.storage.manager import StorageManager
 
 
@@ -84,18 +85,13 @@ def _one_server_blocks(
             )
             for server, part in slices.items()
         ]
-    kernel = round_kernel(p, stats.value_bits, settings, storage, timer)
-    kernel.communicate(blocks)
-    kernel.compute(blocks)
-    timer.attach(kernel.sim.report)
-    return RunResult(
-        query, strategy, kernel.sim.report, kernel.sim, p,
-        details={"shares": {v: 1 for v in query.variables}},
+    return one_round(
+        query, strategy, blocks, p, stats.value_bits, settings, storage,
+        timer, {"shares": {v: 1 for v in query.variables}},
     )
 
 
-@implements("single-server")
-def _single_server_impl(
+def single_server_core(
     query: ConjunctiveQuery,
     database: Database,
     p: int,
@@ -110,8 +106,7 @@ def _single_server_impl(
     )
 
 
-@implements("broadcast")
-def _broadcast_impl(
+def broadcast_core(
     query: ConjunctiveQuery,
     database: Database,
     p: int,

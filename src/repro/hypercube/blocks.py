@@ -34,7 +34,9 @@ pool, and under a storage manager every fragment is spooled.  A routed
 chunk comes back as one :class:`~repro.mpc.simulator.Partition` and is
 delivered to all its servers at once.  Each server receives its rows
 in block, input, source, chunk order, which is all that per-server
-bits, tuples and capacity truncation depend on.
+bits, tuples and capacity truncation depend on.  :func:`one_round`
+closes every one-round engine: one kernel, one communication round,
+every block joined, one :class:`~repro.run.RunResult`.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from repro.parallel.tasks import (
     join_over_pool,
     route_over_pool,
 )
+from repro.run import RunResult
 from repro.storage.manager import StorageManager
 
 
@@ -200,3 +203,29 @@ def round_kernel(
         machines=settings.machines,
     )
     return _ArrayKernel(sim, settings, timer)
+
+
+def one_round(
+    query: ConjunctiveQuery,
+    strategy: str,
+    blocks: Sequence[Block],
+    num_servers: int,
+    value_bits: int,
+    settings: ExecutionSettings,
+    storage: StorageManager | None,
+    timer: PhaseTimer,
+    details: dict,
+) -> RunResult:
+    """Run ``blocks`` as one round on ``num_servers`` servers.
+
+    Opens the kernel, routes every block, joins every server, attaches
+    the phase timer to the report and returns the run's result.
+    """
+    kernel = round_kernel(num_servers, value_bits, settings, storage, timer)
+    kernel.communicate(blocks)
+    kernel.compute(blocks)
+    timer.attach(kernel.sim.report)
+    return RunResult(
+        query, strategy, kernel.sim.report, kernel.sim, num_servers,
+        details=details,
+    )

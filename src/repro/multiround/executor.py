@@ -58,13 +58,12 @@ from repro.hashing.family import derive_seed, grid_dimension_weights
 from repro.hypercube.blocks import Block, BlockInput, round_kernel
 from repro.mpc.timing import PhaseTimer
 from repro.multiround.plans import Plan
-from repro.run import RunResult, implements
+from repro.run import RunResult
 from repro.storage.chunked import ChunkedRelation
 from repro.storage.manager import StorageManager
 
 
-@implements("multiround")
-def _multiround_impl(
+def multiround_core(
     query: ConjunctiveQuery,
     database: Database,
     p: int,

@@ -12,10 +12,13 @@ alone:
   (which recovers Corollary 4.3 under total skew); the cheapest wins;
 * the skew-aware star algorithm -- Eq. (20) plus the light term,
   priced in the sum-form server convention described below (the
-  max-form statistics-only bound lives in
+  paper's max-form bound, which tests and benchmarks check measured
+  loads against, is :func:`~repro.skew.star.star_skew_load_bound` and
+  its statistics-only twin
   :func:`~repro.skew.star.star_skew_load_bound_from_stats`);
 * the skew-aware triangle algorithm -- the Section 4.2.2 formula,
   same convention (max-form:
+  :func:`~repro.skew.triangle.triangle_skew_load_bound` /
   :func:`~repro.skew.triangle.triangle_skew_load_bound_from_stats`);
 * multi-round plans -- per-operator LP loads summed within a round
   (Proposition 5.1's constant-factor regime), with intermediate view
@@ -28,7 +31,9 @@ All estimates are in bits of maximum per-server, per-round load -- the
 MPC model's ``L`` -- so they are directly comparable with each other,
 with the Theorem 3.15 lower bound (:func:`one_round_floor`, read from
 the same LP (10) solve as HyperCube's ``LP(10)`` candidate), and with
-measured :class:`~repro.mpc.report.LoadReport` maxima.
+measured :class:`~repro.mpc.report.LoadReport` maxima.  They are the
+only predictions a run carries: the executor cores price nothing, and a
+session attaches the winning estimate to the run's report.
 
 On a heterogeneous cluster (``machines=`` a
 :class:`~repro.config.MachineSpec` with per-server speeds) every

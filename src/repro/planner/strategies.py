@@ -6,12 +6,15 @@ A :class:`Strategy` knows three things about one algorithm family:
   star queries, the triangle algorithm only the paper's ``C3``, ...),
 * what the paper predicts it would *cost* (closed forms from
   :mod:`repro.planner.cost`; nothing is executed), and
-* how to *run* it on a concrete database, through the shared run path
-  (:func:`repro.run.dispatch_run`) under its registered name.
+* how to *run* it on a concrete database: :attr:`Strategy.core` is its
+  executor core, which :meth:`Strategy.run` hands to the shared run
+  path (:func:`repro.run.dispatch_run`).
 
-This module is the only caller of :func:`~repro.run.dispatch_run` in
-the package (the ``run-path`` check enforces it), and it imports every
-module that registers an executor core, so each name resolves.
+A strategy is therefore the one place a name maps to an engine, and
+:meth:`Strategy.estimate` the one place a run is priced: the cores
+return measured loads only.  This module is the only caller of
+:func:`~repro.run.dispatch_run` in the package (the ``run-path`` check
+enforces it).
 
 :func:`default_strategies` lists the built-in registry in priority
 order (ties in predicted cost resolve to the earlier entry);
@@ -20,18 +23,15 @@ order (ties in predicted cost resolve to the earlier entry);
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.config import DEFAULT_SETTINGS, ExecutionSettings, resolve_machines
 from repro.core.families import triangle_query
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
-# Imported for their @implements("hypercube" / "single-server" /
-# "broadcast") registrations.
-from repro.hypercube import algorithm as _hypercube_core  # noqa: F401
-from repro.hypercube import baselines as _baseline_cores  # noqa: F401
-# Imported for its @implements("multiround") registration.
-from repro.multiround import executor as _multiround_core  # noqa: F401
+from repro.hypercube.algorithm import hypercube_core
+from repro.hypercube.baselines import broadcast_core, single_server_core
+from repro.multiround.executor import multiround_core
 from repro.multiround.plans import Plan, candidate_plans
 from repro.planner.cost import (
     CostEstimate,
@@ -44,8 +44,8 @@ from repro.planner.cost import (
 )
 from repro.planner.statistics import DataStatistics, memoized
 from repro.run import RunResult, dispatch_run
-from repro.skew.star import star_center
-from repro.skew.triangle import is_triangle_query
+from repro.skew.star import star_center, star_core
+from repro.skew.triangle import is_triangle_query, triangle_core
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.storage.manager import StorageManager
@@ -60,12 +60,19 @@ OVERRIDE_KEYS = ("shares", "exponents", "hitters", "plan")
 class Strategy:
     """One algorithm family the planner can choose.
 
-    Subclasses set ``name`` / ``summary`` / ``supported_overrides`` and
-    implement :meth:`applicable`, :meth:`estimate` and :meth:`_run`.
+    Subclasses set ``name`` / ``summary`` / ``supported_overrides`` /
+    ``core`` and implement :meth:`applicable` and :meth:`estimate`;
+    those whose core needs overrides derived from the planner's
+    statistics also override :meth:`_run`.
     """
 
     name: str = ""
     summary: str = ""
+    #: The executor core :meth:`run` hands to
+    #: :func:`~repro.run.dispatch_run`: ``(query, database, p, *, seed,
+    #: settings, storage, **overrides) -> RunResult``.  Wrap it in
+    #: ``staticmethod`` so the instance attribute is the plain function.
+    core: Callable[..., RunResult]
     #: The :data:`OVERRIDE_KEYS` this strategy threads into its
     #: executor; anything else passed to :meth:`run` raises.
     supported_overrides: frozenset[str] = frozenset()
@@ -161,13 +168,13 @@ class Strategy:
         settings: ExecutionSettings,
         **overrides,
     ) -> RunResult:
-        """Run under ``self.name`` on the shared run path.
+        """Run :attr:`core` on the shared run path.
 
         Subclasses override this to derive ``overrides`` from ``dstats``
         (hitter statistics, the cheapest plan) and then delegate here.
         """
         return dispatch_run(
-            self.name, query, database, p, seed=seed, settings=settings,
+            self.core, query, database, p, seed=seed, settings=settings,
             storage=storage, **overrides,
         )
 
@@ -186,6 +193,7 @@ class OneRoundHyperCube(Strategy):
     name = "hypercube"
     summary = "one-round HyperCube, cheapest of LP(10)/LP(18)/hash shares"
     supported_overrides = frozenset({"shares", "exponents"})
+    core = staticmethod(hypercube_core)
 
     def best_shares(
         self,
@@ -224,6 +232,7 @@ class SkewAwareStar(Strategy):
     name = "skew-star"
     summary = "skew-aware star algorithm, Eq. (20) load"
     supported_overrides = frozenset({"hitters"})
+    core = staticmethod(star_core)
 
     def applicable(self, query, dstats, p):
         base = super().applicable(query, dstats, p)
@@ -254,6 +263,7 @@ class SkewAwareTriangle(Strategy):
     name = "skew-triangle"
     summary = "skew-aware triangle algorithm (Section 4.2.2)"
     supported_overrides = frozenset({"hitters"})
+    core = staticmethod(triangle_core)
 
     def applicable(self, query, dstats, p):
         base = super().applicable(query, dstats, p)
@@ -291,6 +301,7 @@ class MultiRoundPlan(Strategy):
     name = "multiround"
     summary = "multi-round query plan (Proposition 5.1)"
     supported_overrides = frozenset({"plan"})
+    core = staticmethod(multiround_core)
 
     def applicable(self, query, dstats, p):
         base = super().applicable(query, dstats, p)
@@ -355,6 +366,7 @@ class BroadcastJoin(Strategy):
 
     name = "broadcast"
     summary = "partition largest relation, broadcast the rest"
+    core = staticmethod(broadcast_core)
 
     def estimate(self, query, dstats, p, machines=None):
         return broadcast_cost(query, dstats, p, machines=machines)
@@ -365,6 +377,7 @@ class SingleServer(Strategy):
 
     name = "single-server"
     summary = "ship everything to one server"
+    core = staticmethod(single_server_core)
 
     def applicable(self, query, dstats, p):
         if p < 1:

@@ -11,9 +11,12 @@ context fields.
 
 :func:`dispatch_run` is the one internal run path:
 :meth:`repro.session.Session.run` plans, then reaches it through the
-chosen :class:`~repro.planner.strategies.Strategy`.  The engines
-register their executor cores with :func:`implements`; the settings are
-resolved and the spill traffic attributed here, once, for all of them.
+chosen :class:`~repro.planner.strategies.Strategy`, which holds its
+executor core (``Strategy.core``) and hands that function here; the
+settings are resolved and the spill traffic attributed here, once, for
+all of them.  Predictions come from the planner alone: a session
+attaches the winning estimate to the report, and
+:attr:`RunResult.predicted_bits` reads it back from there.
 """
 
 from __future__ import annotations
@@ -56,9 +59,6 @@ class RunResult:
     #: materialized ``(n, k)`` array once :meth:`detached`.
     source: MPCSimulation | np.ndarray
     servers_used: int
-    #: The load the strategy was expected to reach: the engine's own
-    #: closed form (Eq. 20, Section 4.2.2) or the planner's estimate.
-    predicted_bits: float | None = None
     #: Engine-specific facts: ``shares`` (HyperCube family),
     #: ``heavy_hitters`` (star), ``heavy1``/``heavy2`` (triangle),
     #: ``plan``/``view_fragments`` (multi-round).
@@ -93,6 +93,11 @@ class RunResult:
             return self.source.outputs_array(len(head))
         rows = self.source.outputs_array(len(self.schema))
         return unique_rows(rows[:, [self.schema.index(v) for v in head]])
+
+    @property
+    def predicted_bits(self) -> float | None:
+        """The planner's predicted load (None for a core run directly)."""
+        return self.report.predicted_load_bits
 
     @property
     def load_report(self) -> LoadReport:
@@ -162,26 +167,8 @@ class RunResult:
         )
 
 
-Implementation = Callable[..., RunResult]
-
-#: The executor cores behind :func:`dispatch_run`, by strategy name.
-#: Each takes ``(query, database, p, *, seed, settings, storage, ...)``
-#: with an already-resolved :class:`ExecutionSettings`.
-_IMPLEMENTATIONS: dict[str, Implementation] = {}
-
-
-def implements(strategy: str) -> Callable[[Implementation], Implementation]:
-    """Register the decorated executor core under ``strategy``."""
-
-    def register(core: Implementation) -> Implementation:
-        _IMPLEMENTATIONS[strategy] = core
-        return core
-
-    return register
-
-
 def dispatch_run(
-    strategy: str,
+    core: Callable[..., RunResult],
     query: ConjunctiveQuery,
     database: Database,
     p: int,
@@ -198,20 +185,17 @@ def dispatch_run(
     is routed, resolves ``settings`` against ``storage`` and ``p``
     exactly once (:meth:`ExecutionSettings.resolve` -- the chunk-size,
     pool and machine-spec defaults and the spec's ``p``-match
-    validation), invokes the executor core registered under
-    ``strategy`` and attaches the run's own spill traffic to its report.
+    validation), invokes the executor ``core`` (a strategy's
+    :attr:`~repro.planner.strategies.Strategy.core`, which takes
+    ``(query, database, p, *, seed, settings, storage, **overrides)``
+    with the resolved settings) and attaches the run's own spill
+    traffic to its report.
     """
-    impl = _IMPLEMENTATIONS.get(strategy)
-    if impl is None:
-        raise ValueError(
-            f"unknown executor strategy {strategy!r} "
-            f"(expected one of {sorted(_IMPLEMENTATIONS)})"
-        )
     query.require_executable()
     resolved = settings.resolve(storage, p)
     if storage is not None:
         before = storage.io_counters()
-    result = impl(
+    result = core(
         query, database, p,
         seed=seed, settings=resolved, storage=storage, **overrides,
     )

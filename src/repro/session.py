@@ -17,12 +17,15 @@ module gives the Python API the same shape:
   returns, whichever engine produced it and whichever pool carried it.
 
 :meth:`Session.run` and :meth:`Session.run_many` are the only public
-run verbs.  Each run collects statistics, ranks the strategies, and
-reaches the chosen one's executor core through
+run verbs, and both hand each run to one method as a :class:`Job`.
+Each run collects statistics, ranks the strategies, and reaches the
+chosen one's executor core (``Strategy.core``) through
 :meth:`~repro.planner.strategies.Strategy.run` and
 :func:`repro.run.dispatch_run`, so *every* execution funnels through
 one resolution of the storage/pool/machines knobs
-(:meth:`repro.config.ExecutionSettings.resolve`).
+(:meth:`repro.config.ExecutionSettings.resolve`).  The winning
+estimate is the run's one prediction: the session attaches it to the
+report.
 
 Quickstart::
 
@@ -313,7 +316,7 @@ class Session:
     flows through :func:`repro.run.dispatch_run`, so a pinned
     ``session.run(q, db, "skew-star")`` is bit-identical (answers,
     per-server loads, capacity truncation) to
-    ``dispatch_run("skew-star", q, db, p, ...)`` with the same knobs.
+    ``dispatch_run(star_core, q, db, p, ...)`` with the same knobs.
 
     Every finished run appends a :class:`RunRecord` to
     :attr:`history`; :meth:`workload_summary` renders the accumulated
@@ -442,11 +445,10 @@ class Session:
         run is recorded in :attr:`history` (as ``label``, default
         ``run-<index>``).
         """
-        result, record = self._execute(
-            query, database, strategy,
-            shares=shares, exponents=exponents, hitters=hitters, plan=plan,
-            stats=stats, seed=seed, label=label,
-        )
+        result, record = self._execute(Job(
+            query, database, strategy, shares=shares, exponents=exponents,
+            hitters=hitters, plan=plan, stats=stats, seed=seed, label=label,
+        ))
         self._append_records([record])
         return result
 
@@ -603,46 +605,23 @@ class Session:
         ``run_many`` inspects the whole batch afterwards: successful
         records reach the history even when a sibling job failed.
         """
+        if job.seed is None:
+            job = replace(job, seed=derive_seed(self.config.seed, index))
         try:
-            return self._run_job(job, index), None
+            return self._execute(job), None
         except Exception as exc:
             return None, exc
 
-    def _run_job(
-        self, job: Job, index: int
-    ) -> tuple[RunResult, RunRecord]:
-        seed = (
-            derive_seed(self.config.seed, index)
-            if job.seed is None
-            else job.seed
-        )
-        return self._execute(
-            job.query, job.database, job.strategy,
-            shares=job.shares, exponents=job.exponents, hitters=job.hitters,
-            plan=job.plan, stats=job.stats, seed=seed, label=job.label,
-        )
-
-    def _execute(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        strategy: str | None,
-        *,
-        shares: Mapping[str, int] | None,
-        exponents: Mapping[str, float] | None,
-        hitters: object | None,
-        plan: Plan | None,
-        stats: DataStatistics | None,
-        seed: int | None,
-        label: str | None,
-    ) -> tuple[RunResult, RunRecord]:
+    def _execute(self, job: Job) -> tuple[RunResult, RunRecord]:
+        """Plan, run and record one job (``seed=None``: the session's)."""
         if self._closed:
             raise RuntimeError("session is closed")
         settings = self.config.settings()
         p = self.config.p
         cluster = resolve_machines(settings.machines, p)
+        query, database, label = job.query, job.database, job.label
         storage = self._storage_for(database)
-        run_seed = self.config.seed if seed is None else seed
+        run_seed = self.config.seed if job.seed is None else job.seed
         # A traced or metered run records one event stream.  The
         # context-variable scope makes every simulator and storage
         # manager constructed during this run record into this recorder
@@ -658,33 +637,31 @@ class Session:
             tracing(recorder) if recorder is not None
             else contextlib.nullcontext()
         ):
+            stats = job.stats
             if stats is None:
                 stats = DataStatistics.from_database(query, database, p)
             # Rank under the cluster's machine spec, so a heterogeneous
             # session's winner minimizes predicted makespan.
             explained = _planner_plan(query, stats, p, machines=cluster)
-            if strategy is None:
+            if job.strategy is None:
                 candidate = explained.winner
             else:
-                candidate = explained.candidate(strategy)
+                candidate = explained.candidate(job.strategy)
                 if not candidate.applicable:
                     raise ValueError(
-                        f"strategy {strategy!r} is not applicable here: "
+                        f"strategy {job.strategy!r} is not applicable here: "
                         f"{candidate.reason}"
                     )
             result = candidate.strategy.run(
                 query, database, p, seed=run_seed, dstats=stats,
-                storage=storage, settings=settings, shares=shares,
-                exponents=exponents, hitters=hitters, plan=plan,
+                storage=storage, settings=settings, shares=job.shares,
+                exponents=job.exponents, hitters=job.hitters, plan=job.plan,
             )
         estimate = candidate.estimate
         result.report.attach_prediction(
             candidate.name, estimate.load_bits, estimate.rounds
         )
-        result = replace(
-            result, predicted_bits=estimate.load_bits, explained=explained,
-            estimate=estimate,
-        )
+        result = replace(result, explained=explained, estimate=estimate)
         wall = time.perf_counter() - started  # repro: allow(wall-clock) -- RunRecord.wall_seconds telemetry
         report = result.load_report
         # The spec the run actually used (the simulator records the

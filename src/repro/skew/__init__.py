@@ -23,7 +23,6 @@ from (:func:`repro.planner.cost.share_candidates`).
 from repro.skew.heavy_hitters import (
     HitterStatistics,
     detect_heavy_hitters,
-    sample_heavy_hitters,
     variable_frequencies,
 )
 from repro.skew.star import star_skew_load_bound
@@ -36,7 +35,6 @@ from repro.skew.bounds import (
 __all__ = [
     "HitterStatistics",
     "detect_heavy_hitters",
-    "sample_heavy_hitters",
     "variable_frequencies",
     "star_skew_load_bound",
     "triangle_skew_load_bound",

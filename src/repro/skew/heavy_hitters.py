@@ -5,19 +5,19 @@ when its frequency ``m_j(h) = |sigma_{z=h}(S_j)|`` reaches a threshold
 (typically ``m_j / p``).  At most ``p`` values can be heavy per
 relation, so "an O(p) amount of information can easily be stored" on
 every server; the paper assumes it is known in advance and notes it
-"can be easily obtained from small samples of the input", which
-:func:`sample_heavy_hitters` demonstrates.
+"can be easily obtained from small samples of the input", which the
+planner's :func:`repro.planner.statistics.sample_heavy_hitters` does
+(:meth:`~repro.planner.statistics.DataStatistics.from_sample`).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.query import ConjunctiveQuery
-from repro.data.arrays import column_counts, unique_rows
+from repro.data.arrays import unique_rows
 from repro.data.database import Database
 from repro.data.relation import Relation
 
@@ -29,42 +29,6 @@ def detect_heavy_hitters(
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     return relation.heavy_hitters(position, threshold)
-
-
-def sample_heavy_hitters(
-    relation: Relation,
-    position: int,
-    threshold: float,
-    sample_size: int,
-    seed: int = 0,
-    safety: float = 0.5,
-) -> dict[int, float]:
-    """Approximate heavy hitters from a uniform tuple sample.
-
-    Frequencies are estimated as ``count_in_sample * m / sample_size``;
-    values whose estimate reaches ``safety * threshold`` are reported
-    (the slack keeps the false-negative rate low, at the cost of a few
-    light values sneaking in -- which only wastes a constant factor of
-    servers downstream).  Returns ``value -> estimated frequency``.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if sample_size < 1:
-        raise ValueError("sample size must be >= 1")
-    m = len(relation)
-    if m == 0:
-        return {}
-    rng = random.Random(seed)
-    # Rows of the canonical array are the sorted tuples, so indexing it
-    # draws the same sample as indexing a sorted tuple list would.
-    index = [rng.randrange(m) for _ in range(sample_size)]
-    keys, counts = column_counts(relation.to_array()[index], (position,))
-    scale = m / sample_size
-    return {
-        value: count * scale
-        for value, count in zip(keys[:, 0].tolist(), counts.tolist())
-        if count * scale >= safety * threshold
-    }
 
 
 def variable_frequencies(

@@ -32,9 +32,9 @@ from repro.core.shares import integerize_shares, share_exponents
 from repro.core.stats import Statistics
 from repro.data.database import Database
 from repro.hashing.family import grid_dimension_weights
-from repro.hypercube.blocks import Block, BlockInput, round_kernel
+from repro.hypercube.blocks import Block, BlockInput, one_round
 from repro.mpc.timing import PhaseTimer
-from repro.run import RunResult, implements
+from repro.run import RunResult
 from repro.skew.heavy_hitters import HitterStatistics
 from repro.storage.manager import StorageManager
 
@@ -99,8 +99,7 @@ def _heavy_allocation(
     return allocation
 
 
-@implements("skew-star")
-def _star_impl(
+def star_core(
     query: ConjunctiveQuery,
     database: Database,
     p: int,
@@ -124,8 +123,9 @@ def _star_impl(
     ``p_h`` servers.  A heterogeneous ``settings.machines`` weights the
     light grid's center axis speed-proportionally (exact, since it is
     one-dimensional).  ``details["heavy_hitters"]`` lists the hitters
-    handled and ``predicted_bits`` is the Eq. (20) bound.  ``settings``
-    arrives already resolved.
+    handled.  ``settings`` arrives already resolved; the Eq. (20) bound
+    is :func:`star_skew_load_bound`, and a session reports the planner's
+    estimate of it.
     """
     timer = PhaseTimer()
     if p < 2:
@@ -134,9 +134,6 @@ def _star_impl(
         database.validate_for(query)
         center = _star_center(query)
         stats = database.statistics(query)
-        # Hitters detected here are exact, so the closing load bound can
-        # reuse them; caller-supplied ones may be sampled estimates.
-        detected = hitters is None
         if hitters is None:
             hitters = HitterStatistics.from_database(
                 query, database, center, 1.0, p
@@ -256,23 +253,10 @@ def _star_impl(
             )
             base += p_h
 
-    total_servers = p + sum(allocation.values())
-    kernel = round_kernel(
-        total_servers, stats.value_bits, settings, storage, timer
-    )
-    kernel.communicate(blocks)
-    kernel.compute(blocks)
-
-    sim = kernel.sim
-    timer.attach(sim.report)
-    if detected:
-        predicted = star_skew_load_bound_from_stats(query, stats, hitters, p)
-    else:
-        predicted = star_skew_load_bound(query, database, p)
-    return RunResult(
-        query, "skew-star", sim.report, sim, total_servers,
-        predicted_bits=predicted,
-        details={"heavy_hitters": heavy_sorted},
+    return one_round(
+        query, "skew-star", blocks, p + sum(allocation.values()),
+        stats.value_bits, settings, storage, timer,
+        {"heavy_hitters": heavy_sorted},
     )
 
 

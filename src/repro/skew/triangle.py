@@ -39,9 +39,9 @@ from repro.core.shares import integerize_shares
 from repro.core.stats import Statistics
 from repro.data.database import Database
 from repro.hashing.family import grid_dimension_weights
-from repro.hypercube.blocks import Block, BlockInput, round_kernel
+from repro.hypercube.blocks import Block, BlockInput, one_round
 from repro.mpc.timing import PhaseTimer
-from repro.run import RunResult, implements
+from repro.run import RunResult
 from repro.skew.heavy_hitters import HitterStatistics, variable_frequencies
 from repro.storage.manager import StorageManager
 
@@ -92,8 +92,7 @@ def _frequencies_from_hitters(
     return freq
 
 
-@implements("skew-triangle")
-def _triangle_impl(
+def triangle_core(
     query: ConjunctiveQuery,
     database: Database,
     p: int,
@@ -121,8 +120,10 @@ def _triangle_impl(
     every comparison the algorithm makes.
 
     ``details["heavy1"]`` / ``details["heavy2"]`` hold the per-variable
-    hitter sets at the two thresholds and ``predicted_bits`` is the
-    Section 4.2.2 bound.  ``settings`` arrives already resolved.
+    hitter sets at the two thresholds.  ``settings`` arrives already
+    resolved; the Section 4.2.2 bound is
+    :func:`triangle_skew_load_bound`, and a session reports the
+    planner's estimate of it.
     """
     timer = PhaseTimer()
     if p < 2:
@@ -136,9 +137,6 @@ def _triangle_impl(
         threshold1 = max(1.0, m / p)  # Case-1 heaviness
         threshold2 = max(1.0, m / p ** (1.0 / 3.0))  # Case-2 / light edge
 
-        # Frequencies scanned here are exact, so the closing load bound
-        # can reuse them; caller-supplied ones are thresholded views.
-        detected = hitters is None
         if hitters is None:
             freq = {
                 v: variable_frequencies(query, database, v)
@@ -193,20 +191,9 @@ def _triangle_impl(
             )
             blocks += heavy_blocks
 
-    kernel = round_kernel(
-        total_servers, stats.value_bits, settings, storage, timer
-    )
-    kernel.communicate(blocks)
-    kernel.compute(blocks)
-
-    sim = kernel.sim
-    timer.attach(sim.report)
-    return RunResult(
-        query, "skew-triangle", sim.report, sim, total_servers,
-        predicted_bits=triangle_skew_load_bound(
-            database, p, freq if detected else None
-        ),
-        details={"heavy1": heavy1, "heavy2": heavy2},
+    return one_round(
+        query, "skew-triangle", blocks, total_servers, stats.value_bits,
+        settings, storage, timer, {"heavy1": heavy1, "heavy2": heavy2},
     )
 
 
@@ -325,19 +312,12 @@ def _heavy_blocks(
     return blocks, base
 
 
-def triangle_skew_load_bound(
-    database: Database,
-    p: int,
-    frequencies: Mapping[str, Mapping[int, float]] | None = None,
-) -> float:
+def triangle_skew_load_bound(database: Database, p: int) -> float:
     """The Section 4.2.2 load formula, in bits.
 
     ``O~(max(M/p^{2/3}, sqrt(sum_h M_R(h) M_T(h) / p)))`` where the sum
     ranges over the heavy hitters (threshold ``m/p^{1/3}``) of each
     variable and ``R``/``T`` are its two adjacent relations.
-    ``frequencies`` accepts the per-variable
-    :func:`~repro.skew.heavy_hitters.variable_frequencies` a caller
-    already holds (the executor does), skipping the three scans here.
     """
     query = triangle_query()
     database.validate_for(query)
@@ -347,11 +327,7 @@ def triangle_skew_load_bound(
     bound = max(stats.bits(r) for r in query.relation_names) / p ** (2.0 / 3.0)
     tuple_bits = 2 * stats.value_bits
     for variable in query.variables:
-        freqs = (
-            frequencies[variable]
-            if frequencies is not None
-            else variable_frequencies(query, database, variable)
-        )
+        freqs = variable_frequencies(query, database, variable)
         succ_rel, pred_rel, _mid = _STRUCTURE[variable]
         succ_atom = triangle_query().atom(succ_rel)
         pred_atom = triangle_query().atom(pred_rel)

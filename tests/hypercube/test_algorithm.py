@@ -26,7 +26,12 @@ from repro.data.generators import (
 )
 from repro.data.relation import Relation
 from repro.hashing.family import GridPartitioner
-from repro.hypercube.algorithm import resolve_shares, route_relation_arrays
+from repro.hypercube.algorithm import (
+    hypercube_core,
+    resolve_shares,
+    route_relation_arrays,
+)
+from repro.hypercube.baselines import broadcast_core, single_server_core
 from repro.hypercube.analysis import (
     predicted_load_bits,
     predicted_load_bits_skewed,
@@ -71,7 +76,7 @@ class TestCorrectness:
         q = chain_query(2)
         db = uniform_database(q, m=30, n=12, seed=seed)
         result = dispatch_run(
-            "hypercube", q, db, 6, seed=seed, settings=ExecutionSettings()
+            hypercube_core, q, db, 6, seed=seed, settings=ExecutionSettings()
         )
         assert result.answers == evaluate(q, db)
 
@@ -257,8 +262,12 @@ class TestUnsupportedQuery:
     """Isolated variables fail with one typed error, before round 1."""
 
     @pytest.mark.parametrize("pool", ["serial", "process"])
-    @pytest.mark.parametrize("strategy", ["hypercube", "single-server", "broadcast"])
-    def test_rejected_before_routing(self, strategy, pool, monkeypatch):
+    @pytest.mark.parametrize(
+        "core",
+        [hypercube_core, single_server_core, broadcast_core],
+        ids=["hypercube", "single-server", "broadcast"],
+    )
+    def test_rejected_before_routing(self, core, pool, monkeypatch):
         query = ConjunctiveQuery(
             (Atom("S", ("x", "y")),), isolated_variables=frozenset({"w"})
         )
@@ -270,5 +279,5 @@ class TestUnsupportedQuery:
         monkeypatch.setattr(MPCSimulation, "begin_round", no_rounds)
         settings = ExecutionSettings(pool=pool, max_workers=2)
         with pytest.raises(UnsupportedQueryError, match="isolated"):
-            dispatch_run(strategy, query, db, 4, seed=0, settings=settings)
+            dispatch_run(core, query, db, 4, seed=0, settings=settings)
         assert issubclass(UnsupportedQueryError, ValueError)

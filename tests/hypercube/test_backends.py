@@ -27,6 +27,7 @@ from repro.data.generators import (
     zipf_database,
 )
 from repro.data.relation import Relation
+from repro.hypercube.algorithm import hypercube_core
 from repro.run import dispatch_run
 
 from tests.conftest import random_queries
@@ -37,7 +38,7 @@ from tests.reference.tuple_kernel import kernel
 def run_on(kernel_name, query, db, p, seed, hash_method):
     with kernel(kernel_name):
         return dispatch_run(
-            "hypercube", query, db, p, seed=seed,
+            hypercube_core, query, db, p, seed=seed,
             settings=ExecutionSettings(hash_method=hash_method),
         )
 

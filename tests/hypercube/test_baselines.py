@@ -20,6 +20,7 @@ from repro.data.generators import (
 from repro.mpc.simulator import LoadExceededError
 from repro.planner import DataStatistics
 from repro.planner.cost import share_candidates
+from repro.hypercube.baselines import broadcast_core
 from repro.run import dispatch_run
 from tests.reference.multiway_join import evaluate
 
@@ -113,7 +114,7 @@ class TestBroadcastJoin:
         db = matching_database(q, m=5, n=20, seed=10)
         with pytest.raises(KeyError):
             dispatch_run(
-                "broadcast", q, db, 2, seed=0, settings=ExecutionSettings(),
+                broadcast_core, q, db, 2, seed=0, settings=ExecutionSettings(),
                 partition_relation="zzz",
             )
 
@@ -123,7 +124,7 @@ class TestBroadcastJoin:
         q = simple_join_query()
         db = matching_database(q, {"S1": 4, "S2": 400}, n=1600, seed=11)
         result = dispatch_run(
-            "broadcast", q, db, 8, seed=0, settings=ExecutionSettings(),
+            broadcast_core, q, db, 8, seed=0, settings=ExecutionSettings(),
             partition_relation="S2",
         )
         assert result.answers == evaluate(q, db)

@@ -44,6 +44,7 @@ from repro.multiround.plans import (
     spk_plan,
     star_plan,
 )
+from repro.multiround.executor import multiround_core
 from repro.run import dispatch_run
 
 from tests.conftest import random_queries
@@ -59,7 +60,7 @@ def as_tuple_set(chunk: np.ndarray) -> set[tuple[int, ...]]:
 def run_plan(kernel_name, plan, db, p, seed):
     with kernel(kernel_name):
         return dispatch_run(
-            "multiround", plan.query, db, p, seed=seed,
+            multiround_core, plan.query, db, p, seed=seed,
             settings=ExecutionSettings(), plan=plan,
             keep_view_fragments=True,
         )

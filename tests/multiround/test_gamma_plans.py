@@ -29,6 +29,7 @@ from repro.multiround.plans import (
     spk_plan,
     star_plan,
 )
+from repro.multiround.executor import multiround_core
 from repro.run import dispatch_run
 from tests.reference.multiway_join import evaluate
 
@@ -157,7 +158,7 @@ class TestExecutor:
         # The core directly: ranking every strategy for L16 would
         # enumerate its whole packing polytope first.
         result = dispatch_run(
-            "multiround", plan.query, db, 16, seed=1,
+            multiround_core, plan.query, db, 16, seed=1,
             settings=ExecutionSettings(), plan=plan,
         )
         truth = evaluate(plan.query, db)
@@ -203,7 +204,7 @@ class TestExecutor:
         db = matching_database(plan.query, m=5, n=25, seed=7)
         with pytest.raises(ValueError):
             dispatch_run(
-                "multiround", plan.query, db, 1, seed=0,
+                multiround_core, plan.query, db, 1, seed=0,
                 settings=ExecutionSettings(), plan=plan,
             )
 
@@ -218,7 +219,7 @@ class TestExecutor:
         db = matching_database(plan.query, m=m, n=m, seed=8)
         stats = db.statistics(plan.query)
         result = dispatch_run(
-            "multiround", plan.query, db, p, seed=6,
+            multiround_core, plan.query, db, p, seed=6,
             settings=ExecutionSettings(), plan=plan,
         )
         truth = evaluate(plan.query, db)
@@ -234,7 +235,7 @@ class TestExecutor:
         db = matching_database(shallow.query, m=m, n=m, seed=9)
         res_shallow, res_deep = (
             dispatch_run(
-                "multiround", plan.query, db, p, seed=7,
+                multiround_core, plan.query, db, p, seed=7,
                 settings=ExecutionSettings(), plan=plan,
             )
             for plan in (shallow, deep)

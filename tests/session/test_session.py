@@ -22,6 +22,10 @@ from repro.data.generators import (
 )
 from repro.multiround.plans import chain_plan
 from repro.planner import DataStatistics, OneRoundHyperCube
+from repro.hypercube.algorithm import hypercube_core
+from repro.multiround.executor import multiround_core
+from repro.skew.star import star_core
+from repro.skew.triangle import triangle_core
 from repro.run import dispatch_run
 from repro.session import ClusterConfig, RunResult, Session
 from repro.storage import StorageManager
@@ -79,7 +83,7 @@ class TestBitIdentityToLegacy:
             else:
                 direct_storage = None
             direct = dispatch_run(
-                "hypercube", q, db, 16, seed=seed,
+                hypercube_core, q, db, 16, seed=seed,
                 settings=ExecutionSettings(),
                 storage=direct_storage,
             )
@@ -102,7 +106,7 @@ class TestBitIdentityToLegacy:
             else:
                 direct_storage = None
             direct = dispatch_run(
-                "skew-star", q, db, 8, seed=seed,
+                star_core, q, db, 8, seed=seed,
                 settings=ExecutionSettings(),
                 storage=direct_storage,
             )
@@ -124,7 +128,7 @@ class TestBitIdentityToLegacy:
             else:
                 direct_storage = None
             direct = dispatch_run(
-                "skew-triangle", q, db, 8, seed=seed,
+                triangle_core, q, db, 8, seed=seed,
                 settings=ExecutionSettings(),
                 storage=direct_storage,
             )
@@ -148,7 +152,7 @@ class TestBitIdentityToLegacy:
             else:
                 direct_storage = None
             direct = dispatch_run(
-                "multiround", plan.query, db, 8, seed=2,
+                multiround_core, plan.query, db, 8, seed=2,
                 settings=ExecutionSettings(),
                 storage=direct_storage, plan=plan,
             )
@@ -180,7 +184,7 @@ class TestBitIdentityToLegacy:
             resolve_machines(None, 8),
         )
         direct = dispatch_run(
-            "hypercube", query, db, 8, seed=seed, settings=ExecutionSettings(),
+            hypercube_core, query, db, 8, seed=seed, settings=ExecutionSettings(),
             shares=shares,
         )
         with Session(p=8, seed=seed) as session:
@@ -200,7 +204,7 @@ class TestCapacityThreading:
                      on_overflow="drop") as session:
             mine = session.run(q, db, strategy="hypercube")
             direct = dispatch_run(
-                "hypercube", q, db, 8, seed=1,
+                hypercube_core, q, db, 8, seed=1,
                 settings=ExecutionSettings(
                     capacity_bits=capacity, on_overflow="drop",
                 ),
@@ -216,7 +220,7 @@ class TestCapacityThreading:
                      on_overflow="drop") as session:
             mine = session.run(q, db, strategy="skew-star")
             direct = dispatch_run(
-                "skew-star", q, db, 8, seed=1,
+                star_core, q, db, 8, seed=1,
                 settings=ExecutionSettings(
                     capacity_bits=capacity, on_overflow="drop",
                 ),

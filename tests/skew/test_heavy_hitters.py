@@ -13,7 +13,6 @@ from repro.data.generators import (
 from repro.skew.heavy_hitters import (
     HitterStatistics,
     detect_heavy_hitters,
-    sample_heavy_hitters,
     variable_frequencies,
 )
 
@@ -36,59 +35,6 @@ class TestExactDetection:
         p = 10
         hitters = detect_heavy_hitters(r, 0, len(r) / p)
         assert len(hitters) <= p
-
-
-class TestSampledDetection:
-    def test_recovers_dominant_hitter(self):
-        r = degree_sequence_relation(
-            "R", 2, 0, {7: 500, 1: 20, 2: 20}, 2000, seed=2
-        )
-        estimated = sample_heavy_hitters(r, 0, 100, sample_size=200, seed=3)
-        assert 7 in estimated
-        assert estimated[7] == pytest.approx(500, rel=0.5)
-
-    def test_sample_validation(self):
-        r = degree_sequence_relation("R", 2, 0, {7: 5}, 50, seed=4)
-        with pytest.raises(ValueError):
-            sample_heavy_hitters(r, 0, 10, sample_size=0)
-        with pytest.raises(ValueError):
-            sample_heavy_hitters(r, 0, 0, sample_size=5)
-
-    def test_empty_relation(self):
-        from repro.data.relation import Relation
-
-        r = Relation("R", 2, [])
-        assert sample_heavy_hitters(r, 0, 5, sample_size=10) == {}
-
-    @pytest.mark.parametrize("seed", [0, 3, 11])
-    def test_same_estimates_as_sampling_the_sorted_tuple_list(self, seed):
-        # The sampler used to sort the whole relation into a Python
-        # list (cached on it forever) and index that; rows of the
-        # canonical array are the same sequence, so the same index
-        # stream must give the same estimates.
-        import random
-
-        r = zipf_relation("R", 2, 3000, 400, skew=1.2, seed=5, backend="numpy")
-        position, threshold, sample_size, safety = 0, 40.0, 300, 0.5
-        universe = sorted(map(tuple, r.to_array().tolist()))
-        rng = random.Random(seed)
-        counts: dict[int, int] = {}
-        for _ in range(sample_size):
-            value = universe[rng.randrange(len(universe))][position]
-            counts[value] = counts.get(value, 0) + 1
-        scale = len(universe) / sample_size
-        expected = {
-            value: count * scale
-            for value, count in counts.items()
-            if count * scale >= safety * threshold
-        }
-        assert expected  # the pin is vacuous without hitters
-        got = sample_heavy_hitters(
-            r, position, threshold, sample_size, seed=seed, safety=safety
-        )
-        assert got == expected
-        assert all(type(v) is int for v in got)
-        assert r._tuples_cache is None
 
 
 class TestVariableFrequencies:

@@ -14,7 +14,7 @@ from repro.data.generators import (
 )
 from repro.run import dispatch_run
 from repro.skew.heavy_hitters import HitterStatistics
-from repro.skew.star import star_skew_load_bound, _star_center
+from repro.skew.star import star_core, star_skew_load_bound, _star_center
 from tests.reference.multiway_join import evaluate
 
 
@@ -31,7 +31,7 @@ class TestValidation:
         db = degree_sequence_database(q, "z", {"S1": {0: 2}, "S2": {0: 2}}, 20, 0)
         with pytest.raises(ValueError):
             dispatch_run(
-                "skew-star", q, db, 1, seed=0, settings=ExecutionSettings()
+                star_core, q, db, 1, seed=0, settings=ExecutionSettings()
             )
 
 
@@ -100,13 +100,12 @@ class TestLoads:
         }
         db = degree_sequence_database(q, "z", freqs, 3000, seed=10)
         p = 16
-        # The engine's own Eq. (20) prediction, not the planner's.
         result = dispatch_run(
-            "skew-star", q, db, p, seed=10, settings=ExecutionSettings()
+            star_core, q, db, p, seed=10, settings=ExecutionSettings()
         )
         # Eq. (20) is stated in original-relation bits (factor-2 per
         # residual tuple); allow a small constant + hashing noise.
-        assert result.max_load_bits <= 3.0 * result.predicted_bits
+        assert result.max_load_bits <= 3.0 * star_skew_load_bound(q, db, p)
 
     def test_servers_used_is_theta_p(self):
         q = star_query(2)
@@ -141,18 +140,10 @@ class TestSuppliedHitters:
         }
         return q, degree_sequence_database(q, "z", freqs, 3000, seed=10)
 
-    def test_detected_prediction_is_the_database_bound(self):
-        q, db = self._skewed()
-        result = dispatch_run(
-            "skew-star", q, db, 16, seed=10, settings=ExecutionSettings()
-        )
-        assert result.details["heavy_hitters"]
-        assert result.predicted_bits == star_skew_load_bound(q, db, 16)
-
     def test_block_sizes_use_exact_counts_under_estimated_hitters(self):
         # Sampled statistics name the hitters but only estimate their
-        # frequencies; block allocation and the prediction must still
-        # come from exact counts, so the run matches in-place detection.
+        # frequencies; block allocation must still come from exact
+        # counts, so the run matches in-place detection.
         q, db = self._skewed()
         exact = HitterStatistics.from_database(q, db, "z", 1.0, 16)
         estimated = HitterStatistics(
@@ -165,7 +156,7 @@ class TestSuppliedHitters:
         )
         baseline, result = (
             dispatch_run(
-                "skew-star", q, db, 16, seed=10, settings=ExecutionSettings(),
+                star_core, q, db, 16, seed=10, settings=ExecutionSettings(),
                 hitters=hitters,
             )
             for hitters in (None, estimated)
@@ -174,4 +165,3 @@ class TestSuppliedHitters:
         assert result.servers_used == baseline.servers_used
         assert result.answers == baseline.answers
         assert result.report.rounds[0].bits == baseline.report.rounds[0].bits
-        assert result.predicted_bits == baseline.predicted_bits

@@ -15,7 +15,7 @@ from repro.data.generators import (
     zipf_database,
 )
 from repro.run import dispatch_run
-from repro.skew.triangle import triangle_skew_load_bound
+from repro.skew.triangle import triangle_core, triangle_skew_load_bound
 from tests.reference.multiway_join import evaluate
 
 TRIANGLE = triangle_query()
@@ -76,7 +76,7 @@ class TestCorrectness:
         db = hub_graph_db(20, 4)
         with pytest.raises(ValueError):
             dispatch_run(
-                "skew-triangle", TRIANGLE, db, 1, seed=0,
+                triangle_core, TRIANGLE, db, 1, seed=0,
                 settings=ExecutionSettings(),
             )
 
@@ -94,12 +94,11 @@ class TestLoads:
     def test_load_within_constant_of_formula(self):
         db = hub_graph_db()
         p = 27
-        # The engine's own Section 4.2.2 prediction, not the planner's.
         result = dispatch_run(
-            "skew-triangle", TRIANGLE, db, p, seed=1,
+            triangle_core, TRIANGLE, db, p, seed=1,
             settings=ExecutionSettings(),
         )
-        assert result.max_load_bits <= 4.0 * result.predicted_bits
+        assert result.max_load_bits <= 4.0 * triangle_skew_load_bound(db, p)
 
     def test_servers_used_is_theta_p(self):
         db = hub_graph_db()
@@ -141,7 +140,7 @@ class TestPrecomputedHitters:
         p = 8
         scanned, precomputed = (
             dispatch_run(
-                "skew-triangle", TRIANGLE, db, p, seed=seed,
+                triangle_core, TRIANGLE, db, p, seed=seed,
                 settings=ExecutionSettings(), hitters=hitters,
             )
             for hitters in (None, self._hitters(db, p))
@@ -159,7 +158,7 @@ class TestPrecomputedHitters:
         p = 27
         scanned, precomputed = (
             dispatch_run(
-                "skew-triangle", TRIANGLE, db, p, seed=1,
+                triangle_core, TRIANGLE, db, p, seed=1,
                 settings=ExecutionSettings(), hitters=hitters,
             )
             for hitters in (None, self._hitters(db, p))
@@ -174,7 +173,7 @@ class TestPrecomputedHitters:
         del hitters["x2"]
         with pytest.raises(ValueError, match="missing triangle variable"):
             dispatch_run(
-                "skew-triangle", TRIANGLE, db, 8, seed=0,
+                triangle_core, TRIANGLE, db, 8, seed=0,
                 settings=ExecutionSettings(), hitters=hitters,
             )
 
@@ -184,6 +183,6 @@ class TestPrecomputedHitters:
         hitters["x1"], hitters["x2"] = hitters["x2"], hitters["x1"]
         with pytest.raises(ValueError, match="describe"):
             dispatch_run(
-                "skew-triangle", TRIANGLE, db, 8, seed=0,
+                triangle_core, TRIANGLE, db, 8, seed=0,
                 settings=ExecutionSettings(), hitters=hitters,
             )

@@ -28,6 +28,9 @@ from repro.data.generators import (
     zipf_database,
 )
 from repro.multiround.plans import chain_plan, generic_plan, star_plan
+from repro.hypercube.algorithm import hypercube_core
+from repro.multiround.executor import multiround_core
+from repro.skew.star import star_core
 from repro.run import dispatch_run
 from repro.storage import StorageManager
 
@@ -60,11 +63,11 @@ class TestHyperCubeChunked:
         sizes = {a.relation: min(25, n**a.arity) for a in query.atoms}
         db = uniform_database(query, m=sizes, n=n, seed=seed)
         reference = dispatch_run(
-            "hypercube", query, db, 8, seed=seed, settings=NUMPY
+            hypercube_core, query, db, 8, seed=seed, settings=NUMPY
         )
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = dispatch_run(
-                "hypercube", query, db, 8, seed=seed, settings=NUMPY,
+                hypercube_core, query, db, 8, seed=seed, settings=NUMPY,
                 storage=storage,
             )
             assert_same_report(reference.report, chunked.report)
@@ -193,11 +196,11 @@ class TestSkewChunked:
         query = star_query(2)
         db = zipf_database(query, m=150, n=60, skew=1.0, seed=seed)
         reference = dispatch_run(
-            "skew-star", query, db, 8, seed=seed, settings=NUMPY
+            star_core, query, db, 8, seed=seed, settings=NUMPY
         )
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = dispatch_run(
-                "skew-star", query, db, 8, seed=seed, settings=NUMPY,
+                star_core, query, db, 8, seed=seed, settings=NUMPY,
                 storage=storage,
             )
             assert_same_report(reference.report, chunked.report)
@@ -232,11 +235,11 @@ class TestMultiRoundChunked:
         db = uniform_database(query, m=sizes, n=n, seed=seed)
         plan = generic_plan(query, fanout=2)
         reference = dispatch_run(
-            "multiround", query, db, 8, seed=seed, settings=NUMPY, plan=plan
+            multiround_core, query, db, 8, seed=seed, settings=NUMPY, plan=plan
         )
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = dispatch_run(
-                "multiround", query, db, 8, seed=seed, settings=NUMPY,
+                multiround_core, query, db, 8, seed=seed, settings=NUMPY,
                 storage=storage, plan=plan,
             )
             assert_same_report(reference.report, chunked.report)
@@ -250,11 +253,11 @@ class TestMultiRoundChunked:
         plan = chain_plan(4, 0.0)
         db = matching_database(plan.query, m=200, n=200, seed=6)
         reference = dispatch_run(
-            "multiround", plan.query, db, 8, seed=3, settings=NUMPY, plan=plan
+            multiround_core, plan.query, db, 8, seed=3, settings=NUMPY, plan=plan
         )
         with StorageManager(chunk_rows=chunk_rows) as storage:
             chunked = dispatch_run(
-                "multiround", plan.query, db, 8, seed=3, settings=NUMPY,
+                multiround_core, plan.query, db, 8, seed=3, settings=NUMPY,
                 storage=storage, plan=plan, keep_view_fragments=True,
             )
             assert_same_report(reference.report, chunked.report)

@@ -145,6 +145,33 @@ class TestRunSubcommand:
                   "--strategy", "no-such-strategy"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "triangle", "--p", "0", "--m", "100"],
+        ["run", "triangle", "--m", "0"],
+        ["run", "triangle", "--m", "-5"],
+        ["run", "triangle", "--n", "0"],
+        ["run", "triangle", "--repeat", "0"],
+        ["run", "triangle", "--max-workers", "0"],
+        ["plan", "triangle", "--p", "0"],
+        ["plan", "triangle", "--m", "0"],
+        ["plan", "triangle", "--n", "-1"],
+        ["run", "triangle", "--p", "eight"],
+    ],
+    ids=lambda argv: " ".join(argv[2:]) + f" ({argv[0]})",
+)
+def test_non_positive_counts_are_usage_errors(argv, capsys):
+    # argparse rejects them before anything runs: exit status 2 and a
+    # usage line, not a traceback from deep inside the generator.
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {argv[2]}:" in err and "Traceback" not in err
+
+
 class TestSubprocessExitCodes:
     """The real contract CI relies on: exit status of the module."""
 

@@ -14,6 +14,7 @@ from repro.data.generators import matching_database, resolve_generator_backend
 from repro.hypercube import blocks
 from repro.mpc.timing import PhaseTimer
 from repro.multiround.plans import generic_plan
+from repro.multiround.executor import multiround_core
 from repro.run import dispatch_run
 
 from tests.reference.tuple_kernel import TupleKernel, kernel, tuple_kernel
@@ -126,7 +127,6 @@ class TestUseBackendContextManager:
             return opened
 
         monkeypatch.setattr(blocks, "round_kernel", spy)
-        monkeypatch.setattr("repro.hypercube.algorithm.round_kernel", spy)
         with tuple_kernel():
             reference = Session(p=4, seed=0).run(q, db, "hypercube")
         fast = Session(p=4, seed=0).run(q, db, "hypercube")
@@ -161,7 +161,7 @@ class TestSwitchGovernsExecutors:
         for name in ("numpy", "tuples"):
             with kernel(name):
                 runs[name] = dispatch_run(
-                    "multiround", q, db, 8, seed=0,
+                    multiround_core, q, db, 8, seed=0,
                     settings=ExecutionSettings(), plan=plan,
                     keep_view_fragments=True,
                 )

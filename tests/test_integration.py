@@ -25,6 +25,9 @@ from repro.core.friedgut import expected_output_size
 from repro.core.stats import Statistics
 from repro.data.generators import matching_database, uniform_database
 from repro.multiround.plans import generic_plan
+from repro.hypercube.algorithm import hypercube_core
+from repro.hypercube.baselines import broadcast_core, single_server_core
+from repro.multiround.executor import multiround_core
 from repro.run import dispatch_run
 from tests.conftest import random_queries
 from tests.reference.multiway_join import evaluate
@@ -50,7 +53,7 @@ class TestRandomQueryPipelines:
     @settings(max_examples=25, deadline=None)
     def test_hypercube_matches_sequential(self, query, seed):
         db = bounded_uniform_db(query, m=20, n=8, seed=seed)
-        result = dispatch_run("hypercube", query, db, 8, seed=seed, settings=ENGINE)
+        result = dispatch_run(hypercube_core, query, db, 8, seed=seed, settings=ENGINE)
         assert result.answers == evaluate(query, db)
 
     @given(
@@ -62,7 +65,7 @@ class TestRandomQueryPipelines:
         db = bounded_uniform_db(query, m=15, n=7, seed=seed)
         plan = generic_plan(query)
         result = dispatch_run(
-            "multiround", query, db, 8, seed=seed, settings=ENGINE, plan=plan
+            multiround_core, query, db, 8, seed=seed, settings=ENGINE, plan=plan
         )
         assert result.answers == evaluate(query, db)
 
@@ -74,8 +77,8 @@ class TestRandomQueryPipelines:
     def test_baselines_match_sequential(self, query, seed):
         db = bounded_uniform_db(query, m=12, n=6, seed=seed)
         truth = evaluate(query, db)
-        for name in ("single-server", "broadcast"):
-            result = dispatch_run(name, query, db, 4, seed=0, settings=ENGINE)
+        for core in (single_server_core, broadcast_core):
+            result = dispatch_run(core, query, db, 4, seed=0, settings=ENGINE)
             assert result.answers == truth
 
     @given(random_queries(max_variables=4, max_atoms=4))
@@ -110,7 +113,7 @@ class TestLoadOrdering:
         p = 16
         single = Session(p=p).run(query, db, "single-server")
         broadcast = dispatch_run(
-            "broadcast", query, db, p, seed=0, settings=ENGINE,
+            broadcast_core, query, db, p, seed=0, settings=ENGINE,
             partition_relation="S2",
         )
         assert broadcast.max_load_bits < single.max_load_bits
@@ -165,7 +168,7 @@ class TestUserJourney:
     def test_version_exported(self):
         import repro
 
-        assert repro.__version__ == "12.0.0"
+        assert repro.__version__ == "13.0.0"
 
     def test_public_names_resolve_and_free_runners_are_gone(self):
         import importlib

@@ -16,7 +16,9 @@ import pytest
 from repro import Job, RunResult, Session
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import zipf_database
+from repro.config import ExecutionSettings
 from repro.planner import default_strategies
+from repro.run import dispatch_run
 from repro.session import RunResult as SessionRunResult
 from tests.reference.multiway_join import evaluate
 
@@ -107,6 +109,31 @@ def test_every_entry_point_returns_the_same_thing(strategy):
     assert direct.explained is None and direct.estimate is None
     assert surface(direct)["loads"] == surface(planned)["loads"]
     assert surface(direct)["answers"] == surface(planned)["answers"]
+
+
+@pytest.mark.parametrize("strategy", default_strategies(), ids=STRATEGIES)
+def test_the_planner_is_the_only_pricer(strategy):
+    q, db = case(strategy.name)
+    with Session(p=P, seed=0) as session:
+        planned = session.run(q, db, strategy.name)
+    assert planned.strategy == strategy.name
+    assert (
+        planned.predicted_bits
+        == planned.estimate.load_bits
+        == planned.report.predicted_load_bits
+    )
+    # The strategy's own core runs the same engine and prices nothing.
+    overrides = (
+        {"plan": planned.details["plan"]}
+        if strategy.name == "multiround" else {}
+    )
+    direct = dispatch_run(
+        strategy.core, q, db, P, seed=0, settings=ExecutionSettings(),
+        **overrides,
+    )
+    assert direct.strategy == strategy.name
+    assert direct.predicted_bits is None
+    assert surface(direct)["loads"] == surface(planned)["loads"]
 
 
 def test_planner_routed_run_pickles():

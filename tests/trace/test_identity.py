@@ -21,6 +21,7 @@ from repro.core.families import star_query, triangle_query
 from repro.data.generators import matching_database, zipf_database
 from repro.multiround.plans import chain_plan
 from repro.planner import DataStatistics
+from repro.hypercube.algorithm import hypercube_core
 from repro.run import dispatch_run
 from repro.storage.manager import StorageManager
 from repro.trace import tracing
@@ -180,11 +181,11 @@ class TestOverhead:
                 if traced:
                     with tracing():
                         dispatch_run(
-                            "hypercube", q, db, 8, seed=0, settings=settings
+                            hypercube_core, q, db, 8, seed=0, settings=settings
                         )
                 else:
                     dispatch_run(
-                        "hypercube", q, db, 8, seed=0, settings=settings
+                        hypercube_core, q, db, 8, seed=0, settings=settings
                     )
                 samples.append(time.perf_counter() - start)
             return min(samples)
