@@ -35,8 +35,7 @@ from repro.planner import DataStatistics, plan
 SCENARIOS = {
     "triangle/matching": (
         triangle_query(),
-        lambda q: matching_database(q, m=1000, n=2**14, seed=0,
-                                    backend="numpy"),
+        lambda q: matching_database(q, m=1000, n=2**14, seed=0),
         64,
     ),
     "star2/zipf1.0": (
@@ -46,8 +45,7 @@ SCENARIOS = {
     ),
     "chain4/matching": (
         chain_query(4),
-        lambda q: matching_database(q, m=1000, n=2**14, seed=1,
-                                    backend="numpy"),
+        lambda q: matching_database(q, m=1000, n=2**14, seed=1),
         64,
     ),
 }

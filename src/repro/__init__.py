@@ -162,7 +162,7 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # silent unless the application configures logging.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__ = [
     "Atom",

@@ -8,8 +8,7 @@ check fails**, so CI can smoke-run it.
 
 ``python -m repro plan QUERY`` prints the planner's EXPLAIN cost table
 for a named query (``triangle``, ``L5``, ``T3``, ``C4``, ``SP2``,
-``K4``, ``join``) on a generated database, and with ``--execute`` runs
-the winning strategy and reports predicted vs measured load.
+``K4``, ``join``) on a generated database; ``run`` executes the winner.
 
 ``python -m repro run QUERY`` runs a workload on a configured
 :class:`repro.Session`: ``--repeat K`` executes K seed-derived jobs
@@ -303,50 +302,9 @@ def _positive_int(text: str) -> int:
 
 
 def run_plan_command(args: argparse.Namespace) -> None:
-    query = args.query
-    machines = args.machines
+    """``python -m repro plan QUERY``: the EXPLAIN table, nothing run."""
     db = _generate_database(args)
-    explained = planner_plan(query, db, args.p, machines=machines)
-    print(explained.table())
-    if args.execute:
-        budget_bytes = (
-            int(args.memory_budget_mb * 2**20)
-            if args.memory_budget_mb is not None
-            else None
-        )
-        with Session(
-            p=args.p, seed=args.seed, machines=machines,
-            memory_budget_bytes=budget_bytes,
-        ) as session:
-            planned = session.run(query, db, stats=explained.statistics)
-            ratio = planned.report.prediction_ratio()
-            print(f"\nexecuted {planned.strategy}: measured "
-                  f"L = {planned.max_load_bits:.0f} bits, "
-                  f"{len(planned.answers_array())} answers"
-                  + (f" (measured/predicted = {ratio:.2f})" if ratio else ""))
-            print(f"{planned.report.percentile_line()}")
-            if budget_bytes is not None:
-                print(_budget_line(planned, session, args.memory_budget_mb))
-            _check(np.array_equal(planned.answers_array(),
-                                  evaluate_arrays(query, db.arrays(query))),
-                   "planned execution equals the sequential join")
-
-
-def _budget_line(result, session: Session, budget_mb: float) -> str:
-    """What a ``--memory-budget-mb`` run did with its budget.
-
-    The session opens a manager only for an over-budget database, and
-    the run then reports the spill traffic it streamed through it.
-    """
-    spill = result.report.spill_stats
-    if spill is None:
-        return f"in-memory: input fits the {budget_mb:g} MiB budget"
-    return (
-        f"out-of-core: budget {budget_mb:g} MiB -> chunked execution, "
-        f"spilled {spill['bytes_written'] / 2**20:.1f} MiB in "
-        f"{spill['files_created']} spill files "
-        f"(chunk_rows={session.storage.chunk_rows})"
-    )
+    print(planner_plan(args.query, db, args.p, machines=args.machines).table())
 
 
 def _generate_database(args: argparse.Namespace):
@@ -484,51 +442,37 @@ def main(argv: list[str] | None = None) -> None:
              "(tour: the Session segment; run: every job); summarize "
              "them with `python -m repro trace DIR`",
     )
-    sub = parser.add_subparsers(dest="command")
-    plan_parser = sub.add_parser(
-        "plan", help="print the planner's EXPLAIN cost table for a query"
-    )
-    plan_parser.add_argument("query", type=parse_query,
-                             help="triangle, join, K4, L5, C4, T3, SP2, ...")
-    plan_parser.add_argument("--p", type=_positive_int, default=64,
-                             help="number of servers (default 64)")
-    plan_parser.add_argument("--m", type=_positive_int, default=2000,
-                             help="tuples per relation (default 2000)")
-    plan_parser.add_argument("--n", type=_positive_int, default=None,
-                             help="domain size (default 4*m)")
-    plan_parser.add_argument("--skew", type=float, default=0.0,
-                             help="zipf skew; 0 generates a matching "
-                                  "database (default 0)")
-    plan_parser.add_argument("--seed", type=int, default=0)
-    plan_parser.add_argument(
+    # The workload flags ``plan`` and ``run`` share.
+    workload = argparse.ArgumentParser(add_help=False)
+    workload.add_argument("query", type=parse_query,
+                          help="triangle, join, K4, L5, C4, T3, SP2, ...")
+    workload.add_argument("--p", type=_positive_int, default=64,
+                          help="number of servers (default 64)")
+    workload.add_argument("--m", type=_positive_int, default=2000,
+                          help="tuples per relation (default 2000)")
+    workload.add_argument("--n", type=_positive_int, default=None,
+                          help="domain size (default 4*m; at least m "
+                               "for a matching database)")
+    workload.add_argument("--skew", type=float, default=0.0,
+                          help="zipf skew; 0 generates a matching "
+                               "database (default 0)")
+    workload.add_argument("--seed", type=int, default=0)
+    workload.add_argument(
         "--machines", type=_machine_spec, default=None, metavar="SPEC",
         help="heterogeneous machine spec, e.g. 4x1,4x2 (4 machines at "
              "speed 1 + 4 at speed 2; must match --p); estimates switch "
-             "to the speed-normalized makespan objective",
+             "to the speed-normalized makespan objective, shares and "
+             "routing become speed-weighted",
     )
-    plan_parser.add_argument("--execute", action="store_true",
-                             help="also run the winning strategy")
-    plan_parser.add_argument(
-        "--memory-budget-mb", type=_positive_mb, default=None, metavar="MB",
-        help="resident-set budget for --execute; when the in-memory "
-             "footprint would exceed it, the winner runs out-of-core "
-             "(chunked relations spilled to disk, identical results)",
+    sub = parser.add_subparsers(dest="command")
+    sub.add_parser(
+        "plan", parents=[workload],
+        help="print the planner's EXPLAIN cost table for a query",
     )
     run_parser = sub.add_parser(
-        "run", help="run a Session workload for a query (checked answers)"
+        "run", parents=[workload],
+        help="run a Session workload for a query (checked answers)",
     )
-    run_parser.add_argument("query", type=parse_query,
-                            help="triangle, join, K4, L5, C4, T3, SP2, ...")
-    run_parser.add_argument("--p", type=_positive_int, default=64,
-                            help="number of servers (default 64)")
-    run_parser.add_argument("--m", type=_positive_int, default=2000,
-                            help="tuples per relation (default 2000)")
-    run_parser.add_argument("--n", type=_positive_int, default=None,
-                            help="domain size (default 4*m)")
-    run_parser.add_argument("--skew", type=float, default=0.0,
-                            help="zipf skew; 0 generates a matching "
-                                 "database (default 0)")
-    run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--strategy", default=None,
                             help="pin a strategy by name instead of the "
                                  "planner's winner (e.g. hypercube, "
@@ -546,12 +490,6 @@ def main(argv: list[str] | None = None) -> None:
              "the jobs themselves always run on threads (default: "
              "REPRO_DEFAULT_POOL, else serial; results are bit-identical "
              "across pools)",
-    )
-    run_parser.add_argument(
-        "--machines", type=_machine_spec, default=None, metavar="SPEC",
-        help="heterogeneous machine spec, e.g. 4x1,4x2 (4 machines at "
-             "speed 1 + 4 at speed 2; must match --p); shares and "
-             "routing become speed-weighted, summaries report makespan",
     )
     run_parser.add_argument("--capacity-bits", type=float, default=None,
                             help="per-server per-round load cap L")
@@ -619,31 +557,33 @@ def main(argv: list[str] | None = None) -> None:
         "--diff", default=None, metavar="OTHER",
         help="print per-series deltas from PATH to OTHER",
     )
-    check_parser = sub.add_parser(
-        "check",
+    # ``check`` declares nothing itself: every argument after it,
+    # ``--help`` included, belongs to the analyzer's own parser.
+    sub.add_parser(
+        "check", add_help=False,
         help="statically check source for determinism / parallel-safety "
              "/ hook-hygiene invariants (repro.checks)",
     )
-    check_parser.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories to analyze (default: src)",
-    )
-    check_parser.add_argument(
-        "--rule", action="append", dest="rules", metavar="RULE",
-        help="run only this rule id (repeatable; see --list-rules)",
-    )
-    check_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable repro.checks/1 report",
-    )
-    check_parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print every rule id with its description and exit",
-    )
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "check":
+        from repro.checks import cli as checks_cli
+
+        code = checks_cli.main(extra)
+        if code:
+            raise SystemExit(code)
+        return
+    if extra:
+        (sub.choices[args.command] if args.command else parser).error(
+            f"unrecognized arguments: {' '.join(extra)}"
+        )
     if args.command in ("plan", "run"):
         if args.n is None:
             args.n = 4 * args.m
+        elif args.skew <= 0 and args.m > args.n:
+            sub.choices[args.command].error(
+                f"argument --m: a matching database needs --m <= --n "
+                f"(got --m {args.m}, --n {args.n}); raise --n or pass --skew"
+            )
         try:
             resolve_machines(args.machines, args.p)
         except ValueError as exc:
@@ -659,19 +599,6 @@ def main(argv: list[str] | None = None) -> None:
         except FileNotFoundError as exc:
             print(f"CHECK FAILED: {exc}", file=sys.stderr)
             raise TourCheckFailed(str(exc)) from exc
-    elif args.command == "check":
-        from repro.checks import cli as checks_cli
-
-        check_argv = list(args.paths)
-        for rule in args.rules or ():
-            check_argv += ["--rule", rule]
-        if args.json:
-            check_argv.append("--json")
-        if args.list_rules:
-            check_argv.append("--list-rules")
-        code = checks_cli.main(check_argv)
-        if code:
-            raise SystemExit(code)
     elif args.command == "metrics":
         try:
             print(

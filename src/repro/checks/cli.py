@@ -56,7 +56,7 @@ def main(
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = argparse.ArgumentParser(
-        prog="repro check",
+        prog="python -m repro check",
         description=(
             "Statically check repro source for determinism, "
             "parallel-safety, and hook-hygiene invariants."

@@ -112,18 +112,3 @@ def k4_query() -> ConjunctiveQuery:
         Atom("S6", ("x3", "x4")),
     )
     return ConjunctiveQuery(atoms, name="K4")
-
-
-def cartesian_product_query(k: int, arity: int = 1) -> ConjunctiveQuery:
-    """``S_1(bar x_1) x ... x S_k(bar x_k)`` on disjoint variables.
-
-    The residual query of a star query at a heavy hitter (Section 4.2.1)
-    is exactly the ``arity=1`` case.
-    """
-    if k < 1:
-        raise ValueError("cartesian product needs k >= 1")
-    atoms = tuple(
-        Atom(f"S{j}", tuple(f"x{j}_{i}" for i in range(arity)))
-        for j in range(1, k + 1)
-    )
-    return ConjunctiveQuery(atoms, name=f"CP{k}")

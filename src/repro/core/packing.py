@@ -32,9 +32,6 @@ class PackingSolution:
     weights: dict[str, float]
     total: float
 
-    def weight_vector(self, order: tuple[str, ...]) -> tuple[float, ...]:
-        return tuple(self.weights[name] for name in order)
-
 
 def _incidence(query: ConjunctiveQuery) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...]]:
     """0/1 matrix A with ``A[i, j] = 1`` iff variable ``i`` occurs in atom ``j``."""

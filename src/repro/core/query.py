@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 
 class UnsupportedQueryError(ValueError):
@@ -433,12 +433,3 @@ def _max_bfs_distance(start: str, adj: Mapping[str, set[str]]) -> int:
     if len(dist) != len(adj):
         raise ValueError("graph is not connected")
     return max(dist.values())
-
-
-def variables_in_order(atoms: Sequence[Atom]) -> tuple[str, ...]:
-    """First-occurrence variable order over a sequence of atoms."""
-    seen: dict[str, None] = {}
-    for atom in atoms:
-        for v in atom.variables:
-            seen.setdefault(v, None)
-    return tuple(seen)

@@ -52,13 +52,6 @@ class ShareSolution:
         """``L_upper = p^{lambda*}`` in bits (Theorem 3.4)."""
         return self.p ** self.lam
 
-    def share(self, variable: str) -> float:
-        """The fractional share ``p^{e_i}`` of a variable."""
-        return self.p ** self.exponents.get(variable, 0.0)
-
-    def fractional_shares(self) -> dict[str, float]:
-        return {v: self.share(v) for v in self.query.variables}
-
     def integer_shares(self) -> dict[str, int]:
         """Integer shares with product at most ``p``."""
         return integerize_shares(self.exponents, self.p)

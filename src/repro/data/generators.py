@@ -22,16 +22,12 @@
 Every generator takes an explicit integer ``seed`` (or an already-seeded
 ``random.Random``), so all experiments replay deterministically.
 
-The matching and zipf generators additionally accept a ``backend``:
-``"python"`` draws from a ``random.Random`` stream, ``"numpy"`` draws
-the same distribution families with a vectorized
-``numpy.random.Generator`` stream, building relations column-wise
-(array-born via :meth:`Relation.from_array`, no Python tuples).  The
-columnar stream is what makes ``n = 10^7`` planner/skew benchmark
-setups take seconds instead of minutes; ``backend=None`` resolves to
-:data:`DEFAULT_GENERATOR_BACKEND` (``"numpy"``).  The two backends are
-each deterministic per seed but draw from *different* streams, so for
-equal seeds they produce different (equally distributed) instances.
+The matching and zipf generators draw from a vectorized
+``numpy.random.Generator`` stream and build relations column-wise
+(array-born via :meth:`Relation.from_array`, no Python tuples), which
+is what makes ``n = 10^7`` planner/skew benchmark setups take seconds
+instead of minutes.  The other generators draw from a
+``random.Random`` stream.
 
 The matching and zipf generators also take ``storage=`` (a
 :class:`~repro.storage.manager.StorageManager`) and ``chunk_rows=``:
@@ -43,15 +39,14 @@ chunk-by-chunk, so ``n = 10^8`` relations materialize without ever
 holding ``n`` rows (``rng.choice(n, m, replace=False)`` would allocate
 the length-``n`` permutation the out-of-core path exists to avoid).
 The storage variants are their own deterministic per-seed streams,
-distinct from both in-memory streams for the same reason the two
-in-memory streams are distinct from each other.
+distinct from the in-memory stream: for equal seeds they produce
+different (equally distributed) instances.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,24 +58,8 @@ from repro.hashing.permutation import PseudorandomPermutation
 from repro.storage.chunked import ChunkedRelation
 from repro.storage.manager import StorageManager
 
-GeneratorBackend = Literal["python", "numpy"]
-
-#: The generator-stream default: vectorized draws.
-DEFAULT_GENERATOR_BACKEND: GeneratorBackend = "numpy"
-
-_GENERATOR_BACKENDS = ("python", "numpy")
-
-
-def resolve_generator_backend(backend: str | None) -> GeneratorBackend:
-    """An explicit generator stream, or :data:`DEFAULT_GENERATOR_BACKEND`."""
-    if backend is None:
-        return DEFAULT_GENERATOR_BACKEND
-    if backend not in _GENERATOR_BACKENDS:
-        raise ValueError(
-            f"unknown generator backend {backend!r} "
-            f"(expected one of {_GENERATOR_BACKENDS})"
-        )
-    return backend  # type: ignore[return-value]
+#: Zipf generation stops after this many draws per requested tuple.
+ZIPF_MAX_ATTEMPTS_FACTOR = 50
 
 
 def _rng(seed_or_rng: int | random.Random) -> random.Random:
@@ -111,7 +90,6 @@ def matching_relation(
     m: int,
     n: int,
     seed: int | random.Random | np.random.Generator = 0,
-    backend: GeneratorBackend | None = None,
     storage: StorageManager | None = None,
     chunk_rows: int | None = None,
 ) -> Relation:
@@ -119,8 +97,8 @@ def matching_relation(
 
     Every column is a random injection ``[m] -> [n]``, so every value
     has degree exactly 1 in every column -- the paper's matching
-    condition.  Requires ``m <= n``.  ``backend="numpy"`` draws the
-    columns vectorized and returns an array-born relation.
+    condition.  Requires ``m <= n``.  The columns are drawn vectorized
+    into an array-born relation.
 
     With ``storage`` the relation is born chunked: each column is a
     keyed Feistel permutation of ``[0, n)`` restricted to ``[0, m)``
@@ -128,27 +106,22 @@ def matching_relation(
     ``chunk_rows`` block at a time and written straight to spill files,
     so peak memory is one chunk no matter how large ``m`` is.  The
     storage stream is deterministic per seed but distinct from the
-    in-memory streams.
+    in-memory stream.
     """
-    backend = resolve_generator_backend(backend)
     if m > n:
         raise ValueError(f"matching needs m <= n (got m={m}, n={n})")
     if storage is not None:
         return _matching_relation_storage(
             name, arity, m, n, _np_rng(seed), storage, chunk_rows
         )
-    if backend == "numpy":
-        rng = _np_rng(seed)
-        if m == 0:
-            return Relation.from_array(name, np.empty((0, arity), dtype=np.int64))
-        columns = [
-            rng.choice(n, size=m, replace=False).astype(np.int64)
-            for _ in range(arity)
-        ]
-        return Relation.from_array(name, np.stack(columns, axis=1))
-    rng = _rng(seed)
-    columns = [rng.sample(range(n), m) for _ in range(arity)]
-    return Relation(name, arity, set(zip(*columns)) if m else set())
+    rng = _np_rng(seed)
+    if m == 0:
+        return Relation.from_array(name, np.empty((0, arity), dtype=np.int64))
+    columns = [
+        rng.choice(n, size=m, replace=False).astype(np.int64)
+        for _ in range(arity)
+    ]
+    return Relation.from_array(name, np.stack(columns, axis=1))
 
 
 def _matching_relation_storage(
@@ -181,7 +154,6 @@ def matching_database(
     m: int | Mapping[str, int],
     n: int,
     seed: int | random.Random = 0,
-    backend: GeneratorBackend | None = None,
     storage: StorageManager | None = None,
     chunk_rows: int | None = None,
 ) -> Database:
@@ -190,17 +162,12 @@ def matching_database(
     With ``storage`` every relation is generated streaming into
     disk-backed chunks (see :func:`matching_relation`).
     """
-    backend = resolve_generator_backend(backend)
-    rng = (
-        _np_rng(seed)
-        if backend == "numpy" or storage is not None
-        else _rng(seed)
-    )
+    rng = _np_rng(seed)
     sizes = _size_map(query, m)
     relations = [
         matching_relation(
             atom.relation, atom.arity, sizes[atom.relation], n, rng,
-            backend=backend, storage=storage, chunk_rows=chunk_rows,
+            storage=storage, chunk_rows=chunk_rows,
         )
         for atom in query.atoms
     ]
@@ -253,8 +220,6 @@ def zipf_relation(
     skew: float = 1.0,
     seed: int | random.Random | np.random.Generator = 0,
     skew_positions: Sequence[int] | None = None,
-    max_attempts_factor: int = 50,
-    backend: GeneratorBackend | None = None,
     storage: StorageManager | None = None,
     chunk_rows: int | None = None,
 ) -> Relation:
@@ -264,9 +229,9 @@ def zipf_relation(
     probability proportional to ``1/rank^skew``; other positions are
     uniform.  Because tuples are deduplicated, extremely skewed
     configurations may saturate below ``m`` distinct tuples; generation
-    stops after ``max_attempts_factor * m`` draws.  ``backend="numpy"``
-    draws whole batches vectorized (inverse-CDF via ``searchsorted``)
-    and keeps the first ``m`` distinct rows in draw order.
+    stops after ``ZIPF_MAX_ATTEMPTS_FACTOR * m`` draws.  Whole batches
+    are drawn vectorized (inverse-CDF via ``searchsorted``) and the
+    first ``m`` distinct rows are kept in draw order.
 
     With ``storage`` accepted rows stream to disk-backed chunks as they
     are drawn; when a whole row packs into 63 bits the global dedup
@@ -274,45 +239,14 @@ def zipf_relation(
     themselves.  (Unlike the matching generator, zipf draws are
     inherently O(m) in dedup state and O(n) in the CDF table.)
     """
-    backend = resolve_generator_backend(backend)
     if storage is not None:
         return _zipf_relation_storage(
             name, arity, m, n, skew, _np_rng(seed), skew_positions,
-            max_attempts_factor, storage, chunk_rows,
+            storage, chunk_rows,
         )
-    if backend == "numpy":
-        return _zipf_relation_numpy(
-            name, arity, m, n, skew, _np_rng(seed), skew_positions,
-            max_attempts_factor,
-        )
-    rng = _rng(seed)
-    positions = set(range(arity) if skew_positions is None else skew_positions)
-    weights = [1.0 / (rank**skew) for rank in range(1, n + 1)]
-    cumulative = list(itertools.accumulate(weights))
-    total = cumulative[-1]
-
-    def zipf_value() -> int:
-        x = rng.random() * total
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cumulative[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    tuples: set[tuple[int, ...]] = set()
-    attempts = 0
-    while len(tuples) < m and attempts < max_attempts_factor * m:
-        attempts += 1
-        tuples.add(
-            tuple(
-                zipf_value() if pos in positions else rng.randrange(n)
-                for pos in range(arity)
-            )
-        )
-    return Relation(name, arity, tuples)
+    return _zipf_relation_numpy(
+        name, arity, m, n, skew, _np_rng(seed), skew_positions
+    )
 
 
 def _zipf_cdf(n: int, skew: float) -> tuple[np.ndarray, float]:
@@ -363,19 +297,17 @@ def _zipf_relation_numpy(
     skew: float,
     rng: np.random.Generator,
     skew_positions: Sequence[int] | None,
-    max_attempts_factor: int,
 ) -> Relation:
     """Vectorized zipf draws: batched inverse-CDF, incremental dedup."""
     positions = set(range(arity) if skew_positions is None else skew_positions)
     cumulative, total = _zipf_cdf(n, skew)
 
     # ``drawn`` always holds only the distinct rows seen so far, in draw
-    # order (matching the tuple-path semantics of "stop once m distinct
-    # tuples exist"), so each merge touches O(m + batch) rows no matter
+    # order (generation stops once m distinct tuples exist), so each merge touches O(m + batch) rows no matter
     # how many draws the skewed head forces us to discard.
     drawn = np.empty((0, arity), dtype=np.int64)
     attempts = 0
-    budget = max_attempts_factor * m
+    budget = ZIPF_MAX_ATTEMPTS_FACTOR * m
     while len(drawn) < m and attempts < budget:
         batch = _zipf_batch_size(len(drawn), attempts, m, budget)
         attempts += batch
@@ -399,7 +331,6 @@ def _zipf_relation_storage(
     skew: float,
     rng: np.random.Generator,
     skew_positions: Sequence[int] | None,
-    max_attempts_factor: int,
     storage: StorageManager,
     chunk_rows: int | None,
 ) -> ChunkedRelation:
@@ -419,7 +350,7 @@ def _zipf_relation_storage(
         # Rows do not pack exactly; reuse the in-memory dedup stream
         # and spool its result (correctness over footprint here).
         dense = _zipf_relation_numpy(
-            name, arity, m, n, skew, rng, skew_positions, max_attempts_factor
+            name, arity, m, n, skew, rng, skew_positions
         )
         out.append(dense.to_array())
         return out
@@ -430,7 +361,7 @@ def _zipf_relation_storage(
     )
     seen = np.empty(0, dtype=np.int64)  # sorted packed keys
     attempts = 0
-    budget = max_attempts_factor * m
+    budget = ZIPF_MAX_ATTEMPTS_FACTOR * m
     while len(out) < m and attempts < budget:
         batch = _zipf_batch_size(len(out), attempts, m, budget)
         attempts += batch
@@ -457,21 +388,15 @@ def zipf_database(
     n: int,
     skew: float = 1.0,
     seed: int | random.Random = 0,
-    backend: GeneratorBackend | None = None,
     storage: StorageManager | None = None,
     chunk_rows: int | None = None,
 ) -> Database:
-    backend = resolve_generator_backend(backend)
-    rng = (
-        _np_rng(seed)
-        if backend == "numpy" or storage is not None
-        else _rng(seed)
-    )
+    rng = _np_rng(seed)
     sizes = _size_map(query, m)
     relations = [
         zipf_relation(
             atom.relation, atom.arity, sizes[atom.relation], n, skew, rng,
-            backend=backend, storage=storage, chunk_rows=chunk_rows,
+            storage=storage, chunk_rows=chunk_rows,
         )
         for atom in query.atoms
     ]
@@ -506,21 +431,13 @@ def planted_heavy_hitter_database(
         positions = [
             i for i, v in enumerate(atom.variables) if v == variable
         ]
+        # Distinct values for all non-planted coordinates.
+        columns = [rng.sample(range(n), size) for _ in range(atom.arity)]
         if not positions:
-            relations.append(
-                # Pin the python stream: this generator draws from a
-                # shared random.Random and must not change output when
-                # the generator default flips.
-                matching_relation(
-                    atom.relation, atom.arity, size, n, rng,
-                    backend="python",
-                )
-            )
+            relations.append(Relation(atom.relation, atom.arity, zip(*columns)))
             continue
         heavy_count = int(round(size * hitter_fraction))
         light_count = size - heavy_count
-        # Distinct values for all non-planted coordinates.
-        columns = [rng.sample(range(n), size) for _ in range(atom.arity)]
         tuples: set[tuple[int, ...]] = set()
         for row in range(heavy_count):
             tup = [columns[pos][row] for pos in range(atom.arity)]

@@ -19,6 +19,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.config import MachineSpec
 
 
+def percentiles(values: np.ndarray) -> dict[str, float]:
+    """``{"p50", "p90", "p99", "max"}`` of ``values`` (all 0.0 when empty)."""
+    out = {
+        f"p{q}": float(np.percentile(values, q)) if len(values) else 0.0
+        for q in (50, 90, 99)
+    }
+    out["max"] = float(values.max()) if len(values) else 0.0
+    return out
+
+
 @dataclass
 class RoundLoad:
     """Bits and tuples received by every server during one round."""
@@ -166,25 +176,16 @@ class LoadReport:
             np.maximum(out, r.bits_array(self.p), out=out)
         return out
 
-    def load_percentiles(
-        self, quantiles: tuple[int, ...] = (50, 90, 99)
-    ) -> dict[str, float]:
+    def load_percentiles(self) -> dict[str, float]:
         """Distribution of per-server worst-round loads, vectorized.
 
-        Returns ``{"p50": ..., "p90": ..., "p99": ..., "max": ...}``
-        (keys follow ``quantiles``); ``max`` always equals
-        :attr:`max_load_bits`.  The spread between p50 and max is the
-        skew signal the paper's Section 4 algorithms exist to flatten:
-        a balanced HyperCube run has p99 close to the median, a heavy
-        hitter shows up as max detaching from p99.
+        Returns ``{"p50": ..., "p90": ..., "p99": ..., "max": ...}``;
+        ``max`` always equals :attr:`max_load_bits`.  The spread between
+        p50 and max is the skew signal the paper's Section 4 algorithms
+        exist to flatten: a balanced HyperCube run has p99 close to the
+        median, a heavy hitter shows up as max detaching from p99.
         """
-        bits = self.server_bits_array()
-        out = {
-            f"p{q}": float(np.percentile(bits, q)) if len(bits) else 0.0
-            for q in quantiles
-        }
-        out["max"] = float(bits.max()) if len(bits) else 0.0
-        return out
+        return percentiles(self.server_bits_array())
 
     def percentile_line(self) -> str:
         """The one-line p50/p90/p99/max rendering used by summaries."""
@@ -198,15 +199,6 @@ class LoadReport:
     def dropped_bits(self) -> float:
         """Bits discarded by capacity truncation (0 in normal runs)."""
         return sum(sum(r.dropped_bits.values()) for r in self.rounds)
-
-    def server_dropped_bits(self, server: int) -> float:
-        """Bits capacity-truncation discarded at one server, all rounds.
-
-        The per-server view of :attr:`dropped_bits`: on a cluster with
-        per-machine capacities, drops concentrate at the small-cap
-        servers, and this is how a report answers "who dropped?".
-        """
-        return sum(r.dropped_bits.get(server, 0.0) for r in self.rounds)
 
     # ------------------------------------------------- heterogeneous metrics
 
@@ -243,9 +235,7 @@ class LoadReport:
         """Each server's worst-round load divided by its speed."""
         return self.server_bits_array() / self.speeds_array()
 
-    def normalized_percentiles(
-        self, quantiles: tuple[int, ...] = (50, 90, 99)
-    ) -> dict[str, float]:
+    def normalized_percentiles(self) -> dict[str, float]:
         """Percentiles of speed-normalized per-server loads.
 
         The heterogeneity twin of :meth:`load_percentiles`: a fast
@@ -254,13 +244,7 @@ class LoadReport:
         per-server makespan contribution (equals :attr:`makespan_bits`
         when all of a server's load arrives in its worst round).
         """
-        bits = self.normalized_server_bits_array()
-        out = {
-            f"p{q}": float(np.percentile(bits, q)) if len(bits) else 0.0
-            for q in quantiles
-        }
-        out["max"] = float(bits.max()) if len(bits) else 0.0
-        return out
+        return percentiles(self.normalized_server_bits_array())
 
     def summary(self) -> str:
         lines = [f"MPC execution: p={self.p}, rounds={self.num_rounds}"]

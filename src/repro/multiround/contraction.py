@@ -47,21 +47,8 @@ class ContractionMap:
     def apply_value(self, variable: str, value: int) -> int:
         return self.sigma.get(variable, {}).get(value, value)
 
-    def apply_tuple(
-        self, variables: Iterable[str], values: Iterable[int]
-    ) -> tuple[int, ...]:
-        return tuple(
-            self.apply_value(v, a) for v, a in zip(variables, values)
-        )
-
-    def apply_answers(
-        self, query: ConjunctiveQuery, answers: Iterable[tuple[int, ...]]
-    ) -> set[tuple[int, ...]]:
-        head = query.variables
-        return {self.apply_tuple(head, t) for t in answers}
-
     def apply_rows(self, variables: Sequence[str], rows: np.ndarray) -> np.ndarray:
-        """:meth:`apply_tuple` on every row of an ``(n, len(variables))`` array."""
+        """:meth:`apply_value` on every cell of an ``(n, len(variables))`` array."""
         out = np.array(rows, dtype=np.int64)
         for position, variable in enumerate(variables):
             table = self.sigma.get(variable)

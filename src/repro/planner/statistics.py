@@ -59,20 +59,16 @@ class DataStatistics:
         query: ConjunctiveQuery,
         database: Database,
         p: int,
-        threshold_fraction: float = 1.0,
     ) -> "DataStatistics":
         """Collect cardinalities and all per-variable hitter vectors.
 
-        Detection is exact with the per-relation threshold
-        ``threshold_fraction * m_j / p`` -- the same convention the
-        skew-aware executors use, so predictions and executions see the
-        same heavy hitters.
+        Detection is exact with the per-relation threshold ``m_j / p``
+        -- the same convention the skew-aware executors use, so
+        predictions and executions see the same heavy hitters.
         """
         stats = database.statistics(query)
         hitters = {
-            v: HitterStatistics.from_database(
-                query, database, v, threshold_fraction, p
-            )
+            v: HitterStatistics.from_database(query, database, v, 1.0, p)
             for v in query.variables
         }
         return cls(stats, hitters)
@@ -85,8 +81,6 @@ class DataStatistics:
         p: int,
         sample_rows: int = 4096,
         seed: int = 0,
-        threshold_fraction: float = 1.0,
-        safety: float = 0.5,
     ) -> "DataStatistics":
         """Cardinalities exact, hitter vectors estimated from samples.
 
@@ -99,11 +93,7 @@ class DataStatistics:
         stats = database.statistics(query)
         hitters = {
             v: sample_heavy_hitters(
-                query, database, v, p,
-                sample_rows=sample_rows,
-                seed=seed,
-                threshold_fraction=threshold_fraction,
-                safety=safety,
+                query, database, v, p, sample_rows=sample_rows, seed=seed
             )
             for v in query.variables
         }
@@ -150,17 +140,14 @@ def sample_heavy_hitters(
     p: int,
     sample_rows: int = 4096,
     seed: int = 0,
-    threshold_fraction: float = 1.0,
-    safety: float = 0.5,
 ) -> HitterStatistics:
     """Estimate one variable's :class:`HitterStatistics` from row samples.
 
     For every relation containing ``variable``, draw ``sample_rows``
     rows uniformly with replacement (chunk-aware, so chunked relations
     are never materialized), scale each sampled value's count by
-    ``m / sample_rows``, and keep values whose estimate reaches
-    ``safety *`` the exact detector's threshold
-    ``threshold_fraction * m / p``.  The ``safety`` slack trades a few
+    ``m / sample_rows``, and keep values whose estimate reaches half
+    the exact detector's threshold ``m / p``.  That slack trades a few
     false positives (light values that cost a constant factor of
     servers downstream) for a low false-negative rate: a value exactly
     at the threshold has expected sample count ``sample_rows / p``,
@@ -191,8 +178,8 @@ def sample_heavy_hitters(
         sampled = _gather_column(relation, position, index)
         values, counts = np.unique(sampled, return_counts=True)
         estimates = counts * (m / sample_rows)
-        threshold = max(threshold_fraction * m / p, 1e-12)
-        keep = estimates >= safety * threshold
+        threshold = max(m / p, 1e-12)
+        keep = estimates >= 0.5 * threshold
         frequencies[atom.relation] = {
             int(v): int(round(e))
             for v, e in zip(values[keep], estimates[keep])

@@ -76,6 +76,7 @@ from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
 from repro.hashing.family import derive_seed
 from repro.metrics.registry import MetricsRegistry, global_metrics
+from repro.mpc.report import percentiles
 from repro.mpc.timing import format_phase_seconds
 from repro.parallel.pool import default_max_workers
 from repro.multiround.plans import Plan
@@ -551,20 +552,10 @@ class Session:
 
     # -------------------------------------------------------------- history
 
-    def workload_percentiles(
-        self, quantiles: tuple[int, ...] = (50, 90, 99)
-    ) -> dict[str, float]:
+    def workload_percentiles(self) -> dict[str, float]:
         """Percentiles of per-run maximum loads across the history."""
-        loads = np.array(
-            [record.max_load_bits for record in self.history],
-            dtype=np.float64,
-        )
-        out = {
-            f"p{q}": float(np.percentile(loads, q)) if len(loads) else 0.0
-            for q in quantiles
-        }
-        out["max"] = float(loads.max()) if len(loads) else 0.0
-        return out
+        loads = [record.max_load_bits for record in self.history]
+        return percentiles(np.array(loads, dtype=np.float64))
 
     def workload_summary(self) -> str:
         """The accumulated history, one line per run plus percentiles."""

@@ -129,3 +129,17 @@ class TestMainModule:
         assert excinfo.value.code == 1
         payload = json.loads(capsys.readouterr().out)
         assert {f["rule"] for f in payload["findings"]} == {"wall-clock"}
+
+    def test_repro_check_forwards_a_leading_list_rules(self, capsys):
+        from repro.__main__ import main
+
+        main(["check", "--list-rules"])
+        assert "wall-clock" in capsys.readouterr().out
+
+    def test_repro_check_help_is_the_analyzers(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "--help"])
+        assert excinfo.value.code == 0
+        assert "--list-rules" in capsys.readouterr().out

@@ -207,10 +207,10 @@ class TestGraphs:
 
 
 class TestColumnarBackends:
-    """The vectorized (``backend="numpy"``) matching / zipf generators."""
+    """The vectorized matching / zipf generators."""
 
     def test_matching_numpy_invariants(self):
-        r = matching_relation("R", 3, 500, 2000, seed=11, backend="numpy")
+        r = matching_relation("R", 3, 500, 2000, seed=11)
         assert len(r) == 500
         assert r.is_matching()
         arr = r.to_array()
@@ -218,59 +218,52 @@ class TestColumnarBackends:
         assert 0 <= arr.min() and arr.max() < 2000
 
     def test_matching_numpy_deterministic(self):
-        a = matching_relation("R", 2, 200, 1000, seed=1, backend="numpy")
-        b = matching_relation("R", 2, 200, 1000, seed=1, backend="numpy")
-        c = matching_relation("R", 2, 200, 1000, seed=2, backend="numpy")
+        a = matching_relation("R", 2, 200, 1000, seed=1)
+        b = matching_relation("R", 2, 200, 1000, seed=1)
+        c = matching_relation("R", 2, 200, 1000, seed=2)
         assert a == b
         assert a != c
 
     def test_matching_numpy_empty(self):
-        r = matching_relation("R", 2, 0, 10, backend="numpy")
+        r = matching_relation("R", 2, 0, 10)
         assert len(r) == 0
 
     def test_matching_numpy_database(self):
         q = triangle_query()
-        d = matching_database(q, 100, 500, seed=3, backend="numpy")
+        d = matching_database(q, 100, 500, seed=3)
         assert d.is_matching_database()
         assert all(len(d[r]) == 100 for r in q.relation_names)
-        d2 = matching_database(q, 100, 500, seed=3, backend="numpy")
+        d2 = matching_database(q, 100, 500, seed=3)
         for name in q.relation_names:
             assert d[name] == d2[name]
         # Independent streams per relation: relations must differ.
         assert d["S1"] != d["S2"].renamed("S1")
 
     def test_zipf_numpy_is_skewed(self):
-        r = zipf_relation("R", 2, 2000, 10_000, skew=1.2, seed=5,
-                          backend="numpy")
+        r = zipf_relation("R", 2, 2000, 10_000, skew=1.2, seed=5)
         assert len(r) <= 2000
         top = max(r.degrees((0,)).values())
         assert top > 20
 
     def test_zipf_numpy_skew_positions(self):
         r = zipf_relation("R", 2, 500, 5000, skew=1.5, seed=6,
-                          skew_positions=(0,), backend="numpy")
+                          skew_positions=(0,))
         assert r.max_degree((0,)) > r.max_degree((1,)) * 2
 
     def test_zipf_numpy_saturation_is_graceful(self):
-        r = zipf_relation("R", 1, 10, 1, seed=7, backend="numpy")
+        r = zipf_relation("R", 1, 10, 1, seed=7)
         assert len(r) == 1
 
     def test_zipf_numpy_deterministic(self):
-        a = zipf_relation("R", 2, 300, 1000, skew=1.0, seed=9, backend="numpy")
-        b = zipf_relation("R", 2, 300, 1000, skew=1.0, seed=9, backend="numpy")
+        a = zipf_relation("R", 2, 300, 1000, skew=1.0, seed=9)
+        b = zipf_relation("R", 2, 300, 1000, skew=1.0, seed=9)
         assert a == b
 
     def test_zipf_numpy_database_domain(self):
         from repro.data.generators import zipf_database
 
         q = star_query(2)
-        d = zipf_database(q, m=400, n=400, skew=1.0, seed=4, backend="numpy")
+        d = zipf_database(q, m=400, n=400, skew=1.0, seed=4)
         for name in q.relation_names:
             arr = d[name].to_array()
             assert arr.max() < 400 and arr.min() >= 0
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            matching_relation("R", 2, 10, 20, backend="jax")
-        with pytest.raises(ValueError, match="backend"):
-            zipf_relation("R", 2, 10, 20, backend="jax")

@@ -24,15 +24,11 @@ P = 64
 CASES = {
     "hypercube": lambda: (
         triangle_query(),
-        zipf_database(
-            triangle_query(), m=4000, n=300, skew=0.1, seed=1, backend="numpy"
-        ),
+        zipf_database(triangle_query(), m=4000, n=300, skew=0.1, seed=1),
     ),
     "multiround": lambda: (
         chain_query(4),
-        matching_database(
-            chain_query(4), m=3000, n=6000, seed=1, backend="numpy"
-        ),
+        matching_database(chain_query(4), m=3000, n=6000, seed=1),
     ),
 }
 

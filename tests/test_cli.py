@@ -56,35 +56,13 @@ class TestPlanSubcommand:
         assert "hypercube" in out
         assert "pruned" in out
 
-    def test_plan_execute_checks_answers(self, capsys):
-        main([
-            "plan", "join", "--p", "8", "--m", "150", "--n", "600",
-            "--skew", "0.8", "--execute",
-        ])
-        out = capsys.readouterr().out
-        assert "executed" in out
-        assert "answers" in out
-        assert "p50" in out and "p99" in out  # per-server percentiles
-
-    def test_memory_budget_selects_out_of_core(self, capsys):
-        # 4000 tuples * 2 cols * 8 bytes * 2 relations = 128 KiB of
-        # input; a 0.1 MiB budget forces chunked execution.
-        main([
-            "plan", "join", "--p", "8", "--m", "4000", "--n", "16000",
-            "--execute", "--memory-budget-mb", "0.1",
-        ])
-        out = capsys.readouterr().out
-        assert "out-of-core" in out
-        assert "chunked execution" in out
-
-    def test_memory_budget_large_stays_in_memory(self, capsys):
-        main([
-            "plan", "join", "--p", "8", "--m", "200", "--n", "800",
-            "--execute", "--memory-budget-mb", "512",
-        ])
-        out = capsys.readouterr().out
-        assert "in-memory" in out
-        assert "fits" in out
+    @pytest.mark.parametrize("flag", ["--execute", "--memory-budget-mb"])
+    def test_plan_only_explains(self, flag, capsys):
+        # Executing the winner is `run`'s job; plan takes no run flags.
+        with pytest.raises(SystemExit) as exited:
+            main(["plan", "join", "--p", "8", "--m", "200", flag, "1"])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["plan", "run"])
@@ -133,6 +111,13 @@ class TestRunSubcommand:
         out = capsys.readouterr().out
         assert "out-of-core" in out
 
+    def test_run_memory_budget_large_stays_in_memory(self, capsys):
+        main(["run", "join", "--p", "8", "--m", "200", "--n", "800",
+              "--memory-budget-mb", "512"])
+        out = capsys.readouterr().out
+        assert "session workload" in out
+        assert "out-of-core" not in out
+
     def test_run_capacity_drop(self, capsys):
         main(["run", "triangle", "--p", "8", "--m", "200",
               "--capacity-bits", "2000", "--on-overflow", "drop"])
@@ -170,6 +155,23 @@ def test_non_positive_counts_are_usage_errors(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert f"argument {argv[2]}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "plan"])
+def test_matching_larger_than_domain_is_a_usage_error(command, capsys):
+    # A matching needs m <= n; the pair is checked before generation.
+    with pytest.raises(SystemExit) as exited:
+        main([command, "triangle", "--p", "4", "--m", "100", "--n", "50"])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "--m 100" in err and "--n 50" in err and "Traceback" not in err
+
+
+def test_zipf_may_draw_more_tuples_than_the_domain(capsys):
+    main(["plan", "triangle", "--p", "4", "--m", "100", "--n", "50",
+          "--skew", "0.5"])
+    assert "EXPLAIN" in capsys.readouterr().out
 
 
 class TestSubprocessExitCodes:

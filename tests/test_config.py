@@ -10,7 +10,7 @@ import repro
 from repro import ClusterConfig, Session
 from repro.config import ExecutionSettings, MachineSpec
 from repro.core.families import triangle_query
-from repro.data.generators import matching_database, resolve_generator_backend
+from repro.data.generators import matching_database
 from repro.hypercube import blocks
 from repro.mpc.timing import PhaseTimer
 from repro.multiround.plans import generic_plan
@@ -41,8 +41,6 @@ class TestSwitch:
             ExecutionSettings(backend="numpy")
         with pytest.raises(TypeError, match="backend"):
             Session(p=4, backend="tuples")
-        with pytest.raises(ValueError, match="unknown generator backend"):
-            resolve_generator_backend("tuples")
 
     def test_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_DEFAULT_POOL", raising=False)
@@ -61,8 +59,6 @@ class TestSwitch:
         monkeypatch.setenv("REPRO_DEFAULT_POOL", "cluster")
         with pytest.raises(ValueError, match="REPRO_DEFAULT_POOL"):
             ExecutionSettings().resolve()
-        assert resolve_generator_backend(None) == "numpy"
-        assert resolve_generator_backend("python") == "python"
 
     def test_generators_invariant_under_execution_switch(self, monkeypatch):
         # Generators draw the same data whatever the run environment.
