@@ -31,7 +31,7 @@ with ``run --metrics --metrics-out FILE`` -- which also self-checks
 that the registry's totals reconcile exactly with the runs'
 ``LoadReport`` counters -- or :func:`repro.metrics.write_snapshot`.
 
-For the full harness run ``pytest benchmarks/ --benchmark-only``.
+Every paper table is a tier-1 test: run ``pytest tests/paper``.
 """
 
 from __future__ import annotations
@@ -265,8 +265,8 @@ def run_tour(trace_dir: str | None = None) -> None:
         hi_r = chain_rounds_upper_bound(16, eps)
         _check(lo_r == hi_r, f"L16 round bound tight at eps={eps}")
         print(f"  eps = {eps}: {lo_r} rounds (lower = upper = {hi_r})")
-    print("\nAll tour checks passed.  Run `pytest benchmarks/ "
-          "--benchmark-only` for all reproduction tables.")
+    print("\nAll tour checks passed.  Run `pytest tests/paper` for "
+          "all reproduction tables.")
 
 
 def _machine_spec(text: str) -> MachineSpec:
@@ -298,6 +298,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type for ``--skew`` and ``--capacity-bits``: a float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
     return value
 
 
@@ -453,7 +464,7 @@ def main(argv: list[str] | None = None) -> None:
     workload.add_argument("--n", type=_positive_int, default=None,
                           help="domain size (default 4*m; at least m "
                                "for a matching database)")
-    workload.add_argument("--skew", type=float, default=0.0,
+    workload.add_argument("--skew", type=_non_negative_float, default=0.0,
                           help="zipf skew; 0 generates a matching "
                                "database (default 0)")
     workload.add_argument("--seed", type=int, default=0)
@@ -491,7 +502,7 @@ def main(argv: list[str] | None = None) -> None:
              "REPRO_DEFAULT_POOL, else serial; results are bit-identical "
              "across pools)",
     )
-    run_parser.add_argument("--capacity-bits", type=float, default=None,
+    run_parser.add_argument("--capacity-bits", type=_non_negative_float, default=None,
                             help="per-server per-round load cap L")
     run_parser.add_argument("--on-overflow", choices=("fail", "drop"),
                             default="fail",
@@ -515,7 +526,7 @@ def main(argv: list[str] | None = None) -> None:
              "implies --metrics",
     )
     run_parser.add_argument(
-        "--metrics-every", type=int, default=None, metavar="N",
+        "--metrics-every", type=_positive_int, default=None, metavar="N",
         help="print a progress line every N completed jobs "
              "(works with or without --metrics)",
     )
@@ -536,7 +547,7 @@ def main(argv: list[str] | None = None) -> None:
              "are all summarized",
     )
     trace_parser.add_argument(
-        "--top", type=int, default=5, metavar="K",
+        "--top", type=_positive_int, default=5, metavar="K",
         help="entries in the top-servers / hottest-tags tables "
              "(default 5)",
     )

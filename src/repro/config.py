@@ -287,6 +287,10 @@ class ExecutionSettings:
             raise TypeError(
                 f"machines must be a MachineSpec or None, got {self.machines!r}"
             )
+        if self.capacity_bits is not None and not self.capacity_bits >= 0:
+            raise ValueError(
+                f"capacity_bits must be >= 0, got {self.capacity_bits!r}"
+            )
         if self.on_overflow not in _OVERFLOW_MODES:
             raise ValueError("on_overflow must be 'fail' or 'drop'")
         if self.hash_method not in _HASH_METHODS:

@@ -117,6 +117,18 @@ class _ExecutorPool(WorkerPool):
                 self._executor = self._make_executor()
             return self._executor
 
+    def start(self) -> None:
+        """Start all ``max_workers`` workers now and wait until each is up.
+
+        Executors spawn workers one per submit, so without this the
+        first tasks of a run would pay the spawn.  The no-ops are all
+        submitted long before a new worker can finish one, so each
+        submit starts its own worker.
+        """
+        executor = self.executor
+        for future in [executor.submit(_ready) for _ in range(self.max_workers)]:
+            future.result()
+
     def imap(self, fn, tasks):
         executor = self.executor
         prefetch = 2 * self.max_workers
@@ -170,6 +182,10 @@ class ProcessPool(_ExecutorPool):
         )
 
 
+def _ready() -> None:
+    """The no-op task :meth:`_ExecutorPool.start` submits."""
+
+
 _POOL_CLASSES = {
     "serial": SerialPool,
     "thread": ThreadPool,
@@ -189,7 +205,9 @@ def get_pool(kind: str | None, max_workers: int | None = None) -> WorkerPool:
 
     Shared pools amortize executor startup -- above all the process
     spawn cost -- across every run of a session or test suite; they
-    are shut down at interpreter exit.
+    are shut down at interpreter exit.  A new pool starts all its
+    workers here, so an engine (which asks for its pool before its
+    first phase) never bills the spawn to a routing or join phase.
     """
     if kind is None:
         kind = "serial"
@@ -207,6 +225,7 @@ def get_pool(kind: str | None, max_workers: int | None = None) -> WorkerPool:
         pool = _shared_pools.get(key)
         if pool is None:
             pool = _POOL_CLASSES[kind](workers)
+            pool.start()
             _shared_pools[key] = pool
         return pool
 

@@ -517,16 +517,16 @@ class Session:
         It works with or without ``ClusterConfig(metrics=True)``:
         the lines read :class:`RunRecord` fields, not the registry.
         """
+        if metrics_every is not None and metrics_every < 1:
+            raise ValueError("metrics_every must be >= 1")
+        if max_workers is not None and max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
         normalized = [self._coerce_job(job) for job in jobs]
         if not normalized:
             return []
-        if metrics_every is not None and metrics_every < 1:
-            raise ValueError("metrics_every must be >= 1")
         total = len(normalized)
         if max_workers is None:
             max_workers = min(default_max_workers(), total)
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
         batch_started = time.perf_counter()  # repro: allow(wall-clock) -- progress-line timing only
         outcomes = []
         with (

@@ -19,6 +19,7 @@ from repro.data.generators import (
     triangle_database_from_edges,
     uniform_database,
     uniform_relation,
+    zipf_database,
     zipf_relation,
 )
 
@@ -63,6 +64,25 @@ class TestMatching:
         for name in q.relation_names:
             assert d1[name] == d2[name]
 
+    def test_seed_picks_the_stream(self):
+        a = matching_relation("R", 2, 200, 1000, seed=1)
+        assert a == matching_relation("R", 2, 200, 1000, seed=1)
+        assert a != matching_relation("R", 2, 200, 1000, seed=2)
+
+    def test_empty_relation(self):
+        assert len(matching_relation("R", 2, 0, 10)) == 0
+
+    def test_values_stay_in_the_domain(self):
+        r = matching_relation("R", 3, 500, 2000, seed=11)
+        assert r.is_matching()
+        arr = r.to_array()
+        assert arr.shape == (500, 3)
+        assert 0 <= arr.min() and arr.max() < 2000
+
+    def test_relations_draw_independent_streams(self):
+        d = matching_database(triangle_query(), 100, 500, seed=3)
+        assert d["S1"] != d["S2"].renamed("S1")
+
 
 class TestUniform:
     def test_uniform_distinct(self):
@@ -83,6 +103,7 @@ class TestZipf:
     def test_zipf_is_skewed(self):
         r = zipf_relation("R", 2, 2000, 10_000, skew=1.2, seed=5)
         # Rank-1 value should be far heavier than the median value.
+        assert len(r) <= 2000
         hist = r.degrees((0,))
         top = max(hist.values())
         assert top > 20  # strongly skewed head
@@ -95,6 +116,17 @@ class TestZipf:
         # n=1 forces a single value; only one distinct unary tuple exists.
         r = zipf_relation("R", 1, 10, 1, seed=7)
         assert len(r) == 1
+
+    def test_deterministic_under_seed(self):
+        a = zipf_relation("R", 2, 300, 1000, skew=1.0, seed=9)
+        assert a == zipf_relation("R", 2, 300, 1000, skew=1.0, seed=9)
+
+    def test_database_values_stay_in_the_domain(self):
+        q = star_query(2)
+        d = zipf_database(q, m=400, n=400, skew=1.0, seed=4)
+        for name in q.relation_names:
+            arr = d[name].to_array()
+            assert arr.max() < 400 and arr.min() >= 0
 
 
 class TestPlantedHitters:
@@ -207,37 +239,7 @@ class TestGraphs:
 
 
 class TestColumnarBackends:
-    """The vectorized matching / zipf generators."""
-
-    def test_matching_numpy_invariants(self):
-        r = matching_relation("R", 3, 500, 2000, seed=11)
-        assert len(r) == 500
-        assert r.is_matching()
-        arr = r.to_array()
-        assert arr.shape == (500, 3)
-        assert 0 <= arr.min() and arr.max() < 2000
-
-    def test_matching_numpy_deterministic(self):
-        a = matching_relation("R", 2, 200, 1000, seed=1)
-        b = matching_relation("R", 2, 200, 1000, seed=1)
-        c = matching_relation("R", 2, 200, 1000, seed=2)
-        assert a == b
-        assert a != c
-
-    def test_matching_numpy_empty(self):
-        r = matching_relation("R", 2, 0, 10)
-        assert len(r) == 0
-
-    def test_matching_numpy_database(self):
-        q = triangle_query()
-        d = matching_database(q, 100, 500, seed=3)
-        assert d.is_matching_database()
-        assert all(len(d[r]) == 100 for r in q.relation_names)
-        d2 = matching_database(q, 100, 500, seed=3)
-        for name in q.relation_names:
-            assert d[name] == d2[name]
-        # Independent streams per relation: relations must differ.
-        assert d["S1"] != d["S2"].renamed("S1")
+    """The vectorized zipf generator."""
 
     def test_zipf_numpy_is_skewed(self):
         r = zipf_relation("R", 2, 2000, 10_000, skew=1.2, seed=5)
@@ -253,17 +255,3 @@ class TestColumnarBackends:
     def test_zipf_numpy_saturation_is_graceful(self):
         r = zipf_relation("R", 1, 10, 1, seed=7)
         assert len(r) == 1
-
-    def test_zipf_numpy_deterministic(self):
-        a = zipf_relation("R", 2, 300, 1000, skew=1.0, seed=9)
-        b = zipf_relation("R", 2, 300, 1000, skew=1.0, seed=9)
-        assert a == b
-
-    def test_zipf_numpy_database_domain(self):
-        from repro.data.generators import zipf_database
-
-        q = star_query(2)
-        d = zipf_database(q, m=400, n=400, skew=1.0, seed=4)
-        for name in q.relation_names:
-            arr = d[name].to_array()
-            assert arr.max() < 400 and arr.min() >= 0

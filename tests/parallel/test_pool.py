@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.parallel import (
@@ -12,6 +14,7 @@ from repro.parallel import (
     default_max_workers,
     get_pool,
 )
+from repro.parallel import pool as pool_module
 
 
 def _square(x: int) -> int:
@@ -76,6 +79,20 @@ def test_get_pool_caches_by_kind_and_workers():
     c = get_pool("thread", 3)
     assert a is b
     assert a is not c
+
+
+def test_get_pool_starts_process_workers_up_front(monkeypatch):
+    """A new process pool's workers are running before its first task,
+    so the spawn is never billed to the phase that submits it."""
+    # An empty cache makes the pool new without closing the shared ones.
+    monkeypatch.setattr(pool_module, "_shared_pools", {})
+    before = {child.pid for child in multiprocessing.active_children()}
+    pool = get_pool("process", 2)
+    try:
+        started = {child.pid for child in multiprocessing.active_children()}
+        assert len(started - before) == 2
+    finally:
+        pool.close()
 
 
 def test_get_pool_serial_is_shared_singleton():

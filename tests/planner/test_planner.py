@@ -7,6 +7,7 @@ import pytest
 from repro import Session
 from repro.core.families import (
     chain_query,
+    k4_query,
     simple_join_query,
     star_query,
     triangle_query,
@@ -238,6 +239,45 @@ class TestAcceptanceMargin:
             f"measured margin {measured_margin:.2f} vs predicted "
             f"{predicted_margin:.2f}"
         )
+
+
+class TestPickQuality:
+    """Across skew-free and skewed inputs the planner's pick measures
+    within 1.5x of the best of the top four candidates, and within a
+    small factor of its own prediction (EXPLAIN's promise)."""
+
+    @pytest.mark.parametrize(
+        "query, make_db, p",
+        [
+            (triangle_query(), lambda q: matching_database(q, m=1000, n=2**14, seed=0), 64),
+            (star_query(2), lambda q: zipf_database(q, m=2000, n=2000, skew=1.0, seed=2), 16),
+            (chain_query(4), lambda q: matching_database(q, m=1000, n=2**14, seed=1), 64),
+        ],
+        ids=["triangle-matching", "star2-zipf1.0", "chain4-matching"],
+    )
+    def test_pick_near_best_measured(self, query, make_db, p, monkeypatch):
+        # Loads are compared in homogeneous units.
+        monkeypatch.delenv("REPRO_DEFAULT_MACHINES", raising=False)
+        db = make_db(query)
+        expected = evaluate(query, db)
+        picked = Session(p=p, seed=0).run(query, db)
+        assert picked.answers == expected
+        measured = {picked.strategy: picked.max_load_bits}
+        for candidate in plan(query, db, p).ranked[:4]:
+            if candidate.name not in measured:
+                outcome = candidate.strategy.run(query, db, p, seed=0)
+                assert outcome.answers == expected
+                measured[candidate.name] = outcome.max_load_bits
+        assert picked.max_load_bits <= 1.5 * min(measured.values())
+        assert 0.2 <= picked.max_load_bits / picked.predicted_bits <= 3.0
+
+    @pytest.mark.parametrize(
+        "query", [triangle_query(), star_query(3), chain_query(5), k4_query()],
+        ids=["C3", "T3", "L5", "K4"],
+    )
+    def test_winner_from_bare_statistics_is_applicable(self, query):
+        stats = Statistics.uniform(query, m=100_000, domain_size=2**20)
+        assert plan(query, stats, 64).winner.applicable
 
 
 class TestRegistry:

@@ -127,6 +127,15 @@ class TestBatchSemantics:
             with pytest.raises(ValueError, match="max_workers"):
                 session.run_many(workload(), max_workers=0)
 
+    @pytest.mark.parametrize(
+        "knobs, match",
+        [({"max_workers": 0}, "max_workers"), ({"metrics_every": 0}, "metrics_every")],
+    )
+    def test_invalid_knobs_rejected_on_an_empty_batch(self, knobs, match):
+        with Session(p=8) as session:
+            with pytest.raises(ValueError, match=match):
+                session.run_many([], **knobs)
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_failed_job_keeps_successful_history(self, workers):
         # One bad job re-raises, but its siblings' records survive.

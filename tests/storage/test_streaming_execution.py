@@ -76,6 +76,23 @@ class TestHyperCubeChunked:
             )
         assert reference.answers == evaluate(query, db)
 
+    def test_spilling_triangle_matches_in_memory(self):
+        # Large enough to spill full chunks on all 64 servers.
+        query = triangle_query()
+        db = matching_database(query, m=60_000, n=240_000, seed=42)
+        reference = dispatch_run(
+            hypercube_core, query, db, 64, seed=42, settings=NUMPY
+        )
+        with StorageManager(chunk_rows=1024) as storage:
+            chunked = dispatch_run(
+                hypercube_core, query, db, 64, seed=42, settings=NUMPY,
+                storage=storage,
+            )
+            assert storage.bytes_spilled > 0
+            assert chunked.report.num_rounds == 1
+            assert_same_report(reference.report, chunked.report)
+            assert chunked.answers == reference.answers
+
     def test_chunk_rows_without_storage(self):
         # Chunked routing alone (in-memory fragments) is the same code
         # path the spilling run uses; it must also be bit-identical.

@@ -143,6 +143,14 @@ class TestRunSubcommand:
         ["plan", "triangle", "--m", "0"],
         ["plan", "triangle", "--n", "-1"],
         ["run", "triangle", "--p", "eight"],
+        ["run", "triangle", "--metrics-every", "0"],
+        ["trace", "traces", "--top", "-2"],
+        # A negative skew would silently mean "matching database", and
+        # a negative cap would run only to fail every server.
+        ["run", "triangle", "--skew", "-1"],
+        ["plan", "triangle", "--skew", "-1"],
+        ["run", "triangle", "--capacity-bits", "-5"],
+        ["run", "triangle", "--capacity-bits", "nan"],
     ],
     ids=lambda argv: " ".join(argv[2:]) + f" ({argv[0]})",
 )

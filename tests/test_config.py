@@ -168,3 +168,12 @@ class TestSwitchGovernsExecutors:
             )
         assert runs["tuples"].answers == runs["numpy"].answers
         assert runs["tuples"].report.total_bits == runs["numpy"].report.total_bits
+
+
+class TestCapacityValidation:
+    @pytest.mark.parametrize("cap", [-5.0, float("nan")])
+    def test_negative_or_nan_capacity_rejected(self, cap):
+        with pytest.raises(ValueError, match="capacity_bits"):
+            ExecutionSettings(capacity_bits=cap)
+        with pytest.raises(ValueError, match="capacity_bits"):
+            Session(p=4, capacity_bits=cap)

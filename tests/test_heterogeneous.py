@@ -27,6 +27,7 @@ from repro import (
     triangle_query,
     zipf_database,
 )
+from repro.config import ExecutionSettings
 from repro.core.families import chain_query
 from repro.hypercube.analysis import (
     predicted_load_bits_with_frequencies,
@@ -35,7 +36,10 @@ from repro.hypercube.analysis import (
 )
 from repro.mpc.simulator import LoadExceededError, MPCSimulation
 from repro.multiround.plans import chain_plan
+from repro.planner.cost import hypercube_cost, star_cost
 from repro.planner.statistics import DataStatistics
+from repro.run import dispatch_run
+from repro.skew.star import star_core
 from repro.storage.manager import StorageManager
 from repro.trace import TraceQuery, TraceRecorder, tracing
 
@@ -282,6 +286,18 @@ class TestHeterogeneousPlanning:
             assert candidate.estimate.load_bits <= classic + 1e-9
 
 
+def _makespan(result):
+    return max(
+        bits / HETERO.speed(s)
+        for r in result.report.rounds
+        for s, bits in r.bits.items()
+    )
+
+
+def _hypercube_cost(q, dstats, p, machines=None):
+    return hypercube_cost(q, dstats, p, machines=machines)[2]
+
+
 class TestHeterogeneousExecution:
     def test_weighted_shares_cut_measured_makespan(self):
         q = star_query(2)
@@ -292,19 +308,56 @@ class TestHeterogeneousExecution:
         assert weighted.answers == expected
         assert uniform.answers == expected
 
-        def makespan(result):
-            return max(
-                bits / HETERO.speed(s)
-                for r in result.report.rounds
-                for s, bits in r.bits.items()
-            )
-
         # Speed-weighted routing must strictly beat uniform hashing on
         # the same heterogeneous cluster.
-        assert makespan(weighted) < makespan(uniform)
+        assert _makespan(weighted) < _makespan(uniform)
         assert weighted.report.makespan_bits == pytest.approx(
-            makespan(weighted)
+            _makespan(weighted)
         )
+
+    @pytest.mark.parametrize(
+        "strategy, q, cost, m, seed, predicted, measured",
+        [
+            ("skew-star", star_query(2), star_cost, 4_000, 7,
+             (28_000, 11_200), (28_504, 11_438)),
+            ("hypercube", triangle_query(), _hypercube_cost, 3_000, 11,
+             (63_000, 37_800), (64_148, 38_276)),
+        ],
+        ids=["star", "triangle"],
+    )
+    def test_weighted_makespan_facts(
+        self, strategy, q, cost, m, seed, predicted, measured
+    ):
+        # The model-unit makespans (max over servers of bits / speed)
+        # of uniform and speed-weighted shares on the 4x1 + 4x4
+        # cluster, predicted by the cost model and measured by the
+        # simulator.  They depend only on the seeds and the hash, so
+        # they are pinned exactly.
+        db = matching_database(q, m=m, n=4 * m, seed=seed)
+        dstats = DataStatistics.from_database(q, db, 8)
+        expected = evaluate(q, db)
+        runs = []
+        for machines in (None, HETERO):
+            result = Session(p=8, seed=seed, machines=machines).run(q, db, strategy)
+            assert result.answers == expected
+            runs.append(result)
+        assert tuple(
+            cost(q, dstats, 8, machines=machines).load_bits
+            for machines in (None, HETERO)
+        ) == predicted
+        assert tuple(_makespan(result) for result in runs) == measured
+        assert runs[1].report.makespan_bits == measured[1]
+
+    def test_weighted_star_core_keeps_the_session_makespan(self):
+        # The star engine alone, given the machines, measures the same
+        # weighted makespan as the planned session run above.
+        q = star_query(2)
+        db = matching_database(q, m=4_000, n=16_000, seed=7)
+        weighted = dispatch_run(
+            star_core, q, db, 8, seed=7,
+            settings=ExecutionSettings(machines=HETERO),
+        )
+        assert _makespan(weighted) == 11_438
 
     def test_session_records_and_traces_machines(self, tmp_path):
         q = triangle_query()
