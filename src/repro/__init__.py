@@ -37,7 +37,7 @@ is one :class:`~repro.run.RunResult` (``answers``, ``answers_array()``,
 the planner's ``explained`` / ``estimate`` / ``summary()``), and it
 pickles.
 
-Package map (see DESIGN.md for the paper-section correspondence):
+Package map (README.md has the same table):
 
 * :mod:`repro.core` -- queries, packings/covers, share LPs, Friedgut/AGM
 * :mod:`repro.data` -- relations and synthetic data generators
@@ -162,7 +162,7 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # silent unless the application configures logging.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "14.0.0"
+__version__ = "15.0.0"
 
 __all__ = [
     "Atom",

@@ -16,9 +16,9 @@ from typing import Iterable
 
 from repro.checks.engine import Finding, Module, Rule
 
-#: Modules of the package itself; tests, benchmarks and examples may
+#: Modules of the package itself; tests, the bench and examples may
 #: drive executor cores directly.
-_PACKAGE_PATH = re.compile(r"(?:^|/)repro/(?!(?:tests|benchmarks|bench|examples)/)")
+_PACKAGE_PATH = re.compile(r"(?:^|/)repro/(?!(?:tests|bench|examples)/)")
 
 #: The strategy registry is the one caller.
 _REGISTRY_SUFFIX = "repro/planner/strategies.py"

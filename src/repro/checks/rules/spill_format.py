@@ -17,9 +17,9 @@ from typing import Iterable
 
 from repro.checks.engine import Finding, Module, Rule
 
-#: Modules of the package itself; tests, benchmarks and examples may
+#: Modules of the package itself; tests, the bench and examples may
 #: build files on disk.
-_PACKAGE_PATH = re.compile(r"(?:^|/)repro/(?!(?:tests|benchmarks|bench|examples)/)")
+_PACKAGE_PATH = re.compile(r"(?:^|/)repro/(?!(?:tests|bench|examples)/)")
 
 #: The storage subsystem owns the format.
 _OWNER_PATH = re.compile(r"(?:^|/)repro/storage/")

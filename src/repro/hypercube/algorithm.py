@@ -13,10 +13,10 @@ join results is exactly ``q(I)``.
 The run is a single block on ``[0, p)`` handed to the round kernel of
 :mod:`repro.hypercube.blocks`: relations are routed as ``(n, arity)``
 arrays (all destination coordinates per column in one vectorized hash,
-replication axes expanded by broadcasting, grouping by server with one
-stable sort) and each server runs the vectorized local join.  The
-property suites compare it against a scalar router and backtracking
-join (``tests/reference/tuple_kernel.py``).
+rows grouped by base cell with one stable sort and gathered once, every
+server of a cell's subcube reading the same slice) and each server runs
+the vectorized local join.  The property suites compare it against a
+scalar router and backtracking join (``tests/reference/tuple_kernel.py``).
 
 With ``chunk_rows`` (or a :class:`~repro.storage.manager.StorageManager`
 via ``storage=``) relations are routed chunk-by-chunk through the same
@@ -37,7 +37,11 @@ from repro.config import ExecutionSettings
 from repro.core.query import ConjunctiveQuery
 from repro.core.shares import integerize_shares, share_exponents
 from repro.core.stats import Statistics
-from repro.data.arrays import group_order, repeated_binding_filter
+from repro.data.arrays import (
+    group_order,
+    repeated_binding_filter,
+    stable_order,
+)
 from repro.data.database import Database
 from repro.hashing.family import GridPartitioner, grid_dimension_weights
 from repro.hypercube.blocks import Block, BlockInput, one_round
@@ -86,17 +90,20 @@ def route_relation_partition(
     head order); a row binds the axes named by ``atom_variables`` and
     is replicated along all others (Eq. 9's destination subcube).
     Destination coordinates are computed per *column* with one
-    vectorized hash per bound axis, replication along unbound axes is
-    expanded by broadcasting the subcube's linear-offset vector, and
-    rows are grouped by destination server with one stable sort
-    (:func:`repro.data.arrays.group_order`) and gathered once, in
-    server order.  Each server's segment preserves the (deterministic)
-    input row order, so canonical input gives canonical segments: each
-    is a subsequence of the rows, and a server's merge of them only
-    checks the order (:func:`repro.data.arrays.merge_batches`).  Rows
-    that bind a repeated variable inconsistently (e.g. ``S(x, x)`` with
-    row ``(1, 2)``) can match no answer and are dropped before routing,
-    so they contribute zero bits to every server's load.
+    vectorized hash per bound axis, giving each row its *base cell*
+    (the server of its subcube with coordinate 0 on every unbound
+    axis).  Rows are grouped by base cell with one stable sort
+    (:func:`repro.data.arrays.group_order`) and gathered once; every
+    server of a cell's subcube then receives that cell's rows as one
+    ``(start, stop)`` slice of the gathered array, so a row replicated
+    to ``r`` servers is still stored once.  Each slice preserves the
+    (deterministic) input row order, so canonical input gives
+    canonical slices: each is a subsequence of the rows, and a server's
+    merge of them only checks the order
+    (:func:`repro.data.arrays.merge_batches`).  Rows that bind a
+    repeated variable inconsistently (e.g. ``S(x, x)`` with row
+    ``(1, 2)``) can match no answer and are dropped before routing, so
+    they contribute zero bits to every server's load.
     """
     axis_of = {v: i for i, v in enumerate(dimension_variables)}
     strides = partitioner.strides
@@ -106,9 +113,8 @@ def route_relation_partition(
     if mask is not None:
         rows = rows[mask]
     if len(rows) == 0:
-        return Partition(
-            np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), rows
-        )
+        empty = np.empty(0, dtype=np.int64)
+        return Partition(empty, empty, empty, rows)
     first_of_axis = {axis_of[v]: pos for v, pos in first_position.items()}
 
     base = np.zeros(len(rows), dtype=np.int64)
@@ -123,16 +129,16 @@ def route_relation_partition(
             axis_offsets = np.arange(shares[axis], dtype=np.int64) * strides[axis]
             offsets = (offsets[:, None] + axis_offsets[None, :]).reshape(-1)
 
-    servers = (base[:, None] + offsets[None, :]).reshape(-1)
-    # Entry i of ``servers`` is copy ``i % len(offsets)`` of row
-    # ``i // len(offsets)``; the order is stable, so every server's
-    # segment keeps the input row order.
-    order, starts = group_order(servers)
-    row_ids = order if len(offsets) == 1 else order // len(offsets)
+    order, starts = group_order(base)
+    stops = np.append(starts[1:], len(order))
+    # Bound and unbound axes are disjoint, so cell + offset names each
+    # server once; entry i is offset ``i % len(offsets)`` of cell
+    # ``i // len(offsets)``.
+    servers = (base[order[starts]][:, None] + offsets[None, :]).reshape(-1)
+    server_order = stable_order(servers)
+    cell_of = server_order // len(offsets)
     return Partition(
-        servers[order[starts]],
-        np.append(starts, len(order)),
-        rows[row_ids],
+        servers[server_order], starts[cell_of], stops[cell_of], rows[order]
     )
 
 
@@ -145,14 +151,15 @@ def route_relation_arrays(
     """Yield ``(server, row_batch)`` pairs for one relation.
 
     The per-server view of :func:`route_relation_partition`: one pair
-    per segment, in ascending server order.
+    per server, in ascending server order.
     """
-    servers, bounds, routed = route_relation_partition(
+    servers, starts, stops, routed = route_relation_partition(
         partitioner, dimension_variables, atom_variables, rows
     )
-    edges = bounds.tolist()
-    for server, start, end in zip(servers.tolist(), edges, edges[1:]):
-        yield server, routed[start:end]
+    for server, start, stop in zip(
+        servers.tolist(), starts.tolist(), stops.tolist()
+    ):
+        yield server, routed[start:stop]
 
 
 def hypercube_core(

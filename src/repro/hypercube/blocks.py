@@ -31,7 +31,8 @@ Vocabulary:
 relations travel as ``(n, arity)`` int64 arrays, routing fans out as
 ``RouteTask`` s and per-server joins as ``JoinTask`` s over the worker
 pool, and under a storage manager every fragment is spooled.  A routed
-chunk comes back as one :class:`~repro.mpc.simulator.Partition` and is
+chunk comes back as one :class:`~repro.mpc.simulator.Partition` -- its
+rows gathered once, each server's rows a slice of them -- and is
 delivered to all its servers at once.  Each server receives its rows
 in block, input, source, chunk order, which is all that per-server
 bits, tuples and capacity truncation depend on.  :func:`one_round`

@@ -18,10 +18,11 @@ during a particular round").  Payloads are ``(n, arity)`` int64 row
 batches, and each row is one tuple of the tuple-based model: a tuple
 of arity ``a`` costs ``a * value_bits`` bits unless the sender
 overrides ``bits_per_tuple``.  The unit of delivery is a
-:class:`Partition` -- one routed chunk, its rows grouped by destination
-server -- and :meth:`MPCSimulation.send_partition` accounts every
-server's share of it at once; ``send_array`` is its one-server case, so
-there is one accounting path.  Delivery is streaming: each partition
+:class:`Partition` -- one routed chunk, each destination server's rows
+a slice of one gathered array -- and
+:meth:`MPCSimulation.send_partition` accounts every server's slice of
+it at once; ``send_array`` is its one-server case, so there is one
+accounting path.  Delivery is streaming: each partition
 is accounted and stored the moment it is issued (in send order, which
 is all capacity truncation depends on), so a round never buffers its
 full traffic -- the property that lets out-of-core executions route
@@ -61,17 +62,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 
 class Partition(NamedTuple):
-    """One routed chunk: its rows grouped by destination server.
+    """One routed chunk: per-server slices of one gathered row array.
 
-    ``servers`` holds the distinct destinations in ascending order and
-    ``bounds`` the CSR offsets into ``rows`` (``len(servers) + 1``
-    entries): server ``servers[i]`` receives
-    ``rows[bounds[i]:bounds[i + 1]]``, in that order.  Three arrays, so
-    a process worker ships a routed chunk as three pickled buffers.
+    ``servers`` holds the distinct destinations in ascending order;
+    server ``servers[i]`` receives ``rows[starts[i]:stops[i]]``, in that
+    order.  Several servers may share one slice (HyperCube replicates a
+    row to every server of its subcube, and they all receive the same
+    rows in the same order), so each row is gathered once however many
+    servers receive it.  Four arrays, so a process worker ships a
+    routed chunk as four pickled buffers.
     """
 
     servers: np.ndarray
-    bounds: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
     rows: np.ndarray
 
 
@@ -267,7 +271,7 @@ class MPCSimulation:
         rows = np.asarray(rows)
         # A 0-d "batch" has no len(); _deliver rejects it by shape.
         size = len(rows) if rows.ndim else 0
-        self._deliver(tag, [dest], [0, size], rows, bits_per_tuple)
+        self._deliver(tag, [dest], [0], [size], rows, bits_per_tuple)
 
     def send_partition(
         self,
@@ -278,47 +282,49 @@ class MPCSimulation:
         """Account and store one routed chunk on every destination.
 
         Equivalent to one :meth:`send_array` per server, in ascending
-        server order: each server's segment is accounted against its
-        own cap, in ``drop`` mode each keeps its longest prefix that
-        fits, and in ``fail`` mode the first breaching server raises
-        after the servers before it were delivered.
+        server order: each server's slice is accounted against its own
+        cap, in ``drop`` mode each keeps its longest prefix that fits,
+        and in ``fail`` mode the first breaching server raises after
+        the servers before it were delivered.
 
-        A malformed partition -- servers not strictly ascending, or
-        ``bounds`` not ``len(servers) + 1`` non-decreasing offsets from
-        0 to ``len(rows)`` -- raises ``ValueError`` before any server
-        receives a row.
+        A malformed partition -- ``servers``, ``starts`` and ``stops``
+        of different lengths, servers not strictly ascending, or a
+        slice not within ``0 <= start <= stop <= len(rows)`` -- raises
+        ``ValueError`` before any server receives a row.
         """
-        servers, bounds, rows = partition
+        servers, starts, stops, rows = partition
         destinations = servers.tolist()
-        edges = bounds.tolist()
+        starts, stops = starts.tolist(), stops.tolist()
         rows = np.asarray(rows)
         size = len(rows) if rows.ndim else 0
-        if len(edges) != len(destinations) + 1 or edges[0] != 0 or edges[-1] != size:
+        if not len(destinations) == len(starts) == len(stops):
             raise ValueError(
-                f"partition bounds must be {len(destinations) + 1} offsets "
-                f"from 0 to the {size} rows, got {edges}"
+                f"partition needs one slice per server: {len(destinations)} "
+                f"servers, {len(starts)} starts, {len(stops)} stops"
             )
-        # One pass over both lists: servers strictly ascending, offsets
-        # non-decreasing.
-        last_server, last_edge = -math.inf, 0
-        for server, edge in zip(destinations, edges[1:]):
-            if edge < last_edge:
-                raise ValueError(f"partition bounds must not decrease, got {edges}")
+        last_server = -math.inf
+        for server, start, stop in zip(destinations, starts, stops):
             if server <= last_server:
                 raise ValueError("partition servers must be strictly ascending")
-            last_server, last_edge = server, edge
-        self._deliver(tag, destinations, edges, rows, bits_per_tuple)
+            if not 0 <= start <= stop <= size:
+                raise ValueError(
+                    f"partition slice [{start}, {stop}) of server {server} "
+                    f"is not within the {size} rows"
+                )
+            last_server = server
+        self._deliver(tag, destinations, starts, stops, rows, bits_per_tuple)
 
     def _deliver(
         self,
         tag: str,
         destinations: list[int],
-        edges: list[int],
+        starts: list[int],
+        stops: list[int],
         rows: np.ndarray,
         bits_per_tuple: float | None,
     ) -> None:
         """The one accounting path: server ``destinations[i]`` receives
-        ``rows[edges[i]:edges[i + 1]]``, servers in ascending order."""
+        ``rows[starts[i]:stops[i]]``, servers in ascending order."""
         if not self._in_round:
             raise RuntimeError("send outside a round; call begin_round first")
         if destinations:
@@ -340,12 +346,12 @@ class MPCSimulation:
         caps = self._caps
         trace = self.trace
         round_index = self._report.num_rounds + 1
-        for server, start, stop in zip(destinations, edges, edges[1:]):
+        for server, start, stop in zip(destinations, starts, stops):
             accept = stop - start
             dropped = 0.0
             # Under a capacity cap the accepted rows are the longest
             # prefix that fits -- the prefix a tuple-at-a-time loop
-            # accepts, since all rows of a segment share one cost.
+            # accepts, since all rows of a slice share one cost.
             capacity = caps[server]
             if capacity is not None and bits_per_tuple > 0:
                 headroom = capacity - received_bits[server]

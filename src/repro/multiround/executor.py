@@ -24,10 +24,12 @@ last consumer and adopting the root's spools stay here.  Every
 intermediate view is one ``(n, arity)`` int64 array per server between
 rounds.  A view's ``p`` in-memory fragments route as one coalesced
 chunk: :func:`~repro.hypercube.algorithm.route_relation_partition`
-groups it by server, one :meth:`MPCSimulation.send_partition` delivers
-it, and each server joins with the vectorized evaluator.  ``tests/multiround/test_executor_backends.py`` checks
-answers and per-server/per-round loads against the scalar tuple oracle
-under ``tests/reference/``.
+gathers its rows once, grouped by base cell, one
+:meth:`MPCSimulation.send_partition` hands each server its slice, and
+each server joins with the vectorized evaluator.
+``tests/multiround/test_executor_backends.py`` checks answers and
+per-server/per-round loads against the scalar tuple oracle under
+``tests/reference/``.
 
 ``capacity_bits`` imposes the same hard per-server per-round cap ``L``
 that a one-round HyperCube run honours: every round of the plan

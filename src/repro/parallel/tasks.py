@@ -15,7 +15,8 @@ here.  The split is strict:
   task order and the drivers iterate tasks in exactly the order the
   serial loops used, so every delivery -- one
   :meth:`~repro.mpc.simulator.MPCSimulation.send_partition` per routed
-  chunk, one ``output_array`` per joined server -- fires in the
+  chunk (its rows gathered once, each server's rows a slice of them),
+  one ``output_array`` per joined server -- fires in the
   identical sequence at any pool kind and worker count, which is what
   keeps answers, per-server per-round loads, and capacity-drop
   truncation bit-identical.

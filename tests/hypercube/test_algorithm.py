@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from repro.data.generators import (
     uniform_database,
 )
 from repro.data.relation import Relation
-from repro.hashing.family import GridPartitioner
+from repro.hashing.family import GridPartitioner, HashFamily
 from repro.hypercube.algorithm import (
     hypercube_core,
     resolve_shares,
@@ -39,6 +40,7 @@ from repro.hypercube.analysis import (
 )
 from repro.core.query import UnsupportedQueryError
 from repro.mpc.simulator import LoadExceededError, MPCSimulation
+from repro.parallel.tasks import ArraySource, RouteTask, route_task
 from repro.run import dispatch_run
 
 from tests.reference.multiway_join import evaluate
@@ -103,6 +105,77 @@ class TestCorrectness:
         assert math.prod(result.details["shares"].values()) <= 10
 
 
+@st.composite
+def routings(draw):
+    """A random grid, atom and rows: ``(task, grid, dimensions, atom, rows)``.
+
+    Up to four grid axes with shares 1-3 and optional per-axis speed
+    weights; the atom binds a random subset of the axes, possibly one
+    variable twice (``S(x, x)``), so some rows bind it inconsistently.
+    """
+    dimensions = tuple(f"x{i}" for i in range(draw(st.integers(1, 4))))
+    shares = tuple(draw(st.integers(1, 3)) for _ in dimensions)
+    weights = None
+    if draw(st.booleans()):
+        weights = tuple(
+            draw(st.one_of(st.none(), st.lists(
+                st.floats(0.5, 4.0, allow_nan=False),
+                min_size=share, max_size=share,
+            ).map(tuple)))
+            for share in shares
+        )
+    bound = draw(st.lists(
+        st.sampled_from(dimensions), min_size=1, max_size=len(dimensions),
+        unique=True,
+    ))
+    atom = tuple(draw(st.permutations(
+        bound + draw(st.lists(st.sampled_from(bound), max_size=1))
+    )))
+    n = draw(st.integers(0, 40))
+    rows = np.array(
+        draw(st.lists(
+            st.integers(0, 6), min_size=n * len(atom), max_size=n * len(atom),
+        )),
+        dtype=np.int64,
+    ).reshape(n, len(atom))
+    seed = draw(st.integers(0, 2**16))
+    task = RouteTask(
+        tag="S", source=ArraySource(rows=rows), dimension_variables=dimensions,
+        atom_variables=atom, shares=shares, family_seed=seed,
+        base=draw(st.sampled_from([0, 5, 64])), weights=weights,
+    )
+    grid = GridPartitioner(list(shares), HashFamily(seed), weights=weights)
+    return task, grid, dimensions, atom, rows
+
+
+class TestRouteOnce:
+    @settings(max_examples=150, deadline=None)
+    @given(case=routings())
+    def test_partition_matches_the_scalar_router(self, case):
+        task, grid, dimensions, atom, rows = case
+        _, partition, _ = route_task(task)
+        received: dict[int, list[tuple[int, ...]]] = {}
+        for server, t in route_relation(
+            grid, dimensions, atom, map(tuple, rows.tolist())
+        ):
+            received.setdefault(server + task.base, []).append(t)
+        servers = partition.servers.tolist()
+        assert servers == sorted(received)
+        for server, start, stop in zip(
+            servers, partition.starts.tolist(), partition.stops.tolist()
+        ):
+            assert list(map(tuple, partition.rows[start:stop].tolist())) == (
+                received[server]
+            )
+        # Route once: the gathered array holds each consistent row once,
+        # however many servers its subcube spans.
+        def consistent(t):
+            seen: dict[str, int] = {}
+            return all(seen.setdefault(v, x) == x for v, x in zip(atom, t))
+
+        assert len(partition.rows) == sum(map(consistent, rows.tolist()))
+
+
 class TestInconsistentRepeatedVariables:
     """Tuples binding a repeated variable inconsistently ship zero bits."""
 
@@ -132,8 +205,6 @@ class TestInconsistentRepeatedVariables:
         assert len(routed) == 2
 
     def test_route_relation_arrays_drops_inconsistent_tuples(self):
-        import numpy as np
-
         grid = GridPartitioner([3, 2])
         batches = list(
             route_relation_arrays(

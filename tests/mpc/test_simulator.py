@@ -299,10 +299,13 @@ class TestCapacityOracle:
 
 @st.composite
 def partitions(draw):
-    """``(p, global cap, per-machine caps, [(arity, cost, partition)])``.
+    """``(p, global cap, per-machine caps, [(cost, partition)])``.
 
-    Destinations are random ascending server subsets; segments may be
-    empty, and caps may be fractional, zero-headroom or absent.
+    Destinations are random ascending server subsets; each server's
+    slice is either drawn anywhere in the rows (empty, overlapping
+    others, or skipping rows) or shares an earlier server's slice, as
+    the servers of one HyperCube subcube do.  Caps may be fractional,
+    zero-headroom or absent.
     """
     p = draw(st.integers(1, 5))
     cap = st.one_of(st.none(), st.floats(1.0, 200.0, allow_nan=False))
@@ -311,28 +314,45 @@ def partitions(draw):
     out = []
     for _ in range(draw(st.integers(1, 4))):
         arity = draw(st.integers(1, 3))
-        servers = sorted(draw(st.sets(st.integers(0, p - 1), min_size=1)))
-        counts = [draw(st.integers(0, 6)) for _ in servers]
+        n = draw(st.integers(0, 10))
         rows = np.array(
             draw(st.lists(
-                st.integers(0, 9),
-                min_size=sum(counts) * arity, max_size=sum(counts) * arity,
+                st.integers(0, 9), min_size=n * arity, max_size=n * arity,
             )),
             dtype=np.int64,
-        ).reshape(sum(counts), arity)
+        ).reshape(n, arity)
+        servers = sorted(draw(st.sets(st.integers(0, p - 1), min_size=1)))
+        slices: list[tuple[int, int]] = []
+        for _ in servers:
+            if slices and draw(st.booleans()):
+                slices.append(draw(st.sampled_from(slices)))
+                continue
+            start = draw(st.integers(0, n))
+            slices.append((start, draw(st.integers(start, n))))
         cost = draw(st.sampled_from([None, 0.0, 7.5, 13.0]))
+        starts, stops = zip(*slices)
         partition = Partition(
             np.array(servers, dtype=np.int64),
-            np.cumsum([0, *counts], dtype=np.int64),
+            np.array(starts, dtype=np.int64),
+            np.array(stops, dtype=np.int64),
             rows,
         )
         out.append((cost, partition))
     return p, global_cap, own_caps, out
 
 
+def per_server(partition):
+    """``(server, start, stop)`` per destination of ``partition``."""
+    return zip(
+        partition.servers.tolist(),
+        partition.starts.tolist(),
+        partition.stops.tolist(),
+    )
+
+
 class TestPartitionDelivery:
     @staticmethod
-    def _deliver(case, on_overflow, per_server):
+    def _deliver(case, on_overflow, one_by_one):
         p, global_cap, own_caps, chunks = case
         trace = TraceRecorder()
         sim = MPCSimulation(
@@ -343,12 +363,12 @@ class TestPartitionDelivery:
         sim.begin_round()
         error = None
         try:
-            for cost, (servers, bounds, batch) in chunks:
-                if not per_server:
-                    sim.send_partition("S", Partition(servers, bounds, batch), cost)
+            for cost, partition in chunks:
+                if not one_by_one:
+                    sim.send_partition("S", partition, cost)
                     continue
-                for server, start, end in zip(servers, bounds, bounds[1:]):
-                    sim.send_array(int(server), "S", batch[start:end], cost)
+                for server, start, stop in per_server(partition):
+                    sim.send_array(server, "S", partition.rows[start:stop], cost)
         except LoadExceededError as exc:
             error = (exc.server, exc.round_index, exc.bits, exc.capacity)
         load = sim.end_round()
@@ -364,8 +384,8 @@ class TestPartitionDelivery:
     @settings(max_examples=200, deadline=None)
     @given(case=partitions(), on_overflow=st.sampled_from(["fail", "drop"]))
     def test_matches_the_per_server_send_array_loop(self, case, on_overflow):
-        whole = self._deliver(case, on_overflow, per_server=False)
-        assert whole == self._deliver(case, on_overflow, per_server=True)
+        whole = self._deliver(case, on_overflow, one_by_one=False)
+        assert whole == self._deliver(case, on_overflow, one_by_one=True)
         error, bits, tuples, dropped = whole[:4]
         assert all(type(v) is float for v in bits.values())
         assert all(type(v) is int for v in tuples.values())
@@ -378,12 +398,10 @@ class TestPartitionDelivery:
         ]
         expected = per_tuple_oracle(
             [
-                (server, list(map(tuple, batch[start:end].tolist())),
-                 batch.shape[1] * 4 if cost is None else cost)
-                for cost, (servers, bounds, batch) in chunks
-                for server, start, end in zip(
-                    servers.tolist(), bounds.tolist(), bounds[1:].tolist()
-                )
+                (server, list(map(tuple, partition.rows[start:stop].tolist())),
+                 partition.rows.shape[1] * 4 if cost is None else cost)
+                for cost, partition in chunks
+                for server, start, stop in per_server(partition)
             ],
             caps,
             on_overflow,
@@ -401,7 +419,7 @@ class TestPartitionDelivery:
         sim.begin_round()
         # Servers 1 and 3 both overflow; 0 fits and is delivered first.
         chunk = Partition(
-            np.array([0, 1, 3]), np.array([0, 2, 6, 11]),
+            np.array([0, 1, 3]), np.array([0, 2, 6]), np.array([2, 6, 11]),
             np.arange(11, dtype=np.int64).reshape(11, 1),
         )
         with pytest.raises(LoadExceededError) as caught:
@@ -411,43 +429,52 @@ class TestPartitionDelivery:
         load = sim.end_round()
         assert load.bits == {0: 2.0} and load.tuples == {0: 2}
 
-    def test_rejects_unordered_or_out_of_range_servers(self):
+    def test_servers_sharing_a_slice_each_receive_and_pay_for_it(self):
         sim = MPCSimulation(p=4, value_bits=1)
         sim.begin_round()
-        rows = np.arange(4, dtype=np.int64).reshape(4, 1)
-        with pytest.raises(ValueError, match="ascending"):
-            sim.send_partition("S", Partition(
-                np.array([2, 1]), np.array([0, 2, 4]), rows))
-        with pytest.raises(ValueError, match="outside"):
-            sim.send_partition("S", Partition(
-                np.array([1, 4]), np.array([0, 2, 4]), rows))
-        assert sim.end_round().bits == {}
+        rows = np.arange(5, dtype=np.int64).reshape(5, 1)
+        sim.send_partition("S", Partition(
+            np.array([0, 2, 3]), np.array([1, 0, 1]), np.array([4, 2, 4]),
+            rows,
+        ))
+        load = sim.end_round()
+        assert load.bits == {0: 3.0, 2: 2.0, 3: 3.0}
+        assert stored(sim, 0, "S") == stored(sim, 3, "S") == {(1,), (2,), (3,)}
+        assert stored(sim, 2, "S") == {(0,), (1,)}
 
     @staticmethod
-    def _reject(servers, bounds, match):
+    def _reject(servers, starts, stops, match):
         """``send_partition`` over 6 rows on 4 servers raises, delivers nothing."""
         sim = MPCSimulation(p=4, value_bits=1)
         sim.begin_round()
         rows = np.arange(6, dtype=np.int64).reshape(6, 1)
         with pytest.raises(ValueError, match=match):
             sim.send_partition("S", Partition(
-                np.array(servers), np.array(bounds), rows))
+                np.array(servers), np.array(starts), np.array(stops), rows))
         assert sim.end_round().bits == {}
 
-    def test_rejects_bounds_of_the_wrong_length(self):
-        # Two servers need three offsets; [0, 3] would lose rows 3-5.
-        self._reject([1, 2], [0, 3], "offsets")
+    def test_rejects_unordered_or_out_of_range_servers(self):
+        # Server 2 is valid and first, so a late check would deliver it.
+        self._reject([2, 1], [0, 2], [2, 4], "ascending")
+        self._reject([2, 2], [0, 2], [2, 4], "ascending")
+        self._reject([1, 4], [0, 2], [2, 4], "outside")
 
-    def test_rejects_bounds_that_do_not_start_at_zero(self):
-        self._reject([0, 1], [1, 3, 6], "offsets")
+    def test_rejects_slices_of_the_wrong_length(self):
+        # Two servers need two starts and two stops.
+        self._reject([1, 2], [0], [3, 6], "one slice per server")
+        self._reject([1, 2], [0, 3], [6], "one slice per server")
 
-    def test_rejects_bounds_that_stop_short_of_the_rows(self):
-        # [0, 2] for server 0 would drop the tail rows 2-5.
-        self._reject([0], [0, 2], "offsets")
+    def test_rejects_a_slice_past_the_rows(self):
+        # Server 1's slice is fine and would be delivered first.
+        self._reject([1, 2], [0, 4], [3, 7], "not within the 6 rows")
 
-    def test_rejects_decreasing_bounds(self):
-        # The offsets 4 then 2 would record -2 tuples for server 2.
-        self._reject([1, 2, 3], [0, 4, 2, 6], "decrease")
+    def test_rejects_a_negative_start(self):
+        # rows[-2:2] would be empty, rows[-2:6] the last two rows.
+        self._reject([0, 3], [0, -2], [2, 6], "not within the 6 rows")
+
+    def test_rejects_a_start_after_its_stop(self):
+        # A slice [4, 2) would record -2 tuples for server 2.
+        self._reject([1, 2], [0, 4], [4, 2], "not within the 6 rows")
 
 
 class TestReportSummary:

@@ -90,8 +90,10 @@ def test_route_task_computes_identically_after_pickle():
         a, b = getattr(partition, field), getattr(partition2, field)
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
-    # The exclusion filter dropped the heavy row before routing.
-    assert len(partition.rows) == partition.bounds[-1] == 3
+    # The exclusion filter dropped the heavy row before routing, and
+    # each remaining row is routed once.
+    assert len(partition.rows) == 3
+    assert partition.stops.max() == 3
 
 
 def test_join_task_computes_identically_after_pickle():

@@ -1,11 +1,21 @@
 """Spilling must actually save memory: the out-of-core resident property.
 
 A run under a :class:`StorageManager` keeps at most one partial chunk
-per spool in memory; delivered fragments live in segment files and
-are mapped, not allocated, when a server joins.  So the peak of
-Python/numpy allocations during a spilling run sits well below the same
-run in memory.  A segment writer that buffered more than one chunk per
-spool (or a reader that copied whole fragments) would close the gap.
+per spool in memory while it delivers, and delivered fragments live in
+segment files that are mapped, not allocated, when a server joins.
+Both halves are measured with ``tracemalloc`` on a warm run, where
+they live:
+
+* delivery -- the growth of traced memory over
+  ``_ArrayKernel.communicate``, where the in-memory run stores every
+  server's fragment -- stays well below the in-memory run's.  A
+  segment writer that kept its chunks in memory would close the gap;
+* the joins' reads of spilled rows (``ArraySource.load``) allocate
+  almost nothing of what they return.  A reader that copied whole
+  fragments would allocate all of it.
+
+The spilled run's whole peak, one server's local join, also stays
+below the in-memory run's.
 """
 
 from __future__ import annotations
@@ -14,25 +24,60 @@ import tracemalloc
 
 from repro import Session, triangle_query
 from repro.data.generators import uniform_database
+from repro.hypercube.blocks import _ArrayKernel
+from repro.parallel.tasks import ArraySource
 from repro.storage import StorageManager
 
 
-def _warm_peak_bytes(session, query, database) -> int:
+def _warm_measures(monkeypatch, session, query, database) -> dict[str, int]:
+    """Whole-run peak, delivery growth and spilled-read bytes of a warm run."""
     session.run(query, database, "hypercube")  # imports, caches, pools
+    seen = {"before_delivery": 0, "delivery": 0, "read": 0, "read_allocated": 0}
+    communicate, load = _ArrayKernel.communicate, ArraySource.load
+
+    def measured_communicate(kernel, blocks):
+        seen["before_delivery"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        communicate(kernel, blocks)
+        seen["delivery"] = tracemalloc.get_traced_memory()[1] - entry
+
+    def measured_load(source):
+        before = tracemalloc.get_traced_memory()[0]
+        rows = load(source)
+        if source.segment is not None:
+            seen["read_allocated"] += tracemalloc.get_traced_memory()[0] - before
+            seen["read"] += rows.nbytes
+        return rows
+
+    monkeypatch.setattr(_ArrayKernel, "communicate", measured_communicate)
+    monkeypatch.setattr(ArraySource, "load", measured_load)
     tracemalloc.start()
     try:
         session.run(query, database, "hypercube")
-        return tracemalloc.get_traced_memory()[1]
+        # reset_peak() dropped the peak before delivery; put it back.
+        seen["whole"] = max(
+            seen["before_delivery"], tracemalloc.get_traced_memory()[1]
+        )
     finally:
         tracemalloc.stop()
+        monkeypatch.undo()
+    return seen
 
 
-def test_spilling_run_peaks_below_in_memory_run(tmp_path):
+def test_spilling_run_peaks_below_in_memory_run(tmp_path, monkeypatch):
     q = triangle_query()
     db = uniform_database(q, m=20_000, n=2_000, seed=1)
-    in_memory = _warm_peak_bytes(Session(p=16), q, db)
+    in_memory = _warm_measures(monkeypatch, Session(p=16, pool="serial"), q, db)
     with StorageManager(root=tmp_path / "spill", chunk_rows=256) as storage:
-        spilled = _warm_peak_bytes(Session(p=16, storage=storage), q, db)
+        spilled = _warm_measures(
+            monkeypatch, Session(p=16, pool="serial", storage=storage), q, db
+        )
         assert storage.files_created > 0
-    # Measured on a 2-vCPU x86-64 host: 1.9 MB against 3.9 MB (0.48).
-    assert spilled <= 0.6 * in_memory
+    # Measured on a 2-vCPU x86-64 host: delivery 0.16 MB against
+    # 1.77 MB (0.09); spilled reads allocate 23 KB of the 2.17 MB they
+    # return (0.01); whole runs 1.10 MB against 1.80 MB.
+    assert spilled["delivery"] <= 0.6 * in_memory["delivery"]
+    assert spilled["read"] > 0
+    assert spilled["read_allocated"] <= 0.1 * spilled["read"]
+    assert spilled["whole"] < in_memory["whole"]

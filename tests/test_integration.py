@@ -168,7 +168,7 @@ class TestUserJourney:
     def test_version_exported(self):
         import repro
 
-        assert repro.__version__ == "14.0.0"
+        assert repro.__version__ == "15.0.0"
 
     def test_public_names_resolve_and_free_runners_are_gone(self):
         import importlib
