@@ -90,12 +90,11 @@ streams through disk-backed chunks with bit-identical results::
 manager itself whenever a database outgrows the budget.)
 
 To spread the simulated servers' routing and local joins across real
-cores, pick a worker pool -- per session, or for every session through
-the environment (read when a run resolves its settings).  Every pool
-kind produces bit-identical answers and loads::
+cores, pick a worker pool for the session (the default is serial).
+Every pool kind produces bit-identical answers and loads::
 
     with Session(p=64, pool="process") as session: ...   # one cluster
-    # or: REPRO_DEFAULT_POOL=process python -m repro run triangle
+    # or: python -m repro run triangle --pool process
 
 To see *where* the communication went -- not just the end-of-run
 aggregates -- trace a run.  Tracing is off by default, never perturbs
@@ -121,7 +120,7 @@ perturbs results)::
 
 import logging as _logging
 
-from repro.config import MachineSpec, default_machines, default_pool
+from repro.config import MachineSpec
 from repro.core import (
     Atom,
     ConjunctiveQuery,
@@ -162,7 +161,7 @@ from repro.trace import Trace, TraceQuery, TraceRecorder, tracing
 # silent unless the application configures logging.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-__version__ = "15.0.0"
+__version__ = "16.0.0"
 
 __all__ = [
     "Atom",
@@ -186,9 +185,7 @@ __all__ = [
     "RunRecord",
     "RunResult",
     "Session",
-    "default_pool",
     "MachineSpec",
-    "default_machines",
     "ChunkedRelation",
     "StorageManager",
     "MPCSimulation",

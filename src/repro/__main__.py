@@ -49,13 +49,12 @@ from repro import (
     Job,
     MachineSpec,
     Session,
-    default_pool,
     matching_database,
     triangle_query,
     zipf_database,
 )
 from repro.bounds import lower_bound, upper_bound
-from repro.config import POOL_KINDS, resolve_machines
+from repro.config import POOL_KINDS
 from repro.core.families import (
     binom_query,
     chain_query,
@@ -135,9 +134,8 @@ def parse_query(name: str) -> ConjunctiveQuery:
 def run_tour(trace_dir: str | None = None) -> None:
     print("repro: Beame-Koutris-Suciu, Communication Cost in Parallel")
     print("Query Processing (EDBT 2015) -- reproduction smoke tour")
-    print(f"worker pool: {default_pool()} "
-          "(see `run --pool` / REPRO_DEFAULT_POOL; serial, thread "
-          "and process pools are bit-identical)\n")
+    print("worker pool: serial (pick another with `run --pool`; "
+          "serial, thread and process pools are bit-identical)\n")
 
     print("Table 2 (tau*, one-round space exponent):")
     for query in (cycle_query(3), cycle_query(6), star_query(3),
@@ -496,11 +494,10 @@ def main(argv: list[str] | None = None) -> None:
                                  "min(cpus, 8); the batch also caps it "
                                  "at the job count)")
     run_parser.add_argument(
-        "--pool", choices=POOL_KINDS, default=None,
+        "--pool", choices=POOL_KINDS, default="serial",
         help="worker pool for each run's per-server routing/join fan-out; "
-             "the jobs themselves always run on threads (default: "
-             "REPRO_DEFAULT_POOL, else serial; results are bit-identical "
-             "across pools)",
+             "the jobs themselves always run on threads (default serial; "
+             "results are bit-identical across pools)",
     )
     run_parser.add_argument("--capacity-bits", type=_non_negative_float, default=None,
                             help="per-server per-round load cap L")
@@ -595,11 +592,11 @@ def main(argv: list[str] | None = None) -> None:
                 f"argument --m: a matching database needs --m <= --n "
                 f"(got --m {args.m}, --n {args.n}); raise --n or pass --skew"
             )
-        try:
-            resolve_machines(args.machines, args.p)
-        except ValueError as exc:
-            print(f"CHECK FAILED: {exc}", file=sys.stderr)
-            raise TourCheckFailed(str(exc)) from exc
+        if args.machines is not None:
+            try:
+                args.machines.require_p(args.p)
+            except ValueError as exc:
+                sub.choices[args.command].error(f"argument --machines: {exc}")
     if args.command == "plan":
         run_plan_command(args)
     elif args.command == "run":

@@ -10,7 +10,6 @@ from repro.checks.rules.determinism import (
 )
 from repro.checks.rules.hooks import HookGuardRule
 from repro.checks.rules.parallel import ParentAccountingRule, PoolTaskRule
-from repro.checks.rules.resolution import SettingsResolutionRule
 from repro.checks.rules.row_order import RowOrderRule
 from repro.checks.rules.run_path import RunPathRule
 from repro.checks.rules.spill_format import SpillFormatRule
@@ -27,7 +26,6 @@ def all_rules() -> list[Rule]:
         PoolTaskRule(),
         ParentAccountingRule(),
         HookGuardRule(),
-        SettingsResolutionRule(),
         RowOrderRule(),
         RunPathRule(),
         SpillFormatRule(),

@@ -8,10 +8,9 @@ relations travel as ``(n, arity)`` int64 arrays, one tuple of arity
 ``a`` costing ``a * value_bits`` bits on receipt, exactly the
 tuple-based MPC model's load -- so no setting picks an engine.
 
-Defaults resolve in one order: an explicit value (``Session(...)`` /
-``ExecutionSettings(...)``) wins, else the environment
-(``REPRO_DEFAULT_POOL``, ``REPRO_DEFAULT_MACHINES``, read at resolve
-time), else the shipped default (serial, homogeneous).
+Every default is a field default: a run's pool and machines come
+from its own settings alone (serial and homogeneous unless the caller
+picks otherwise), never from the environment.
 
 This module is a leaf: it imports nothing from :mod:`repro`, so any
 submodule may consult it without import cycles.
@@ -19,7 +18,6 @@ submodule may consult it without import cycles.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Literal
 
@@ -28,34 +26,6 @@ from typing import Literal
 PoolKind = Literal["serial", "thread", "process"]
 
 POOL_KINDS: tuple[PoolKind, ...] = ("serial", "thread", "process")
-
-#: The worker-pool default when neither a run nor the environment picks
-#: one: the engines stay serial (zero overhead); callers opt into
-#: thread/process fan-out per session or through ``REPRO_DEFAULT_POOL``.
-DEFAULT_POOL: PoolKind = "serial"
-
-
-def default_pool() -> PoolKind:
-    """``REPRO_DEFAULT_POOL`` as it reads now, else :data:`DEFAULT_POOL`."""
-    value = os.environ.get("REPRO_DEFAULT_POOL")
-    if value is None:
-        return DEFAULT_POOL
-    if value not in POOL_KINDS:
-        raise ValueError(
-            f"REPRO_DEFAULT_POOL={value!r} is not one of {POOL_KINDS}"
-        )
-    return value  # type: ignore[return-value]
-
-
-def resolve_pool(pool: str | None) -> PoolKind:
-    """An explicit pool kind, or :func:`default_pool`."""
-    if pool is None:
-        return default_pool()
-    if pool not in POOL_KINDS:
-        raise ValueError(
-            f"unknown pool kind {pool!r} (expected one of {POOL_KINDS})"
-        )
-    return pool  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -142,25 +112,14 @@ class MachineSpec:
             speeds.extend([speed] * count)
         return cls(speeds=tuple(speeds))
 
-    def cycle_to(self, p: int) -> "MachineSpec":
-        """This spec's speed pattern repeated/truncated to ``p`` servers.
-
-        How the ``REPRO_DEFAULT_MACHINES`` pattern (e.g. ``"1,4"``)
-        applies to runs of any ``p``: server ``s`` gets the pattern's
-        ``s % len`` entry.
-        """
-        if p < 1:
-            raise ValueError("p must be >= 1")
-        n = len(self.speeds)
-        speeds = tuple(self.speeds[s % n] for s in range(p))
-        caps = None
-        if self.capacities is not None:
-            caps = tuple(self.capacities[s % n] for s in range(p))
-        return MachineSpec(speeds=speeds, capacities=caps)
-
     @property
     def p(self) -> int:
         return len(self.speeds)
+
+    def require_p(self, p: int) -> None:
+        """Raise ``ValueError`` unless this spec has exactly ``p`` servers."""
+        if self.p != p:
+            raise ValueError(f"MachineSpec describes {self.p} servers but p={p}")
 
     @property
     def is_uniform(self) -> bool:
@@ -225,40 +184,6 @@ class MachineSpec:
         )
 
 
-def default_machines() -> "MachineSpec | None":
-    """The ``REPRO_DEFAULT_MACHINES`` pattern as it reads now.
-
-    None (the homogeneous cluster) when the variable is unset.  The
-    pattern is cycled to each run's ``p`` (:meth:`MachineSpec.cycle_to`),
-    so ``"1,4"`` alternates slow/fast servers at any cluster size.
-    """
-    value = os.environ.get("REPRO_DEFAULT_MACHINES")
-    if value is None:
-        return None
-    return MachineSpec.parse(value)
-
-
-def resolve_machines(
-    machines: "MachineSpec | None", p: int | None
-) -> "MachineSpec | None":
-    """An explicit spec, or :func:`default_machines` cycled to ``p``.
-
-    An explicit spec must match ``p`` exactly when ``p`` is known; the
-    default *pattern* adapts to any ``p``.  Returns None for the
-    homogeneous cluster.
-    """
-    if machines is not None:
-        if p is not None and machines.p != p:
-            raise ValueError(
-                f"MachineSpec describes {machines.p} servers but p={p}"
-            )
-        return machines
-    pattern = default_machines()
-    if pattern is not None and p is not None:
-        return pattern.cycle_to(p)
-    return pattern
-
-
 _HASH_METHODS = ("splitmix64", "blake2b")
 _OVERFLOW_MODES = ("fail", "drop")
 
@@ -269,16 +194,17 @@ class ExecutionSettings:
 
     One value object carries the per-server per-round capacity cap and
     its overflow policy, the routing PRF, the streaming granularity,
-    the worker pool and the machine spec.  :meth:`resolve` is the
-    single place their defaults are decided; the executor cores receive
-    an already-resolved instance and never re-derive it.
+    the worker pool and the machine spec.  ``machines=None`` is the
+    homogeneous cluster.  :meth:`resolve` fills in the storage
+    manager's chunk size and checks the spec against ``p``; the
+    executor cores receive an already-resolved instance.
     """
 
     capacity_bits: float | None = None
     on_overflow: Literal["fail", "drop"] = "fail"
     hash_method: str = "splitmix64"
     chunk_rows: int | None = None
-    pool: PoolKind | None = None
+    pool: PoolKind = "serial"
     max_workers: int | None = None
     machines: MachineSpec | None = None
 
@@ -300,7 +226,7 @@ class ExecutionSettings:
             )
         if self.chunk_rows is not None and self.chunk_rows < 1:
             raise ValueError("chunk_rows must be >= 1")
-        if self.pool is not None and self.pool not in POOL_KINDS:
+        if self.pool not in POOL_KINDS:
             raise ValueError(
                 f"unknown pool kind {self.pool!r} "
                 f"(expected one of {POOL_KINDS})"
@@ -311,25 +237,20 @@ class ExecutionSettings:
     def resolve(
         self, storage: object | None = None, p: int | None = None
     ) -> "ExecutionSettings":
-        """A copy with chunk granularity, pool and machines pinned.
+        """A copy with chunk granularity pinned and the spec checked.
 
         An attached storage manager supplies its own ``chunk_rows``
-        when the caller gave none.  ``pool=None`` resolves to
-        :func:`default_pool`; ``machines=None`` resolves to
-        :func:`default_machines` cycled to ``p``
-        (:func:`resolve_machines`), and an explicit spec must match
-        ``p``.  This is the one shared resolution step behind every run
+        when the caller gave none, and a machine spec must describe
+        exactly ``p`` servers when ``p`` is known.  This is the one
+        shared resolution step behind every run
         (:func:`repro.run.dispatch_run`).
         """
+        if self.machines is not None and p is not None:
+            self.machines.require_p(p)
         chunk_rows = self.chunk_rows
         if chunk_rows is None and storage is not None:
             chunk_rows = storage.chunk_rows  # type: ignore[attr-defined]
-        return replace(
-            self,
-            chunk_rows=chunk_rows,
-            pool=resolve_pool(self.pool),
-            machines=resolve_machines(self.machines, p),
-        )
+        return replace(self, chunk_rows=chunk_rows)
 
 
 #: Every knob at its default: what a run given no settings uses.

@@ -37,8 +37,8 @@ def friedgut_lhs(
     """Left-hand side of Eq. (7): ``sum_{a in [n]^k} prod_j w_j(a_j)``.
 
     Enumerates variable assignments by backtracking, pruning any branch
-    where a fully-bound atom already has weight zero.  Intended for the
-    small domains used in tests and benches.
+    where a fully-bound atom already has weight zero.  Intended for
+    small domains.
     """
     variables = list(query.variables)
     var_pos = {v: i for i, v in enumerate(variables)}

@@ -180,9 +180,10 @@ def afrati_ullman_share_exponents(
     ``prod_i p_i = p`` (a convex program in exponent space, solved here
     with SLSQP instead of their Lagrange multipliers).  The returned
     ``lam`` is ``log_p`` of the *maximum* per-relation load of the
-    solution, so ``load_bits`` compares directly with LP (10)'s -- the
-    ablation benches show the total-load objective can be worse on the
-    max-load metric the MPC model cares about.
+    solution, so ``load_bits`` compares directly with LP (10)'s --
+    ``tests/paper/test_sec3_1_shares.py`` shows the total-load
+    objective can be worse on the max-load metric the MPC model cares
+    about.
     """
     if p < 2:
         raise ValueError("share optimization needs p >= 2")

@@ -12,7 +12,8 @@ Theorem A.2 strengthens ``h(delta)`` to ``K * D((1+delta)/K || 1/K)``
 the HyperCube grid partition, without and with the degree "promise".
 
 The simulators here draw fresh hash functions per trial and report the
-empirical exceedance probability, which the benches compare against the
+empirical exceedance probability, which
+``tests/paper/test_appendix_a_balls.py`` compares against the
 closed-form bounds.
 """
 

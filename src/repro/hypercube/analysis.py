@@ -8,8 +8,8 @@ For integer shares ``p_i`` the paper predicts per-server loads
 * with arbitrary skew (Corollary 4.3):
   ``O(max_j M_j / min_{i in S_j} p_i)``.
 
-These are the quantities the load-vs-p benches compare measured maxima
-against.
+``tests/paper/test_sec3_1_shares.py`` checks that the integer shares'
+predicted load stays within a constant of LP (10)'s optimum.
 """
 
 from __future__ import annotations

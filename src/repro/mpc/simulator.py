@@ -475,8 +475,8 @@ class MPCSimulation:
         """Rows recorded across all servers, duplicates included.
 
         A streaming-friendly size signal: unlike :meth:`outputs_array` it
-        never materializes the union, so out-of-core benches can report
-        answer volumes without holding them.
+        never materializes the union, so a caller can report answer
+        volumes without holding them.
         """
         total = 0
         for server in range(self.p):

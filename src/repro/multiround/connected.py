@@ -12,8 +12,21 @@ This module provides the algorithms to *run* on those instances:
   shape on the layered family), every message a (vertex, vertex) tuple
   -- squarely inside the tuple-based model.
 * ``label_propagation`` -- classic min-label flooding; one round per
-  unit of graph diameter.  The contrast between the two in the benches
-  shows why the logarithmic algorithm matters.
+  unit of graph diameter.  The contrast between the two
+  (``tests/paper/test_sec5_connected_components.py``) shows why the
+  logarithmic algorithm matters.
+
+Unlike the query engines, this module drives the simulator itself
+(``begin_round`` / ``send_array``) instead of handing a block list to
+the round kernel (:mod:`repro.hypercube.blocks`), for two reasons:
+
+* the number of rounds is not known up front: it is a fixpoint that
+  depends on the data, decided after each round from what the servers
+  received;
+* its messages are (vertex, vertex) pairs that one home hash places on
+  a single server, not atoms of a conjunctive query routed on a share
+  grid, so there is no residual query to join and no share vector to
+  route by.
 """
 
 from __future__ import annotations

@@ -196,12 +196,8 @@ _shared_pools: dict[tuple[str, int], WorkerPool] = {}
 _shared_lock = threading.Lock()
 
 
-def get_pool(kind: str | None, max_workers: int | None = None) -> WorkerPool:
+def get_pool(kind: str, max_workers: int | None = None) -> WorkerPool:
     """A shared pool of the given kind (cached per worker count).
-
-    ``kind=None`` means "no pool requested" and resolves to serial --
-    engine cores pass ``ExecutionSettings.pool`` straight through
-    without hand-rolling their own default.
 
     Shared pools amortize executor startup -- above all the process
     spawn cost -- across every run of a session or test suite; they
@@ -209,8 +205,6 @@ def get_pool(kind: str | None, max_workers: int | None = None) -> WorkerPool:
     workers here, so an engine (which asks for its pool before its
     first phase) never bills the spawn to a routing or join phase.
     """
-    if kind is None:
-        kind = "serial"
     if kind not in _POOL_CLASSES:
         raise ValueError(
             f"unknown pool kind {kind!r} (expected one of {POOL_KINDS})"

@@ -12,8 +12,8 @@ alone:
   (which recovers Corollary 4.3 under total skew); the cheapest wins;
 * the skew-aware star algorithm -- Eq. (20) plus the light term,
   priced in the sum-form server convention described below (the
-  paper's max-form bound, which tests and benchmarks check measured
-  loads against, is :func:`~repro.skew.star.star_skew_load_bound` and
+  paper's max-form bound, which ``tests/paper/test_sec4_2_1_star_skew.py``
+  checks measured loads against, is :func:`~repro.skew.star.star_skew_load_bound` and
   its statistics-only twin
   :func:`~repro.skew.star.star_skew_load_bound_from_stats`);
 * the skew-aware triangle algorithm -- the Section 4.2.2 formula,

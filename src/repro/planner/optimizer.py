@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from repro.config import resolve_machines
 from repro.core.query import ConjunctiveQuery
 from repro.core.stats import Statistics
 from repro.data.database import Database
@@ -151,10 +150,10 @@ def plan(
     routing can exploit fast servers; with ``None`` (or a uniform
     spec) the classic homogeneous ``L`` is used.  A spec must describe
     exactly ``p`` machines, the rule every run applies
-    (:func:`~repro.config.resolve_machines`).
+    (:meth:`~repro.config.MachineSpec.require_p`).
     """
     if machines is not None:
-        machines = resolve_machines(machines, p)
+        machines.require_p(p)
     dstats = DataStatistics.coerce(query, stats, p)
     if dstats.query.relation_names != query.relation_names:
         raise ValueError(

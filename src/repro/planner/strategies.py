@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from repro.config import DEFAULT_SETTINGS, ExecutionSettings, resolve_machines
+from repro.config import DEFAULT_SETTINGS, ExecutionSettings
 from repro.core.families import triangle_query
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
@@ -218,7 +218,7 @@ class OneRoundHyperCube(Strategy):
             if dstats is None:
                 dstats = DataStatistics.from_database(query, database, p)
             _, shares, _ = self.best_shares(
-                query, dstats, p, resolve_machines(settings.machines, p)
+                query, dstats, p, settings.machines
             )
         return super()._run(
             query, database, p, seed, dstats, storage, settings,
@@ -354,7 +354,7 @@ class MultiRoundPlan(Strategy):
             if dstats is None:
                 dstats = DataStatistics.from_database(query, database, p)
             _, plan, _ = self.best_plan(
-                query, dstats, p, resolve_machines(settings.machines, p)
+                query, dstats, p, settings.machines
             )
         return super()._run(
             query, database, p, seed, dstats, storage, settings, plan=plan

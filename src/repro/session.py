@@ -22,7 +22,7 @@ Each run collects statistics, ranks the strategies, and reaches the
 chosen one's executor core (``Strategy.core``) through
 :meth:`~repro.planner.strategies.Strategy.run` and
 :func:`repro.run.dispatch_run`, so *every* execution funnels through
-one resolution of the storage/pool/machines knobs
+one resolution of the run's settings against its storage and ``p``
 (:meth:`repro.config.ExecutionSettings.resolve`).  The winning
 estimate is the run's one prediction: the session attaches it to the
 report.
@@ -65,13 +65,7 @@ from typing import Iterable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from repro.config import (
-    ExecutionSettings,
-    MachineSpec,
-    PoolKind,
-    resolve_machines,
-    resolve_pool,
-)
+from repro.config import ExecutionSettings, MachineSpec, PoolKind
 from repro.core.query import ConjunctiveQuery
 from repro.data.database import Database
 from repro.hashing.family import derive_seed
@@ -139,10 +133,8 @@ class ClusterConfig:
     chunk_rows: int | None = None
     #: Worker pool for each run's per-server routing and joins (the
     #: engines' fan-out only: :meth:`Session.run_many` runs its jobs on
-    #: threads whatever this is).  ``None`` follows the
-    #: ``REPRO_DEFAULT_POOL`` environment variable, else serial
-    #: (:func:`repro.config.default_pool`).
-    pool: PoolKind | None = None
+    #: threads whatever this is).
+    pool: PoolKind = "serial"
     #: Workers per engine pool (``None``: one per CPU core, capped at
     #: 8; :func:`repro.parallel.pool.default_max_workers`).
     max_workers: int | None = None
@@ -153,11 +145,8 @@ class ClusterConfig:
     #: ``RunRecord.trace_path`` at it.  Tracing never perturbs results.
     trace: "str | pathlib.Path | None" = None
     #: Per-machine speeds and capacities (a :class:`MachineSpec`, or a
-    #: pattern string like ``"4x1,4x2"``).  ``None`` follows the
-    #: ``REPRO_DEFAULT_MACHINES`` environment variable, else the
-    #: homogeneous model (:func:`repro.config.default_machines`).  An
-    #: explicit spec must have exactly ``p`` machines; a default
-    #: pattern is cycled to ``p``.
+    #: pattern string like ``"4x1,4x2"``) with exactly ``p`` machines;
+    #: ``None`` is the homogeneous model.
     machines: "MachineSpec | str | None" = None
     #: Collect telemetry (:mod:`repro.metrics`) for every run: each run
     #: records its trace events (in memory; written out only when
@@ -176,11 +165,8 @@ class ClusterConfig:
             object.__setattr__(
                 self, "machines", MachineSpec.parse(self.machines)
             )
-        if self.machines is not None and self.machines.p != self.p:
-            raise ValueError(
-                f"machines spec describes {self.machines.p} machine(s), "
-                f"but the cluster has p={self.p}"
-            )
+        if self.machines is not None:
+            self.machines.require_p(self.p)
         if (
             self.memory_budget_bytes is not None
             and self.memory_budget_bytes < 1
@@ -472,7 +458,7 @@ class Session:
             source,
             self.config.p,
             strategies=strategies,
-            machines=resolve_machines(self.config.machines, self.config.p),
+            machines=self.config.machines,
         )
 
     def run_many(
@@ -559,7 +545,7 @@ class Session:
 
     def workload_summary(self) -> str:
         """The accumulated history, one line per run plus percentiles."""
-        machines = resolve_machines(self.config.machines, self.config.p)
+        machines = self.config.machines
         cluster = (
             f", machines {machines.describe()}"
             if machines is not None and not machines.is_uniform
@@ -609,7 +595,6 @@ class Session:
             raise RuntimeError("session is closed")
         settings = self.config.settings()
         p = self.config.p
-        cluster = resolve_machines(settings.machines, p)
         query, database, label = job.query, job.database, job.label
         storage = self._storage_for(database)
         run_seed = self.config.seed if job.seed is None else job.seed
@@ -633,7 +618,9 @@ class Session:
                 stats = DataStatistics.from_database(query, database, p)
             # Rank under the cluster's machine spec, so a heterogeneous
             # session's winner minimizes predicted makespan.
-            explained = _planner_plan(query, stats, p, machines=cluster)
+            explained = _planner_plan(
+                query, stats, p, machines=settings.machines
+            )
             if job.strategy is None:
                 candidate = explained.winner
             else:
@@ -669,7 +656,7 @@ class Session:
                     "label": label,
                     "seed": run_seed,
                     "version": _repro_version(),
-                    "pool": resolve_pool(self.config.pool),
+                    "pool": settings.pool,
                     "machines": (
                         machines.describe() if machines is not None else None
                     ),

@@ -39,8 +39,12 @@ from repro.skew.heavy_hitters import HitterStatistics
 from repro.storage.manager import StorageManager
 
 
-def _star_center(query: ConjunctiveQuery) -> str:
-    """The variable shared by all atoms of a binary star query."""
+def star_center(query: ConjunctiveQuery) -> str:
+    """The center variable of a binary star query: the one shared by all atoms.
+
+    Raises ``ValueError`` when the query is not a star (used by the
+    planner to decide whether the Section 4.2.1 algorithm applies).
+    """
     if query.num_atoms < 1:
         raise ValueError("star query needs at least one atom")
     shared = set(query.atoms[0].variable_set)
@@ -62,15 +66,6 @@ def _star_center(query: ConjunctiveQuery) -> str:
     if len(set(others)) != len(others):
         raise ValueError("star legs must use distinct variables")
     return center
-
-
-def star_center(query: ConjunctiveQuery) -> str:
-    """The center variable of a binary star query.
-
-    Raises ``ValueError`` when the query is not a star (used by the
-    planner to decide whether the Section 4.2.1 algorithm applies).
-    """
-    return _star_center(query)
 
 
 def _heavy_allocation(
@@ -132,7 +127,7 @@ def star_core(
         raise ValueError("star algorithm needs p >= 2")
     with timer.phase("generate"):
         database.validate_for(query)
-        center = _star_center(query)
+        center = star_center(query)
         stats = database.statistics(query)
         if hitters is None:
             hitters = HitterStatistics.from_database(
@@ -268,7 +263,7 @@ def star_skew_load_bound(
     ``max(max_j M_j/p, max_I (sum_h prod_{j in I} M_j(h) / p)^{1/|I|})``
     where ``h`` ranges over the detected heavy hitters.
     """
-    center = _star_center(query)
+    center = star_center(query)
     stats = database.statistics(query)
     hitters = HitterStatistics.from_database(query, database, center, 1.0, p)
     return star_skew_load_bound_from_stats(query, stats, hitters, p)

@@ -76,13 +76,6 @@ def test_unguarded_and_loop_hooks_detected():
     assert len(found) == 2
 
 
-def test_hand_rolled_defaults_detected():
-    found = findings_for("hand_rolled_default.py")
-    assert ("settings-resolution", 5) in found  # machines or "4x1"
-    assert ("settings-resolution", 7) in found  # if pool is None: pool = ...
-    assert len(found) == 2
-
-
 def test_private_row_orders_detected():
     found = findings_for("row_order.py")
     # lexsort, unique(axis=0), np.argsort(kind="stable"), .argsort(kind="stable");
@@ -133,8 +126,8 @@ def test_file_and_path_anchoring():
 
 @pytest.mark.parametrize("rule", [
     "unseeded-random", "wall-clock", "sorted-iteration", "pool-task",
-    "parent-accounting", "hook-guard", "settings-resolution", "row-order",
-    "run-path", "spill-format",
+    "parent-accounting", "hook-guard", "row-order", "run-path",
+    "spill-format",
 ])
 def test_every_shipped_rule_is_registered(rule):
     assert rule in rule_ids()

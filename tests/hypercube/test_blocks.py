@@ -47,6 +47,7 @@ from repro.storage.manager import StorageManager
 
 from tests.conftest import random_queries
 from tests.reference import multiway_join
+from tests.reference.fingerprint import fingerprint
 from tests.reference.multiway_join import evaluate
 from tests.reference.tuple_kernel import kernel
 
@@ -231,17 +232,6 @@ def test_numpy_run_never_enters_the_tuple_path(engine, monkeypatch):
 
 # ------------------------- (c) heavy blocks cross the pool and storage seams
 
-def fingerprint(result):
-    report = result.report
-    return (
-        result.answers_array().tolist(),
-        [sorted(r.bits.items()) for r in report.rounds],
-        [sorted(r.tuples.items()) for r in report.rounds],
-        [sorted(r.dropped_bits.items()) for r in report.rounds],
-        result.servers_used,
-    )
-
-
 @pytest.mark.parametrize("machines", (None, "1,2"))
 @pytest.mark.parametrize("engine", ("skew-star", "skew-triangle"))
 def test_heavy_blocks_identical_across_pool_and_storage(
@@ -253,7 +243,11 @@ def test_heavy_blocks_identical_across_pool_and_storage(
         p, truth = 27, evaluate(triangle_query(), hub_graph_db())
     knobs = {}
     if machines is not None:
-        knobs["machines"] = MachineSpec.parse(machines).cycle_to(p)
+        # The pattern repeated over all p servers: alternating 1x/2x.
+        pattern = MachineSpec.parse(machines).speeds
+        knobs["machines"] = MachineSpec(
+            tuple(pattern[s % len(pattern)] for s in range(p))
+        )
     serial = run_engine(engine, pool="serial", **knobs)
     hitters = (
         serial.details["heavy_hitters"] if engine == "skew-star"

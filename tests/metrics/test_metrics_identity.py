@@ -93,8 +93,10 @@ def assert_reconciles(reg, result):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("pool", [None, "thread"])
 def test_metrics_do_not_perturb_results(engine, pool):
-    baseline = result_snapshot(run_engine(engine, pool=pool))
-    observed, reg = run_with_metrics(engine, pool=pool)
+    # None: the session's default pool, serial.
+    knobs = {} if pool is None else {"pool": pool}
+    baseline = result_snapshot(run_engine(engine, **knobs))
+    observed, reg = run_with_metrics(engine, **knobs)
     assert result_snapshot(observed) == baseline
     assert_reconciles(reg, observed)
 

@@ -29,18 +29,9 @@ from repro.planner import DataStatistics
 from repro.core.families import chain_query
 from repro.storage.manager import StorageManager
 
+from tests.reference.fingerprint import fingerprint
+
 POOLS = ("serial", "thread", "process")
-
-
-def fingerprint(result):
-    """Everything that must be bit-identical across pools."""
-    report = result.report
-    return (
-        sorted(result.answers),
-        [sorted(r.bits.items()) for r in report.rounds],
-        [sorted(r.tuples.items()) for r in report.rounds],
-        [sorted(r.dropped_bits.items()) for r in report.rounds],
-    )
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro import Session
-from repro.config import MachineSpec
 from repro.core.families import chain_query, star_query, triangle_query
 from repro.data.database import Database
 from repro.data.generators import matching_database, zipf_database
@@ -38,9 +37,7 @@ class TestNoTupleMaterialisation:
     def test_session_run_leaves_inputs_columnar(self, strategy):
         query, database = CASES[strategy]()
         assert all(rel._tuples_cache is None for rel in database)
-        # The homogeneous cluster, whatever REPRO_DEFAULT_MACHINES says:
-        # the expected winner is the uniform-speed ranking's.
-        session = Session(p=P, machines=MachineSpec.uniform(P))
+        session = Session(p=P)
         result = session.run(query, database)
         assert result.strategy == strategy  # the planner's own choice
         for relation in database:

@@ -205,17 +205,7 @@ class TestAcceptanceMargin:
         """Acceptance: on a zipf-skewed star join the planner's pick
         beats vanilla HyperCube's measured max-load by the margin its
         own cost model predicted, within 2x.
-
-        Pinned to the homogeneous cluster: the margins compare raw
-        max-load against the homogeneous cost forms, which a
-        ``REPRO_DEFAULT_MACHINES`` pattern (the CI heterogeneous leg)
-        would deliberately skew.
         """
-        with pytest.MonkeyPatch.context() as env:
-            env.delenv("REPRO_DEFAULT_MACHINES", raising=False)
-            self._check_margin()
-
-    def _check_margin(self):
         q = star_query(2)
         p = 16
         db = zipf_database(q, m=2000, n=2000, skew=1.0, seed=2)
@@ -255,9 +245,7 @@ class TestPickQuality:
         ],
         ids=["triangle-matching", "star2-zipf1.0", "chain4-matching"],
     )
-    def test_pick_near_best_measured(self, query, make_db, p, monkeypatch):
-        # Loads are compared in homogeneous units.
-        monkeypatch.delenv("REPRO_DEFAULT_MACHINES", raising=False)
+    def test_pick_near_best_measured(self, query, make_db, p):
         db = make_db(query)
         expected = evaluate(query, db)
         picked = Session(p=p, seed=0).run(query, db)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Session
-from repro.config import MachineSpec, resolve_machines
+from repro.config import MachineSpec
 from repro.core.families import simple_join_query, star_query, triangle_query
 from repro.core.shares import (
     integerize_shares,
@@ -87,8 +87,7 @@ class TestCandidates:
         db = planted_heavy_hitter_database(q, 120, 600, "z", 0.4, 5, seed=5)
         strategy = OneRoundHyperCube()
         _, shares, _ = strategy.best_shares(
-            q, DataStatistics.from_database(q, db, 8), 8,
-            resolve_machines(None, 8),
+            q, DataStatistics.from_database(q, db, 8), 8, None,
         )
         assert strategy.run(q, db, 8).details["shares"] == shares
 
@@ -180,9 +179,7 @@ def _digest(answers):
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_GOLDENS), ids="-".join)
-def test_pinned_vector_equals_the_retired_strategy(key, monkeypatch):
-    # The goldens were recorded on the homogeneous cluster.
-    monkeypatch.delenv("REPRO_DEFAULT_MACHINES", raising=False)
+def test_pinned_vector_equals_the_retired_strategy(key):
     query_name, vector, setting = key
     answers, bits, dropped = PINNED_GOLDENS[key]
     q, db, exponents = _pinned_case(query_name, vector)

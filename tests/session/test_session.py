@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import ExecutionSettings, resolve_machines
+from repro.config import ExecutionSettings
 from repro.core.families import star_query, triangle_query
 from repro.data.generators import (
     matching_database,
@@ -180,8 +180,7 @@ class TestBitIdentityToLegacy:
         # The strategy runs its cheapest candidate vector; the core runs
         # whatever shares it is handed.
         _, shares, _ = OneRoundHyperCube().best_shares(
-            query, DataStatistics.from_database(query, db, 8), 8,
-            resolve_machines(None, 8),
+            query, DataStatistics.from_database(query, db, 8), 8, None,
         )
         direct = dispatch_run(
             hypercube_core, query, db, 8, seed=seed, settings=ExecutionSettings(),

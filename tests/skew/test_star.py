@@ -14,17 +14,17 @@ from repro.data.generators import (
 )
 from repro.run import dispatch_run
 from repro.skew.heavy_hitters import HitterStatistics
-from repro.skew.star import star_core, star_skew_load_bound, _star_center
+from repro.skew.star import star_center, star_core, star_skew_load_bound
 from tests.reference.multiway_join import evaluate
 
 
 class TestValidation:
     def test_center_detection(self):
-        assert _star_center(star_query(3)) == "z"
+        assert star_center(star_query(3)) == "z"
 
     def test_rejects_non_star(self):
         with pytest.raises(ValueError, match="shared"):
-            _star_center(chain_query(3))
+            star_center(chain_query(3))
 
     def test_rejects_small_p(self):
         q = star_query(2)

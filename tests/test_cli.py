@@ -67,12 +67,15 @@ class TestPlanSubcommand:
 
 @pytest.mark.parametrize("command", ["plan", "run"])
 def test_machines_of_the_wrong_size_fail_the_check(command, capsys):
-    with pytest.raises(TourCheckFailed):
+    # A usage error, like every other bad argument: exit 2, no run.
+    with pytest.raises(SystemExit) as exited:
         main([command, "triangle", "--p", "16", "--m", "100",
               "--machines", "4x1,4x4"])
-    assert "CHECK FAILED: MachineSpec describes 8 servers but p=16" in (
-        capsys.readouterr().err
-    )
+    assert exited.value.code == 2
+    assert not isinstance(exited.value, TourCheckFailed)
+    err = capsys.readouterr().err
+    assert "argument --machines: MachineSpec describes 8 servers but p=16" in err
+    assert "CHECK FAILED" not in err
 
 
 class TestBackendFlag:
@@ -92,10 +95,7 @@ class TestRunSubcommand:
         main(["run", "triangle", "--p", "8", "--m", "120", "--n", "480",
               "--repeat", "3", "--max-workers", "2"])
         out = capsys.readouterr().out
-        # A REPRO_DEFAULT_MACHINES pattern names its machines here.
-        assert re.search(
-            r"session workload: p=8(, machines \S+)?, 3 run\(s\)", out
-        )
+        assert "session workload: p=8, 3 run(s)" in out
         assert "job-0" in out and "job-2" in out
         assert "per-run L percentiles" in out
 

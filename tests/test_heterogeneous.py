@@ -43,35 +43,12 @@ from repro.skew.star import star_core
 from repro.storage.manager import StorageManager
 from repro.trace import TraceQuery, TraceRecorder, tracing
 
+from tests.reference.fingerprint import fingerprint
 from tests.reference.multiway_join import evaluate
 from tests.reference.tuple_kernel import kernel
 
 
-def fingerprint(result):
-    """Everything that must be bit-identical (see test_pool_identity)."""
-    report = result.report
-    return (
-        sorted(result.answers),
-        [sorted(r.bits.items()) for r in report.rounds],
-        [sorted(r.tuples.items()) for r in report.rounds],
-        [sorted(r.dropped_bits.items()) for r in report.rounds],
-    )
-
-
 HETERO = MachineSpec.parse("4x1,4x4")
-
-
-@pytest.fixture(autouse=True)
-def homogeneous_default(monkeypatch):
-    """Pin the machine default to None for every test in this module.
-
-    The identity tests compare explicit specs against the bare
-    ``machines=None`` path, which must mean *homogeneous* here even
-    when the suite runs under ``REPRO_DEFAULT_MACHINES`` (the CI leg
-    that reruns everything on a heterogeneous pattern).  Tests that
-    exercise the default pattern set their own.
-    """
-    monkeypatch.delenv("REPRO_DEFAULT_MACHINES", raising=False)
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +349,11 @@ class TestHeterogeneousExecution:
         assert record.machines == "4x1+4x4"
         assert record.makespan_bits is not None
         assert "makespan" in record.line()
-        assert "machines 4x1+4x4" in summary
+        # The header names the cluster the makespan on the run line is for.
+        assert summary.splitlines()[0] == (
+            "session workload: p=8, machines 4x1+4x4, 1 run(s)"
+        )
+        assert "makespan" in summary.splitlines()[1]
 
         view = TraceQuery(record.trace_path)
         assert view.machines() == HETERO
@@ -386,30 +367,6 @@ class TestHeterogeneousExecution:
     def test_config_rejects_mismatched_spec(self):
         with pytest.raises(ValueError):
             ClusterConfig(p=16, machines="4x1,4x4")
-
-    def test_default_pattern_reaches_session(self, monkeypatch):
-        q = triangle_query()
-        db = matching_database(q, m=300, n=1200, seed=0)
-        monkeypatch.setenv("REPRO_DEFAULT_MACHINES", "1,4")
-        with Session(p=8, seed=0) as session:
-            session.run(q, db)
-            record = session.history[-1]
-        assert record.machines == MachineSpec.parse("1,4").cycle_to(8).describe()
-        assert record.makespan_bits is not None
-
-    def test_default_pattern_reaches_workload_summary(self, monkeypatch):
-        q = triangle_query()
-        db = matching_database(q, m=300, n=1200, seed=0)
-        monkeypatch.setenv("REPRO_DEFAULT_MACHINES", "1,2")
-        with Session(p=8, seed=0) as session:
-            session.run(q, db)
-            summary = session.workload_summary()
-        spec = MachineSpec.parse("1,2").cycle_to(8).describe()
-        # The header names the cluster the makespan on the run line is for.
-        assert summary.splitlines()[0] == (
-            f"session workload: p=8, machines {spec}, 1 run(s)"
-        )
-        assert "makespan" in summary.splitlines()[1]
 
     def test_homogeneous_trace_has_no_machine_rows(self):
         q = triangle_query()

@@ -168,7 +168,7 @@ class TestUserJourney:
     def test_version_exported(self):
         import repro
 
-        assert repro.__version__ == "15.0.0"
+        assert repro.__version__ == "16.0.0"
 
     def test_public_names_resolve_and_free_runners_are_gone(self):
         import importlib
@@ -199,4 +199,4 @@ class TestUserJourney:
         from repro.session import Session
 
         assert not hasattr(Session, "_planner_run")
-        assert len(modules[0].__all__) == 41
+        assert len(modules[0].__all__) == 39

@@ -27,10 +27,9 @@ def test_root_logger_has_null_handler():
 
 
 class TestForcedSerialWarning:
-    def test_defaulted_pool_stays_silent(self, caplog, monkeypatch):
-        monkeypatch.delenv("REPRO_DEFAULT_POOL", raising=False)
+    def test_defaulted_pool_stays_silent(self, caplog):
         with caplog.at_level(logging.WARNING, logger="repro"):
-            assert ExecutionSettings(pool=None).resolve().pool == "serial"
+            assert ExecutionSettings().resolve().pool == "serial"
             # An explicit pool is honoured as given, silently.
             assert ExecutionSettings(pool="thread").resolve().pool == "thread"
         assert not caplog.records
@@ -50,14 +49,14 @@ class TestLegacyEstimateWarning:
 
         q = triangle_query()
         stats = Statistics.uniform(q, m=100, domain_size=128)
-        machines = MachineSpec((1.0, 2.0)).cycle_to(8)
+        machines = MachineSpec((1.0, 2.0) * 4)
         with pytest.raises(TypeError):
             plan(q, stats, 8, strategies=[Legacy()], machines=machines)
 
     def test_builtin_strategies_do_not_warn(self, caplog):
         q = triangle_query()
         stats = Statistics.uniform(q, m=100, domain_size=128)
-        machines = MachineSpec((1.0, 2.0)).cycle_to(8)
+        machines = MachineSpec((1.0, 2.0) * 4)
         logger = "repro.planner.optimizer"
         with caplog.at_level(logging.WARNING, logger=logger):
             plan(q, stats, 8, machines=machines)

@@ -1,11 +1,11 @@
-"""MachineSpec: parsing, describe round-trips, defaults and resolution."""
+"""MachineSpec: parsing, describe round-trips and resolution."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import MachineSpec, default_machines
-from repro.config import ExecutionSettings, resolve_machines
+from repro import MachineSpec
+from repro.config import ExecutionSettings
 
 
 class TestMachineSpec:
@@ -60,15 +60,6 @@ class TestMachineSpec:
         assert spec.speed(2) == 1.0
         assert spec.speed(7) == 4.0
 
-    def test_cycle_to_repeats_pattern(self):
-        spec = MachineSpec.parse("1,4").cycle_to(5)
-        assert spec.speeds == (1.0, 4.0, 1.0, 4.0, 1.0)
-        assert MachineSpec.parse("2x1").cycle_to(1).speeds == (1.0,)
-
-    def test_cycle_to_carries_capacities(self):
-        spec = MachineSpec((1.0, 2.0), capacities=(100.0, None)).cycle_to(4)
-        assert spec.capacities == (100.0, None, 100.0, None)
-
     def test_capacities_validated(self):
         spec = MachineSpec((1.0, 2.0), capacities=(50.0, None))
         assert spec.capacity(0) == 50.0
@@ -96,23 +87,14 @@ class TestMachineSpec:
 
 
 class TestResolveMachines:
-    def test_none_stays_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DEFAULT_MACHINES", raising=False)
-        assert resolve_machines(None, 8) is None
+    def test_none_stays_none(self):
+        assert ExecutionSettings().resolve(p=8).machines is None
 
     def test_explicit_spec_must_match_p(self):
         spec = MachineSpec.parse("4x1,4x2")
-        assert resolve_machines(spec, 8) is spec
+        assert ExecutionSettings(machines=spec).resolve(p=8).machines is spec
         with pytest.raises(ValueError):
-            resolve_machines(spec, 16)
-
-    def test_default_pattern_cycles_to_p(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEFAULT_MACHINES", "1,4")
-        assert default_machines() == MachineSpec.parse("1,4")
-        resolved = resolve_machines(None, 6)
-        assert resolved.speeds == (1.0, 4.0) * 3
-        monkeypatch.delenv("REPRO_DEFAULT_MACHINES")
-        assert default_machines() is None
+            ExecutionSettings(machines=spec).resolve(p=16)
 
     def test_settings_reject_non_spec(self):
         with pytest.raises(TypeError):

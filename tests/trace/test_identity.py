@@ -87,9 +87,11 @@ class TestBitIdentity:
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("pool", [None, "thread"])
     def test_traced_equals_untraced(self, engine, pool):
-        baseline = snapshot(run_engine(engine, pool=pool))
+        # None: the session's default pool, serial.
+        knobs = {} if pool is None else {"pool": pool}
+        baseline = snapshot(run_engine(engine, **knobs))
         with tracing() as rec:
-            traced = run_engine(engine, pool=pool)
+            traced = run_engine(engine, **knobs)
         assert snapshot(traced) == baseline
         assert any(e.get("t") == "send" for e in rec.events)
         assert_reconciles(rec, traced.load_report)
