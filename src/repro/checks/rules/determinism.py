@@ -4,9 +4,10 @@ The repo's load guarantees only mean anything if runs are bit-identical
 across pool × worker count × storage × machine spec (see
 PAPER.md / ROADMAP.md).  Three source-level habits break that:
 
-- drawing from a *global* random state (``random.shuffle``,
-  ``np.random.rand``, ``default_rng()`` with no seed) instead of a
-  seeded generator derived from the run's seed;
+- drawing from a *global* or entropy-seeded random state
+  (``random.shuffle``, ``np.random.rand``, ``default_rng()`` or a bit
+  generator such as ``MT19937()`` with no seed) instead of a seeded
+  generator derived from the run's seed;
 - reading the wall clock in engine code, where the value flows into
   results or ordering (timing/metrics modules are the sanctioned
   homes for clocks);
@@ -37,6 +38,12 @@ _GLOBAL_NP_RANDOM_FNS = frozenset({
     "sample", "seed", "shuffle", "permutation", "choice", "uniform",
     "normal", "standard_normal", "binomial", "poisson", "exponential",
     "beta", "gamma", "zipf", "bytes", "get_state", "set_state",
+})
+
+#: ``numpy.random`` constructors that draw OS entropy when called bare.
+_NP_ENTROPY_SEEDED = frozenset({
+    "default_rng", "SeedSequence",
+    "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
 })
 
 #: Wall-clock reads.  ``time.sleep`` is deliberately absent — it delays
@@ -92,13 +99,16 @@ class UnseededRandomRule(Rule):
                     f"call to global-state numpy.random.{parts[2]}(); use "
                     "a numpy.random.Generator seeded from the run's seed",
                 )
-            elif dotted == "numpy.random.default_rng" and not (
-                node.args or node.keywords
+            elif (
+                len(parts) == 3
+                and parts[:2] == ["numpy", "random"]
+                and parts[2] in _NP_ENTROPY_SEEDED
+                and not (node.args or node.keywords)
             ):
                 yield self.finding(
                     module,
                     node,
-                    "default_rng() without a seed draws OS entropy; pass "
+                    f"{parts[2]}() without a seed draws OS entropy; pass "
                     "a seed derived from the run's seed",
                 )
             elif dotted == "random.Random" and not (node.args or node.keywords):

@@ -27,7 +27,18 @@ The matching and zipf generators draw from a vectorized
 (array-born via :meth:`Relation.from_array`, no Python tuples), which
 is what makes ``n = 10^7`` planner/skew benchmark setups take seconds
 instead of minutes.  The other generators draw from a
-``random.Random`` stream.
+``random.Random`` stream and are array-born too.  The uniform and
+random-graph generators replay that stream in numpy: CPython's
+``randrange(n)`` is ``getrandbits(n.bit_length())`` with rejection,
+i.e. one 32-bit Mersenne Twister word per candidate (two above 32
+bits), and numpy's ``MT19937`` loads ``random.Random.getstate()``
+as is.  Batches of words are drawn and filtered there, and the caller's
+``rng`` is then advanced by exactly the words a ``randrange`` loop would
+have used, so every seed gives the tuples and the final ``rng`` state
+of the tuple-at-a-time loop (``tests/reference/generators.py``).  The
+degree-sequence and planted-hitter generators keep ``rng.sample`` (its
+pool branch redraws with a shrinking bound) and build rows with array
+operations.
 
 The matching and zipf generators also take ``storage=`` (a
 :class:`~repro.storage.manager.StorageManager`) and ``chunk_rows=``:
@@ -45,8 +56,9 @@ different (equally distributed) instances.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,6 +78,141 @@ def _rng(seed_or_rng: int | random.Random) -> random.Random:
     if isinstance(seed_or_rng, random.Random):
         return seed_or_rng
     return random.Random(seed_or_rng)
+
+
+#: Mersenne Twister words drawn (or skipped) per call of :class:`_Randbelow`.
+_REPLAY_CHUNK_WORDS = 1 << 20
+
+
+class _Randbelow:
+    """Accepted ``rng.randrange(n)`` draws of a ``random.Random``, in numpy.
+
+    CPython draws ``randrange(n)`` as ``getrandbits(k)``, ``k =
+    n.bit_length()``, until the candidate is below ``n``; a candidate is
+    the top ``k`` bits of one 32-bit MT19937 word (``k <= 32``) or the
+    first word plus the top ``k - 32`` bits of the second as its high
+    half.  The words come from a numpy ``MT19937`` loaded with a copy
+    of ``rng``'s state; ``rng`` itself moves only on :meth:`commit`.
+    """
+
+    def __init__(self, rng: random.Random, n: int):
+        cls = type(rng)
+        if (cls.getrandbits, cls._randbelow) != (
+            random.Random.getrandbits, random.Random._randbelow
+        ):
+            raise TypeError(
+                f"{cls.__name__} changes how randrange draws; only "
+                "random.Random's own Mersenne Twister stream is replayed"
+            )
+        if not 0 < n <= 1 << 63:
+            raise ValueError(f"randrange replay needs 0 < n <= 2**63 (got {n})")
+        self.rng = rng
+        self.n = n
+        self.bits = n.bit_length()
+        self.word_size = 1 if self.bits <= 32 else 2
+        _, internal, _ = rng.getstate()
+        self._generator = np.random.MT19937(0)
+        self._generator.state = {
+            "bit_generator": "MT19937",
+            "state": {
+                "key": np.array(internal[:-1], dtype=np.uint32),
+                "pos": internal[-1],
+            },
+        }
+        self.words = 0  # words drawn so far
+
+    def draw(self, words: int) -> tuple[np.ndarray, np.ndarray]:
+        """The accepted draws among the next ``>= words`` words.
+
+        Returns ``(values, ends)``: int64 values below ``n`` in draw
+        order, and per value the number of words drawn (since the
+        helper was made) once it is accepted.
+        """
+        values, ends = [], []
+        target = self.words + max(words, self.word_size)
+        while self.words < target:
+            count = min(_REPLAY_CHUNK_WORDS, target - self.words)
+            count += -count % self.word_size
+            raw = self._generator.random_raw(count)
+            if self.word_size == 1:
+                candidates = raw >> (32 - self.bits)
+            else:
+                pairs = raw.reshape(-1, 2)
+                candidates = pairs[:, 0] | (
+                    (pairs[:, 1] >> (64 - self.bits)) << 32
+                )
+            accepted = np.flatnonzero(candidates < self.n)
+            values.append(candidates[accepted].astype(np.int64))
+            ends.append(self.words + (accepted + 1) * self.word_size)
+            self.words += count
+        return np.concatenate(values), np.concatenate(ends)
+
+    def commit(self, words: int) -> None:
+        """Advance ``rng`` past exactly the first ``words`` words drawn.
+
+        ``getrandbits(32 * w)`` consumes exactly ``w`` whole words.
+        """
+        for start in range(0, words, _REPLAY_CHUNK_WORDS):
+            self.rng.getrandbits(32 * min(_REPLAY_CHUNK_WORDS, words - start))
+
+
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """The index of each distinct row's first occurrence, ascending."""
+    ids, _ = encode_rows(rows)
+    _, first = np.unique(ids, return_index=True)
+    first.sort()
+    return first
+
+
+def _first_distinct_draws(
+    rng: random.Random,
+    n: int,
+    width: int,
+    count: int,
+    keep: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+) -> np.ndarray:
+    """The first ``count`` distinct rows of ``width`` ``randrange(n)`` draws.
+
+    Exactly what a loop adding rows of ``width`` draws to a set until it
+    holds ``count`` would keep, in draw order.  ``keep`` maps a block of
+    drawn rows to ``(rows, mask)``: the rows as that loop adds them and
+    which of them it adds at all.  ``rng`` then stands where the loop
+    leaves it, just after the last word of the ``count``-th distinct row.
+    """
+    rows = np.empty((0, width), dtype=np.int64)
+    if count == 0:
+        return rows
+    draws = _Randbelow(rng, n)
+    ends = np.empty(0, dtype=np.int64)
+    pending = np.empty(0, dtype=np.int64)  # a partial row's values
+    pending_ends = np.empty(0, dtype=np.int64)
+    rate = 1.0  # distinct rows kept per row drawn, last batch
+    while len(rows) < count:
+        wanted = int((count - len(rows)) / max(rate, 1e-3) * 1.05) + 64
+        wanted = min(wanted, 4 * count + 1024)
+        words = math.ceil(
+            wanted * width * draws.word_size * (1 << draws.bits) / n
+        )
+        values, value_ends = draws.draw(words)
+        values = np.concatenate([pending, values])
+        value_ends = np.concatenate([pending_ends, value_ends])
+        whole = len(values) - len(values) % width
+        pending, pending_ends = values[whole:], value_ends[whole:]
+        block = values[:whole].reshape(-1, width)
+        block_ends = value_ends[width - 1:whole:width]
+        if keep is not None:
+            block, mask = keep(block)
+            block, block_ends = block[mask], block_ends[mask]
+        merged = np.concatenate([rows, block])
+        merged_ends = np.concatenate([ends, block_ends])
+        # ``rows`` are distinct and precede the block, so first
+        # occurrences keep them (and the block's new rows) in draw order.
+        first = _first_occurrences(merged)
+        found = len(first) - len(rows)
+        rate = found / max(whole // width, 1)
+        rows, ends = merged[first], merged_ends[first]
+    draws.commit(int(ends[count - 1]))
+    return rows[:count]
 
 
 def _np_rng(
@@ -182,14 +329,18 @@ def matching_database(
 def uniform_relation(
     name: str, arity: int, m: int, n: int, seed: int | random.Random = 0
 ) -> Relation:
-    """``m`` distinct tuples drawn uniformly from ``[n]^arity``."""
+    """``m`` distinct tuples drawn uniformly from ``[n]^arity``.
+
+    The tuples are those of the loop that adds ``tuple(rng.randrange(n)
+    for _ in range(arity))`` to a set until it holds ``m``, drawn from
+    the same ``random.Random`` stream but in numpy batches (see the
+    module docstring), and a shared ``rng`` is left where that loop
+    would leave it.
+    """
     if m > n**arity:
         raise ValueError(f"cannot draw {m} distinct tuples from [{n}]^{arity}")
-    rng = _rng(seed)
-    tuples: set[tuple[int, ...]] = set()
-    while len(tuples) < m:
-        tuples.add(tuple(rng.randrange(n) for _ in range(arity)))
-    return Relation(name, arity, tuples)
+    rows = _first_distinct_draws(_rng(seed), n, arity, m)
+    return Relation.from_array(name, rows)
 
 
 def uniform_database(
@@ -315,11 +466,9 @@ def _zipf_relation_numpy(
             rng, batch, arity, positions, cumulative, total, n
         )
         merged = np.concatenate([drawn, block], axis=0)
-        ids, _ = encode_rows(merged)
         # Rows of ``drawn`` are distinct and precede the block, so first
         # occurrences keep them (and fresh block rows) in draw order.
-        _, first_index = np.unique(ids, return_index=True)
-        drawn = merged[np.sort(first_index)]
+        drawn = merged[_first_occurrences(merged)]
     return Relation.from_array(name, drawn[:m])
 
 
@@ -432,26 +581,21 @@ def planted_heavy_hitter_database(
             i for i, v in enumerate(atom.variables) if v == variable
         ]
         # Distinct values for all non-planted coordinates.
-        columns = [rng.sample(range(n), size) for _ in range(atom.arity)]
-        if not positions:
-            relations.append(Relation(atom.relation, atom.arity, zip(*columns)))
-            continue
+        rows = np.stack(
+            [
+                np.array(rng.sample(range(n), size), dtype=np.int64)
+                for _ in range(atom.arity)
+            ],
+            axis=1,
+        )
         heavy_count = int(round(size * hitter_fraction))
-        light_count = size - heavy_count
-        tuples: set[tuple[int, ...]] = set()
-        for row in range(heavy_count):
-            tup = [columns[pos][row] for pos in range(atom.arity)]
-            for pos in positions:
-                tup[pos] = hitter_value
-            tuples.add(tuple(tup))
-        for row in range(heavy_count, heavy_count + light_count):
-            tup = [columns[pos][row] for pos in range(atom.arity)]
+        light = np.arange(heavy_count, size)
+        for pos in positions:
+            rows[:heavy_count, pos] = hitter_value
             # Keep light tuples off the planted value.
-            for pos in positions:
-                if tup[pos] == hitter_value:
-                    tup[pos] = (hitter_value + 1 + row) % n
-            tuples.add(tuple(tup))
-        relations.append(Relation(atom.relation, atom.arity, tuples))
+            planted = light[rows[heavy_count:, pos] == hitter_value]
+            rows[planted, pos] = (hitter_value + 1 + planted) % n
+        relations.append(Relation.from_array(atom.relation, rows))
     return Database(relations, n)
 
 
@@ -480,19 +624,18 @@ def degree_sequence_relation(
     rng = _rng(seed)
     other_positions = [p for p in range(arity) if p != position]
     fresh = {p: rng.sample(range(n), total) for p in other_positions}
-    tuples = []
-    row = 0
-    for value, count in sorted(frequencies.items()):
+    values = sorted(frequencies)
+    for value in values:
         if not 0 <= value < n:
             raise ValueError(f"value {value} outside domain [0, {n})")
-        for _ in range(count):
-            tup = [0] * arity
-            tup[position] = value
-            for p in other_positions:
-                tup[p] = fresh[p][row]
-            tuples.append(tuple(tup))
-            row += 1
-    return Relation(name, arity, tuples)
+    rows = np.empty((total, arity), dtype=np.int64)
+    rows[:, position] = np.repeat(
+        np.array(values, dtype=np.int64),
+        [frequencies[value] for value in values],
+    )
+    for p in other_positions:
+        rows[:, p] = fresh[p]
+    return Relation.from_array(name, rows)
 
 
 def degree_sequence_database(
@@ -585,19 +728,19 @@ def layered_path_database(
 def random_graph_edges(
     num_vertices: int, num_edges: int, seed: int | random.Random = 0
 ) -> set[tuple[int, int]]:
-    """A simple undirected graph as a set of ``(u, v)`` pairs with u < v."""
+    """A simple undirected graph as a set of ``(u, v)`` pairs with u < v.
+
+    Endpoints are ``rng.randrange(num_vertices)`` pairs, loops skipped,
+    replayed in numpy like :func:`uniform_relation`.
+    """
     max_edges = num_vertices * (num_vertices - 1) // 2
     if num_edges > max_edges:
         raise ValueError(f"at most {max_edges} simple edges on {num_vertices} vertices")
-    rng = _rng(seed)
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < num_edges:
-        u = rng.randrange(num_vertices)
-        v = rng.randrange(num_vertices)
-        if u == v:
-            continue
-        edges.add((min(u, v), max(u, v)))
-    return edges
+    pairs = _first_distinct_draws(
+        _rng(seed), num_vertices, 2, num_edges,
+        keep=lambda block: (np.sort(block, axis=1), block[:, 0] != block[:, 1]),
+    )
+    return set(map(tuple, pairs.tolist()))
 
 
 def triangle_database_from_edges(
@@ -609,11 +752,9 @@ def triangle_database_from_edges(
     each undirected triangle ``{a, b, c}`` appears as six directed
     answers of ``C3`` (all rotations and reflections).
     """
-    symmetric = set()
-    for u, v in edges:
-        symmetric.add((u, v))
-        symmetric.add((v, u))
-    relations = [Relation(f"S{j}", 2, symmetric) for j in (1, 2, 3)]
+    pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    symmetric = np.concatenate([pairs, pairs[:, ::-1]])
+    relations = [Relation.from_array(f"S{j}", symmetric) for j in (1, 2, 3)]
     return Database(relations, num_vertices)
 
 

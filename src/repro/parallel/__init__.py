@@ -21,6 +21,7 @@ from repro.parallel.pool import (
 )
 from repro.parallel.tasks import (
     ArraySource,
+    JoinOrderError,
     JoinTask,
     RouteTask,
     iter_array_sources,
@@ -42,6 +43,7 @@ __all__ = [
     "get_pool",
     "shutdown_pools",
     "ArraySource",
+    "JoinOrderError",
     "JoinTask",
     "RouteTask",
     "iter_array_sources",

@@ -35,6 +35,7 @@ routing and joins fan out here, while whole runs (a
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -300,6 +301,10 @@ def server_join_task(
     return JoinTask(server, query, tuple(fragments))
 
 
+class JoinOrderError(RuntimeError):
+    """A pool returned a join result out of job order."""
+
+
 def join_over_pool(
     pool: WorkerPool,
     sim: "MPCSimulation",
@@ -312,17 +317,26 @@ def join_over_pool(
     ``query``.  Tasks snapshot a server only as the pool pulls them and
     results come back in job order, so the caller may record outputs
     and free a server's fragments as soon as its result arrives -- the
-    out-of-core executors' one-server-resident property.  ``None``
-    stands for "no answers".
+    out-of-core executors' one-server-resident property.  Each result's
+    server id is checked against its job's, so a pool that breaks that
+    order raises :class:`JoinOrderError` instead of handing the caller
+    another server's answers.  ``None`` stands for "no answers".
     """
+    due: deque[int] = deque()
 
     def tasks() -> Iterator[JoinTask]:
         for query, server, prefix in jobs:
+            due.append(server)
             yield server_join_task(query, sim.server(server), server, prefix)
 
     trace = sim.trace
     for server, local, seconds in pool.imap(join_task, tasks()):
+        expected = due.popleft()
+        if server != expected:
+            raise JoinOrderError(
+                f"the pool returned server {server}'s join result where "
+                f"server {expected}'s was due"
+            )
         if trace is not None:
             trace.task("join", server, seconds, pool.kind)
         yield local
-

@@ -11,10 +11,13 @@ def scramble(items):
     noise = np.random.rand(4)  # line 11: unseeded-random
     rng = default_rng()  # line 12: unseeded-random
     anon = random.Random()  # line 13: unseeded-random
-    return items, noise, rng, anon
+    bits = np.random.MT19937()  # line 14: unseeded-random
+    entropy = np.random.SeedSequence()  # line 15: unseeded-random
+    return items, noise, rng, anon, bits, entropy
 
 
 def fine(seed):
     rng = random.Random(seed)
     gen = default_rng(seed)
-    return rng.random(), gen.random()
+    bits = np.random.PCG64(seed)
+    return rng.random(), gen.random(), bits.random_raw()

@@ -40,8 +40,10 @@ def test_unseeded_random_detected():
     assert ("unseeded-random", 11) in found  # np.random.rand
     assert ("unseeded-random", 12) in found  # default_rng()
     assert ("unseeded-random", 13) in found  # random.Random()
+    assert ("unseeded-random", 14) in found  # np.random.MT19937()
+    assert ("unseeded-random", 15) in found  # np.random.SeedSequence()
     # The seeded twins in fine() are not findings.
-    assert len(found) == 4
+    assert len(found) == 6
 
 
 def test_wall_clock_detected_through_aliases():

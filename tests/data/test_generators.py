@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.families import chain_query, simple_join_query, star_query, triangle_query
+from repro.core.families import (
+    chain_query,
+    simple_join_query,
+    star_query,
+    triangle_query,
+)
+from repro.data import generators
 from repro.data.generators import (
     degree_sequence_database,
     degree_sequence_relation,
@@ -22,6 +32,8 @@ from repro.data.generators import (
     zipf_database,
     zipf_relation,
 )
+
+from tests.reference import generators as reference
 
 
 class TestMatching:
@@ -97,6 +109,138 @@ class TestUniform:
         q = simple_join_query()
         d = uniform_database(q, 30, 40, seed=4)
         assert all(len(d[r]) == 30 for r in q.relation_names)
+
+
+def _digest(query, database):
+    h = hashlib.sha1()
+    for name in query.relation_names:
+        h.update(database[name].to_array().astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+#: Bit lengths ``k`` of ``n``: one word per candidate up to 32, two above.
+BIT_LENGTHS = (1, 14, 32, 33, 40)
+
+
+@st.composite
+def domains(draw):
+    """A domain size ``n``: of one of ``BIT_LENGTHS`` bits, or tiny."""
+    k = draw(st.sampled_from(BIT_LENGTHS + (0,)))
+    if k == 0:
+        return draw(st.integers(min_value=2, max_value=6))
+    return draw(st.integers(min_value=1 << (k - 1), max_value=(1 << k) - 1))
+
+
+class TestSameStream:
+    """The numpy generators replay the ``random.Random`` loops exactly.
+
+    ``tests/reference/generators.py`` holds the loops: one
+    ``randrange`` per value, rows collected in a set.  Rows and the
+    ``rng`` state afterwards must match, so a shared ``rng`` hands the
+    next generator the same stream.
+    """
+
+    @given(
+        arity=st.integers(min_value=1, max_value=4),
+        n=domains(),
+        seed=st.integers(min_value=0, max_value=2**32),
+        shared=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_uniform_relation_replays_the_loop(self, arity, n, seed, shared, data):
+        capacity = n**arity
+        sizes = st.integers(min_value=0, max_value=min(capacity, 300))
+        if capacity <= 300:
+            sizes = st.one_of(st.just(capacity), sizes)  # saturation
+        m = data.draw(sizes, label="m")
+        if not shared:
+            assert np.array_equal(
+                uniform_relation("R", arity, m, n, seed).to_array(),
+                reference.uniform_relation("R", arity, m, n, seed).to_array(),
+            )
+            return
+        # Two calls on one rng: the second starts where the first ended.
+        again = data.draw(st.integers(min_value=0, max_value=min(capacity, 50)))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for size in (m, again):
+            assert np.array_equal(
+                uniform_relation("R", arity, size, n, ours).to_array(),
+                reference.uniform_relation("R", arity, size, n, theirs).to_array(),
+            )
+            assert ours.getstate() == theirs.getstate()
+
+    @given(
+        vertices=st.one_of(domains(), st.integers(min_value=0, max_value=1)),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_graph_edges_replays_the_loop(self, vertices, seed, data):
+        most = vertices * (vertices - 1) // 2
+        edges = data.draw(st.integers(min_value=0, max_value=min(most, 200)))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            assert random_graph_edges(vertices, edges, ours) == (
+                reference.random_graph_edges(vertices, edges, theirs)
+            )
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n", [100, 2**33 + 7])
+    def test_commit_lands_in_a_later_numpy_call(self, n, monkeypatch):
+        """Words come in many small numpy calls; ``rng`` still ends right."""
+        monkeypatch.setattr(generators, "_REPLAY_CHUNK_WORDS", 37)
+        ours, theirs = random.Random(8), random.Random(8)
+        for name in ("S1", "S2"):
+            assert np.array_equal(
+                uniform_relation(name, 2, 300, n, ours).to_array(),
+                reference.uniform_relation(name, 2, 300, n, theirs).to_array(),
+            )
+            assert ours.getstate() == theirs.getstate()
+
+    def test_gauss_state_survives(self):
+        ours, theirs = random.Random(4), random.Random(4)
+        ours.gauss(0.0, 1.0), theirs.gauss(0.0, 1.0)  # caches a second normal
+        uniform_relation("R", 2, 10, 100, ours)
+        reference.uniform_relation("R", 2, 10, 100, theirs)
+        assert ours.getstate() == theirs.getstate()
+
+    def test_subclass_that_changes_randrange_is_refused(self):
+        class Bits(random.Random):
+            def getrandbits(self, k):
+                return super().getrandbits(k)
+
+        class Floats(random.Random):  # randrange then draws via random()
+            def random(self):
+                return super().random()
+
+        for cls in (Bits, Floats):
+            with pytest.raises(TypeError, match="changes how randrange draws"):
+                uniform_relation("R", 2, 10, 100, cls(1))
+
+    #: SHA-1 of each relation's canonical little-endian int64 rows, in
+    #: query order, as generated before the numpy replay existed.  A drift
+    #: of the stream, including a CPython ``randrange`` change, fails here.
+    PINNED_UNIFORM = {
+        1: "45a1cd51802db770dff74c5c2952734192ea4b0e",
+        2: "beaf2c1e3ac19d2ec653b8312959a0207dfabb14",
+        3: "7e92c24b237aa3200489a0559d350ca27514739a",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_UNIFORM))
+    def test_uniform_database_is_pinned(self, seed):
+        q = triangle_query()
+        db = uniform_database(q, m=1000, n=100, seed=seed)
+        assert _digest(q, db) == self.PINNED_UNIFORM[seed]
+
+    def test_sampled_databases_are_pinned(self):
+        star = star_query(2)
+        frequencies = {"S1": {0: 200, 1: 50, 7: 3}, "S2": {0: 100, 2: 30}}
+        db = degree_sequence_database(star, "z", frequencies, 1000, seed=1)
+        assert _digest(star, db) == "0f3f3bf0c671773113c8e6262c39b11c5381c4f7"
+        join = simple_join_query()
+        db = planted_heavy_hitter_database(join, 500, 2000, "z", 0.25, 3, seed=1)
+        assert _digest(join, db) == "28fab1a77e37ce5905ee3f09c6eed1c12fc58a51"
 
 
 class TestZipf:

@@ -40,7 +40,15 @@ from repro.hypercube.blocks import Block, BlockInput, round_kernel
 from repro.mpc.simulator import LoadExceededError, MPCSimulation
 from repro.mpc.timing import PhaseTimer
 from repro.multiround.plans import chain_plan
-from repro.parallel import RouteTask, get_pool, iter_array_sources, route_over_pool
+from repro.parallel import (
+    JoinOrderError,
+    RouteTask,
+    SerialPool,
+    get_pool,
+    iter_array_sources,
+    join_task,
+    route_over_pool,
+)
 from repro.skew.bounds import zipf_frequencies
 from repro.storage.chunked import ChunkedRelation
 from repro.storage.manager import StorageManager
@@ -410,3 +418,43 @@ def test_coalesced_task_names_its_lowest_breaching_server():
         errors.append((err.server, err.bits, err.capacity))
     assert errors[0] == (0, 6.0 * VALUE_BITS, 4 * VALUE_BITS)
     assert errors[1] == (1, 6.0 * VALUE_BITS, 4 * VALUE_BITS)
+
+
+class SwappingPool(SerialPool):
+    """Runs every task, but hands back the 2nd and 3rd join results swapped."""
+
+    def imap(self, fn, tasks):
+        results = [fn(task) for task in tasks]
+        if fn is join_task:
+            results[1], results[2] = results[2], results[1]
+        return iter(results)
+
+
+def test_join_results_out_of_job_order_raise():
+    """A result is checked against its job's server, never paired by position.
+
+    Server 2 is the first server of a second block whose ``head``
+    rewrites answers; applied to server 1's answers it would silently
+    record wrong rows.
+    """
+    query = chain_query(1)
+    (x, y) = query.variables
+    rows = np.array([[1, 2], [3, 4], [5, 6], [7, 8]], dtype=np.int64)
+    inputs = (BlockInput(query.atoms[0].relation, (x, y), (rows,)),)
+    blocks = [
+        Block(query=query, inputs=inputs, shares=(2, 1), family_seed=3),
+        Block(
+            query=query, inputs=inputs, shares=(2, 1), family_seed=5,
+            base=2, head=(x, 9),
+        ),
+    ]
+    opened = round_kernel(
+        4, VALUE_BITS, ExecutionSettings().resolve(), None, PhaseTimer()
+    )
+    opened.pool = SwappingPool()
+    opened.communicate(blocks)
+    with pytest.raises(
+        JoinOrderError,
+        match="returned server 2's join result where server 1's was due",
+    ):
+        opened.compute(blocks)
